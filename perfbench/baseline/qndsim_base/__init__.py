@@ -1,0 +1,52 @@
+"""Simulator and analysis harness for nondemolition measurements of
+two-qubit complementarity (coherence, predictability, concurrence)."""
+
+from .qmath import (
+    DensityMatrix,
+    StateVector,
+    basis_state,
+    fidelity,
+    hermitian_eigenvalues,
+    matrix_sqrt_psd,
+    partial_trace,
+    tensor,
+)
+from .circuits import (
+    Circuit,
+    EmptyBranchError,
+    Gate,
+    NoiseModel,
+    OutcomeCounts,
+    exact_probabilities,
+    postselect,
+    postselect_counts,
+    rng_stream,
+    run_noisy,
+    run_pure,
+    sample_counts,
+)
+from .observables import (
+    ObservableValue,
+    concurrence_pure,
+    concurrence_wootters,
+    observable_set,
+    predictability,
+    triality_defect,
+    visibility,
+)
+from .experiments import (
+    BellCoefficients,
+    MeasurementSetting,
+    PrepParams,
+    bell_coefficients,
+    conditional_target_state,
+    estimate_observable,
+    measurement_circuit,
+    prep_circuit,
+    qnd1_circuit,
+    qnd2_circuit,
+    setting_for,
+    visibility_identity_check,
+)
+
+__version__ = "0.1.0"

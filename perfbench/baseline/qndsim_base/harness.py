@@ -1,0 +1,489 @@
+"""Sweep driver: configure, run the three-stage protocol, emit results.
+
+The protocol at each sweep point mirrors the experimental procedure:
+
+1. prepare the input state and tomograph it (accuracy reference),
+2. run the nondemolition circuit and estimate the observable from the
+   ancilla statistics,
+3. tomograph the unconditional output state (nondemolition check), and
+4. re-analyze the same output-tomography data post-selected on each ancilla
+   outcome (state-preparation check).
+
+Every random draw comes from a stream derived from
+(master_seed, stage, point, setting), so results are byte-reproducible
+regardless of execution order or worker count.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from . import circuits as circ
+from . import experiments as ex
+from . import tomography as tom
+from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
+from .circuits import EmptyBranchError, NoiseModel
+from .observables import concurrence_pure, predictability, visibility
+from .qmath import DensityMatrix, StateVector, basis_state, fidelity, partial_trace
+
+THETA_DEFAULTS = {
+    "VA": 0.0,
+    "VB": 3 * math.pi / 2,
+    "PA": math.pi,
+    "PB": math.pi,
+    "C1": math.pi,
+    "C2": math.pi,
+}
+
+CSV_COLUMNS = (
+    "phi", "theta", "lambda", "observable", "theory", "qnd_estimate",
+    "tomo_in", "tomo_out", "tomo_post", "fidelity_in", "fidelity_out",
+    "fidelity_post", "branch", "branch_reliable", "shots", "seed",
+)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One sweep: which observable, the angle grid, and the sampling setup.
+
+    ``shots`` applies per circuit configuration, i.e. per tomography setting
+    and per ancilla-readout run (echoed in emitted metadata).
+    """
+
+    observable: str
+    theta: float | None = None
+    lam: float = 0.0
+    phi_start: float = 0.0
+    phi_count: int = 64
+    phi_step: float = math.pi / 32
+    shots: int = 5000
+    exact_mode: bool = False
+    noise: NoiseModel = field(default_factory=NoiseModel.none)
+    master_seed: int = 0
+    output_path: str | None = None
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.observable not in ex.OBSERVABLES:
+            raise ValueError(f"unknown observable {self.observable!r}")
+        if self.phi_step <= 0:
+            raise ValueError("phi_step must be positive")
+        if self.phi_count < 1:
+            raise ValueError("phi_count must be >= 1")
+        if not self.exact_mode and self.shots < 1:
+            raise ValueError("shots must be >= 1 unless exact_mode")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
+    @property
+    def theta_resolved(self) -> float:
+        return THETA_DEFAULTS[self.observable] if self.theta is None else self.theta
+
+    def phi_values(self) -> list[float]:
+        return [self.phi_start + i * self.phi_step for i in range(self.phi_count)]
+
+    def to_dict(self) -> dict:
+        return {
+            "observable": self.observable,
+            "theta": self.theta_resolved,
+            "lambda": self.lam,
+            "phi_start": self.phi_start,
+            "phi_count": self.phi_count,
+            "phi_step": self.phi_step,
+            "shots": self.shots,
+            "shots_are_per_setting": True,
+            "exact_mode": self.exact_mode,
+            "noise": {
+                "enabled": self.noise.enabled,
+                "depol_1q": self.noise.depol_1q,
+                "depol_2q": self.noise.depol_2q,
+                "readout_flip": self.noise.readout_flip,
+            },
+            "master_seed": self.master_seed,
+            "workers": self.workers,
+        }
+
+
+def _observable_key(observable: str) -> str:
+    return "C" if observable in ("C1", "C2") else observable
+
+
+def theory_value(observable: str, chi: StateVector) -> float:
+    """Defining-formula value of the observable on the ideal pure input."""
+    rho = chi.density()
+    if observable == "VA":
+        return visibility(partial_trace(rho, (0,)))
+    if observable == "VB":
+        return visibility(partial_trace(rho, (1,)))
+    if observable == "PA":
+        return predictability(partial_trace(rho, (0,)))
+    if observable == "PB":
+        return predictability(partial_trace(rho, (1,)))
+    return concurrence_pure(chi)
+
+
+def _prepare_states(
+    p: ex.PrepParams, setting: ex.MeasurementSetting, noise: NoiseModel
+) -> tuple[StateVector | DensityMatrix, StateVector | DensityMatrix]:
+    """Input pair state and full post-circuit state, pure unless noise is on."""
+    n = setting.num_qubits
+    prep2 = ex.prep_circuit(p)
+    full = prep2.widened(n).then(ex.measurement_circuit(setting))
+    if noise.enabled:
+        chi_actual = circ.run_noisy(prep2, basis_state(2).density(), noise)
+        out = circ.run_noisy(full, basis_state(n).density(), noise)
+    else:
+        chi_actual = circ.run_pure(prep2, basis_state(2))
+        out = circ.run_pure(full, basis_state(n))
+    return chi_actual, out
+
+
+def _branch_targets(
+    setting: ex.MeasurementSetting, p: ex.PrepParams
+) -> dict[str, tuple[StateVector | None, float]]:
+    """Ideal conditional state and probability per ancilla outcome."""
+    if setting.observable == "concurrence1":
+        return {o: (st, pr) for o, st, pr in ex.simulated_branches(setting, p)}
+    c = ex.bell_coefficients(p)
+    table: dict[str, tuple[StateVector | None, float]] = {}
+    for outcome in ex.branch_outcomes(setting):
+        try:
+            table[outcome] = ex.conditional_target_state(setting, c, outcome)
+        except EmptyBranchError:
+            table[outcome] = (None, 0.0)
+    return table
+
+
+def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -> SweepRecord:
+    obs = config.observable
+    key = _observable_key(obs)
+    setting = ex.setting_for(obs)
+    noise = config.noise
+    # the preparation is 2*pi periodic (an extra period only flips a global
+    # phase), so grids spanning several periods are fine; the record keeps
+    # the nominal phi
+    two_pi = 2 * math.pi
+    p = ex.PrepParams(phi % two_pi, config.theta_resolved % two_pi, config.lam % two_pi)
+    chi_ideal = ex.bell_coefficients(p).state_vector()
+    theory = theory_value(obs, chi_ideal)
+    targets = _branch_targets(setting, p)
+    reliab = {b.outcome: b for b in ex.branch_table(setting, p)}
+
+    chi_actual, out_state = _prepare_states(p, setting, noise)
+    flip = noise.readout_flip if noise.enabled else 0.0
+    ms = config.master_seed
+
+    # stage 2: ancilla readout -> observable estimate
+    if config.exact_mode:
+        anc_stats: dict | circ.OutcomeCounts = circ.exact_probabilities(
+            out_state, setting.ancilla_qubits
+        )
+    else:
+        anc_stats = circ.sample_counts(
+            out_state, setting.ancilla_qubits, config.shots,
+            circ.rng_stream(ms, 0, index), flip,
+        )
+    qnd_estimate = ex.estimate_observable(setting, anc_stats)[obs].value
+
+    # stage 1: input-state tomography
+    est_in = tom.tomograph(
+        chi_actual, None if config.exact_mode else config.shots,
+        ms, noise, seed_path=(1, index),
+    )
+    tomo_in = tom.observables_from_estimate(est_in)[key].value
+    fidelity_in = fidelity(chi_ideal.density(), est_in.projected)
+
+    # stages 3 and 4: output tomography, unconditional and per branch
+    rho_psi_theory = ex.ideal_output_mixture(setting, p)
+    if config.exact_mode:
+        rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
+        rho_psi = partial_trace(rho4, (0, 1))
+        est_out = tom.tomograph(rho_psi, None)
+        branches = tuple(
+            BranchResult(o, reliab[o].probability, reliab[o].reliable)
+            for o in ex.branch_outcomes(setting)
+        )
+    else:
+        est_out, branches = _output_tomography(
+            config, setting, out_state, index, targets, reliab, key
+        )
+    tomo_out = tom.observables_from_estimate(est_out)[key].value
+    fidelity_out = fidelity(rho_psi_theory, est_out.projected)
+
+    return SweepRecord(
+        observable=obs,
+        phi=phi,
+        theta=config.theta_resolved,
+        lam=config.lam,
+        theory=theory,
+        qnd_estimate=qnd_estimate,
+        tomo_in=tomo_in,
+        tomo_out=tomo_out,
+        fidelity_in=fidelity_in,
+        fidelity_out=fidelity_out,
+        branches=branches,
+        shots=0 if config.exact_mode else config.shots,
+        seed=seed_tag,
+    )
+
+
+def _output_tomography(config, setting, out_state, index, targets, reliab, key):
+    """Sample all tomography settings on the full register once; analyze the
+    same data unconditionally and post-selected on each ancilla outcome."""
+    n = setting.num_qubits
+    noise = config.noise
+    flip = noise.readout_flip if noise.enabled else 0.0
+    settings = tom.tomography_settings()
+    all_counts = []
+    for s_idx, ts in enumerate(settings):
+        pre = ts.pre_rotation(n, 0, 1)
+        if noise.enabled:
+            rotated: StateVector | DensityMatrix = circ.run_noisy(pre, out_state, noise)
+        else:
+            rotated = circ.run_pure(pre, out_state)
+        rng = circ.rng_stream(config.master_seed, 2, index, s_idx)
+        all_counts.append(circ.sample_counts(rotated, tuple(range(n)), config.shots, rng, flip))
+
+    unconditional = [circ.marginalize_counts(c, (0, 1)) for c in all_counts]
+    est_out = tom.linear_reconstruct(unconditional)
+
+    branches = []
+    for outcome in ex.branch_outcomes(setting):
+        info = reliab[outcome]
+        target, _ = targets[outcome]
+        try:
+            selected = [
+                circ.postselect_counts(c, setting.ancilla_qubits, outcome) for c in all_counts
+            ]
+            est_b = tom.linear_reconstruct(selected)
+        except (EmptyBranchError, ValueError):
+            # branch retained no (or too few) shots to estimate a state
+            branches.append(BranchResult(outcome, info.probability, info.reliable))
+            continue
+        value = tom.observables_from_estimate(est_b)[key].value
+        fid = fidelity(target.density(), est_b.projected) if target is not None else None
+        branches.append(
+            BranchResult(
+                outcome, info.probability, info.reliable,
+                retained_shots=min(s.shots for s in selected),
+                tomo_value=value, fidelity=fid,
+            )
+        )
+    return est_out, tuple(branches)
+
+
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """Run the full protocol over the phi grid. Deterministic per config."""
+    phis = config.phi_values()
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            records = list(
+                pool.map(lambda ip: _measure_point(config, ip[0], ip[1], config.master_seed),
+                         enumerate(phis))
+            )
+    else:
+        records = [_measure_point(config, i, phi, config.master_seed) for i, phi in enumerate(phis)]
+    return sorted(records, key=lambda r: r.phi)
+
+
+def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
+    """Repeat the protocol on the fixed maximally-entangled input state.
+
+    Uses phi = pi/2, theta = pi (the Bell-state point) with one derived seed
+    stream per repetition; the record's ``seed`` field carries the
+    repetition index.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
+    indices = range(repetitions)
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            records = list(
+                pool.map(lambda r: _measure_point(fixed, r, math.pi / 2, r), indices)
+            )
+    else:
+        records = [_measure_point(fixed, r, math.pi / 2, r) for r in indices]
+    return sorted(records, key=lambda r: r.seed)
+
+
+def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitResult]:
+    """Scale fit of the QND estimates, plus output-state fits when present.
+
+    Concurrence output curves get the fully-mixed-component fit (mix into
+    the ideal state, recompute concurrence) since plain scaling cannot track
+    the purity loss.
+    """
+    records = sorted(records, key=lambda r: (r.phi, r.seed))
+    theory = [r.theory for r in records]
+    fits = {"qnd_scale": fit_scale([r.qnd_estimate for r in records], theory)}
+    if all(r.tomo_out is not None for r in records):
+        fits["tomo_out_scale"] = fit_scale([r.tomo_out for r in records], theory)
+        if observable in ("C1", "C2"):
+            coeffs = [
+                ex.bell_coefficients(ex.PrepParams(r.phi, r.theta, r.lam)) for r in records
+            ]
+            fits["tomo_out_mixed_fraction"] = fit_mixed_fraction(
+                [r.tomo_out for r in records], coeffs
+            )
+    return fits
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _record_rows(rec: SweepRecord) -> list[dict]:
+    base = {
+        "phi": rec.phi,
+        "theta": rec.theta,
+        "lambda": rec.lam,
+        "observable": rec.observable,
+        "theory": rec.theory,
+        "qnd_estimate": rec.qnd_estimate,
+        "tomo_in": rec.tomo_in,
+        "tomo_out": rec.tomo_out,
+        "tomo_post": None,
+        "fidelity_in": rec.fidelity_in,
+        "fidelity_out": rec.fidelity_out,
+        "fidelity_post": None,
+        "branch": "",
+        "branch_reliable": None,
+        "shots": rec.shots,
+        "seed": rec.seed,
+    }
+    rows = [base]
+    for b in rec.branches:
+        if b.tomo_value is None:
+            continue
+        row = dict(base)
+        row.update(
+            tomo_post=b.tomo_value,
+            fidelity_post=b.fidelity,
+            branch=b.outcome,
+            branch_reliable=b.reliable,
+        )
+        rows.append(row)
+    return rows
+
+
+def _record_dict(rec: SweepRecord) -> dict:
+    return {
+        "phi": rec.phi,
+        "theta": rec.theta,
+        "lambda": rec.lam,
+        "observable": rec.observable,
+        "theory": rec.theory,
+        "qnd_estimate": rec.qnd_estimate,
+        "tomo_in": rec.tomo_in,
+        "tomo_out": rec.tomo_out,
+        "fidelity_in": rec.fidelity_in,
+        "fidelity_out": rec.fidelity_out,
+        "shots": rec.shots,
+        "seed": rec.seed,
+        "branches": [
+            {
+                "outcome": b.outcome,
+                "probability": b.probability,
+                "reliable": b.reliable,
+                "retained_shots": b.retained_shots,
+                "tomo_post": b.tomo_value,
+                "fidelity_post": b.fidelity,
+            }
+            for b in rec.branches
+        ],
+    }
+
+
+def emit(
+    records: list[SweepRecord],
+    fmt: str,
+    path: str,
+    config: SweepConfig | None = None,
+    fits: dict[str, FitResult] | None = None,
+) -> None:
+    """Write records to ``path`` as CSV or JSON.
+
+    CSV rows are ordered by (phi, seed, branch); post-selected results get
+    one row per analyzed branch. JSON additionally echoes the configuration
+    and any fit results.
+    """
+    if not records:
+        raise ValueError("no records to emit")
+    ordered = sorted(records, key=lambda r: (r.phi, r.seed))
+    if fmt == "csv":
+        rows = [row for rec in ordered for row in _record_rows(rec)]
+        rows.sort(key=lambda r: (r["phi"], r["seed"], r["branch"]))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for row in rows:
+                writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+    elif fmt == "json":
+        doc = {
+            "config": config.to_dict() if config is not None else None,
+            "fits": {
+                name: {"kind": f.kind, "parameter": f.parameter, "residual_rms": f.residual_rms}
+                for name, f in (fits or {}).items()
+            },
+            "records": [_record_dict(r) for r in ordered],
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def parse_csv(path: str) -> list[dict]:
+    """Read back an emitted CSV as a list of per-row dicts (strings kept)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def run_criteria_protocol(
+    seeds: list[int],
+    observables: tuple[str, ...] = ex.OBSERVABLES,
+    phi_count: int = 16,
+    phi_step: float = math.pi / 8,
+    shots: int = 2000,
+    noise: NoiseModel = NoiseModel.none(),
+    workers: int = 1,
+) -> dict:
+    """Full three-criteria pipeline: sweeps for every observable and seed,
+    summarized per seed and averaged across seeds.
+    """
+    from .analysis import criteria_summary
+
+    per_seed = []
+    for seed in seeds:
+        records_by_obs = {}
+        for obs in observables:
+            cfg = SweepConfig(
+                observable=obs, phi_count=phi_count, phi_step=phi_step,
+                shots=shots, noise=noise, master_seed=seed, workers=workers,
+            )
+            records_by_obs[obs] = run_sweep(cfg)
+        per_seed.append(criteria_summary(records_by_obs))
+    mean = {
+        "E_input_tomo": float(np.mean([r.avg_error_input_tomo for r in per_seed])),
+        "E_qnd": float(np.mean([r.avg_error_qnd for r in per_seed])),
+        "E_output_tomo": float(np.mean([r.avg_error_output_tomo for r in per_seed])),
+    }
+    return {
+        "seeds": list(seeds),
+        "mean_average_errors": mean,
+        "per_seed": [r.to_dict() for r in per_seed],
+    }

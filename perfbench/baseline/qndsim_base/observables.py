@@ -1,0 +1,116 @@
+"""Single-qubit coherence/predictability and two-qubit concurrence.
+
+Index note: predictability is the population imbalance |rho_11 - rho_00| in
+this package's 0-based computational basis. The absolute value makes the
+ordering of the two diagonal entries irrelevant.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .qmath import (
+    DensityMatrix,
+    StateVector,
+    matrix_sqrt_psd,
+    partial_trace,
+    tensor,
+)
+
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SPIN_FLIP = tensor(PAULI_Y, PAULI_Y)
+
+
+@dataclass(frozen=True)
+class ObservableValue:
+    """A complementarity observable plus its pre-absolute-value diagnostic."""
+
+    kind: str  # 'VA' | 'VB' | 'PA' | 'PB' | 'C'
+    value: float
+    signed_raw: float
+
+
+def visibility(rho_k: DensityMatrix) -> float:
+    """Off-diagonal coherence of a single qubit: sum_{i != j} |rho_ij| = 2|rho_01|."""
+    if rho_k.num_qubits != 1:
+        raise ValueError("visibility is defined on a single-qubit state")
+    return float(2.0 * abs(rho_k.matrix[0, 1]))
+
+
+def predictability(rho_k: DensityMatrix) -> float:
+    """Population imbalance of a single qubit: |rho_11 - rho_00|."""
+    if rho_k.num_qubits != 1:
+        raise ValueError("predictability is defined on a single-qubit state")
+    return float(abs(rho_k.matrix[1, 1].real - rho_k.matrix[0, 0].real))
+
+
+def _spin_flip_roots(rho: np.ndarray) -> np.ndarray:
+    # rho Sigma rho* Sigma is not Hermitian, but it is similar to the PSD
+    # matrix A A^dag with A = sqrt(rho) Sigma conj(sqrt(rho)), so its
+    # eigenvalue square roots are the singular values of A. Computing them
+    # as singular values (rather than eigvalsh followed by sqrt) avoids the
+    # sqrt(eps) noise floor near zero eigenvalues.
+    s = matrix_sqrt_psd(rho)
+    a = s @ SPIN_FLIP @ s.conj()
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def concurrence_wootters(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence max(0, sqrt(r1) - sqrt(r2) - sqrt(r3) - sqrt(r4)).
+
+    The r_i are the descending eigenvalues of rho * Sigma * conj(rho) * Sigma
+    with Sigma the two-qubit spin flip sigma_y x sigma_y.
+    """
+    if rho.num_qubits != 2:
+        raise ValueError("concurrence is defined on a two-qubit state")
+    r = _spin_flip_roots(rho.matrix)
+    c = float(r[0] - r[1] - r[2] - r[3])
+    return min(max(c, 0.0), 1.0)
+
+
+def concurrence_pure(psi: StateVector) -> float:
+    """Pure-state concurrence 2|a*d - b*c| for amplitudes (a, b, c, d)."""
+    if psi.num_qubits != 2:
+        raise ValueError("concurrence is defined on a two-qubit state")
+    a, b, c, d = psi.amplitudes
+    return float(min(2.0 * abs(a * d - b * c), 1.0))
+
+
+def triality_defect(psi: StateVector, subsystem: str) -> float:
+    """C^2 + V_k^2 + P_k^2 - 1 for a pure two-qubit state (zero when exact).
+
+    The squared combination is the identity that actually closes for
+    real-amplitude pure states; the linear combination C + V + P does not
+    (e.g. cos(phi/2)|00> + sin(phi/2)|11> gives C + P = sin + cos > 1).
+    """
+    if subsystem not in ("A", "B"):
+        raise ValueError("subsystem must be 'A' or 'B'")
+    keep = (0,) if subsystem == "A" else (1,)
+    rho_k = partial_trace(psi.density(), keep)
+    c = concurrence_pure(psi)
+    v = visibility(rho_k)
+    p = predictability(rho_k)
+    return c * c + v * v + p * p - 1.0
+
+
+def observable_set(rho: DensityMatrix) -> dict[str, ObservableValue]:
+    """All five complementarity observables of a two-qubit state."""
+    if rho.num_qubits != 2:
+        raise ValueError("expected a two-qubit state")
+    rho_a = partial_trace(rho, (0,))
+    rho_b = partial_trace(rho, (1,))
+    r = _spin_flip_roots(rho.matrix)
+    c_signed = float(r[0] - r[1] - r[2] - r[3])
+    return {
+        "VA": ObservableValue("VA", visibility(rho_a), float(2.0 * rho_a.matrix[0, 1].real)),
+        "VB": ObservableValue("VB", visibility(rho_b), float(2.0 * rho_b.matrix[0, 1].real)),
+        "PA": ObservableValue(
+            "PA", predictability(rho_a), float(rho_a.matrix[1, 1].real - rho_a.matrix[0, 0].real)
+        ),
+        "PB": ObservableValue(
+            "PB", predictability(rho_b), float(rho_b.matrix[1, 1].real - rho_b.matrix[0, 0].real)
+        ),
+        "C": ObservableValue("C", min(max(c_signed, 0.0), 1.0), c_signed),
+    }

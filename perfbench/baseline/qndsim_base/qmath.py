@@ -1,0 +1,224 @@
+"""Exact complex linear algebra for small multi-qubit systems.
+
+Everything in this package works on registers of 1 to 4 qubits, i.e. complex
+matrices of dimension 2, 4, 8 or 16. Qubit 0 is the *most significant*
+position: the basis index of the ket |i0 i1 ... i(n-1)> is
+sum_k i_k * 2**(n-1-k), and tensor products follow the same ordering
+(``tensor(a, b)`` puts ``a`` on the more significant qubits).
+
+Numerical tolerances follow a single ladder used across the package:
+
+* ``ATOL_CONSTRUCT`` (1e-10) - construction invariants (norms, traces).
+* ``ATOL_ALGEBRA`` (1e-8) - algebraic identities between computed objects.
+* ``ATOL_PHYSICAL`` (1e-6) - physicality clipping (negative eigenvalue tails).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+ATOL_CONSTRUCT = 1e-10
+ATOL_ALGEBRA = 1e-8
+ATOL_PHYSICAL = 1e-6
+
+
+def tensor(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of one or more matrices, most significant first.
+
+    Satisfies ``tensor(a, b)[i*db + k, j*db + l] == a[i, j] * b[k, l]``
+    with ``db = b.shape[0]``, which is the ordering every other routine in
+    this package assumes.
+    """
+    if not factors:
+        raise ValueError("tensor() needs at least one factor")
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        out = np.kron(out, np.asarray(f, dtype=complex))
+    return out
+
+
+def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
+    m = np.asarray(m)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
+        np.allclose(m, m.conj().T, atol=atol)
+    )
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized pure state of ``num_qubits`` qubits.
+
+    ``amplitudes[i]`` is the coefficient of the computational basis ket
+    whose bits are the binary digits of ``i``, qubit 0 first (most
+    significant).
+    """
+
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.num_qubits <= 4:
+            raise ValueError(f"num_qubits must be 1..4, got {self.num_qubits}")
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (2**self.num_qubits,):
+            raise ValueError(
+                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
+            )
+        norm = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def dim(self) -> int:
+        return 2**self.num_qubits
+
+    def density(self) -> "DensityMatrix":
+        """Outer product |psi><psi| as a DensityMatrix."""
+        a = self.amplitudes
+        return DensityMatrix(self.num_qubits, np.outer(a, a.conj()))
+
+    def overlap(self, other: "StateVector") -> complex:
+        if other.num_qubits != self.num_qubits:
+            raise ValueError("dimension mismatch")
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, trace-one, positive semidefinite operator on n qubits.
+
+    Raw (possibly non-PSD) tomography estimates are deliberately *not*
+    represented by this type; they stay plain arrays until projected.
+    """
+
+    num_qubits: int
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.num_qubits <= 4:
+            raise ValueError(f"num_qubits must be 1..4, got {self.num_qubits}")
+        m = np.array(self.matrix, dtype=complex)
+        d = 2**self.num_qubits
+        if m.shape != (d, d):
+            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
+        if not np.allclose(m, m.conj().T, atol=ATOL_CONSTRUCT):
+            raise ValueError("matrix is not Hermitian")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > ATOL_CONSTRUCT:
+            raise ValueError(f"trace must be 1, got {tr!r}")
+        lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min < -ATOL_ALGEBRA:
+            raise ValueError(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return 2**self.num_qubits
+
+
+def basis_state(num_qubits: int, index: int = 0) -> StateVector:
+    """Computational basis ket |index> on ``num_qubits`` qubits."""
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def append_ancillas(state: StateVector, count: int) -> StateVector:
+    """Adjoin ``count`` fresh |0> qubits after the existing register."""
+    amps = np.kron(state.amplitudes, basis_state(count).amplitudes)
+    return StateVector(state.num_qubits + count, amps)
+
+
+def append_ancillas_rho(rho: DensityMatrix, count: int) -> DensityMatrix:
+    """Adjoin ``count`` fresh |0><0| qubits after the existing register."""
+    anc = np.zeros((2**count, 2**count), dtype=complex)
+    anc[0, 0] = 1.0
+    return DensityMatrix(rho.num_qubits + count, np.kron(rho.matrix, anc))
+
+
+def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a raw matrix, keeping the listed qubits (ascending order)."""
+    keep = tuple(sorted(keep))
+    traced = [q for q in range(num_qubits) if q not in keep]
+    t = np.asarray(m, dtype=complex).reshape([2] * (2 * num_qubits))
+    # Trace highest axes first so earlier axis numbers stay valid.
+    n = num_qubits
+    for q in sorted(traced, reverse=True):
+        t = np.trace(t, axis1=q, axis2=q + n)
+        n -= 1
+    d = 2 ** len(keep)
+    return t.reshape(d, d)
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the kept qubits.
+
+    Parameters
+    ----------
+    rho : DensityMatrix
+    keep : iterable of qubit indices; must be a nonempty proper subset.
+    """
+    keep = tuple(sorted(set(keep)))
+    if not keep or len(keep) >= rho.num_qubits:
+        raise ValueError("keep must be a nonempty proper subset of the qubits")
+    if any(q < 0 or q >= rho.num_qubits for q in keep):
+        raise ValueError(f"qubit index out of range in {keep}")
+    reduced = partial_trace_matrix(rho.matrix, rho.num_qubits, keep)
+    return DensityMatrix(len(keep), reduced)
+
+
+def hermitian_eigenvalues(
+    m: np.ndarray, atol: float = ATOL_ALGEBRA, clip_psd: bool = False
+) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, sorted descending.
+
+    Raises ValueError if ``m`` deviates from Hermiticity by more than
+    ``atol``. With ``clip_psd`` small negative values are clipped to zero.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not is_hermitian(m, atol=atol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals = np.linalg.eigvalsh((m + m.conj().T) / 2).real[::-1]
+    if clip_psd:
+        vals = np.clip(vals, 0.0, None)
+    return vals
+
+
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Positive-semidefinite square root via eigendecomposition.
+
+    Eigenvalues in [-1e-6, 0) are treated as numerical noise and clipped;
+    anything more negative is rejected as genuinely non-PSD.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not is_hermitian(m, atol=ATOL_ALGEBRA):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    if vals[0] < -ATOL_PHYSICAL:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {vals[0]:.3e})")
+    # Eigenvalues below the double-precision noise floor are snapped to exact
+    # zero: sqrt() would otherwise turn O(eps) noise into O(sqrt(eps)) entries.
+    floor = 1e-13 * max(1.0, float(vals[-1]))
+    root = np.sqrt(np.where(vals < floor, 0.0, vals))
+    return (vecs * root) @ vecs.conj().T
+
+
+def fidelity(rho_th: DensityMatrix, rho_exp: DensityMatrix) -> float:
+    """State fidelity F = [Tr sqrt(sqrt(rho_th) rho_exp sqrt(rho_th))]^2.
+
+    Symmetric in its arguments up to numerical noise; equals
+    <psi|rho_exp|psi> when rho_th is the pure state |psi><psi|.
+    """
+    if rho_th.num_qubits != rho_exp.num_qubits:
+        raise ValueError("dimension mismatch")
+    # Tr sqrt(sqrt(a) b sqrt(a)) equals the trace norm of sqrt(a) sqrt(b):
+    # the Gram matrix of that product is exactly the inner matrix above.
+    # Singular values avoid the sqrt(eps) noise of eigvalsh-then-sqrt.
+    b = matrix_sqrt_psd(rho_th.matrix) @ matrix_sqrt_psd(rho_exp.matrix)
+    f = float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
+    return max(f, 0.0)
