@@ -5,15 +5,13 @@ state preparation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .experiments import BellCoefficients
-from .observables import concurrence_wootters
+from .observables import concurrence_pure, concurrence_wootters
 from .qmath import DensityMatrix
 
 
@@ -92,30 +90,33 @@ def fit_mixed_fraction(
     """Fit the fully-mixed fraction p in (1-p)|chi><chi| + p I/4 per point.
 
     Concurrence is nonlinear in the state, so the mixing happens in the ideal
-    input state and the concurrence is recomputed, rather than scaling the
-    concurrence curve itself. Scalar bounded minimization on p in [0, 1],
-    resolved to better than 1e-4.
+    input state rather than in the concurrence curve. The concurrence of the
+    mixture is exactly max(0, (1-p) C(chi) - p/2) (Wootters, PRL 80, 2245,
+    1998), so the squared loss is piecewise quadratic in p, with a breakpoint
+    2C/(1+2C) where each point reaches its separability boundary. Each piece
+    is minimized in closed form; the smallest minimizer wins, so a flat loss
+    (every model point clipped to zero) resolves to the separability
+    boundary. The residual is recomputed from the defining formula.
     """
     m = np.asarray(measured_concurrence, dtype=float)
     if len(coeffs_per_point) != m.size or m.size == 0:
         raise ValueError("need one coefficient set per measured point")
-
-    def loss(p: float) -> float:
-        model = [concurrence_wootters(_werner_mix(c, p)) for c in coeffs_per_point]
-        return float(np.sum((np.asarray(model) - m) ** 2))
-
-    # Coarse grid to localize the smallest near-optimal p (the loss can have a
-    # flat plateau: concurrence clips to zero once the mixture passes its
-    # separability boundary), then a bounded refinement around it.
-    grid = np.linspace(0.0, 1.0, 201)
-    losses = np.array([loss(p) for p in grid])
-    i = int(np.nonzero(losses <= losses.min() + 1e-12)[0][0])
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5})
-    p_hat = float(res.x)
-    best = loss(p_hat)
-    while p_hat > 0.0 and loss(max(p_hat - 1e-4, 0.0)) <= best + 1e-12:
-        p_hat = max(p_hat - 1e-4, 0.0)
+    conc = np.array([concurrence_pure(c.state_vector()) for c in coeffs_per_point])
+    slope = conc + 0.5
+    breaks = conc / slope
+    edges = np.unique(np.concatenate(([0.0, 1.0], breaks)))
+    candidates = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # on (lo, hi) the model is conc - p * slope where still entangled, else 0
+        live = breaks > lo
+        k = slope[live]
+        curvature = float(k @ k)
+        p = float(k @ (conc[live] - m[live])) / curvature if curvature else lo
+        candidates.append(min(max(p, lo), hi))
+    ps = np.array(candidates)
+    clipped = np.maximum(np.outer(1.0 - ps, conc) - ps[:, None] / 2, 0.0)
+    losses = np.sum((clipped - m) ** 2, axis=1)
+    p_hat = float(np.min(ps[losses <= losses.min() + 1e-12]))
     model = [concurrence_wootters(_werner_mix(c, p_hat)) for c in coeffs_per_point]
     return FitResult("mixed_fraction", p_hat, rms_error(m, model))
 

@@ -378,29 +378,6 @@ def postselect(
     return StateVector(n - len(ancillas), branch / math.sqrt(prob)), prob
 
 
-def project_ancillas(
-    rho: DensityMatrix, ancilla_qubits, outcome: str
-) -> tuple[DensityMatrix, float]:
-    """Density-matrix analog of :func:`postselect`."""
-    ancillas = tuple(ancilla_qubits)
-    if len(outcome) != len(ancillas):
-        raise ValueError("outcome length must match number of ancilla qubits")
-    n = rho.num_qubits
-    if len(ancillas) >= n:
-        raise ValueError("cannot postselect every qubit away")
-    t = rho.matrix.reshape([2] * (2 * n))
-    index: list[object] = [slice(None)] * (2 * n)
-    for q, bit in zip(ancillas, outcome):
-        index[q] = int(bit)
-        index[q + n] = int(bit)
-    d = 2 ** (n - len(ancillas))
-    block = t[tuple(index)].reshape(d, d)
-    prob = float(np.trace(block).real)
-    if prob < 1e-12:
-        raise EmptyBranchError(f"branch {outcome!r} has probability {prob:.3e}")
-    return DensityMatrix(n - len(ancillas), block / prob), prob
-
-
 def marginalize_counts(counts: OutcomeCounts, keep_positions) -> OutcomeCounts:
     """Discard bit positions, summing counts over the dropped bits."""
     keep = tuple(keep_positions)

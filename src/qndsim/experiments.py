@@ -403,32 +403,6 @@ def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
     return StateVector(4, amps)
 
 
-@dataclass(frozen=True)
-class BranchInfo:
-    outcome: str
-    probability: float
-    reliable: bool
-
-
-def branch_table(s: MeasurementSetting, p: PrepParams) -> tuple[BranchInfo, ...]:
-    """Theoretical branch probabilities and reliability flags for a setting."""
-    if s.observable == "concurrence1":
-        probs = {o: pr for o, _, pr in simulated_branches(s, p)}
-    else:
-        c = bell_coefficients(p)
-        probs = {}
-        for outcome in branch_outcomes(s):
-            try:
-                _, prob = conditional_target_state(s, c, outcome)
-            except EmptyBranchError:
-                prob = 0.0
-            probs[outcome] = prob
-    return tuple(
-        BranchInfo(o, probs[o], probs[o] >= RELIABLE_BRANCH_PROB)
-        for o in branch_outcomes(s)
-    )
-
-
 def simulated_branches(
     s: MeasurementSetting, p: PrepParams
 ) -> list[tuple[str, StateVector | None, float]]:
@@ -450,26 +424,47 @@ def simulated_branches(
     return branches
 
 
-def ideal_output_mixture(s: MeasurementSetting, p: PrepParams) -> DensityMatrix:
-    """Pair state after the ancilla readout when the outcome is discarded.
+@dataclass(frozen=True)
+class Branch:
+    """One ancilla outcome: the ideal conditional pair state (None for an
+    empty branch), its theoretical probability, and its reliability flag."""
 
-    The pre-measurement state couples orthogonal ancilla kets to each branch,
-    so this is the probability mixture of the conditional branch states.
+    outcome: str
+    state: StateVector | None
+    probability: float
+    reliable: bool
+
+
+def branch_data(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
+    """Ideal conditional states and probabilities, one per ancilla outcome.
+
+    Closed forms for the two-ancilla settings; the single-ancilla concurrence
+    circuit is simulated (see :func:`simulated_branches`).
     """
     if s.observable == "concurrence1":
-        entries = [(st, pr) for _, st, pr in simulated_branches(s, p) if st is not None]
+        entries = simulated_branches(s, p)
     else:
         c = bell_coefficients(p)
         entries = []
         for outcome in branch_outcomes(s):
             try:
-                st, pr = conditional_target_state(s, c, outcome)
+                state, prob = conditional_target_state(s, c, outcome)
             except EmptyBranchError:
-                continue
-            entries.append((st, pr))
+                state, prob = None, 0.0
+            entries.append((outcome, state, prob))
+    return tuple(Branch(o, st, pr, pr >= RELIABLE_BRANCH_PROB) for o, st, pr in entries)
+
+
+def output_mixture(branches: tuple[Branch, ...]) -> DensityMatrix:
+    """Pair state after the ancilla readout when the outcome is discarded.
+
+    The pre-measurement state couples orthogonal ancilla kets to each branch,
+    so this is the probability mixture of the conditional branch states.
+    """
     m = np.zeros((4, 4), dtype=complex)
-    for st, pr in entries:
-        m += pr * np.outer(st.amplitudes, st.amplitudes.conj())
+    for b in branches:
+        if b.state is not None:
+            m += b.probability * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
     m /= np.trace(m).real
     return DensityMatrix(2, m)
 

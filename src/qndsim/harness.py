@@ -72,6 +72,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.observable not in ex.OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
+        for name in ("theta", "lam", "phi_start", "phi_step"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.phi_step <= 0:
             raise ValueError("phi_step must be positive")
         if self.phi_count < 1:
@@ -144,22 +148,6 @@ def _prepare_states(
     return chi_actual, out
 
 
-def _branch_targets(
-    setting: ex.MeasurementSetting, p: ex.PrepParams
-) -> dict[str, tuple[StateVector | None, float]]:
-    """Ideal conditional state and probability per ancilla outcome."""
-    if setting.observable == "concurrence1":
-        return {o: (st, pr) for o, st, pr in ex.simulated_branches(setting, p)}
-    c = ex.bell_coefficients(p)
-    table: dict[str, tuple[StateVector | None, float]] = {}
-    for outcome in ex.branch_outcomes(setting):
-        try:
-            table[outcome] = ex.conditional_target_state(setting, c, outcome)
-        except EmptyBranchError:
-            table[outcome] = (None, 0.0)
-    return table
-
-
 def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -> SweepRecord:
     obs = config.observable
     key = _observable_key(obs)
@@ -172,8 +160,7 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     p = ex.PrepParams(phi % two_pi, config.theta_resolved % two_pi, config.lam % two_pi)
     chi_ideal = ex.bell_coefficients(p).state_vector()
     theory = theory_value(obs, chi_ideal)
-    targets = _branch_targets(setting, p)
-    reliab = {b.outcome: b for b in ex.branch_table(setting, p)}
+    ideal = ex.branch_data(setting, p)
 
     chi_actual, out_state = _prepare_states(p, setting, noise)
     flip = noise.readout_flip if noise.enabled else 0.0
@@ -200,18 +187,15 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     fidelity_in = fidelity(chi_ideal.density(), est_in.projected)
 
     # stages 3 and 4: output tomography, unconditional and per branch
-    rho_psi_theory = ex.ideal_output_mixture(setting, p)
+    rho_psi_theory = ex.output_mixture(ideal)
     if config.exact_mode:
         rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
         rho_psi = partial_trace(rho4, (0, 1))
         est_out = tom.tomograph(rho_psi, None)
-        branches = tuple(
-            BranchResult(o, reliab[o].probability, reliab[o].reliable)
-            for o in ex.branch_outcomes(setting)
-        )
+        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
     else:
         est_out, branches = _output_tomography(
-            config, setting, out_state, index, targets, reliab, key
+            config, setting, out_state, index, ideal, key
         )
     tomo_out = tom.observables_from_estimate(est_out)[key].value
     fidelity_out = fidelity(rho_psi_theory, est_out.projected)
@@ -233,7 +217,7 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     )
 
 
-def _output_tomography(config, setting, out_state, index, targets, reliab, key):
+def _output_tomography(config, setting, out_state, index, ideal, key):
     """Sample all tomography settings on the full register once; analyze the
     same data unconditionally and post-selected on each ancilla outcome."""
     n = setting.num_qubits
@@ -254,23 +238,21 @@ def _output_tomography(config, setting, out_state, index, targets, reliab, key):
     est_out = tom.linear_reconstruct(unconditional)
 
     branches = []
-    for outcome in ex.branch_outcomes(setting):
-        info = reliab[outcome]
-        target, _ = targets[outcome]
+    for b in ideal:
         try:
             selected = [
-                circ.postselect_counts(c, setting.ancilla_qubits, outcome) for c in all_counts
+                circ.postselect_counts(c, setting.ancilla_qubits, b.outcome) for c in all_counts
             ]
             est_b = tom.linear_reconstruct(selected)
-        except (EmptyBranchError, ValueError):
+        except (EmptyBranchError, tom.DegenerateReconstructionError):
             # branch retained no (or too few) shots to estimate a state
-            branches.append(BranchResult(outcome, info.probability, info.reliable))
+            branches.append(BranchResult(b.outcome, b.probability, b.reliable))
             continue
         value = tom.observables_from_estimate(est_b)[key].value
-        fid = fidelity(target.density(), est_b.projected) if target is not None else None
+        fid = fidelity(b.state.density(), est_b.projected) if b.state is not None else None
         branches.append(
             BranchResult(
-                outcome, info.probability, info.reliable,
+                b.outcome, b.probability, b.reliable,
                 retained_shots=min(s.shots for s in selected),
                 tomo_value=value, fidelity=fid,
             )
@@ -318,13 +300,18 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
 
     Concurrence output curves get the fully-mixed-component fit (mix into
     the ideal state, recompute concurrence) since plain scaling cannot track
-    the purity loss.
+    the purity loss. Scale fits are left out when the theory curve is
+    identically zero, where no scale factor is defined.
     """
     records = sorted(records, key=lambda r: (r.phi, r.seed))
     theory = [r.theory for r in records]
-    fits = {"qnd_scale": fit_scale([r.qnd_estimate for r in records], theory)}
+    scalable = any(theory)
+    fits: dict[str, FitResult] = {}
+    if scalable:
+        fits["qnd_scale"] = fit_scale([r.qnd_estimate for r in records], theory)
     if all(r.tomo_out is not None for r in records):
-        fits["tomo_out_scale"] = fit_scale([r.tomo_out for r in records], theory)
+        if scalable:
+            fits["tomo_out_scale"] = fit_scale([r.tomo_out for r in records], theory)
         if observable in ("C1", "C2"):
             coeffs = [
                 ex.bell_coefficients(ex.PrepParams(r.phi, r.theta, r.lam)) for r in records

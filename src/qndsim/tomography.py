@@ -74,6 +74,10 @@ def _gates_for(token: str, qubit: int) -> tuple[Gate, ...]:
     raise ValueError(token)
 
 
+class DegenerateReconstructionError(ValueError):
+    """The outcome data fix no state: the linear estimate has zero trace."""
+
+
 @dataclass(frozen=True)
 class TomographySetting:
     """One measurement configuration: a product projector plus its pre-rotation."""
@@ -201,7 +205,7 @@ def linear_reconstruct(
     if abs(trace) < 1e-9:
         # happens only for pathological inputs, e.g. frequencies from a
         # post-selected branch that retained a handful of shots
-        raise ValueError("degenerate reconstruction: estimated trace is zero")
+        raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
     raw /= trace
     min_eig = float(np.linalg.eigvalsh(raw)[0])
     return TomographyEstimate(

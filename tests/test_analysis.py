@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim.analysis import (
     BranchResult,
@@ -14,7 +16,7 @@ from qndsim.analysis import (
     rms_error,
 )
 from qndsim.experiments import PrepParams, bell_coefficients
-from qndsim.observables import concurrence_wootters
+from qndsim.observables import concurrence_pure, concurrence_wootters
 from qndsim.qmath import DensityMatrix
 
 PHIS = np.linspace(0, 2 * math.pi, 17)[:-1]
@@ -24,6 +26,20 @@ def werner_concurrence(coeffs, p):
     chi = coeffs.state_vector().amplitudes
     m = (1 - p) * np.outer(chi, chi.conj()) + p * np.eye(4) / 4
     return concurrence_wootters(DensityMatrix(2, m))
+
+
+ANGLE = st.floats(0.0, 2 * math.pi)
+PREP = st.builds(PrepParams, ANGLE, ANGLE, ANGLE)
+UNIT = st.floats(0.0, 1.0)
+# measured concurrence; below zero too, where the loss can kink upwards
+MEASURED = st.floats(-0.5, 1.0)
+
+
+def closed_form_losses(ps, measured, coeffs):
+    """Squared loss of the exact mixture concurrence at each p in ``ps``."""
+    c = np.array([concurrence_pure(co.state_vector()) for co in coeffs])
+    p = np.asarray(ps, dtype=float)[:, None]
+    return np.sum((np.maximum((1 - p) * c - p / 2, 0.0) - np.asarray(measured)) ** 2, axis=1)
 
 
 class TestRmsError:
@@ -102,11 +118,30 @@ class TestFitMixedFraction:
         # that reaches the maximally entangled state
         coeffs = self.coeffs()
         fit = fit_mixed_fraction([0.0] * len(coeffs), coeffs)
-        assert abs(fit.parameter - 2 / 3) < 1e-2
+        assert fit.parameter == pytest.approx(2 / 3, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_mixed_fraction([0.1], self.coeffs())
+
+    @settings(deadline=None)
+    @given(PREP, UNIT)
+    def test_werner_concurrence_closed_form(self, prep, p):
+        coeffs = bell_coefficients(prep)
+        c = concurrence_pure(coeffs.state_vector())
+        expected = max(0.0, (1 - p) * c - p / 2)
+        assert werner_concurrence(coeffs, p) == pytest.approx(expected, abs=1e-10)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(PREP, MEASURED), min_size=1, max_size=12))
+    def test_fit_beats_dense_grid(self, points):
+        coeffs = [bell_coefficients(prep) for prep, _ in points]
+        measured = [m for _, m in points]
+        fit = fit_mixed_fraction(measured, coeffs)
+        assert 0.0 <= fit.parameter <= 1.0
+        (fit_loss,) = closed_form_losses([fit.parameter], measured, coeffs)
+        grid_losses = closed_form_losses(np.linspace(0.0, 1.0, 10_000), measured, coeffs)
+        assert fit_loss <= grid_losses.min() + 1e-12
 
 
 def make_record(obs, phi, theory, qnd, tomo_in, tomo_out, branches=()):

@@ -224,7 +224,7 @@ class TestConditionalTargets:
                     ex.concurrence2_setting(),
                     ex.concurrence1_setting(),
                 ):
-                    total = sum(b.probability for b in ex.branch_table(s, p))
+                    total = sum(b.probability for b in ex.branch_data(s, p))
                     assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_simulated_branches_match_targets(self):
@@ -286,7 +286,7 @@ class TestOutputMixture:
                 full = ex.prep_circuit(p).widened(s.num_qubits).then(ex.measurement_circuit(s))
                 out = circ.run_pure(full, basis_state(s.num_qubits))
                 reduced = partial_trace(out.density(), (0, 1))
-                mixture = ex.ideal_output_mixture(s, p)
+                mixture = ex.output_mixture(ex.branch_data(s, p))
                 np.testing.assert_allclose(mixture.matrix, reduced.matrix, atol=1e-10)
 
 

@@ -3,10 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qndsim
+from qndsim import circuits as circ
+from qndsim import tomography as tom
 from qndsim.circuits import NoiseModel
 from qndsim.cli import main as cli_main
 from qndsim.harness import (
@@ -40,6 +46,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig("VA", shots=0)
         assert SweepConfig("VA", shots=0, exact_mode=True).exact_mode
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["phi_step", "phi_start", "theta", "lam"])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SweepConfig("VA", **{name: value})
 
     def test_phi_grid(self):
         cfg = SweepConfig("VA", phi_count=3, phi_step=0.5, phi_start=1.0)
@@ -102,6 +114,44 @@ class TestSampledSweeps:
         (rec,) = run_sweep(cfg)
         assert rec.qnd_estimate < rec.theory
         assert rec.fidelity_in < 1.0
+
+
+class TestBranchFailures:
+    CONFIG = SweepConfig("C2", phi_count=1, phi_start=math.pi / 2, shots=200, master_seed=3)
+
+    def test_degenerate_branch_recorded_unanalyzed(self, monkeypatch):
+        # every retained shot reads "11", so no setting ever sees "00" and the
+        # branch reconstruction has zero trace
+        real = circ.postselect_counts
+
+        def all_ones(counts, positions, outcome):
+            kept = real(counts, positions, outcome)
+            return circ.OutcomeCounts(2, {"11": kept.shots}, kept.shots)
+
+        monkeypatch.setattr(circ, "postselect_counts", all_ones)
+        (rec,) = run_sweep(self.CONFIG)
+        assert rec.tomo_out is not None
+        assert [b.outcome for b in rec.branches] == ["00", "01", "10", "11"]
+        assert all(b.tomo_value is None and b.retained_shots is None for b in rec.branches)
+        assert rec.branches[1].reliable
+
+    def test_other_reconstruction_errors_propagate(self, monkeypatch):
+        selected = []
+        real_select, real_reconstruct = circ.postselect_counts, tom.linear_reconstruct
+
+        def tracked(*args, **kwargs):
+            selected.append(real_select(*args, **kwargs))
+            return selected[-1]
+
+        def failing(data, *args, **kwargs):
+            if any(d is s for d in data for s in selected):
+                raise ValueError("unexpected reconstruction failure")
+            return real_reconstruct(data, *args, **kwargs)
+
+        monkeypatch.setattr(circ, "postselect_counts", tracked)
+        monkeypatch.setattr(tom, "linear_reconstruct", failing)
+        with pytest.raises(ValueError, match="unexpected reconstruction failure"):
+            run_sweep(self.CONFIG)
 
 
 class TestRepeatFixedState:
@@ -222,6 +272,30 @@ class TestCli:
                          "--shots", "200", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 2
+
+    def test_zero_theory_sweep_omits_scale_fits(self, tmp_path):
+        # C2 vanishes at phi = 0, so no scale factor is defined
+        out = tmp_path / "zero.json"
+        assert cli_main(["sweep", "--observable", "C2", "--phi-steps", "1", "--exact",
+                         "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["records"]) == 1
+        assert doc["records"][0]["theory"] == 0.0
+        assert "qnd_scale" not in doc["fits"]
+        assert "tomo_out_scale" not in doc["fits"]
+        assert "tomo_out_mixed_fraction" in doc["fits"]
+
+    def test_import_needs_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qndsim.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_check_identity_subcommand(self):
         assert cli_main(["check-identity", "--grid", "3"]) == 0

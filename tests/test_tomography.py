@@ -91,6 +91,12 @@ class TestLinearReconstruct:
         with pytest.raises(ValueError):
             tom.linear_reconstruct(maps[:10])
 
+    def test_zero_trace_is_degenerate(self):
+        # no setting ever reads "00": every projector expectation vanishes
+        with pytest.raises(tom.DegenerateReconstructionError):
+            tom.linear_reconstruct([{"11": 1.0}] * 16)
+        assert issubclass(tom.DegenerateReconstructionError, ValueError)
+
 
 class TestProjectPsd:
     def test_psd_input_unchanged(self):
