@@ -1,9 +1,16 @@
 """Gate-level circuit construction and execution.
 
 Execution comes in two flavors: pure state-vector evolution and noisy
-density-matrix evolution with a per-gate depolarizing channel. Measurement
-sampling is multinomial over the Born-rule marginal, deterministic for a
-given seed, with an optional independent readout flip per recorded bit.
+density-matrix evolution with a per-gate depolarizing channel. Both run a
+batch of circuits from one state as one stack, layer by layer (``run_batch``);
+a single circuit is a batch of one. Measurement sampling is multinomial over
+the Born-rule marginal, deterministic for a given seed, with an optional
+independent readout flip per recorded bit.
+
+Sampling is only reproducible if probabilities are bit-identical: many
+states here have outcomes of exactly equal probability, and a one-ULP
+change swaps their counts. The batched engine therefore multiplies each
+slice with the same matrices, in the same order, as a single run would.
 
 Rotation conventions (fixed package-wide):
 
@@ -226,51 +233,125 @@ def _embed(num_qubits: int, ops: dict[int, np.ndarray]) -> np.ndarray:
     return tensor(*[ops.get(q, IDENT) for q in range(num_qubits)])
 
 
-def _reorder_qubits(m: np.ndarray, order: list[int]) -> np.ndarray:
-    """Permute a matrix whose tensor positions hold qubits ``order`` back to 0..n-1."""
-    n = len(order)
-    src = [order.index(q) for q in range(n)]
-    t = m.reshape([2] * (2 * n))
-    return t.transpose(src + [s + n for s in src]).reshape(2**n, 2**n)
+Layer = tuple["Gate | None", ...]
+"""One step of a batched run: slice i of the batch applies gate i, and
+``None`` leaves its slice alone. The gates of a layer share their qubits."""
 
 
-def run_pure(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply the circuit's gates in order to a pure state."""
-    if initial.num_qubits != circuit.num_qubits:
-        raise ValueError("dimension mismatch between circuit and state")
-    amps = initial.amplitudes.copy()
-    for gate in circuit.gates:
-        amps = _full_unitary(gate, circuit.num_qubits) @ amps
-    return StateVector(circuit.num_qubits, amps)
+def _layer_operators(layers, num_qubits: int):
+    """Yield (slice index, stacked unitaries, support) for each layer with a gate.
+
+    The index is ``slice(None)`` when every slice has a gate. The stacked
+    matrices are the cached ``_full_unitary`` ones, so each slice is
+    multiplied exactly as a single circuit's would be.
+    """
+    for layer in layers:
+        acting = [i for i, g in enumerate(layer) if g is not None]
+        if not acting:
+            continue
+        supports = {layer[i].targets for i in acting}
+        if len(supports) > 1:
+            raise ValueError("the gates of a layer must act on the same qubits")
+        u = np.stack([_full_unitary(layer[i], num_qubits) for i in acting])
+        index = slice(None) if len(acting) == len(layer) else acting
+        yield index, u, supports.pop()
+
+
+def _gate_layers(circuit: Circuit) -> list[Layer]:
+    """A single circuit as a batch of one: one layer per gate."""
+    return [(g,) for g in circuit.gates]
+
+
+def _evolve_pure(amps: np.ndarray, layers, num_qubits: int) -> np.ndarray:
+    """Apply each layer to a (B, d) stack of amplitudes, in place."""
+    for index, u, _ in _layer_operators(layers, num_qubits):
+        amps[index] = np.matmul(u, amps[index][:, :, None])[:, :, 0]
+    return amps
 
 
 def _depolarize(m: np.ndarray, num_qubits: int, support: tuple[int, ...], p: float) -> np.ndarray:
+    """rho -> (1-p) rho + p (I/2^s tensor the marginal off the support), per slice."""
     keep = [q for q in range(num_qubits) if q not in support]
     s = len(support)
     if not keep:
         mixed = np.eye(2**num_qubits, dtype=complex) / 2**num_qubits
     else:
         marginal = partial_trace_matrix(m, num_qubits, tuple(keep))
-        mixed = np.kron(np.eye(2**s, dtype=complex) / 2**s, marginal)
-        mixed = _reorder_qubits(mixed, list(support) + keep)
+        # the Kronecker product I/2^s (x) marginal, by broadcasting
+        b = len(m)
+        eye = np.eye(2**s, dtype=complex) / 2**s
+        mixed = eye[:, None, :, None] * marginal[:, None, :, None, :]
+        # tensor positions hold qubits support + keep; put them back in order
+        order = list(support) + keep
+        src = [order.index(q) for q in range(num_qubits)]
+        mixed = mixed.reshape((b,) + (2,) * (2 * num_qubits))
+        mixed = mixed.transpose([0] + [1 + i for i in src] + [1 + num_qubits + i for i in src])
+        mixed = mixed.reshape(b, 2**num_qubits, 2**num_qubits)
     return (1.0 - p) * m + p * mixed
+
+
+def _evolve_density(m: np.ndarray, layers, num_qubits: int, noise: NoiseModel) -> np.ndarray:
+    """Apply each layer, with depolarizing noise, to a (B, d, d) stack."""
+    for index, u, support in _layer_operators(layers, num_qubits):
+        sub = u @ m[index] @ np.swapaxes(u.conj(), -1, -2)
+        if noise.enabled:
+            p = noise.depol_2q if len(support) == 2 else noise.depol_1q
+            if p > 0.0:
+                sub = _depolarize(sub, num_qubits, support, p)
+        m[index] = sub
+    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m
+
+
+def run_pure(circuit: Circuit, initial: StateVector) -> StateVector:
+    """Apply the circuit's gates in order to a pure state."""
+    if initial.num_qubits != circuit.num_qubits:
+        raise ValueError("dimension mismatch between circuit and state")
+    amps = _evolve_pure(initial.amplitudes[None].copy(), _gate_layers(circuit), circuit.num_qubits)
+    return StateVector(circuit.num_qubits, amps[0])
 
 
 def run_noisy(circuit: Circuit, initial: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
     """Density-matrix evolution with depolarizing noise after each gate."""
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError("dimension mismatch between circuit and state")
-    m = initial.matrix.copy()
-    for gate in circuit.gates:
-        u = _full_unitary(gate, circuit.num_qubits)
-        m = u @ m @ u.conj().T
-        if noise.enabled:
-            p = noise.depol_2q if len(gate.targets) == 2 else noise.depol_1q
-            if p > 0.0:
-                m = _depolarize(m, circuit.num_qubits, gate.targets, p)
-    m = (m + m.conj().T) / 2
-    m /= np.trace(m).real
-    return DensityMatrix(circuit.num_qubits, m)
+    m = _evolve_density(
+        initial.matrix[None].copy(), _gate_layers(circuit), circuit.num_qubits, noise
+    )
+    return DensityMatrix(circuit.num_qubits, m[0])
+
+
+def run_batch(initial: StateVector | DensityMatrix, layers, noise: NoiseModel) -> np.ndarray:
+    """Run a batch of circuits, given as layers, from one initial state.
+
+    A pure state evolves as a (B, d) stack of amplitudes, without noise; a
+    density matrix as a (B, d, d) stack, with depolarizing noise after each
+    gate. Each slice comes out exactly as ``run_pure`` or ``run_noisy``
+    would give it for that slice's circuit. The stack is validated once,
+    every slice with the checks of StateVector or DensityMatrix.
+    """
+    n = initial.num_qubits
+    batch = len(layers[0]) if layers else 1
+    if any(len(layer) != batch for layer in layers):
+        raise ValueError("every layer needs one entry per slice")
+    if any(q >= n for layer in layers for g in layer if g is not None for q in g.targets):
+        raise ValueError("dimension mismatch between circuit and state")
+    if isinstance(initial, StateVector):
+        amps = _evolve_pure(np.tile(initial.amplitudes, (batch, 1)), layers, n)
+        StateVector.validate(amps)
+        return amps
+    m = _evolve_density(np.tile(initial.matrix, (batch, 1, 1)), layers, n, noise)
+    DensityMatrix.validate(m)
+    return m
+
+
+def born_probabilities(stack: np.ndarray) -> np.ndarray:
+    """(B, d) outcome probabilities over all qubits (qubit 0 the most
+    significant bit) of a ``run_batch`` stack."""
+    if stack.ndim == 2:
+        return np.abs(stack) ** 2
+    return np.diagonal(stack, axis1=-2, axis2=-1).real
 
 
 def _marginal_probabilities(
@@ -307,20 +388,52 @@ def _validate_measured(state, measured_qubits) -> tuple[int, ...]:
     return measured
 
 
+def probability_map(probs: np.ndarray) -> dict[str, float]:
+    """Outcome probabilities keyed by bitstring, those below 1e-15 omitted
+    (sampling never produces them)."""
+    m = len(probs).bit_length() - 1
+    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
+
+
 def exact_probabilities(
     state: StateVector | DensityMatrix, measured_qubits
 ) -> dict[str, float]:
-    """Exact outcome probabilities (the infinite-shot limit of sampling).
-
-    Outcomes with probability below 1e-15 are omitted, mirroring the fact
-    that sampling never produces them.
-    """
+    """Exact outcome probabilities (the infinite-shot limit of sampling)."""
     measured = _validate_measured(state, measured_qubits)
-    probs = _marginal_probabilities(state, measured)
-    m = len(measured)
-    return {
-        format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15
-    }
+    return probability_map(_marginal_probabilities(state, measured))
+
+
+@lru_cache(maxsize=64)
+def _confusion(num_bits: int, flip: float) -> np.ndarray:
+    """Readout confusion matrix: each of ``num_bits`` bits flips independently."""
+    confusion = tensor(*[np.array([[1 - flip, flip], [flip, 1 - flip]])] * num_bits).real
+    confusion.flags.writeable = False
+    return confusion
+
+
+def sample_batch(
+    probs: np.ndarray, shots: int, rngs, readout_flip: float = 0.0
+) -> list[OutcomeCounts]:
+    """One multinomial draw per row of a (B, 2^m) stack of Born probabilities.
+
+    Row i is drawn from ``rngs[i]``. Each recorded bit is independently
+    flipped with probability ``readout_flip`` (folded into the outcome
+    distribution before drawing, which is statistically identical to
+    flipping after the draw).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    probs = np.clip(probs, 0.0, None)
+    m = probs.shape[-1].bit_length() - 1
+    if readout_flip > 0.0:
+        # a matrix-vector product per row; probs @ confusion.T rounds differently
+        probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]
+    out = []
+    for p, rng in zip(probs, rngs, strict=True):
+        draw = rng.multinomial(shots, p / p.sum())
+        counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(draw) if c > 0}
+        out.append(OutcomeCounts(m, counts, shots))
+    return out
 
 
 def sample_counts(
@@ -330,26 +443,12 @@ def sample_counts(
     seed: int | np.random.Generator,
     readout_flip: float = 0.0,
 ) -> OutcomeCounts:
-    """Multinomial draw from the Born-rule marginal distribution.
-
-    Each recorded bit is independently flipped with probability
-    ``readout_flip`` (folded into the outcome distribution before drawing,
-    which is statistically identical to flipping after the draw).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    """Multinomial draw from the Born-rule marginal distribution (see
+    ``sample_batch``)."""
     measured = _validate_measured(state, measured_qubits)
-    probs = np.clip(_marginal_probabilities(state, measured), 0.0, None)
-    if readout_flip > 0.0:
-        f = readout_flip
-        confusion = tensor(*[np.array([[1 - f, f], [f, 1 - f]])] * len(measured)).real
-        probs = confusion @ probs
-    probs /= probs.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draw = rng.multinomial(shots, probs)
-    m = len(measured)
-    counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(draw) if c > 0}
-    return OutcomeCounts(m, counts, shots)
+    probs = _marginal_probabilities(state, measured)
+    return sample_batch(probs[None], shots, [rng], readout_flip)[0]
 
 
 def postselect(

@@ -151,8 +151,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not config.output_path:
         raise ValueError("--out is required")
     records = run_sweep(config)
-    fits = compute_fits(records, config.observable)
-    emit(records, args.format or "csv", config.output_path, config, fits)
+    fmt = args.format or "csv"
+    # only JSON carries fits
+    fits = compute_fits(records, config.observable) if fmt == "json" else None
+    emit(records, fmt, config.output_path, config, fits)
     print(f"wrote {len(records)} sweep points to {config.output_path}")
     return 0
 

@@ -148,16 +148,23 @@ def _prepare_states(
     return chi_actual, out
 
 
+def _prep_params(phi: float, theta: float, lam: float) -> ex.PrepParams:
+    """Preparation angles reduced mod 2*pi.
+
+    The preparation is 2*pi periodic (an extra period only flips a global
+    phase), so grids spanning several periods are fine; records keep the
+    nominal angles.
+    """
+    two_pi = 2 * math.pi
+    return ex.PrepParams(phi % two_pi, theta % two_pi, lam % two_pi)
+
+
 def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -> SweepRecord:
     obs = config.observable
     key = _observable_key(obs)
     setting = ex.setting_for(obs)
     noise = config.noise
-    # the preparation is 2*pi periodic (an extra period only flips a global
-    # phase), so grids spanning several periods are fine; the record keeps
-    # the nominal phi
-    two_pi = 2 * math.pi
-    p = ex.PrepParams(phi % two_pi, config.theta_resolved % two_pi, config.lam % two_pi)
+    p = _prep_params(phi, config.theta_resolved, config.lam)
     chi_ideal = ex.bell_coefficients(p).state_vector()
     theory = theory_value(obs, chi_ideal)
     ideal = ex.branch_data(setting, p)
@@ -220,20 +227,10 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
 def _output_tomography(config, setting, out_state, index, ideal, key):
     """Sample all tomography settings on the full register once; analyze the
     same data unconditionally and post-selected on each ancilla outcome."""
-    n = setting.num_qubits
-    noise = config.noise
-    flip = noise.readout_flip if noise.enabled else 0.0
-    settings = tom.tomography_settings()
-    all_counts = []
-    for s_idx, ts in enumerate(settings):
-        pre = ts.pre_rotation(n, 0, 1)
-        if noise.enabled:
-            rotated: StateVector | DensityMatrix = circ.run_noisy(pre, out_state, noise)
-        else:
-            rotated = circ.run_pure(pre, out_state)
-        rng = circ.rng_stream(config.master_seed, 2, index, s_idx)
-        all_counts.append(circ.sample_counts(rotated, tuple(range(n)), config.shots, rng, flip))
-
+    all_counts = tom.collect(
+        out_state, tom.tomography_settings(), config.shots, config.master_seed,
+        config.noise, seed_path=(2, index),
+    )
     unconditional = [circ.marginalize_counts(c, (0, 1)) for c in all_counts]
     est_out = tom.linear_reconstruct(unconditional)
 
@@ -313,9 +310,7 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
         if scalable:
             fits["tomo_out_scale"] = fit_scale([r.tomo_out for r in records], theory)
         if observable in ("C1", "C2"):
-            coeffs = [
-                ex.bell_coefficients(ex.PrepParams(r.phi, r.theta, r.lam)) for r in records
-            ]
+            coeffs = [ex.bell_coefficients(_prep_params(r.phi, r.theta, r.lam)) for r in records]
             fits["tomo_out_mixed_fraction"] = fit_mixed_fraction(
                 [r.tomo_out for r in records], coeffs
             )

@@ -66,11 +66,18 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+        StateVector.validate(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @staticmethod
+    def validate(amps: np.ndarray) -> None:
+        """Raise ValueError unless every row of a (..., d) stack is normalized."""
+        norms = np.sum(np.abs(amps) ** 2, axis=-1)
+        bad = np.abs(norms - 1.0) > ATOL_CONSTRUCT
+        if bad.any():
+            norm = float(np.reshape(norms, -1)[np.reshape(bad, -1)][0])
+            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
     @property
     def dim(self) -> int:
@@ -105,16 +112,31 @@ class DensityMatrix:
         d = 2**self.num_qubits
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL_CONSTRUCT):
-            raise ValueError("matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL_CONSTRUCT:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -ATOL_ALGEBRA:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
+        DensityMatrix.validate(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @staticmethod
+    def validate(m: np.ndarray) -> None:
+        """Raise ValueError unless every (d, d) slice of a (..., d, d) stack is
+        Hermitian and trace-one within ATOL_CONSTRUCT, with no eigenvalue
+        below -ATOL_ALGEBRA."""
+        m_dag = np.swapaxes(m.conj(), -1, -2)
+        # np.allclose(m, m_dag, atol=ATOL_CONSTRUCT) spelled out: on a 4x4
+        # matrix its argument handling costs more than the comparison
+        with np.errstate(invalid="ignore"):
+            within = np.abs(m - m_dag) <= ATOL_CONSTRUCT + 1e-5 * np.abs(m_dag)
+            close = within & np.isfinite(m_dag) | (m == m_dag)
+        if not close.all():
+            raise ValueError("matrix is not Hermitian")
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        bad = np.abs(tr - 1.0) > ATOL_CONSTRUCT
+        if bad.any():
+            tr = complex(np.reshape(tr, -1)[np.reshape(bad, -1)][0])
+            raise ValueError(f"trace must be 1, got {tr!r}")
+        lam_min = float(np.linalg.eigvalsh(m)[..., 0].min())
+        if lam_min < -ATOL_ALGEBRA:
+            raise ValueError(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
 
     @property
     def dim(self) -> int:
@@ -142,17 +164,20 @@ def append_ancillas_rho(rho: DensityMatrix, count: int) -> DensityMatrix:
 
 
 def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a raw matrix, keeping the listed qubits (ascending order)."""
+    """Partial trace of a raw matrix, or of each slice of a (..., d, d) stack,
+    keeping the listed qubits (ascending order)."""
     keep = tuple(sorted(keep))
     traced = [q for q in range(num_qubits) if q not in keep]
-    t = np.asarray(m, dtype=complex).reshape([2] * (2 * num_qubits))
+    m = np.asarray(m, dtype=complex)
+    batch = m.shape[:-2]
+    t = m.reshape(batch + (2,) * (2 * num_qubits))
     # Trace highest axes first so earlier axis numbers stay valid.
-    n = num_qubits
+    b, n = len(batch), num_qubits
     for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + n)
+        t = np.trace(t, axis1=b + q, axis2=b + q + n)
         n -= 1
     d = 2 ** len(keep)
-    return t.reshape(d, d)
+    return t.reshape(batch + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

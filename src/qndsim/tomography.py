@@ -119,20 +119,53 @@ def tomography_settings() -> list[TomographySetting]:
 
 
 @lru_cache(maxsize=1)
+def _pauli_pairs() -> tuple[np.ndarray, ...]:
+    """The 16 two-qubit Pauli-pair operators, first factor major."""
+    pairs = tuple(tensor(pa, pb) for pa in _PAULIS for pb in _PAULIS)
+    for p in pairs:
+        p.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=1)
 def _design_matrix() -> np.ndarray:
     """B[i, j] = Tr(M_i P_j) / 4 over the 16 Pauli-pair operators P_j."""
-    paulis = [tensor(pa, pb) for pa in _PAULIS for pb in _PAULIS]
     settings = tomography_settings()
     b = np.empty((16, 16))
     for i, s in enumerate(settings):
         m = s.projector()
-        for j, p in enumerate(paulis):
+        for j, p in enumerate(_pauli_pairs()):
             b[i, j] = np.trace(m @ p).real / 4.0
     return b
 
 
 def design_matrix_rank() -> int:
     return int(np.linalg.matrix_rank(_design_matrix()))
+
+
+@lru_cache(maxsize=16)
+def _pre_rotation_layers(
+    settings: tuple[TomographySetting, ...], num_qubits: int
+) -> tuple[circ.Layer, circ.Layer]:
+    """The settings' pre-rotations as one batch: the gates on qubit 0, then
+    those on qubit 1 (each basis needs at most one gate)."""
+    layers = []
+    for qubit in (0, 1):
+        layer = []
+        for s in settings:
+            gates = [g for g in s.pre_rotation(num_qubits).gates if g.targets == (qubit,)]
+            layer.append(gates[0] if gates else None)
+        layers.append(tuple(layer))
+    return tuple(layers)
+
+
+def _setting_probabilities(
+    state: StateVector | DensityMatrix, settings: Sequence[TomographySetting], noise: NoiseModel
+) -> np.ndarray:
+    """(settings, 2^n) outcome probabilities over every qubit of the state,
+    with each setting's pre-rotation on qubits 0 and 1."""
+    layers = _pre_rotation_layers(tuple(settings), state.num_qubits)
+    return circ.born_probabilities(circ.run_batch(state, layers, noise))
 
 
 def collect(
@@ -145,38 +178,26 @@ def collect(
 ) -> list[OutcomeCounts]:
     """Sample every setting, one derived RNG stream per setting.
 
-    The pre-rotation gates run through the noisy evolution so tomography is
-    not artificially cleaner than the rest of the experiment; the readout
+    Every qubit of the state is read out (keys list qubit 0 first); the
+    pre-rotations act on qubits 0 and 1. On a density matrix they run
+    through the noisy evolution so tomography is not artificially cleaner
+    than the rest of the experiment; a pure state stays pure. The readout
     flip applies at sampling.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1 per setting")
-    data = []
-    for idx, s in enumerate(settings):
-        rotated = _apply_pre_rotation(state, s, noise)
-        rng = circ.rng_stream(master_seed, *seed_path, idx)
-        flip = noise.readout_flip if noise.enabled else 0.0
-        data.append(circ.sample_counts(rotated, (0, 1), shots, rng, flip))
-    return data
+    probs = _setting_probabilities(state, settings, noise)
+    rngs = [circ.rng_stream(master_seed, *seed_path, idx) for idx in range(len(settings))]
+    flip = noise.readout_flip if noise.enabled else 0.0
+    return circ.sample_batch(probs, shots, rngs, flip)
 
 
 def collect_exact(
     state: StateVector | DensityMatrix, settings: Sequence[TomographySetting]
 ) -> list[dict[str, float]]:
     """Exact outcome probabilities per setting (infinite-shot limit)."""
-    return [
-        circ.exact_probabilities(_apply_pre_rotation(state, s, NoiseModel.none()), (0, 1))
-        for s in settings
-    ]
-
-
-def _apply_pre_rotation(
-    state: StateVector | DensityMatrix, s: TomographySetting, noise: NoiseModel
-) -> StateVector | DensityMatrix:
-    pre = s.pre_rotation()
-    if isinstance(state, StateVector):
-        return circ.run_pure(pre, state)
-    return circ.run_noisy(pre, state, noise)
+    probs = _setting_probabilities(state, settings, NoiseModel.none())
+    return [circ.probability_map(p) for p in probs]
 
 
 def linear_reconstruct(
@@ -198,8 +219,7 @@ def linear_reconstruct(
         freqs[i] = f.get("00", 0.0)
     b = _design_matrix()
     coeffs = np.linalg.solve(b, freqs)
-    paulis = [tensor(pa, pb) for pa in _PAULIS for pb in _PAULIS]
-    raw = sum(c * p for c, p in zip(coeffs, paulis)) / 4.0
+    raw = sum(c * p for c, p in zip(coeffs, _pauli_pairs())) / 4.0
     raw = (raw + raw.conj().T) / 2
     trace = float(np.trace(raw).real)
     if abs(trace) < 1e-9:

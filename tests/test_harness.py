@@ -285,6 +285,21 @@ class TestCli:
         assert "tomo_out_scale" not in doc["fits"]
         assert "tomo_out_mixed_fraction" in doc["fits"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_past_two_pi(self, tmp_path, fmt):
+        # the default step is pi/32, so 70 points end at 69*pi/32 > 2*pi
+        out = tmp_path / f"long.{fmt}"
+        assert cli_main(["sweep", "--observable", "C2", "--exact", "--phi-steps", "70",
+                         "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "csv":
+            assert len(parse_csv(str(out))) == 70
+        else:
+            doc = json.loads(out.read_text())
+            assert len(doc["records"]) == 70
+            assert doc["records"][-1]["phi"] > 2 * math.pi
+            assert doc["fits"]["tomo_out_mixed_fraction"]["parameter"] == pytest.approx(
+                0.0, abs=1e-9)
+
     def test_import_needs_no_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
