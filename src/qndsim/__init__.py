@@ -16,7 +16,6 @@ from .circuits import (
     EmptyBranchError,
     Gate,
     NoiseModel,
-    OutcomeCounts,
     exact_probabilities,
     postselect,
     postselect_counts,

@@ -5,7 +5,9 @@ density-matrix evolution with a per-gate depolarizing channel. Both run a
 batch of circuits from one state as one stack, layer by layer (``run_batch``);
 a single circuit is a batch of one. Measurement sampling is multinomial over
 the Born-rule marginal, deterministic for a given seed, with an optional
-independent readout flip per recorded bit.
+independent readout flip per recorded bit; counts are integer arrays
+indexed by outcome, and post-selection and marginalization index or sum
+their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
@@ -18,8 +20,9 @@ Rotation conventions (fixed package-wide):
   RY(t) = exp(-i t sigma_y / 2).
 * ``rot3d(axis, t)`` implements exp(-i t axis.sigma) with *no* half angle.
 
-Bitstring keys order bits like the ``measured_qubits`` argument: the first
-listed qubit is the leftmost character.
+Outcomes order their bits like the ``measured_qubits`` argument, the first
+listed qubit the most significant: count arrays hold outcome i at index i,
+and probability maps key it by its bitstring (first listed qubit leftmost).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -178,31 +180,6 @@ class NoiseModel:
         return cls(enabled=False)
 
 
-@dataclass(frozen=True)
-class OutcomeCounts:
-    """Measured bitstring counts. Keys omit outcomes that never occurred."""
-
-    num_measured_qubits: int
-    counts: Mapping[str, int]
-    shots: int
-
-    def __post_init__(self) -> None:
-        counts = dict(self.counts)
-        for key, c in counts.items():
-            if len(key) != self.num_measured_qubits or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r}")
-            if c < 0:
-                raise ValueError("counts must be nonnegative")
-        if sum(counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
-        object.__setattr__(self, "counts", counts)
-
-    def frequencies(self) -> dict[str, float]:
-        if self.shots == 0:
-            raise ValueError("no shots recorded")
-        return {k: c / self.shots for k, c in self.counts.items()}
-
-
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Deterministic, collision-free generator for a point in a seed tree.
 
@@ -325,12 +302,15 @@ def run_noisy(circuit: Circuit, initial: DensityMatrix, noise: NoiseModel) -> De
 def run_batch(initial: StateVector | DensityMatrix, layers, noise: NoiseModel) -> np.ndarray:
     """Run a batch of circuits, given as layers, from one initial state.
 
-    A pure state evolves as a (B, d) stack of amplitudes, without noise; a
-    density matrix as a (B, d, d) stack, with depolarizing noise after each
-    gate. Each slice comes out exactly as ``run_pure`` or ``run_noisy``
-    would give it for that slice's circuit. The stack is validated once,
-    every slice with the checks of StateVector or DensityMatrix.
+    A pure state evolves as a (B, d) stack of amplitudes and admits no
+    depolarizing noise; a density matrix as a (B, d, d) stack, with
+    depolarizing noise after each gate. Each slice comes out exactly as
+    ``run_pure`` or ``run_noisy`` would give it for that slice's circuit.
+    The stack is validated once, every slice with the checks of StateVector
+    or DensityMatrix.
     """
+    if isinstance(initial, StateVector) and noise.enabled and (noise.depol_1q or noise.depol_2q):
+        raise ValueError("depolarizing noise needs a density-matrix input (state.density())")
     n = initial.num_qubits
     batch = len(layers[0]) if layers else 1
     if any(len(layer) != batch for layer in layers):
@@ -413,13 +393,13 @@ def _confusion(num_bits: int, flip: float) -> np.ndarray:
 
 def sample_batch(
     probs: np.ndarray, shots: int, rngs, readout_flip: float = 0.0
-) -> list[OutcomeCounts]:
+) -> np.ndarray:
     """One multinomial draw per row of a (B, 2^m) stack of Born probabilities.
 
-    Row i is drawn from ``rngs[i]``. Each recorded bit is independently
-    flipped with probability ``readout_flip`` (folded into the outcome
-    distribution before drawing, which is statistically identical to
-    flipping after the draw).
+    Returns the (B, 2^m) integer counts. Row i is drawn from ``rngs[i]``.
+    Each recorded bit is independently flipped with probability
+    ``readout_flip`` (folded into the outcome distribution before drawing,
+    which is statistically identical to flipping after the draw).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -428,12 +408,9 @@ def sample_batch(
     if readout_flip > 0.0:
         # a matrix-vector product per row; probs @ confusion.T rounds differently
         probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]
-    out = []
-    for p, rng in zip(probs, rngs, strict=True):
-        draw = rng.multinomial(shots, p / p.sum())
-        counts = {format(i, f"0{m}b"): int(c) for i, c in enumerate(draw) if c > 0}
-        out.append(OutcomeCounts(m, counts, shots))
-    return out
+    return np.stack([
+        rng.multinomial(shots, p / p.sum()) for p, rng in zip(probs, rngs, strict=True)
+    ])
 
 
 def sample_counts(
@@ -442,9 +419,9 @@ def sample_counts(
     shots: int,
     seed: int | np.random.Generator,
     readout_flip: float = 0.0,
-) -> OutcomeCounts:
-    """Multinomial draw from the Born-rule marginal distribution (see
-    ``sample_batch``)."""
+) -> np.ndarray:
+    """Multinomial draw from the Born-rule marginal distribution: the
+    (2^m,) counts of a batch of one (see ``sample_batch``)."""
     measured = _validate_measured(state, measured_qubits)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     probs = _marginal_probabilities(state, measured)
@@ -477,33 +454,58 @@ def postselect(
     return StateVector(n - len(ancillas), branch / math.sqrt(prob)), prob
 
 
-def marginalize_counts(counts: OutcomeCounts, keep_positions) -> OutcomeCounts:
-    """Discard bit positions, summing counts over the dropped bits."""
-    keep = tuple(keep_positions)
-    merged: dict[str, int] = {}
-    for key, c in counts.counts.items():
-        short = "".join(key[p] for p in keep)
-        merged[short] = merged.get(short, 0) + c
-    return OutcomeCounts(len(keep), merged, counts.shots)
+def _count_bits(counts: np.ndarray, positions: tuple[int, ...]) -> int:
+    """Check a (..., 2^m) count array and bit positions into it; return m."""
+    m = counts.shape[-1].bit_length() - 1 if counts.ndim else 0
+    if m < 1 or counts.shape[-1] != 2**m:
+        raise ValueError(f"counts need a last axis of 2^m outcomes, got shape {counts.shape}")
+    if not np.issubdtype(counts.dtype, np.integer) or (counts < 0).any():
+        raise ValueError("counts must be nonnegative integers")
+    if len(set(positions)) != len(positions) or any(p < 0 or p >= m for p in positions):
+        raise ValueError(f"bit positions {positions} must be distinct and in 0..{m - 1}")
+    return m
 
 
-def postselect_counts(
-    counts: OutcomeCounts, ancilla_positions, outcome: str
-) -> OutcomeCounts:
-    """Keep counts whose ancilla bits match, stripping those bit positions.
+def marginalize_counts(counts: np.ndarray, keep_positions) -> np.ndarray:
+    """Discard bit positions, summing counts over the dropped bits.
 
-    ``ancilla_positions`` index characters of the bitstring keys.
+    ``counts`` is a (..., 2^m) integer array indexed by outcome (bit
+    position 0 the most significant); the result indexes the kept bits in
+    the listed order.
     """
+    counts = np.asarray(counts)
+    keep = tuple(keep_positions)
+    m = _count_bits(counts, keep)
+    lead = counts.shape[:-1]
+    b = len(lead)
+    t = counts.reshape(lead + (2,) * m)
+    drop = tuple(b + p for p in range(m) if p not in keep)
+    if drop:
+        t = t.sum(axis=drop)
+    remaining = sorted(keep)
+    t = t.transpose(tuple(range(b)) + tuple(b + remaining.index(p) for p in keep))
+    return t.reshape(lead + (2 ** len(keep),))
+
+
+def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:
+    """Keep the counts whose ancilla bits match, stripping those bit positions.
+
+    ``counts`` is a (..., 2^m) integer array indexed by outcome (bit
+    position 0 the most significant); the result indexes the remaining
+    bits in their original order. Raises EmptyBranchError when any row
+    retains no shots.
+    """
+    counts = np.asarray(counts)
     positions = tuple(ancilla_positions)
-    if len(outcome) != len(positions):
-        raise ValueError("outcome length must match number of ancilla positions")
-    kept: dict[str, int] = {}
-    total = 0
-    for key, c in counts.counts.items():
-        if all(key[p] == bit for p, bit in zip(positions, outcome)):
-            stripped = "".join(ch for i, ch in enumerate(key) if i not in positions)
-            kept[stripped] = kept.get(stripped, 0) + c
-            total += c
-    if total == 0:
+    if len(outcome) != len(positions) or set(outcome) - {"0", "1"}:
+        raise ValueError("outcome must be a bitstring with one bit per ancilla position")
+    m = _count_bits(counts, positions)
+    lead = counts.shape[:-1]
+    index = [slice(None)] * m
+    for p, bit in zip(positions, outcome):
+        index[p] = int(bit)
+    kept = counts.reshape(lead + (2,) * m)[(Ellipsis, *index)]
+    kept = kept.reshape(lead + (2 ** (m - len(positions)),))
+    if not kept.sum(axis=-1).all():
         raise EmptyBranchError(f"no shots retained for ancilla outcome {outcome!r}")
-    return OutcomeCounts(counts.num_measured_qubits - len(positions), kept, total)
+    return kept

@@ -32,7 +32,6 @@ from . import circuits as circ
 from .circuits import (
     Circuit,
     EmptyBranchError,
-    OutcomeCounts,
     cnot,
     cry,
     h,
@@ -268,20 +267,25 @@ def measurement_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circu
     return c
 
 
-def _frequencies(counts: OutcomeCounts | dict) -> dict[str, float]:
-    if isinstance(counts, OutcomeCounts):
-        return counts.frequencies()
-    return dict(counts)
+def _frequencies(counts: np.ndarray | dict) -> dict[str, float]:
+    if isinstance(counts, dict):
+        return dict(counts)
+    counts = np.asarray(counts)
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("no shots recorded")
+    return circ.probability_map(counts / total)
 
 
 def estimate_observable(
-    s: MeasurementSetting, counts: OutcomeCounts | dict
+    s: MeasurementSetting, counts: np.ndarray | dict
 ) -> dict[str, ObservableValue]:
     """Observable estimates from ancilla statistics.
 
     ``counts`` holds the computational-basis results on C (circuit 1) or
-    C, D (circuit 2, after the Bell rotation for the concurrence setting);
-    exact probability maps are accepted in place of counts.
+    C, D (circuit 2, after the Bell rotation for the concurrence setting)
+    as a count array indexed by outcome; exact probability maps are
+    accepted in place of counts.
 
     Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as appropriate.
     """

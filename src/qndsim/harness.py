@@ -29,8 +29,8 @@ from . import experiments as ex
 from . import tomography as tom
 from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
 from .circuits import EmptyBranchError, NoiseModel
-from .observables import concurrence_pure, predictability, visibility
-from .qmath import DensityMatrix, StateVector, basis_state, fidelity, partial_trace
+from .observables import concurrence_pure, observable_stack, predictability, visibility
+from .qmath import DensityMatrix, StateVector, basis_state, fidelity, fidelity_stack, partial_trace
 
 THETA_DEFAULTS = {
     "VA": 0.0,
@@ -175,7 +175,7 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
 
     # stage 2: ancilla readout -> observable estimate
     if config.exact_mode:
-        anc_stats: dict | circ.OutcomeCounts = circ.exact_probabilities(
+        anc_stats: dict | np.ndarray = circ.exact_probabilities(
             out_state, setting.ancilla_qubits
         )
     else:
@@ -199,13 +199,13 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
         rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
         rho_psi = partial_trace(rho4, (0, 1))
         est_out = tom.tomograph(rho_psi, None)
+        tomo_out = tom.observables_from_estimate(est_out)[key].value
+        fidelity_out = fidelity(rho_psi_theory, est_out.projected)
         branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
     else:
-        est_out, branches = _output_tomography(
-            config, setting, out_state, index, ideal, key
+        tomo_out, fidelity_out, branches = _output_tomography(
+            config, setting, out_state, index, ideal, key, rho_psi_theory
         )
-    tomo_out = tom.observables_from_estimate(est_out)[key].value
-    fidelity_out = fidelity(rho_psi_theory, est_out.projected)
 
     return SweepRecord(
         observable=obs,
@@ -224,37 +224,51 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     )
 
 
-def _output_tomography(config, setting, out_state, index, ideal, key):
+def _output_tomography(config, setting, out_state, index, ideal, key, rho_psi_theory):
     """Sample all tomography settings on the full register once; analyze the
-    same data unconditionally and post-selected on each ancilla outcome."""
-    all_counts = tom.collect(
+    same counts unconditionally and post-selected on each ancilla outcome,
+    as one stack of estimates.
+
+    Returns the unconditional observable value and fidelity, and the
+    branch results.
+    """
+    counts = tom.collect(
         out_state, tom.tomography_settings(), config.shots, config.master_seed,
         config.noise, seed_path=(2, index),
     )
-    unconditional = [circ.marginalize_counts(c, (0, 1)) for c in all_counts]
-    est_out = tom.linear_reconstruct(unconditional)
-
-    branches = []
+    data = [circ.marginalize_counts(counts, (0, 1))]
+    selected = []
     for b in ideal:
         try:
-            selected = [
-                circ.postselect_counts(c, setting.ancilla_qubits, b.outcome) for c in all_counts
-            ]
-            est_b = tom.linear_reconstruct(selected)
-        except (EmptyBranchError, tom.DegenerateReconstructionError):
-            # branch retained no (or too few) shots to estimate a state
-            branches.append(BranchResult(b.outcome, b.probability, b.reliable))
-            continue
-        value = tom.observables_from_estimate(est_b)[key].value
-        fid = fidelity(b.state.density(), est_b.projected) if b.state is not None else None
-        branches.append(
-            BranchResult(
-                b.outcome, b.probability, b.reliable,
-                retained_shots=min(s.shots for s in selected),
-                tomo_value=value, fidelity=fid,
-            )
+            data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
+        except EmptyBranchError:
+            continue  # some setting retained no shots in this branch
+        selected.append(b)
+    est = tom.reconstruct_stack(np.stack(data))
+    if est.rows[0] != 0:
+        raise tom.DegenerateReconstructionError("the unconditional output estimate has zero trace")
+    # a branch left out of the stack retained too few shots to fix a state
+    analyzed = [selected[r - 1] for r in est.rows[1:]]
+    values = observable_stack(est.projected)[key][0].tolist()
+    with_target = [0] + [i for i, b in enumerate(analyzed, 1) if b.state is not None]
+    targets = [rho_psi_theory.matrix] + [
+        np.outer(b.state.amplitudes, b.state.amplitudes.conj())
+        for b in analyzed if b.state is not None
+    ]
+    fid_values = fidelity_stack(np.stack(targets), est.projected[with_target]).tolist()
+    fids = dict(zip(with_target, fid_values))
+    results = {
+        b.outcome: BranchResult(
+            b.outcome, b.probability, b.reliable,
+            retained_shots=int(data[r].sum(axis=-1).min()),
+            tomo_value=values[i], fidelity=fids.get(i),
         )
-    return est_out, tuple(branches)
+        for i, (b, r) in enumerate(zip(analyzed, est.rows[1:]), 1)
+    }
+    branches = tuple(
+        results.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in ideal
+    )
+    return values[0], fids[0], branches
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

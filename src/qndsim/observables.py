@@ -16,6 +16,7 @@ from .qmath import (
     StateVector,
     matrix_sqrt_psd,
     partial_trace,
+    partial_trace_matrix,
     tensor,
 )
 
@@ -32,18 +33,34 @@ class ObservableValue:
     signed_raw: float
 
 
+def _visibility(m: np.ndarray) -> np.ndarray:
+    # hypot is what abs() of one complex number computes; np.abs on a
+    # complex array rounds differently
+    off = m[..., 0, 1]
+    return 2.0 * np.hypot(off.real, off.imag)
+
+
+def _signed_predictability(m: np.ndarray) -> np.ndarray:
+    return m[..., 1, 1].real - m[..., 0, 0].real
+
+
 def visibility(rho_k: DensityMatrix) -> float:
     """Off-diagonal coherence of a single qubit: sum_{i != j} |rho_ij| = 2|rho_01|."""
     if rho_k.num_qubits != 1:
         raise ValueError("visibility is defined on a single-qubit state")
-    return float(2.0 * abs(rho_k.matrix[0, 1]))
+    return float(_visibility(rho_k.matrix))
 
 
 def predictability(rho_k: DensityMatrix) -> float:
     """Population imbalance of a single qubit: |rho_11 - rho_00|."""
     if rho_k.num_qubits != 1:
         raise ValueError("predictability is defined on a single-qubit state")
-    return float(abs(rho_k.matrix[1, 1].real - rho_k.matrix[0, 0].real))
+    return float(abs(_signed_predictability(rho_k.matrix)))
+
+
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """min(max(x, 0), 1) elementwise, signed zeros and NaN as Python gives them."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
 def _spin_flip_roots(rho: np.ndarray) -> np.ndarray:
@@ -66,8 +83,7 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     if rho.num_qubits != 2:
         raise ValueError("concurrence is defined on a two-qubit state")
     r = _spin_flip_roots(rho.matrix)
-    c = float(r[0] - r[1] - r[2] - r[3])
-    return min(max(c, 0.0), 1.0)
+    return float(_clip_unit(r[0] - r[1] - r[2] - r[3]))
 
 
 def concurrence_pure(psi: StateVector) -> float:
@@ -95,22 +111,36 @@ def triality_defect(psi: StateVector, subsystem: str) -> float:
     return c * c + v * v + p * p - 1.0
 
 
+def observable_stack(rho: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """All five complementarity observables of each slice of a (K, 4, 4)
+    stack of two-qubit density matrices, as (values, signed values) arrays.
+
+    Keys and values mean what they do in ``observable_set``; the stack is
+    assumed valid (the PSD square root still checks Hermiticity and PSD).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (K, 4, 4) stack, got shape {rho.shape}")
+    rho_a = partial_trace_matrix(rho, 2, (0,))
+    rho_b = partial_trace_matrix(rho, 2, (1,))
+    pred_a = _signed_predictability(rho_a)
+    pred_b = _signed_predictability(rho_b)
+    r = _spin_flip_roots(rho)
+    c_signed = r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3]
+    return {
+        "VA": (_visibility(rho_a), 2.0 * rho_a[:, 0, 1].real),
+        "VB": (_visibility(rho_b), 2.0 * rho_b[:, 0, 1].real),
+        "PA": (np.abs(pred_a), pred_a),
+        "PB": (np.abs(pred_b), pred_b),
+        "C": (_clip_unit(c_signed), c_signed),
+    }
+
+
 def observable_set(rho: DensityMatrix) -> dict[str, ObservableValue]:
     """All five complementarity observables of a two-qubit state."""
     if rho.num_qubits != 2:
         raise ValueError("expected a two-qubit state")
-    rho_a = partial_trace(rho, (0,))
-    rho_b = partial_trace(rho, (1,))
-    r = _spin_flip_roots(rho.matrix)
-    c_signed = float(r[0] - r[1] - r[2] - r[3])
     return {
-        "VA": ObservableValue("VA", visibility(rho_a), float(2.0 * rho_a.matrix[0, 1].real)),
-        "VB": ObservableValue("VB", visibility(rho_b), float(2.0 * rho_b.matrix[0, 1].real)),
-        "PA": ObservableValue(
-            "PA", predictability(rho_a), float(rho_a.matrix[1, 1].real - rho_a.matrix[0, 0].real)
-        ),
-        "PB": ObservableValue(
-            "PB", predictability(rho_b), float(rho_b.matrix[1, 1].real - rho_b.matrix[0, 0].real)
-        ),
-        "C": ObservableValue("C", min(max(c_signed, 0.0), 1.0), c_signed),
+        kind: ObservableValue(kind, float(values[0]), float(signed[0]))
+        for kind, (values, signed) in observable_stack(rho.matrix[None]).items()
     }

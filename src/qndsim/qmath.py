@@ -40,10 +40,18 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
+    """Whether a square matrix, or every slice of a (..., d, d) stack, equals
+    its conjugate transpose by np.allclose's rule with tolerance ``atol``."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.allclose(m, m.conj().T, atol=atol)
-    )
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        return False
+    m_dag = np.swapaxes(m.conj(), -1, -2)
+    # np.allclose(m, m_dag, atol=atol) spelled out: on a 4x4 matrix its
+    # argument handling costs more than the comparison
+    with np.errstate(invalid="ignore"):
+        within = np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)
+        close = within & np.isfinite(m_dag) | (m == m_dag)
+    return bool(close.all())
 
 
 @dataclass(frozen=True)
@@ -121,13 +129,7 @@ class DensityMatrix:
         """Raise ValueError unless every (d, d) slice of a (..., d, d) stack is
         Hermitian and trace-one within ATOL_CONSTRUCT, with no eigenvalue
         below -ATOL_ALGEBRA."""
-        m_dag = np.swapaxes(m.conj(), -1, -2)
-        # np.allclose(m, m_dag, atol=ATOL_CONSTRUCT) spelled out: on a 4x4
-        # matrix its argument handling costs more than the comparison
-        with np.errstate(invalid="ignore"):
-            within = np.abs(m - m_dag) <= ATOL_CONSTRUCT + 1e-5 * np.abs(m_dag)
-            close = within & np.isfinite(m_dag) | (m == m_dag)
-        if not close.all():
+        if not is_hermitian(m, ATOL_CONSTRUCT):
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m, axis1=-2, axis2=-1)
         bad = np.abs(tr - 1.0) > ATOL_CONSTRUCT
@@ -206,7 +208,7 @@ def hermitian_eigenvalues(
     ``atol``. With ``clip_psd`` small negative values are clipped to zero.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, atol=atol):
+    if m.ndim != 2 or not is_hermitian(m, atol=atol):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2).real[::-1]
     if clip_psd:
@@ -215,7 +217,8 @@ def hermitian_eigenvalues(
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root via eigendecomposition.
+    """Positive-semidefinite square root via eigendecomposition, of a matrix
+    or of each slice of a (..., d, d) stack.
 
     Eigenvalues in [-1e-6, 0) are treated as numerical noise and clipped;
     anything more negative is rejected as genuinely non-PSD.
@@ -223,14 +226,27 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, atol=ATOL_ALGEBRA):
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    if vals[0] < -ATOL_PHYSICAL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {vals[0]:.3e})")
+    vals, vecs = np.linalg.eigh((m + np.swapaxes(m.conj(), -1, -2)) / 2)
+    lam_min = float(vals[..., 0].min())
+    if lam_min < -ATOL_PHYSICAL:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
     # Eigenvalues below the double-precision noise floor are snapped to exact
     # zero: sqrt() would otherwise turn O(eps) noise into O(sqrt(eps)) entries.
-    floor = 1e-13 * max(1.0, float(vals[-1]))
+    floor = 1e-13 * np.maximum(1.0, vals[..., -1:])
     root = np.sqrt(np.where(vals < floor, 0.0, vals))
-    return (vecs * root) @ vecs.conj().T
+    return (vecs * root[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def fidelity_stack(rho_th: np.ndarray, rho_exp: np.ndarray) -> np.ndarray:
+    """State fidelity of each pair of slices of two (..., d, d) stacks of
+    density matrices (see ``fidelity``)."""
+    # Tr sqrt(sqrt(a) b sqrt(a)) equals the trace norm of sqrt(a) sqrt(b):
+    # the Gram matrix of that product is exactly the inner matrix above.
+    # Singular values avoid the sqrt(eps) noise of eigvalsh-then-sqrt.
+    b = matrix_sqrt_psd(rho_th) @ matrix_sqrt_psd(rho_exp)
+    # float_power is the scalar pow() a single fidelity used; ** 2 on an
+    # array squares by multiplication, which rounds differently
+    return np.float_power(np.sum(np.linalg.svd(b, compute_uv=False), axis=-1), 2.0)
 
 
 def fidelity(rho_th: DensityMatrix, rho_exp: DensityMatrix) -> float:
@@ -241,9 +257,4 @@ def fidelity(rho_th: DensityMatrix, rho_exp: DensityMatrix) -> float:
     """
     if rho_th.num_qubits != rho_exp.num_qubits:
         raise ValueError("dimension mismatch")
-    # Tr sqrt(sqrt(a) b sqrt(a)) equals the trace norm of sqrt(a) sqrt(b):
-    # the Gram matrix of that product is exactly the inner matrix above.
-    # Singular values avoid the sqrt(eps) noise of eigvalsh-then-sqrt.
-    b = matrix_sqrt_psd(rho_th.matrix) @ matrix_sqrt_psd(rho_exp.matrix)
-    f = float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
-    return max(f, 0.0)
+    return float(fidelity_stack(rho_th.matrix[None], rho_exp.matrix[None])[0])

@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import circuits as circ
-from .circuits import Circuit, Gate, NoiseModel, OutcomeCounts, rx, x
+from .circuits import Circuit, Gate, NoiseModel, rx, x
 from .observables import ObservableValue, observable_set
 from .qmath import DensityMatrix, StateVector, tensor
 
@@ -130,12 +130,12 @@ def _pauli_pairs() -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=1)
 def _design_matrix() -> np.ndarray:
     """B[i, j] = Tr(M_i P_j) / 4 over the 16 Pauli-pair operators P_j."""
-    settings = tomography_settings()
     b = np.empty((16, 16))
-    for i, s in enumerate(settings):
+    for i, s in enumerate(tomography_settings()):
         m = s.projector()
         for j, p in enumerate(_pauli_pairs()):
             b[i, j] = np.trace(m @ p).real / 4.0
+    b.flags.writeable = False
     return b
 
 
@@ -175,14 +175,15 @@ def collect(
     master_seed: int,
     noise: NoiseModel = NoiseModel.none(),
     seed_path: tuple[int, ...] = (),
-) -> list[OutcomeCounts]:
+) -> np.ndarray:
     """Sample every setting, one derived RNG stream per setting.
 
-    Every qubit of the state is read out (keys list qubit 0 first); the
+    Returns a (settings, 2^n) integer array of counts: every qubit of the
+    state is read out (outcome index bits list qubit 0 first), and the
     pre-rotations act on qubits 0 and 1. On a density matrix they run
     through the noisy evolution so tomography is not artificially cleaner
-    than the rest of the experiment; a pure state stays pure. The readout
-    flip applies at sampling.
+    than the rest of the experiment. A pure state admits no depolarizing
+    noise (``run_batch`` rejects it); the readout flip applies at sampling.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1 per setting")
@@ -194,74 +195,126 @@ def collect(
 
 def collect_exact(
     state: StateVector | DensityMatrix, settings: Sequence[TomographySetting]
-) -> list[dict[str, float]]:
-    """Exact outcome probabilities per setting (infinite-shot limit)."""
+) -> np.ndarray:
+    """Exact (settings, 2^n) outcome probabilities (infinite-shot limit),
+    those below 1e-15 set to zero as sampling would never produce them."""
     probs = _setting_probabilities(state, settings, NoiseModel.none())
-    return [circ.probability_map(p) for p in probs]
+    return np.where(probs > 1e-15, probs, 0.0)
 
 
-def linear_reconstruct(
-    data: Sequence[OutcomeCounts | Mapping[str, float]],
-    settings: Sequence[TomographySetting] | None = None,
-) -> TomographyEstimate:
-    """Invert the linear system tying "00" frequencies to projector expectations.
+def _frequencies_00(data) -> np.ndarray:
+    """(..., 16) "00" frequencies of (..., 16, 4) per-setting outcome counts
+    or probabilities over qubits 0 and 1, settings in canonical order.
+    Integer counts are divided by their row totals; probabilities are used
+    as given."""
+    data = np.asarray(data)
+    if data.ndim < 2 or data.shape[-2:] != (16, 4):
+        raise ValueError(
+            f"need outcome data over two qubits for all 16 settings, got shape {data.shape}"
+        )
+    totals = data.sum(axis=-1)
+    if (data < 0).any() or not (totals > 0).all():
+        raise ValueError("outcome data must be nonnegative with a positive total per setting")
+    if np.issubdtype(data.dtype, np.integer):
+        return data[..., 0] / totals
+    return data[..., 0].astype(float)
 
-    The raw solution is Hermitized and trace-normalized; its smallest
-    eigenvalue is reported and the simplex projection provides the physical
-    counterpart.
+
+@dataclass(frozen=True)
+class EstimateStack:
+    """Linear-inversion estimates of a stack of data sets, as arrays.
+
+    Row i belongs to data set ``rows[i]``; data sets whose estimate has
+    zero trace are left out. ``raw``, ``projected`` and ``min_eigenvalue``
+    mean what they do in ``TomographyEstimate``; ``projected`` is validated
+    as a stack of density matrices.
     """
-    settings = tomography_settings() if settings is None else list(settings)
-    if len(data) != len(settings) or len(settings) != 16:
-        raise ValueError("need outcome data for all 16 settings")
-    freqs = np.empty(16)
-    for i, d in enumerate(data):
-        f = d.frequencies() if isinstance(d, OutcomeCounts) else d
-        freqs[i] = f.get("00", 0.0)
-    b = _design_matrix()
-    coeffs = np.linalg.solve(b, freqs)
-    raw = sum(c * p for c, p in zip(coeffs, _pauli_pairs())) / 4.0
-    raw = (raw + raw.conj().T) / 2
-    trace = float(np.trace(raw).real)
-    if abs(trace) < 1e-9:
-        # happens only for pathological inputs, e.g. frequencies from a
-        # post-selected branch that retained a handful of shots
+
+    rows: np.ndarray
+    raw: np.ndarray
+    projected: np.ndarray
+    min_eigenvalue: np.ndarray
+
+
+def reconstruct_stack(data: np.ndarray) -> EstimateStack:
+    """Invert the linear system tying "00" frequencies to projector
+    expectations, for each (16, 4) data set of a (K, 16, 4) stack at once.
+
+    Each data set holds, per setting of the canonical grid in its order,
+    the counts or probabilities of the four outcomes of qubits 0 and 1.
+    Each raw solution is Hermitized and trace-normalized; its smallest
+    eigenvalue is reported and the simplex projection provides the
+    physical counterpart. A data set whose estimate has zero trace fixes
+    no state and is left out; that happens only for pathological inputs,
+    e.g. a post-selected branch that retained a handful of shots.
+
+    Raises DegenerateReconstructionError when no data set fixes a state.
+    """
+    freqs = _frequencies_00(data)
+    k = len(freqs)
+    # one solve per data set: the same LAPACK call, bit for bit, as a single one
+    b = np.broadcast_to(_design_matrix(), (k, 16, 16))
+    coeffs = np.linalg.solve(b, freqs[:, :, None])[:, :, 0]
+    raw = np.zeros((k, 4, 4), dtype=complex)
+    for j, p in enumerate(_pauli_pairs()):
+        raw = raw + coeffs[:, j, None, None] * p
+    raw = raw / 4.0
+    raw = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+    trace = np.trace(raw, axis1=-2, axis2=-1).real
+    rows = np.flatnonzero(np.abs(trace) >= 1e-9)
+    if not rows.size:
         raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
-    raw /= trace
-    min_eig = float(np.linalg.eigvalsh(raw)[0])
+    raw = raw[rows] / trace[rows, None, None]
+    return EstimateStack(rows, raw, project_psd(raw), np.linalg.eigvalsh(raw)[:, 0])
+
+
+def linear_reconstruct(data: np.ndarray) -> TomographyEstimate:
+    """``reconstruct_stack`` of one (16, 4) data set.
+
+    Raises DegenerateReconstructionError when the data fix no state.
+    """
+    est = reconstruct_stack(np.asarray(data)[None])
+    min_eig = float(est.min_eigenvalue[0])
     return TomographyEstimate(
-        raw=raw,
-        projected=project_psd(raw),
+        raw=est.raw[0],
+        projected=DensityMatrix(2, est.projected[0]),
         method="linear" if min_eig > -1e-12 else "linear+projection",
         min_eigenvalue=min_eig,
     )
 
 
 def simplex_project(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+    """Euclidean projection of a real vector, or of each row of a (..., n)
+    stack, onto the probability simplex."""
     v = np.asarray(values, dtype=float)
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = int(np.max(np.nonzero(u - cssv / idx > 0)[0])) + 1
-    tau = cssv[rho - 1] / rho
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cssv = np.cumsum(u, axis=-1) - 1.0
+    n = v.shape[-1]
+    positive = u - cssv / np.arange(1, n + 1) > 0
+    # the last positive position (the first one always is)
+    rho = n - np.argmax(positive[..., ::-1], axis=-1)
+    tau = np.take_along_axis(cssv, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.clip(v - tau, 0.0, None)
 
 
-def project_psd(raw: np.ndarray) -> DensityMatrix:
+def project_psd(raw: np.ndarray) -> DensityMatrix | np.ndarray:
     """Closest physical state: project the eigenvalue vector onto the simplex.
 
     Keeps the eigenvectors, replaces the (trace-one, possibly negative)
     eigenvalues by their Euclidean projection onto the probability simplex,
-    so the output trace returns to exactly 1.
+    so the output trace returns to exactly 1. A (d, d) matrix gives a
+    DensityMatrix; each slice of a (K, d, d) stack is projected alike, and
+    the stack is validated and returned as an array.
     """
     raw = np.asarray(raw, dtype=complex)
-    herm = (raw + raw.conj().T) / 2
+    herm = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
     vals, vecs = np.linalg.eigh(herm)
-    projected_vals = simplex_project(vals)
-    m = (vecs * projected_vals) @ vecs.conj().T
-    m = (m + m.conj().T) / 2
-    num_qubits = int(round(math.log2(raw.shape[0])))
-    return DensityMatrix(num_qubits, m)
+    m = (vecs * simplex_project(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
+    if m.ndim == 2:
+        return DensityMatrix(int(round(math.log2(m.shape[0]))), m)
+    DensityMatrix.validate(m)
+    return m
 
 
 def observables_from_estimate(est: TomographyEstimate) -> dict[str, ObservableValue]:
@@ -279,6 +332,5 @@ def tomograph(
     """Collect (sampled, or exact when ``shots`` is None) and reconstruct."""
     settings = tomography_settings()
     if shots is None:
-        return linear_reconstruct(collect_exact(state, settings), settings)
-    data = collect(state, settings, shots, master_seed, noise, seed_path)
-    return linear_reconstruct(data, settings)
+        return linear_reconstruct(collect_exact(state, settings))
+    return linear_reconstruct(collect(state, settings, shots, master_seed, noise, seed_path))

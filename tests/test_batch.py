@@ -51,15 +51,14 @@ def _reference_noisy(circuit: Circuit, m: np.ndarray, noise: NoiseModel) -> np.n
     return m
 
 
-def _reference_counts(probs: np.ndarray, shots: int, rng, flip: float) -> dict[str, int]:
+def _reference_counts(probs: np.ndarray, shots: int, rng, flip: float) -> np.ndarray:
     probs = np.clip(probs, 0.0, None)
     m = len(probs).bit_length() - 1
     if flip > 0.0:
         confusion = tensor(*[np.array([[1 - flip, flip], [flip, 1 - flip]])] * m).real
         probs = confusion @ probs
     probs /= probs.sum()
-    draw = rng.multinomial(shots, probs)
-    return {format(i, f"0{m}b"): int(c) for i, c in enumerate(draw) if c > 0}
+    return rng.multinomial(shots, probs)
 
 
 def _clifford_state(rng: np.random.Generator, n: int) -> StateVector:
@@ -99,7 +98,10 @@ probability = st.floats(0.0, 0.2)
 )
 def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, depol, flip):
     state = _state(kind, pure, num_qubits, seed)
-    noise = NoiseModel(depol_1q=depol, depol_2q=0.1, readout_flip=flip, enabled=True)
+    if pure:  # a pure state admits no depolarizing noise
+        noise = NoiseModel(readout_flip=flip, enabled=True)
+    else:
+        noise = NoiseModel(depol_1q=depol, depol_2q=0.1, readout_flip=flip, enabled=True)
     ts = tom.tomography_settings()
     layers = tom._pre_rotation_layers(tuple(ts), num_qubits)
     stack = circ.run_batch(state, layers, noise)
@@ -122,7 +124,7 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
             expected_probs = np.diag(expected).real
         assert np.array_equal(probs[k], expected_probs)
         rng = circ.rng_stream(seed, 2, 5, k)
-        assert counts[k].counts == _reference_counts(expected_probs, 300, rng, flip)
+        assert np.array_equal(counts[k], _reference_counts(expected_probs, 300, rng, flip))
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +152,30 @@ def test_exact_collection_reads_the_same_stack():
     ts = tom.tomography_settings()
     maps = tom.collect_exact(rho, ts)
     for setting, got in zip(ts, maps):
-        probs = np.diag(_reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel.none()))
-        assert got == {format(i, "02b"): float(p) for i, p in enumerate(probs.real) if p > 1e-15}
+        reference = _reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel.none())
+        probs = np.diag(reference).real
+        assert np.array_equal(got, np.where(probs > 1e-15, probs, 0.0))
+
+
+@pytest.mark.parametrize("depol", [{"depol_1q": 0.1}, {"depol_2q": 0.1}])
+def test_pure_input_rejects_depolarizing_noise(depol, monkeypatch):
+    psi = random_pure_state(np.random.default_rng(4), 2)
+    ts = tom.tomography_settings()
+    layers = tom._pre_rotation_layers(tuple(ts), 2)
+
+    def no_work(*args):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(circ, "_evolve_pure", no_work)
+    noise = NoiseModel(readout_flip=0.05, enabled=True, **depol)
+    with pytest.raises(ValueError, match="density-matrix input"):
+        circ.run_batch(psi, layers, noise)
+    with pytest.raises(ValueError, match="density-matrix input"):
+        tom.collect(psi, ts, 100, 0, noise)
+    monkeypatch.undo()
+    # a readout flip alone, or switched-off noise, stays allowed
+    tom.collect(psi, ts, 100, 0, NoiseModel(readout_flip=0.05, enabled=True))
+    tom.collect(psi, ts, 100, 0, NoiseModel(enabled=False, **depol))
 
 
 @pytest.mark.parametrize(

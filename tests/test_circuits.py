@@ -10,7 +10,6 @@ from qndsim.circuits import (
     Circuit,
     EmptyBranchError,
     NoiseModel,
-    OutcomeCounts,
     cnot,
     exact_probabilities,
     h,
@@ -34,6 +33,14 @@ SQ2 = 1 / math.sqrt(2)
 
 def bell_circuit() -> Circuit:
     return Circuit(2, (h(0), cnot(0, 1)))
+
+
+def count_array(num_bits: int, counts: dict[str, int]) -> np.ndarray:
+    """A count array from bitstring-keyed counts (first bit most significant)."""
+    out = np.zeros(2**num_bits, dtype=np.int64)
+    for key, c in counts.items():
+        out[int(key, 2)] = c
+    return out
 
 
 class TestRunPure:
@@ -116,24 +123,24 @@ class TestRunNoisy:
 class TestSampling:
     def test_deterministic_ground_state(self):
         counts = sample_counts(basis_state(1), (0,), 100, seed=0)
-        assert counts.counts == {"0": 100}
+        assert counts.tolist() == [100, 0]
 
     def test_plus_state_frequency(self):
         plus = run_pure(Circuit(1, (h(0),)), basis_state(1))
         counts = sample_counts(plus, (0,), 5000, seed=5)
         # 3 sigma band for a fair coin at 5000 shots
-        assert abs(counts.frequencies().get("1", 0.0) - 0.5) < 3 * math.sqrt(0.25 / 5000)
+        assert abs(counts[1] / 5000 - 0.5) < 3 * math.sqrt(0.25 / 5000)
 
     def test_bell_state_only_correlated_outcomes(self):
         bell = run_pure(bell_circuit(), basis_state(2))
         counts = sample_counts(bell, (0, 1), 2000, seed=7)
-        assert set(counts.counts) == {"00", "11"}
+        assert np.flatnonzero(counts).tolist() == [0b00, 0b11]
 
     def test_same_seed_same_counts(self):
         psi = random_pure_state(np.random.default_rng(24), 2)
         a = sample_counts(psi, (0, 1), 1000, seed=99, readout_flip=0.02)
         b = sample_counts(psi, (0, 1), 1000, seed=99, readout_flip=0.02)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_large_sample_matches_exact_probabilities(self):
         rng = np.random.default_rng(25)
@@ -143,11 +150,11 @@ class TestSampling:
         exact = exact_probabilities(psi, (0, 1))
         for key, p in exact.items():
             sigma = math.sqrt(p * (1 - p) / shots)
-            assert abs(counts.frequencies().get(key, 0.0) - p) < 5 * max(sigma, 1e-6)
+            assert abs(counts[int(key, 2)] / shots - p) < 5 * max(sigma, 1e-6)
 
     def test_readout_flip_changes_distribution(self):
         counts = sample_counts(basis_state(1), (0,), 10000, seed=3, readout_flip=0.1)
-        assert abs(counts.frequencies().get("1", 0.0) - 0.1) < 0.02
+        assert abs(counts[1] / 10000 - 0.1) < 0.02
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -212,30 +219,37 @@ class TestPostselect:
 
 class TestCountFiltering:
     def test_postselect_counts_example(self):
-        counts = OutcomeCounts(4, {"0011": 40, "1100": 60}, 100)
+        counts = count_array(4, {"0011": 40, "1100": 60})
         kept = postselect_counts(counts, (2, 3), "11")
-        assert kept.counts == {"00": 40} and kept.shots == 40
+        assert kept.tolist() == count_array(2, {"00": 40}).tolist() and kept.sum() == 40
 
     def test_retained_fraction_estimates_branch_probability(self):
-        counts = OutcomeCounts(2, {"00": 250, "01": 250, "10": 500}, 1000)
+        counts = count_array(2, {"00": 250, "01": 250, "10": 500})
         kept = postselect_counts(counts, (1,), "0")
-        assert kept.shots / counts.shots == pytest.approx(0.75)
+        assert kept.sum() / counts.sum() == pytest.approx(0.75)
 
     def test_no_match_raises(self):
-        counts = OutcomeCounts(2, {"00": 10}, 10)
+        counts = count_array(2, {"00": 10})
         with pytest.raises(EmptyBranchError):
             postselect_counts(counts, (0, 1), "10")
 
     def test_marginalize_counts(self):
-        counts = OutcomeCounts(3, {"001": 5, "011": 7, "100": 1}, 13)
+        counts = count_array(3, {"001": 5, "011": 7, "100": 1})
         marg = marginalize_counts(counts, (0, 1))
-        assert marg.counts == {"00": 5, "01": 7, "10": 1} and marg.shots == 13
+        assert marg.tolist() == count_array(2, {"00": 5, "01": 7, "10": 1}).tolist()
+        assert marg.sum() == 13
 
     def test_outcome_counts_validation(self):
         with pytest.raises(ValueError):
-            OutcomeCounts(2, {"0": 3}, 3)
+            marginalize_counts(np.array([3, 0, 0]), (0,))  # not 2^m outcomes
         with pytest.raises(ValueError):
-            OutcomeCounts(1, {"0": 3}, 4)
+            postselect_counts(np.array([3, -1]), (0,), "0")
+        with pytest.raises(ValueError):
+            postselect_counts(np.array([3.0, 1.0]), (0,), "0")
+        with pytest.raises(ValueError):
+            marginalize_counts(count_array(2, {"00": 3}), (2,))  # no such bit
+        with pytest.raises(ValueError):
+            postselect_counts(count_array(2, {"00": 3}), (0,), "2")
 
 
 class TestRngStreams:

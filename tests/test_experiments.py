@@ -184,7 +184,7 @@ class TestEstimators:
                     assert est.value == pytest.approx(direct[key].value, abs=1e-8)
 
     def test_zero_shots_rejected(self):
-        counts = circ.OutcomeCounts(1, {}, 0)
+        counts = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
             ex.estimate_observable(ex.concurrence1_setting(), counts)
 

@@ -126,7 +126,9 @@ class TestBranchFailures:
 
         def all_ones(counts, positions, outcome):
             kept = real(counts, positions, outcome)
-            return circ.OutcomeCounts(2, {"11": kept.shots}, kept.shots)
+            ones = np.zeros_like(kept)
+            ones[..., 0b11] = kept.sum(axis=-1)
+            return ones
 
         monkeypatch.setattr(circ, "postselect_counts", all_ones)
         (rec,) = run_sweep(self.CONFIG)
@@ -137,21 +139,22 @@ class TestBranchFailures:
 
     def test_other_reconstruction_errors_propagate(self, monkeypatch):
         selected = []
-        real_select, real_reconstruct = circ.postselect_counts, tom.linear_reconstruct
+        real_select, real_reconstruct = circ.postselect_counts, tom.reconstruct_stack
 
         def tracked(*args, **kwargs):
             selected.append(real_select(*args, **kwargs))
             return selected[-1]
 
         def failing(data, *args, **kwargs):
-            if any(d is s for d in data for s in selected):
+            if any(np.array_equal(d, s) for d in data for s in selected):
                 raise ValueError("unexpected reconstruction failure")
             return real_reconstruct(data, *args, **kwargs)
 
         monkeypatch.setattr(circ, "postselect_counts", tracked)
-        monkeypatch.setattr(tom, "linear_reconstruct", failing)
+        monkeypatch.setattr(tom, "reconstruct_stack", failing)
         with pytest.raises(ValueError, match="unexpected reconstruction failure"):
             run_sweep(self.CONFIG)
+        assert selected
 
 
 class TestRepeatFixedState:

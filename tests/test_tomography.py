@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from helpers import random_density_matrix
 from qndsim import circuits as circ
 from qndsim import tomography as tom
-from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
+from qndsim.experiments import PHI_PLUS, PSI_MINUS, PrepParams, bell_coefficients
 from qndsim.qmath import StateVector, basis_state, fidelity
 
 
@@ -38,9 +38,8 @@ class TestSettings:
 class TestCollect:
     def test_exact_mode_gives_16_probability_maps(self):
         maps = tom.collect_exact(bell(), tom.tomography_settings())
-        assert len(maps) == 16
-        for m in maps:
-            assert sum(m.values()) == pytest.approx(1.0, abs=1e-10)
+        assert maps.shape == (16, 4)
+        np.testing.assert_allclose(maps.sum(axis=1), 1.0, atol=1e-10)
 
     def test_bell_state_computational_setting(self):
         settings = tom.tomography_settings()
@@ -54,7 +53,7 @@ class TestCollect:
         settings = tom.tomography_settings()
         a = tom.collect(bell(), settings, 500, master_seed=5)
         b = tom.collect(bell(), settings, 500, master_seed=5)
-        assert a == b
+        assert a.shape == (16, 4) and np.array_equal(a, b)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
@@ -91,10 +90,18 @@ class TestLinearReconstruct:
         with pytest.raises(ValueError):
             tom.linear_reconstruct(maps[:10])
 
+    def test_settings_argument_refused(self):
+        # data rows follow the canonical grid; data collected over another
+        # order cannot be passed in with its settings and be misread
+        psi_minus = StateVector(2, PSI_MINUS)
+        settings = tom.tomography_settings()[::-1]
+        with pytest.raises(TypeError):
+            tom.linear_reconstruct(tom.collect_exact(psi_minus, settings), settings)
+
     def test_zero_trace_is_degenerate(self):
         # no setting ever reads "00": every projector expectation vanishes
         with pytest.raises(tom.DegenerateReconstructionError):
-            tom.linear_reconstruct([{"11": 1.0}] * 16)
+            tom.linear_reconstruct(np.tile([0.0, 0.0, 0.0, 1.0], (16, 1)))
         assert issubclass(tom.DegenerateReconstructionError, ValueError)
 
 
