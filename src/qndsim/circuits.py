@@ -28,7 +28,8 @@ and probability maps key it by its bitstring (first listed qubit leftmost).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import InitVar, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -162,22 +163,29 @@ class NoiseModel:
 
     The depolarizing channel acts on the full support of each gate right
     after it: rho -> (1-p) rho + p * (I/2^s tensor untouched marginal).
+    All probabilities zero, the default, means no noise. ``enabled`` is
+    read only by the constructor: ``enabled=False`` zeroes the
+    probabilities, so configs written with the flag still load.
     """
 
     depol_1q: float = 0.0
     depol_2q: float = 0.0
     readout_flip: float = 0.0
-    enabled: bool = True
+    enabled: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, enabled: bool) -> None:
+        if not isinstance(enabled, bool):
+            raise ValueError(f"enabled must be true or false, got {enabled!r}")
         for name in ("depol_1q", "depol_2q", "readout_flip"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {v!r}")
+            if not enabled:
+                object.__setattr__(self, name, 0.0)
 
     @classmethod
     def none(cls) -> "NoiseModel":
-        return cls(enabled=False)
+        return cls()
 
 
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -271,10 +279,9 @@ def _evolve_density(m: np.ndarray, layers, num_qubits: int, noise: NoiseModel) -
     """Apply each layer, with depolarizing noise, to a (B, d, d) stack."""
     for index, u, support in _layer_operators(layers, num_qubits):
         sub = u @ m[index] @ np.swapaxes(u.conj(), -1, -2)
-        if noise.enabled:
-            p = noise.depol_2q if len(support) == 2 else noise.depol_1q
-            if p > 0.0:
-                sub = _depolarize(sub, num_qubits, support, p)
+        p = noise.depol_2q if len(support) == 2 else noise.depol_1q
+        if p > 0.0:
+            sub = _depolarize(sub, num_qubits, support, p)
         m[index] = sub
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
@@ -309,7 +316,7 @@ def run_batch(initial: StateVector | DensityMatrix, layers, noise: NoiseModel) -
     The stack is validated once, every slice with the checks of StateVector
     or DensityMatrix.
     """
-    if isinstance(initial, StateVector) and noise.enabled and (noise.depol_1q or noise.depol_2q):
+    if isinstance(initial, StateVector) and (noise.depol_1q or noise.depol_2q):
         raise ValueError("depolarizing noise needs a density-matrix input (state.density())")
     n = initial.num_qubits
     batch = len(layers[0]) if layers else 1

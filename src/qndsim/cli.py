@@ -9,7 +9,8 @@ Subcommands:
 * ``check-identity`` - explicit-operator cross-check of the coherence
                        circuit's closed-form output.
 
-A JSON config file may be passed with --config; explicit flags override its
+A JSON config file may be passed with --config: a config echo from a JSON
+output, optionally with an ``output_path``. Explicit flags override its
 values. Exit status is 0 on success, 2 on any configuration or runtime
 error (the diagnostic goes to stderr).
 """
@@ -44,7 +45,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-2q", type=float, help="depolarizing probability per 2-qubit gate")
     p.add_argument("--readout-flip", type=float, help="readout flip probability per bit")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--workers", type=int, help="concurrent sweep points (default 1)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--out", help="output file path")
     p.add_argument("--config", help="JSON config file; flags override its values")
@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--noise-1q", type=float, default=0.0)
     p_crit.add_argument("--noise-2q", type=float, default=0.0)
     p_crit.add_argument("--readout-flip", type=float, default=0.0)
-    p_crit.add_argument("--workers", type=int, default=1)
     p_crit.add_argument("--out", required=True, help="JSON report path")
 
     p_chk = sub.add_parser("check-identity",
@@ -83,100 +82,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_noise(values: dict) -> NoiseModel:
-    d1 = values.get("noise_1q") or 0.0
-    d2 = values.get("noise_2q") or 0.0
-    rf = values.get("readout_flip") or 0.0
-    if d1 == 0.0 and d2 == 0.0 and rf == 0.0:
-        return NoiseModel.none()
-    return NoiseModel(depol_1q=d1, depol_2q=d2, readout_flip=rf, enabled=True)
-
-
-def _build_config(args: argparse.Namespace) -> SweepConfig:
+def _build_config(args: argparse.Namespace) -> tuple[SweepConfig, str]:
+    """The config file overlaid with the flags, and the output path."""
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    if "lambda" in values:  # emitted config echoes use the spelled-out key
-        values.setdefault("lam", values.pop("lambda"))
-    overrides = {
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    flags = {
         "observable": args.observable,
         "theta": args.theta,
-        "lam": args.lam,
+        "lambda": args.lam,
         "phi_start": getattr(args, "phi_start", None),
         "phi_count": getattr(args, "phi_steps", None),
         "phi_step": getattr(args, "phi_step", None),
         "shots": args.shots,
         "exact_mode": args.exact,
-        "noise_1q": getattr(args, "noise_1q", None),
-        "noise_2q": getattr(args, "noise_2q", None),
-        "readout_flip": getattr(args, "readout_flip", None),
         "master_seed": args.seed,
-        "workers": args.workers,
         "output_path": args.out,
     }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if not values.get("observable"):
-        raise ValueError("an observable is required (--observable or config file)")
-    noise_spec = values.get("noise")
-    if isinstance(noise_spec, dict):
-        noise = NoiseModel(
-            depol_1q=noise_spec.get("depol_1q", 0.0),
-            depol_2q=noise_spec.get("depol_2q", 0.0),
-            readout_flip=noise_spec.get("readout_flip", 0.0),
-            enabled=noise_spec.get("enabled", True),
-        )
-        if any(values.get(k) is not None for k in ("noise_1q", "noise_2q", "readout_flip")):
-            noise = _build_noise(values)
-    else:
-        noise = _build_noise(values)
-    return SweepConfig(
-        observable=values["observable"],
-        theta=values.get("theta"),
-        lam=values.get("lam", 0.0),
-        phi_start=values.get("phi_start", 0.0),
-        phi_count=values.get("phi_count", 64),
-        phi_step=values.get("phi_step", math.pi / 32),
-        shots=values.get("shots", 5000),
-        exact_mode=bool(values.get("exact_mode", False)),
-        noise=noise,
-        master_seed=values.get("master_seed", 0),
-        output_path=values.get("output_path"),
-        workers=values.get("workers", 1),
-    )
+    values.update({k: v for k, v in flags.items() if v is not None})
+    noise_flags = {"depol_1q": args.noise_1q, "depol_2q": args.noise_2q,
+                   "readout_flip": args.readout_flip}
+    noise_flags = {k: v for k, v in noise_flags.items() if v is not None}
+    noise = values.get("noise", {})
+    if noise_flags and isinstance(noise, dict):
+        if noise.get("enabled") is False:
+            noise = {}  # a disabled model's probabilities are all zero
+        values["noise"] = {**noise, **noise_flags}
+    config = SweepConfig.from_dict(values)
+    out = values.get("output_path")
+    if not out or not isinstance(out, str):
+        raise ValueError(f"--out or a config file's output_path is required, got {out!r}")
+    return config, out
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if not config.output_path:
-        raise ValueError("--out is required")
+    config, out = _build_config(args)
     records = run_sweep(config)
     fmt = args.format or "csv"
     # only JSON carries fits
     fits = compute_fits(records, config.observable) if fmt == "json" else None
-    emit(records, fmt, config.output_path, config, fits)
-    print(f"wrote {len(records)} sweep points to {config.output_path}")
+    emit(records, fmt, out, config, fits)
+    print(f"wrote {len(records)} sweep points to {out}")
     return 0
 
 
 def _cmd_repeat(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if not config.output_path:
-        raise ValueError("--out is required")
+    config, out = _build_config(args)
     records = repeat_fixed_state(config, args.repetitions)
-    emit(records, args.format or "csv", config.output_path, config)
-    print(f"wrote {len(records)} repetitions to {config.output_path}")
+    emit(records, args.format or "csv", out, config)
+    print(f"wrote {len(records)} repetitions to {out}")
     return 0
 
 
 def _cmd_criteria(args: argparse.Namespace) -> int:
-    noise = _build_noise(vars(args))
+    noise = NoiseModel(args.noise_1q, args.noise_2q, args.readout_flip)
     report = run_criteria_protocol(
         seeds=list(range(args.seeds)),
         phi_count=args.phi_steps,
         shots=args.shots,
         noise=noise,
-        workers=args.workers,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

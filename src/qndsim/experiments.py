@@ -489,7 +489,7 @@ def qnd_estimates_exact(
         out: StateVector | DensityMatrix = circ.run_pure(mc, full)
     else:
         full_rho = append_ancillas_rho(pair_state, n_anc)
-        out = circ.run_noisy(mc, full_rho, circ.NoiseModel.none())
+        out = circ.run_noisy(mc, full_rho, circ.NoiseModel())
     probs = circ.exact_probabilities(out, s.ancilla_qubits)
     return estimate_observable(s, probs)
 
@@ -503,7 +503,7 @@ def post_measurement_pair_state(
     if isinstance(pair_state, StateVector):
         out = circ.run_pure(mc, append_ancillas(pair_state, n_anc)).density()
     else:
-        out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel.none())
+        out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel())
     return partial_trace(out, (0, 1))
 
 

@@ -11,7 +11,7 @@ The protocol at each sweep point mirrors the experimental procedure:
 
 Every random draw comes from a stream derived from
 (master_seed, stage, point, setting), so results are byte-reproducible
-regardless of execution order or worker count.
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -64,26 +64,38 @@ class SweepConfig:
     phi_step: float = math.pi / 32
     shots: int = 5000
     exact_mode: bool = False
-    noise: NoiseModel = field(default_factory=NoiseModel.none)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     master_seed: int = 0
-    output_path: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.observable not in ex.OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
         for name in ("theta", "lam", "phi_start", "phi_step"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "theta":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("phi_count", "shots", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.exact_mode, bool):
+            raise ValueError(f"exact_mode must be true or false, got {self.exact_mode!r}")
         if self.phi_step <= 0:
             raise ValueError("phi_step must be positive")
         if self.phi_count < 1:
             raise ValueError("phi_count must be >= 1")
         if not self.exact_mode and self.shots < 1:
             raise ValueError("shots must be >= 1 unless exact_mode")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
     @property
     def theta_resolved(self) -> float:
@@ -104,14 +116,45 @@ class SweepConfig:
             "shots_are_per_setting": True,
             "exact_mode": self.exact_mode,
             "noise": {
-                "enabled": self.noise.enabled,
                 "depol_1q": self.noise.depol_1q,
                 "depol_2q": self.noise.depol_2q,
                 "readout_flip": self.noise.readout_flip,
             },
             "master_seed": self.master_seed,
-            "workers": self.workers,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SweepConfig":
+        """Parse a config echo or config file: the inverse of ``to_dict``.
+
+        Every key but ``observable`` may be left out. ``shots_are_per_setting``
+        (echo only), ``output_path`` (read by the command line) and
+        ``workers`` (written by older versions) are ignored; an older
+        ``noise.enabled`` goes to ``NoiseModel``. Any other key raises
+        ValueError.
+        """
+        _check_keys("config", d, _CONFIG_KEYS | _IGNORED_KEYS)
+        if "observable" not in d:
+            raise ValueError("an observable is required")
+        kwargs = {"lam" if k == "lambda" else k: v for k, v in d.items() if k not in _IGNORED_KEYS}
+        if "noise" in kwargs:
+            noise = kwargs["noise"]
+            if not isinstance(noise, dict):
+                raise ValueError(f"noise must be a JSON object, got {noise!r}")
+            _check_keys("noise", noise, _NOISE_KEYS)
+            kwargs["noise"] = NoiseModel(**noise)
+        return cls(**kwargs)
+
+
+_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(SweepConfig)}
+_IGNORED_KEYS = {"shots_are_per_setting", "workers", "output_path"}
+_NOISE_KEYS = {f.name for f in fields(NoiseModel)} | {"enabled"}
+
+
+def _check_keys(what: str, d: dict, allowed: set[str]) -> None:
+    unknown = sorted(str(k) for k in d if k not in allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 def _observable_key(observable: str) -> str:
@@ -139,7 +182,7 @@ def _prepare_states(
     n = setting.num_qubits
     prep2 = ex.prep_circuit(p)
     full = prep2.widened(n).then(ex.measurement_circuit(setting))
-    if noise.enabled:
+    if noise.depol_1q or noise.depol_2q or noise.readout_flip:
         chi_actual = circ.run_noisy(prep2, basis_state(2).density(), noise)
         out = circ.run_noisy(full, basis_state(n).density(), noise)
     else:
@@ -170,7 +213,6 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     ideal = ex.branch_data(setting, p)
 
     chi_actual, out_state = _prepare_states(p, setting, noise)
-    flip = noise.readout_flip if noise.enabled else 0.0
     ms = config.master_seed
 
     # stage 2: ancilla readout -> observable estimate
@@ -181,7 +223,7 @@ def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -
     else:
         anc_stats = circ.sample_counts(
             out_state, setting.ancilla_qubits, config.shots,
-            circ.rng_stream(ms, 0, index), flip,
+            circ.rng_stream(ms, 0, index), noise.readout_flip,
         )
     qnd_estimate = ex.estimate_observable(setting, anc_stats)[obs].value
 
@@ -273,16 +315,10 @@ def _output_tomography(config, setting, out_state, index, ideal, key, rho_psi_th
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full protocol over the phi grid. Deterministic per config."""
-    phis = config.phi_values()
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(
-                pool.map(lambda ip: _measure_point(config, ip[0], ip[1], config.master_seed),
-                         enumerate(phis))
-            )
-    else:
-        records = [_measure_point(config, i, phi, config.master_seed) for i, phi in enumerate(phis)]
-    return sorted(records, key=lambda r: r.phi)
+    return [
+        _measure_point(config, i, phi, config.master_seed)
+        for i, phi in enumerate(config.phi_values())
+    ]
 
 
 def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
@@ -295,15 +331,7 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
-    indices = range(repetitions)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(
-                pool.map(lambda r: _measure_point(fixed, r, math.pi / 2, r), indices)
-            )
-    else:
-        records = [_measure_point(fixed, r, math.pi / 2, r) for r in indices]
-    return sorted(records, key=lambda r: r.seed)
+    return [_measure_point(fixed, r, math.pi / 2, r) for r in range(repetitions)]
 
 
 def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitResult]:
@@ -455,8 +483,7 @@ def run_criteria_protocol(
     phi_count: int = 16,
     phi_step: float = math.pi / 8,
     shots: int = 2000,
-    noise: NoiseModel = NoiseModel.none(),
-    workers: int = 1,
+    noise: NoiseModel = NoiseModel(),
 ) -> dict:
     """Full three-criteria pipeline: sweeps for every observable and seed,
     summarized per seed and averaged across seeds.
@@ -469,7 +496,7 @@ def run_criteria_protocol(
         for obs in observables:
             cfg = SweepConfig(
                 observable=obs, phi_count=phi_count, phi_step=phi_step,
-                shots=shots, noise=noise, master_seed=seed, workers=workers,
+                shots=shots, noise=noise, master_seed=seed,
             )
             records_by_obs[obs] = run_sweep(cfg)
         per_seed.append(criteria_summary(records_by_obs))

@@ -87,10 +87,6 @@ class StateVector:
             norm = float(np.reshape(norms, -1)[np.reshape(bad, -1)][0])
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
     def density(self) -> "DensityMatrix":
         """Outer product |psi><psi| as a DensityMatrix."""
         a = self.amplitudes
@@ -139,10 +135,6 @@ class DensityMatrix:
         lam_min = float(np.linalg.eigvalsh(m)[..., 0].min())
         if lam_min < -ATOL_ALGEBRA:
             raise ValueError(f"matrix is not PSD (min eigenvalue {lam_min:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:

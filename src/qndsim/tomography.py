@@ -173,7 +173,7 @@ def collect(
     settings: Sequence[TomographySetting],
     shots: int,
     master_seed: int,
-    noise: NoiseModel = NoiseModel.none(),
+    noise: NoiseModel = NoiseModel(),
     seed_path: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Sample every setting, one derived RNG stream per setting.
@@ -189,8 +189,7 @@ def collect(
         raise ValueError("shots must be >= 1 per setting")
     probs = _setting_probabilities(state, settings, noise)
     rngs = [circ.rng_stream(master_seed, *seed_path, idx) for idx in range(len(settings))]
-    flip = noise.readout_flip if noise.enabled else 0.0
-    return circ.sample_batch(probs, shots, rngs, flip)
+    return circ.sample_batch(probs, shots, rngs, noise.readout_flip)
 
 
 def collect_exact(
@@ -198,7 +197,7 @@ def collect_exact(
 ) -> np.ndarray:
     """Exact (settings, 2^n) outcome probabilities (infinite-shot limit),
     those below 1e-15 set to zero as sampling would never produce them."""
-    probs = _setting_probabilities(state, settings, NoiseModel.none())
+    probs = _setting_probabilities(state, settings, NoiseModel())
     return np.where(probs > 1e-15, probs, 0.0)
 
 
@@ -326,7 +325,7 @@ def tomograph(
     state: StateVector | DensityMatrix,
     shots: int | None,
     master_seed: int = 0,
-    noise: NoiseModel = NoiseModel.none(),
+    noise: NoiseModel = NoiseModel(),
     seed_path: tuple[int, ...] = (),
 ) -> TomographyEstimate:
     """Collect (sampled, or exact when ``shots`` is None) and reconstruct."""

@@ -6,6 +6,7 @@ concurrence band) were calibrated against 200-500 seed ensembles before
 being frozen here.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -226,16 +227,17 @@ def test_criterion_10_werner_concurrence():
 
 
 def test_criterion_11_cli_reproducibility(tmp_path):
-    """Identical CLI invocations produce byte-identical CSV, independent of
-    the worker count."""
-    base = [
-        sys.executable, "-m", "qndsim", "sweep", "--observable", "C2",
-        "--phi-steps", "6", "--shots", "400", "--seed", "123",
-    ]
+    """Identical CLI invocations produce byte-identical CSV, whether the
+    settings come as flags or from a config file."""
+    cli = [sys.executable, "-m", "qndsim", "sweep"]
+    flags = ["--observable", "C2", "--phi-steps", "6", "--shots", "400", "--seed", "123"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"observable": "C2", "phi_count": 6, "shots": 400, "master_seed": 123}))
     paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-    extra = [[], [], ["--workers", "4"]]
-    for path, flags in zip(paths, extra):
-        res = subprocess.run(base + ["--out", str(path)] + flags,
+    settings = [flags, flags, ["--config", str(config)]]
+    for path, given in zip(paths, settings):
+        res = subprocess.run(cli + given + ["--out", str(path)],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
     blobs = [p.read_bytes() for p in paths]

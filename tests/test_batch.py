@@ -33,7 +33,7 @@ def _reference_noisy(circuit: Circuit, m: np.ndarray, noise: NoiseModel) -> np.n
         u = circ._full_unitary(gate, n)
         m = u @ m @ u.conj().T
         p = noise.depol_2q if len(gate.targets) == 2 else noise.depol_1q
-        if noise.enabled and p > 0.0:
+        if p > 0.0:
             keep = [q for q in range(n) if q not in gate.targets]
             if not keep:
                 mixed = np.eye(2**n, dtype=complex) / 2**n

@@ -18,10 +18,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 
 from qndsim.circuits import NoiseModel
+from qndsim.cli import main as cli_main
 from qndsim.experiments import OBSERVABLES
 from qndsim.harness import SweepConfig, emit, run_sweep
 
@@ -91,6 +93,39 @@ def test_records_match_golden(golden, mode, observable):
 def test_fixture_covers_tie_point(golden):
     (first, *_) = golden["noisy"]["VA"]
     assert first["phi"] == 0.0 and first["seed"] == 11 and first["shots"] == 2000
+
+
+# Config echoes as written before the workers knob and the enabled flag were
+# removed, for the C1 cases of the fixture.
+OLD_ECHO = (
+    '{"observable": "C1", "theta": 3.141592653589793, "lambda": 0.0, "phi_start": 0.0, '
+    '"phi_count": 3, "phi_step": 1.1, "shots": 2000, "shots_are_per_setting": true, '
+    '"exact_mode": false, "noise": %s, "master_seed": 11, "workers": 1}'
+)
+OLD_NOISE = {
+    "sampled": '{"enabled": false, "depol_1q": 0.0, "depol_2q": 0.0, "readout_flip": 0.0}',
+    "noisy": '{"enabled": true, "depol_1q": 0.005, "depol_2q": 0.05, "readout_flip": 0.01}',
+}
+
+
+@pytest.mark.parametrize("mode", ["sampled", "noisy"])
+def test_old_config_echo_reproduces_golden(golden, tmp_path, mode):
+    config = tmp_path / "echo.json"
+    config.write_text(OLD_ECHO % OLD_NOISE[mode])
+    out = tmp_path / "out.json"
+    assert cli_main(["sweep", "--config", str(config), "--format", "json",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["records"] == golden[mode]["C1"]
+
+
+def test_no_noise_spellings_agree():
+    # the all-zero model is noiseless however it is spelled, so it takes the
+    # pure path and draws the same samples
+    assert NoiseModel() == NoiseModel.none() == NoiseModel(enabled=False, depol_2q=0.5)
+    for observable in OBSERVABLES:
+        config = case_config("sampled", observable)
+        assert run_sweep(replace(config, noise=NoiseModel())) == run_sweep(
+            replace(config, noise=NoiseModel.none()))
 
 
 def _write() -> None:

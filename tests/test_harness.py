@@ -9,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qndsim
 from qndsim import circuits as circ
+from qndsim import experiments as ex
 from qndsim import tomography as tom
 from qndsim.circuits import NoiseModel
 from qndsim.cli import main as cli_main
@@ -21,11 +23,29 @@ from qndsim.harness import (
     compute_fits,
     emit,
     parse_csv,
+    _prepare_states,
     repeat_fixed_state,
     run_sweep,
     theory_value,
 )
-from qndsim.experiments import PrepParams, bell_coefficients
+from qndsim.qmath import DensityMatrix, StateVector
+from qndsim.experiments import OBSERVABLES, PrepParams, bell_coefficients
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROBABILITY = st.floats(0.0, 1.0)
+CONFIGS = st.builds(
+    SweepConfig,
+    observable=st.sampled_from(OBSERVABLES),
+    theta=st.none() | FINITE,
+    lam=FINITE | st.integers(-10, 10),
+    phi_start=FINITE,
+    phi_count=st.integers(1, 10**6),
+    phi_step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    shots=st.integers(1, 10**9),
+    exact_mode=st.booleans(),
+    noise=st.builds(NoiseModel, PROBABILITY, PROBABILITY, PROBABILITY),
+    master_seed=st.integers(0, 2**64),
+)
 
 
 class TestConfig:
@@ -56,6 +76,48 @@ class TestConfig:
     def test_phi_grid(self):
         cfg = SweepConfig("VA", phi_count=3, phi_step=0.5, phi_start=1.0)
         assert cfg.phi_values() == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("name, value", [
+        ("shots", "100"), ("shots", 100.0), ("shots", True), ("phi_count", "2"),
+        ("master_seed", 1.5), ("theta", "1"), ("lam", True), ("phi_start", None),
+        ("phi_step", "0.1"), ("exact_mode", 1), ("theta", 10**400), ("master_seed", -1),
+    ])
+    def test_field_types_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SweepConfig("VA", **{name: value})
+
+    @settings(deadline=None)
+    @given(CONFIGS)
+    def test_from_dict_inverts_to_dict(self, config):
+        echo = json.loads(json.dumps(config.to_dict()))
+        assert SweepConfig.from_dict(echo) == dataclasses.replace(
+            config, theta=config.theta_resolved)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"observable": "C1", "exact_mode": True, "phi_cout": 3}, "phi_cout"),
+        ({"observable": "C1", "lam": 0.5}, "lam"),
+        ({"observable": "C1", "noise_2q": 0.05}, "noise_2q"),
+        ({"observable": "C1", "noise": {"depol_2q": 0.05, "readout": 0.1}}, "readout"),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, config, key):
+        with pytest.raises(ValueError, match=f"unknown .*key.*{key}"):
+            SweepConfig.from_dict(config)
+
+    def test_from_dict_reads_old_echo(self):
+        # configs echoed before the workers knob and the enabled flag were
+        # removed carry both; a disabled model's probabilities count as zero
+        echo = {
+            "observable": "PA", "theta": math.pi, "lambda": 0.0, "phi_start": 0.0,
+            "phi_count": 4, "phi_step": 0.3, "shots": 100, "shots_are_per_setting": True,
+            "exact_mode": False, "master_seed": 5, "workers": 3,
+            "noise": {"enabled": False, "depol_1q": 0.1, "depol_2q": 0.2, "readout_flip": 0.0},
+        }
+        config = SweepConfig.from_dict(echo)
+        assert config == SweepConfig("PA", theta=math.pi, phi_count=4, phi_step=0.3,
+                                     shots=100, master_seed=5)
+        assert config.noise == NoiseModel() == NoiseModel.none()
+        enabled = dict(echo, noise=dict(echo["noise"], enabled=True))
+        assert SweepConfig.from_dict(enabled).noise == NoiseModel(0.1, 0.2, 0.0)
 
 
 class TestExactSweeps:
@@ -91,12 +153,11 @@ class TestExactSweeps:
 
 
 class TestSampledSweeps:
-    def test_deterministic_per_seed_and_workers(self):
+    def test_deterministic_per_seed(self):
         cfg = SweepConfig("C1", phi_count=4, shots=200, master_seed=9)
         a = run_sweep(cfg)
         b = run_sweep(cfg)
-        c = run_sweep(SweepConfig("C1", phi_count=4, shots=200, master_seed=9, workers=3))
-        assert a == b == c
+        assert a == b
 
     def test_branches_analyzed_with_flags(self):
         cfg = SweepConfig("C2", phi_count=1, phi_start=math.pi / 2, shots=400, master_seed=2)
@@ -106,6 +167,18 @@ class TestSampledSweeps:
         assert by_outcome["01"].tomo_value is not None
         assert by_outcome["01"].fidelity is not None
         assert not by_outcome["10"].reliable
+
+    @pytest.mark.parametrize("noise, kind", [
+        (NoiseModel(), StateVector),
+        (NoiseModel(depol_1q=0.0, enabled=True), StateVector),
+        (NoiseModel(readout_flip=0.01), DensityMatrix),
+        (NoiseModel(depol_2q=0.01), DensityMatrix),
+    ])
+    def test_any_nonzero_probability_selects_density_engine(self, noise, kind):
+        # a readout flip alone still runs the density engine, so its samples
+        # stay those of earlier versions; all zeros is the pure engine
+        states = _prepare_states(PrepParams(0.3, math.pi), ex.setting_for("C2"), noise)
+        assert all(isinstance(s, kind) for s in states)
 
     def test_noisy_sweep_runs_and_degrades(self):
         noise = NoiseModel(depol_1q=0.01, depol_2q=0.08, readout_flip=0.02, enabled=True)
@@ -242,7 +315,9 @@ class TestCli:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--observable", "VA", "--exact", "--phi-steps", "6"]
         assert cli_main(args + ["--out", str(out1)]) == 0
-        assert cli_main(args + ["--out", str(out2), "--workers", "2"]) == 0
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"observable": "VA", "exact_mode": True, "phi_count": 6}))
+        assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -268,6 +343,43 @@ class TestCli:
         doc2 = json.loads(second.read_text())
         assert doc2["records"] == doc["records"]
         assert doc2["config"]["lambda"] == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"observable": "C1", "exact_mode": True, "phi_cout": 3}, "phi_cout"),
+        ({"observable": "C1", "shots": "100"}, "shots"),
+        ({"observable": "C1", "phi_count": "2"}, "phi_count"),
+    ])
+    def test_malformed_config_rejected_before_work(self, tmp_path, capsys, config, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_path_from_config_file(self, tmp_path):
+        out = tmp_path / "from_config.csv"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"observable": "VB", "exact_mode": True, "phi_count": 2, "output_path": str(out)}))
+        assert cli_main(["sweep", "--config", str(cfg_file)]) == 0
+        assert len(parse_csv(str(out))) == 2
+
+    def test_noise_flags_overlay_config_noise(self, tmp_path):
+        # a flag replaces its own probability; the file's other ones stay,
+        # and a disabled model in the file counts as all zero
+        cfg_file = tmp_path / "cfg.json"
+        out = tmp_path / "n.json"
+        for noise, want in (
+            ({"depol_1q": 0.01, "depol_2q": 0.02}, {"depol_1q": 0.01, "depol_2q": 0.05}),
+            ({"enabled": False, "depol_1q": 0.01}, {"depol_1q": 0.0, "depol_2q": 0.05}),
+        ):
+            cfg_file.write_text(json.dumps(
+                {"observable": "C2", "exact_mode": True, "phi_count": 1, "noise": noise}))
+            assert cli_main(["sweep", "--config", str(cfg_file), "--noise-2q", "0.05",
+                             "--format", "json", "--out", str(out)]) == 0
+            echoed = json.loads(out.read_text())["config"]["noise"]
+            assert echoed == dict(want, readout_flip=0.0)
 
     def test_repeat_subcommand(self, tmp_path):
         out = tmp_path / "rep.json"
