@@ -2,12 +2,12 @@
 
 Execution comes in two flavors: pure state-vector evolution and noisy
 density-matrix evolution with a per-gate depolarizing channel. Both run a
-batch of circuits from one state as one stack, layer by layer (``run_batch``);
-a single circuit is a batch of one. Measurement sampling is multinomial over
-the Born-rule marginal, deterministic for a given seed, with an optional
-independent readout flip per recorded bit; counts are integer arrays
-indexed by outcome, and post-selection and marginalization index or sum
-their bit axes.
+batch of circuits, from one state or from one state per circuit, as one
+stack, layer by layer (``run_batch``); a single circuit is a batch of one.
+Measurement sampling is multinomial over the Born-rule marginal,
+deterministic for a given seed, with an optional independent readout flip
+per recorded bit; counts are integer arrays indexed by outcome, and
+post-selection and marginalization index or sum their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -157,31 +158,35 @@ class Circuit:
         return replace(self, num_qubits=num_qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoiseModel:
     """Depolarizing noise per gate plus an independent readout flip per bit.
 
     The depolarizing channel acts on the full support of each gate right
     after it: rho -> (1-p) rho + p * (I/2^s tensor untouched marginal).
-    All probabilities zero, the default, means no noise. ``enabled`` is
-    read only by the constructor: ``enabled=False`` zeroes the
-    probabilities, so configs written with the flag still load.
+    All probabilities zero, the default, means no noise. ``enabled`` is a
+    constructor argument only, not an attribute: ``enabled=False`` zeroes
+    the probabilities, so configs written with the flag still load.
     """
 
-    depol_1q: float = 0.0
-    depol_2q: float = 0.0
-    readout_flip: float = 0.0
-    enabled: InitVar[bool] = True
+    depol_1q: float
+    depol_2q: float
+    readout_flip: float
 
-    def __post_init__(self, enabled: bool) -> None:
+    def __init__(
+        self,
+        depol_1q: float = 0.0,
+        depol_2q: float = 0.0,
+        readout_flip: float = 0.0,
+        enabled: bool = True,
+    ) -> None:
         if not isinstance(enabled, bool):
             raise ValueError(f"enabled must be true or false, got {enabled!r}")
-        for name in ("depol_1q", "depol_2q", "readout_flip"):
-            v = getattr(self, name)
+        for name, v in (("depol_1q", depol_1q), ("depol_2q", depol_2q),
+                        ("readout_flip", readout_flip)):
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v!r}")
-            if not enabled:
-                object.__setattr__(self, name, 0.0)
+            object.__setattr__(self, name, v if enabled else 0.0)
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -224,22 +229,33 @@ Layer = tuple["Gate | None", ...]
 
 
 def _layer_operators(layers, num_qubits: int):
-    """Yield (slice index, stacked unitaries, support) for each layer with a gate.
+    """Yield (slice index, unitary, support) for each layer with a gate.
 
-    The index is ``slice(None)`` when every slice has a gate. The stacked
-    matrices are the cached ``_full_unitary`` ones, so each slice is
+    Slices that share a gate get one (d, d) unitary; when every acting
+    slice has a gate of its own, the layer yields one (k, d, d) stack of
+    them instead. The index is ``slice(None)`` when it covers every slice.
+    The matrices are the cached ``_full_unitary`` ones, so each slice is
     multiplied exactly as a single circuit's would be.
     """
     for layer in layers:
-        acting = [i for i, g in enumerate(layer) if g is not None]
-        if not acting:
+        groups: dict[Gate, list[int]] = {}
+        for i, g in enumerate(layer):
+            if g is not None:
+                groups.setdefault(g, []).append(i)
+        if not groups:
             continue
-        supports = {layer[i].targets for i in acting}
+        supports = {g.targets for g in groups}
         if len(supports) > 1:
             raise ValueError("the gates of a layer must act on the same qubits")
-        u = np.stack([_full_unitary(layer[i], num_qubits) for i in acting])
-        index = slice(None) if len(acting) == len(layer) else acting
-        yield index, u, supports.pop()
+        support = supports.pop()
+        acting = sum(len(index) for index in groups.values())
+        if len(groups) == acting > 1:
+            ops = [([i for (i,) in groups.values()],
+                    np.stack([_full_unitary(g, num_qubits) for g in groups]))]
+        else:
+            ops = [(index, _full_unitary(g, num_qubits)) for g, index in groups.items()]
+        for index, u in ops:
+            yield (slice(None) if len(index) == len(layer) else index), u, support
 
 
 def _gate_layers(circuit: Circuit) -> list[Layer]:
@@ -306,29 +322,46 @@ def run_noisy(circuit: Circuit, initial: DensityMatrix, noise: NoiseModel) -> De
     return DensityMatrix(circuit.num_qubits, m[0])
 
 
-def run_batch(initial: StateVector | DensityMatrix, layers, noise: NoiseModel) -> np.ndarray:
-    """Run a batch of circuits, given as layers, from one initial state.
+def run_batch(
+    initial: StateVector | DensityMatrix | Sequence[StateVector | DensityMatrix],
+    layers,
+    noise: NoiseModel,
+) -> np.ndarray:
+    """Run a batch of circuits, given as layers, from one initial state or
+    from a sequence of states, one per slice.
 
-    A pure state evolves as a (B, d) stack of amplitudes and admits no
-    depolarizing noise; a density matrix as a (B, d, d) stack, with
+    Pure states evolve as a (B, d) stack of amplitudes and admit no
+    depolarizing noise; density matrices as a (B, d, d) stack, with
     depolarizing noise after each gate. Each slice comes out exactly as
-    ``run_pure`` or ``run_noisy`` would give it for that slice's circuit.
-    The stack is validated once, every slice with the checks of StateVector
-    or DensityMatrix.
+    ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
+    and initial state. The stack is validated once, every slice with the
+    checks of StateVector or DensityMatrix.
     """
-    if isinstance(initial, StateVector) and (noise.depol_1q or noise.depol_2q):
+    single = isinstance(initial, (StateVector, DensityMatrix))
+    states = [initial] if single else list(initial)
+    if not states:
+        raise ValueError("run_batch needs at least one initial state")
+    first = states[0]
+    if any(type(s) is not type(first) or s.num_qubits != first.num_qubits for s in states):
+        raise ValueError("initial states must all be pure or all mixed, on one register")
+    pure = isinstance(first, StateVector)
+    if pure and (noise.depol_1q or noise.depol_2q):
         raise ValueError("depolarizing noise needs a density-matrix input (state.density())")
-    n = initial.num_qubits
-    batch = len(layers[0]) if layers else 1
+    n = first.num_qubits
+    batch = len(layers[0]) if layers else len(states)
     if any(len(layer) != batch for layer in layers):
         raise ValueError("every layer needs one entry per slice")
+    if single:
+        states *= batch
+    elif len(states) != batch:
+        raise ValueError(f"{len(states)} initial states for a batch of {batch} slices")
     if any(q >= n for layer in layers for g in layer if g is not None for q in g.targets):
         raise ValueError("dimension mismatch between circuit and state")
-    if isinstance(initial, StateVector):
-        amps = _evolve_pure(np.tile(initial.amplitudes, (batch, 1)), layers, n)
+    if pure:
+        amps = _evolve_pure(np.stack([s.amplitudes for s in states]), layers, n)
         StateVector.validate(amps)
         return amps
-    m = _evolve_density(np.tile(initial.matrix, (batch, 1, 1)), layers, n, noise)
+    m = _evolve_density(np.stack([s.matrix for s in states]), layers, n, noise)
     DensityMatrix.validate(m)
     return m
 

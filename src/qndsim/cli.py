@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of repetitions (default 50)")
 
     p_crit = sub.add_parser("criteria", help="three-criteria pipeline report")
-    p_crit.add_argument("--seeds", type=int, default=20, help="number of seeds (default 20)")
+    p_crit.add_argument("--seeds", type=int, default=20,
+                        help="number of seeds, at least 1 (default 20)")
     p_crit.add_argument("--phi-steps", type=int, default=16, help="phi points per sweep")
     p_crit.add_argument("--shots", type=int, default=2000, help="shots per configuration")
     p_crit.add_argument("--noise-1q", type=float, default=0.0)

@@ -1,6 +1,6 @@
 """Sweep driver: configure, run the three-stage protocol, emit results.
 
-The protocol at each sweep point mirrors the experimental procedure:
+The protocol for every sweep point mirrors the experimental procedure:
 
 1. prepare the input state and tomograph it (accuracy reference),
 2. run the nondemolition circuit and estimate the observable from the
@@ -9,9 +9,17 @@ The protocol at each sweep point mirrors the experimental procedure:
 4. re-analyze the same output-tomography data post-selected on each ancilla
    outcome (state-preparation check).
 
+Points run in blocks of ``BLOCK_POINTS``. Within a block the full circuits
+of all points run as one batch, the input states are tomographed as one
+stack, and the sampled output estimates of every point and branch are
+analyzed as one stack. Each point still prepares its input pair, reads its
+ancillas, reconstructs its input estimate (and its exact output estimate)
+and evolves its output tomography on its own, so memory depends on the
+block size, not on the sweep length.
+
 Every random draw comes from a stream derived from
 (master_seed, stage, point, setting), so results are byte-reproducible
-regardless of execution order.
+regardless of execution order and block layout.
 """
 
 from __future__ import annotations
@@ -176,19 +184,25 @@ def theory_value(observable: str, chi: StateVector) -> float:
 
 
 def _prepare_states(
-    p: ex.PrepParams, setting: ex.MeasurementSetting, noise: NoiseModel
-) -> tuple[StateVector | DensityMatrix, StateVector | DensityMatrix]:
-    """Input pair state and full post-circuit state, pure unless noise is on."""
+    params: list[ex.PrepParams], setting: ex.MeasurementSetting, noise: NoiseModel
+) -> tuple[list[StateVector | DensityMatrix], list[StateVector | DensityMatrix]]:
+    """Input pair states, one run per point, and full post-circuit states,
+    one batch for all points; pure unless noise is on."""
     n = setting.num_qubits
-    prep2 = ex.prep_circuit(p)
-    full = prep2.widened(n).then(ex.measurement_circuit(setting))
+    preps = [ex.prep_circuit(p) for p in params]
+    # the circuits differ only in their preparation angles, so they run as
+    # one batch with a layer per gate position
+    layers = [*zip(*(prep.gates for prep in preps))]
+    layers += [(g,) * len(preps) for g in ex.measurement_circuit(setting).gates]
     if noise.depol_1q or noise.depol_2q or noise.readout_flip:
-        chi_actual = circ.run_noisy(prep2, basis_state(2).density(), noise)
-        out = circ.run_noisy(full, basis_state(n).density(), noise)
-    else:
-        chi_actual = circ.run_pure(prep2, basis_state(2))
-        out = circ.run_pure(full, basis_state(n))
-    return chi_actual, out
+        rho0 = basis_state(2).density()
+        chi_actual = [circ.run_noisy(prep, rho0, noise) for prep in preps]
+        out = circ.run_batch(basis_state(n).density(), layers, noise)
+        return chi_actual, [DensityMatrix(n, m) for m in out]
+    psi0 = basis_state(2)
+    chi_actual = [circ.run_pure(prep, psi0) for prep in preps]
+    out = circ.run_batch(basis_state(n), layers, noise)
+    return chi_actual, [StateVector(n, a) for a in out]
 
 
 def _prep_params(phi: float, theta: float, lam: float) -> ex.PrepParams:
@@ -202,123 +216,171 @@ def _prep_params(phi: float, theta: float, lam: float) -> ex.PrepParams:
     return ex.PrepParams(phi % two_pi, theta % two_pi, lam % two_pi)
 
 
-def _measure_point(config: SweepConfig, index: int, phi: float, seed_tag: int) -> SweepRecord:
+BLOCK_POINTS = 16
+"""Sweep points measured as one stack. Larger blocks save little more time
+and hold more memory; the stacks must stay bounded however long the sweep."""
+
+
+Point = tuple[int, float, int]
+"""A sweep point: its index, which selects its seed streams; its phi; and
+the seed tag its record carries."""
+
+
+def _measure_points(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
+    """Records of the points, measured BLOCK_POINTS at a time."""
+    records: list[SweepRecord] = []
+    for start in range(0, len(points), BLOCK_POINTS):
+        records += _measure_block(config, points[start:start + BLOCK_POINTS])
+    return records
+
+
+def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
     obs = config.observable
     key = _observable_key(obs)
     setting = ex.setting_for(obs)
     noise = config.noise
-    p = _prep_params(phi, config.theta_resolved, config.lam)
-    chi_ideal = ex.bell_coefficients(p).state_vector()
-    theory = theory_value(obs, chi_ideal)
-    ideal = ex.branch_data(setting, p)
-
-    chi_actual, out_state = _prepare_states(p, setting, noise)
     ms = config.master_seed
+    exact = config.exact_mode
+    indices = [index for index, _, _ in points]
+    params = [_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points]
+    chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
+    theory = [theory_value(obs, chi) for chi in chi_ideal]
+    ideal = [ex.branch_data(setting, p) for p in params]
+    chi_actual, out_states = _prepare_states(params, setting, noise)
 
     # stage 2: ancilla readout -> observable estimate
-    if config.exact_mode:
-        anc_stats: dict | np.ndarray = circ.exact_probabilities(
-            out_state, setting.ancilla_qubits
-        )
-    else:
-        anc_stats = circ.sample_counts(
-            out_state, setting.ancilla_qubits, config.shots,
-            circ.rng_stream(ms, 0, index), noise.readout_flip,
-        )
-    qnd_estimate = ex.estimate_observable(setting, anc_stats)[obs].value
+    qnd_estimates = []
+    for index, out_state in zip(indices, out_states):
+        if exact:
+            anc_stats: dict | np.ndarray = circ.exact_probabilities(
+                out_state, setting.ancilla_qubits
+            )
+        else:
+            anc_stats = circ.sample_counts(
+                out_state, setting.ancilla_qubits, config.shots,
+                circ.rng_stream(ms, 0, index), noise.readout_flip,
+            )
+        qnd_estimates.append(ex.estimate_observable(setting, anc_stats)[obs].value)
 
-    # stage 1: input-state tomography
-    est_in = tom.tomograph(
-        chi_actual, None if config.exact_mode else config.shots,
-        ms, noise, seed_path=(1, index),
-    )
-    tomo_in = tom.observables_from_estimate(est_in)[key].value
-    fidelity_in = fidelity(chi_ideal.density(), est_in.projected)
+    # stage 1: input-state tomography, collected as one stack
+    settings = tom.tomography_settings()
+    if exact:
+        data_in = tom.collect_exact(chi_actual, settings)
+    else:
+        data_in = tom.collect(
+            chi_actual, settings, config.shots, ms, noise,
+            seed_path=[(1, index) for index in indices],
+        )
+    tomo_in, fidelity_in = _estimate_each(data_in, [chi.density() for chi in chi_ideal], key)
 
     # stages 3 and 4: output tomography, unconditional and per branch
-    rho_psi_theory = ex.output_mixture(ideal)
-    if config.exact_mode:
-        rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
-        rho_psi = partial_trace(rho4, (0, 1))
-        est_out = tom.tomograph(rho_psi, None)
-        tomo_out = tom.observables_from_estimate(est_out)[key].value
-        fidelity_out = fidelity(rho_psi_theory, est_out.projected)
-        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
+    if exact:
+        pairs = [
+            partial_trace(s.density() if isinstance(s, StateVector) else s, (0, 1))
+            for s in out_states
+        ]
+        tomo_out, fidelity_out = _estimate_each(
+            tom.collect_exact(pairs, settings), [ex.output_mixture(bs) for bs in ideal], key
+        )
+        branches = [
+            tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs) for bs in ideal
+        ]
     else:
         tomo_out, fidelity_out, branches = _output_tomography(
-            config, setting, out_state, index, ideal, key, rho_psi_theory
+            config, setting, out_states, indices, ideal, key
         )
 
-    return SweepRecord(
-        observable=obs,
-        phi=phi,
-        theta=config.theta_resolved,
-        lam=config.lam,
-        theory=theory,
-        qnd_estimate=qnd_estimate,
-        tomo_in=tomo_in,
-        tomo_out=tomo_out,
-        fidelity_in=fidelity_in,
-        fidelity_out=fidelity_out,
-        branches=branches,
-        shots=0 if config.exact_mode else config.shots,
-        seed=seed_tag,
-    )
-
-
-def _output_tomography(config, setting, out_state, index, ideal, key, rho_psi_theory):
-    """Sample all tomography settings on the full register once; analyze the
-    same counts unconditionally and post-selected on each ancilla outcome,
-    as one stack of estimates.
-
-    Returns the unconditional observable value and fidelity, and the
-    branch results.
-    """
-    counts = tom.collect(
-        out_state, tom.tomography_settings(), config.shots, config.master_seed,
-        config.noise, seed_path=(2, index),
-    )
-    data = [circ.marginalize_counts(counts, (0, 1))]
-    selected = []
-    for b in ideal:
-        try:
-            data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
-        except EmptyBranchError:
-            continue  # some setting retained no shots in this branch
-        selected.append(b)
-    est = tom.reconstruct_stack(np.stack(data))
-    if est.rows[0] != 0:
-        raise tom.DegenerateReconstructionError("the unconditional output estimate has zero trace")
-    # a branch left out of the stack retained too few shots to fix a state
-    analyzed = [selected[r - 1] for r in est.rows[1:]]
-    values = observable_stack(est.projected)[key][0].tolist()
-    with_target = [0] + [i for i, b in enumerate(analyzed, 1) if b.state is not None]
-    targets = [rho_psi_theory.matrix] + [
-        np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-        for b in analyzed if b.state is not None
+    return [
+        SweepRecord(
+            observable=obs,
+            phi=phi,
+            theta=config.theta_resolved,
+            lam=config.lam,
+            theory=theory[i],
+            qnd_estimate=qnd_estimates[i],
+            tomo_in=tomo_in[i],
+            tomo_out=tomo_out[i],
+            fidelity_in=fidelity_in[i],
+            fidelity_out=fidelity_out[i],
+            branches=branches[i],
+            shots=0 if exact else config.shots,
+            seed=seed_tag,
+        )
+        for i, (_, phi, seed_tag) in enumerate(points)
     ]
-    fid_values = fidelity_stack(np.stack(targets), est.projected[with_target]).tolist()
-    fids = dict(zip(with_target, fid_values))
-    results = {
-        b.outcome: BranchResult(
-            b.outcome, b.probability, b.reliable,
-            retained_shots=int(data[r].sum(axis=-1).min()),
-            tomo_value=values[i], fidelity=fids.get(i),
+
+
+def _estimate_each(data, targets: list[DensityMatrix], key: str) -> tuple[list, list]:
+    """Each (16, 4) data set's linear estimate: its observable value and its
+    fidelity with the matching target state."""
+    values, fids = [], []
+    for d, target in zip(data, targets):
+        est = tom.linear_reconstruct(d)
+        values.append(tom.observables_from_estimate(est)[key].value)
+        fids.append(fidelity(target, est.projected))
+    return values, fids
+
+
+def _output_tomography(config, setting, out_states, indices, ideal, key):
+    """Sample all tomography settings on each point's full register once;
+    analyze the same counts unconditionally and post-selected on each
+    ancilla outcome, for every point of the block as one stack of estimates.
+
+    Returns, per point, the unconditional observable value, its fidelity,
+    and the branch results.
+    """
+    settings = tom.tomography_settings()
+    data, owners = [], []  # each data set and its (point, branch); no branch: unconditional
+    for i, (out_state, index) in enumerate(zip(out_states, indices)):
+        counts = tom.collect(
+            out_state, settings, config.shots, config.master_seed,
+            config.noise, seed_path=(2, index),
         )
-        for i, (b, r) in enumerate(zip(analyzed, est.rows[1:]), 1)
+        data.append(circ.marginalize_counts(counts, (0, 1)))
+        owners.append((i, None))
+        for b in ideal[i]:
+            try:
+                data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
+            except EmptyBranchError:
+                continue  # some setting retained no shots in this branch
+            owners.append((i, b))
+    est = tom.reconstruct_stack(np.stack(data))
+    rows = est.rows.tolist()
+    # a data set left out of the stack retained too few shots to fix a state
+    analyzed = [owners[r] for r in rows]
+    if sum(b is None for _, b in analyzed) != len(out_states):
+        raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
+    values = observable_stack(est.projected)[key][0].tolist()
+    targets = {
+        k: ex.output_mixture(ideal[i]).matrix if b is None
+        else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
+        for k, (i, b) in enumerate(analyzed) if b is None or b.state is not None
     }
-    branches = tuple(
-        results.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in ideal
-    )
-    return values[0], fids[0], branches
+    fids = dict(zip(targets, fidelity_stack(
+        np.stack(list(targets.values())), est.projected[list(targets)]
+    ).tolist()))
+    tomo_out, fidelity_out = [0.0] * len(out_states), [0.0] * len(out_states)
+    results: list[dict[str, BranchResult]] = [{} for _ in out_states]
+    for k, (r, (i, b)) in enumerate(zip(rows, analyzed)):
+        if b is None:
+            tomo_out[i], fidelity_out[i] = values[k], fids[k]
+        else:
+            results[i][b.outcome] = BranchResult(
+                b.outcome, b.probability, b.reliable,
+                retained_shots=int(data[r].sum(axis=-1).min()),
+                tomo_value=values[k], fidelity=fids.get(k),
+            )
+    branches = [
+        tuple(res.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in bs)
+        for res, bs in zip(results, ideal)
+    ]
+    return tomo_out, fidelity_out, branches
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full protocol over the phi grid. Deterministic per config."""
-    return [
-        _measure_point(config, i, phi, config.master_seed)
-        for i, phi in enumerate(config.phi_values())
-    ]
+    ms = config.master_seed
+    return _measure_points(config, [(i, phi, ms) for i, phi in enumerate(config.phi_values())])
 
 
 def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
@@ -331,7 +393,7 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
-    return [_measure_point(fixed, r, math.pi / 2, r) for r in range(repetitions)]
+    return _measure_points(fixed, [(r, math.pi / 2, r) for r in range(repetitions)])
 
 
 def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitResult]:
@@ -487,9 +549,13 @@ def run_criteria_protocol(
 ) -> dict:
     """Full three-criteria pipeline: sweeps for every observable and seed,
     summarized per seed and averaged across seeds.
+
+    Raises ValueError for an empty ``seeds`` list, which has no mean.
     """
     from .analysis import criteria_summary
 
+    if not seeds:
+        raise ValueError("at least one seed is required")
     per_seed = []
     for seed in seeds:
         records_by_obs = {}

@@ -159,22 +159,39 @@ def _pre_rotation_layers(
     return tuple(layers)
 
 
+States = StateVector | DensityMatrix | Sequence[StateVector | DensityMatrix]
+"""One state, or a sequence of states that run as one stack."""
+
+
 def _setting_probabilities(
-    state: StateVector | DensityMatrix, settings: Sequence[TomographySetting], noise: NoiseModel
+    states: list, settings: Sequence[TomographySetting], noise: NoiseModel
 ) -> np.ndarray:
-    """(settings, 2^n) outcome probabilities over every qubit of the state,
-    with each setting's pre-rotation on qubits 0 and 1."""
-    layers = _pre_rotation_layers(tuple(settings), state.num_qubits)
-    return circ.born_probabilities(circ.run_batch(state, layers, noise))
+    """(states, settings, 2^n) outcome probabilities over every qubit of
+    each state, with each setting's pre-rotation on qubits 0 and 1."""
+    layers = _pre_rotation_layers(tuple(settings), states[0].num_qubits)
+    per_slice = [s for s in states for _ in settings]
+    stack = circ.run_batch(per_slice, [layer * len(states) for layer in layers], noise)
+    probs = circ.born_probabilities(stack)
+    return probs.reshape(len(states), len(settings), probs.shape[-1])
+
+
+def _as_states(state: States) -> tuple[list, bool]:
+    """The states of a ``collect`` argument, and whether it was one state."""
+    if isinstance(state, (StateVector, DensityMatrix)):
+        return [state], True
+    states = list(state)
+    if not states:
+        raise ValueError("no states to collect")
+    return states, False
 
 
 def collect(
-    state: StateVector | DensityMatrix,
+    state: States,
     settings: Sequence[TomographySetting],
     shots: int,
     master_seed: int,
     noise: NoiseModel = NoiseModel(),
-    seed_path: tuple[int, ...] = (),
+    seed_path: tuple[int, ...] | Sequence[tuple[int, ...]] = (),
 ) -> np.ndarray:
     """Sample every setting, one derived RNG stream per setting.
 
@@ -184,21 +201,37 @@ def collect(
     through the noisy evolution so tomography is not artificially cleaner
     than the rest of the experiment. A pure state admits no depolarizing
     noise (``run_batch`` rejects it); the readout flip applies at sampling.
+
+    ``state`` may also be a sequence of states, all pure or all mixed,
+    which run as one stack; ``seed_path`` then lists one path per state,
+    and the counts come as a (states, settings, 2^n) array. Setting k of
+    state i draws from stream (master_seed, *seed_path[i], k) either way.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1 per setting")
-    probs = _setting_probabilities(state, settings, noise)
-    rngs = [circ.rng_stream(master_seed, *seed_path, idx) for idx in range(len(settings))]
-    return circ.sample_batch(probs, shots, rngs, noise.readout_flip)
+    states, single = _as_states(state)
+    paths = [seed_path] if single else [tuple(p) for p in seed_path]
+    if len(paths) != len(states):
+        raise ValueError(f"{len(paths)} seed paths for {len(states)} states")
+    probs = _setting_probabilities(states, settings, noise)
+    # streams are built as the draw reaches them, so they never all exist at once
+    rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(len(settings)))
+    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs, noise.readout_flip)
+    counts = counts.reshape(probs.shape)
+    return counts[0] if single else counts
 
 
-def collect_exact(
-    state: StateVector | DensityMatrix, settings: Sequence[TomographySetting]
-) -> np.ndarray:
+def collect_exact(state: States, settings: Sequence[TomographySetting]) -> np.ndarray:
     """Exact (settings, 2^n) outcome probabilities (infinite-shot limit),
-    those below 1e-15 set to zero as sampling would never produce them."""
-    probs = _setting_probabilities(state, settings, NoiseModel())
-    return np.where(probs > 1e-15, probs, 0.0)
+    those below 1e-15 set to zero as sampling would never produce them.
+
+    A sequence of states gives a (states, settings, 2^n) array, as in
+    ``collect``.
+    """
+    states, single = _as_states(state)
+    probs = _setting_probabilities(states, settings, NoiseModel())
+    probs = np.where(probs > 1e-15, probs, 0.0)
+    return probs[0] if single else probs
 
 
 def _frequencies_00(data) -> np.ndarray:

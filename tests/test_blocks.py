@@ -1,0 +1,263 @@
+"""Sweeps run in blocks of stacked points, against the per-point protocol.
+
+``_reference_point`` is the per-point measurement that the block path
+replaced, kept as the reference: each point prepares its own states, runs
+its own input tomography and reconstructs its own output estimates. The
+stream tree (master seed, stage, point, setting) is the same in both, so
+every record must come out ``==``, never merely close: a one-ULP change in
+a probability can swap the counts of two equally likely outcomes.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_circuit, random_density_matrix, random_pure_state
+from qndsim import circuits as circ
+from qndsim import experiments as ex
+from qndsim import tomography as tom
+from qndsim.analysis import BranchResult, SweepRecord
+from qndsim.circuits import Circuit, EmptyBranchError, Gate, NoiseModel
+from qndsim.harness import (
+    BLOCK_POINTS,
+    SweepConfig,
+    _observable_key,
+    _prep_params,
+    repeat_fixed_state,
+    run_sweep,
+    theory_value,
+)
+from qndsim.observables import observable_stack
+from qndsim.qmath import StateVector, basis_state, fidelity, fidelity_stack, partial_trace
+
+NOISE = {
+    "none": NoiseModel(),
+    "readout": NoiseModel(readout_flip=0.03),
+    "criterion 9": NoiseModel(depol_1q=0.005, depol_2q=0.05, readout_flip=0.01),
+}
+
+
+def _reference_states(p, setting, noise):
+    n = setting.num_qubits
+    prep2 = ex.prep_circuit(p)
+    full = prep2.widened(n).then(ex.measurement_circuit(setting))
+    if noise.depol_1q or noise.depol_2q or noise.readout_flip:
+        return (circ.run_noisy(prep2, basis_state(2).density(), noise),
+                circ.run_noisy(full, basis_state(n).density(), noise))
+    return circ.run_pure(prep2, basis_state(2)), circ.run_pure(full, basis_state(n))
+
+
+def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_theory):
+    counts = tom.collect(out_state, tom.tomography_settings(), config.shots,
+                         config.master_seed, config.noise, seed_path=(2, index))
+    data = [circ.marginalize_counts(counts, (0, 1))]
+    selected = []
+    for b in ideal:
+        try:
+            data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
+        except EmptyBranchError:
+            continue
+        selected.append(b)
+    est = tom.reconstruct_stack(np.stack(data))
+    assert est.rows[0] == 0
+    analyzed = [selected[r - 1] for r in est.rows[1:]]
+    values = observable_stack(est.projected)[key][0].tolist()
+    with_target = [0] + [i for i, b in enumerate(analyzed, 1) if b.state is not None]
+    targets = [rho_psi_theory.matrix] + [
+        np.outer(b.state.amplitudes, b.state.amplitudes.conj())
+        for b in analyzed if b.state is not None
+    ]
+    fids = dict(zip(with_target, fidelity_stack(np.stack(targets),
+                                                est.projected[with_target]).tolist()))
+    results = {
+        b.outcome: BranchResult(
+            b.outcome, b.probability, b.reliable,
+            retained_shots=int(data[r].sum(axis=-1).min()),
+            tomo_value=values[i], fidelity=fids.get(i),
+        )
+        for i, (b, r) in enumerate(zip(analyzed, est.rows[1:]), 1)
+    }
+    branches = tuple(
+        results.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in ideal
+    )
+    return values[0], fids[0], branches
+
+
+def _reference_point(config, index, phi, seed_tag):
+    obs = config.observable
+    key = _observable_key(obs)
+    setting = ex.setting_for(obs)
+    noise, ms = config.noise, config.master_seed
+    p = _prep_params(phi, config.theta_resolved, config.lam)
+    chi_ideal = ex.bell_coefficients(p).state_vector()
+    ideal = ex.branch_data(setting, p)
+    chi_actual, out_state = _reference_states(p, setting, noise)
+    if config.exact_mode:
+        anc = circ.exact_probabilities(out_state, setting.ancilla_qubits)
+    else:
+        anc = circ.sample_counts(out_state, setting.ancilla_qubits, config.shots,
+                                 circ.rng_stream(ms, 0, index), noise.readout_flip)
+    est_in = tom.tomograph(chi_actual, None if config.exact_mode else config.shots,
+                           ms, noise, seed_path=(1, index))
+    rho_psi_theory = ex.output_mixture(ideal)
+    if config.exact_mode:
+        rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
+        est_out = tom.tomograph(partial_trace(rho4, (0, 1)), None)
+        tomo_out = tom.observables_from_estimate(est_out)[key].value
+        fidelity_out = fidelity(rho_psi_theory, est_out.projected)
+        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
+    else:
+        tomo_out, fidelity_out, branches = _reference_output(
+            config, setting, out_state, index, ideal, key, rho_psi_theory)
+    return SweepRecord(
+        observable=obs, phi=phi, theta=config.theta_resolved, lam=config.lam,
+        theory=theory_value(obs, chi_ideal),
+        qnd_estimate=ex.estimate_observable(setting, anc)[obs].value,
+        tomo_in=tom.observables_from_estimate(est_in)[key].value,
+        tomo_out=tomo_out,
+        fidelity_in=fidelity(chi_ideal.density(), est_in.projected),
+        fidelity_out=fidelity_out,
+        branches=branches,
+        shots=0 if config.exact_mode else config.shots,
+        seed=seed_tag,
+    )
+
+
+# a single point, one block minus one, and one block plus one
+POINT_COUNTS = st.sampled_from([1, BLOCK_POINTS - 1, BLOCK_POINTS + 1])
+ANGLE = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=14, deadline=None)
+@given(
+    observable=st.sampled_from(ex.OBSERVABLES),
+    phi_count=POINT_COUNTS,
+    noise=st.sampled_from(sorted(NOISE)),
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.none() | ANGLE,
+    lam=ANGLE,
+    phi_start=ANGLE,
+    phi_step=st.floats(0.01, 1.0),
+)
+def test_sweep_blocks_match_per_point_reference(
+    observable, phi_count, noise, exact, seed, theta, lam, phi_start, phi_step
+):
+    config = SweepConfig(observable, theta=theta, lam=lam, phi_start=phi_start,
+                         phi_count=phi_count, phi_step=phi_step, shots=300,
+                         exact_mode=exact, noise=NOISE[noise], master_seed=seed)
+    expected = [_reference_point(config, i, phi, seed)
+                for i, phi in enumerate(config.phi_values())]
+    assert run_sweep(config) == expected
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    observable=st.sampled_from(ex.OBSERVABLES),
+    repetitions=POINT_COUNTS,
+    noise=st.sampled_from(sorted(NOISE)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repetitions_match_per_point_reference(observable, repetitions, noise, seed):
+    config = SweepConfig(observable, shots=200, noise=NOISE[noise], master_seed=seed)
+    fixed = SweepConfig(observable, theta=math.pi, phi_start=math.pi / 2, phi_count=1,
+                        shots=200, noise=NOISE[noise], master_seed=seed)
+    expected = [_reference_point(fixed, r, math.pi / 2, r) for r in range(repetitions)]
+    assert repeat_fixed_state(config, repetitions) == expected
+
+
+def _variant(gate: Gate, rng) -> Gate | None:
+    """The gate, the same kind on the same qubits at another angle, or none."""
+    choice = int(rng.integers(3))
+    if choice == 0:
+        return None
+    if choice == 1 and gate.angle is not None:
+        return Gate(gate.kind, gate.targets, float(rng.uniform(0, 2 * np.pi)))
+    return gate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 4),
+    batch=st.integers(1, 6),
+    pure=st.booleans(),
+    depol_1q=st.floats(0.0, 0.3),
+    depol_2q=st.floats(0.0, 0.3),
+)
+def test_run_batch_from_a_stack_of_states(seed, num_qubits, batch, pure, depol_1q, depol_2q):
+    rng = np.random.default_rng(seed)
+    skeleton = random_circuit(rng, num_qubits)
+    layers = [tuple(_variant(g, rng) for _ in range(batch)) for g in skeleton.gates]
+    if pure:
+        states = [random_pure_state(rng, num_qubits) for _ in range(batch)]
+        noise = NoiseModel(readout_flip=0.1)
+    else:
+        states = [random_density_matrix(rng, num_qubits) for _ in range(batch)]
+        noise = NoiseModel(depol_1q, depol_2q)
+    stack = circ.run_batch(states, layers, noise)
+    for i, state in enumerate(states):
+        circuit = Circuit(num_qubits, tuple(g for g in (layer[i] for layer in layers) if g))
+        if pure:
+            assert np.array_equal(stack[i], circ.run_pure(circuit, state).amplitudes)
+            assert abs(np.linalg.norm(stack[i]) - 1.0) < 1e-9
+        else:
+            assert np.array_equal(stack[i], circ.run_noisy(circuit, state, noise).matrix)
+            assert abs(np.trace(stack[i]) - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(stack[i])[0] > -1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5),
+    pure=st.booleans(),
+    num_qubits=st.sampled_from([2, 4]),
+)
+def test_collect_from_a_stack_of_states(seed, count, pure, num_qubits):
+    rng = np.random.default_rng(seed)
+    make = random_pure_state if pure else random_density_matrix
+    states = [make(rng, num_qubits) for _ in range(count)]
+    noise = NoiseModel(readout_flip=0.05) if pure else NoiseModel(0.01, 0.05, 0.05)
+    ts = tom.tomography_settings()
+    paths = [(1, int(i)) for i in rng.permutation(count)]
+    counts = tom.collect(states, ts, 200, seed, noise, seed_path=paths)
+    exact = tom.collect_exact(states, ts)
+    assert counts.shape == exact.shape == (count, 16, 2**num_qubits)
+    for state, path, got, got_exact in zip(states, paths, counts, exact):
+        assert np.array_equal(got, tom.collect(state, ts, 200, seed, noise, seed_path=path))
+        assert np.array_equal(got_exact, tom.collect_exact(state, ts))
+
+
+@pytest.mark.parametrize("states, message", [
+    ([], "at least one initial state"),
+    ([basis_state(2), basis_state(2).density()], "all be pure or all mixed"),
+    ([basis_state(2), basis_state(3)], "all be pure or all mixed"),
+    ([basis_state(2)], "1 initial states for a batch of 2"),
+])
+def test_stack_arguments_rejected(states, message):
+    with pytest.raises(ValueError, match=message):
+        circ.run_batch(states, [(None, None)], NoiseModel())
+
+
+def test_collect_needs_a_seed_path_per_state():
+    psi = basis_state(2)
+    with pytest.raises(ValueError, match="1 seed paths for 2 states"):
+        tom.collect([psi, psi], tom.tomography_settings(), 10, 0, seed_path=[(1, 0)])
+
+
+def test_sweep_memory_is_bounded_by_the_block():
+    # a whole-sweep stack peaks at 2 MB or more here; blocks stay well below 1 MB
+    noise = NOISE["criterion 9"]
+    config = SweepConfig("C2", phi_count=64, shots=2000, noise=noise, master_seed=3)
+    run_sweep(config)  # fills the gate caches, which later sweeps share
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"

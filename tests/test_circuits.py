@@ -1,5 +1,6 @@
 """Circuit execution, noise channel, sampling, and post-selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,24 @@ class TestRunNoisy:
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(depol_1q=1.5)
+
+    def test_enabled_is_a_constructor_argument_only(self):
+        # an attribute would read True on every model, the noiseless one too
+        assert not hasattr(NoiseModel.none(), "enabled")
+        assert not hasattr(NoiseModel(0.1, 0.2, 0.3), "enabled")
+        assert NoiseModel(0.1, 0.2, 0.3, enabled=False) == NoiseModel.none()
+        with pytest.raises(ValueError, match="enabled"):
+            NoiseModel(enabled=0)
+
+    def test_replace_round_trip(self):
+        model = NoiseModel(0.1, 0.2, 0.3)
+        assert dataclasses.replace(model) == model
+        assert hash(dataclasses.replace(model)) == hash(model)
+        assert dataclasses.replace(model, depol_2q=0.0) == NoiseModel(0.1, 0.0, 0.3)
+        with pytest.raises(ValueError, match="readout_flip"):
+            dataclasses.replace(model, readout_flip=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.depol_1q = 0.0
 
 
 class TestSampling:

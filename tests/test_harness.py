@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import qndsim
 from qndsim import circuits as circ
 from qndsim import experiments as ex
+from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.circuits import NoiseModel
 from qndsim.cli import main as cli_main
@@ -177,8 +178,8 @@ class TestSampledSweeps:
     def test_any_nonzero_probability_selects_density_engine(self, noise, kind):
         # a readout flip alone still runs the density engine, so its samples
         # stay those of earlier versions; all zeros is the pure engine
-        states = _prepare_states(PrepParams(0.3, math.pi), ex.setting_for("C2"), noise)
-        assert all(isinstance(s, kind) for s in states)
+        chi, out = _prepare_states([PrepParams(0.3, math.pi)], ex.setting_for("C2"), noise)
+        assert all(isinstance(s, kind) for s in chi + out)
 
     def test_noisy_sweep_runs_and_degrades(self):
         noise = NoiseModel(depol_1q=0.01, depol_2q=0.08, readout_flip=0.02, enabled=True)
@@ -228,6 +229,15 @@ class TestBranchFailures:
         with pytest.raises(ValueError, match="unexpected reconstruction failure"):
             run_sweep(self.CONFIG)
         assert selected
+
+
+def test_criteria_protocol_rejects_empty_seeds(monkeypatch):
+    def no_work(config):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(harness, "run_sweep", no_work)
+    with pytest.raises(ValueError, match="seed"):
+        harness.run_criteria_protocol([])
 
 
 class TestRepeatFixedState:
@@ -437,6 +447,13 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert set(doc["per_seed"][0]["per_observable"]) == {"VA", "VB", "PA", "PB", "C1", "C2"}
         assert set(doc["mean_average_errors"]) == {"E_input_tomo", "E_qnd", "E_output_tomo"}
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_criteria_rejects_fewer_than_one_seed(self, tmp_path, capsys, seeds):
+        out = tmp_path / "report.json"
+        assert cli_main(["criteria", "--seeds", seeds, "--out", str(out)]) == 2
+        assert "at least one seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_observable_is_an_error(self, tmp_path):
         assert cli_main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
