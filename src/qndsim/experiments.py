@@ -428,7 +428,7 @@ def simulated_branches(
     return branches
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """One ancilla outcome: the ideal conditional pair state (None for an
     empty branch), its theoretical probability, and its reliability flag."""

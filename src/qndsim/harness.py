@@ -9,13 +9,24 @@ The protocol for every sweep point mirrors the experimental procedure:
 4. re-analyze the same output-tomography data post-selected on each ancilla
    outcome (state-preparation check).
 
-Points run in blocks of ``BLOCK_POINTS``. Within a block the full circuits
-of all points run as one batch, the input states are tomographed as one
-stack, and the sampled output estimates of every point and branch are
-analyzed as one stack. Each point still prepares its input pair, reads its
-ancillas, reconstructs its input estimate (and its exact output estimate)
-and evolves its output tomography on its own, so memory depends on the
-block size, not on the sweep length.
+Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
+
+* The seed-independent stage (``_prepare_block``) is a function of the
+  observable, the block's preparation angles reduced mod 2*pi, the noise
+  model and the exact-mode flag, and is cached on exactly that key. It
+  runs the full circuits of all points as one batch and keeps, per point,
+  the theory value, the ideal branch data, the fidelity targets, what the
+  ancilla readout reads, and every tomography setting's outcome
+  probabilities for the input pair and for the output register. The last
+  ``PREPARED_BLOCKS`` blocks stay cached, so the seeds of a criteria run,
+  like any sweeps that differ only in their seed, prepare each block once.
+* The seed stage (``_measure_block``) draws the ancilla readout and the
+  input and output tomography counts from those distributions and
+  analyzes them: each input estimate on its own, and the sampled output
+  estimates of every point and branch as one stack.
+
+Each point's output-tomography evolution runs on its own, so memory
+depends on the block size, not on the sweep length.
 
 Every random draw comes from a stream derived from
 (master_seed, stage, point, setting), so results are byte-reproducible
@@ -29,6 +40,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,61 +246,142 @@ def _measure_points(config: SweepConfig, points: list[Point]) -> list[SweepRecor
     return records
 
 
-def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
-    obs = config.observable
-    key = _observable_key(obs)
-    setting = ex.setting_for(obs)
-    noise = config.noise
-    ms = config.master_seed
-    exact = config.exact_mode
-    indices = [index for index, _, _ in points]
-    params = [_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points]
+PREPARED_BLOCKS = 32
+"""Prepared blocks kept by ``_prepare_block``, least recently used first out.
+
+One criteria seed, like one benchmark unit, visits a block per observable
+and per 16 phi points, six or more in turn, and the next seed visits them
+again in the same order: a cache smaller than one pass misses on every
+call. A 16-point block holds 50 to 80 KB."""
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedBlock:
+    """The seed-independent stage of a block. Every field but
+    ``readout_qubits`` has one entry per point.
+
+    ``theory`` and ``branches`` are the observable's defining-formula value
+    and the ideal branch data. The fidelity targets are ``target_in``, the
+    ideal input states, and ``target_out``, a (B, 4, 4) stack of the ideal
+    unconditional outputs.
+
+    ``readout`` is what the ancilla readout reads: the exact ancilla
+    probabilities as (outcome, probability) pairs in exact mode, else the
+    state to sample ``readout_qubits`` of, the full register when pure and
+    its ancilla marginal when mixed. ``probs_in`` and ``probs_out`` hold
+    each setting's outcome probabilities, (B, 16, 4) for the input pair and
+    (B, 16, 2^n) for the full output register; in exact mode both are
+    ``collect_exact`` data over the pair, the output one after the readout.
+
+    Every array is owned and read-only, so an entry pins nothing else.
+    """
+
+    theory: tuple[float, ...]
+    branches: tuple[tuple[ex.Branch, ...], ...]
+    target_in: tuple[DensityMatrix, ...]
+    target_out: np.ndarray
+    readout: tuple
+    readout_qubits: tuple[int, ...]
+    probs_in: np.ndarray
+    probs_out: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.target_out, self.probs_in, self.probs_out):
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=PREPARED_BLOCKS)
+def _prepare_block(
+    observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel, exact: bool
+) -> PreparedBlock:
+    """Everything the seed does not change: the states, their ideal
+    counterparts and the outcome distributions the draws sample."""
+    setting = ex.setting_for(observable)
     chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
-    theory = [theory_value(obs, chi) for chi in chi_ideal]
-    ideal = [ex.branch_data(setting, p) for p in params]
-    chi_actual, out_states = _prepare_states(params, setting, noise)
-
-    # stage 2: ancilla readout -> observable estimate
-    qnd_estimates = []
-    for index, out_state in zip(indices, out_states):
-        if exact:
-            anc_stats: dict | np.ndarray = circ.exact_probabilities(
-                out_state, setting.ancilla_qubits
-            )
-        else:
-            anc_stats = circ.sample_counts(
-                out_state, setting.ancilla_qubits, config.shots,
-                circ.rng_stream(ms, 0, index), noise.readout_flip,
-            )
-        qnd_estimates.append(ex.estimate_observable(setting, anc_stats)[obs].value)
-
-    # stage 1: input-state tomography, collected as one stack
+    ideal = tuple(ex.branch_data(setting, p) for p in params)
+    chi_actual, out_states = _prepare_states(list(params), setting, noise)
     settings = tom.tomography_settings()
+    ancillas = setting.ancilla_qubits
     if exact:
-        data_in = tom.collect_exact(chi_actual, settings)
-    else:
-        data_in = tom.collect(
-            chi_actual, settings, config.shots, ms, noise,
-            seed_path=[(1, index) for index in indices],
+        readout = tuple(
+            tuple(circ.exact_probabilities(s, ancillas).items()) for s in out_states
         )
-    tomo_in, fidelity_in = _estimate_each(data_in, [chi.density() for chi in chi_ideal], key)
-
-    # stages 3 and 4: output tomography, unconditional and per branch
-    if exact:
         pairs = [
             partial_trace(s.density() if isinstance(s, StateVector) else s, (0, 1))
             for s in out_states
         ]
-        tomo_out, fidelity_out = _estimate_each(
-            tom.collect_exact(pairs, settings), [ex.output_mixture(bs) for bs in ideal], key
+        probs_in = tom.collect_exact(chi_actual, settings)
+        probs_out = tom.collect_exact(pairs, settings)
+    else:
+        if isinstance(out_states[0], StateVector):
+            readout = tuple(out_states)
+        else:
+            readout = tuple(partial_trace(s, ancillas) for s in out_states)
+            ancillas = tuple(range(len(ancillas)))
+        probs_in = tom.setting_probabilities(chi_actual, settings, noise)
+        # one state at a time: the evolved stack of a point is 16 full-register
+        # density matrices, and the block's would be 16 times that
+        probs_out = np.stack([tom.setting_probabilities(s, settings, noise) for s in out_states])
+    return PreparedBlock(
+        theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
+        branches=ideal,
+        target_in=tuple(chi.density() for chi in chi_ideal),
+        target_out=np.stack([ex.output_mixture(bs).matrix for bs in ideal]),
+        readout=readout,
+        readout_qubits=ancillas,
+        probs_in=probs_in,
+        probs_out=probs_out,
+    )
+
+
+def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
+    """The seed stage: draw from the block's prepared distributions and
+    analyze the draws."""
+    obs = config.observable
+    key = _observable_key(obs)
+    setting = ex.setting_for(obs)
+    ms, shots, flip = config.master_seed, config.shots, config.noise.readout_flip
+    exact = config.exact_mode
+    indices = [index for index, _, _ in points]
+    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
+    block = _prepare_block(obs, params, config.noise, exact)
+
+    # stage 2: ancilla readout -> observable estimate
+    qnd_estimates = []
+    for index, readout in zip(indices, block.readout):
+        if exact:
+            anc_stats: dict | np.ndarray = dict(readout)
+        else:
+            anc_stats = circ.sample_counts(
+                readout, block.readout_qubits, shots, circ.rng_stream(ms, 0, index), flip
+            )
+        qnd_estimates.append(ex.estimate_observable(setting, anc_stats)[obs].value)
+
+    # stage 1: input-state tomography, drawn as one stack
+    if exact:
+        data_in = block.probs_in
+    else:
+        data_in = tom.collect(
+            block.probs_in, shots, ms, flip, seed_path=[(1, index) for index in indices]
         )
+    tomo_in, est_in = _estimate_each(data_in, key)
+    fidelity_in = [fidelity(target, est) for target, est in zip(block.target_in, est_in)]
+
+    # stages 3 and 4: output tomography, unconditional and per branch
+    if exact:
+        tomo_out, est_out = _estimate_each(block.probs_out, key)
+        fidelity_out = fidelity_stack(
+            block.target_out, np.stack([est.matrix for est in est_out])
+        ).tolist()
         branches = [
-            tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs) for bs in ideal
+            tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs)
+            for bs in block.branches
         ]
     else:
-        tomo_out, fidelity_out, branches = _output_tomography(
-            config, setting, out_states, indices, ideal, key
+        counts = tom.collect(
+            block.probs_out, shots, ms, flip, seed_path=[(2, index) for index in indices]
         )
+        tomo_out, fidelity_out, branches = _output_tomography(setting, counts, block, key)
 
     return [
         SweepRecord(
@@ -296,51 +389,47 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=theory[i],
+            theory=block.theory[i],
             qnd_estimate=qnd_estimates[i],
             tomo_in=tomo_in[i],
             tomo_out=tomo_out[i],
             fidelity_in=fidelity_in[i],
             fidelity_out=fidelity_out[i],
             branches=branches[i],
-            shots=0 if exact else config.shots,
+            shots=0 if exact else shots,
             seed=seed_tag,
         )
         for i, (_, phi, seed_tag) in enumerate(points)
     ]
 
 
-def _estimate_each(data, targets: list[DensityMatrix], key: str) -> tuple[list, list]:
+def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
     """Each (16, 4) data set's linear estimate: its observable value and its
-    fidelity with the matching target state."""
-    values, fids = [], []
-    for d, target in zip(data, targets):
+    physical state."""
+    values, states = [], []
+    for d in data:
         est = tom.linear_reconstruct(d)
         values.append(tom.observables_from_estimate(est)[key].value)
-        fids.append(fidelity(target, est.projected))
-    return values, fids
+        states.append(est.projected)
+    return values, states
 
 
-def _output_tomography(config, setting, out_states, indices, ideal, key):
-    """Sample all tomography settings on each point's full register once;
-    analyze the same counts unconditionally and post-selected on each
-    ancilla outcome, for every point of the block as one stack of estimates.
+def _output_tomography(setting, counts, block: PreparedBlock, key: str):
+    """Analyze each point's output-tomography counts unconditionally and
+    post-selected on each ancilla outcome, for every point of the block as
+    one stack of estimates.
 
     Returns, per point, the unconditional observable value, its fidelity,
     and the branch results.
     """
-    settings = tom.tomography_settings()
+    ideal = block.branches
     data, owners = [], []  # each data set and its (point, branch); no branch: unconditional
-    for i, (out_state, index) in enumerate(zip(out_states, indices)):
-        counts = tom.collect(
-            out_state, settings, config.shots, config.master_seed,
-            config.noise, seed_path=(2, index),
-        )
-        data.append(circ.marginalize_counts(counts, (0, 1)))
+    for i, point_counts in enumerate(counts):
+        data.append(circ.marginalize_counts(point_counts, (0, 1)))
         owners.append((i, None))
         for b in ideal[i]:
             try:
-                data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
+                data.append(circ.postselect_counts(point_counts, setting.ancilla_qubits, b.outcome))
             except EmptyBranchError:
                 continue  # some setting retained no shots in this branch
             owners.append((i, b))
@@ -348,19 +437,19 @@ def _output_tomography(config, setting, out_states, indices, ideal, key):
     rows = est.rows.tolist()
     # a data set left out of the stack retained too few shots to fix a state
     analyzed = [owners[r] for r in rows]
-    if sum(b is None for _, b in analyzed) != len(out_states):
+    if sum(b is None for _, b in analyzed) != len(counts):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
     values = observable_stack(est.projected)[key][0].tolist()
     targets = {
-        k: ex.output_mixture(ideal[i]).matrix if b is None
+        k: block.target_out[i] if b is None
         else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
         for k, (i, b) in enumerate(analyzed) if b is None or b.state is not None
     }
     fids = dict(zip(targets, fidelity_stack(
         np.stack(list(targets.values())), est.projected[list(targets)]
     ).tolist()))
-    tomo_out, fidelity_out = [0.0] * len(out_states), [0.0] * len(out_states)
-    results: list[dict[str, BranchResult]] = [{} for _ in out_states]
+    tomo_out, fidelity_out = [0.0] * len(counts), [0.0] * len(counts)
+    results: list[dict[str, BranchResult]] = [{} for _ in counts]
     for k, (r, (i, b)) in enumerate(zip(rows, analyzed)):
         if b is None:
             tomo_out[i], fidelity_out[i] = values[k], fids[k]
@@ -548,7 +637,9 @@ def run_criteria_protocol(
     noise: NoiseModel = NoiseModel(),
 ) -> dict:
     """Full three-criteria pipeline: sweeps for every observable and seed,
-    summarized per seed and averaged across seeds.
+    summarized per seed and averaged across seeds. The seeds differ only in
+    their draws, so every seed after the first reuses the first one's
+    prepared blocks.
 
     Raises ValueError for an empty ``seeds`` list, which has no mean.
     """

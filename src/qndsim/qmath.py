@@ -54,7 +54,7 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     return bool(close.all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Normalized pure state of ``num_qubits`` qubits.
 
@@ -98,7 +98,7 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Hermitian, trace-one, positive semidefinite operator on n qubits.
 

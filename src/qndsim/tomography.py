@@ -163,62 +163,76 @@ States = StateVector | DensityMatrix | Sequence[StateVector | DensityMatrix]
 """One state, or a sequence of states that run as one stack."""
 
 
-def _setting_probabilities(
-    states: list, settings: Sequence[TomographySetting], noise: NoiseModel
-) -> np.ndarray:
-    """(states, settings, 2^n) outcome probabilities over every qubit of
-    each state, with each setting's pre-rotation on qubits 0 and 1."""
-    layers = _pre_rotation_layers(tuple(settings), states[0].num_qubits)
-    per_slice = [s for s in states for _ in settings]
-    stack = circ.run_batch(per_slice, [layer * len(states) for layer in layers], noise)
-    probs = circ.born_probabilities(stack)
-    return probs.reshape(len(states), len(settings), probs.shape[-1])
-
-
 def _as_states(state: States) -> tuple[list, bool]:
-    """The states of a ``collect`` argument, and whether it was one state."""
+    """The states of a ``setting_probabilities`` argument, and whether it
+    was one state."""
     if isinstance(state, (StateVector, DensityMatrix)):
         return [state], True
     states = list(state)
     if not states:
-        raise ValueError("no states to collect")
+        raise ValueError("no states to measure")
     return states, False
 
 
+def setting_probabilities(
+    state: States, settings: Sequence[TomographySetting], noise: NoiseModel = NoiseModel()
+) -> np.ndarray:
+    """Outcome probabilities of every setting: a (settings, 2^n) array.
+
+    Every qubit of the state is read out (outcome index bits list qubit 0
+    first), and the pre-rotations act on qubits 0 and 1. On a density
+    matrix they run through the noisy evolution so tomography is not
+    artificially cleaner than the rest of the experiment. A pure state
+    admits no depolarizing noise (``run_batch`` rejects it); the readout
+    flip belongs to the draw (``collect``).
+
+    ``state`` may also be a sequence of states, all pure or all mixed,
+    which run as one stack and give a (states, settings, 2^n) array. The
+    array is a fresh one: it holds no view into the evolved stack.
+    """
+    states, single = _as_states(state)
+    layers = _pre_rotation_layers(tuple(settings), states[0].num_qubits)
+    per_slice = [s for s in states for _ in settings]
+    stack = circ.run_batch(per_slice, [layer * len(states) for layer in layers], noise)
+    probs = circ.born_probabilities(stack)
+    shape = (len(settings), probs.shape[-1])
+    return probs.reshape(shape if single else (len(states), *shape)).copy()
+
+
 def collect(
-    state: States,
-    settings: Sequence[TomographySetting],
+    probs: np.ndarray,
     shots: int,
     master_seed: int,
-    noise: NoiseModel = NoiseModel(),
+    readout_flip: float = 0.0,
     seed_path: tuple[int, ...] | Sequence[tuple[int, ...]] = (),
 ) -> np.ndarray:
     """Sample every setting, one derived RNG stream per setting.
 
-    Returns a (settings, 2^n) integer array of counts: every qubit of the
-    state is read out (outcome index bits list qubit 0 first), and the
-    pre-rotations act on qubits 0 and 1. On a density matrix they run
-    through the noisy evolution so tomography is not artificially cleaner
-    than the rest of the experiment. A pure state admits no depolarizing
-    noise (``run_batch`` rejects it); the readout flip applies at sampling.
+    ``probs`` holds the (settings, 2^n) outcome probabilities of one state
+    (``setting_probabilities``); the result is the (settings, 2^n) integer
+    array of counts, setting k drawn from stream (master_seed, *seed_path,
+    k). Each recorded bit flips with probability ``readout_flip``.
 
-    ``state`` may also be a sequence of states, all pure or all mixed,
-    which run as one stack; ``seed_path`` then lists one path per state,
-    and the counts come as a (states, settings, 2^n) array. Setting k of
-    state i draws from stream (master_seed, *seed_path[i], k) either way.
+    A (states, settings, 2^n) stack of probabilities draws as one batch;
+    ``seed_path`` then lists one path per state, and setting k of state i
+    draws from stream (master_seed, *seed_path[i], k).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1 per setting")
-    states, single = _as_states(state)
-    paths = [seed_path] if single else [tuple(p) for p in seed_path]
-    if len(paths) != len(states):
-        raise ValueError(f"{len(paths)} seed paths for {len(states)} states")
-    probs = _setting_probabilities(states, settings, noise)
+    probs = np.asarray(probs)
+    if probs.ndim not in (2, 3):
+        raise ValueError(f"need (settings, 2^n) or (states, settings, 2^n) probabilities, "
+                         f"got shape {probs.shape}")
+    single = probs.ndim == 2
+    paths = [tuple(seed_path)] if single else [tuple(p) for p in seed_path]
+    states = 1 if single else len(probs)
+    if len(paths) != states:
+        raise ValueError(f"{len(paths)} seed paths for {states} states")
+    settings = probs.shape[-2]
     # streams are built as the draw reaches them, so they never all exist at once
-    rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(len(settings)))
-    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs, noise.readout_flip)
-    counts = counts.reshape(probs.shape)
-    return counts[0] if single else counts
+    rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(settings))
+    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs, readout_flip)
+    return counts.reshape(probs.shape)
 
 
 def collect_exact(state: States, settings: Sequence[TomographySetting]) -> np.ndarray:
@@ -226,12 +240,10 @@ def collect_exact(state: States, settings: Sequence[TomographySetting]) -> np.nd
     those below 1e-15 set to zero as sampling would never produce them.
 
     A sequence of states gives a (states, settings, 2^n) array, as in
-    ``collect``.
+    ``setting_probabilities``.
     """
-    states, single = _as_states(state)
-    probs = _setting_probabilities(states, settings, NoiseModel())
-    probs = np.where(probs > 1e-15, probs, 0.0)
-    return probs[0] if single else probs
+    probs = setting_probabilities(state, settings, NoiseModel())
+    return np.where(probs > 1e-15, probs, 0.0)
 
 
 def _frequencies_00(data) -> np.ndarray:
@@ -353,16 +365,3 @@ def observables_from_estimate(est: TomographyEstimate) -> dict[str, ObservableVa
     """All five complementarity observables, evaluated on the physical projection."""
     return observable_set(est.projected)
 
-
-def tomograph(
-    state: StateVector | DensityMatrix,
-    shots: int | None,
-    master_seed: int = 0,
-    noise: NoiseModel = NoiseModel(),
-    seed_path: tuple[int, ...] = (),
-) -> TomographyEstimate:
-    """Collect (sampled, or exact when ``shots`` is None) and reconstruct."""
-    settings = tomography_settings()
-    if shots is None:
-        return linear_reconstruct(collect_exact(state, settings))
-    return linear_reconstruct(collect(state, settings, shots, master_seed, noise, seed_path))

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qndsim.circuits import Circuit, cnot, cry, h, rx, ry, x
+from qndsim import tomography as tom
+from qndsim.circuits import Circuit, NoiseModel, cnot, cry, h, rx, ry, x
 from qndsim.qmath import DensityMatrix, StateVector
 
 
@@ -47,3 +48,21 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def tomograph(
+    state: StateVector | DensityMatrix,
+    shots: int | None,
+    master_seed: int = 0,
+    noise: NoiseModel = NoiseModel(),
+    seed_path: tuple[int, ...] = (),
+) -> tom.TomographyEstimate:
+    """Tomograph one state: every setting's outcome probabilities, drawn
+    (or read exactly when ``shots`` is None), then reconstructed."""
+    settings = tom.tomography_settings()
+    if shots is None:
+        return tom.linear_reconstruct(tom.collect_exact(state, settings))
+    probs = tom.setting_probabilities(state, settings, noise)
+    return tom.linear_reconstruct(
+        tom.collect(probs, shots, master_seed, noise.readout_flip, seed_path)
+    )

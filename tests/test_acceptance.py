@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_density_matrix, random_real_pure_state
+from helpers import random_density_matrix, random_real_pure_state, tomograph
 from qndsim import circuits as circ
 from qndsim import experiments as ex
-from qndsim import tomography as tom
 from qndsim.analysis import fit_mixed_fraction, rms_error
 from qndsim.circuits import NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol, run_sweep
@@ -153,13 +152,13 @@ def test_criterion_07_tomography_round_trip():
     worst = 0.0
     for _ in range(25):
         rho = random_density_matrix(rng, 2)
-        est = tom.tomograph(rho, shots=None)
+        est = tomograph(rho, shots=None)
         worst = max(worst, float(np.max(np.abs(est.raw - rho.matrix))))
 
     bell = StateVector(2, ex.PHI_PLUS)
     rho_bell = bell.density()
     hits = sum(
-        fidelity(rho_bell, tom.tomograph(bell, shots=5000, master_seed=s).projected) >= 0.965
+        fidelity(rho_bell, tomograph(bell, shots=5000, master_seed=s).projected) >= 0.965
         for s in range(100)
     )
     _report(7, worst <= 1e-8 and hits >= 95,

@@ -106,7 +106,8 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
     layers = tom._pre_rotation_layers(tuple(ts), num_qubits)
     stack = circ.run_batch(state, layers, noise)
     probs = circ.born_probabilities(stack)
-    counts = tom.collect(state, ts, 300, seed, noise, seed_path=(2, 5))
+    counts = tom.collect(tom.setting_probabilities(state, ts, noise), 300, seed,
+                         noise.readout_flip, seed_path=(2, 5))
     assert len(stack) == len(counts) == 16
     for k, setting in enumerate(ts):
         pre = setting.pre_rotation(num_qubits)
@@ -171,11 +172,11 @@ def test_pure_input_rejects_depolarizing_noise(depol, monkeypatch):
     with pytest.raises(ValueError, match="density-matrix input"):
         circ.run_batch(psi, layers, noise)
     with pytest.raises(ValueError, match="density-matrix input"):
-        tom.collect(psi, ts, 100, 0, noise)
+        tom.setting_probabilities(psi, ts, noise)
     monkeypatch.undo()
     # a readout flip alone, or switched-off noise, stays allowed
-    tom.collect(psi, ts, 100, 0, NoiseModel(readout_flip=0.05, enabled=True))
-    tom.collect(psi, ts, 100, 0, NoiseModel(enabled=False, **depol))
+    tom.setting_probabilities(psi, ts, NoiseModel(readout_flip=0.05, enabled=True))
+    tom.setting_probabilities(psi, ts, NoiseModel(enabled=False, **depol))
 
 
 @pytest.mark.parametrize(

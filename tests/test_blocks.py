@@ -6,16 +6,22 @@ its own input tomography and reconstructs its own output estimates. The
 stream tree (master seed, stage, point, setting) is the same in both, so
 every record must come out ``==``, never merely close: a one-ULP change in
 a probability can swap the counts of two equally likely outcomes.
+
+A block's seed-independent stage is cached (``harness._prepare_block``), so
+each comparison runs from a cold cache, again from the warm one, and with
+another seed drawn from the same entries.
 """
 
+import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit, random_density_matrix, random_pure_state
+from helpers import random_circuit, random_density_matrix, random_pure_state, tomograph
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import tomography as tom
@@ -23,15 +29,26 @@ from qndsim.analysis import BranchResult, SweepRecord
 from qndsim.circuits import Circuit, EmptyBranchError, Gate, NoiseModel
 from qndsim.harness import (
     BLOCK_POINTS,
+    THETA_DEFAULTS,
+    PreparedBlock,
     SweepConfig,
     _observable_key,
     _prep_params,
+    _prepare_block,
     repeat_fixed_state,
+    run_criteria_protocol,
     run_sweep,
     theory_value,
 )
 from qndsim.observables import observable_stack
-from qndsim.qmath import StateVector, basis_state, fidelity, fidelity_stack, partial_trace
+from qndsim.qmath import (
+    DensityMatrix,
+    StateVector,
+    basis_state,
+    fidelity,
+    fidelity_stack,
+    partial_trace,
+)
 
 NOISE = {
     "none": NoiseModel(),
@@ -51,8 +68,9 @@ def _reference_states(p, setting, noise):
 
 
 def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_theory):
-    counts = tom.collect(out_state, tom.tomography_settings(), config.shots,
-                         config.master_seed, config.noise, seed_path=(2, index))
+    probs = tom.setting_probabilities(out_state, tom.tomography_settings(), config.noise)
+    counts = tom.collect(probs, config.shots, config.master_seed, config.noise.readout_flip,
+                         seed_path=(2, index))
     data = [circ.marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
@@ -100,12 +118,12 @@ def _reference_point(config, index, phi, seed_tag):
     else:
         anc = circ.sample_counts(out_state, setting.ancilla_qubits, config.shots,
                                  circ.rng_stream(ms, 0, index), noise.readout_flip)
-    est_in = tom.tomograph(chi_actual, None if config.exact_mode else config.shots,
+    est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
                            ms, noise, seed_path=(1, index))
     rho_psi_theory = ex.output_mixture(ideal)
     if config.exact_mode:
         rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
-        est_out = tom.tomograph(partial_trace(rho4, (0, 1)), None)
+        est_out = tomograph(partial_trace(rho4, (0, 1)), None)
         tomo_out = tom.observables_from_estimate(est_out)[key].value
         fidelity_out = fidelity(rho_psi_theory, est_out.projected)
         branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
@@ -126,9 +144,64 @@ def _reference_point(config, index, phi, seed_tag):
     )
 
 
+def _reference_sweep(config):
+    return [_reference_point(config, i, phi, config.master_seed)
+            for i, phi in enumerate(config.phi_values())]
+
+
+def _reference_repetitions(repetitions):
+    def reference(config):
+        fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
+        return [_reference_point(fixed, r, math.pi / 2, r) for r in range(repetitions)]
+    return reference
+
+
+def _check_cold_and_warm(run, config, reference):
+    """``run(config)`` gives the reference records from a cold cache and
+    again from the warm one, and another seed's records come out of the
+    same entries without preparing anything."""
+    _prepare_block.cache_clear()
+    expected = reference(config)
+    assert run(config) == expected  # cold: every block is prepared
+    assert run(config) == expected  # warm: every block comes from the cache
+    other = replace(config, master_seed=config.master_seed + 1)
+    misses = _prepare_block.cache_info().misses
+    assert run(other) == reference(other)
+    assert _prepare_block.cache_info().misses == misses
+
+
 # a single point, one block minus one, and one block plus one
-POINT_COUNTS = st.sampled_from([1, BLOCK_POINTS - 1, BLOCK_POINTS + 1])
+COUNTS = (1, BLOCK_POINTS - 1, BLOCK_POINTS + 1)
+POINT_COUNTS = st.sampled_from(COUNTS)
 ANGLE = st.floats(0.0, 2 * math.pi)
+# Every observable under every noise, each case through one of the two entry
+# points. Entry point, mode and point count take turns, so that each entry
+# point meets every observable, every noise, both modes and every count.
+GRID = [
+    (("sweep", "repeat")[k % 2], observable, noise, k // 2 % 2 == 1, COUNTS[k // 2 % 3])
+    for k, (observable, noise) in enumerate(itertools.product(ex.OBSERVABLES, sorted(NOISE)))
+]
+
+
+@pytest.mark.parametrize("entry, observable, noise, exact, count", GRID)
+def test_cached_blocks_match_per_point_reference(entry, observable, noise, exact, count):
+    config = SweepConfig(observable, phi_start=0.2, phi_count=count, phi_step=0.4, shots=200,
+                         exact_mode=exact, noise=NOISE[noise], master_seed=count)
+    if entry == "sweep":
+        _check_cold_and_warm(run_sweep, config, _reference_sweep)
+    else:
+        _check_cold_and_warm(lambda c: repeat_fixed_state(c, count), config,
+                             _reference_repetitions(count))
+
+
+def test_cache_keeps_observables_noise_and_modes_apart():
+    # at the same angles PA and PB share their circuit and their states: only
+    # the observable in the key tells their blocks apart
+    for observable, noise, exact in itertools.product(("PA", "PB"), sorted(NOISE), (False, True)):
+        config = SweepConfig(observable, theta=1.1, lam=0.3, phi_start=0.9, phi_count=1,
+                             shots=200, exact_mode=exact, noise=NOISE[noise], master_seed=4)
+        assert run_sweep(config) == _reference_sweep(config)
+    assert _prepare_block.cache_info().currsize == 12
 
 
 @settings(max_examples=14, deadline=None)
@@ -149,9 +222,7 @@ def test_sweep_blocks_match_per_point_reference(
     config = SweepConfig(observable, theta=theta, lam=lam, phi_start=phi_start,
                          phi_count=phi_count, phi_step=phi_step, shots=300,
                          exact_mode=exact, noise=NOISE[noise], master_seed=seed)
-    expected = [_reference_point(config, i, phi, seed)
-                for i, phi in enumerate(config.phi_values())]
-    assert run_sweep(config) == expected
+    _check_cold_and_warm(run_sweep, config, _reference_sweep)
 
 
 @settings(max_examples=6, deadline=None)
@@ -163,10 +234,72 @@ def test_sweep_blocks_match_per_point_reference(
 )
 def test_repetitions_match_per_point_reference(observable, repetitions, noise, seed):
     config = SweepConfig(observable, shots=200, noise=NOISE[noise], master_seed=seed)
-    fixed = SweepConfig(observable, theta=math.pi, phi_start=math.pi / 2, phi_count=1,
-                        shots=200, noise=NOISE[noise], master_seed=seed)
-    expected = [_reference_point(fixed, r, math.pi / 2, r) for r in range(repetitions)]
-    assert repeat_fixed_state(config, repetitions) == expected
+    _check_cold_and_warm(lambda c: repeat_fixed_state(c, repetitions), config,
+                         _reference_repetitions(repetitions))
+
+
+@settings(max_examples=3, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3, unique=True))
+def test_criteria_seeds_match_single_seed_reports(seeds):
+    kwargs = dict(observables=("VA", "C1", "C2"), phi_count=4, phi_step=math.pi / 4,
+                  shots=200, noise=NOISE["criterion 9"])
+    _prepare_block.cache_clear()
+    report = run_criteria_protocol(seeds, **kwargs)
+    singles = []
+    for seed in seeds:
+        _prepare_block.cache_clear()
+        singles.append(run_criteria_protocol([seed], **kwargs))
+    assert report["per_seed"] == [single["per_seed"][0] for single in singles]
+    for name, mean in report["mean_average_errors"].items():
+        assert mean == float(np.mean([single["mean_average_errors"][name] for single in singles]))
+
+
+def _reachable(obj):
+    """Every value reachable from a block through dataclass fields and tuples."""
+    yield obj
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _reachable(item)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            yield from _reachable(getattr(obj, name))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("noise", sorted(NOISE))
+@pytest.mark.parametrize("observable", ex.OBSERVABLES)
+def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
+    theta = THETA_DEFAULTS[observable]
+    params = tuple(_prep_params(0.7 * k, theta, 0.0) for k in range(3))
+    block = _prepare_block(observable, params, NOISE[noise], exact)
+    assert isinstance(block, PreparedBlock)
+    values = list(_reachable(block))
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 3
+    for a in arrays:
+        assert not a.flags.writeable and a.base is None
+    # the readout keeps the ancilla marginal, never a full-register density matrix
+    assert all(v.num_qubits <= 2 for v in values if isinstance(v, DensityMatrix))
+
+
+@pytest.mark.parametrize("noise", ["none", "criterion 9"])
+def test_seeds_prepare_their_states_once(noise, monkeypatch):
+    calls = []
+    run_batch = circ.run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(circ, "run_batch", counted)
+    kwargs = dict(observables=("VA", "C1"), phi_count=4, phi_step=math.pi / 4, shots=100,
+                  noise=NOISE[noise])
+    run_criteria_protocol([0], **kwargs)
+    one_seed = len(calls)
+    _prepare_block.cache_clear()
+    calls.clear()
+    run_criteria_protocol([0, 1, 2], **kwargs)
+    assert len(calls) == one_seed > 0
 
 
 def _variant(gate: Gate, rng) -> Gate | None:
@@ -224,11 +357,13 @@ def test_collect_from_a_stack_of_states(seed, count, pure, num_qubits):
     noise = NoiseModel(readout_flip=0.05) if pure else NoiseModel(0.01, 0.05, 0.05)
     ts = tom.tomography_settings()
     paths = [(1, int(i)) for i in rng.permutation(count)]
-    counts = tom.collect(states, ts, 200, seed, noise, seed_path=paths)
+    probs = tom.setting_probabilities(states, ts, noise)
+    counts = tom.collect(probs, 200, seed, noise.readout_flip, seed_path=paths)
     exact = tom.collect_exact(states, ts)
     assert counts.shape == exact.shape == (count, 16, 2**num_qubits)
     for state, path, got, got_exact in zip(states, paths, counts, exact):
-        assert np.array_equal(got, tom.collect(state, ts, 200, seed, noise, seed_path=path))
+        one = tom.setting_probabilities(state, ts, noise)
+        assert np.array_equal(got, tom.collect(one, 200, seed, noise.readout_flip, seed_path=path))
         assert np.array_equal(got_exact, tom.collect_exact(state, ts))
 
 
@@ -246,7 +381,8 @@ def test_stack_arguments_rejected(states, message):
 def test_collect_needs_a_seed_path_per_state():
     psi = basis_state(2)
     with pytest.raises(ValueError, match="1 seed paths for 2 states"):
-        tom.collect([psi, psi], tom.tomography_settings(), 10, 0, seed_path=[(1, 0)])
+        tom.collect(tom.setting_probabilities([psi, psi], tom.tomography_settings()), 10, 0,
+                    seed_path=[(1, 0)])
 
 
 def test_sweep_memory_is_bounded_by_the_block():
@@ -254,10 +390,14 @@ def test_sweep_memory_is_bounded_by_the_block():
     noise = NOISE["criterion 9"]
     config = SweepConfig("C2", phi_count=64, shots=2000, noise=noise, master_seed=3)
     run_sweep(config)  # fills the gate caches, which later sweeps share
+    _prepare_block.cache_clear()  # but the sweep prepares its own blocks
     tracemalloc.start()
     try:
         run_sweep(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert _prepare_block.cache_info().currsize == 4
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+    # what stays is the four prepared blocks, which hold no evolved stacks
+    assert held < 384 * 2**10, f"held {held / 2**10:.0f} KB"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from helpers import random_density_matrix
+from helpers import random_density_matrix, tomograph
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.experiments import PHI_PLUS, PSI_MINUS, PrepParams, bell_coefficients
@@ -51,13 +51,20 @@ class TestCollect:
 
     def test_deterministic_under_fixed_seed(self):
         settings = tom.tomography_settings()
-        a = tom.collect(bell(), settings, 500, master_seed=5)
-        b = tom.collect(bell(), settings, 500, master_seed=5)
+        probs = tom.setting_probabilities(bell(), settings)
+        a = tom.collect(probs, 500, master_seed=5)
+        b = tom.collect(probs, 500, master_seed=5)
         assert a.shape == (16, 4) and np.array_equal(a, b)
+
+    def test_rejects_probabilities_of_another_shape(self):
+        # one state's (settings, 2^n) array or a (states, settings, 2^n) stack
+        with pytest.raises(ValueError, match="got shape"):
+            tom.collect(np.full(4, 0.25), 100, master_seed=0)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            tom.collect(bell(), tom.tomography_settings(), 0, master_seed=0)
+            tom.collect(tom.setting_probabilities(bell(), tom.tomography_settings()), 0,
+                        master_seed=0)
 
 
 class TestLinearReconstruct:
@@ -65,23 +72,23 @@ class TestLinearReconstruct:
         rng = np.random.default_rng(51)
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            est = tom.tomograph(rho, shots=None)
+            est = tomograph(rho, shots=None)
             np.testing.assert_allclose(est.raw, rho.matrix, atol=1e-8)
 
     def test_bell_exact_is_physical(self):
-        est = tom.tomograph(bell(), shots=None)
+        est = tomograph(bell(), shots=None)
         np.testing.assert_allclose(est.raw, bell().density().matrix, atol=1e-10)
         assert est.min_eigenvalue >= -1e-10
 
     def test_finite_shots_can_go_negative(self):
         # the non-PSD artifact of plain linear inversion: flagged, not fatal
-        est = tom.tomograph(bell(), shots=5000, master_seed=0)
+        est = tomograph(bell(), shots=5000, master_seed=0)
         assert est.min_eigenvalue < 0
         assert est.method == "linear+projection"
         assert np.trace(est.projected.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_is_hermitian_trace_one(self):
-        est = tom.tomograph(bell(), shots=300, master_seed=3)
+        est = tomograph(bell(), shots=300, master_seed=3)
         np.testing.assert_allclose(est.raw, est.raw.conj().T, atol=1e-12)
         assert np.trace(est.raw).real == pytest.approx(1.0, abs=1e-10)
 
@@ -150,12 +157,12 @@ class TestObservablesFromEstimate:
     def test_exact_concurrence_sweep(self):
         for phi in np.linspace(0, 2 * math.pi, 9):
             chi = bell_coefficients(PrepParams(phi, math.pi)).state_vector()
-            est = tom.tomograph(chi, shots=None)
+            est = tomograph(chi, shots=None)
             vals = tom.observables_from_estimate(est)
             assert vals["C"].value == pytest.approx(abs(math.sin(phi)), abs=1e-8)
 
     def test_ground_state_values(self):
-        est = tom.tomograph(basis_state(2), shots=None)
+        est = tomograph(basis_state(2), shots=None)
         vals = tom.observables_from_estimate(est)
         assert vals["PA"].value == pytest.approx(1.0, abs=1e-10)
         assert vals["PB"].value == pytest.approx(1.0, abs=1e-10)
@@ -166,7 +173,7 @@ class TestObservablesFromEstimate:
         # Monte Carlo calibrated band: within 0.07 of unity on >= 95% of seeds
         hits = 0
         for seed in range(60):
-            est = tom.tomograph(bell(), shots=5000, master_seed=seed)
+            est = tomograph(bell(), shots=5000, master_seed=seed)
             c = tom.observables_from_estimate(est)["C"].value
             hits += (1.0 - c) <= 0.07
         assert hits / 60 >= 0.95
@@ -178,7 +185,7 @@ class TestFidelityVsShots:
         means = []
         for shots in (250, 1000, 5000, 20000):
             fids = [
-                fidelity(rho_bell, tom.tomograph(bell(), shots=shots, master_seed=s).projected)
+                fidelity(rho_bell, tomograph(bell(), shots=shots, master_seed=s).projected)
                 for s in range(50)
             ]
             means.append(np.mean(fids))
