@@ -4,10 +4,11 @@ Execution comes in two flavors: pure state-vector evolution and noisy
 density-matrix evolution with a per-gate depolarizing channel. Both run a
 batch of circuits, from one state or from one state per circuit, as one
 stack, layer by layer (``run_batch``); a single circuit is a batch of one.
-Measurement sampling is multinomial over the Born-rule marginal,
-deterministic for a given seed, with an optional independent readout flip
-per recorded bit; counts are integer arrays indexed by outcome, and
-post-selection and marginalization index or sum their bit axes.
+A measurement's outcome distribution is the Born-rule marginal with an
+optional independent readout flip per recorded bit; sampling draws from
+it, multinomially and deterministically for a given seed, and exact mode
+reads it. Counts are integer arrays indexed by outcome, and post-selection
+and marginalization index or sum their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
@@ -374,11 +375,17 @@ def born_probabilities(stack: np.ndarray) -> np.ndarray:
     return np.diagonal(stack, axis1=-2, axis2=-1).real
 
 
-def _marginal_probabilities(
-    state: StateVector | DensityMatrix, measured_qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Born-rule probabilities over the measured qubits, in listed-bit order."""
+def _marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits) -> np.ndarray:
+    """Born-rule probabilities over the measured qubits, in listed-bit order;
+    the qubits are checked first."""
+    measured_qubits = tuple(measured_qubits)
     n = state.num_qubits
+    if not measured_qubits:
+        raise ValueError("measured_qubits must not be empty")
+    if len(set(measured_qubits)) != len(measured_qubits):
+        raise ValueError("measured_qubits must be distinct")
+    if any(q < 0 or q >= n for q in measured_qubits):
+        raise ValueError("measured qubit out of range")
     if isinstance(state, StateVector):
         probs_t = np.abs(state.amplitudes.reshape([2] * n)) ** 2
         drop = tuple(q for q in range(n) if q not in measured_qubits)
@@ -397,30 +404,11 @@ def _marginal_probabilities(
     return probs_t.reshape(-1)
 
 
-def _validate_measured(state, measured_qubits) -> tuple[int, ...]:
-    measured = tuple(measured_qubits)
-    if not measured:
-        raise ValueError("measured_qubits must not be empty")
-    if len(set(measured)) != len(measured):
-        raise ValueError("measured_qubits must be distinct")
-    if any(q < 0 or q >= state.num_qubits for q in measured):
-        raise ValueError("measured qubit out of range")
-    return measured
-
-
 def probability_map(probs: np.ndarray) -> dict[str, float]:
     """Outcome probabilities keyed by bitstring, those below 1e-15 omitted
     (sampling never produces them)."""
     m = len(probs).bit_length() - 1
     return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
-
-
-def exact_probabilities(
-    state: StateVector | DensityMatrix, measured_qubits
-) -> dict[str, float]:
-    """Exact outcome probabilities (the infinite-shot limit of sampling)."""
-    measured = _validate_measured(state, measured_qubits)
-    return probability_map(_marginal_probabilities(state, measured))
 
 
 @lru_cache(maxsize=64)
@@ -431,23 +419,35 @@ def _confusion(num_bits: int, flip: float) -> np.ndarray:
     return confusion
 
 
-def sample_batch(
-    probs: np.ndarray, shots: int, rngs, readout_flip: float = 0.0
-) -> np.ndarray:
-    """One multinomial draw per row of a (B, 2^m) stack of Born probabilities.
-
-    Returns the (B, 2^m) integer counts. Row i is drawn from ``rngs[i]``.
-    Each recorded bit is independently flipped with probability
-    ``readout_flip`` (folded into the outcome distribution before drawing,
-    which is statistically identical to flipping after the draw).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = np.clip(probs, 0.0, None)
-    m = probs.shape[-1].bit_length() - 1
+def _outcome_distribution(born: np.ndarray, readout_flip: float) -> np.ndarray:
+    """The recorded-outcome distribution of each row of a (B, 2^m) stack of
+    Born probabilities: clipped at zero, then each recorded bit flipped
+    independently with probability ``readout_flip``. Sampling draws from
+    it and exact mode reads it."""
+    probs = np.clip(born, 0.0, None)
     if readout_flip > 0.0:
+        m = probs.shape[-1].bit_length() - 1
         # a matrix-vector product per row; probs @ confusion.T rounds differently
         probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]
+    return probs
+
+
+def exact_probabilities(
+    state: StateVector | DensityMatrix, measured_qubits, readout_flip: float = 0.0
+) -> dict[str, float]:
+    """Exact outcome probabilities, each recorded bit flipped with
+    probability ``readout_flip``: the distribution ``sample_counts`` draws
+    from, its infinite-shot limit."""
+    born = _marginal_probabilities(state, measured_qubits)[None]
+    return probability_map(_outcome_distribution(born, readout_flip)[0])
+
+
+def sample_batch(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
+    """One multinomial draw per row of a (B, 2^m) stack of outcome
+    distributions; row i is drawn from ``rngs[i]``. Returns the (B, 2^m)
+    integer counts."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     return np.stack([
         rng.multinomial(shots, p / p.sum()) for p, rng in zip(probs, rngs, strict=True)
     ])
@@ -460,12 +460,11 @@ def sample_counts(
     seed: int | np.random.Generator,
     readout_flip: float = 0.0,
 ) -> np.ndarray:
-    """Multinomial draw from the Born-rule marginal distribution: the
-    (2^m,) counts of a batch of one (see ``sample_batch``)."""
-    measured = _validate_measured(state, measured_qubits)
+    """Multinomial draw from the distribution ``exact_probabilities`` gives:
+    the (2^m,) counts of a batch of one (see ``sample_batch``)."""
+    born = _marginal_probabilities(state, measured_qubits)[None]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    probs = _marginal_probabilities(state, measured)
-    return sample_batch(probs[None], shots, [rng], readout_flip)[0]
+    return sample_batch(_outcome_distribution(born, readout_flip), shots, [rng])[0]
 
 
 def postselect(

@@ -40,7 +40,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, help="preparation angle lambda (default 0)")
     p.add_argument("--shots", type=int, help="shots per circuit configuration (default 5000)")
     p.add_argument("--exact", action="store_true", default=None,
-                   help="exact probabilities instead of sampling")
+                   help="read the outcome distributions instead of sampling them")
     p.add_argument("--noise-1q", type=float, help="depolarizing probability per 1-qubit gate")
     p.add_argument("--noise-2q", type=float, help="depolarizing probability per 2-qubit gate")
     p.add_argument("--readout-flip", type=float, help="readout flip probability per bit")
@@ -161,6 +161,8 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     import numpy as np
 
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     grid = np.linspace(0.0, 2 * math.pi, args.grid)
     params = [PrepParams(phi, theta) for phi in grid for theta in grid]
     ok = visibility_identity_check(params, atol=args.atol)

@@ -553,9 +553,12 @@ def visibility_identity_deviation(p: PrepParams) -> float:
 def visibility_identity_check(params: list[PrepParams] | None = None, atol: float = 1e-8) -> bool:
     """True when the explicit operator reproduces the closed-form output.
 
-    Defaults to a 5x5 grid over (phi, theta) with lam = 0.
+    Defaults to a 5x5 grid over (phi, theta) with lam = 0. Raises
+    ValueError for an empty parameter list, which checks nothing.
     """
     if params is None:
         grid = np.linspace(0.0, 2 * math.pi, 5)
         params = [PrepParams(phi, theta) for phi in grid for theta in grid]
+    if not params:
+        raise ValueError("no parameters to check")
     return all(visibility_identity_deviation(p) <= atol for p in params)

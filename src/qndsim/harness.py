@@ -12,21 +12,25 @@ The protocol for every sweep point mirrors the experimental procedure:
 Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
 
 * The seed-independent stage (``_prepare_block``) is a function of the
-  observable, the block's preparation angles reduced mod 2*pi, the noise
-  model and the exact-mode flag, and is cached on exactly that key. It
-  runs the full circuits of all points as one batch and keeps, per point,
-  the theory value, the ideal branch data, the fidelity targets, what the
-  ancilla readout reads, and every tomography setting's outcome
-  probabilities for the input pair and for the output register. The last
-  ``PREPARED_BLOCKS`` blocks stay cached, so the seeds of a criteria run,
-  like any sweeps that differ only in their seed, prepare each block once.
+  observable, the block's distinct preparation angles reduced mod 2*pi
+  and the noise model, and is cached on exactly that key. It runs the
+  full circuits of all those points as one batch and keeps, per point,
+  the theory value, the ideal branch data, the fidelity targets, the state
+  the ancilla readout measures, and every tomography setting's outcome
+  distribution, readout flip included, for the input pair and for the
+  output register. The last ``PREPARED_BLOCKS`` blocks stay cached, so the
+  seeds of a criteria run, like any sweeps that differ only in their seed
+  or their mode, prepare each block once.
 * The seed stage (``_measure_block``) draws the ancilla readout and the
   input and output tomography counts from those distributions and
   analyzes them: each input estimate on its own, and the sampled output
-  estimates of every point and branch as one stack.
+  estimates of every point and branch as one stack. Exact mode reads the
+  same distributions instead, the infinite-shot limit of the draws, and
+  analyzes no branch.
 
-Each point's output-tomography evolution runs on its own, so memory
-depends on the block size, not on the sweep length.
+Each mixed point's output-tomography evolution runs on its own (pure
+points, 16 state vectors each, run as one stack), so memory depends on the
+block size, not on the sweep length.
 
 Every random draw comes from a stream derived from
 (master_seed, stage, point, setting), so results are byte-reproducible
@@ -258,20 +262,19 @@ call. A 16-point block holds 50 to 80 KB."""
 @dataclass(frozen=True, eq=False)
 class PreparedBlock:
     """The seed-independent stage of a block. Every field but
-    ``readout_qubits`` has one entry per point.
+    ``readout_qubits`` has one entry per prepared state.
 
     ``theory`` and ``branches`` are the observable's defining-formula value
     and the ideal branch data. The fidelity targets are ``target_in``, the
     ideal input states, and ``target_out``, a (B, 4, 4) stack of the ideal
     unconditional outputs.
 
-    ``readout`` is what the ancilla readout reads: the exact ancilla
-    probabilities as (outcome, probability) pairs in exact mode, else the
-    state to sample ``readout_qubits`` of, the full register when pure and
-    its ancilla marginal when mixed. ``probs_in`` and ``probs_out`` hold
-    each setting's outcome probabilities, (B, 16, 4) for the input pair and
-    (B, 16, 2^n) for the full output register; in exact mode both are
-    ``collect_exact`` data over the pair, the output one after the readout.
+    ``readout`` holds the states whose ``readout_qubits`` the ancilla
+    readout measures: the full register when pure, its ancilla marginal
+    when mixed. ``probs_in`` and ``probs_out`` hold each setting's outcome
+    distribution, readout flip included, (B, 16, 4) for the input pair and
+    (B, 16, 2^n) for the full output register. Sampled mode draws from
+    them and exact mode reads them, so one block serves both modes.
 
     Every array is owned and read-only, so an entry pins nothing else.
     """
@@ -280,7 +283,7 @@ class PreparedBlock:
     branches: tuple[tuple[ex.Branch, ...], ...]
     target_in: tuple[DensityMatrix, ...]
     target_out: np.ndarray
-    readout: tuple
+    readout: tuple[StateVector | DensityMatrix, ...]
     readout_qubits: tuple[int, ...]
     probs_in: np.ndarray
     probs_out: np.ndarray
@@ -292,33 +295,22 @@ class PreparedBlock:
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
 def _prepare_block(
-    observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel, exact: bool
+    observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel
 ) -> PreparedBlock:
     """Everything the seed does not change: the states, their ideal
-    counterparts and the outcome distributions the draws sample."""
+    counterparts and the outcome distributions of every measurement."""
     setting = ex.setting_for(observable)
     chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
     ideal = tuple(ex.branch_data(setting, p) for p in params)
     chi_actual, out_states = _prepare_states(list(params), setting, noise)
     settings = tom.tomography_settings()
     ancillas = setting.ancilla_qubits
-    if exact:
-        readout = tuple(
-            tuple(circ.exact_probabilities(s, ancillas).items()) for s in out_states
-        )
-        pairs = [
-            partial_trace(s.density() if isinstance(s, StateVector) else s, (0, 1))
-            for s in out_states
-        ]
-        probs_in = tom.collect_exact(chi_actual, settings)
-        probs_out = tom.collect_exact(pairs, settings)
+    if isinstance(out_states[0], StateVector):
+        readout = tuple(out_states)
+        probs_out = tom.setting_probabilities(out_states, settings, noise)
     else:
-        if isinstance(out_states[0], StateVector):
-            readout = tuple(out_states)
-        else:
-            readout = tuple(partial_trace(s, ancillas) for s in out_states)
-            ancillas = tuple(range(len(ancillas)))
-        probs_in = tom.setting_probabilities(chi_actual, settings, noise)
+        readout = tuple(partial_trace(s, ancillas) for s in out_states)
+        ancillas = tuple(range(len(ancillas)))
         # one state at a time: the evolved stack of a point is 16 full-register
         # density matrices, and the block's would be 16 times that
         probs_out = np.stack([tom.setting_probabilities(s, settings, noise) for s in out_states])
@@ -329,59 +321,46 @@ def _prepare_block(
         target_out=np.stack([ex.output_mixture(bs).matrix for bs in ideal]),
         readout=readout,
         readout_qubits=ancillas,
-        probs_in=probs_in,
+        probs_in=tom.setting_probabilities(chi_actual, settings, noise),
         probs_out=probs_out,
     )
 
 
 def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
-    """The seed stage: draw from the block's prepared distributions and
-    analyze the draws."""
+    """The seed stage: draw from the block's prepared distributions, or read
+    them in exact mode, and analyze the data."""
     obs = config.observable
     key = _observable_key(obs)
     setting = ex.setting_for(obs)
     ms, shots, flip = config.master_seed, config.shots, config.noise.readout_flip
-    exact = config.exact_mode
     indices = [index for index, _, _ in points]
-    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
-    block = _prepare_block(obs, params, config.noise, exact)
+    params = [_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points]
+    # points at the same angles, like the repetitions of one state, share a slot
+    slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
+    slots = [slot_of[p] for p in params]
+    block = _prepare_block(obs, tuple(slot_of), config.noise)
+    readouts = [block.readout[k] for k in slots]
+    ideal = [block.branches[k] for k in slots]
+    probs_in, probs_out = block.probs_in[slots], block.probs_out[slots]
+    target_out = block.target_out[slots]
 
-    # stage 2: ancilla readout -> observable estimate
-    qnd_estimates = []
-    for index, readout in zip(indices, block.readout):
-        if exact:
-            anc_stats: dict | np.ndarray = dict(readout)
-        else:
-            anc_stats = circ.sample_counts(
-                readout, block.readout_qubits, shots, circ.rng_stream(ms, 0, index), flip
-            )
-        qnd_estimates.append(ex.estimate_observable(setting, anc_stats)[obs].value)
-
-    # stage 1: input-state tomography, drawn as one stack
-    if exact:
-        data_in = block.probs_in
+    # the ancilla readout, the input tomography data and the output analysis
+    if config.exact_mode:
+        anc_stats = [circ.exact_probabilities(r, block.readout_qubits, flip) for r in readouts]
+        data_in = probs_in
+        tomo_out, fidelity_out, branches = _exact_output(probs_out, ideal, target_out, key)
     else:
-        data_in = tom.collect(
-            block.probs_in, shots, ms, flip, seed_path=[(1, index) for index in indices]
-        )
-    tomo_in, est_in = _estimate_each(data_in, key)
-    fidelity_in = [fidelity(target, est) for target, est in zip(block.target_in, est_in)]
-
-    # stages 3 and 4: output tomography, unconditional and per branch
-    if exact:
-        tomo_out, est_out = _estimate_each(block.probs_out, key)
-        fidelity_out = fidelity_stack(
-            block.target_out, np.stack([est.matrix for est in est_out])
-        ).tolist()
-        branches = [
-            tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs)
-            for bs in block.branches
+        anc_stats = [
+            circ.sample_counts(r, block.readout_qubits, shots, circ.rng_stream(ms, 0, index), flip)
+            for r, index in zip(readouts, indices)
         ]
-    else:
-        counts = tom.collect(
-            block.probs_out, shots, ms, flip, seed_path=[(2, index) for index in indices]
-        )
-        tomo_out, fidelity_out, branches = _output_tomography(setting, counts, block, key)
+        data_in = tom.collect(probs_in, shots, ms, seed_path=[(1, index) for index in indices])
+        counts = tom.collect(probs_out, shots, ms, seed_path=[(2, index) for index in indices])
+        tomo_out, fidelity_out, branches = _output_tomography(
+            setting, counts, ideal, target_out, key)
+    qnd_estimates = [ex.estimate_observable(setting, a)[obs].value for a in anc_stats]
+    tomo_in, est_in = _estimate_each(data_in, key)
+    fidelity_in = [fidelity(block.target_in[k], est) for k, est in zip(slots, est_in)]
 
     return [
         SweepRecord(
@@ -389,18 +368,34 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=block.theory[i],
+            theory=block.theory[slots[i]],
             qnd_estimate=qnd_estimates[i],
             tomo_in=tomo_in[i],
             tomo_out=tomo_out[i],
             fidelity_in=fidelity_in[i],
             fidelity_out=fidelity_out[i],
             branches=branches[i],
-            shots=0 if exact else shots,
+            shots=0 if config.exact_mode else shots,
             seed=seed_tag,
         )
         for i, (_, phi, seed_tag) in enumerate(points)
     ]
+
+
+def _exact_output(probs_out, ideal, target_out, key: str):
+    """The unconditional output estimates of exact data: each point's
+    full-register distributions summed over the ancilla bits. No branch is
+    analyzed; the records carry the ideal branch data only.
+
+    Returns, per point, the observable value, its fidelity and the branches.
+    """
+    data = probs_out.reshape(*probs_out.shape[:2], 4, -1).sum(axis=-1)
+    tomo_out, est_out = _estimate_each(data, key)
+    fidelity_out = fidelity_stack(target_out, np.stack([est.matrix for est in est_out]))
+    branches = [
+        tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs) for bs in ideal
+    ]
+    return tomo_out, fidelity_out.tolist(), branches
 
 
 def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
@@ -414,7 +409,7 @@ def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
     return values, states
 
 
-def _output_tomography(setting, counts, block: PreparedBlock, key: str):
+def _output_tomography(setting, counts, ideal, target_out, key: str):
     """Analyze each point's output-tomography counts unconditionally and
     post-selected on each ancilla outcome, for every point of the block as
     one stack of estimates.
@@ -422,7 +417,6 @@ def _output_tomography(setting, counts, block: PreparedBlock, key: str):
     Returns, per point, the unconditional observable value, its fidelity,
     and the branch results.
     """
-    ideal = block.branches
     data, owners = [], []  # each data set and its (point, branch); no branch: unconditional
     for i, point_counts in enumerate(counts):
         data.append(circ.marginalize_counts(point_counts, (0, 1)))
@@ -441,7 +435,7 @@ def _output_tomography(setting, counts, block: PreparedBlock, key: str):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
     values = observable_stack(est.projected)[key][0].tolist()
     targets = {
-        k: block.target_out[i] if b is None
+        k: target_out[i] if b is None
         else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
         for k, (i, b) in enumerate(analyzed) if b is None or b.state is not None
     }

@@ -177,14 +177,15 @@ def _as_states(state: States) -> tuple[list, bool]:
 def setting_probabilities(
     state: States, settings: Sequence[TomographySetting], noise: NoiseModel = NoiseModel()
 ) -> np.ndarray:
-    """Outcome probabilities of every setting: a (settings, 2^n) array.
+    """Outcome distributions of every setting: a (settings, 2^n) array.
 
     Every qubit of the state is read out (outcome index bits list qubit 0
     first), and the pre-rotations act on qubits 0 and 1. On a density
     matrix they run through the noisy evolution so tomography is not
-    artificially cleaner than the rest of the experiment. A pure state
-    admits no depolarizing noise (``run_batch`` rejects it); the readout
-    flip belongs to the draw (``collect``).
+    artificially cleaner than the rest of the experiment; a pure state
+    admits no depolarizing noise (``run_batch`` rejects it). Each recorded
+    bit flips with the noise model's readout flip. ``collect`` draws from
+    these distributions; exact mode reads them.
 
     ``state`` may also be a sequence of states, all pure or all mixed,
     which run as one stack and give a (states, settings, 2^n) array. The
@@ -194,7 +195,7 @@ def setting_probabilities(
     layers = _pre_rotation_layers(tuple(settings), states[0].num_qubits)
     per_slice = [s for s in states for _ in settings]
     stack = circ.run_batch(per_slice, [layer * len(states) for layer in layers], noise)
-    probs = circ.born_probabilities(stack)
+    probs = circ._outcome_distribution(circ.born_probabilities(stack), noise.readout_flip)
     shape = (len(settings), probs.shape[-1])
     return probs.reshape(shape if single else (len(states), *shape)).copy()
 
@@ -203,17 +204,16 @@ def collect(
     probs: np.ndarray,
     shots: int,
     master_seed: int,
-    readout_flip: float = 0.0,
     seed_path: tuple[int, ...] | Sequence[tuple[int, ...]] = (),
 ) -> np.ndarray:
     """Sample every setting, one derived RNG stream per setting.
 
-    ``probs`` holds the (settings, 2^n) outcome probabilities of one state
+    ``probs`` holds the (settings, 2^n) outcome distributions of one state
     (``setting_probabilities``); the result is the (settings, 2^n) integer
     array of counts, setting k drawn from stream (master_seed, *seed_path,
-    k). Each recorded bit flips with probability ``readout_flip``.
+    k).
 
-    A (states, settings, 2^n) stack of probabilities draws as one batch;
+    A (states, settings, 2^n) stack of distributions draws as one batch;
     ``seed_path`` then lists one path per state, and setting k of state i
     draws from stream (master_seed, *seed_path[i], k).
     """
@@ -231,19 +231,8 @@ def collect(
     settings = probs.shape[-2]
     # streams are built as the draw reaches them, so they never all exist at once
     rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(settings))
-    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs, readout_flip)
+    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs)
     return counts.reshape(probs.shape)
-
-
-def collect_exact(state: States, settings: Sequence[TomographySetting]) -> np.ndarray:
-    """Exact (settings, 2^n) outcome probabilities (infinite-shot limit),
-    those below 1e-15 set to zero as sampling would never produce them.
-
-    A sequence of states gives a (states, settings, 2^n) array, as in
-    ``setting_probabilities``.
-    """
-    probs = setting_probabilities(state, settings, NoiseModel())
-    return np.where(probs > 1e-15, probs, 0.0)
 
 
 def _frequencies_00(data) -> np.ndarray:

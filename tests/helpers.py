@@ -57,12 +57,9 @@ def tomograph(
     noise: NoiseModel = NoiseModel(),
     seed_path: tuple[int, ...] = (),
 ) -> tom.TomographyEstimate:
-    """Tomograph one state: every setting's outcome probabilities, drawn
+    """Tomograph one state: every setting's outcome distribution, drawn
     (or read exactly when ``shots`` is None), then reconstructed."""
-    settings = tom.tomography_settings()
+    probs = tom.setting_probabilities(state, tom.tomography_settings(), noise)
     if shots is None:
-        return tom.linear_reconstruct(tom.collect_exact(state, settings))
-    probs = tom.setting_probabilities(state, settings, noise)
-    return tom.linear_reconstruct(
-        tom.collect(probs, shots, master_seed, noise.readout_flip, seed_path)
-    )
+        return tom.linear_reconstruct(probs)
+    return tom.linear_reconstruct(tom.collect(probs, shots, master_seed, seed_path))

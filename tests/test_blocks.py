@@ -7,6 +7,9 @@ stream tree (master seed, stage, point, setting) is the same in both, so
 every record must come out ``==``, never merely close: a one-ULP change in
 a probability can swap the counts of two equally likely outcomes.
 
+In exact mode the reference is its own sampled path with each draw
+replaced by the distribution it draws from, and no branch analyzed.
+
 A block's seed-independent stage is cached (``harness._prepare_block``), so
 each comparison runs from a cold cache, again from the warm one, and with
 another seed drawn from the same entries.
@@ -41,14 +44,7 @@ from qndsim.harness import (
     theory_value,
 )
 from qndsim.observables import observable_stack
-from qndsim.qmath import (
-    DensityMatrix,
-    StateVector,
-    basis_state,
-    fidelity,
-    fidelity_stack,
-    partial_trace,
-)
+from qndsim.qmath import DensityMatrix, basis_state, fidelity, fidelity_stack
 
 NOISE = {
     "none": NoiseModel(),
@@ -69,8 +65,13 @@ def _reference_states(p, setting, noise):
 
 def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_theory):
     probs = tom.setting_probabilities(out_state, tom.tomography_settings(), config.noise)
-    counts = tom.collect(probs, config.shots, config.master_seed, config.noise.readout_flip,
-                         seed_path=(2, index))
+    if config.exact_mode:
+        # the pair's distribution: the full register's summed over the ancilla bits
+        est = tom.linear_reconstruct(probs.reshape(16, 4, -1).sum(axis=-1))
+        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
+        return (tom.observables_from_estimate(est)[key].value,
+                fidelity(rho_psi_theory, est.projected), branches)
+    counts = tom.collect(probs, config.shots, config.master_seed, seed_path=(2, index))
     data = [circ.marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
@@ -114,22 +115,15 @@ def _reference_point(config, index, phi, seed_tag):
     ideal = ex.branch_data(setting, p)
     chi_actual, out_state = _reference_states(p, setting, noise)
     if config.exact_mode:
-        anc = circ.exact_probabilities(out_state, setting.ancilla_qubits)
+        anc = circ.exact_probabilities(out_state, setting.ancilla_qubits, noise.readout_flip)
     else:
         anc = circ.sample_counts(out_state, setting.ancilla_qubits, config.shots,
                                  circ.rng_stream(ms, 0, index), noise.readout_flip)
     est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
-                           ms, noise, seed_path=(1, index))
+                       ms, noise, seed_path=(1, index))
     rho_psi_theory = ex.output_mixture(ideal)
-    if config.exact_mode:
-        rho4 = out_state.density() if isinstance(out_state, StateVector) else out_state
-        est_out = tomograph(partial_trace(rho4, (0, 1)), None)
-        tomo_out = tom.observables_from_estimate(est_out)[key].value
-        fidelity_out = fidelity(rho_psi_theory, est_out.projected)
-        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
-    else:
-        tomo_out, fidelity_out, branches = _reference_output(
-            config, setting, out_state, index, ideal, key, rho_psi_theory)
+    tomo_out, fidelity_out, branches = _reference_output(
+        config, setting, out_state, index, ideal, key, rho_psi_theory)
     return SweepRecord(
         observable=obs, phi=phi, theta=config.theta_resolved, lam=config.lam,
         theory=theory_value(obs, chi_ideal),
@@ -194,14 +188,16 @@ def test_cached_blocks_match_per_point_reference(entry, observable, noise, exact
                              _reference_repetitions(count))
 
 
-def test_cache_keeps_observables_noise_and_modes_apart():
+def test_cache_keeps_observables_and_noise_apart_and_modes_share_a_block():
     # at the same angles PA and PB share their circuit and their states: only
-    # the observable in the key tells their blocks apart
+    # the observable in the key tells their blocks apart; exact mode reads the
+    # distributions sampled mode draws from, so the two modes share a block
     for observable, noise, exact in itertools.product(("PA", "PB"), sorted(NOISE), (False, True)):
         config = SweepConfig(observable, theta=1.1, lam=0.3, phi_start=0.9, phi_count=1,
                              shots=200, exact_mode=exact, noise=NOISE[noise], master_seed=4)
         assert run_sweep(config) == _reference_sweep(config)
-    assert _prepare_block.cache_info().currsize == 12
+    assert _prepare_block.cache_info().currsize == 6
+    assert _prepare_block.cache_info().hits == 6
 
 
 @settings(max_examples=14, deadline=None)
@@ -269,9 +265,14 @@ def _reachable(obj):
 @pytest.mark.parametrize("noise", sorted(NOISE))
 @pytest.mark.parametrize("observable", ex.OBSERVABLES)
 def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
+    # the block a sweep in either mode read, unchanged by the reading
+    config = SweepConfig(observable, phi_count=3, phi_step=0.7, shots=100, exact_mode=exact,
+                         noise=NOISE[noise])
+    run_sweep(config)
     theta = THETA_DEFAULTS[observable]
     params = tuple(_prep_params(0.7 * k, theta, 0.0) for k in range(3))
-    block = _prepare_block(observable, params, NOISE[noise], exact)
+    block = _prepare_block(observable, params, NOISE[noise])
+    assert _prepare_block.cache_info().hits == 1
     assert isinstance(block, PreparedBlock)
     values = list(_reachable(block))
     arrays = [v for v in values if isinstance(v, np.ndarray)]
@@ -300,6 +301,25 @@ def test_seeds_prepare_their_states_once(noise, monkeypatch):
     calls.clear()
     run_criteria_protocol([0, 1, 2], **kwargs)
     assert len(calls) == one_seed > 0
+
+
+@pytest.mark.parametrize("noise", ["none", "criterion 9"])
+def test_repetitions_prepare_their_state_once(noise, monkeypatch):
+    # the repetitions of one state share its preparation, in every block
+    calls = []
+    for name in ("run_batch", "run_pure", "run_noisy"):
+        def counted(*args, _name=name, _run=getattr(circ, name), **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(circ, name, counted)
+    config = SweepConfig("C2", shots=100, noise=NOISE[noise])
+    repeat_fixed_state(config, 1)
+    one = sorted(calls)
+    _prepare_block.cache_clear()
+    calls.clear()
+    repeat_fixed_state(config, 3 * BLOCK_POINTS + 2)
+    assert sorted(calls) == one
+    assert _prepare_block.cache_info().misses == 1
 
 
 def _variant(gate: Gate, rng) -> Gate | None:
@@ -358,13 +378,12 @@ def test_collect_from_a_stack_of_states(seed, count, pure, num_qubits):
     ts = tom.tomography_settings()
     paths = [(1, int(i)) for i in rng.permutation(count)]
     probs = tom.setting_probabilities(states, ts, noise)
-    counts = tom.collect(probs, 200, seed, noise.readout_flip, seed_path=paths)
-    exact = tom.collect_exact(states, ts)
-    assert counts.shape == exact.shape == (count, 16, 2**num_qubits)
-    for state, path, got, got_exact in zip(states, paths, counts, exact):
+    counts = tom.collect(probs, 200, seed, seed_path=paths)
+    assert counts.shape == probs.shape == (count, 16, 2**num_qubits)
+    for state, path, got, got_probs in zip(states, paths, counts, probs):
         one = tom.setting_probabilities(state, ts, noise)
-        assert np.array_equal(got, tom.collect(one, 200, seed, noise.readout_flip, seed_path=path))
-        assert np.array_equal(got_exact, tom.collect_exact(state, ts))
+        assert np.array_equal(got_probs, one)
+        assert np.array_equal(got, tom.collect(one, 200, seed, seed_path=path))
 
 
 @pytest.mark.parametrize("states, message", [

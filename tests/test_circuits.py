@@ -200,6 +200,16 @@ class TestExactProbabilities:
                     1.0, abs=1e-10
                 )
 
+    def test_readout_flip_is_the_distribution_sampling_draws(self):
+        assert exact_probabilities(basis_state(1), (0,), 0.1) == pytest.approx(
+            {"0": 0.9, "1": 0.1})
+        psi = random_pure_state(np.random.default_rng(28), 3)
+        probs = exact_probabilities(psi, (2, 0), 0.07)
+        p = np.array([probs[format(i, "02b")] for i in range(4)])
+        want = np.random.default_rng(5).multinomial(1000, p / p.sum())
+        got = sample_counts(psi, (2, 0), 1000, np.random.default_rng(5), readout_flip=0.07)
+        assert np.array_equal(got, want)
+
     def test_density_matrix_input_agrees_with_pure(self):
         rng = np.random.default_rng(27)
         psi = random_pure_state(rng, 3)

@@ -299,3 +299,8 @@ class TestOperatorIdentity:
 
     def test_random_triple(self):
         assert ex.visibility_identity_check([ex.PrepParams(0.7, 4.0, 5.5)])
+
+    def test_empty_parameter_list_rejected(self):
+        # an empty check passes vacuously, so it must not report a pass
+        with pytest.raises(ValueError, match="no parameters"):
+            ex.visibility_identity_check([])

@@ -440,6 +440,13 @@ class TestCli:
     def test_check_identity_subcommand(self):
         assert cli_main(["check-identity", "--grid", "3"]) == 0
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_check_identity_rejects_an_empty_grid(self, capsys, grid):
+        assert cli_main(["check-identity", "--grid", grid]) == 2
+        out, err = capsys.readouterr()
+        assert "--grid must be at least 1" in err
+        assert "PASS" not in out
+
     def test_criteria_subcommand(self, tmp_path):
         out = tmp_path / "report.json"
         assert cli_main(["criteria", "--seeds", "1", "--phi-steps", "3", "--shots", "200",

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy.optimize import minimize
 
-from helpers import random_density_matrix, tomograph
+from helpers import random_density_matrix, random_pure_state, tomograph
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.experiments import PHI_PLUS, PSI_MINUS, PrepParams, bell_coefficients
@@ -37,7 +38,7 @@ class TestSettings:
 
 class TestCollect:
     def test_exact_mode_gives_16_probability_maps(self):
-        maps = tom.collect_exact(bell(), tom.tomography_settings())
+        maps = tom.setting_probabilities(bell(), tom.tomography_settings())
         assert maps.shape == (16, 4)
         np.testing.assert_allclose(maps.sum(axis=1), 1.0, atol=1e-10)
 
@@ -92,8 +93,17 @@ class TestLinearReconstruct:
         np.testing.assert_allclose(est.raw, est.raw.conj().T, atol=1e-12)
         assert np.trace(est.raw).real == pytest.approx(1.0, abs=1e-10)
 
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_exact_data_return_the_state(self, seed, pure):
+        rng = np.random.default_rng(seed)
+        state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
+        est = tom.linear_reconstruct(tom.setting_probabilities(state, tom.tomography_settings()))
+        rho = state.density() if pure else state
+        assert np.max(np.abs(est.raw - rho.matrix)) <= 1e-12
+
     def test_incomplete_data_rejected(self):
-        maps = tom.collect_exact(bell(), tom.tomography_settings())
+        maps = tom.setting_probabilities(bell(), tom.tomography_settings())
         with pytest.raises(ValueError):
             tom.linear_reconstruct(maps[:10])
 
@@ -103,7 +113,7 @@ class TestLinearReconstruct:
         psi_minus = StateVector(2, PSI_MINUS)
         settings = tom.tomography_settings()[::-1]
         with pytest.raises(TypeError):
-            tom.linear_reconstruct(tom.collect_exact(psi_minus, settings), settings)
+            tom.linear_reconstruct(tom.setting_probabilities(psi_minus, settings), settings)
 
     def test_zero_trace_is_degenerate(self):
         # no setting ever reads "00": every projector expectation vanishes
