@@ -5,7 +5,7 @@ state preparation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,70 +121,21 @@ def fit_mixed_fraction(
     return FitResult("mixed_fraction", p_hat, rms_error(m, model))
 
 
-@dataclass(frozen=True)
-class ObservableCriteria:
-    """Per-observable error/fidelity summary across one sweep."""
-
-    observable: str
-    error_input_tomo: float
-    error_qnd: float
-    error_output_tomo: float
-    error_gap: float  # error_output_tomo - error_qnd
-    mean_conditional_value: float | None
-    mean_fidelity_in: float | None
-    mean_fidelity_out: float | None
-    mean_fidelity_post: float | None
-
-
-@dataclass(frozen=True)
-class CriteriaReport:
-    """Three-criteria summary over all observables of one configuration.
-
-    Averages weight each observable equally (the aggregation weights are a
-    choice; they are echoed in the metadata so downstream consumers know).
-    """
-
-    per_observable: dict[str, ObservableCriteria]
-    avg_error_input_tomo: float
-    avg_error_qnd: float
-    avg_error_output_tomo: float
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_observable": {
-                k: {
-                    "E_input_tomo": v.error_input_tomo,
-                    "E_qnd": v.error_qnd,
-                    "E_output_tomo": v.error_output_tomo,
-                    "E_gap": v.error_gap,
-                    "mean_conditional_value": v.mean_conditional_value,
-                    "mean_fidelity_in": v.mean_fidelity_in,
-                    "mean_fidelity_out": v.mean_fidelity_out,
-                    "mean_fidelity_post": v.mean_fidelity_post,
-                }
-                for k, v in self.per_observable.items()
-            },
-            "averages": {
-                "E_input_tomo": self.avg_error_input_tomo,
-                "E_qnd": self.avg_error_qnd,
-                "E_output_tomo": self.avg_error_output_tomo,
-            },
-            "metadata": self.metadata,
-        }
-
-
 def _mean_or_none(values: list[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def criteria_summary(records_by_observable: dict[str, list[SweepRecord]]) -> CriteriaReport:
-    """Error tables and fidelity means for a complete set of sweeps.
+def criteria_summary(records_by_observable: dict[str, list[SweepRecord]]) -> dict:
+    """Error tables and fidelity means for a complete set of sweeps, as the
+    report's JSON object.
 
-    Requires, for every observable, records carrying the QND estimate and
-    both tomographic estimates.
+    Requires at least one observable and, for every observable, records
+    carrying the QND estimate and both tomographic estimates. The averages
+    weight each observable equally; the metadata echoes that choice.
     """
-    per: dict[str, ObservableCriteria] = {}
+    if not records_by_observable:
+        raise ValueError("at least one observable is required")
+    per: dict[str, dict] = {}
     for obs, records in records_by_observable.items():
         if not records:
             raise ValueError(f"no records for observable {obs}")
@@ -192,29 +143,28 @@ def criteria_summary(records_by_observable: dict[str, list[SweepRecord]]) -> Cri
             raise ValueError(f"incomplete sweep for observable {obs}")
         records = sorted(records, key=lambda r: (r.phi, r.seed))
         theory = [r.theory for r in records]
-        e_in = rms_error([r.tomo_in for r in records], theory)
         e_qnd = rms_error([r.qnd_estimate for r in records], theory)
         e_out = rms_error([r.tomo_out for r in records], theory)
-        cond_vals = [b.tomo_value for r in records for b in r.reliable_branches()]
-        fid_post = [
-            b.fidelity for r in records for b in r.reliable_branches() if b.fidelity is not None
-        ]
-        per[obs] = ObservableCriteria(
-            observable=obs,
-            error_input_tomo=e_in,
-            error_qnd=e_qnd,
-            error_output_tomo=e_out,
-            error_gap=e_out - e_qnd,
-            mean_conditional_value=_mean_or_none(cond_vals),
-            mean_fidelity_in=_mean_or_none([r.fidelity_in for r in records if r.fidelity_in is not None]),
-            mean_fidelity_out=_mean_or_none([r.fidelity_out for r in records if r.fidelity_out is not None]),
-            mean_fidelity_post=_mean_or_none(fid_post),
-        )
+        reliable = [b for r in records for b in r.reliable_branches()]
+        per[obs] = {
+            "E_input_tomo": rms_error([r.tomo_in for r in records], theory),
+            "E_qnd": e_qnd,
+            "E_output_tomo": e_out,
+            "E_gap": e_out - e_qnd,
+            "mean_conditional_value": _mean_or_none([b.tomo_value for b in reliable]),
+            "mean_fidelity_in": _mean_or_none(
+                [r.fidelity_in for r in records if r.fidelity_in is not None]),
+            "mean_fidelity_out": _mean_or_none(
+                [r.fidelity_out for r in records if r.fidelity_out is not None]),
+            "mean_fidelity_post": _mean_or_none(
+                [b.fidelity for b in reliable if b.fidelity is not None]),
+        }
     keys = sorted(per)
-    return CriteriaReport(
-        per_observable=per,
-        avg_error_input_tomo=float(np.mean([per[k].error_input_tomo for k in keys])),
-        avg_error_qnd=float(np.mean([per[k].error_qnd for k in keys])),
-        avg_error_output_tomo=float(np.mean([per[k].error_output_tomo for k in keys])),
-        metadata={"observable_weights": "equal", "observables": keys},
-    )
+    return {
+        "per_observable": per,
+        "averages": {
+            e: float(np.mean([per[k][e] for k in keys]))
+            for e in ("E_input_tomo", "E_qnd", "E_output_tomo")
+        },
+        "metadata": {"observable_weights": "equal", "observables": keys},
+    }

@@ -22,8 +22,8 @@ Rotation conventions (fixed package-wide):
 * ``rot3d(axis, t)`` implements exp(-i t axis.sigma) with *no* half angle.
 
 Outcomes order their bits like the ``measured_qubits`` argument, the first
-listed qubit the most significant: count arrays hold outcome i at index i,
-and probability maps key it by its bitstring (first listed qubit leftmost).
+listed qubit the most significant: count and probability arrays hold
+outcome i at index i.
 """
 
 from __future__ import annotations
@@ -404,13 +404,6 @@ def _marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits)
     return probs_t.reshape(-1)
 
 
-def probability_map(probs: np.ndarray) -> dict[str, float]:
-    """Outcome probabilities keyed by bitstring, those below 1e-15 omitted
-    (sampling never produces them)."""
-    m = len(probs).bit_length() - 1
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
-
-
 @lru_cache(maxsize=64)
 def _confusion(num_bits: int, flip: float) -> np.ndarray:
     """Readout confusion matrix: each of ``num_bits`` bits flips independently."""
@@ -434,12 +427,12 @@ def _outcome_distribution(born: np.ndarray, readout_flip: float) -> np.ndarray:
 
 def exact_probabilities(
     state: StateVector | DensityMatrix, measured_qubits, readout_flip: float = 0.0
-) -> dict[str, float]:
-    """Exact outcome probabilities, each recorded bit flipped with
-    probability ``readout_flip``: the distribution ``sample_counts`` draws
-    from, its infinite-shot limit."""
+) -> np.ndarray:
+    """The (2^m,) exact outcome probabilities, each recorded bit flipped
+    with probability ``readout_flip``: the distribution ``sample_counts``
+    draws from, its infinite-shot limit."""
     born = _marginal_probabilities(state, measured_qubits)[None]
-    return probability_map(_outcome_distribution(born, readout_flip)[0])
+    return _outcome_distribution(born, readout_flip)[0]
 
 
 def sample_batch(probs: np.ndarray, shots: int, rngs) -> np.ndarray:

@@ -267,56 +267,41 @@ def measurement_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circu
     return c
 
 
-def _frequencies(counts: np.ndarray | dict) -> dict[str, float]:
-    if isinstance(counts, dict):
-        return dict(counts)
-    counts = np.asarray(counts)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no shots recorded")
-    return circ.probability_map(counts / total)
-
-
 def estimate_observable(
-    s: MeasurementSetting, counts: np.ndarray | dict
+    s: MeasurementSetting, data: np.ndarray
 ) -> dict[str, ObservableValue]:
     """Observable estimates from ancilla statistics.
 
-    ``counts`` holds the computational-basis results on C (circuit 1) or
-    C, D (circuit 2, after the Bell rotation for the concurrence setting)
-    as a count array indexed by outcome; exact probability maps are
-    accepted in place of counts.
+    ``data`` holds the computational-basis results on C (circuit 1) or
+    C, D (circuit 2, after the Bell rotation for the concurrence setting),
+    one entry per outcome: integer counts are divided by their total,
+    exact probabilities are used as given.
 
     Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as appropriate.
     """
-    f = _frequencies(counts)
-    if s.observable == "concurrence1":
-        signed = f.get("1", 0.0) - f.get("0", 0.0)
-        return {"C1": ObservableValue("C1", abs(signed), signed)}
-    p00 = f.get("00", 0.0)
-    p01 = f.get("01", 0.0)
-    p10 = f.get("10", 0.0)
-    p11 = f.get("11", 0.0)
-    if s.observable == "visibility":
-        sa = p00 + p01 - p10 - p11
-        sb = p00 + p10 - p01 - p11
-        return {
-            "VA": ObservableValue("VA", abs(sa), sa),
-            "VB": ObservableValue("VB", abs(sb), sb),
-        }
-    if s.observable == "predictability":
-        sa = p00 + p01 - p10 - p11
-        sb = p00 + p10 - p01 - p11
-        return {
-            "PA": ObservableValue("PA", abs(sa), sa),
-            "PB": ObservableValue("PB", abs(sb), sb),
-        }
-    # Two-ancilla concurrence: the outgoing ancilla state populates exactly
-    # two Bell branches, psi_plus (outcome 01) with weight alpha^2 + eta^2 and
-    # phi_plus (outcome 00) with weight beta^2 + gamma^2; the state-vector
-    # oracle in the test suite pins this mapping.
-    signed = p01 - p00
-    return {"C2": ObservableValue("C2", abs(signed), signed)}
+    data = np.asarray(data)
+    width = 2 ** len(s.ancilla_qubits)
+    if data.shape != (width,):
+        raise ValueError(
+            f"need {width} outcomes for the {s.observable} setting, got shape {data.shape}"
+        )
+    total = data.sum()
+    if (data < 0).any() or not total > 0:
+        raise ValueError("outcome data must be nonnegative with a positive total")
+    f = (data / total if np.issubdtype(data.dtype, np.integer) else data).tolist()
+    if s.observable in ("visibility", "predictability"):
+        sa = f[0] + f[1] - f[2] - f[3]
+        sb = f[0] + f[2] - f[1] - f[3]
+        a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
+        return {a: ObservableValue(a, abs(sa), sa), b: ObservableValue(b, abs(sb), sb)}
+    # Circuit 1 reads the parity on C. In circuit 2 the outgoing ancilla
+    # state populates exactly two Bell branches, psi_plus (outcome 01) with
+    # weight alpha^2 + eta^2 and phi_plus (outcome 00) with weight
+    # beta^2 + gamma^2; the state-vector oracle in the test suite pins this
+    # mapping. Either way the signed estimate is f[1] - f[0].
+    name = "C1" if s.observable == "concurrence1" else "C2"
+    signed = f[1] - f[0]
+    return {name: ObservableValue(name, abs(signed), signed)}
 
 
 _VIS_BRANCHES = {
@@ -554,8 +539,12 @@ def visibility_identity_check(params: list[PrepParams] | None = None, atol: floa
     """True when the explicit operator reproduces the closed-form output.
 
     Defaults to a 5x5 grid over (phi, theta) with lam = 0. Raises
-    ValueError for an empty parameter list, which checks nothing.
+    ValueError for an empty parameter list, which checks nothing, and for
+    a tolerance that is negative or not finite, which fails or passes
+    every point.
     """
+    if not (math.isfinite(atol) and atol >= 0):
+        raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
     if params is None:
         grid = np.linspace(0.0, 2 * math.pi, 5)
         params = [PrepParams(phi, theta) for phi in grid for theta in grid]

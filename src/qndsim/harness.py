@@ -515,37 +515,16 @@ def _fmt(value) -> str:
 
 
 def _record_rows(rec: SweepRecord) -> list[dict]:
-    base = {
-        "phi": rec.phi,
-        "theta": rec.theta,
-        "lambda": rec.lam,
-        "observable": rec.observable,
-        "theory": rec.theory,
-        "qnd_estimate": rec.qnd_estimate,
-        "tomo_in": rec.tomo_in,
-        "tomo_out": rec.tomo_out,
-        "tomo_post": None,
-        "fidelity_in": rec.fidelity_in,
-        "fidelity_out": rec.fidelity_out,
-        "fidelity_post": None,
-        "branch": "",
-        "branch_reliable": None,
-        "shots": rec.shots,
-        "seed": rec.seed,
-    }
-    rows = [base]
-    for b in rec.branches:
-        if b.tomo_value is None:
-            continue
-        row = dict(base)
-        row.update(
-            tomo_post=b.tomo_value,
-            fidelity_post=b.fidelity,
-            branch=b.outcome,
-            branch_reliable=b.reliable,
-        )
-        rows.append(row)
-    return rows
+    """The record's CSV rows: the unconditional one, then one per analyzed
+    branch, each from the record's JSON object."""
+    base = _record_dict(rec)
+    branches = base.pop("branches")
+    base.update(tomo_post=None, fidelity_post=None, branch="", branch_reliable=None)
+    return [base] + [
+        {**base, "tomo_post": b["tomo_post"], "fidelity_post": b["fidelity_post"],
+         "branch": b["outcome"], "branch_reliable": b["reliable"]}
+        for b in branches if b["tomo_post"] is not None
+    ]
 
 
 def _record_dict(rec: SweepRecord) -> dict:
@@ -635,12 +614,15 @@ def run_criteria_protocol(
     their draws, so every seed after the first reuses the first one's
     prepared blocks.
 
-    Raises ValueError for an empty ``seeds`` list, which has no mean.
+    Raises ValueError for an empty ``seeds`` or ``observables`` list,
+    which has no mean.
     """
     from .analysis import criteria_summary
 
     if not seeds:
         raise ValueError("at least one seed is required")
+    if not observables:
+        raise ValueError("at least one observable is required")
     per_seed = []
     for seed in seeds:
         records_by_obs = {}
@@ -652,12 +634,6 @@ def run_criteria_protocol(
             records_by_obs[obs] = run_sweep(cfg)
         per_seed.append(criteria_summary(records_by_obs))
     mean = {
-        "E_input_tomo": float(np.mean([r.avg_error_input_tomo for r in per_seed])),
-        "E_qnd": float(np.mean([r.avg_error_qnd for r in per_seed])),
-        "E_output_tomo": float(np.mean([r.avg_error_output_tomo for r in per_seed])),
+        e: float(np.mean([r["averages"][e] for r in per_seed])) for e in per_seed[0]["averages"]
     }
-    return {
-        "seeds": list(seeds),
-        "mean_average_errors": mean,
-        "per_seed": [r.to_dict() for r in per_seed],
-    }
+    return {"seeds": list(seeds), "mean_average_errors": mean, "per_seed": per_seed}

@@ -159,9 +159,9 @@ class TestCriteriaSummary:
                                abs(math.sin(phi)), abs(math.sin(phi))) for phi in PHIS]
         }
         report = criteria_summary(records)
-        assert report.avg_error_qnd == 0.0
-        assert report.avg_error_input_tomo == 0.0
-        assert report.avg_error_output_tomo == 0.0
+        assert report["averages"]["E_qnd"] == 0.0
+        assert report["averages"]["E_input_tomo"] == 0.0
+        assert report["averages"]["E_output_tomo"] == 0.0
 
     def test_error_table_structure(self):
         branch = BranchResult("01", 1.0, True, 100, 0.97, 0.99)
@@ -173,14 +173,14 @@ class TestCriteriaSummary:
                                abs(math.sin(phi)), abs(math.sin(phi))) for phi in PHIS],
         }
         report = criteria_summary(records)
-        c2 = report.per_observable["C2"]
-        assert c2.error_qnd > 0
-        assert c2.error_gap == pytest.approx(c2.error_output_tomo - c2.error_qnd)
-        assert c2.mean_conditional_value == pytest.approx(0.97)
-        assert c2.mean_fidelity_post == pytest.approx(0.99)
-        assert report.metadata["observable_weights"] == "equal"
-        assert report.avg_error_qnd == pytest.approx(
-            (c2.error_qnd + report.per_observable["VA"].error_qnd) / 2
+        c2 = report["per_observable"]["C2"]
+        assert c2["E_qnd"] > 0
+        assert c2["E_gap"] == pytest.approx(c2["E_output_tomo"] - c2["E_qnd"])
+        assert c2["mean_conditional_value"] == pytest.approx(0.97)
+        assert c2["mean_fidelity_post"] == pytest.approx(0.99)
+        assert report["metadata"]["observable_weights"] == "equal"
+        assert report["averages"]["E_qnd"] == pytest.approx(
+            (c2["E_qnd"] + report["per_observable"]["VA"]["E_qnd"]) / 2
         )
 
     def test_incomplete_sweep_rejected(self):
@@ -192,3 +192,7 @@ class TestCriteriaSummary:
             criteria_summary({"C2": [rec]})
         with pytest.raises(ValueError):
             criteria_summary({"C2": []})
+
+    def test_no_observable_rejected(self):
+        with pytest.raises(ValueError, match="observable"):
+            criteria_summary({})

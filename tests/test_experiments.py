@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim.circuits import EmptyBranchError
-from qndsim.observables import observable_set
+from qndsim.observables import ObservableValue, observable_set
 from qndsim.qmath import basis_state, partial_trace
 
 GRID = np.linspace(0, 2 * math.pi, 9)
@@ -79,12 +80,12 @@ class TestCircuitOne:
 
     def test_bell_input_is_deterministic(self):
         probs = self.run_probs(ex.PHI_PLUS)
-        assert abs(probs.get("1", 0.0) - probs.get("0", 0.0)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(probs[1] - probs[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_ground_state_is_balanced(self):
         probs = self.run_probs(np.array([1, 0, 0, 0], dtype=complex))
-        assert probs["0"] == pytest.approx(0.5, abs=1e-10)
-        assert probs["1"] == pytest.approx(0.5, abs=1e-10)
+        assert probs[0] == pytest.approx(0.5, abs=1e-10)
+        assert probs[1] == pytest.approx(0.5, abs=1e-10)
 
     def test_separable_plus_state_estimates_zero(self):
         probs = self.run_probs(np.array([SQ2, 0, SQ2, 0], dtype=complex))
@@ -133,7 +134,7 @@ class TestCircuitTwoOutputs:
         )
         out = circ.run_pure(full, basis_state(4))
         probs = circ.exact_probabilities(out, (2, 3))
-        assert probs["00"] == pytest.approx(1.0, abs=1e-10)
+        assert probs[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_concurrence_on_bell_state_single_branch(self):
         p = ex.PrepParams(math.pi / 2, math.pi)
@@ -142,7 +143,7 @@ class TestCircuitTwoOutputs:
         )
         out = circ.run_pure(full, basis_state(4))
         probs = circ.exact_probabilities(out, (2, 3))
-        assert probs["01"] == pytest.approx(1.0, abs=1e-10)
+        assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_wrong_setting(self):
         with pytest.raises(ValueError):
@@ -187,6 +188,49 @@ class TestEstimators:
         counts = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
             ex.estimate_observable(ex.concurrence1_setting(), counts)
+
+    @pytest.mark.parametrize("name, data", [
+        ("concurrence1", [10, 20, 30, 40]),
+        ("visibility", [10, 20]),
+        ("predictability", [0.5, 0.5]),
+        ("concurrence2", [[10, 20, 30, 40]]),
+    ])
+    def test_data_of_the_wrong_width_rejected(self, name, data):
+        # one entry per ancilla outcome, or the estimate reads missing outcomes as zero
+        with pytest.raises(ValueError, match="shape"):
+            ex.estimate_observable(getattr(ex, f"{name}_setting")(), np.array(data))
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["visibility", "predictability", "concurrence1", "concurrence2"]),
+           st.data())
+    def test_count_arrays_read_like_bitstring_frequencies(self, name, data):
+        s = getattr(ex, f"{name}_setting")()
+        m = len(s.ancilla_qubits)
+        counts = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=2**m, max_size=2**m)
+                                    .filter(any)))
+        got = ex.estimate_observable(s, counts)
+        want = _estimate_from_bitstring_map(s, counts)
+        assert got == want
+        assert all(type(v.value) is float and type(v.signed_raw) is float for v in got.values())
+
+
+def _estimate_from_bitstring_map(s, counts):
+    """The estimator as it read count arrays through outcome maps keyed by
+    bitstring, outcomes of frequency at most 1e-15 left out."""
+    probs = counts / counts.sum()
+    m = len(probs).bit_length() - 1
+    f = {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
+    if s.observable == "concurrence1":
+        signed = f.get("1", 0.0) - f.get("0", 0.0)
+        return {"C1": ObservableValue("C1", abs(signed), signed)}
+    p00, p01, p10, p11 = (f.get(k, 0.0) for k in ("00", "01", "10", "11"))
+    if s.observable == "concurrence2":
+        signed = p01 - p00
+        return {"C2": ObservableValue("C2", abs(signed), signed)}
+    sa = p00 + p01 - p10 - p11
+    sb = p00 + p10 - p01 - p11
+    a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
+    return {a: ObservableValue(a, abs(sa), sa), b: ObservableValue(b, abs(sb), sb)}
 
 
 class TestConditionalTargets:
@@ -304,3 +348,9 @@ class TestOperatorIdentity:
         # an empty check passes vacuously, so it must not report a pass
         with pytest.raises(ValueError, match="no parameters"):
             ex.visibility_identity_check([])
+
+    @pytest.mark.parametrize("atol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, atol):
+        # NaN fails every point and infinity passes every point
+        with pytest.raises(ValueError, match="atol"):
+            ex.visibility_identity_check(atol=atol)

@@ -240,6 +240,16 @@ def test_criteria_protocol_rejects_empty_seeds(monkeypatch):
         harness.run_criteria_protocol([])
 
 
+def test_criteria_protocol_rejects_empty_observables(monkeypatch):
+    # averages over no observable are NaN, which is not valid JSON
+    def no_work(config):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(harness, "run_sweep", no_work)
+    with pytest.raises(ValueError, match="observable"):
+        harness.run_criteria_protocol([0], observables=())
+
+
 class TestRepeatFixedState:
     def test_distinct_seeds_and_determinism(self):
         cfg = SweepConfig("C2", shots=300, master_seed=5)
@@ -446,6 +456,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "--grid must be at least 1" in err
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("atol", ["nan", "-1", "inf"])
+    def test_check_identity_rejects_a_bad_tolerance(self, capsys, atol):
+        assert cli_main(["check-identity", "--atol", atol]) == 2
+        out, err = capsys.readouterr()
+        assert "atol must be finite and nonnegative" in err
+        assert "PASS" not in out and "FAIL" not in out
 
     def test_criteria_subcommand(self, tmp_path):
         out = tmp_path / "report.json"

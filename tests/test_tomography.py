@@ -48,7 +48,7 @@ class TestCollect:
         probs = circ.exact_probabilities(
             circ.run_pure(hh.pre_rotation(), bell()), (0, 1)
         )
-        assert set(probs) == {"00", "11"}
+        assert np.flatnonzero(probs > 1e-15).tolist() == [0, 3]
 
     def test_deterministic_under_fixed_seed(self):
         settings = tom.tomography_settings()
