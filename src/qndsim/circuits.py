@@ -2,8 +2,8 @@
 
 Execution comes in two flavors: pure state-vector evolution and noisy
 density-matrix evolution with a per-gate depolarizing channel. Both run a
-batch of circuits, from one state or from one state per circuit, as one
-stack, layer by layer (``run_batch``); a single circuit is a batch of one.
+batch of circuits, from one initial state per circuit, as one stack,
+layer by layer (``run_batch``); a single circuit is a batch of one.
 A measurement's outcome distribution is the Born-rule marginal with an
 optional independent readout flip per recorded bit; sampling draws from
 it, multinomially and deterministically for a given seed, and exact mode
@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .qmath import (
+    ATOL_ALGEBRA,
     ATOL_CONSTRUCT,
     DensityMatrix,
     StateVector,
@@ -324,12 +325,10 @@ def run_noisy(circuit: Circuit, initial: DensityMatrix, noise: NoiseModel) -> De
 
 
 def run_batch(
-    initial: StateVector | DensityMatrix | Sequence[StateVector | DensityMatrix],
-    layers,
-    noise: NoiseModel,
+    initial: Sequence[StateVector | DensityMatrix], layers, noise: NoiseModel
 ) -> np.ndarray:
-    """Run a batch of circuits, given as layers, from one initial state or
-    from a sequence of states, one per slice.
+    """Run a batch of circuits, given as layers, from a sequence of initial
+    states, one per slice.
 
     Pure states evolve as a (B, d) stack of amplitudes and admit no
     depolarizing noise; density matrices as a (B, d, d) stack, with
@@ -338,8 +337,7 @@ def run_batch(
     and initial state. The stack is validated once, every slice with the
     checks of StateVector or DensityMatrix.
     """
-    single = isinstance(initial, (StateVector, DensityMatrix))
-    states = [initial] if single else list(initial)
+    states = list(initial)
     if not states:
         raise ValueError("run_batch needs at least one initial state")
     first = states[0]
@@ -352,9 +350,7 @@ def run_batch(
     batch = len(layers[0]) if layers else len(states)
     if any(len(layer) != batch for layer in layers):
         raise ValueError("every layer needs one entry per slice")
-    if single:
-        states *= batch
-    elif len(states) != batch:
+    if len(states) != batch:
         raise ValueError(f"{len(states)} initial states for a batch of {batch} slices")
     if any(q >= n for layer in layers for g in layer if g is not None for q in g.targets):
         raise ValueError("dimension mismatch between circuit and state")
@@ -423,6 +419,22 @@ def _outcome_distribution(born: np.ndarray, readout_flip: float) -> np.ndarray:
         # a matrix-vector product per row; probs @ confusion.T rounds differently
         probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]
     return probs
+
+
+def _frequencies(data: np.ndarray) -> np.ndarray:
+    """Outcome frequencies of a (..., 2^m) array of outcome data: integer
+    counts are divided by their row totals, and probabilities are used as
+    given. Every row must be nonnegative with a positive total, and a row
+    of probabilities must sum to 1 within ATOL_ALGEBRA."""
+    totals = data.sum(axis=-1, keepdims=True)
+    if (data < 0).any() or not (totals > 0).all():
+        raise ValueError("outcome data must be nonnegative with a positive total per row")
+    if np.issubdtype(data.dtype, np.integer):
+        return data / totals
+    if not (np.abs(totals - 1.0) <= ATOL_ALGEBRA).all():
+        raise ValueError("outcome probabilities must sum to 1 per row; "
+                         "counts must be integers")
+    return data.astype(float)
 
 
 def exact_probabilities(

@@ -275,7 +275,7 @@ def estimate_observable(
     ``data`` holds the computational-basis results on C (circuit 1) or
     C, D (circuit 2, after the Bell rotation for the concurrence setting),
     one entry per outcome: integer counts are divided by their total,
-    exact probabilities are used as given.
+    exact probabilities, which must sum to 1, are used as given.
 
     Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as appropriate.
     """
@@ -285,10 +285,7 @@ def estimate_observable(
         raise ValueError(
             f"need {width} outcomes for the {s.observable} setting, got shape {data.shape}"
         )
-    total = data.sum()
-    if (data < 0).any() or not total > 0:
-        raise ValueError("outcome data must be nonnegative with a positive total")
-    f = (data / total if np.issubdtype(data.dtype, np.integer) else data).tolist()
+    f = circ._frequencies(data).tolist()
     if s.observable in ("visibility", "predictability"):
         sa = f[0] + f[1] - f[2] - f[3]
         sb = f[0] + f[2] - f[1] - f[3]

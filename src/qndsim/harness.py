@@ -53,7 +53,9 @@ from . import experiments as ex
 from . import tomography as tom
 from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
 from .circuits import EmptyBranchError, NoiseModel
-from .observables import concurrence_pure, observable_stack, predictability, visibility
+from .observables import (
+    concurrence_pure, observable_set, observable_stack, predictability, visibility,
+)
 from .qmath import DensityMatrix, StateVector, basis_state, fidelity, fidelity_stack, partial_trace
 
 THETA_DEFAULTS = {
@@ -116,6 +118,13 @@ class SweepConfig:
             raise ValueError("phi_step must be positive")
         if self.phi_count < 1:
             raise ValueError("phi_count must be >= 1")
+        try:
+            finite = math.isfinite(self.phi_start + (self.phi_count - 1) * self.phi_step)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("the last phi, phi_start + (phi_count - 1) * phi_step, "
+                             "must be finite")
         if not self.exact_mode and self.shots < 1:
             raise ValueError("shots must be >= 1 unless exact_mode")
         if self.master_seed < 0:
@@ -213,11 +222,11 @@ def _prepare_states(
     if noise.depol_1q or noise.depol_2q or noise.readout_flip:
         rho0 = basis_state(2).density()
         chi_actual = [circ.run_noisy(prep, rho0, noise) for prep in preps]
-        out = circ.run_batch(basis_state(n).density(), layers, noise)
+        out = circ.run_batch([basis_state(n).density()] * len(preps), layers, noise)
         return chi_actual, [DensityMatrix(n, m) for m in out]
     psi0 = basis_state(2)
     chi_actual = [circ.run_pure(prep, psi0) for prep in preps]
-    out = circ.run_batch(basis_state(n), layers, noise)
+    out = circ.run_batch([basis_state(n)] * len(preps), layers, noise)
     return chi_actual, [StateVector(n, a) for a in out]
 
 
@@ -303,17 +312,16 @@ def _prepare_block(
     chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
     ideal = tuple(ex.branch_data(setting, p) for p in params)
     chi_actual, out_states = _prepare_states(list(params), setting, noise)
-    settings = tom.tomography_settings()
     ancillas = setting.ancilla_qubits
     if isinstance(out_states[0], StateVector):
         readout = tuple(out_states)
-        probs_out = tom.setting_probabilities(out_states, settings, noise)
+        probs_out = tom.setting_probabilities(out_states, noise)
     else:
         readout = tuple(partial_trace(s, ancillas) for s in out_states)
         ancillas = tuple(range(len(ancillas)))
         # one state at a time: the evolved stack of a point is 16 full-register
         # density matrices, and the block's would be 16 times that
-        probs_out = np.stack([tom.setting_probabilities(s, settings, noise) for s in out_states])
+        probs_out = np.concatenate([tom.setting_probabilities([s], noise) for s in out_states])
     return PreparedBlock(
         theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
         branches=ideal,
@@ -321,7 +329,7 @@ def _prepare_block(
         target_out=np.stack([ex.output_mixture(bs).matrix for bs in ideal]),
         readout=readout,
         readout_qubits=ancillas,
-        probs_in=tom.setting_probabilities(chi_actual, settings, noise),
+        probs_in=tom.setting_probabilities(chi_actual, noise),
         probs_out=probs_out,
     )
 
@@ -354,8 +362,8 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             circ.sample_counts(r, block.readout_qubits, shots, circ.rng_stream(ms, 0, index), flip)
             for r, index in zip(readouts, indices)
         ]
-        data_in = tom.collect(probs_in, shots, ms, seed_path=[(1, index) for index in indices])
-        counts = tom.collect(probs_out, shots, ms, seed_path=[(2, index) for index in indices])
+        data_in = tom.collect(probs_in, shots, ms, [(1, index) for index in indices])
+        counts = tom.collect(probs_out, shots, ms, [(2, index) for index in indices])
         tomo_out, fidelity_out, branches = _output_tomography(
             setting, counts, ideal, target_out, key)
     qnd_estimates = [ex.estimate_observable(setting, a)[obs].value for a in anc_stats]
@@ -404,7 +412,7 @@ def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
     values, states = [], []
     for d in data:
         est = tom.linear_reconstruct(d)
-        values.append(tom.observables_from_estimate(est)[key].value)
+        values.append(observable_set(est.projected)[key].value)
         states.append(est.projected)
     return values, states
 

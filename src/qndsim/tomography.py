@@ -1,10 +1,13 @@
 """Two-qubit state tomography by linear inversion over 16 product projectors.
 
-The measurement set is the canonical 16-configuration product-state grid
-over the single-qubit states
+The measurement set is one fixed grid, the canonical 16-configuration
+product-state grid over the single-qubit states
 
     H = |0>,  V = |1>,  D = (|0>+|1>)/sqrt(2),
-    R = (|0>+i|1>)/sqrt(2),  L = (|0>-i|1>)/sqrt(2).
+    R = (|0>+i|1>)/sqrt(2),  L = (|0>-i|1>)/sqrt(2),
+
+in the order ``tomography_settings()`` lists it. Every array of per-setting
+data follows that order; no function takes another grid.
 
 Each setting applies a local pre-rotation mapping its product state onto
 |00> and reads both qubits in the computational basis; the frequency of the
@@ -13,20 +16,26 @@ Each setting applies a local pre-rotation mapping its product state onto
 matrix. Finite-count estimates can come out non-PSD; they are kept raw and
 a simplex projection of the eigenvalue vector supplies the closest physical
 state for anything that needs one (observables, fidelity).
+
+The batched functions take and return stacks only: ``setting_probabilities``
+evolves a sequence of states into a (states, 16, 2^n) array of outcome
+distributions, ``collect`` draws a stack of counts from such an array,
+``reconstruct_stack`` analyzes a (K, 16, 4) stack of data sets and
+``project_psd`` projects a (K, d, d) stack. ``linear_reconstruct`` is the
+analysis of one data set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from . import circuits as circ
-from .circuits import Circuit, Gate, NoiseModel, rx, x
-from .observables import ObservableValue, observable_set
+from .circuits import Circuit, NoiseModel, h, rx, x
 from .qmath import DensityMatrix, StateVector, tensor
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -38,13 +47,13 @@ _BASIS_KETS = {
     "L": np.array([_SQ2, -1j * _SQ2], dtype=complex),
 }
 
-# Pre-rotation mapping each single-qubit state onto |0> (up to phase).
+# The gate on a given qubit mapping each single-qubit state onto |0> (up to
+# phase); H needs none.
 _PRE_ROTATION = {
-    "H": (),
-    "V": ("x",),
-    "D": ("h",),
-    "R": ("rx+",),
-    "L": ("rx-",),
+    "V": x,
+    "D": h,
+    "R": partial(rx, angle=math.pi / 2),
+    "L": partial(rx, angle=-math.pi / 2),
 }
 
 _SETTING_PAIRS = (
@@ -60,18 +69,6 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def _gates_for(token: str, qubit: int) -> tuple[Gate, ...]:
-    if token == "x":
-        return (x(qubit),)
-    if token == "h":
-        return (circ.h(qubit),)
-    if token == "rx+":
-        return (rx(qubit, math.pi / 2),)
-    if token == "rx-":
-        return (rx(qubit, -math.pi / 2),)
-    raise ValueError(token)
 
 
 class DegenerateReconstructionError(ValueError):
@@ -90,13 +87,12 @@ class TomographySetting:
         ket = np.kron(_BASIS_KETS[self.basis_a], _BASIS_KETS[self.basis_b])
         return np.outer(ket, ket.conj())
 
-    def pre_rotation(self, num_qubits: int = 2, qubit_a: int = 0, qubit_b: int = 1) -> Circuit:
-        gates: list[Gate] = []
-        for token in _PRE_ROTATION[self.basis_a]:
-            gates.extend(_gates_for(token, qubit_a))
-        for token in _PRE_ROTATION[self.basis_b]:
-            gates.extend(_gates_for(token, qubit_b))
-        return Circuit(num_qubits, tuple(gates), f"tomo-{self.label}")
+    def pre_rotation(self) -> Circuit:
+        """The local gates on qubits 0 and 1 mapping the projector's product
+        state onto |00>."""
+        gates = tuple(_PRE_ROTATION[b](q) for q, b in enumerate((self.basis_a, self.basis_b))
+                      if b in _PRE_ROTATION)
+        return Circuit(2, gates, f"tomo-{self.label}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,15 @@ class TomographyEstimate:
 def tomography_settings() -> list[TomographySetting]:
     """The canonical 16-setting product grid (informationally complete)."""
     return [TomographySetting(a + b, a, b) for a, b in _SETTING_PAIRS]
+
+
+_PRE_ROTATION_LAYERS: tuple[circ.Layer, circ.Layer] = tuple(
+    tuple(next((g for g in s.pre_rotation().gates if g.targets == (qubit,)), None)
+          for s in tomography_settings())
+    for qubit in (0, 1)
+)
+"""Every setting's pre-rotation as one batch of 16 slices: the gates on
+qubit 0, then those on qubit 1 (each basis needs at most one gate)."""
 
 
 @lru_cache(maxsize=1)
@@ -143,93 +148,50 @@ def design_matrix_rank() -> int:
     return int(np.linalg.matrix_rank(_design_matrix()))
 
 
-@lru_cache(maxsize=16)
-def _pre_rotation_layers(
-    settings: tuple[TomographySetting, ...], num_qubits: int
-) -> tuple[circ.Layer, circ.Layer]:
-    """The settings' pre-rotations as one batch: the gates on qubit 0, then
-    those on qubit 1 (each basis needs at most one gate)."""
-    layers = []
-    for qubit in (0, 1):
-        layer = []
-        for s in settings:
-            gates = [g for g in s.pre_rotation(num_qubits).gates if g.targets == (qubit,)]
-            layer.append(gates[0] if gates else None)
-        layers.append(tuple(layer))
-    return tuple(layers)
-
-
-States = StateVector | DensityMatrix | Sequence[StateVector | DensityMatrix]
-"""One state, or a sequence of states that run as one stack."""
-
-
-def _as_states(state: States) -> tuple[list, bool]:
-    """The states of a ``setting_probabilities`` argument, and whether it
-    was one state."""
-    if isinstance(state, (StateVector, DensityMatrix)):
-        return [state], True
-    states = list(state)
-    if not states:
-        raise ValueError("no states to measure")
-    return states, False
-
-
 def setting_probabilities(
-    state: States, settings: Sequence[TomographySetting], noise: NoiseModel = NoiseModel()
+    states: Sequence[StateVector | DensityMatrix], noise: NoiseModel = NoiseModel()
 ) -> np.ndarray:
-    """Outcome distributions of every setting: a (settings, 2^n) array.
+    """Outcome distributions of every setting for each of a sequence of
+    states: a (states, 16, 2^n) array, settings in ``tomography_settings()``
+    order.
 
-    Every qubit of the state is read out (outcome index bits list qubit 0
-    first), and the pre-rotations act on qubits 0 and 1. On a density
-    matrix they run through the noisy evolution so tomography is not
-    artificially cleaner than the rest of the experiment; a pure state
-    admits no depolarizing noise (``run_batch`` rejects it). Each recorded
-    bit flips with the noise model's readout flip. ``collect`` draws from
-    these distributions; exact mode reads them.
-
-    ``state`` may also be a sequence of states, all pure or all mixed,
-    which run as one stack and give a (states, settings, 2^n) array. The
-    array is a fresh one: it holds no view into the evolved stack.
+    The states, all pure or all mixed, run as one stack. Every qubit of a
+    state is read out (outcome index bits list qubit 0 first), and the
+    pre-rotations act on qubits 0 and 1. On density matrices they run
+    through the noisy evolution so tomography is not artificially cleaner
+    than the rest of the experiment; pure states admit no depolarizing
+    noise (``run_batch`` rejects it). Each recorded bit flips with the
+    noise model's readout flip. ``collect`` draws from these distributions;
+    exact mode reads them. The array is a fresh one: it holds no view into
+    the evolved stack.
     """
-    states, single = _as_states(state)
-    layers = _pre_rotation_layers(tuple(settings), states[0].num_qubits)
-    per_slice = [s for s in states for _ in settings]
-    stack = circ.run_batch(per_slice, [layer * len(states) for layer in layers], noise)
+    states = list(states)
+    layers = [layer * len(states) for layer in _PRE_ROTATION_LAYERS]
+    stack = circ.run_batch([s for s in states for _ in range(16)], layers, noise)
     probs = circ._outcome_distribution(circ.born_probabilities(stack), noise.readout_flip)
-    shape = (len(settings), probs.shape[-1])
-    return probs.reshape(shape if single else (len(states), *shape)).copy()
+    return probs.reshape(len(states), 16, probs.shape[-1]).copy()
 
 
 def collect(
-    probs: np.ndarray,
-    shots: int,
-    master_seed: int,
-    seed_path: tuple[int, ...] | Sequence[tuple[int, ...]] = (),
+    probs: np.ndarray, shots: int, master_seed: int, seed_paths: Sequence[tuple[int, ...]]
 ) -> np.ndarray:
-    """Sample every setting, one derived RNG stream per setting.
+    """Sample every setting of every state, one derived RNG stream per setting.
 
-    ``probs`` holds the (settings, 2^n) outcome distributions of one state
-    (``setting_probabilities``); the result is the (settings, 2^n) integer
-    array of counts, setting k drawn from stream (master_seed, *seed_path,
-    k).
-
-    A (states, settings, 2^n) stack of distributions draws as one batch;
-    ``seed_path`` then lists one path per state, and setting k of state i
-    draws from stream (master_seed, *seed_path[i], k).
+    ``probs`` is a (states, settings, 2^n) stack of outcome distributions
+    (``setting_probabilities``) and ``seed_paths`` lists one path per
+    state: setting k of state i draws from stream (master_seed,
+    *seed_paths[i], k). Returns the integer counts, shaped like ``probs``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1 per setting")
     probs = np.asarray(probs)
-    if probs.ndim not in (2, 3):
-        raise ValueError(f"need (settings, 2^n) or (states, settings, 2^n) probabilities, "
-                         f"got shape {probs.shape}")
-    single = probs.ndim == 2
-    paths = [tuple(seed_path)] if single else [tuple(p) for p in seed_path]
-    states = 1 if single else len(probs)
-    if len(paths) != states:
-        raise ValueError(f"{len(paths)} seed paths for {states} states")
-    settings = probs.shape[-2]
+    if probs.ndim != 3:
+        raise ValueError(f"need (states, settings, 2^n) probabilities, got shape {probs.shape}")
+    paths = [tuple(p) for p in seed_paths]
+    if len(paths) != len(probs):
+        raise ValueError(f"{len(paths)} seed paths for {len(probs)} states")
     # streams are built as the draw reaches them, so they never all exist at once
+    settings = probs.shape[1]
     rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(settings))
     counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs)
     return counts.reshape(probs.shape)
@@ -237,20 +199,14 @@ def collect(
 
 def _frequencies_00(data) -> np.ndarray:
     """(..., 16) "00" frequencies of (..., 16, 4) per-setting outcome counts
-    or probabilities over qubits 0 and 1, settings in canonical order.
-    Integer counts are divided by their row totals; probabilities are used
-    as given."""
+    or probabilities over qubits 0 and 1, settings in canonical order (see
+    ``circuits._frequencies``)."""
     data = np.asarray(data)
     if data.ndim < 2 or data.shape[-2:] != (16, 4):
         raise ValueError(
             f"need outcome data over two qubits for all 16 settings, got shape {data.shape}"
         )
-    totals = data.sum(axis=-1)
-    if (data < 0).any() or not (totals > 0).all():
-        raise ValueError("outcome data must be nonnegative with a positive total per setting")
-    if np.issubdtype(data.dtype, np.integer):
-        return data[..., 0] / totals
-    return data[..., 0].astype(float)
+    return circ._frequencies(data)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -330,27 +286,21 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
     return np.clip(v - tau, 0.0, None)
 
 
-def project_psd(raw: np.ndarray) -> DensityMatrix | np.ndarray:
-    """Closest physical state: project the eigenvalue vector onto the simplex.
+def project_psd(raw: np.ndarray) -> np.ndarray:
+    """Closest physical states: project each eigenvalue vector onto the simplex.
 
-    Keeps the eigenvectors, replaces the (trace-one, possibly negative)
-    eigenvalues by their Euclidean projection onto the probability simplex,
-    so the output trace returns to exactly 1. A (d, d) matrix gives a
-    DensityMatrix; each slice of a (K, d, d) stack is projected alike, and
-    the stack is validated and returned as an array.
+    Each slice of a (K, d, d) stack keeps its eigenvectors, and its
+    (trace-one, possibly negative) eigenvalues are replaced by their
+    Euclidean projection onto the probability simplex, so its trace returns
+    to exactly 1. The stack is validated as density matrices and returned
+    as an array.
     """
     raw = np.asarray(raw, dtype=complex)
+    if raw.ndim != 3:
+        raise ValueError(f"need a (K, d, d) stack, got shape {raw.shape}")
     herm = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
     vals, vecs = np.linalg.eigh(herm)
     m = (vecs * simplex_project(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
-    if m.ndim == 2:
-        return DensityMatrix(int(round(math.log2(m.shape[0]))), m)
     DensityMatrix.validate(m)
     return m
-
-
-def observables_from_estimate(est: TomographyEstimate) -> dict[str, ObservableValue]:
-    """All five complementarity observables, evaluated on the physical projection."""
-    return observable_set(est.projected)
-

@@ -59,7 +59,7 @@ def tomograph(
 ) -> tom.TomographyEstimate:
     """Tomograph one state: every setting's outcome distribution, drawn
     (or read exactly when ``shots`` is None), then reconstructed."""
-    probs = tom.setting_probabilities(state, tom.tomography_settings(), noise)
+    probs = tom.setting_probabilities([state], noise)
     if shots is None:
-        return tom.linear_reconstruct(probs)
-    return tom.linear_reconstruct(tom.collect(probs, shots, master_seed, seed_path))
+        return tom.linear_reconstruct(probs[0])
+    return tom.linear_reconstruct(tom.collect(probs, shots, master_seed, [seed_path])[0])

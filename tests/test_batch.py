@@ -103,14 +103,12 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
     else:
         noise = NoiseModel(depol_1q=depol, depol_2q=0.1, readout_flip=flip, enabled=True)
     ts = tom.tomography_settings()
-    layers = tom._pre_rotation_layers(tuple(ts), num_qubits)
-    stack = circ.run_batch(state, layers, noise)
+    stack = circ.run_batch([state] * 16, tom._PRE_ROTATION_LAYERS, noise)
     probs = circ.born_probabilities(stack)
-    counts = tom.collect(tom.setting_probabilities(state, ts, noise), 300, seed,
-                         seed_path=(2, 5))
+    counts = tom.collect(tom.setting_probabilities([state], noise), 300, seed, [(2, 5)])[0]
     assert len(stack) == len(counts) == 16
     for k, setting in enumerate(ts):
-        pre = setting.pre_rotation(num_qubits)
+        pre = setting.pre_rotation().widened(num_qubits)
         if pure:
             expected = _reference_pure(pre, state.amplitudes)
             assert np.array_equal(stack[k], expected)
@@ -151,7 +149,7 @@ def test_exact_collection_reads_the_same_stack():
     rng = np.random.default_rng(3)
     rho = random_density_matrix(rng, 2)
     ts = tom.tomography_settings()
-    maps = tom.setting_probabilities(rho, ts)
+    maps = tom.setting_probabilities([rho])[0]
     for setting, got in zip(ts, maps):
         reference = _reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel.none())
         assert np.array_equal(got, np.clip(np.diag(reference).real, 0.0, None))
@@ -160,8 +158,6 @@ def test_exact_collection_reads_the_same_stack():
 @pytest.mark.parametrize("depol", [{"depol_1q": 0.1}, {"depol_2q": 0.1}])
 def test_pure_input_rejects_depolarizing_noise(depol, monkeypatch):
     psi = random_pure_state(np.random.default_rng(4), 2)
-    ts = tom.tomography_settings()
-    layers = tom._pre_rotation_layers(tuple(ts), 2)
 
     def no_work(*args):
         raise AssertionError("evolution started")
@@ -169,13 +165,13 @@ def test_pure_input_rejects_depolarizing_noise(depol, monkeypatch):
     monkeypatch.setattr(circ, "_evolve_pure", no_work)
     noise = NoiseModel(readout_flip=0.05, enabled=True, **depol)
     with pytest.raises(ValueError, match="density-matrix input"):
-        circ.run_batch(psi, layers, noise)
+        circ.run_batch([psi] * 16, tom._PRE_ROTATION_LAYERS, noise)
     with pytest.raises(ValueError, match="density-matrix input"):
-        tom.setting_probabilities(psi, ts, noise)
+        tom.setting_probabilities([psi], noise)
     monkeypatch.undo()
     # a readout flip alone, or switched-off noise, stays allowed
-    tom.setting_probabilities(psi, ts, NoiseModel(readout_flip=0.05, enabled=True))
-    tom.setting_probabilities(psi, ts, NoiseModel(enabled=False, **depol))
+    tom.setting_probabilities([psi], NoiseModel(readout_flip=0.05, enabled=True))
+    tom.setting_probabilities([psi], NoiseModel(enabled=False, **depol))
 
 
 @pytest.mark.parametrize(

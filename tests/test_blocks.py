@@ -43,7 +43,7 @@ from qndsim.harness import (
     run_sweep,
     theory_value,
 )
-from qndsim.observables import observable_stack
+from qndsim.observables import observable_set, observable_stack
 from qndsim.qmath import DensityMatrix, basis_state, fidelity, fidelity_stack
 
 NOISE = {
@@ -64,14 +64,14 @@ def _reference_states(p, setting, noise):
 
 
 def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_theory):
-    probs = tom.setting_probabilities(out_state, tom.tomography_settings(), config.noise)
+    probs = tom.setting_probabilities([out_state], config.noise)[0]
     if config.exact_mode:
         # the pair's distribution: the full register's summed over the ancilla bits
         est = tom.linear_reconstruct(probs.reshape(16, 4, -1).sum(axis=-1))
         branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
-        return (tom.observables_from_estimate(est)[key].value,
+        return (observable_set(est.projected)[key].value,
                 fidelity(rho_psi_theory, est.projected), branches)
-    counts = tom.collect(probs, config.shots, config.master_seed, seed_path=(2, index))
+    counts = tom.collect(probs[None], config.shots, config.master_seed, [(2, index)])[0]
     data = [circ.marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
@@ -128,7 +128,7 @@ def _reference_point(config, index, phi, seed_tag):
         observable=obs, phi=phi, theta=config.theta_resolved, lam=config.lam,
         theory=theory_value(obs, chi_ideal),
         qnd_estimate=ex.estimate_observable(setting, anc)[obs].value,
-        tomo_in=tom.observables_from_estimate(est_in)[key].value,
+        tomo_in=observable_set(est_in.projected)[key].value,
         tomo_out=tomo_out,
         fidelity_in=fidelity(chi_ideal.density(), est_in.projected),
         fidelity_out=fidelity_out,
@@ -375,15 +375,14 @@ def test_collect_from_a_stack_of_states(seed, count, pure, num_qubits):
     make = random_pure_state if pure else random_density_matrix
     states = [make(rng, num_qubits) for _ in range(count)]
     noise = NoiseModel(readout_flip=0.05) if pure else NoiseModel(0.01, 0.05, 0.05)
-    ts = tom.tomography_settings()
     paths = [(1, int(i)) for i in rng.permutation(count)]
-    probs = tom.setting_probabilities(states, ts, noise)
-    counts = tom.collect(probs, 200, seed, seed_path=paths)
+    probs = tom.setting_probabilities(states, noise)
+    counts = tom.collect(probs, 200, seed, paths)
     assert counts.shape == probs.shape == (count, 16, 2**num_qubits)
     for state, path, got, got_probs in zip(states, paths, counts, probs):
-        one = tom.setting_probabilities(state, ts, noise)
-        assert np.array_equal(got_probs, one)
-        assert np.array_equal(got, tom.collect(one, 200, seed, seed_path=path))
+        one = tom.setting_probabilities([state], noise)
+        assert np.array_equal(got_probs, one[0])
+        assert np.array_equal(got, tom.collect(one, 200, seed, [path])[0])
 
 
 @pytest.mark.parametrize("states, message", [
@@ -400,8 +399,7 @@ def test_stack_arguments_rejected(states, message):
 def test_collect_needs_a_seed_path_per_state():
     psi = basis_state(2)
     with pytest.raises(ValueError, match="1 seed paths for 2 states"):
-        tom.collect(tom.setting_probabilities([psi, psi], tom.tomography_settings()), 10, 0,
-                    seed_path=[(1, 0)])
+        tom.collect(tom.setting_probabilities([psi, psi]), 10, 0, [(1, 0)])
 
 
 def test_sweep_memory_is_bounded_by_the_block():

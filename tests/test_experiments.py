@@ -189,6 +189,13 @@ class TestEstimators:
         with pytest.raises(ValueError):
             ex.estimate_observable(ex.concurrence1_setting(), counts)
 
+    @pytest.mark.parametrize("data", [[10.0, 20.0, 30.0, 40.0], [0.25, 0.25, 0.25, 0.2]])
+    def test_probabilities_must_sum_to_one(self, data):
+        # float data are read as probabilities, so counts stored as floats
+        # would otherwise be used as frequencies
+        with pytest.raises(ValueError, match="sum to 1"):
+            ex.estimate_observable(ex.visibility_setting(), np.array(data))
+
     @pytest.mark.parametrize("name, data", [
         ("concurrence1", [10, 20, 30, 40]),
         ("visibility", [10, 20]),

@@ -34,8 +34,7 @@ from qndsim.experiments import OBSERVABLES, PrepParams, bell_coefficients
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PROBABILITY = st.floats(0.0, 1.0)
-CONFIGS = st.builds(
-    SweepConfig,
+CONFIGS = st.fixed_dictionaries(dict(
     observable=st.sampled_from(OBSERVABLES),
     theta=st.none() | FINITE,
     lam=FINITE | st.integers(-10, 10),
@@ -46,7 +45,9 @@ CONFIGS = st.builds(
     exact_mode=st.booleans(),
     noise=st.builds(NoiseModel, PROBABILITY, PROBABILITY, PROBABILITY),
     master_seed=st.integers(0, 2**64),
-)
+)).filter(  # a grid whose last phi leaves the float range is no config
+    lambda kw: math.isfinite(kw["phi_start"] + (kw["phi_count"] - 1) * kw["phi_step"])
+).map(lambda kw: SweepConfig(**kw))
 
 
 class TestConfig:
@@ -77,6 +78,16 @@ class TestConfig:
     def test_phi_grid(self):
         cfg = SweepConfig("VA", phi_count=3, phi_step=0.5, phi_start=1.0)
         assert cfg.phi_values() == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(exact_mode=True, phi_step=1e307, phi_count=40),  # the last phi is inf
+        dict(phi_start=1e308, phi_step=1e308, phi_count=2),
+        dict(phi_count=10**400),  # an integer beyond the float range; only constructed
+        dict(phi_step=1, phi_count=10**400),
+    ])
+    def test_phi_grid_beyond_the_float_range_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=r"phi_start \+ \(phi_count - 1\) \* phi_step"):
+            SweepConfig("VA", **kwargs)
 
     @pytest.mark.parametrize("name, value", [
         ("shots", "100"), ("shots", 100.0), ("shots", True), ("phi_count", "2"),
@@ -435,7 +446,9 @@ class TestCli:
             assert doc["fits"]["tomo_out_mixed_fraction"]["parameter"] == pytest.approx(
                 0.0, abs=1e-9)
 
-    def test_import_needs_no_scipy(self):
+    def test_import_needs_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: importing the package loads no
+        # scipy, and every subcommand runs with scipy blocked
         src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -446,6 +459,21 @@ class TestCli:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+        runs = [
+            ["sweep", "--observable", "C2", "--exact", "--phi-steps", "3", "--format", "json",
+             "--out", "s.json"],
+            ["repeat", "--observable", "C1", "--repetitions", "2", "--shots", "100",
+             "--out", "r.csv"],
+            ["criteria", "--seeds", "1", "--phi-steps", "2", "--shots", "100",
+             "--noise-2q", "0.05", "--out", "c.json"],
+            ["check-identity", "--grid", "2"],
+        ]
+        blocked = ("import sys; sys.modules['scipy'] = None; from qndsim.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))")
+        for argv in runs:
+            res = subprocess.run([sys.executable, "-c", blocked, *argv], cwd=tmp_path,
+                                 capture_output=True, text=True, env=env)
+            assert res.returncode == 0, (argv[0], res.stderr)
 
     def test_check_identity_subcommand(self):
         assert cli_main(["check-identity", "--grid", "3"]) == 0
@@ -477,6 +505,18 @@ class TestCli:
         out = tmp_path / "report.json"
         assert cli_main(["criteria", "--seeds", seeds, "--out", str(out)]) == 2
         assert "at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_grid_beyond_the_float_range_rejected_before_work(
+            self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a block was prepared")
+
+        monkeypatch.setattr(harness, "_prepare_block", no_work)
+        out = tmp_path / "x.csv"
+        assert cli_main(["sweep", "--observable", "VA", "--exact", "--phi-step", "1e307",
+                         "--phi-steps", "40", "--out", str(out)]) == 2
+        assert "phi_start + (phi_count - 1) * phi_step" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_observable_is_an_error(self, tmp_path):

@@ -185,7 +185,7 @@ def _data_set(rng: np.random.Generator, probs: np.ndarray, kind: str) -> np.ndar
 def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
     rng = np.random.default_rng(seed)
     state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
-    probs = tom.setting_probabilities(state, tom.tomography_settings())
+    probs = tom.setting_probabilities([state])[0]
     data = np.stack([_data_set(rng, probs, kind) for kind in kinds])
     references = [_reference_estimate(d) for d in data]
     rows = [i for i, ref in enumerate(references) if ref is not None]
@@ -223,8 +223,7 @@ def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
 def test_stack_covers_projection_and_degenerate_rows():
     # the cases the property test must see: an estimate that needs the
     # simplex projection and a branch whose estimate has zero trace
-    bell = tom.setting_probabilities(random_pure_state(np.random.default_rng(8), 2),
-                                     tom.tomography_settings())
+    bell = tom.setting_probabilities([random_pure_state(np.random.default_rng(8), 2)])[0]
     rng = np.random.default_rng(9)
     many = _data_set(rng, bell, "many")
     none_00 = np.tile([0, 1, 0, 2], (16, 1))
@@ -239,8 +238,7 @@ def test_probabilities_are_used_as_given():
     # exact records depend on the "00" probabilities as computed: a row
     # whose sum is not exactly 1 must not be renormalized
     rng = np.random.default_rng(21)
-    probs = [tom.setting_probabilities(random_density_matrix(rng, 2), tom.tomography_settings())
-             for _ in range(8)]
+    probs = [tom.setting_probabilities([random_density_matrix(rng, 2)])[0] for _ in range(8)]
     assert any((p.sum(axis=-1) != 1.0).any() for p in probs)  # a telling case
     for p in probs:
         est = tom.linear_reconstruct(p)

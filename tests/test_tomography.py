@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 from helpers import random_density_matrix, random_pure_state, tomograph
 from qndsim import circuits as circ
 from qndsim import tomography as tom
-from qndsim.experiments import PHI_PLUS, PSI_MINUS, PrepParams, bell_coefficients
+from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
+from qndsim.observables import observable_set
 from qndsim.qmath import StateVector, basis_state, fidelity
 
 
@@ -38,7 +39,7 @@ class TestSettings:
 
 class TestCollect:
     def test_exact_mode_gives_16_probability_maps(self):
-        maps = tom.setting_probabilities(bell(), tom.tomography_settings())
+        maps = tom.setting_probabilities([bell()])[0]
         assert maps.shape == (16, 4)
         np.testing.assert_allclose(maps.sum(axis=1), 1.0, atol=1e-10)
 
@@ -51,21 +52,19 @@ class TestCollect:
         assert np.flatnonzero(probs > 1e-15).tolist() == [0, 3]
 
     def test_deterministic_under_fixed_seed(self):
-        settings = tom.tomography_settings()
-        probs = tom.setting_probabilities(bell(), settings)
-        a = tom.collect(probs, 500, master_seed=5)
-        b = tom.collect(probs, 500, master_seed=5)
+        probs = tom.setting_probabilities([bell()])
+        a = tom.collect(probs, 500, 5, [()])[0]
+        b = tom.collect(probs, 500, 5, [()])[0]
         assert a.shape == (16, 4) and np.array_equal(a, b)
 
     def test_rejects_probabilities_of_another_shape(self):
-        # one state's (settings, 2^n) array or a (states, settings, 2^n) stack
+        # a (states, settings, 2^n) stack
         with pytest.raises(ValueError, match="got shape"):
-            tom.collect(np.full(4, 0.25), 100, master_seed=0)
+            tom.collect(np.full(4, 0.25), 100, 0, [()])
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            tom.collect(tom.setting_probabilities(bell(), tom.tomography_settings()), 0,
-                        master_seed=0)
+            tom.collect(tom.setting_probabilities([bell()]), 0, 0, [()])
 
 
 class TestLinearReconstruct:
@@ -98,22 +97,23 @@ class TestLinearReconstruct:
     def test_exact_data_return_the_state(self, seed, pure):
         rng = np.random.default_rng(seed)
         state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
-        est = tom.linear_reconstruct(tom.setting_probabilities(state, tom.tomography_settings()))
+        est = tom.linear_reconstruct(tom.setting_probabilities([state])[0])
         rho = state.density() if pure else state
         assert np.max(np.abs(est.raw - rho.matrix)) <= 1e-12
 
     def test_incomplete_data_rejected(self):
-        maps = tom.setting_probabilities(bell(), tom.tomography_settings())
+        maps = tom.setting_probabilities([bell()])[0]
         with pytest.raises(ValueError):
             tom.linear_reconstruct(maps[:10])
 
-    def test_settings_argument_refused(self):
-        # data rows follow the canonical grid; data collected over another
-        # order cannot be passed in with its settings and be misread
-        psi_minus = StateVector(2, PSI_MINUS)
-        settings = tom.tomography_settings()[::-1]
-        with pytest.raises(TypeError):
-            tom.linear_reconstruct(tom.setting_probabilities(psi_minus, settings), settings)
+    def test_probabilities_must_sum_to_one(self):
+        # rows of 0.5 would otherwise read as the maximally mixed state
+        with pytest.raises(ValueError, match="sum to 1"):
+            tom.linear_reconstruct(np.full((16, 4), 0.5))
+        data = np.stack([tom.setting_probabilities([bell()])[0]] * 2)
+        data[1, 5] *= 1.01
+        with pytest.raises(ValueError, match="sum to 1"):
+            tom.reconstruct_stack(data)
 
     def test_zero_trace_is_degenerate(self):
         # no setting ever reads "00": every projector expectation vanishes
@@ -126,7 +126,7 @@ class TestProjectPsd:
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(52)
         rho = random_density_matrix(rng, 2)
-        np.testing.assert_allclose(tom.project_psd(rho.matrix).matrix, rho.matrix, atol=1e-10)
+        np.testing.assert_allclose(tom.project_psd(rho.matrix[None])[0], rho.matrix, atol=1e-10)
 
     def test_eigenvalue_projection_example(self):
         np.testing.assert_allclose(
@@ -153,14 +153,14 @@ class TestProjectPsd:
 
     def test_trace_is_exactly_one(self):
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
-        out = tom.project_psd(raw)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-14)
+        out = tom.project_psd(raw[None])[0]
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
     def test_idempotent(self):
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
-        once = tom.project_psd(raw)
-        twice = tom.project_psd(once.matrix)
-        np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-12)
+        once = tom.project_psd(raw[None])
+        twice = tom.project_psd(once)
+        np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
 class TestObservablesFromEstimate:
@@ -168,12 +168,12 @@ class TestObservablesFromEstimate:
         for phi in np.linspace(0, 2 * math.pi, 9):
             chi = bell_coefficients(PrepParams(phi, math.pi)).state_vector()
             est = tomograph(chi, shots=None)
-            vals = tom.observables_from_estimate(est)
+            vals = observable_set(est.projected)
             assert vals["C"].value == pytest.approx(abs(math.sin(phi)), abs=1e-8)
 
     def test_ground_state_values(self):
         est = tomograph(basis_state(2), shots=None)
-        vals = tom.observables_from_estimate(est)
+        vals = observable_set(est.projected)
         assert vals["PA"].value == pytest.approx(1.0, abs=1e-10)
         assert vals["PB"].value == pytest.approx(1.0, abs=1e-10)
         assert vals["VA"].value == pytest.approx(0.0, abs=1e-10)
@@ -184,7 +184,7 @@ class TestObservablesFromEstimate:
         hits = 0
         for seed in range(60):
             est = tomograph(bell(), shots=5000, master_seed=seed)
-            c = tom.observables_from_estimate(est)["C"].value
+            c = observable_set(est.projected)["C"].value
             hits += (1.0 - c) <= 0.07
         assert hits / 60 >= 0.95
 
