@@ -6,7 +6,6 @@ from .qmath import (
     StateVector,
     basis_state,
     fidelity,
-    hermitian_eigenvalues,
     matrix_sqrt_psd,
     partial_trace,
     tensor,
@@ -30,7 +29,6 @@ from .observables import (
     concurrence_wootters,
     observable_set,
     predictability,
-    triality_defect,
     visibility,
 )
 from .experiments import (

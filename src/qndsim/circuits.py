@@ -140,7 +140,6 @@ class Circuit:
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -151,7 +150,7 @@ class Circuit:
     def then(self, other: "Circuit") -> "Circuit":
         if other.num_qubits != self.num_qubits:
             raise ValueError("cannot concatenate circuits of different width")
-        return Circuit(self.num_qubits, self.gates + other.gates, self.label)
+        return Circuit(self.num_qubits, self.gates + other.gates)
 
     def widened(self, num_qubits: int) -> "Circuit":
         """Same gates on a wider register (extra qubits untouched)."""
@@ -189,10 +188,6 @@ class NoiseModel:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v!r}")
             object.__setattr__(self, name, v if enabled else 0.0)
-
-    @classmethod
-    def none(cls) -> "NoiseModel":
-        return cls()
 
 
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -462,13 +457,12 @@ def sample_counts(
     state: StateVector | DensityMatrix,
     measured_qubits,
     shots: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     readout_flip: float = 0.0,
 ) -> np.ndarray:
     """Multinomial draw from the distribution ``exact_probabilities`` gives:
     the (2^m,) counts of a batch of one (see ``sample_batch``)."""
     born = _marginal_probabilities(state, measured_qubits)[None]
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return sample_batch(_outcome_distribution(born, readout_flip), shots, [rng])[0]
 
 

@@ -1,4 +1,4 @@
-"""The three measurement circuits, their estimators, and conditional outputs.
+"""The measurement circuits, their estimators, and the ideal branch data.
 
 State preparation uses a three-parameter circuit (two y rotations plus a
 controlled y rotation) whose output is conveniently written in the Bell
@@ -13,12 +13,19 @@ Circuit 2 entangles two ancillas with the pair and, depending on the
 rotation setting, estimates coherence, population imbalance, or concurrence
 from the joint ancilla statistics.
 
+A measurement setting is named by its observable alone: its rotation
+vectors are that observable's canonical ones. ``branch_data`` and
+``output_mixture`` give the ideal data a sweep is compared with, in closed
+form (the single-ancilla circuit is simulated). The exact-estimator
+oracles, which run a measurement circuit on a given pair state, live with
+the tests (``tests/helpers.py``).
+
 Rotation-convention note: the measurement settings are specified as rotation
 vectors. Writing them as exp(-i sigma.vec) (no half angle) does *not*
 reproduce the known closed-form outputs of circuit 2; the half-angle reading
 exp(-i sigma.vec / 2) does, and is the default here. Both variants remain
-constructible so the regression suite can pin which one is algebraically
-correct.
+constructible (``measurement_circuit(s, half_angle=False)``) so the
+regression suite can pin which one is algebraically correct.
 """
 
 from __future__ import annotations
@@ -40,15 +47,7 @@ from .circuits import (
     ry,
 )
 from .observables import ObservableValue
-from .qmath import (
-    DensityMatrix,
-    StateVector,
-    append_ancillas,
-    append_ancillas_rho,
-    basis_state,
-    partial_trace,
-    tensor,
-)
+from .qmath import StateVector, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -124,25 +123,31 @@ def bell_coefficients(p: PrepParams) -> BellCoefficients:
 
 def prep_circuit(p: PrepParams) -> Circuit:
     """Two-qubit preparation circuit: RY(phi) on A, RY(lam) on B, CRY(theta) A->B."""
-    return Circuit(2, (ry(0, p.phi), ry(1, p.lam), cry(0, 1, p.theta)), "prep")
+    return Circuit(2, (ry(0, p.phi), ry(1, p.lam), cry(0, 1, p.theta)))
 
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Which observable circuit 1/2 measures, with its three rotation vectors."""
+    """Which observable circuit 1/2 measures. Its three rotation vectors
+    are the observable's canonical ones (``_CANONICAL_VECTORS``)."""
 
     observable: str  # 'visibility' | 'predictability' | 'concurrence1' | 'concurrence2'
-    theta1: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    theta2: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    theta3: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        expected = _CANONICAL_VECTORS.get(self.observable)
-        if expected is None:
+        if self.observable not in _CANONICAL_VECTORS:
             raise ValueError(f"unknown observable {self.observable!r}")
-        got = (self.theta1, self.theta2, self.theta3)
-        if any(not np.allclose(g, e, atol=1e-12) for g, e in zip(got, expected)):
-            raise ValueError(f"rotation vectors do not match the {self.observable} setting")
+
+    @property
+    def theta1(self) -> tuple[float, float, float]:
+        return _CANONICAL_VECTORS[self.observable][0]
+
+    @property
+    def theta2(self) -> tuple[float, float, float]:
+        return _CANONICAL_VECTORS[self.observable][1]
+
+    @property
+    def theta3(self) -> tuple[float, float, float]:
+        return _CANONICAL_VECTORS[self.observable][2]
 
     @property
     def num_qubits(self) -> int:
@@ -163,7 +168,7 @@ _CANONICAL_VECTORS = {
 
 
 def visibility_setting() -> MeasurementSetting:
-    return MeasurementSetting("visibility", *_CANONICAL_VECTORS["visibility"])
+    return MeasurementSetting("visibility")
 
 
 def predictability_setting() -> MeasurementSetting:
@@ -175,7 +180,7 @@ def concurrence1_setting() -> MeasurementSetting:
 
 
 def concurrence2_setting() -> MeasurementSetting:
-    return MeasurementSetting("concurrence2", *_CANONICAL_VECTORS["concurrence2"])
+    return MeasurementSetting("concurrence2")
 
 
 def setting_for(observable: str) -> MeasurementSetting:
@@ -218,7 +223,7 @@ def qnd1_circuit() -> Circuit:
         rx(0, -_HALF_PI),
         rx(1, -_HALF_PI),
     )
-    return Circuit(3, gates, "qnd-concurrence-1anc")
+    return Circuit(3, gates)
 
 
 def qnd2_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
@@ -240,7 +245,7 @@ def qnd2_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
         *_rotation_gates(0, s.theta2, half_angle),
         *_rotation_gates(1, s.theta2, half_angle),
     )
-    return Circuit(4, gates, f"qnd-{s.observable}")
+    return Circuit(4, gates)
 
 
 def bell_basis_rotation() -> Circuit:
@@ -249,7 +254,7 @@ def bell_basis_rotation() -> Circuit:
     After CNOT C->D and H on C: phi_plus -> 00, psi_plus -> 01,
     phi_minus -> 10, psi_minus -> 11 (up to irrelevant global signs).
     """
-    return Circuit(4, (cnot(2, 3), h(2)), "bell-basis")
+    return Circuit(4, (cnot(2, 3), h(2)))
 
 
 def measurement_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
@@ -441,8 +446,9 @@ def branch_data(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
     return tuple(Branch(o, st, pr, pr >= RELIABLE_BRANCH_PROB) for o, st, pr in entries)
 
 
-def output_mixture(branches: tuple[Branch, ...]) -> DensityMatrix:
-    """Pair state after the ancilla readout when the outcome is discarded.
+def output_mixture(branches: tuple[Branch, ...]) -> np.ndarray:
+    """Pair state after the ancilla readout when the outcome is discarded,
+    as a (4, 4) density matrix.
 
     The pre-measurement state couples orthogonal ancilla kets to each branch,
     so this is the probability mixture of the conditional branch states.
@@ -452,41 +458,7 @@ def output_mixture(branches: tuple[Branch, ...]) -> DensityMatrix:
         if b.state is not None:
             m += b.probability * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
     m /= np.trace(m).real
-    return DensityMatrix(2, m)
-
-
-def qnd_estimates_exact(
-    s: MeasurementSetting, pair_state: StateVector | DensityMatrix, half_angle: bool = True
-) -> dict[str, ObservableValue]:
-    """Infinite-shot estimator values for a given two-qubit input state.
-
-    Adjoins fresh |0> ancillas, runs the measurement circuit exactly, and
-    feeds the exact ancilla probabilities to the estimator. Accepts a mixed
-    input so repeated (nondemolition) measurements can be chained.
-    """
-    n_anc = s.num_qubits - 2
-    mc = measurement_circuit(s, half_angle)
-    if isinstance(pair_state, StateVector):
-        full = append_ancillas(pair_state, n_anc)
-        out: StateVector | DensityMatrix = circ.run_pure(mc, full)
-    else:
-        full_rho = append_ancillas_rho(pair_state, n_anc)
-        out = circ.run_noisy(mc, full_rho, circ.NoiseModel())
-    probs = circ.exact_probabilities(out, s.ancilla_qubits)
-    return estimate_observable(s, probs)
-
-
-def post_measurement_pair_state(
-    s: MeasurementSetting, pair_state: StateVector | DensityMatrix
-) -> DensityMatrix:
-    """Unconditional pair state after one exact measurement-circuit pass."""
-    n_anc = s.num_qubits - 2
-    mc = measurement_circuit(s)
-    if isinstance(pair_state, StateVector):
-        out = circ.run_pure(mc, append_ancillas(pair_state, n_anc)).density()
-    else:
-        out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel())
-    return partial_trace(out, (0, 1))
+    return m
 
 
 # --- explicit operator cross-check for the visibility setting ----------------
@@ -532,19 +504,16 @@ def visibility_identity_deviation(p: PrepParams) -> float:
     return float(np.max(np.abs(evolved - rho_target)))
 
 
-def visibility_identity_check(params: list[PrepParams] | None = None, atol: float = 1e-8) -> bool:
-    """True when the explicit operator reproduces the closed-form output.
+def visibility_identity_check(params: list[PrepParams], atol: float = 1e-8) -> bool:
+    """True when the explicit operator reproduces the closed-form output at
+    every listed point.
 
-    Defaults to a 5x5 grid over (phi, theta) with lam = 0. Raises
-    ValueError for an empty parameter list, which checks nothing, and for
-    a tolerance that is negative or not finite, which fails or passes
-    every point.
+    Raises ValueError for an empty parameter list, which checks nothing,
+    and for a tolerance that is negative or not finite, which fails or
+    passes every point.
     """
     if not (math.isfinite(atol) and atol >= 0):
         raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
-    if params is None:
-        grid = np.linspace(0.0, 2 * math.pi, 5)
-        params = [PrepParams(phi, theta) for phi in grid for theta in grid]
     if not params:
         raise ValueError("no parameters to check")
     return all(visibility_identity_deviation(p) <= atol for p in params)

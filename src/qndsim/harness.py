@@ -25,8 +25,10 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   input and output tomography counts from those distributions and
   analyzes them: each input estimate on its own, and the sampled output
   estimates of every point and branch as one stack. Exact mode reads the
-  same distributions instead, the infinite-shot limit of the draws, and
-  analyzes no branch.
+  same distributions instead, the infinite-shot limit of the draws. Its
+  data depend on the prepared state alone, so it analyzes each distinct
+  state of the block once, the output estimates as one stack, and no
+  branch.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -326,7 +328,7 @@ def _prepare_block(
         theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
         branches=ideal,
         target_in=tuple(chi.density() for chi in chi_ideal),
-        target_out=np.stack([ex.output_mixture(bs).matrix for bs in ideal]),
+        target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
         readout=readout,
         readout_qubits=ancillas,
         probs_in=tom.setting_probabilities(chi_actual, noise),
@@ -347,28 +349,31 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
     slots = [slot_of[p] for p in params]
     block = _prepare_block(obs, tuple(slot_of), config.noise)
-    readouts = [block.readout[k] for k in slots]
-    ideal = [block.branches[k] for k in slots]
-    probs_in, probs_out = block.probs_in[slots], block.probs_out[slots]
-    target_out = block.target_out[slots]
 
     # the ancilla readout, the input tomography data and the output analysis
     if config.exact_mode:
-        anc_stats = [circ.exact_probabilities(r, block.readout_qubits, flip) for r in readouts]
-        data_in = probs_in
-        tomo_out, fidelity_out, branches = _exact_output(probs_out, ideal, target_out, key)
+        # exact data are a function of the slot alone: each slot is analyzed
+        # once, and a point reads its slot's results
+        rows = slots
+        anc_stats = [circ.exact_probabilities(r, block.readout_qubits, flip) for r in block.readout]
+        data_in, target_in = block.probs_in, block.target_in
+        tomo_out, fidelity_out, branches = _exact_output(
+            block.probs_out, block.branches, block.target_out, key)
     else:
+        rows = range(len(points))
         anc_stats = [
-            circ.sample_counts(r, block.readout_qubits, shots, circ.rng_stream(ms, 0, index), flip)
-            for r, index in zip(readouts, indices)
+            circ.sample_counts(block.readout[k], block.readout_qubits, shots,
+                               circ.rng_stream(ms, 0, index), flip)
+            for k, index in zip(slots, indices)
         ]
-        data_in = tom.collect(probs_in, shots, ms, [(1, index) for index in indices])
-        counts = tom.collect(probs_out, shots, ms, [(2, index) for index in indices])
+        data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
+        counts = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
+        target_in = [block.target_in[k] for k in slots]
         tomo_out, fidelity_out, branches = _output_tomography(
-            setting, counts, ideal, target_out, key)
+            setting, counts, [block.branches[k] for k in slots], block.target_out[slots], key)
     qnd_estimates = [ex.estimate_observable(setting, a)[obs].value for a in anc_stats]
     tomo_in, est_in = _estimate_each(data_in, key)
-    fidelity_in = [fidelity(block.target_in[k], est) for k, est in zip(slots, est_in)]
+    fidelity_in = [fidelity(target, est) for target, est in zip(target_in, est_in)]
 
     return [
         SweepRecord(
@@ -376,34 +381,37 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=block.theory[slots[i]],
-            qnd_estimate=qnd_estimates[i],
-            tomo_in=tomo_in[i],
-            tomo_out=tomo_out[i],
-            fidelity_in=fidelity_in[i],
-            fidelity_out=fidelity_out[i],
-            branches=branches[i],
+            theory=block.theory[k],
+            qnd_estimate=qnd_estimates[r],
+            tomo_in=tomo_in[r],
+            tomo_out=tomo_out[r],
+            fidelity_in=fidelity_in[r],
+            fidelity_out=fidelity_out[r],
+            branches=branches[r],
             shots=0 if config.exact_mode else shots,
             seed=seed_tag,
         )
-        for i, (_, phi, seed_tag) in enumerate(points)
+        for (_, phi, seed_tag), k, r in zip(points, slots, rows)
     ]
 
 
 def _exact_output(probs_out, ideal, target_out, key: str):
-    """The unconditional output estimates of exact data: each point's
-    full-register distributions summed over the ancilla bits. No branch is
-    analyzed; the records carry the ideal branch data only.
+    """The unconditional output estimates of exact data, as one stack: each
+    state's full-register distributions summed over the ancilla bits. No
+    branch is analyzed; the records carry the ideal branch data only.
 
-    Returns, per point, the observable value, its fidelity and the branches.
+    Returns, per state, the observable value, its fidelity and the branches.
     """
     data = probs_out.reshape(*probs_out.shape[:2], 4, -1).sum(axis=-1)
-    tomo_out, est_out = _estimate_each(data, key)
-    fidelity_out = fidelity_stack(target_out, np.stack([est.matrix for est in est_out]))
+    est = tom.reconstruct_stack(data)
+    if len(est.rows) != len(data):
+        raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
+    tomo_out = observable_stack(est.projected)[key][0]
+    fidelity_out = fidelity_stack(target_out, est.projected)
     branches = [
         tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs) for bs in ideal
     ]
-    return tomo_out, fidelity_out.tolist(), branches
+    return tomo_out.tolist(), fidelity_out.tolist(), branches
 
 
 def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
@@ -603,12 +611,6 @@ def emit(
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse_csv(path: str) -> list[dict]:
-    """Read back an emitted CSV as a list of per-row dicts (strings kept)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
 def run_criteria_protocol(
     seeds: list[int],
     observables: tuple[str, ...] = ex.OBSERVABLES,
@@ -623,7 +625,8 @@ def run_criteria_protocol(
     prepared blocks.
 
     Raises ValueError for an empty ``seeds`` or ``observables`` list,
-    which has no mean.
+    which has no mean, and for any seed and observable whose sweep config
+    is invalid, before the first sweep runs.
     """
     from .analysis import criteria_summary
 
@@ -631,16 +634,15 @@ def run_criteria_protocol(
         raise ValueError("at least one seed is required")
     if not observables:
         raise ValueError("at least one observable is required")
-    per_seed = []
-    for seed in seeds:
-        records_by_obs = {}
-        for obs in observables:
-            cfg = SweepConfig(
-                observable=obs, phi_count=phi_count, phi_step=phi_step,
-                shots=shots, noise=noise, master_seed=seed,
-            )
-            records_by_obs[obs] = run_sweep(cfg)
-        per_seed.append(criteria_summary(records_by_obs))
+    configs = [
+        [SweepConfig(observable=obs, phi_count=phi_count, phi_step=phi_step,
+                     shots=shots, noise=noise, master_seed=seed) for obs in observables]
+        for seed in seeds
+    ]
+    per_seed = [
+        criteria_summary({cfg.observable: run_sweep(cfg) for cfg in seed_configs})
+        for seed_configs in configs
+    ]
     mean = {
         e: float(np.mean([r["averages"][e] for r in per_seed])) for e in per_seed[0]["averages"]
     }

@@ -15,7 +15,6 @@ from .qmath import (
     DensityMatrix,
     StateVector,
     matrix_sqrt_psd,
-    partial_trace,
     partial_trace_matrix,
     tensor,
 )
@@ -92,23 +91,6 @@ def concurrence_pure(psi: StateVector) -> float:
         raise ValueError("concurrence is defined on a two-qubit state")
     a, b, c, d = psi.amplitudes
     return float(min(2.0 * abs(a * d - b * c), 1.0))
-
-
-def triality_defect(psi: StateVector, subsystem: str) -> float:
-    """C^2 + V_k^2 + P_k^2 - 1 for a pure two-qubit state (zero when exact).
-
-    The squared combination is the identity that actually closes for
-    real-amplitude pure states; the linear combination C + V + P does not
-    (e.g. cos(phi/2)|00> + sin(phi/2)|11> gives C + P = sin + cos > 1).
-    """
-    if subsystem not in ("A", "B"):
-        raise ValueError("subsystem must be 'A' or 'B'")
-    keep = (0,) if subsystem == "A" else (1,)
-    rho_k = partial_trace(psi.density(), keep)
-    c = concurrence_pure(psi)
-    v = visibility(rho_k)
-    p = predictability(rho_k)
-    return c * c + v * v + p * p - 1.0
 
 
 def observable_stack(rho: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:

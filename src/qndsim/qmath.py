@@ -92,11 +92,6 @@ class StateVector:
         a = self.amplitudes
         return DensityMatrix(self.num_qubits, np.outer(a, a.conj()))
 
-    def overlap(self, other: "StateVector") -> complex:
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, slots=True)
 class DensityMatrix:
@@ -144,19 +139,6 @@ def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def append_ancillas(state: StateVector, count: int) -> StateVector:
-    """Adjoin ``count`` fresh |0> qubits after the existing register."""
-    amps = np.kron(state.amplitudes, basis_state(count).amplitudes)
-    return StateVector(state.num_qubits + count, amps)
-
-
-def append_ancillas_rho(rho: DensityMatrix, count: int) -> DensityMatrix:
-    """Adjoin ``count`` fresh |0><0| qubits after the existing register."""
-    anc = np.zeros((2**count, 2**count), dtype=complex)
-    anc[0, 0] = 1.0
-    return DensityMatrix(rho.num_qubits + count, np.kron(rho.matrix, anc))
-
-
 def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Partial trace of a raw matrix, or of each slice of a (..., d, d) stack,
     keeping the listed qubits (ascending order)."""
@@ -189,23 +171,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"qubit index out of range in {keep}")
     reduced = partial_trace_matrix(rho.matrix, rho.num_qubits, keep)
     return DensityMatrix(len(keep), reduced)
-
-
-def hermitian_eigenvalues(
-    m: np.ndarray, atol: float = ATOL_ALGEBRA, clip_psd: bool = False
-) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises ValueError if ``m`` deviates from Hermiticity by more than
-    ``atol``. With ``clip_psd`` small negative values are clipped to zero.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or not is_hermitian(m, atol=atol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2).real[::-1]
-    if clip_psd:
-        vals = np.clip(vals, 0.0, None)
-    return vals
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -92,7 +92,7 @@ class TomographySetting:
         state onto |00>."""
         gates = tuple(_PRE_ROTATION[b](q) for q, b in enumerate((self.basis_a, self.basis_b))
                       if b in _PRE_ROTATION)
-        return Circuit(2, gates, f"tomo-{self.label}")
+        return Circuit(2, gates)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,6 @@ def _design_matrix() -> np.ndarray:
             b[i, j] = np.trace(m @ p).real / 4.0
     b.flags.writeable = False
     return b
-
-
-def design_matrix_rank() -> int:
-    return int(np.linalg.matrix_rank(_design_matrix()))
 
 
 def setting_probabilities(

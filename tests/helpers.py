@@ -1,10 +1,16 @@
-"""Shared random-object generators for the test suite (all seeded)."""
+"""Shared helpers for the test suite: seeded random-object generators, and
+the exact oracles the acceptance criteria compare the package against (the
+exact QND estimator on a given pair state, the pair state after one
+measurement pass, and the triality defect)."""
 
 import numpy as np
 
+from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, cnot, cry, h, rx, ry, x
-from qndsim.qmath import DensityMatrix, StateVector
+from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
+from qndsim.observables import ObservableValue, concurrence_pure, predictability, visibility
+from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
 
 def random_pure_state(rng: np.random.Generator, num_qubits: int = 2) -> StateVector:
@@ -63,3 +69,67 @@ def tomograph(
     if shots is None:
         return tom.linear_reconstruct(probs[0])
     return tom.linear_reconstruct(tom.collect(probs, shots, master_seed, [seed_path])[0])
+
+
+def append_ancillas(state: StateVector, count: int) -> StateVector:
+    """Adjoin ``count`` fresh |0> qubits after the existing register."""
+    amps = np.kron(state.amplitudes, basis_state(count).amplitudes)
+    return StateVector(state.num_qubits + count, amps)
+
+
+def append_ancillas_rho(rho: DensityMatrix, count: int) -> DensityMatrix:
+    """Adjoin ``count`` fresh |0><0| qubits after the existing register."""
+    anc = np.zeros((2**count, 2**count), dtype=complex)
+    anc[0, 0] = 1.0
+    return DensityMatrix(rho.num_qubits + count, np.kron(rho.matrix, anc))
+
+
+def qnd_estimates_exact(
+    s: MeasurementSetting, pair_state: StateVector | DensityMatrix, half_angle: bool = True
+) -> dict[str, ObservableValue]:
+    """Infinite-shot estimator values for a given two-qubit input state.
+
+    Adjoins fresh |0> ancillas, runs the measurement circuit exactly, and
+    feeds the exact ancilla probabilities to the estimator. Accepts a mixed
+    input so repeated (nondemolition) measurements can be chained.
+    """
+    n_anc = s.num_qubits - 2
+    mc = measurement_circuit(s, half_angle)
+    if isinstance(pair_state, StateVector):
+        full = append_ancillas(pair_state, n_anc)
+        out: StateVector | DensityMatrix = circ.run_pure(mc, full)
+    else:
+        full_rho = append_ancillas_rho(pair_state, n_anc)
+        out = circ.run_noisy(mc, full_rho, circ.NoiseModel())
+    probs = circ.exact_probabilities(out, s.ancilla_qubits)
+    return estimate_observable(s, probs)
+
+
+def post_measurement_pair_state(
+    s: MeasurementSetting, pair_state: StateVector | DensityMatrix
+) -> DensityMatrix:
+    """Unconditional pair state after one exact measurement-circuit pass."""
+    n_anc = s.num_qubits - 2
+    mc = measurement_circuit(s)
+    if isinstance(pair_state, StateVector):
+        out = circ.run_pure(mc, append_ancillas(pair_state, n_anc)).density()
+    else:
+        out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel())
+    return partial_trace(out, (0, 1))
+
+
+def triality_defect(psi: StateVector, subsystem: str) -> float:
+    """C^2 + V_k^2 + P_k^2 - 1 for a pure two-qubit state (zero when exact).
+
+    The squared combination is the identity that actually closes for
+    real-amplitude pure states; the linear combination C + V + P does not
+    (e.g. cos(phi/2)|00> + sin(phi/2)|11> gives C + P = sin + cos > 1).
+    """
+    if subsystem not in ("A", "B"):
+        raise ValueError("subsystem must be 'A' or 'B'")
+    keep = (0,) if subsystem == "A" else (1,)
+    rho_k = partial_trace(psi.density(), keep)
+    c = concurrence_pure(psi)
+    v = visibility(rho_k)
+    p = predictability(rho_k)
+    return c * c + v * v + p * p - 1.0

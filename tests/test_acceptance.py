@@ -15,13 +15,20 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_density_matrix, random_real_pure_state, tomograph
+from helpers import (
+    post_measurement_pair_state,
+    qnd_estimates_exact,
+    random_density_matrix,
+    random_real_pure_state,
+    tomograph,
+    triality_defect,
+)
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim.analysis import fit_mixed_fraction, rms_error
 from qndsim.circuits import NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol, run_sweep
-from qndsim.observables import concurrence_wootters, observable_set, triality_defect
+from qndsim.observables import concurrence_wootters, observable_set
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, fidelity
 
 GRID_16 = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
@@ -62,8 +69,8 @@ def test_criterion_02_estimator_equivalence():
         for theta in GRID_16:
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
             reference = concurrence_wootters(chi.density())
-            c1 = ex.qnd_estimates_exact(ex.concurrence1_setting(), chi)["C1"].value
-            c2 = ex.qnd_estimates_exact(ex.concurrence2_setting(), chi)["C2"].value
+            c1 = qnd_estimates_exact(ex.concurrence1_setting(), chi)["C1"].value
+            c2 = qnd_estimates_exact(ex.concurrence2_setting(), chi)["C2"].value
             worst = max(worst, abs(c1 - reference), abs(c2 - reference))
     _report(2, worst <= 1e-8, f"max estimator disagreement {worst:.2e}")
 
@@ -76,9 +83,9 @@ def test_criterion_03_nondemolition():
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
             for obs in ex.OBSERVABLES:
                 s = ex.setting_for(obs)
-                first = ex.qnd_estimates_exact(s, chi)[obs].value
-                rho_post = ex.post_measurement_pair_state(s, chi)
-                second = ex.qnd_estimates_exact(s, rho_post)[obs].value
+                first = qnd_estimates_exact(s, chi)[obs].value
+                rho_post = post_measurement_pair_state(s, chi)
+                second = qnd_estimates_exact(s, rho_post)[obs].value
                 worst = max(worst, abs(first - second))
     _report(3, worst <= 1e-8, f"max repeat-measurement shift {worst:.2e}")
 

@@ -151,7 +151,7 @@ def test_exact_collection_reads_the_same_stack():
     ts = tom.tomography_settings()
     maps = tom.setting_probabilities([rho])[0]
     for setting, got in zip(ts, maps):
-        reference = _reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel.none())
+        reference = _reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel())
         assert np.array_equal(got, np.clip(np.diag(reference).real, 0.0, None))
 
 

@@ -121,7 +121,7 @@ def _reference_point(config, index, phi, seed_tag):
                                  circ.rng_stream(ms, 0, index), noise.readout_flip)
     est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
                        ms, noise, seed_path=(1, index))
-    rho_psi_theory = ex.output_mixture(ideal)
+    rho_psi_theory = DensityMatrix(2, ex.output_mixture(ideal))
     tomo_out, fidelity_out, branches = _reference_output(
         config, setting, out_state, index, ideal, key, rho_psi_theory)
     return SweepRecord(

@@ -90,7 +90,7 @@ class TestRunNoisy:
             c = random_circuit(rng, n)
             psi = random_pure_state(rng, n)
             pure = run_pure(c, psi).density()
-            noisy = run_noisy(c, psi.density(), NoiseModel.none())
+            noisy = run_noisy(c, psi.density(), NoiseModel())
             np.testing.assert_allclose(noisy.matrix, pure.matrix, atol=1e-10)
 
     def test_depolarized_x_gate(self):
@@ -122,9 +122,9 @@ class TestRunNoisy:
 
     def test_enabled_is_a_constructor_argument_only(self):
         # an attribute would read True on every model, the noiseless one too
-        assert not hasattr(NoiseModel.none(), "enabled")
+        assert not hasattr(NoiseModel(), "enabled")
         assert not hasattr(NoiseModel(0.1, 0.2, 0.3), "enabled")
-        assert NoiseModel(0.1, 0.2, 0.3, enabled=False) == NoiseModel.none()
+        assert NoiseModel(0.1, 0.2, 0.3, enabled=False) == NoiseModel()
         with pytest.raises(ValueError, match="enabled"):
             NoiseModel(enabled=0)
 
@@ -141,45 +141,46 @@ class TestRunNoisy:
 
 class TestSampling:
     def test_deterministic_ground_state(self):
-        counts = sample_counts(basis_state(1), (0,), 100, seed=0)
+        counts = sample_counts(basis_state(1), (0,), 100, rng=np.random.default_rng(0))
         assert counts.tolist() == [100, 0]
 
     def test_plus_state_frequency(self):
         plus = run_pure(Circuit(1, (h(0),)), basis_state(1))
-        counts = sample_counts(plus, (0,), 5000, seed=5)
+        counts = sample_counts(plus, (0,), 5000, rng=np.random.default_rng(5))
         # 3 sigma band for a fair coin at 5000 shots
         assert abs(counts[1] / 5000 - 0.5) < 3 * math.sqrt(0.25 / 5000)
 
     def test_bell_state_only_correlated_outcomes(self):
         bell = run_pure(bell_circuit(), basis_state(2))
-        counts = sample_counts(bell, (0, 1), 2000, seed=7)
+        counts = sample_counts(bell, (0, 1), 2000, rng=np.random.default_rng(7))
         assert np.flatnonzero(counts).tolist() == [0b00, 0b11]
 
     def test_same_seed_same_counts(self):
         psi = random_pure_state(np.random.default_rng(24), 2)
-        a = sample_counts(psi, (0, 1), 1000, seed=99, readout_flip=0.02)
-        b = sample_counts(psi, (0, 1), 1000, seed=99, readout_flip=0.02)
+        a = sample_counts(psi, (0, 1), 1000, rng=np.random.default_rng(99), readout_flip=0.02)
+        b = sample_counts(psi, (0, 1), 1000, rng=np.random.default_rng(99), readout_flip=0.02)
         assert np.array_equal(a, b)
 
     def test_large_sample_matches_exact_probabilities(self):
         rng = np.random.default_rng(25)
         psi = random_pure_state(rng, 2)
         shots = 10**6
-        counts = sample_counts(psi, (0, 1), shots, seed=1)
+        counts = sample_counts(psi, (0, 1), shots, rng=np.random.default_rng(1))
         exact = exact_probabilities(psi, (0, 1))
         for i, p in enumerate(exact):
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[i] / shots - p) < 5 * max(sigma, 1e-6)
 
     def test_readout_flip_changes_distribution(self):
-        counts = sample_counts(basis_state(1), (0,), 10000, seed=3, readout_flip=0.1)
+        counts = sample_counts(basis_state(1), (0,), 10000, np.random.default_rng(3),
+                               readout_flip=0.1)
         assert abs(counts[1] / 10000 - 0.1) < 0.02
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            sample_counts(basis_state(1), (), 10, seed=0)
+            sample_counts(basis_state(1), (), 10, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_counts(basis_state(1), (0,), 0, seed=0)
+            sample_counts(basis_state(1), (0,), 0, rng=np.random.default_rng(0))
 
 
 class TestExactProbabilities:

@@ -41,7 +41,7 @@ def case_config(mode: str, observable: str) -> SweepConfig:
         phi_step=1.1,
         shots=2000,
         exact_mode=mode == "exact",
-        noise=CRITERION_9_NOISE if mode == "noisy" else NoiseModel.none(),
+        noise=CRITERION_9_NOISE if mode == "noisy" else NoiseModel(),
         master_seed=11,
     )
 
@@ -121,11 +121,12 @@ def test_old_config_echo_reproduces_golden(golden, tmp_path, mode):
 def test_no_noise_spellings_agree():
     # the all-zero model is noiseless however it is spelled, so it takes the
     # pure path and draws the same samples
-    assert NoiseModel() == NoiseModel.none() == NoiseModel(enabled=False, depol_2q=0.5)
+    disabled = NoiseModel(enabled=False, depol_2q=0.5)
+    assert NoiseModel() == disabled
     for observable in OBSERVABLES:
         config = case_config("sampled", observable)
         assert run_sweep(replace(config, noise=NoiseModel())) == run_sweep(
-            replace(config, noise=NoiseModel.none()))
+            replace(config, noise=disabled))
 
 
 def _write() -> None:

@@ -1,5 +1,6 @@
 """Sweep driver, emission formats, and the command-line front end."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -23,7 +24,6 @@ from qndsim.harness import (
     SweepConfig,
     compute_fits,
     emit,
-    parse_csv,
     _prepare_states,
     repeat_fixed_state,
     run_sweep,
@@ -31,6 +31,13 @@ from qndsim.harness import (
 )
 from qndsim.qmath import DensityMatrix, StateVector
 from qndsim.experiments import OBSERVABLES, PrepParams, bell_coefficients
+
+
+def read_csv(path) -> list[dict]:
+    """An emitted CSV's rows, as dicts of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PROBABILITY = st.floats(0.0, 1.0)
@@ -127,7 +134,7 @@ class TestConfig:
         config = SweepConfig.from_dict(echo)
         assert config == SweepConfig("PA", theta=math.pi, phi_count=4, phi_step=0.3,
                                      shots=100, master_seed=5)
-        assert config.noise == NoiseModel() == NoiseModel.none()
+        assert config.noise == NoiseModel()
         enabled = dict(echo, noise=dict(echo["noise"], enabled=True))
         assert SweepConfig.from_dict(enabled).noise == NoiseModel(0.1, 0.2, 0.0)
 
@@ -261,6 +268,18 @@ def test_criteria_protocol_rejects_empty_observables(monkeypatch):
         harness.run_criteria_protocol([0], observables=())
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seeds=[0], observables=("VA", "XX")), "unknown observable 'XX'"),
+    (dict(seeds=[0, -1]), "master_seed must be >= 0"),
+])
+def test_criteria_protocol_rejects_a_bad_config_before_any_sweep(monkeypatch, kwargs, message):
+    sweeps = []
+    monkeypatch.setattr(harness, "run_sweep", sweeps.append)
+    with pytest.raises(ValueError, match=message):
+        harness.run_criteria_protocol(phi_count=4, shots=100, **kwargs)
+    assert sweeps == []
+
+
 class TestRepeatFixedState:
     def test_distinct_seeds_and_determinism(self):
         cfg = SweepConfig("C2", shots=300, master_seed=5)
@@ -281,6 +300,22 @@ class TestRepeatFixedState:
         with pytest.raises(ValueError):
             repeat_fixed_state(SweepConfig("C2"), 0)
 
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_exact_repetitions_are_one_record(self, observable):
+        # exact data depend on the state alone, so only the seed tag differs
+        reps = repeat_fixed_state(SweepConfig(observable, exact_mode=True), 20)
+        assert [r.seed for r in reps] == list(range(20))
+        assert all(dataclasses.replace(r, seed=0) == reps[0] for r in reps)
+
+    def test_exact_repetitions_analyze_each_state_once(self, monkeypatch):
+        # one input and one output reconstruction per 16-point block
+        calls = []
+        reconstruct = tom.reconstruct_stack
+        monkeypatch.setattr(tom, "reconstruct_stack",
+                            lambda data: calls.append(len(data)) or reconstruct(data))
+        repeat_fixed_state(SweepConfig("C2", exact_mode=True), 50)
+        assert calls == [1] * 8
+
 
 class TestEmission:
     def test_csv_layout_and_round_trip(self, tmp_path):
@@ -288,7 +323,7 @@ class TestEmission:
         records = run_sweep(cfg)
         path = tmp_path / "sweep.csv"
         emit(records, "csv", str(path), cfg)
-        rows = parse_csv(str(path))
+        rows = read_csv(str(path))
         assert list(rows[0].keys()) == list(CSV_COLUMNS)
         assert len(rows) == 4  # exact mode: one row per point, branch empty
         assert all(row["branch"] == "" for row in rows)
@@ -299,7 +334,7 @@ class TestEmission:
         records = run_sweep(cfg)
         path = tmp_path / "sweep.csv"
         emit(records, "csv", str(path), cfg)
-        rows = parse_csv(str(path))
+        rows = read_csv(str(path))
         branches = [r for r in rows if r["branch"]]
         assert branches and branches[0]["branch_reliable"] in ("true", "false")
         assert rows[0]["branch"] == ""  # unconditional row sorts first
@@ -357,7 +392,7 @@ class TestCli:
         out = tmp_path / "c.csv"
         assert cli_main(["sweep", "--config", str(cfg_file), "--phi-steps", "2",
                          "--out", str(out)]) == 0
-        assert len(parse_csv(str(out))) == 2
+        assert len(read_csv(str(out))) == 2
 
     def test_emitted_config_echo_reproduces_run(self, tmp_path):
         # the config echo in JSON output is the reproduction artifact: feeding
@@ -394,7 +429,7 @@ class TestCli:
         cfg_file.write_text(json.dumps(
             {"observable": "VB", "exact_mode": True, "phi_count": 2, "output_path": str(out)}))
         assert cli_main(["sweep", "--config", str(cfg_file)]) == 0
-        assert len(parse_csv(str(out))) == 2
+        assert len(read_csv(str(out))) == 2
 
     def test_noise_flags_overlay_config_noise(self, tmp_path):
         # a flag replaces its own probability; the file's other ones stay,
@@ -438,7 +473,7 @@ class TestCli:
         assert cli_main(["sweep", "--observable", "C2", "--exact", "--phi-steps", "70",
                          "--format", fmt, "--out", str(out)]) == 0
         if fmt == "csv":
-            assert len(parse_csv(str(out))) == 70
+            assert len(read_csv(str(out))) == 70
         else:
             doc = json.loads(out.read_text())
             assert len(doc["records"]) == 70

@@ -10,6 +10,7 @@ from helpers import (
     random_pure_state,
     random_real_pure_state,
     random_unitary_2x2,
+    triality_defect,
 )
 from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
 from qndsim.observables import (
@@ -17,7 +18,6 @@ from qndsim.observables import (
     concurrence_wootters,
     observable_set,
     predictability,
-    triality_defect,
     visibility,
 )
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
