@@ -18,7 +18,6 @@ from .circuits import (
     exact_probabilities,
     postselect,
     postselect_counts,
-    rng_stream,
     run_noisy,
     run_pure,
     sample_counts,

@@ -6,9 +6,10 @@ batch of circuits, from one initial state per circuit, as one stack,
 layer by layer (``run_batch``); a single circuit is a batch of one.
 A measurement's outcome distribution is the Born-rule marginal with an
 optional independent readout flip per recorded bit; sampling draws from
-it, multinomially and deterministically for a given seed, and exact mode
-reads it. Counts are integer arrays indexed by outcome, and post-selection
-and marginalization index or sum their bit axes.
+it, multinomially, each row from the seed stream its seed path names
+under the master seed, and exact mode reads it. Counts are integer arrays
+indexed by outcome, and post-selection and marginalization index or sum
+their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
@@ -188,16 +189,6 @@ class NoiseModel:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v!r}")
             object.__setattr__(self, name, v if enabled else 0.0)
-
-
-def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Deterministic, collision-free generator for a point in a seed tree.
-
-    The stream depends only on (master_seed, path), never on construction
-    order, so concurrent consumers can derive their own streams.
-    """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
-    return np.random.default_rng(ss)
 
 
 @lru_cache(maxsize=8192)
@@ -442,28 +433,132 @@ def exact_probabilities(
     return _outcome_distribution(born, readout_flip)[0]
 
 
-def sample_batch(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
+# numpy's SeedSequence hash and the PCG64 seeding it feeds (numpy/random/
+# bit_generator.pyx and pcg64.h), fixed by numpy's stream-compatibility
+# policy (NEP 19); PCG64 after O'Neill (2014)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed_paths, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's spawn-key words as SeedSequence assembles them: every
+    element's 32-bit words, least significant first. Returns a zero-padded
+    (rows, W) uint32 array and each row's word count.
+
+    Raises ValueError unless there is one path per row and every element
+    is a nonnegative integer (not a bool).
+    """
+    paths = [tuple(p) for p in seed_paths]
+    if len(paths) != rows:
+        raise ValueError(f"{len(paths)} seed paths for {rows} rows")
+    flat = [v for path in paths for v in path]
+    for kind in set(map(type, flat)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Integral):
+            raise ValueError(f"seed path elements must be integers, got {kind.__name__}")
+    values = np.array([int(v) for v in flat], dtype=object)
+    if (values < 0).any():
+        raise ValueError("seed path elements must be >= 0")
+    parts, count = [values & _MASK32], np.ones(len(values), dtype=np.intp)
+    rest = values >> 32
+    while rest.any():
+        count += rest != 0
+        parts.append(rest & _MASK32)
+        rest = rest >> 32
+    words = np.array(parts, dtype=np.uint32).T
+    owner = np.repeat(np.arange(rows), [len(p) for p in paths])
+    lengths = np.bincount(owner, weights=count, minlength=rows).astype(np.intp)
+    stream = words[np.arange(words.shape[1]) < count[:, None]]  # every row's words in order
+    padded = np.zeros((rows, lengths.max(initial=0)), dtype=np.uint32)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = stream
+    return padded, lengths
+
+
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The uint32 constants init * mult^t for t in start .. start + count - 1."""
+    return np.array([init * pow(mult, start + t, 1 << 32) & _MASK32 for t in range(count)],
+                    dtype=np.uint32)
+
+
+def _stream_seeds(seq: np.random.SeedSequence, words: np.ndarray, lengths: np.ndarray):
+    """The (rows, 4) uint64 words each row's PCG64 is seeded from, those of
+    ``SeedSequence(seq.entropy, spawn_key=path)``: the master seed's pool
+    mixed with the row's path words, then ``generate_state(4, np.uint64)``."""
+    rows, width = words.shape
+    # the master seed made 16 hashmix calls, to fill the pool and cross-mix
+    # it, and 4 more for each of its words beyond the pool's 4; each path
+    # word makes 4, one per pool word, whose constants depend on position only
+    entropy_words = max(1, -(-int(seq.entropy).bit_length() // 32))
+    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, entropy_words - 4), 4 * width + 1)
+    hashed = words[:, :, None] ^ consts[:-1].reshape(width, 4)
+    hashed *= consts[1:].reshape(width, 4)
+    hashed ^= hashed >> 16
+    pool = np.tile(seq.pool, (rows, 1))
+    for j in range(width):
+        mixed = pool * np.uint32(_MIX_L) - hashed[:, j] * np.uint32(_MIX_R)
+        pool = np.where((lengths > j)[:, None], mixed ^ (mixed >> 16), pool)
+    # generate_state: the pool cycled to 8 words, hashed with its own constants
+    consts = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+    state = np.tile(pool, 2) ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8")
+
+
+def sample_batch(
+    probs: np.ndarray, shots: int, master_seed: int, seed_paths: Sequence[tuple[int, ...]]
+) -> np.ndarray:
     """One multinomial draw per row of a (B, 2^m) stack of outcome
-    distributions; row i is drawn from ``rngs[i]``. Returns the (B, 2^m)
-    integer counts."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return np.stack([
-        rng.multinomial(shots, p / p.sum()) for p, rng in zip(probs, rngs, strict=True)
-    ])
+    distributions. Row i draws from exactly the stream of
+    ``default_rng(SeedSequence(master_seed, spawn_key=seed_paths[i]))``;
+    an empty path is the stream of ``default_rng(master_seed)``. Returns
+    the (B, 2^m) integer counts.
+
+    Every row's seed is hashed in one pass, and one generator is re-seeded
+    per row, so a call costs one SeedSequence however many rows it draws.
+    The shot count and the seed input are checked before any draw.
+    """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if (isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral)
+            or master_seed < 0):
+        raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
+    probs = np.ascontiguousarray(probs, dtype=float)
+    words, lengths = _seed_words(seed_paths, len(probs))
+    seq = np.random.SeedSequence(int(master_seed))
+    seeds = _stream_seeds(seq, words, lengths)
+    bitgen = np.random.PCG64(seq)
+    gen = np.random.Generator(bitgen)
+    pvals = probs / probs.sum(axis=-1, keepdims=True)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for row, p in enumerate(pvals):
+        # PCG64's seeding: inc = 2q + 1, state = (inc + s) * M + inc mod 2^128
+        s_hi, s_lo, q_hi, q_lo = seeds[row].tolist()
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        counts[row] = gen.multinomial(shots, p)
+    return counts
 
 
 def sample_counts(
-    state: StateVector | DensityMatrix,
+    states: Sequence[StateVector | DensityMatrix],
     measured_qubits,
     shots: int,
-    rng: np.random.Generator,
+    master_seed: int,
+    seed_paths: Sequence[tuple[int, ...]],
     readout_flip: float = 0.0,
 ) -> np.ndarray:
-    """Multinomial draw from the distribution ``exact_probabilities`` gives:
-    the (2^m,) counts of a batch of one (see ``sample_batch``)."""
-    born = _marginal_probabilities(state, measured_qubits)[None]
-    return sample_batch(_outcome_distribution(born, readout_flip), shots, [rng])[0]
+    """Multinomial draws from the distribution ``exact_probabilities``
+    gives, one per state: state i draws from stream (master_seed,
+    *seed_paths[i]) (see ``sample_batch``). Returns the (states, 2^m)
+    counts."""
+    born = np.stack([_marginal_probabilities(s, measured_qubits) for s in states])
+    return sample_batch(_outcome_distribution(born, readout_flip), shots, master_seed, seed_paths)
 
 
 def postselect(

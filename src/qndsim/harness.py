@@ -34,9 +34,11 @@ Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
 block size, not on the sweep length.
 
-Every random draw comes from a stream derived from
-(master_seed, stage, point, setting), so results are byte-reproducible
-regardless of execution order and block layout.
+Every random draw comes from a stream derived from its seed path: a
+tomography setting's from (master_seed, stage, point, setting), the
+ancilla readout's from (master_seed, 0, point), which has no setting. So
+results are byte-reproducible regardless of execution order and block
+layout, and each stage draws a whole block in one call.
 """
 
 from __future__ import annotations
@@ -361,11 +363,8 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             block.probs_out, block.branches, block.target_out, key)
     else:
         rows = range(len(points))
-        anc_stats = [
-            circ.sample_counts(block.readout[k], block.readout_qubits, shots,
-                               circ.rng_stream(ms, 0, index), flip)
-            for k, index in zip(slots, indices)
-        ]
+        anc_stats = circ.sample_counts([block.readout[k] for k in slots], block.readout_qubits,
+                                       shots, ms, [(0, index) for index in indices], flip)
         data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
         counts = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
         target_in = [block.target_in[k] for k in slots]
@@ -489,6 +488,8 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
     stream per repetition; the record's ``seed`` field carries the
     repetition index.
     """
+    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral):
+        raise ValueError(f"repetitions must be an integer, got {repetitions!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)

@@ -186,10 +186,10 @@ def collect(
     paths = [tuple(p) for p in seed_paths]
     if len(paths) != len(probs):
         raise ValueError(f"{len(paths)} seed paths for {len(probs)} states")
-    # streams are built as the draw reaches them, so they never all exist at once
+    # every setting of every state in one draw: its streams are seeded together
     settings = probs.shape[1]
-    rngs = (circ.rng_stream(master_seed, *path, k) for path in paths for k in range(settings))
-    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, rngs)
+    rows = [(*path, k) for path in paths for k in range(settings)]
+    counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, master_seed, rows)
     return counts.reshape(probs.shape)
 
 

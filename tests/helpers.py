@@ -56,6 +56,12 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
+    """numpy's own generator for a point in the seed tree: the stream
+    ``circuits.sample_batch`` must reproduce for that row's seed path."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(path)))
+
+
 def tomograph(
     state: StateVector | DensityMatrix,
     shots: int | None,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit, random_density_matrix, random_pure_state
+from helpers import random_circuit, random_density_matrix, random_pure_state, rng_stream
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, cnot, h, x
@@ -122,7 +122,7 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
             assert np.linalg.eigvalsh(stack[k])[0] > -1e-12
             expected_probs = np.diag(expected).real
         assert np.array_equal(probs[k], expected_probs)
-        rng = circ.rng_stream(seed, 2, 5, k)
+        rng = rng_stream(seed, 2, 5, k)
         assert np.array_equal(counts[k], _reference_counts(expected_probs, 300, rng, flip))
 
 

@@ -24,7 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit, random_density_matrix, random_pure_state, tomograph
+from helpers import (
+    random_circuit, random_density_matrix, random_pure_state, rng_stream, tomograph,
+)
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import tomography as tom
@@ -117,8 +119,8 @@ def _reference_point(config, index, phi, seed_tag):
     if config.exact_mode:
         anc = circ.exact_probabilities(out_state, setting.ancilla_qubits, noise.readout_flip)
     else:
-        anc = circ.sample_counts(out_state, setting.ancilla_qubits, config.shots,
-                                 circ.rng_stream(ms, 0, index), noise.readout_flip)
+        p = circ.exact_probabilities(out_state, setting.ancilla_qubits, noise.readout_flip)
+        anc = rng_stream(ms, 0, index).multinomial(config.shots, p / p.sum())
     est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
                        ms, noise, seed_path=(1, index))
     rho_psi_theory = DensityMatrix(2, ex.output_mixture(ideal))

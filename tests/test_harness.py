@@ -300,6 +300,13 @@ class TestRepeatFixedState:
         with pytest.raises(ValueError):
             repeat_fixed_state(SweepConfig("C2"), 0)
 
+    @pytest.mark.parametrize("repetitions", [True, 2.5, 3.0, "3", None])
+    def test_rejects_non_integer_repetitions_before_any_work(self, repetitions):
+        # True would run one repetition and 2.5 would fail inside range()
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            repeat_fixed_state(SweepConfig("C2"), repetitions)
+        assert harness._prepare_block.cache_info().misses == 0
+
     @pytest.mark.parametrize("observable", OBSERVABLES)
     def test_exact_repetitions_are_one_record(self, observable):
         # exact data depend on the state alone, so only the seed tag differs

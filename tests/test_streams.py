@@ -1,0 +1,193 @@
+"""Seed streams: ``circuits.sample_batch`` hashes every row's seed in bulk,
+and each row must draw exactly what numpy's own generator for that seed
+path draws (``helpers.rng_stream``), bit for bit.
+
+The bulk hash reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
+which numpy's stream-compatibility policy fixes; these tests are the ones
+to run against the oldest supported numpy.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_density_matrix, random_pure_state, rng_stream
+from qndsim import circuits as circ
+from qndsim import tomography as tom
+from qndsim.harness import SweepConfig, run_sweep
+from qndsim.qmath import basis_state
+
+
+def _oracle(probs: np.ndarray, shots: int, master_seed: int, paths) -> np.ndarray:
+    """One numpy generator per row, each row normalized on its own."""
+    return np.stack([rng_stream(master_seed, *path).multinomial(shots, p / p.sum())
+                     for p, path in zip(probs, paths)])
+
+
+def _assert_rows_match(probs, shots, master_seed, paths):
+    got = circ.sample_batch(probs, shots, master_seed, paths)
+    want = _oracle(probs, shots, master_seed, paths)
+    assert got.dtype == want.dtype
+    for row, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), f"row {row}, path {paths[row]}"
+
+
+def _tied(rng: np.random.Generator, outcomes: int) -> np.ndarray:
+    """A distribution with exactly equal outcomes, as many prepared states have."""
+    p = np.zeros(outcomes)
+    p[rng.choice(outcomes, size=2, replace=False)] = 0.5
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # one to four master-seed words fill the hash pool; five or more extend it
+    master_seed=st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**200 - 1)),
+    paths=st.lists(st.lists(st.integers(0, 2**40), max_size=4).map(tuple),
+                   min_size=1, max_size=12),
+    outcomes=st.sampled_from([2, 4, 16]),
+    shots=st.integers(1, 3000),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_bulk_streams_match_numpy(master_seed, paths, outcomes, shots, draw_seed):
+    # paths of 0 to 4 elements, with 1 or 2 words each, in one call
+    rng = np.random.default_rng(draw_seed)
+    probs = rng.random((len(paths), outcomes))
+    probs[::2] = [_tied(rng, outcomes) for _ in probs[::2]]
+    _assert_rows_match(probs, shots, master_seed, paths)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128,
+                                         2**128 + 7, 2**160 + 5, 2**199 * 3])
+def test_master_seeds_of_every_word_count(master_seed):
+    # 2^128 and up have five or more words, which shift the hash constants
+    paths = [(), (1,), (2, 3, 4), (0, 0, 0, 0, 0), (2**32 - 1, 2**32)]
+    probs = np.random.default_rng(1).random((len(paths), 4))
+    _assert_rows_match(probs, 2000, master_seed, paths)
+
+
+def test_path_elements_beyond_one_word():
+    paths = [(2**32,), (2**40 + 1, 5), (2**64, 2**96 + 7), (5, 2**32 - 1), (2**150,)]
+    probs = np.random.default_rng(2).random((len(paths), 4))
+    _assert_rows_match(probs, 2000, 9, paths)
+
+
+@pytest.mark.parametrize("master_seed", [0, 3, 2**70])
+def test_empty_path_is_the_master_seeds_generator(master_seed):
+    p = np.array([0.25, 0.25, 0.5, 0.0])
+    want = np.random.default_rng(master_seed).multinomial(1000, p)
+    assert np.array_equal(circ.sample_batch(p[None], 1000, master_seed, [()])[0], want)
+
+
+def test_numpy_integer_seeds_match_python_integers():
+    probs = np.random.default_rng(3).random((2, 4))
+    want = circ.sample_batch(probs, 500, 4, [(1, 2), (3,)])
+    got = circ.sample_batch(probs, 500, np.int64(4), [(np.uint32(1), np.int64(2)), (np.uint8(3),)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    outcomes=st.sampled_from([2, 4, 8, 16, 32]),
+    layout=st.sampled_from(["c", "fortran", "strided"]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_normalization_is_the_per_row_one(rows, outcomes, layout, draw_seed):
+    # sample_batch normalizes the stack at once; it must round like p / p.sum()
+    rng = np.random.default_rng(draw_seed)
+    probs = rng.random((rows, outcomes)) * rng.choice([1e-3, 1.0, 7.0], size=(rows, 1))
+    if layout == "fortran":
+        probs = np.asfortranarray(probs)
+    elif layout == "strided":
+        probs = np.repeat(probs, 2, axis=1)[:, ::2]
+    stacked = np.ascontiguousarray(probs, dtype=float)
+    stacked = stacked / stacked.sum(axis=-1, keepdims=True)
+    assert np.array_equal(stacked, np.stack([p / p.sum() for p in probs]))
+    _assert_rows_match(probs, 1000, draw_seed, [(row,) for row in range(rows)])
+
+
+def test_stacked_sample_counts_equal_per_state_draws():
+    rng = np.random.default_rng(4)
+    states = [random_pure_state(rng, 3) for _ in range(5)] + [random_density_matrix(rng, 3)]
+    paths = [(0, i) for i in range(len(states))]
+    got = circ.sample_counts(states, (2, 0), 700, 12, paths, readout_flip=0.03)
+    assert got.shape == (len(states), 4)
+    for state, path, counts in zip(states, paths, got):
+        alone = circ.sample_counts([state], (2, 0), 700, 12, [path], readout_flip=0.03)[0]
+        assert np.array_equal(counts, alone)
+        p = circ.exact_probabilities(state, (2, 0), 0.03)
+        assert np.array_equal(counts, rng_stream(12, *path).multinomial(700, p / p.sum()))
+
+
+def test_collect_draws_setting_k_of_state_i_from_its_path():
+    rng = np.random.default_rng(5)
+    probs = tom.setting_probabilities([random_pure_state(rng, 2) for _ in range(3)])
+    paths = [(1, 4), (1, 9), (2, 2**33)]
+    counts = tom.collect(probs, 400, 6, paths)
+    for i, path in enumerate(paths):
+        assert np.array_equal(counts[i], _oracle(probs[i], 400, 6, [(*path, k) for k in range(16)]))
+
+
+def test_a_sampled_block_builds_one_seed_sequence_per_draw(monkeypatch):
+    made = {"SeedSequence": 0, "Generator": 0, "default_rng": 0, "draws": 0}
+    for name in ("SeedSequence", "Generator", "default_rng"):
+        def counted(*args, _name=name, _make=getattr(np.random, name), **kwargs):
+            made[_name] += 1
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, counted)
+    sample_batch = circ.sample_batch
+
+    def draw(*args, **kwargs):
+        made["draws"] += 1
+        return sample_batch(*args, **kwargs)
+    monkeypatch.setattr(circ, "sample_batch", draw)
+    records = run_sweep(SweepConfig("C2", phi_count=16, phi_step=math.pi / 8, shots=300))
+    assert len(records) == 16
+    # the ancilla readout, the input and the output tomography of the block
+    assert made["draws"] == 3
+    assert made["SeedSequence"] <= made["draws"]
+    assert made["Generator"] <= made["draws"] and made["default_rng"] == 0
+
+
+class TestSeedInput:
+    """Bad seed input or shot counts are rejected with ValueError before any
+    row is drawn."""
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        # every draw needs a generator
+        def refuse(*args, **kwargs):
+            raise AssertionError("made a generator before checking the seed input")
+        monkeypatch.setattr(np.random, "Generator", refuse)
+
+    @pytest.mark.parametrize("paths", [[(1,), (2,)], [(1,), (2,), (3,), (4,)], []])
+    def test_one_path_per_row(self, paths, no_draw):
+        with pytest.raises(ValueError, match="seed paths for 3 rows"):
+            circ.sample_batch(np.full((3, 2), 0.5), 10, 0, paths)
+
+    @pytest.mark.parametrize("shots", [0, True, 2.5, np.float64(3.0)])
+    def test_shots(self, shots, no_draw):
+        # multinomial would draw 1 shot for True and 2 for 2.5
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, [(), ()])
+
+    @pytest.mark.parametrize("master_seed", [-1, 1.0, True, "3", None, 2.5])
+    def test_master_seed(self, master_seed, no_draw):
+        with pytest.raises(ValueError, match="master_seed"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, master_seed, [(), ()])
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, 2.5, True, np.bool_(False), "1", None,
+                                     np.float64(3.0)])
+    def test_path_elements(self, bad, no_draw):
+        with pytest.raises(ValueError, match="seed path elements"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1, 2), (3, bad)])
+
+    def test_collect_and_sample_counts_check_too(self, no_draw):
+        probs = np.full((2, 16, 4), 0.25)
+        with pytest.raises(ValueError, match="seed path elements"):
+            tom.collect(probs, 10, 0, [(1, 0), (1, 0.5)])
+        with pytest.raises(ValueError, match="seed paths for 2 rows"):
+            circ.sample_counts([basis_state(1)] * 2, (0,), 10, 0, [()])
