@@ -8,19 +8,15 @@ A measurement's outcome distribution is the Born-rule marginal with an
 optional independent readout flip per recorded bit; sampling draws from
 it, multinomially, each row from the seed stream its seed path names
 under the master seed, and exact mode reads it. Counts are integer arrays
-indexed by outcome, and post-selection and marginalization index or sum
-their bit axes.
+indexed by outcome, and post-selection indexes their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
 change swaps their counts. The batched engine therefore multiplies each
 slice with the same matrices, in the same order, as a single run would.
 
-Rotation conventions (fixed package-wide):
-
-* ``rx``/``ry``/``cry`` use the half-angle gate convention,
-  RY(t) = exp(-i t sigma_y / 2).
-* ``rot3d(axis, t)`` implements exp(-i t axis.sigma) with *no* half angle.
+Rotation convention (fixed package-wide): ``rx``/``ry``/``cry`` use the
+half-angle gate convention, RY(t) = exp(-i t sigma_y / 2).
 
 Outcomes order their bits like the ``measured_qubits`` argument, the first
 listed qubit the most significant: count and probability arrays hold
@@ -48,8 +44,6 @@ from .qmath import (
 
 IDENT = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 _PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -64,10 +58,9 @@ class EmptyBranchError(ValueError):
 class Gate:
     """One gate application. ``targets`` lists control first for controlled kinds."""
 
-    kind: str  # 'rx' | 'ry' | 'x' | 'h' | 'cnot' | 'cry' | 'rot3d'
+    kind: str  # 'rx' | 'ry' | 'x' | 'h' | 'cnot' | 'cry'
     targets: tuple[int, ...]
     angle: float | None = None
-    axis: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind in ("cnot", "cry"):
@@ -75,11 +68,6 @@ class Gate:
                 raise ValueError(f"{self.kind} needs two distinct qubits")
         elif len(self.targets) != 1:
             raise ValueError(f"{self.kind} acts on exactly one qubit")
-        if self.kind == "rot3d":
-            if self.axis is None:
-                raise ValueError("rot3d needs an axis")
-            if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
-                raise ValueError(f"rot3d axis must be a unit vector, got {self.axis}")
 
     def local_matrix(self) -> np.ndarray:
         """The 2x2 matrix of a single-qubit gate (controlled kinds have none)."""
@@ -100,10 +88,6 @@ class Gate:
             return PAULI_X
         if self.kind == "h":
             return HADAMARD
-        if self.kind == "rot3d":
-            nx, ny, nz = self.axis
-            sigma = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-            return math.cos(t) * IDENT - 1j * math.sin(t) * sigma
         raise ValueError(f"{self.kind} has no single-qubit matrix")
 
 
@@ -129,10 +113,6 @@ def cnot(control: int, target: int) -> Gate:
 
 def cry(control: int, target: int, angle: float) -> Gate:
     return Gate("cry", (control, target), angle)
-
-
-def rot3d(qubit: int, axis: tuple[float, float, float], angle: float) -> Gate:
-    return Gate("rot3d", (qubit,), angle, tuple(float(a) for a in axis))
 
 
 @dataclass(frozen=True)
@@ -597,27 +577,6 @@ def _count_bits(counts: np.ndarray, positions: tuple[int, ...]) -> int:
     if len(set(positions)) != len(positions) or any(p < 0 or p >= m for p in positions):
         raise ValueError(f"bit positions {positions} must be distinct and in 0..{m - 1}")
     return m
-
-
-def marginalize_counts(counts: np.ndarray, keep_positions) -> np.ndarray:
-    """Discard bit positions, summing counts over the dropped bits.
-
-    ``counts`` is a (..., 2^m) integer array indexed by outcome (bit
-    position 0 the most significant); the result indexes the kept bits in
-    the listed order.
-    """
-    counts = np.asarray(counts)
-    keep = tuple(keep_positions)
-    m = _count_bits(counts, keep)
-    lead = counts.shape[:-1]
-    b = len(lead)
-    t = counts.reshape(lead + (2,) * m)
-    drop = tuple(b + p for p in range(m) if p not in keep)
-    if drop:
-        t = t.sum(axis=drop)
-    remaining = sorted(keep)
-    t = t.transpose(tuple(range(b)) + tuple(b + remaining.index(p) for p in keep))
-    return t.reshape(lead + (2 ** len(keep),))
 
 
 def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:

@@ -23,9 +23,11 @@ the tests (``tests/helpers.py``).
 Rotation-convention note: the measurement settings are specified as rotation
 vectors. Writing them as exp(-i sigma.vec) (no half angle) does *not*
 reproduce the known closed-form outputs of circuit 2; the half-angle reading
-exp(-i sigma.vec / 2) does, and is the default here. Both variants remain
-constructible (``measurement_circuit(s, half_angle=False)``) so the
-regression suite can pin which one is algebraically correct.
+exp(-i sigma.vec / 2) does, and is the one built here. Every canonical
+vector is zero or along x or y, so a setting rotation is one ``rx`` or
+``ry`` gate; the regression suite builds the other reading from the same
+gates at twice the angle (``tests/helpers.py``) to pin which one is
+algebraically correct.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .circuits import (
     cnot,
     cry,
     h,
-    rot3d,
     rx,
     ry,
 )
@@ -167,50 +168,33 @@ _CANONICAL_VECTORS = {
 }
 
 
-def visibility_setting() -> MeasurementSetting:
-    return MeasurementSetting("visibility")
-
-
-def predictability_setting() -> MeasurementSetting:
-    return MeasurementSetting("predictability")
-
-
-def concurrence1_setting() -> MeasurementSetting:
-    return MeasurementSetting("concurrence1")
-
-
-def concurrence2_setting() -> MeasurementSetting:
-    return MeasurementSetting("concurrence2")
+_SETTING_NAMES = {
+    "VA": "visibility",
+    "VB": "visibility",
+    "PA": "predictability",
+    "PB": "predictability",
+    "C1": "concurrence1",
+    "C2": "concurrence2",
+}
 
 
 def setting_for(observable: str) -> MeasurementSetting:
     """Measurement setting that yields the named observable (VA, ..., C2)."""
-    table = {
-        "VA": visibility_setting,
-        "VB": visibility_setting,
-        "PA": predictability_setting,
-        "PB": predictability_setting,
-        "C1": concurrence1_setting,
-        "C2": concurrence2_setting,
-    }
-    if observable not in table:
+    if observable not in _SETTING_NAMES:
         raise ValueError(f"unknown observable {observable!r}")
-    return table[observable]()
+    return MeasurementSetting(_SETTING_NAMES[observable])
 
 
-def _rotation_gates(qubit: int, vec: tuple[float, float, float], half_angle: bool):
-    """Gates realizing the setting rotation on one qubit, or none for a zero vector."""
-    vx, vy, vz = vec
-    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if norm < 1e-15:
-        return ()
-    if half_angle:
-        if vy == 0.0 and vz == 0.0:
-            return (rx(qubit, vx),)
-        if vx == 0.0 and vz == 0.0:
-            return (ry(qubit, vy),)
-        return (rot3d(qubit, (vx / norm, vy / norm, vz / norm), norm / 2),)
-    return (rot3d(qubit, (vx / norm, vy / norm, vz / norm), norm),)
+def _rotation_gates(qubit: int, vec: tuple[float, float, float]):
+    """Gates realizing the setting rotation exp(-i sigma.vec / 2) on one
+    qubit, or none for a zero vector. Every canonical vector is zero or
+    along x or y."""
+    vx, vy, _ = vec
+    if vx:
+        return (rx(qubit, vx),)
+    if vy:
+        return (ry(qubit, vy),)
+    return ()
 
 
 def qnd1_circuit() -> Circuit:
@@ -226,7 +210,7 @@ def qnd1_circuit() -> Circuit:
     return Circuit(3, gates)
 
 
-def qnd2_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
+def qnd2_circuit(s: MeasurementSetting) -> Circuit:
     """Four-qubit circuit measuring the configured observable via ancillas C, D.
 
     Layout: setting rotation theta1 on A and B; ancilla block (theta3 on C,
@@ -236,14 +220,14 @@ def qnd2_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
     if s.observable == "concurrence1":
         raise ValueError("the single-ancilla concurrence setting uses qnd1_circuit")
     gates = (
-        *_rotation_gates(0, s.theta1, half_angle),
-        *_rotation_gates(1, s.theta1, half_angle),
-        *_rotation_gates(2, s.theta3, half_angle),
+        *_rotation_gates(0, s.theta1),
+        *_rotation_gates(1, s.theta1),
+        *_rotation_gates(2, s.theta3),
         cnot(2, 3),
         cnot(0, 2),
         cnot(1, 3),
-        *_rotation_gates(0, s.theta2, half_angle),
-        *_rotation_gates(1, s.theta2, half_angle),
+        *_rotation_gates(0, s.theta2),
+        *_rotation_gates(1, s.theta2),
     )
     return Circuit(4, gates)
 
@@ -257,7 +241,7 @@ def bell_basis_rotation() -> Circuit:
     return Circuit(4, (cnot(2, 3), h(2)))
 
 
-def measurement_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circuit:
+def measurement_circuit(s: MeasurementSetting) -> Circuit:
     """The full ancilla-measurement circuit for a setting.
 
     For the two-ancilla concurrence setting this appends the Bell-basis
@@ -266,7 +250,7 @@ def measurement_circuit(s: MeasurementSetting, half_angle: bool = True) -> Circu
     """
     if s.observable == "concurrence1":
         return qnd1_circuit()
-    c = qnd2_circuit(s, half_angle)
+    c = qnd2_circuit(s)
     if s.observable == "concurrence2":
         c = c.then(bell_basis_rotation())
     return c
@@ -499,7 +483,7 @@ def visibility_identity_deviation(p: PrepParams) -> float:
     full_in = np.kron(chi, anc)
     rho_in = np.outer(full_in, full_in.conj())
     evolved = u @ rho_in @ u.conj().T
-    target = qnd_output_state(visibility_setting(), bell_coefficients(p)).amplitudes
+    target = qnd_output_state(MeasurementSetting("visibility"), bell_coefficients(p)).amplitudes
     rho_target = np.outer(target, target.conj())
     return float(np.max(np.abs(evolved - rho_target)))
 

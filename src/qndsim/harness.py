@@ -23,12 +23,12 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   or their mode, prepare each block once.
 * The seed stage (``_measure_block``) draws the ancilla readout and the
   input and output tomography counts from those distributions and
-  analyzes them: each input estimate on its own, and the sampled output
-  estimates of every point and branch as one stack. Exact mode reads the
-  same distributions instead, the infinite-shot limit of the draws. Its
-  data depend on the prepared state alone, so it analyzes each distinct
-  state of the block once, the output estimates as one stack, and no
-  branch.
+  analyzes them: each input estimate on its own, and the output estimates
+  of every point and branch as one stack (``_output_tomography``). Exact
+  mode runs the same analysis with each draw replaced by the distribution
+  it draws from, the infinite-shot limit. Its data depend on the prepared
+  state alone, so it analyzes each distinct state of the block once and
+  post-selects no branch.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -200,6 +200,8 @@ def _observable_key(observable: str) -> str:
 
 def theory_value(observable: str, chi: StateVector) -> float:
     """Defining-formula value of the observable on the ideal pure input."""
+    if observable in ("C1", "C2"):
+        return concurrence_pure(chi)
     rho = chi.density()
     if observable == "VA":
         return visibility(partial_trace(rho, (0,)))
@@ -207,9 +209,7 @@ def theory_value(observable: str, chi: StateVector) -> float:
         return visibility(partial_trace(rho, (1,)))
     if observable == "PA":
         return predictability(partial_trace(rho, (0,)))
-    if observable == "PB":
-        return predictability(partial_trace(rho, (1,)))
-    return concurrence_pure(chi)
+    return predictability(partial_trace(rho, (1,)))
 
 
 def _prepare_states(
@@ -352,24 +352,25 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     slots = [slot_of[p] for p in params]
     block = _prepare_block(obs, tuple(slot_of), config.noise)
 
-    # the ancilla readout, the input tomography data and the output analysis
+    # the ancilla readout and the input and output tomography data
     if config.exact_mode:
         # exact data are a function of the slot alone: each slot is analyzed
-        # once, and a point reads its slot's results
+        # once, unconditionally only, and a point reads its slot's results
         rows = slots
         anc_stats = [circ.exact_probabilities(r, block.readout_qubits, flip) for r in block.readout]
-        data_in, target_in = block.probs_in, block.target_in
-        tomo_out, fidelity_out, branches = _exact_output(
-            block.probs_out, block.branches, block.target_out, key)
+        data_in, data_out = block.probs_in, block.probs_out
+        target_in, ideal, target_out = block.target_in, block.branches, block.target_out
+        postselected = [()] * len(ideal)
     else:
         rows = range(len(points))
         anc_stats = circ.sample_counts([block.readout[k] for k in slots], block.readout_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
         data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
-        counts = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
-        target_in = [block.target_in[k] for k in slots]
-        tomo_out, fidelity_out, branches = _output_tomography(
-            setting, counts, [block.branches[k] for k in slots], block.target_out[slots], key)
+        data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
+        target_in, target_out = [block.target_in[k] for k in slots], block.target_out[slots]
+        ideal = postselected = [block.branches[k] for k in slots]
+    tomo_out, fidelity_out, branches = _output_tomography(
+        setting, data_out, ideal, postselected, target_out, key)
     qnd_estimates = [ex.estimate_observable(setting, a)[obs].value for a in anc_stats]
     tomo_in, est_in = _estimate_each(data_in, key)
     fidelity_in = [fidelity(target, est) for target, est in zip(target_in, est_in)]
@@ -394,25 +395,6 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     ]
 
 
-def _exact_output(probs_out, ideal, target_out, key: str):
-    """The unconditional output estimates of exact data, as one stack: each
-    state's full-register distributions summed over the ancilla bits. No
-    branch is analyzed; the records carry the ideal branch data only.
-
-    Returns, per state, the observable value, its fidelity and the branches.
-    """
-    data = probs_out.reshape(*probs_out.shape[:2], 4, -1).sum(axis=-1)
-    est = tom.reconstruct_stack(data)
-    if len(est.rows) != len(data):
-        raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    tomo_out = observable_stack(est.projected)[key][0]
-    fidelity_out = fidelity_stack(target_out, est.projected)
-    branches = [
-        tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in bs) for bs in ideal
-    ]
-    return tomo_out.tolist(), fidelity_out.tolist(), branches
-
-
 def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
     """Each (16, 4) data set's linear estimate: its observable value and its
     physical state."""
@@ -424,29 +406,33 @@ def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
     return values, states
 
 
-def _output_tomography(setting, counts, ideal, target_out, key: str):
-    """Analyze each point's output-tomography counts unconditionally and
-    post-selected on each ancilla outcome, for every point of the block as
-    one stack of estimates.
+def _output_tomography(setting, data, ideal, postselected, target_out, key: str):
+    """Analyze each point's full-register output-tomography data, counts or
+    distributions, unconditionally and post-selected on each ancilla outcome
+    of its ``postselected`` branches, for every point of the block as one
+    stack of estimates. A branch not listed there, or one that retained too
+    few shots to fix a state, carries its ideal data only.
 
     Returns, per point, the unconditional observable value, its fidelity,
     and the branch results.
     """
-    data, owners = [], []  # each data set and its (point, branch); no branch: unconditional
-    for i, point_counts in enumerate(counts):
-        data.append(circ.marginalize_counts(point_counts, (0, 1)))
+    # the pair data: each outcome summed over the trailing ancilla bits
+    pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
+    sets, owners = [], []  # each data set and its (point, branch); no branch: unconditional
+    for i, (point_data, listed) in enumerate(zip(data, postselected)):
+        sets.append(pair[i])
         owners.append((i, None))
-        for b in ideal[i]:
+        for b in listed:
             try:
-                data.append(circ.postselect_counts(point_counts, setting.ancilla_qubits, b.outcome))
+                sets.append(circ.postselect_counts(point_data, setting.ancilla_qubits, b.outcome))
             except EmptyBranchError:
                 continue  # some setting retained no shots in this branch
             owners.append((i, b))
-    est = tom.reconstruct_stack(np.stack(data))
+    est = tom.reconstruct_stack(np.stack(sets))
     rows = est.rows.tolist()
     # a data set left out of the stack retained too few shots to fix a state
     analyzed = [owners[r] for r in rows]
-    if sum(b is None for _, b in analyzed) != len(counts):
+    if sum(b is None for _, b in analyzed) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
     values = observable_stack(est.projected)[key][0].tolist()
     targets = {
@@ -457,15 +443,15 @@ def _output_tomography(setting, counts, ideal, target_out, key: str):
     fids = dict(zip(targets, fidelity_stack(
         np.stack(list(targets.values())), est.projected[list(targets)]
     ).tolist()))
-    tomo_out, fidelity_out = [0.0] * len(counts), [0.0] * len(counts)
-    results: list[dict[str, BranchResult]] = [{} for _ in counts]
+    tomo_out, fidelity_out = [0.0] * len(data), [0.0] * len(data)
+    results: list[dict[str, BranchResult]] = [{} for _ in data]
     for k, (r, (i, b)) in enumerate(zip(rows, analyzed)):
         if b is None:
             tomo_out[i], fidelity_out[i] = values[k], fids[k]
         else:
             results[i][b.outcome] = BranchResult(
                 b.outcome, b.probability, b.reliable,
-                retained_shots=int(data[r].sum(axis=-1).min()),
+                retained_shots=int(sets[r].sum(axis=-1).min()),
                 tomo_value=values[k], fidelity=fids.get(k),
             )
     branches = [

@@ -21,8 +21,8 @@ The batched functions take and return stacks only: ``setting_probabilities``
 evolves a sequence of states into a (states, 16, 2^n) array of outcome
 distributions, ``collect`` draws a stack of counts from such an array,
 ``reconstruct_stack`` analyzes a (K, 16, 4) stack of data sets and
-``project_psd`` projects a (K, d, d) stack. ``linear_reconstruct`` is the
-analysis of one data set.
+``project_psd`` projects a (K, d, d) stack, returning the eigenvalues it
+projected as well. ``linear_reconstruct`` is the analysis of one data set.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ def reconstruct_stack(data: np.ndarray) -> EstimateStack:
     if not rows.size:
         raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
     raw = raw[rows] / trace[rows, None, None]
-    return EstimateStack(rows, raw, project_psd(raw), np.linalg.eigvalsh(raw)[:, 0])
+    projected, eigenvalues = project_psd(raw)
+    return EstimateStack(rows, raw, projected, eigenvalues[:, 0])
 
 
 def linear_reconstruct(data: np.ndarray) -> TomographyEstimate:
@@ -282,14 +283,14 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
     return np.clip(v - tau, 0.0, None)
 
 
-def project_psd(raw: np.ndarray) -> np.ndarray:
+def project_psd(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest physical states: project each eigenvalue vector onto the simplex.
 
     Each slice of a (K, d, d) stack keeps its eigenvectors, and its
     (trace-one, possibly negative) eigenvalues are replaced by their
     Euclidean projection onto the probability simplex, so its trace returns
-    to exactly 1. The stack is validated as density matrices and returned
-    as an array.
+    to exactly 1. Returns the stack, validated as density matrices, and the
+    (K, d) eigenvalues of the Hermitized input slices in ascending order.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 3:
@@ -299,4 +300,4 @@ def project_psd(raw: np.ndarray) -> np.ndarray:
     m = (vecs * simplex_project(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     DensityMatrix.validate(m)
-    return m
+    return m, vals

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: seeded random-object generators, and
 the exact oracles the acceptance criteria compare the package against (the
 exact QND estimator on a given pair state, the pair state after one
-measurement pass, and the triality defect)."""
+measurement pass, the measurement circuit read without the half angle,
+the general count marginalization, and the triality defect)."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from qndsim import circuits as circ
 from qndsim import tomography as tom
-from qndsim.circuits import Circuit, NoiseModel, cnot, cry, h, rx, ry, x
+from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
 from qndsim.observables import ObservableValue, concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
@@ -90,6 +93,19 @@ def append_ancillas_rho(rho: DensityMatrix, count: int) -> DensityMatrix:
     return DensityMatrix(rho.num_qubits + count, np.kron(rho.matrix, anc))
 
 
+def measurement_circuit_without_half_angle(s: MeasurementSetting) -> Circuit:
+    """``measurement_circuit(s)`` with each setting rotation read as
+    exp(-i sigma.vec), without the half angle: its ``rx``/``ry`` gates at
+    twice the angle. Circuit 1 has no setting rotation and is unchanged.
+    """
+    mc = measurement_circuit(s)
+    if s.observable == "concurrence1":
+        return mc
+    return Circuit(mc.num_qubits, tuple(
+        replace(g, angle=2 * g.angle) if g.kind in ("rx", "ry") else g for g in mc.gates
+    ))
+
+
 def qnd_estimates_exact(
     s: MeasurementSetting, pair_state: StateVector | DensityMatrix, half_angle: bool = True
 ) -> dict[str, ObservableValue]:
@@ -100,7 +116,7 @@ def qnd_estimates_exact(
     input so repeated (nondemolition) measurements can be chained.
     """
     n_anc = s.num_qubits - 2
-    mc = measurement_circuit(s, half_angle)
+    mc = measurement_circuit(s) if half_angle else measurement_circuit_without_half_angle(s)
     if isinstance(pair_state, StateVector):
         full = append_ancillas(pair_state, n_anc)
         out: StateVector | DensityMatrix = circ.run_pure(mc, full)
@@ -122,6 +138,27 @@ def post_measurement_pair_state(
     else:
         out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel())
     return partial_trace(out, (0, 1))
+
+
+def marginalize_counts(counts: np.ndarray, keep_positions) -> np.ndarray:
+    """Discard bit positions, summing counts over the dropped bits.
+
+    ``counts`` is a (..., 2^m) integer array indexed by outcome (bit
+    position 0 the most significant); the result indexes the kept bits in
+    the listed order.
+    """
+    counts = np.asarray(counts)
+    keep = tuple(keep_positions)
+    m = _count_bits(counts, keep)
+    lead = counts.shape[:-1]
+    b = len(lead)
+    t = counts.reshape(lead + (2,) * m)
+    drop = tuple(b + p for p in range(m) if p not in keep)
+    if drop:
+        t = t.sum(axis=drop)
+    remaining = sorted(keep)
+    t = t.transpose(tuple(range(b)) + tuple(b + remaining.index(p) for p in keep))
+    return t.reshape(lead + (2 ** len(keep),))
 
 
 def triality_defect(psi: StateVector, subsystem: str) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    measurement_circuit_without_half_angle,
     post_measurement_pair_state,
     qnd_estimates_exact,
     random_density_matrix,
@@ -69,8 +70,8 @@ def test_criterion_02_estimator_equivalence():
         for theta in GRID_16:
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
             reference = concurrence_wootters(chi.density())
-            c1 = qnd_estimates_exact(ex.concurrence1_setting(), chi)["C1"].value
-            c2 = qnd_estimates_exact(ex.concurrence2_setting(), chi)["C2"].value
+            c1 = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"].value
+            c2 = qnd_estimates_exact(ex.MeasurementSetting("concurrence2"), chi)["C2"].value
             worst = max(worst, abs(c1 - reference), abs(c2 - reference))
     _report(2, worst <= 1e-8, f"max estimator disagreement {worst:.2e}")
 
@@ -127,10 +128,10 @@ def test_criterion_05_operator_identity():
 
     # the resolved convention: half-angle passes, the literal form does not
     p = ex.PrepParams(1.1, 2.3)
-    target = ex.qnd_output_state(ex.visibility_setting(), ex.bell_coefficients(p))
+    target = ex.qnd_output_state(ex.MeasurementSetting("visibility"), ex.bell_coefficients(p))
     literal = circ.run_pure(
         ex.prep_circuit(p).widened(4).then(
-            ex.measurement_circuit(ex.visibility_setting(), half_angle=False)
+            measurement_circuit_without_half_angle(ex.MeasurementSetting("visibility"))
         ),
         basis_state(4),
     )

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    random_circuit, random_density_matrix, random_pure_state, rng_stream, tomograph,
+    marginalize_counts, random_circuit, random_density_matrix, random_pure_state, rng_stream,
+    tomograph,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -74,7 +75,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
         return (observable_set(est.projected)[key].value,
                 fidelity(rho_psi_theory, est.projected), branches)
     counts = tom.collect(probs[None], config.shots, config.master_seed, [(2, index)])[0]
-    data = [circ.marginalize_counts(counts, (0, 1))]
+    data = [marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
         try:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_pure_state, rng_stream
+from helpers import marginalize_counts, random_circuit, random_pure_state, rng_stream
 from qndsim.circuits import (
     Circuit,
     EmptyBranchError,
@@ -14,10 +14,8 @@ from qndsim.circuits import (
     cnot,
     exact_probabilities,
     h,
-    marginalize_counts,
     postselect,
     postselect_counts,
-    rot3d,
     run_noisy,
     run_pure,
     rx,
@@ -69,10 +67,6 @@ class TestRunPure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_pure(bell_circuit(), basis_state(3))
-
-    def test_rot3d_requires_unit_axis(self):
-        with pytest.raises(ValueError):
-            rot3d(0, (0.0, 2.0, 0.0), 1.0)
 
     def test_gate_targets_validated(self):
         with pytest.raises(ValueError):
@@ -297,10 +291,3 @@ class TestConventions:
         np.testing.assert_allclose(
             out.amplitudes, [math.cos(0.5), math.sin(0.5)], atol=1e-12
         )
-
-    def test_rot3d_has_no_half_angle(self):
-        # exp(-i t sigma_x) on |0> gives amplitude cos(t), not cos(t/2)
-        out = run_pure(Circuit(1, (rot3d(0, (1.0, 0.0, 0.0), 0.7),)), basis_state(1))
-        assert out.amplitudes[0] == pytest.approx(math.cos(0.7), abs=1e-12)
-        half = run_pure(Circuit(1, (rx(0, 1.4),)), basis_state(1))
-        np.testing.assert_allclose(out.amplitudes, half.amplitudes, atol=1e-12)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import append_ancillas, post_measurement_pair_state, qnd_estimates_exact
+from helpers import (
+    append_ancillas, measurement_circuit_without_half_angle, post_measurement_pair_state,
+    qnd_estimates_exact,
+)
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim.circuits import EmptyBranchError
@@ -88,14 +91,14 @@ class TestCircuitOne:
 
     def test_separable_plus_state_estimates_zero(self):
         probs = self.run_probs(np.array([SQ2, 0, SQ2, 0], dtype=complex))
-        est = ex.estimate_observable(ex.concurrence1_setting(), probs)["C1"]
+        est = ex.estimate_observable(ex.MeasurementSetting("concurrence1"), probs)["C1"]
         assert est.value == pytest.approx(0.0, abs=1e-10)
 
 
 class TestCircuitTwoOutputs:
     @pytest.mark.parametrize("name", ["visibility", "predictability", "concurrence2"])
     def test_half_angle_reproduces_closed_form(self, name):
-        s = getattr(ex, f"{name}_setting")()
+        s = ex.MeasurementSetting(name)
         worst = 0.0
         for phi in GRID:
             for theta in GRID:
@@ -110,9 +113,9 @@ class TestCircuitTwoOutputs:
     def test_no_half_angle_convention_fails(self, name):
         # pins which rotation convention is algebraically correct: the
         # closed-form outputs are NOT reproduced without the half angle
-        s = getattr(ex, f"{name}_setting")()
+        s = ex.MeasurementSetting(name)
         p = ex.PrepParams(1.1, 2.3)
-        full = ex.prep_circuit(p).widened(4).then(ex.measurement_circuit(s, half_angle=False))
+        full = ex.prep_circuit(p).widened(4).then(measurement_circuit_without_half_angle(s))
         out = circ.run_pure(full, basis_state(4))
         target = ex.qnd_output_state(s, ex.bell_coefficients(p))
         assert float(np.max(np.abs(out.amplitudes - target.amplitudes))) > 0.1
@@ -124,12 +127,12 @@ class TestCircuitTwoOutputs:
         assert c.alpha + c.gamma == pytest.approx(0.0, abs=1e-12)
         for outcome in ("00", "01"):
             with pytest.raises(EmptyBranchError):
-                ex.conditional_target_state(ex.visibility_setting(), c, outcome)
+                ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, outcome)
 
     def test_predictability_on_ground_state(self):
         p = ex.PrepParams(0.0)
         full = ex.prep_circuit(p).widened(4).then(
-            ex.measurement_circuit(ex.predictability_setting())
+            ex.measurement_circuit(ex.MeasurementSetting("predictability"))
         )
         out = circ.run_pure(full, basis_state(4))
         probs = circ.exact_probabilities(out, (2, 3))
@@ -138,7 +141,7 @@ class TestCircuitTwoOutputs:
     def test_concurrence_on_bell_state_single_branch(self):
         p = ex.PrepParams(math.pi / 2, math.pi)
         full = ex.prep_circuit(p).widened(4).then(
-            ex.measurement_circuit(ex.concurrence2_setting())
+            ex.measurement_circuit(ex.MeasurementSetting("concurrence2"))
         )
         out = circ.run_pure(full, basis_state(4))
         probs = circ.exact_probabilities(out, (2, 3))
@@ -146,26 +149,26 @@ class TestCircuitTwoOutputs:
 
     def test_rejects_wrong_setting(self):
         with pytest.raises(ValueError):
-            ex.qnd2_circuit(ex.concurrence1_setting())
+            ex.qnd2_circuit(ex.MeasurementSetting("concurrence1"))
 
 
 class TestEstimators:
     def test_c1_on_bell_state(self):
         chi = chi_state(math.pi / 2, math.pi)
-        est = qnd_estimates_exact(ex.concurrence1_setting(), chi)["C1"]
+        est = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"]
         assert est.value == pytest.approx(1.0, abs=1e-10)
 
     def test_visibility_sweep(self):
         for phi in GRID:
             chi = chi_state(phi)
-            est = qnd_estimates_exact(ex.visibility_setting(), chi)
+            est = qnd_estimates_exact(ex.MeasurementSetting("visibility"), chi)
             assert est["VA"].value == pytest.approx(abs(math.sin(phi)), abs=1e-10)
             assert est["VB"].value == pytest.approx(0.0, abs=1e-10)
 
     def test_predictability_sweep(self):
         for phi in GRID:
             chi = chi_state(phi, math.pi)
-            est = qnd_estimates_exact(ex.predictability_setting(), chi)
+            est = qnd_estimates_exact(ex.MeasurementSetting("predictability"), chi)
             assert est["PA"].value == pytest.approx(abs(math.cos(phi)), abs=1e-10)
             assert est["PB"].value == pytest.approx(abs(math.cos(phi)), abs=1e-10)
 
@@ -182,14 +185,14 @@ class TestEstimators:
     def test_zero_shots_rejected(self):
         counts = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
-            ex.estimate_observable(ex.concurrence1_setting(), counts)
+            ex.estimate_observable(ex.MeasurementSetting("concurrence1"), counts)
 
     @pytest.mark.parametrize("data", [[10.0, 20.0, 30.0, 40.0], [0.25, 0.25, 0.25, 0.2]])
     def test_probabilities_must_sum_to_one(self, data):
         # float data are read as probabilities, so counts stored as floats
         # would otherwise be used as frequencies
         with pytest.raises(ValueError, match="sum to 1"):
-            ex.estimate_observable(ex.visibility_setting(), np.array(data))
+            ex.estimate_observable(ex.MeasurementSetting("visibility"), np.array(data))
 
     @pytest.mark.parametrize("name, data", [
         ("concurrence1", [10, 20, 30, 40]),
@@ -200,13 +203,13 @@ class TestEstimators:
     def test_data_of_the_wrong_width_rejected(self, name, data):
         # one entry per ancilla outcome, or the estimate reads missing outcomes as zero
         with pytest.raises(ValueError, match="shape"):
-            ex.estimate_observable(getattr(ex, f"{name}_setting")(), np.array(data))
+            ex.estimate_observable(ex.MeasurementSetting(name), np.array(data))
 
     @settings(deadline=None)
     @given(st.sampled_from(["visibility", "predictability", "concurrence1", "concurrence2"]),
            st.data())
     def test_count_arrays_read_like_bitstring_frequencies(self, name, data):
-        s = getattr(ex, f"{name}_setting")()
+        s = ex.MeasurementSetting(name)
         m = len(s.ancilla_qubits)
         counts = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=2**m, max_size=2**m)
                                     .filter(any)))
@@ -238,19 +241,20 @@ def _estimate_from_bitstring_map(s, counts):
 class TestConditionalTargets:
     def test_visibility_plus_plus_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        state, prob = ex.conditional_target_state(ex.visibility_setting(), c, "11")
+        state, prob = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "11")
         assert prob == pytest.approx((c.eta + c.beta) ** 2 / 2, abs=1e-12)
         np.testing.assert_allclose(np.abs(state.amplitudes), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_predictability_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        state, prob = ex.conditional_target_state(ex.predictability_setting(), c, "10")
+        s = ex.MeasurementSetting("predictability")
+        state, prob = ex.conditional_target_state(s, c, "10")
         assert prob == pytest.approx((c.alpha + c.beta) ** 2 / 2, abs=1e-12)
         np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-12)
 
     def test_concurrence_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        state, prob = ex.conditional_target_state(ex.concurrence2_setting(), c, "01")
+        state, prob = ex.conditional_target_state(ex.MeasurementSetting("concurrence2"), c, "01")
         assert prob == pytest.approx(c.alpha**2 + c.eta**2, abs=1e-12)
         expected = (c.alpha * ex.PSI_MINUS + c.eta * ex.PHI_PLUS) / math.sqrt(prob)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -258,17 +262,17 @@ class TestConditionalTargets:
     def test_invalid_outcome(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0))
         with pytest.raises(ValueError):
-            ex.conditional_target_state(ex.visibility_setting(), c, "2")
+            ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "2")
 
     def test_branch_probabilities_sum_to_one(self):
         for phi in GRID:
             for theta in GRID:
                 p = ex.PrepParams(phi, theta)
                 for s in (
-                    ex.visibility_setting(),
-                    ex.predictability_setting(),
-                    ex.concurrence2_setting(),
-                    ex.concurrence1_setting(),
+                    ex.MeasurementSetting("visibility"),
+                    ex.MeasurementSetting("predictability"),
+                    ex.MeasurementSetting("concurrence2"),
+                    ex.MeasurementSetting("concurrence1"),
                 ):
                     total = sum(b.probability for b in ex.branch_data(s, p))
                     assert total == pytest.approx(1.0, abs=1e-10)
@@ -280,9 +284,9 @@ class TestConditionalTargets:
             p = ex.PrepParams(*rng.uniform(0, 2 * math.pi, size=3))
             c = ex.bell_coefficients(p)
             for s in (
-                ex.visibility_setting(),
-                ex.predictability_setting(),
-                ex.concurrence2_setting(),
+                ex.MeasurementSetting("visibility"),
+                ex.MeasurementSetting("predictability"),
+                ex.MeasurementSetting("concurrence2"),
             ):
                 for outcome, state, prob in ex.simulated_branches(s, p):
                     if state is None:

@@ -154,10 +154,31 @@ class TestExactSweeps:
             for r in records:
                 assert r.qnd_estimate == pytest.approx(abs(math.cos(r.phi)), abs=1e-10)
 
-    def test_exact_records_have_no_branch_rows(self):
-        records = run_sweep(SweepConfig("C2", exact_mode=True, phi_count=4))
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(readout_flip=0.02),
+        NoiseModel(depol_1q=0.005, depol_2q=0.05, readout_flip=0.01),
+    ], ids=["noiseless", "readout_flip", "criterion9"])
+    def test_exact_records_have_no_branch_rows(self, noise):
+        records = run_sweep(SweepConfig("C2", exact_mode=True, phi_count=4, noise=noise))
         for r in records:
             assert all(b.tomo_value is None for b in r.branches)
+
+    def test_zero_trace_output_estimate_raises(self, monkeypatch):
+        # exact data always fix a state, so a reconstruction that leaves out
+        # the last data set of a stack stands in for one that does not
+        real = tom.reconstruct_stack
+
+        def drop_last(data):
+            est = real(data)
+            if len(data) < 2:  # an input estimate
+                return est
+            return tom.EstimateStack(est.rows[:-1], est.raw[:-1], est.projected[:-1],
+                                     est.min_eigenvalue[:-1])
+
+        monkeypatch.setattr(tom, "reconstruct_stack", drop_last)
+        with pytest.raises(tom.DegenerateReconstructionError, match="unconditional output"):
+            run_sweep(SweepConfig("C2", exact_mode=True, phi_count=4))
 
     def test_sweeps_spanning_multiple_periods(self):
         records = run_sweep(SweepConfig("VA", exact_mode=True, phi_count=96))
@@ -177,6 +198,11 @@ class TestSampledSweeps:
         a = run_sweep(cfg)
         b = run_sweep(cfg)
         assert a == b
+
+    def test_zero_trace_output_estimate_raises(self):
+        # one shot per setting: the pair data of some point never read "00"
+        with pytest.raises(tom.DegenerateReconstructionError, match="unconditional output"):
+            run_sweep(SweepConfig("C2", phi_count=4, shots=1, master_seed=1))
 
     def test_branches_analyzed_with_flags(self):
         cfg = SweepConfig("C2", phi_count=1, phi_start=math.pi / 2, shots=400, master_seed=2)

@@ -126,7 +126,8 @@ class TestProjectPsd:
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(52)
         rho = random_density_matrix(rng, 2)
-        np.testing.assert_allclose(tom.project_psd(rho.matrix[None])[0], rho.matrix, atol=1e-10)
+        projected, _ = tom.project_psd(rho.matrix[None])
+        np.testing.assert_allclose(projected[0], rho.matrix, atol=1e-10)
 
     def test_eigenvalue_projection_example(self):
         np.testing.assert_allclose(
@@ -153,13 +154,13 @@ class TestProjectPsd:
 
     def test_trace_is_exactly_one(self):
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
-        out = tom.project_psd(raw[None])[0]
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+        out, _ = tom.project_psd(raw[None])
+        assert np.trace(out[0]).real == pytest.approx(1.0, abs=1e-14)
 
     def test_idempotent(self):
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
-        once = tom.project_psd(raw[None])
-        twice = tom.project_psd(once)
+        once, _ = tom.project_psd(raw[None])
+        twice, _ = tom.project_psd(once)
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
