@@ -23,7 +23,6 @@ from .circuits import (
     sample_counts,
 )
 from .observables import (
-    ObservableValue,
     concurrence_pure,
     concurrence_wootters,
     observable_set,

@@ -38,7 +38,7 @@ from .qmath import (
     ATOL_CONSTRUCT,
     DensityMatrix,
     StateVector,
-    partial_trace_matrix,
+    partial_trace,
     tensor,
 )
 
@@ -245,7 +245,7 @@ def _depolarize(m: np.ndarray, num_qubits: int, support: tuple[int, ...], p: flo
     if not keep:
         mixed = np.eye(2**num_qubits, dtype=complex) / 2**num_qubits
     else:
-        marginal = partial_trace_matrix(m, num_qubits, tuple(keep))
+        marginal = partial_trace(m, keep)
         # the Kronecker product I/2^s (x) marginal, by broadcasting
         b = len(m)
         eye = np.eye(2**s, dtype=complex) / 2**s
@@ -360,7 +360,7 @@ def _marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits)
         remaining = list(range(n))
     else:
         remaining = sorted(measured_qubits)
-        reduced = partial_trace_matrix(state.matrix, n, tuple(remaining))
+        reduced = partial_trace(state.matrix, remaining)
     probs_t = np.diag(reduced).real.reshape([2] * len(remaining))
     probs_t = probs_t.transpose([remaining.index(q) for q in measured_qubits])
     return probs_t.reshape(-1)

@@ -47,7 +47,6 @@ from .circuits import (
     rx,
     ry,
 )
-from .observables import ObservableValue
 from .qmath import StateVector, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -139,18 +138,6 @@ class MeasurementSetting:
             raise ValueError(f"unknown observable {self.observable!r}")
 
     @property
-    def theta1(self) -> tuple[float, float, float]:
-        return _CANONICAL_VECTORS[self.observable][0]
-
-    @property
-    def theta2(self) -> tuple[float, float, float]:
-        return _CANONICAL_VECTORS[self.observable][1]
-
-    @property
-    def theta3(self) -> tuple[float, float, float]:
-        return _CANONICAL_VECTORS[self.observable][2]
-
-    @property
     def num_qubits(self) -> int:
         return 3 if self.observable == "concurrence1" else 4
 
@@ -219,15 +206,16 @@ def qnd2_circuit(s: MeasurementSetting) -> Circuit:
     """
     if s.observable == "concurrence1":
         raise ValueError("the single-ancilla concurrence setting uses qnd1_circuit")
+    theta1, theta2, theta3 = _CANONICAL_VECTORS[s.observable]
     gates = (
-        *_rotation_gates(0, s.theta1),
-        *_rotation_gates(1, s.theta1),
-        *_rotation_gates(2, s.theta3),
+        *_rotation_gates(0, theta1),
+        *_rotation_gates(1, theta1),
+        *_rotation_gates(2, theta3),
         cnot(2, 3),
         cnot(0, 2),
         cnot(1, 3),
-        *_rotation_gates(0, s.theta2),
-        *_rotation_gates(1, s.theta2),
+        *_rotation_gates(0, theta2),
+        *_rotation_gates(1, theta2),
     )
     return Circuit(4, gates)
 
@@ -256,9 +244,7 @@ def measurement_circuit(s: MeasurementSetting) -> Circuit:
     return c
 
 
-def estimate_observable(
-    s: MeasurementSetting, data: np.ndarray
-) -> dict[str, ObservableValue]:
+def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, float]:
     """Observable estimates from ancilla statistics.
 
     ``data`` holds the computational-basis results on C (circuit 1) or
@@ -279,15 +265,14 @@ def estimate_observable(
         sa = f[0] + f[1] - f[2] - f[3]
         sb = f[0] + f[2] - f[1] - f[3]
         a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
-        return {a: ObservableValue(a, abs(sa), sa), b: ObservableValue(b, abs(sb), sb)}
+        return {a: abs(sa), b: abs(sb)}
     # Circuit 1 reads the parity on C. In circuit 2 the outgoing ancilla
     # state populates exactly two Bell branches, psi_plus (outcome 01) with
     # weight alpha^2 + eta^2 and phi_plus (outcome 00) with weight
     # beta^2 + gamma^2; the state-vector oracle in the test suite pins this
-    # mapping. Either way the signed estimate is f[1] - f[0].
+    # mapping. Either way the estimate is |f[1] - f[0]|.
     name = "C1" if s.observable == "concurrence1" else "C2"
-    signed = f[1] - f[0]
-    return {name: ObservableValue(name, abs(signed), signed)}
+    return {name: abs(f[1] - f[0])}
 
 
 _VIS_BRANCHES = {

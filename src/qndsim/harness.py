@@ -15,20 +15,21 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   observable, the block's distinct preparation angles reduced mod 2*pi
   and the noise model, and is cached on exactly that key. It runs the
   full circuits of all those points as one batch and keeps, per point,
-  the theory value, the ideal branch data, the fidelity targets, the state
-  the ancilla readout measures, and every tomography setting's outcome
-  distribution, readout flip included, for the input pair and for the
-  output register. The last ``PREPARED_BLOCKS`` blocks stay cached, so the
-  seeds of a criteria run, like any sweeps that differ only in their seed
-  or their mode, prepare each block once.
+  the theory value, the ideal branch data, the fidelity targets, the
+  full-register state whose ancillas the readout measures, and every
+  tomography setting's outcome distribution, readout flip included, for
+  the input pair and for the output register. The last
+  ``PREPARED_BLOCKS`` blocks stay cached, so the seeds of a criteria run,
+  like any sweeps that differ only in their seed or their mode, prepare
+  each block once.
 * The seed stage (``_measure_block``) draws the ancilla readout and the
   input and output tomography counts from those distributions and
-  analyzes them: each input estimate on its own, and the output estimates
-  of every point and branch as one stack (``_output_tomography``). Exact
-  mode runs the same analysis with each draw replaced by the distribution
-  it draws from, the infinite-shot limit. Its data depend on the prepared
-  state alone, so it analyzes each distinct state of the block once and
-  post-selects no branch.
+  analyzes them: the input estimates of every point as one stack, and the
+  output estimates of every point and branch as another
+  (``_output_tomography``). Exact mode runs the same analysis with each
+  draw replaced by the distribution it draws from, the infinite-shot
+  limit. Its data depend on the prepared state alone, so it analyzes each
+  distinct state of the block once and post-selects no branch.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -57,10 +58,8 @@ from . import experiments as ex
 from . import tomography as tom
 from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
 from .circuits import EmptyBranchError, NoiseModel
-from .observables import (
-    concurrence_pure, observable_set, observable_stack, predictability, visibility,
-)
-from .qmath import DensityMatrix, StateVector, basis_state, fidelity, fidelity_stack, partial_trace
+from .observables import concurrence_pure, observable_set, predictability, visibility
+from .qmath import DensityMatrix, StateVector, basis_state, fidelity, partial_trace
 
 THETA_DEFAULTS = {
     "VA": 0.0,
@@ -202,14 +201,9 @@ def theory_value(observable: str, chi: StateVector) -> float:
     """Defining-formula value of the observable on the ideal pure input."""
     if observable in ("C1", "C2"):
         return concurrence_pure(chi)
-    rho = chi.density()
-    if observable == "VA":
-        return visibility(partial_trace(rho, (0,)))
-    if observable == "VB":
-        return visibility(partial_trace(rho, (1,)))
-    if observable == "PA":
-        return predictability(partial_trace(rho, (0,)))
-    return predictability(partial_trace(rho, (1,)))
+    a = chi.amplitudes
+    reduced = partial_trace(np.outer(a, a.conj()), (0,) if observable in ("VA", "PA") else (1,))
+    return float(visibility(reduced) if observable in ("VA", "VB") else predictability(reduced))
 
 
 def _prepare_states(
@@ -269,22 +263,21 @@ PREPARED_BLOCKS = 32
 One criteria seed, like one benchmark unit, visits a block per observable
 and per 16 phi points, six or more in turn, and the next seed visits them
 again in the same order: a cache smaller than one pass misses on every
-call. A 16-point block holds 50 to 80 KB."""
+call. A 16-point block holds 50 to 150 KB."""
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedBlock:
-    """The seed-independent stage of a block. Every field but
-    ``readout_qubits`` has one entry per prepared state.
+    """The seed-independent stage of a block. Every field has one entry
+    per prepared state.
 
     ``theory`` and ``branches`` are the observable's defining-formula value
-    and the ideal branch data. The fidelity targets are ``target_in``, the
-    ideal input states, and ``target_out``, a (B, 4, 4) stack of the ideal
-    unconditional outputs.
+    and the ideal branch data. The fidelity targets are ``target_in`` and
+    ``target_out``, (B, 4, 4) stacks of the ideal input states and of the
+    ideal unconditional outputs.
 
-    ``readout`` holds the states whose ``readout_qubits`` the ancilla
-    readout measures: the full register when pure, its ancilla marginal
-    when mixed. ``probs_in`` and ``probs_out`` hold each setting's outcome
+    ``readout`` holds the full-register states whose ancillas the readout
+    measures. ``probs_in`` and ``probs_out`` hold each setting's outcome
     distribution, readout flip included, (B, 16, 4) for the input pair and
     (B, 16, 2^n) for the full output register. Sampled mode draws from
     them and exact mode reads them, so one block serves both modes.
@@ -294,15 +287,14 @@ class PreparedBlock:
 
     theory: tuple[float, ...]
     branches: tuple[tuple[ex.Branch, ...], ...]
-    target_in: tuple[DensityMatrix, ...]
+    target_in: np.ndarray
     target_out: np.ndarray
     readout: tuple[StateVector | DensityMatrix, ...]
-    readout_qubits: tuple[int, ...]
     probs_in: np.ndarray
     probs_out: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.target_out, self.probs_in, self.probs_out):
+        for a in (self.target_in, self.target_out, self.probs_in, self.probs_out):
             a.flags.writeable = False
 
 
@@ -316,23 +308,18 @@ def _prepare_block(
     chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
     ideal = tuple(ex.branch_data(setting, p) for p in params)
     chi_actual, out_states = _prepare_states(list(params), setting, noise)
-    ancillas = setting.ancilla_qubits
     if isinstance(out_states[0], StateVector):
-        readout = tuple(out_states)
         probs_out = tom.setting_probabilities(out_states, noise)
     else:
-        readout = tuple(partial_trace(s, ancillas) for s in out_states)
-        ancillas = tuple(range(len(ancillas)))
         # one state at a time: the evolved stack of a point is 16 full-register
         # density matrices, and the block's would be 16 times that
         probs_out = np.concatenate([tom.setting_probabilities([s], noise) for s in out_states])
     return PreparedBlock(
         theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
         branches=ideal,
-        target_in=tuple(chi.density() for chi in chi_ideal),
+        target_in=np.stack([np.outer(chi.amplitudes, chi.amplitudes.conj()) for chi in chi_ideal]),
         target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
-        readout=readout,
-        readout_qubits=ancillas,
+        readout=tuple(out_states),
         probs_in=tom.setting_probabilities(chi_actual, noise),
         probs_out=probs_out,
     )
@@ -357,23 +344,26 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         # exact data are a function of the slot alone: each slot is analyzed
         # once, unconditionally only, and a point reads its slot's results
         rows = slots
-        anc_stats = [circ.exact_probabilities(r, block.readout_qubits, flip) for r in block.readout]
+        anc_stats = [circ.exact_probabilities(r, setting.ancilla_qubits, flip)
+                     for r in block.readout]
         data_in, data_out = block.probs_in, block.probs_out
         target_in, ideal, target_out = block.target_in, block.branches, block.target_out
         postselected = [()] * len(ideal)
     else:
         rows = range(len(points))
-        anc_stats = circ.sample_counts([block.readout[k] for k in slots], block.readout_qubits,
+        anc_stats = circ.sample_counts([block.readout[k] for k in slots], setting.ancilla_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
         data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
         data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
-        target_in, target_out = [block.target_in[k] for k in slots], block.target_out[slots]
+        target_in, target_out = block.target_in[slots], block.target_out[slots]
         ideal = postselected = [block.branches[k] for k in slots]
     tomo_out, fidelity_out, branches = _output_tomography(
         setting, data_out, ideal, postselected, target_out, key)
-    qnd_estimates = [ex.estimate_observable(setting, a)[obs].value for a in anc_stats]
-    tomo_in, est_in = _estimate_each(data_in, key)
-    fidelity_in = [fidelity(target, est) for target, est in zip(target_in, est_in)]
+    qnd_estimates = [ex.estimate_observable(setting, a)[obs] for a in anc_stats]
+    # one linear estimate per input data set, analyzed as one stack
+    est_in = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data_in])
+    tomo_in = observable_set(est_in)[key].tolist()
+    fidelity_in = fidelity(target_in, est_in).tolist()
 
     return [
         SweepRecord(
@@ -393,17 +383,6 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         )
         for (_, phi, seed_tag), k, r in zip(points, slots, rows)
     ]
-
-
-def _estimate_each(data, key: str) -> tuple[list[float], list[DensityMatrix]]:
-    """Each (16, 4) data set's linear estimate: its observable value and its
-    physical state."""
-    values, states = [], []
-    for d in data:
-        est = tom.linear_reconstruct(d)
-        values.append(observable_set(est.projected)[key].value)
-        states.append(est.projected)
-    return values, states
 
 
 def _output_tomography(setting, data, ideal, postselected, target_out, key: str):
@@ -434,13 +413,13 @@ def _output_tomography(setting, data, ideal, postselected, target_out, key: str)
     analyzed = [owners[r] for r in rows]
     if sum(b is None for _, b in analyzed) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    values = observable_stack(est.projected)[key][0].tolist()
+    values = observable_set(est.projected)[key].tolist()
     targets = {
         k: target_out[i] if b is None
         else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
         for k, (i, b) in enumerate(analyzed) if b is None or b.state is not None
     }
-    fids = dict(zip(targets, fidelity_stack(
+    fids = dict(zip(targets, fidelity(
         np.stack(list(targets.values())), est.projected[list(targets)]
     ).tolist()))
     tomo_out, fidelity_out = [0.0] * len(data), [0.0] * len(data)

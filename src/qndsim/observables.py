@@ -7,15 +7,13 @@ ordering of the two diagonal entries irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qmath import (
     DensityMatrix,
     StateVector,
     matrix_sqrt_psd,
-    partial_trace_matrix,
+    partial_trace,
     tensor,
 )
 
@@ -23,38 +21,27 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SPIN_FLIP = tensor(PAULI_Y, PAULI_Y)
 
 
-@dataclass(frozen=True)
-class ObservableValue:
-    """A complementarity observable plus its pre-absolute-value diagnostic."""
-
-    kind: str  # 'VA' | 'VB' | 'PA' | 'PB' | 'C'
-    value: float
-    signed_raw: float
+def _single_qubit(m) -> np.ndarray:
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a (..., 2, 2) stack, got shape {m.shape}")
+    return m
 
 
-def _visibility(m: np.ndarray) -> np.ndarray:
+def visibility(rho: np.ndarray) -> np.ndarray:
+    """Off-diagonal coherence sum_{i != j} |rho_ij| = 2|rho_01| of a
+    single-qubit state, or of each slice of a (..., 2, 2) stack."""
+    off = _single_qubit(rho)[..., 0, 1]
     # hypot is what abs() of one complex number computes; np.abs on a
     # complex array rounds differently
-    off = m[..., 0, 1]
     return 2.0 * np.hypot(off.real, off.imag)
 
 
-def _signed_predictability(m: np.ndarray) -> np.ndarray:
-    return m[..., 1, 1].real - m[..., 0, 0].real
-
-
-def visibility(rho_k: DensityMatrix) -> float:
-    """Off-diagonal coherence of a single qubit: sum_{i != j} |rho_ij| = 2|rho_01|."""
-    if rho_k.num_qubits != 1:
-        raise ValueError("visibility is defined on a single-qubit state")
-    return float(_visibility(rho_k.matrix))
-
-
-def predictability(rho_k: DensityMatrix) -> float:
-    """Population imbalance of a single qubit: |rho_11 - rho_00|."""
-    if rho_k.num_qubits != 1:
-        raise ValueError("predictability is defined on a single-qubit state")
-    return float(abs(_signed_predictability(rho_k.matrix)))
+def predictability(rho: np.ndarray) -> np.ndarray:
+    """Population imbalance |rho_11 - rho_00| of a single-qubit state, or
+    of each slice of a (..., 2, 2) stack."""
+    m = _single_qubit(rho)
+    return np.abs(m[..., 1, 1].real - m[..., 0, 0].real)
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -93,36 +80,24 @@ def concurrence_pure(psi: StateVector) -> float:
     return float(min(2.0 * abs(a * d - b * c), 1.0))
 
 
-def observable_stack(rho: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def observable_set(rho: np.ndarray) -> dict[str, np.ndarray]:
     """All five complementarity observables of each slice of a (K, 4, 4)
-    stack of two-qubit density matrices, as (values, signed values) arrays.
+    stack of two-qubit density matrices: {'VA', 'VB', 'PA', 'PB', 'C'},
+    each a (K,) array.
 
-    Keys and values mean what they do in ``observable_set``; the stack is
-    assumed valid (the PSD square root still checks Hermiticity and PSD).
+    The stack is assumed valid (the PSD square root still checks
+    Hermiticity and PSD); concurrence is clipped to [0, 1].
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a (K, 4, 4) stack, got shape {rho.shape}")
-    rho_a = partial_trace_matrix(rho, 2, (0,))
-    rho_b = partial_trace_matrix(rho, 2, (1,))
-    pred_a = _signed_predictability(rho_a)
-    pred_b = _signed_predictability(rho_b)
+    rho_a = partial_trace(rho, (0,))
+    rho_b = partial_trace(rho, (1,))
     r = _spin_flip_roots(rho)
-    c_signed = r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3]
     return {
-        "VA": (_visibility(rho_a), 2.0 * rho_a[:, 0, 1].real),
-        "VB": (_visibility(rho_b), 2.0 * rho_b[:, 0, 1].real),
-        "PA": (np.abs(pred_a), pred_a),
-        "PB": (np.abs(pred_b), pred_b),
-        "C": (_clip_unit(c_signed), c_signed),
-    }
-
-
-def observable_set(rho: DensityMatrix) -> dict[str, ObservableValue]:
-    """All five complementarity observables of a two-qubit state."""
-    if rho.num_qubits != 2:
-        raise ValueError("expected a two-qubit state")
-    return {
-        kind: ObservableValue(kind, float(values[0]), float(signed[0]))
-        for kind, (values, signed) in observable_stack(rho.matrix[None]).items()
+        "VA": visibility(rho_a),
+        "VB": visibility(rho_b),
+        "PA": predictability(rho_a),
+        "PB": predictability(rho_b),
+        "C": _clip_unit(r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3]),
     }

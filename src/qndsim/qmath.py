@@ -139,12 +139,24 @@ def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a raw matrix, or of each slice of a (..., d, d) stack,
-    keeping the listed qubits (ascending order)."""
-    keep = tuple(sorted(keep))
-    traced = [q for q in range(num_qubits) if q not in keep]
+def partial_trace(m: np.ndarray, keep) -> np.ndarray:
+    """Partial trace of a matrix, or of each slice of a (..., d, d) stack
+    with d = 2^n, onto the kept qubits (taken in ascending order).
+
+    Raises ValueError unless the slices are square with a power-of-two
+    dimension and ``keep`` is a nonempty proper subset of the n qubits.
+    """
     m = np.asarray(m, dtype=complex)
+    d = m.shape[-1] if m.ndim >= 2 else 0
+    num_qubits = d.bit_length() - 1
+    if m.ndim < 2 or m.shape[-2] != d or num_qubits < 1 or d != 2**num_qubits:
+        raise ValueError(f"expected a (..., 2^n, 2^n) stack, got shape {m.shape}")
+    keep = tuple(sorted(set(keep)))
+    if not keep or len(keep) >= num_qubits:
+        raise ValueError("keep must be a nonempty proper subset of the qubits")
+    if any(q < 0 or q >= num_qubits for q in keep):
+        raise ValueError(f"qubit index out of range in {keep}")
+    traced = [q for q in range(num_qubits) if q not in keep]
     batch = m.shape[:-2]
     t = m.reshape(batch + (2,) * (2 * num_qubits))
     # Trace highest axes first so earlier axis numbers stay valid.
@@ -154,23 +166,6 @@ def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: tuple[int, ...]) 
         n -= 1
     d = 2 ** len(keep)
     return t.reshape(batch + (d, d))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits.
-
-    Parameters
-    ----------
-    rho : DensityMatrix
-    keep : iterable of qubit indices; must be a nonempty proper subset.
-    """
-    keep = tuple(sorted(set(keep)))
-    if not keep or len(keep) >= rho.num_qubits:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if any(q < 0 or q >= rho.num_qubits for q in keep):
-        raise ValueError(f"qubit index out of range in {keep}")
-    reduced = partial_trace_matrix(rho.matrix, rho.num_qubits, keep)
-    return DensityMatrix(len(keep), reduced)
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -194,9 +189,17 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * root[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def fidelity_stack(rho_th: np.ndarray, rho_exp: np.ndarray) -> np.ndarray:
-    """State fidelity of each pair of slices of two (..., d, d) stacks of
-    density matrices (see ``fidelity``)."""
+def fidelity(rho_th: np.ndarray, rho_exp: np.ndarray) -> np.ndarray:
+    """State fidelity F = [Tr sqrt(sqrt(rho_th) rho_exp sqrt(rho_th))]^2 of
+    each pair of slices of two (..., d, d) stacks of density matrices.
+
+    Symmetric in its arguments up to numerical noise; equals
+    <psi|rho_exp|psi> when rho_th is the pure state |psi><psi|. Raises
+    ValueError unless the two stacks have one shape.
+    """
+    rho_th, rho_exp = np.asarray(rho_th), np.asarray(rho_exp)
+    if rho_th.shape != rho_exp.shape:
+        raise ValueError(f"shape mismatch: {rho_th.shape} and {rho_exp.shape}")
     # Tr sqrt(sqrt(a) b sqrt(a)) equals the trace norm of sqrt(a) sqrt(b):
     # the Gram matrix of that product is exactly the inner matrix above.
     # Singular values avoid the sqrt(eps) noise of eigvalsh-then-sqrt.
@@ -204,14 +207,3 @@ def fidelity_stack(rho_th: np.ndarray, rho_exp: np.ndarray) -> np.ndarray:
     # float_power is the scalar pow() a single fidelity used; ** 2 on an
     # array squares by multiplication, which rounds differently
     return np.float_power(np.sum(np.linalg.svd(b, compute_uv=False), axis=-1), 2.0)
-
-
-def fidelity(rho_th: DensityMatrix, rho_exp: DensityMatrix) -> float:
-    """State fidelity F = [Tr sqrt(sqrt(rho_th) rho_exp sqrt(rho_th))]^2.
-
-    Symmetric in its arguments up to numerical noise; equals
-    <psi|rho_exp|psi> when rho_th is the pure state |psi><psi|.
-    """
-    if rho_th.num_qubits != rho_exp.num_qubits:
-        raise ValueError("dimension mismatch")
-    return float(fidelity_stack(rho_th.matrix[None], rho_exp.matrix[None])[0])

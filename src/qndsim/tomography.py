@@ -79,7 +79,6 @@ class DegenerateReconstructionError(ValueError):
 class TomographySetting:
     """One measurement configuration: a product projector plus its pre-rotation."""
 
-    label: str
     basis_a: str
     basis_b: str
 
@@ -111,7 +110,7 @@ class TomographyEstimate:
 
 def tomography_settings() -> list[TomographySetting]:
     """The canonical 16-setting product grid (informationally complete)."""
-    return [TomographySetting(a + b, a, b) for a, b in _SETTING_PAIRS]
+    return [TomographySetting(a, b) for a, b in _SETTING_PAIRS]
 
 
 _PRE_ROTATION_LAYERS: tuple[circ.Layer, circ.Layer] = tuple(

@@ -12,7 +12,7 @@ from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
-from qndsim.observables import ObservableValue, concurrence_pure, predictability, visibility
+from qndsim.observables import concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
 
@@ -108,7 +108,7 @@ def measurement_circuit_without_half_angle(s: MeasurementSetting) -> Circuit:
 
 def qnd_estimates_exact(
     s: MeasurementSetting, pair_state: StateVector | DensityMatrix, half_angle: bool = True
-) -> dict[str, ObservableValue]:
+) -> dict[str, float]:
     """Infinite-shot estimator values for a given two-qubit input state.
 
     Adjoins fresh |0> ancillas, runs the measurement circuit exactly, and
@@ -137,7 +137,7 @@ def post_measurement_pair_state(
         out = circ.run_pure(mc, append_ancillas(pair_state, n_anc)).density()
     else:
         out = circ.run_noisy(mc, append_ancillas_rho(pair_state, n_anc), circ.NoiseModel())
-    return partial_trace(out, (0, 1))
+    return DensityMatrix(2, partial_trace(out.matrix, (0, 1)))
 
 
 def marginalize_counts(counts: np.ndarray, keep_positions) -> np.ndarray:
@@ -171,8 +171,8 @@ def triality_defect(psi: StateVector, subsystem: str) -> float:
     if subsystem not in ("A", "B"):
         raise ValueError("subsystem must be 'A' or 'B'")
     keep = (0,) if subsystem == "A" else (1,)
-    rho_k = partial_trace(psi.density(), keep)
+    rho_k = partial_trace(psi.density().matrix, keep)
     c = concurrence_pure(psi)
-    v = visibility(rho_k)
-    p = predictability(rho_k)
+    v = float(visibility(rho_k))
+    p = float(predictability(rho_k))
     return c * c + v * v + p * p - 1.0

@@ -70,8 +70,8 @@ def test_criterion_02_estimator_equivalence():
         for theta in GRID_16:
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
             reference = concurrence_wootters(chi.density())
-            c1 = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"].value
-            c2 = qnd_estimates_exact(ex.MeasurementSetting("concurrence2"), chi)["C2"].value
+            c1 = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"]
+            c2 = qnd_estimates_exact(ex.MeasurementSetting("concurrence2"), chi)["C2"]
             worst = max(worst, abs(c1 - reference), abs(c2 - reference))
     _report(2, worst <= 1e-8, f"max estimator disagreement {worst:.2e}")
 
@@ -84,9 +84,9 @@ def test_criterion_03_nondemolition():
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
             for obs in ex.OBSERVABLES:
                 s = ex.setting_for(obs)
-                first = qnd_estimates_exact(s, chi)[obs].value
+                first = qnd_estimates_exact(s, chi)[obs]
                 rho_post = post_measurement_pair_state(s, chi)
-                second = qnd_estimates_exact(s, rho_post)[obs].value
+                second = qnd_estimates_exact(s, rho_post)[obs]
                 worst = max(worst, abs(first - second))
     _report(3, worst <= 1e-8, f"max repeat-measurement shift {worst:.2e}")
 
@@ -107,7 +107,7 @@ def test_criterion_04_state_preparation():
                     if state is None or prob < ex.RELIABLE_BRANCH_PROB:
                         continue
                     checked += 1
-                    value = observable_set(state.density())[key].value
+                    value = observable_set(state.density().matrix[None])[key][0]
                     worst_obs = max(worst_obs, abs(value - 1.0))
                     if s.observable != "concurrence1":
                         target, _ = ex.conditional_target_state(s, coeffs, outcome)
@@ -164,9 +164,9 @@ def test_criterion_07_tomography_round_trip():
         worst = max(worst, float(np.max(np.abs(est.raw - rho.matrix))))
 
     bell = StateVector(2, ex.PHI_PLUS)
-    rho_bell = bell.density()
+    rho_bell = bell.density().matrix
     hits = sum(
-        fidelity(rho_bell, tomograph(bell, shots=5000, master_seed=s).projected) >= 0.965
+        fidelity(rho_bell, tomograph(bell, shots=5000, master_seed=s).projected.matrix) >= 0.965
         for s in range(100)
     )
     _report(7, worst <= 1e-8 and hits >= 95,

@@ -16,7 +16,7 @@ from helpers import random_circuit, random_density_matrix, random_pure_state, rn
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, cnot, h, x
-from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace_matrix, tensor
+from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
 
 
 def _reference_pure(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -39,7 +39,7 @@ def _reference_noisy(circuit: Circuit, m: np.ndarray, noise: NoiseModel) -> np.n
                 mixed = np.eye(2**n, dtype=complex) / 2**n
             else:
                 s = len(gate.targets)
-                marginal = partial_trace_matrix(m, n, tuple(keep))
+                marginal = partial_trace(m, keep)
                 mixed = np.kron(np.eye(2**s, dtype=complex) / 2**s, marginal)
                 order = list(gate.targets) + keep
                 src = [order.index(q) for q in range(n)]

@@ -30,6 +30,7 @@ from helpers import (
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
+from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.analysis import BranchResult, SweepRecord
 from qndsim.circuits import Circuit, EmptyBranchError, Gate, NoiseModel
@@ -46,8 +47,8 @@ from qndsim.harness import (
     run_sweep,
     theory_value,
 )
-from qndsim.observables import observable_set, observable_stack
-from qndsim.qmath import DensityMatrix, basis_state, fidelity, fidelity_stack
+from qndsim.observables import observable_set
+from qndsim.qmath import DensityMatrix, basis_state, fidelity
 
 NOISE = {
     "none": NoiseModel(),
@@ -72,8 +73,9 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
         # the pair's distribution: the full register's summed over the ancilla bits
         est = tom.linear_reconstruct(probs.reshape(16, 4, -1).sum(axis=-1))
         branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
-        return (observable_set(est.projected)[key].value,
-                fidelity(rho_psi_theory, est.projected), branches)
+        rho = est.projected.matrix[None]
+        return (float(observable_set(rho)[key][0]),
+                float(fidelity(rho_psi_theory[None], rho)[0]), branches)
     counts = tom.collect(probs[None], config.shots, config.master_seed, [(2, index)])[0]
     data = [marginalize_counts(counts, (0, 1))]
     selected = []
@@ -86,14 +88,14 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     est = tom.reconstruct_stack(np.stack(data))
     assert est.rows[0] == 0
     analyzed = [selected[r - 1] for r in est.rows[1:]]
-    values = observable_stack(est.projected)[key][0].tolist()
+    values = observable_set(est.projected)[key].tolist()
     with_target = [0] + [i for i, b in enumerate(analyzed, 1) if b.state is not None]
-    targets = [rho_psi_theory.matrix] + [
+    targets = [rho_psi_theory] + [
         np.outer(b.state.amplitudes, b.state.amplitudes.conj())
         for b in analyzed if b.state is not None
     ]
-    fids = dict(zip(with_target, fidelity_stack(np.stack(targets),
-                                                est.projected[with_target]).tolist()))
+    fids = dict(zip(with_target, fidelity(np.stack(targets),
+                                          est.projected[with_target]).tolist()))
     results = {
         b.outcome: BranchResult(
             b.outcome, b.probability, b.reliable,
@@ -124,16 +126,17 @@ def _reference_point(config, index, phi, seed_tag):
         anc = rng_stream(ms, 0, index).multinomial(config.shots, p / p.sum())
     est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
                        ms, noise, seed_path=(1, index))
-    rho_psi_theory = DensityMatrix(2, ex.output_mixture(ideal))
+    rho_psi_theory = ex.output_mixture(ideal)
     tomo_out, fidelity_out, branches = _reference_output(
         config, setting, out_state, index, ideal, key, rho_psi_theory)
     return SweepRecord(
         observable=obs, phi=phi, theta=config.theta_resolved, lam=config.lam,
         theory=theory_value(obs, chi_ideal),
-        qnd_estimate=ex.estimate_observable(setting, anc)[obs].value,
-        tomo_in=observable_set(est_in.projected)[key].value,
+        qnd_estimate=ex.estimate_observable(setting, anc)[obs],
+        tomo_in=float(observable_set(est_in.projected.matrix[None])[key][0]),
         tomo_out=tomo_out,
-        fidelity_in=fidelity(chi_ideal.density(), est_in.projected),
+        fidelity_in=float(fidelity(chi_ideal.density().matrix[None],
+                                   est_in.projected.matrix[None])[0]),
         fidelity_out=fidelity_out,
         branches=branches,
         shots=0 if config.exact_mode else config.shots,
@@ -282,8 +285,41 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     assert len(arrays) >= 3
     for a in arrays:
         assert not a.flags.writeable and a.base is None
-    # the readout keeps the ancilla marginal, never a full-register density matrix
-    assert all(v.num_qubits <= 2 for v in values if isinstance(v, DensityMatrix))
+    # the readout measures the full register in either engine, and no other
+    # density matrix is kept: the fidelity targets are arrays
+    n = ex.setting_for(observable).num_qubits
+    assert all(s.num_qubits == n for s in block.readout)
+    assert all(v.num_qubits == n for v in values if isinstance(v, DensityMatrix))
+
+
+@pytest.mark.parametrize("noise", ["none", "criterion 9"])
+def test_a_sampled_block_analyzes_its_estimates_as_two_stacks(noise, monkeypatch):
+    # one observable_set and one fidelity call for the block's input
+    # estimates, then one each for its output estimates, branches included
+    calls = []
+
+    def counting(name):
+        real = getattr(harness, name)
+
+        def counted(*args):
+            rows = args[-1]
+            calls.append((name, len(rows) if isinstance(rows, np.ndarray) else 1))
+            return real(*args)
+        return counted
+
+    for name in ("observable_set", "fidelity"):
+        monkeypatch.setattr(harness, name, counting(name))
+    config = SweepConfig("VA", phi_count=BLOCK_POINTS, shots=300, noise=NOISE[noise],
+                         master_seed=2)
+    records = run_sweep(config)
+    assert len(records) == BLOCK_POINTS == 16
+    analyzed = sum(b.tomo_value is not None for r in records for b in r.branches)
+    with_target = sum(b.fidelity is not None for r in records for b in r.branches)
+    assert analyzed > 0
+    assert sorted(calls) == sorted([
+        ("observable_set", 16), ("fidelity", 16),
+        ("observable_set", 16 + analyzed), ("fidelity", 16 + with_target),
+    ])
 
 
 @pytest.mark.parametrize("noise", ["none", "criterion 9"])
@@ -419,5 +455,8 @@ def test_sweep_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert _prepare_block.cache_info().currsize == 4
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
-    # what stays is the four prepared blocks, which hold no evolved stacks
-    assert held < 384 * 2**10, f"held {held / 2**10:.0f} KB"
+    # what stays is the four prepared blocks, which hold no evolved stacks:
+    # distributions and branch data within 384 KB, plus the 64 full-register
+    # states the readout measures, 4 KB each. One point's evolved stack of
+    # 16 settings alone would add 64 KB
+    assert held < 384 * 2**10 + 64 * 16 * 16 * 16, f"held {held / 2**10:.0f} KB"

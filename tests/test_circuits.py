@@ -233,8 +233,8 @@ class TestPostselect:
                 except EmptyBranchError:
                     continue
                 mix += prob * np.outer(state.amplitudes, state.amplitudes.conj())
-            reduced = partial_trace(psi.density(), (1,))
-            np.testing.assert_allclose(mix, reduced.matrix, atol=1e-10)
+            reduced = partial_trace(psi.density().matrix, (1,))
+            np.testing.assert_allclose(mix, reduced, atol=1e-10)
 
 
 class TestCountFiltering:

@@ -85,5 +85,5 @@ def test_noiseless_exact_sweep_reads_the_exact_estimator(observable, angles):
                          exact_mode=True)
     (record,) = run_sweep(config)
     chi = circ.run_pure(ex.prep_circuit(_prep_params(phi, theta, lam)), basis_state(2))
-    want = qnd_estimates_exact(ex.setting_for(observable), chi)[observable].value
+    want = qnd_estimates_exact(ex.setting_for(observable), chi)[observable]
     assert abs(record.qnd_estimate - want) <= 1e-12

@@ -14,7 +14,7 @@ from helpers import (
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim.circuits import EmptyBranchError
-from qndsim.observables import ObservableValue, observable_set
+from qndsim.observables import observable_set
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
 GRID = np.linspace(0, 2 * math.pi, 9)
@@ -92,7 +92,7 @@ class TestCircuitOne:
     def test_separable_plus_state_estimates_zero(self):
         probs = self.run_probs(np.array([SQ2, 0, SQ2, 0], dtype=complex))
         est = ex.estimate_observable(ex.MeasurementSetting("concurrence1"), probs)["C1"]
-        assert est.value == pytest.approx(0.0, abs=1e-10)
+        assert est == pytest.approx(0.0, abs=1e-10)
 
 
 class TestCircuitTwoOutputs:
@@ -156,31 +156,31 @@ class TestEstimators:
     def test_c1_on_bell_state(self):
         chi = chi_state(math.pi / 2, math.pi)
         est = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"]
-        assert est.value == pytest.approx(1.0, abs=1e-10)
+        assert est == pytest.approx(1.0, abs=1e-10)
 
     def test_visibility_sweep(self):
         for phi in GRID:
             chi = chi_state(phi)
             est = qnd_estimates_exact(ex.MeasurementSetting("visibility"), chi)
-            assert est["VA"].value == pytest.approx(abs(math.sin(phi)), abs=1e-10)
-            assert est["VB"].value == pytest.approx(0.0, abs=1e-10)
+            assert est["VA"] == pytest.approx(abs(math.sin(phi)), abs=1e-10)
+            assert est["VB"] == pytest.approx(0.0, abs=1e-10)
 
     def test_predictability_sweep(self):
         for phi in GRID:
             chi = chi_state(phi, math.pi)
             est = qnd_estimates_exact(ex.MeasurementSetting("predictability"), chi)
-            assert est["PA"].value == pytest.approx(abs(math.cos(phi)), abs=1e-10)
-            assert est["PB"].value == pytest.approx(abs(math.cos(phi)), abs=1e-10)
+            assert est["PA"] == pytest.approx(abs(math.cos(phi)), abs=1e-10)
+            assert est["PB"] == pytest.approx(abs(math.cos(phi)), abs=1e-10)
 
     def test_estimators_match_direct_definitions(self):
         for phi in GRID:
             for theta in GRID:
                 chi = chi_state(phi, theta)
-                direct = observable_set(chi.density())
+                direct = observable_set(chi.density().matrix[None])
                 for name in ex.OBSERVABLES:
                     est = qnd_estimates_exact(ex.setting_for(name), chi)[name]
                     key = "C" if name in ("C1", "C2") else name
-                    assert est.value == pytest.approx(direct[key].value, abs=1e-8)
+                    assert est == pytest.approx(direct[key][0], abs=1e-8)
 
     def test_zero_shots_rejected(self):
         counts = np.zeros(2, dtype=np.int64)
@@ -216,7 +216,7 @@ class TestEstimators:
         got = ex.estimate_observable(s, counts)
         want = _estimate_from_bitstring_map(s, counts)
         assert got == want
-        assert all(type(v.value) is float and type(v.signed_raw) is float for v in got.values())
+        assert all(type(v) is float for v in got.values())
 
 
 def _estimate_from_bitstring_map(s, counts):
@@ -227,15 +227,15 @@ def _estimate_from_bitstring_map(s, counts):
     f = {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
     if s.observable == "concurrence1":
         signed = f.get("1", 0.0) - f.get("0", 0.0)
-        return {"C1": ObservableValue("C1", abs(signed), signed)}
+        return {"C1": abs(signed)}
     p00, p01, p10, p11 = (f.get(k, 0.0) for k in ("00", "01", "10", "11"))
     if s.observable == "concurrence2":
         signed = p01 - p00
-        return {"C2": ObservableValue("C2", abs(signed), signed)}
+        return {"C2": abs(signed)}
     sa = p00 + p01 - p10 - p11
     sb = p00 + p10 - p01 - p11
     a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
-    return {a: ObservableValue(a, abs(sa), sa), b: ObservableValue(b, abs(sb), sb)}
+    return {a: abs(sa), b: abs(sb)}
 
 
 class TestConditionalTargets:
@@ -304,9 +304,9 @@ class TestNondemolition:
                 chi = chi_state(phi, theta)
                 for name in ex.OBSERVABLES:
                     s = ex.setting_for(name)
-                    first = qnd_estimates_exact(s, chi)[name].value
+                    first = qnd_estimates_exact(s, chi)[name]
                     rho_post = post_measurement_pair_state(s, chi)
-                    second = qnd_estimates_exact(s, rho_post)[name].value
+                    second = qnd_estimates_exact(s, rho_post)[name]
                     assert second == pytest.approx(first, abs=1e-8)
 
 
@@ -321,9 +321,9 @@ class TestStatePreparation:
                     for outcome, state, prob in ex.simulated_branches(s, p):
                         if state is None or prob < ex.RELIABLE_BRANCH_PROB:
                             continue
-                        vals = observable_set(state.density())
+                        vals = observable_set(state.density().matrix[None])
                         key = "C" if name in ("C1", "C2") else name
-                        assert vals[key].value == pytest.approx(1.0, abs=1e-10)
+                        assert vals[key][0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestOutputMixture:
@@ -335,9 +335,9 @@ class TestOutputMixture:
                 s = ex.setting_for(name)
                 full = ex.prep_circuit(p).widened(s.num_qubits).then(ex.measurement_circuit(s))
                 out = circ.run_pure(full, basis_state(s.num_qubits))
-                reduced = partial_trace(out.density(), (0, 1))
+                reduced = partial_trace(out.density().matrix, (0, 1))
                 mixture = ex.output_mixture(ex.branch_data(s, p))
-                np.testing.assert_allclose(mixture, reduced.matrix, atol=1e-10)
+                np.testing.assert_allclose(mixture, reduced, atol=1e-10)
 
     @settings(deadline=None)
     @given(angles=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3))

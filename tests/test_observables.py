@@ -12,6 +12,7 @@ from helpers import (
     random_unitary_2x2,
     triality_defect,
 )
+from qndsim import observables
 from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
 from qndsim.observables import (
     concurrence_pure,
@@ -25,8 +26,8 @@ from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace,
 PHIS = np.linspace(0, 2 * math.pi, 17)
 
 
-def plus_rho() -> DensityMatrix:
-    return DensityMatrix(1, np.full((2, 2), 0.5))
+def plus_rho() -> np.ndarray:
+    return np.full((2, 2), 0.5)
 
 
 def werner(p: float) -> DensityMatrix:
@@ -39,22 +40,22 @@ class TestVisibility:
         assert visibility(plus_rho()) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        assert visibility(DensityMatrix(1, np.eye(2) / 2)) == pytest.approx(0.0)
+        assert visibility(np.eye(2) / 2) == pytest.approx(0.0)
 
     def test_product_state_marginal(self):
         for phi in PHIS:
             chi = bell_coefficients(PrepParams(phi)).state_vector()
-            rho_a = partial_trace(chi.density(), (0,))
+            rho_a = partial_trace(chi.density().matrix, (0,))
             assert visibility(rho_a) == pytest.approx(abs(math.sin(phi)), abs=1e-10)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            visibility(basis_state(2).density())
+            visibility(basis_state(2).density().matrix)
 
 
 class TestPredictability:
     def test_basis_state(self):
-        assert predictability(basis_state(1, 0).density()) == pytest.approx(1.0)
+        assert predictability(basis_state(1, 0).density().matrix) == pytest.approx(1.0)
 
     def test_plus_state(self):
         assert predictability(plus_rho()) == pytest.approx(0.0)
@@ -62,12 +63,29 @@ class TestPredictability:
     def test_entangled_marginal(self):
         for phi in PHIS:
             chi = bell_coefficients(PrepParams(phi, math.pi)).state_vector()
-            rho_a = partial_trace(chi.density(), (0,))
+            rho_a = partial_trace(chi.density().matrix, (0,))
             assert predictability(rho_a) == pytest.approx(abs(math.cos(phi)), abs=1e-10)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            predictability(basis_state(2).density())
+            predictability(basis_state(2).density().matrix)
+
+
+@pytest.mark.parametrize("measure", [visibility, predictability])
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 2), (5, 2, 4), (0,)])
+def test_single_qubit_measures_reject_other_shapes(measure, shape):
+    with pytest.raises(ValueError, match="\\(\\.\\.\\., 2, 2\\)"):
+        measure(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("measure", [visibility, predictability])
+def test_single_qubit_measures_work_slice_by_slice(measure):
+    rng = np.random.default_rng(30)
+    stack = np.stack([random_density_matrix(rng, 1).matrix for _ in range(6)]).reshape(3, 2, 2, 2)
+    values = measure(stack)
+    assert values.shape == (3, 2)
+    for index in np.ndindex(3, 2):
+        assert values[index] == measure(stack[index])
 
 
 class TestConcurrence:
@@ -135,8 +153,8 @@ class TestTriality:
         # the un-squared sum overshoots 1 away from the extremal points:
         # at phi = pi/4, theta = pi it equals sin(pi/4) + cos(pi/4) = sqrt(2)
         chi = bell_coefficients(PrepParams(math.pi / 4, math.pi)).state_vector()
-        vals = observable_set(chi.density())
-        linear = vals["C"].value + vals["VA"].value + vals["PA"].value
+        vals = observable_set(chi.density().matrix[None])
+        linear = float(vals["C"][0] + vals["VA"][0] + vals["PA"][0])
         assert linear == pytest.approx(math.sqrt(2), abs=1e-8)
         assert abs(linear - 1.0) > 0.1
 
@@ -144,14 +162,28 @@ class TestTriality:
 class TestObservableSet:
     def test_values_stay_in_range(self):
         rng = np.random.default_rng(35)
-        for _ in range(20):
-            rho = random_density_matrix(rng, 2)
-            for v in observable_set(rho).values():
-                assert -1e-8 <= v.value <= 1 + 1e-8
+        rho = np.stack([random_density_matrix(rng, 2).matrix for _ in range(20)])
+        for v in observable_set(rho).values():
+            assert v.shape == (20,)
+            assert ((-1e-8 <= v) & (v <= 1 + 1e-8)).all()
 
-    def test_signed_raw_matches_magnitude(self):
+    def test_marginal_values_are_the_single_qubit_measures(self):
         rng = np.random.default_rng(36)
-        rho = random_density_matrix(rng, 2)
+        rho = np.stack([random_density_matrix(rng, 2).matrix for _ in range(5)])
         vals = observable_set(rho)
-        for key in ("PA", "PB"):
-            assert abs(vals[key].signed_raw) == pytest.approx(vals[key].value, abs=1e-12)
+        for key, measure, keep in (("VA", visibility, (0,)), ("VB", visibility, (1,)),
+                                   ("PA", predictability, (0,)), ("PB", predictability, (1,))):
+            assert np.array_equal(vals[key], measure(partial_trace(rho, keep)))
+        for i, slice_ in enumerate(rho):
+            assert vals["C"][i] == pytest.approx(concurrence_wootters(DensityMatrix(2, slice_)),
+                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 4, 4, 4), (3, 4, 2), (0, 8, 8)])
+    def test_rejects_anything_but_a_stack_of_pairs(self, shape, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the shape is checked first")
+
+        monkeypatch.setattr(observables, "partial_trace", no_work)
+        monkeypatch.setattr(observables, "matrix_sqrt_psd", no_work)
+        with pytest.raises(ValueError, match="\\(K, 4, 4\\)"):
+            observable_set(np.zeros(shape, dtype=complex))

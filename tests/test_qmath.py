@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_density_matrix, random_pure_state
+from qndsim import qmath
 from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
 from qndsim.qmath import (
     DensityMatrix,
@@ -58,21 +59,19 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_bell_state_marginals_are_maximally_mixed(self):
-        rho = bell_phi_plus().density()
+        rho = bell_phi_plus().density().matrix
         for keep in ((0,), (1,)):
-            np.testing.assert_allclose(
-                partial_trace(rho, keep).matrix, np.eye(2) / 2, atol=1e-12
-            )
+            np.testing.assert_allclose(partial_trace(rho, keep), np.eye(2) / 2, atol=1e-12)
 
     def test_product_state(self):
-        rho = basis_state(2, 0).density()  # |00>
-        np.testing.assert_allclose(partial_trace(rho, (1,)).matrix, [[1, 0], [0, 0]], atol=1e-12)
+        rho = basis_state(2, 0).density().matrix  # |00>
+        np.testing.assert_allclose(partial_trace(rho, (1,)), [[1, 0], [0, 0]], atol=1e-12)
 
     def test_prepared_state_marginal(self):
         # phi = pi/2, theta = lambda = 0 gives |+> on A times |0> on B
         chi = bell_coefficients(PrepParams(math.pi / 2)).state_vector()
-        rho_a = partial_trace(chi.density(), (0,))
-        np.testing.assert_allclose(rho_a.matrix, np.full((2, 2), 0.5), atol=1e-12)
+        rho_a = partial_trace(chi.density().matrix, (0,))
+        np.testing.assert_allclose(rho_a, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(13)
@@ -82,21 +81,41 @@ class TestPartialTrace:
             for j in range(2):
                 for k in range(2):
                     expected[i, j] += rho.matrix[i * 2 + k, j * 2 + k]
-        np.testing.assert_allclose(partial_trace(rho, (0,)).matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho.matrix, (0,)), expected, atol=1e-12)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             rho = random_density_matrix(rng, 3)
-            reduced = partial_trace(rho, (0, 2))
-            assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-10)
+            reduced = partial_trace(rho.matrix, (0, 2))
+            assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_stack_is_traced_slice_by_slice(self):
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_density_matrix(rng, 3).matrix for _ in range(6)]).reshape(
+            2, 3, 8, 8)
+        for keep in ((0,), (1,), (2,), (0, 2), (1, 2)):
+            reduced = partial_trace(stack, keep)
+            assert reduced.shape == (2, 3) + (2 ** len(keep),) * 2
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(reduced[index], partial_trace(stack[index], keep))
 
     def test_rejects_empty_and_full_keep(self):
-        rho = bell_phi_plus().density()
-        with pytest.raises(ValueError):
+        rho = bell_phi_plus().density().matrix
+        with pytest.raises(ValueError, match="nonempty proper subset"):
             partial_trace(rho, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty proper subset"):
             partial_trace(rho, (0, 1))
+
+    @pytest.mark.parametrize("keep", [(3,), (-1,), (0, 5)])
+    def test_rejects_out_of_range_keep(self, keep):
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace(basis_state(3).density().matrix, keep)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 4, 2), (3, 3), (6, 6), (1, 1), (0, 0)])
+    def test_rejects_non_square_or_non_power_of_two(self, shape):
+        with pytest.raises(ValueError, match="2\\^n"):
+            partial_trace(np.zeros(shape, dtype=complex), (0,))
 
 
 class TestHermitianEigenvalues:
@@ -151,36 +170,50 @@ class TestFidelity:
     def test_self_fidelity_is_one(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            rho = random_density_matrix(rng, 2)
+            rho = random_density_matrix(rng, 2).matrix
             assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonal_pure_states(self):
-        assert fidelity(basis_state(1, 0).density(), basis_state(1, 1).density()) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        zero, one = basis_state(1, 0).density().matrix, basis_state(1, 1).density().matrix
+        assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_vs_werner(self):
         # (1-p) bell + p I/4 at p = 0.2: pure-state fidelity (1-p) + p/4 = 0.85
-        bell = bell_phi_plus().density()
-        mixed = DensityMatrix(2, 0.8 * bell.matrix + 0.2 * np.eye(4) / 4)
+        bell = bell_phi_plus().density().matrix
+        mixed = 0.8 * bell + 0.2 * np.eye(4) / 4
         assert fidelity(bell, mixed) == pytest.approx(0.85, abs=1e-8)
 
     def test_pure_state_reduces_to_expectation(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
             psi = random_pure_state(rng, 2)
-            sigma = random_density_matrix(rng, 2)
-            expected = np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes).real
-            assert fidelity(psi.density(), sigma) == pytest.approx(expected, abs=1e-8)
+            sigma = random_density_matrix(rng, 2).matrix
+            expected = np.vdot(psi.amplitudes, sigma @ psi.amplitudes).real
+            assert fidelity(psi.density().matrix, sigma) == pytest.approx(expected, abs=1e-8)
 
     def test_symmetry(self):
         rng = np.random.default_rng(19)
-        a, b = random_density_matrix(rng, 2), random_density_matrix(rng, 2)
+        a, b = random_density_matrix(rng, 2).matrix, random_density_matrix(rng, 2).matrix
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(basis_state(1, 0).density(), basis_state(2, 0).density())
+            fidelity(basis_state(1, 0).density().matrix, basis_state(2, 0).density().matrix)
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 4), (2, 2)),
+        ((3, 4, 4), (2, 4, 4)),
+        ((4, 4), (1, 4, 4)),  # would broadcast, but a stack pairs its slices one to one
+        ((2, 1, 4, 4), (2, 4, 4)),
+    ])
+    def test_stacks_of_mismatched_shape_rejected_before_any_work(self, shapes, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the shapes are checked first")
+
+        monkeypatch.setattr(qmath, "matrix_sqrt_psd", no_work)
+        a, b = (np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape) for shape in shapes)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fidelity(a, b)
 
 
 class TestStateTypes:

@@ -19,8 +19,8 @@ from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import EmptyBranchError, NoiseModel
 from qndsim.harness import SweepConfig, run_sweep
-from qndsim.observables import SPIN_FLIP, observable_set, observable_stack
-from qndsim.qmath import DensityMatrix, fidelity, fidelity_stack, partial_trace_matrix
+from qndsim.observables import SPIN_FLIP, observable_set
+from qndsim.qmath import fidelity, partial_trace
 
 # --- the dictionary-based count filtering -------------------------------------
 
@@ -134,19 +134,17 @@ def _reference_estimate(data: np.ndarray):
     return raw, (m + m.conj().T) / 2, float(vals[0])
 
 
-def _reference_observables(rho: np.ndarray) -> dict[str, tuple[float, float]]:
-    rho_a = partial_trace_matrix(rho, 2, (0,))
-    rho_b = partial_trace_matrix(rho, 2, (1,))
+def _reference_observables(rho: np.ndarray) -> dict[str, float]:
+    rho_a = partial_trace(rho, (0,))
+    rho_b = partial_trace(rho, (1,))
     s = _reference_sqrt(rho)
     r = np.linalg.svd(s @ SPIN_FLIP @ s.conj(), compute_uv=False)
     c = float(r[0] - r[1] - r[2] - r[3])
     out = {}
     for kind, red in (("A", rho_a), ("B", rho_b)):
-        out["V" + kind] = (float(2.0 * abs(red[0, 1])), float(2.0 * red[0, 1].real))
-    for kind, red in (("A", rho_a), ("B", rho_b)):
-        signed = float(red[1, 1].real - red[0, 0].real)
-        out["P" + kind] = (abs(signed), signed)
-    out["C"] = (min(max(c, 0.0), 1.0), c)
+        out["V" + kind] = float(2.0 * abs(red[0, 1]))
+        out["P" + kind] = abs(float(red[1, 1].real - red[0, 0].real))
+    out["C"] = min(max(c, 0.0), 1.0)
     return out
 
 
@@ -196,9 +194,9 @@ def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
         return
     stack = tom.reconstruct_stack(data)
     assert stack.rows.tolist() == rows
-    observables = observable_stack(stack.projected)
+    observables = observable_set(stack.projected)
     targets = np.stack([random_density_matrix(rng, 2).matrix for _ in rows])
-    fids = fidelity_stack(targets, stack.projected)
+    fids = fidelity(targets, stack.projected)
     for i, row in enumerate(rows):
         raw, projected, min_eig = references[row]
         single = tom.linear_reconstruct(data[row])
@@ -209,11 +207,11 @@ def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
         assert stack.min_eigenvalue[i] == min_eig == single.min_eigenvalue
         event(single.method)
         want = _reference_observables(projected)
-        assert {k: (v[i], s[i]) for k, (v, s) in observables.items()} == want
-        singles = observable_set(single.projected)
-        assert {k: (v.value, v.signed_raw) for k, v in singles.items()} == want
+        assert {k: v[i] for k, v in observables.items()} == want
+        singles = observable_set(single.projected.matrix[None])
+        assert {k: v[0] for k, v in singles.items()} == want
         fid = _reference_fidelity(targets[i], projected)
-        assert fids[i] == fid == fidelity(DensityMatrix(2, targets[i]), single.projected)
+        assert fids[i] == fid == fidelity(targets[i][None], single.projected.matrix[None])[0]
     for row in set(range(len(data))) - set(rows):
         event("degenerate data set")
         with pytest.raises(tom.DegenerateReconstructionError):
@@ -279,7 +277,7 @@ def test_stack_rejects_bad_data():
         bad[1, 3] = 0
         tom.reconstruct_stack(bad)
     with pytest.raises(ValueError, match="(K, 4, 4)"):
-        observable_stack(np.eye(4))
+        observable_set(np.eye(4))
 
 
 def test_fidelity_stack_matches_single_fidelities():
@@ -293,4 +291,4 @@ def test_fidelity_stack_matches_single_fidelities():
     norms = np.array([_reference_trace_norm(a, b) for a, b in zip(m[0], m[1])])
     assert (norms * norms != np.array([t**2 for t in norms.tolist()])).any()  # a telling case
     want = [_reference_fidelity(a, b) for a, b in zip(m[0], m[1])]
-    assert fidelity_stack(m[0], m[1]).tolist() == want
+    assert fidelity(m[0], m[1]).tolist() == want

@@ -23,7 +23,7 @@ class TestSettings:
     def test_sixteen_unique_settings(self):
         settings = tom.tomography_settings()
         assert len(settings) == 16
-        assert len({s.label for s in settings}) == 16
+        assert len({s.basis_a + s.basis_b for s in settings}) == 16
 
     def test_design_matrix_rank(self):
         assert np.linalg.matrix_rank(tom._design_matrix()) == 16
@@ -45,7 +45,7 @@ class TestCollect:
 
     def test_bell_state_computational_setting(self):
         settings = tom.tomography_settings()
-        hh = next(s for s in settings if s.label == "HH")
+        hh = next(s for s in settings if s.basis_a + s.basis_b == "HH")
         probs = circ.exact_probabilities(
             circ.run_pure(hh.pre_rotation(), bell()), (0, 1)
         )
@@ -169,35 +169,33 @@ class TestObservablesFromEstimate:
         for phi in np.linspace(0, 2 * math.pi, 9):
             chi = bell_coefficients(PrepParams(phi, math.pi)).state_vector()
             est = tomograph(chi, shots=None)
-            vals = observable_set(est.projected)
-            assert vals["C"].value == pytest.approx(abs(math.sin(phi)), abs=1e-8)
+            vals = observable_set(est.projected.matrix[None])
+            assert vals["C"][0] == pytest.approx(abs(math.sin(phi)), abs=1e-8)
 
     def test_ground_state_values(self):
         est = tomograph(basis_state(2), shots=None)
-        vals = observable_set(est.projected)
-        assert vals["PA"].value == pytest.approx(1.0, abs=1e-10)
-        assert vals["PB"].value == pytest.approx(1.0, abs=1e-10)
-        assert vals["VA"].value == pytest.approx(0.0, abs=1e-10)
-        assert vals["C"].value == pytest.approx(0.0, abs=1e-8)
+        vals = observable_set(est.projected.matrix[None])
+        assert vals["PA"][0] == pytest.approx(1.0, abs=1e-10)
+        assert vals["PB"][0] == pytest.approx(1.0, abs=1e-10)
+        assert vals["VA"][0] == pytest.approx(0.0, abs=1e-10)
+        assert vals["C"][0] == pytest.approx(0.0, abs=1e-8)
 
     def test_bell_concurrence_band_at_5000_shots(self):
         # Monte Carlo calibrated band: within 0.07 of unity on >= 95% of seeds
         hits = 0
         for seed in range(60):
             est = tomograph(bell(), shots=5000, master_seed=seed)
-            c = observable_set(est.projected)["C"].value
+            c = observable_set(est.projected.matrix[None])["C"][0]
             hits += (1.0 - c) <= 0.07
         assert hits / 60 >= 0.95
 
 
 class TestFidelityVsShots:
     def test_mean_fidelity_non_decreasing(self):
-        rho_bell = bell().density()
+        rho_bell = bell().density().matrix
         means = []
         for shots in (250, 1000, 5000, 20000):
-            fids = [
-                fidelity(rho_bell, tomograph(bell(), shots=shots, master_seed=s).projected)
-                for s in range(50)
-            ]
-            means.append(np.mean(fids))
+            estimates = np.stack([tomograph(bell(), shots=shots, master_seed=s).projected.matrix
+                                  for s in range(50)])
+            means.append(np.mean(fidelity(np.broadcast_to(rho_bell, estimates.shape), estimates)))
         assert all(b >= a for a, b in zip(means, means[1:]))
