@@ -583,9 +583,10 @@ def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np
     """Keep the counts whose ancilla bits match, stripping those bit positions.
 
     ``counts`` is a (..., 2^m) integer array indexed by outcome (bit
-    position 0 the most significant); the result indexes the remaining
-    bits in their original order. Raises EmptyBranchError when any row
-    retains no shots.
+    position 0 the most significant), for instance a whole block's
+    (points, settings, 2^m) tomography counts; the result indexes the
+    remaining bits in their original order. A row that retains no shots
+    is returned as zeros: the caller decides what an empty branch means.
     """
     counts = np.asarray(counts)
     positions = tuple(ancilla_positions)
@@ -597,7 +598,4 @@ def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np
     for p, bit in zip(positions, outcome):
         index[p] = int(bit)
     kept = counts.reshape(lead + (2,) * m)[(Ellipsis, *index)]
-    kept = kept.reshape(lead + (2 ** (m - len(positions)),))
-    if not kept.sum(axis=-1).all():
-        raise EmptyBranchError(f"no shots retained for ancilla outcome {outcome!r}")
-    return kept
+    return kept.reshape(lead + (2 ** (m - len(positions)),))

@@ -147,8 +147,8 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
         noise=noise,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        # one write: json.dump writes every token on its own
+        fh.write(json.dumps(report, indent=2) + "\n")
     m = report["mean_average_errors"]
     print(
         "mean averaged errors: "

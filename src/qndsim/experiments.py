@@ -244,35 +244,37 @@ def measurement_circuit(s: MeasurementSetting) -> Circuit:
     return c
 
 
-def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, float]:
-    """Observable estimates from ancilla statistics.
+def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np.ndarray]:
+    """Observable estimates from ancilla statistics, for each row of a
+    (K, 2^a) stack.
 
-    ``data`` holds the computational-basis results on C (circuit 1) or
+    Each row holds the computational-basis results on C (circuit 1) or
     C, D (circuit 2, after the Bell rotation for the concurrence setting),
     one entry per outcome: integer counts are divided by their total,
     exact probabilities, which must sum to 1, are used as given.
 
-    Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as appropriate.
+    Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as
+    appropriate, each a (K,) array.
     """
     data = np.asarray(data)
     width = 2 ** len(s.ancilla_qubits)
-    if data.shape != (width,):
+    if data.ndim != 2 or data.shape[-1] != width:
         raise ValueError(
-            f"need {width} outcomes for the {s.observable} setting, got shape {data.shape}"
+            f"need (K, {width}) outcomes for the {s.observable} setting, got shape {data.shape}"
         )
-    f = circ._frequencies(data).tolist()
+    f = circ._frequencies(data).T
     if s.observable in ("visibility", "predictability"):
         sa = f[0] + f[1] - f[2] - f[3]
         sb = f[0] + f[2] - f[1] - f[3]
         a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
-        return {a: abs(sa), b: abs(sb)}
+        return {a: np.abs(sa), b: np.abs(sb)}
     # Circuit 1 reads the parity on C. In circuit 2 the outgoing ancilla
     # state populates exactly two Bell branches, psi_plus (outcome 01) with
     # weight alpha^2 + eta^2 and phi_plus (outcome 00) with weight
     # beta^2 + gamma^2; the state-vector oracle in the test suite pins this
     # mapping. Either way the estimate is |f[1] - f[0]|.
     name = "C1" if s.observable == "concurrence1" else "C2"
-    return {name: abs(f[1] - f[0])}
+    return {name: np.abs(f[1] - f[0])}
 
 
 _VIS_BRANCHES = {

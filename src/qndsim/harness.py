@@ -26,7 +26,8 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   input and output tomography counts from those distributions and
   analyzes them: the input estimates of every point as one stack, and the
   output estimates of every point and branch as another
-  (``_output_tomography``). Exact mode runs the same analysis with each
+  (``_output_tomography``, which post-selects the whole block once per
+  ancilla outcome). Exact mode runs the same analysis with each
   draw replaced by the distribution it draws from, the infinite-shot
   limit. Its data depend on the prepared state alone, so it analyzes each
   distinct state of the block once and post-selects no branch.
@@ -57,7 +58,7 @@ from . import circuits as circ
 from . import experiments as ex
 from . import tomography as tom
 from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
-from .circuits import EmptyBranchError, NoiseModel
+from .circuits import NoiseModel
 from .observables import concurrence_pure, observable_set, predictability, visibility
 from .qmath import DensityMatrix, StateVector, basis_state, fidelity, partial_trace
 
@@ -344,8 +345,8 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         # exact data are a function of the slot alone: each slot is analyzed
         # once, unconditionally only, and a point reads its slot's results
         rows = slots
-        anc_stats = [circ.exact_probabilities(r, setting.ancilla_qubits, flip)
-                     for r in block.readout]
+        anc_stats = np.stack([circ.exact_probabilities(r, setting.ancilla_qubits, flip)
+                              for r in block.readout])
         data_in, data_out = block.probs_in, block.probs_out
         target_in, ideal, target_out = block.target_in, block.branches, block.target_out
         postselected = [()] * len(ideal)
@@ -359,7 +360,7 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         ideal = postselected = [block.branches[k] for k in slots]
     tomo_out, fidelity_out, branches = _output_tomography(
         setting, data_out, ideal, postselected, target_out, key)
-    qnd_estimates = [ex.estimate_observable(setting, a)[obs] for a in anc_stats]
+    qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
     # one linear estimate per input data set, analyzed as one stack
     est_in = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data_in])
     tomo_in = observable_set(est_in)[key].tolist()
@@ -389,28 +390,31 @@ def _output_tomography(setting, data, ideal, postselected, target_out, key: str)
     """Analyze each point's full-register output-tomography data, counts or
     distributions, unconditionally and post-selected on each ancilla outcome
     of its ``postselected`` branches, for every point of the block as one
-    stack of estimates. A branch not listed there, or one that retained too
-    few shots to fix a state, carries its ideal data only.
+    stack of estimates. A branch not listed there, one in which some
+    setting retained no shot, or one that retained too few shots to fix a
+    state, carries its ideal data only.
 
     Returns, per point, the unconditional observable value, its fidelity,
     and the branch results.
     """
     # the pair data: each outcome summed over the trailing ancilla bits
     pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
+    # each listed outcome post-selected on the whole block at once, and the
+    # fewest shots any setting of each point retained in it
+    outcomes = dict.fromkeys(b.outcome for listed in postselected for b in listed)
+    selected = {o: circ.postselect_counts(data, setting.ancilla_qubits, o) for o in outcomes}
+    retained = {o: kept.sum(axis=-1).min(axis=-1).tolist() for o, kept in selected.items()}
     sets, owners = [], []  # each data set and its (point, branch); no branch: unconditional
-    for i, (point_data, listed) in enumerate(zip(data, postselected)):
+    for i, listed in enumerate(postselected):
         sets.append(pair[i])
         owners.append((i, None))
         for b in listed:
-            try:
-                sets.append(circ.postselect_counts(point_data, setting.ancilla_qubits, b.outcome))
-            except EmptyBranchError:
-                continue  # some setting retained no shots in this branch
-            owners.append((i, b))
+            if retained[b.outcome][i]:
+                sets.append(selected[b.outcome][i])
+                owners.append((i, b))
     est = tom.reconstruct_stack(np.stack(sets))
-    rows = est.rows.tolist()
     # a data set left out of the stack retained too few shots to fix a state
-    analyzed = [owners[r] for r in rows]
+    analyzed = [owners[r] for r in est.rows.tolist()]
     if sum(b is None for _, b in analyzed) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
     values = observable_set(est.projected)[key].tolist()
@@ -424,13 +428,12 @@ def _output_tomography(setting, data, ideal, postselected, target_out, key: str)
     ).tolist()))
     tomo_out, fidelity_out = [0.0] * len(data), [0.0] * len(data)
     results: list[dict[str, BranchResult]] = [{} for _ in data]
-    for k, (r, (i, b)) in enumerate(zip(rows, analyzed)):
+    for k, (i, b) in enumerate(analyzed):
         if b is None:
             tomo_out[i], fidelity_out[i] = values[k], fids[k]
         else:
             results[i][b.outcome] = BranchResult(
-                b.outcome, b.probability, b.reliable,
-                retained_shots=int(sets[r].sum(axis=-1).min()),
+                b.outcome, b.probability, b.reliable, retained_shots=retained[b.outcome][i],
                 tomo_value=values[k], fidelity=fids.get(k),
             )
     branches = [
@@ -571,8 +574,8 @@ def emit(
             "records": [_record_dict(r) for r in ordered],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            # one write: json.dump writes every token on its own
+            fh.write(json.dumps(doc, indent=2) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -47,7 +47,10 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
         return False
     m_dag = np.swapaxes(m.conj(), -1, -2)
     # np.allclose(m, m_dag, atol=atol) spelled out: on a 4x4 matrix its
-    # argument handling costs more than the comparison
+    # argument handling costs more than the comparison. On finite input its
+    # rule is the tolerance test alone; infinities need the full rule
+    if np.isfinite(m).all():
+        return bool((np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)).all())
     with np.errstate(invalid="ignore"):
         within = np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)
         close = within & np.isfinite(m_dag) | (m == m_dag)

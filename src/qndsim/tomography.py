@@ -13,16 +13,21 @@ Each setting applies a local pre-rotation mapping its product state onto
 |00> and reads both qubits in the computational basis; the frequency of the
 "00" outcome estimates the projector expectation. Solving the resulting
 16x16 real linear system in the Pauli-pair basis recovers the density
-matrix. Finite-count estimates can come out non-PSD; they are kept raw and
-a simplex projection of the eigenvalue vector supplies the closest physical
-state for anything that needs one (observables, fidelity).
+matrix: each of its 16 entries is a sum of exactly four Pauli-pair terms,
+added in the order of the Pauli pairs. Finite-count estimates can come out
+non-PSD; a simplex projection of the eigenvalue vector supplies the closest
+physical state for anything that needs one (observables, fidelity).
 
 The batched functions take and return stacks only: ``setting_probabilities``
 evolves a sequence of states into a (states, 16, 2^n) array of outcome
 distributions, ``collect`` draws a stack of counts from such an array,
 ``reconstruct_stack`` analyzes a (K, 16, 4) stack of data sets and
 ``project_psd`` projects a (K, d, d) stack, returning the eigenvalues it
-projected as well. ``linear_reconstruct`` is the analysis of one data set.
+projected as well. ``linear_reconstruct`` is the analysis of one data set,
+and the one place an estimate is validated as a ``DensityMatrix``: the
+projection is physical by construction, and every output estimate passes
+the Hermitian and PSD checks of the square root that observables and
+fidelities take of it.
 """
 
 from __future__ import annotations
@@ -96,16 +101,12 @@ class TomographySetting:
 
 @dataclass(frozen=True)
 class TomographyEstimate:
-    """Raw linear-inversion estimate plus its physical projection.
+    """The physical projection of one linear-inversion estimate, and
+    whether the projection had to move it: ``method`` is "linear" when the
+    estimate was PSD already, else "linear+projection"."""
 
-    ``raw`` is Hermitian and trace-one but may have negative eigenvalues at
-    finite shot counts; ``min_eigenvalue`` records how negative it got.
-    """
-
-    raw: np.ndarray
     projected: DensityMatrix
     method: str
-    min_eigenvalue: float
 
 
 def tomography_settings() -> list[TomographySetting]:
@@ -129,6 +130,20 @@ def _pauli_pairs() -> tuple[np.ndarray, ...]:
     for p in pairs:
         p.flags.writeable = False
     return pairs
+
+
+@lru_cache(maxsize=1)
+def _pauli_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero terms of the Pauli-pair sum, entry by entry: (4, 16)
+    tables of the operator index j, ascending down each column, and of
+    P_j's entry (a unit: 1, -1, 1j or -1j) at each of the 16 row-major
+    matrix entries. Every entry has exactly four such terms."""
+    pairs = np.stack(_pauli_pairs()).reshape(16, 16)
+    index = np.stack([np.flatnonzero(pairs[:, e]) for e in range(16)], axis=-1)
+    units = pairs[index, np.arange(16)]
+    for a in (index, units):
+        a.flags.writeable = False
+    return index, units
 
 
 @lru_cache(maxsize=1)
@@ -209,15 +224,50 @@ class EstimateStack:
     """Linear-inversion estimates of a stack of data sets, as arrays.
 
     Row i belongs to data set ``rows[i]``; data sets whose estimate has
-    zero trace are left out. ``raw``, ``projected`` and ``min_eigenvalue``
-    mean what they do in ``TomographyEstimate``; ``projected`` is validated
-    as a stack of density matrices.
+    zero trace are left out. ``projected`` holds the physical projections
+    (``project_psd``) and ``min_eigenvalue`` the smallest eigenvalue of
+    each raw estimate, negative when the projection had to move it.
     """
 
     rows: np.ndarray
-    raw: np.ndarray
     projected: np.ndarray
     min_eigenvalue: np.ndarray
+
+
+def _pauli_sum(coeffs: np.ndarray) -> np.ndarray:
+    """The (K, 4, 4) C-contiguous matrices sum_j coeffs[:, j] P_j / 4 of a
+    (K, 16) stack of real Pauli-pair coefficients.
+
+    Each entry adds its four nonzero terms from 0j in ascending j: the
+    additions the 16-step loop over every P_j makes, less the zero terms,
+    which leave the sum unchanged, bit for bit.
+    """
+    index, units = _pauli_terms()
+    raw = 0j
+    for t in range(4):
+        raw = raw + coeffs[:, index[t]] * units[t]
+    # the gather comes out F-ordered, and np.trace sums such a stack's
+    # diagonals in another order, which can change the last bit
+    return np.ascontiguousarray(raw / 4.0).reshape(-1, 4, 4)
+
+
+def _linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (K, 16, 4) stack of data sets that fix a state, and
+    their raw linear estimates: exactly Hermitian, trace-normalized, and
+    possibly with negative eigenvalues.
+
+    Raises DegenerateReconstructionError when no data set fixes a state.
+    """
+    freqs = _frequencies_00(data)
+    k = len(freqs)
+    # one solve per data set: the same LAPACK call, bit for bit, as a single one
+    b = np.broadcast_to(_design_matrix(), (k, 16, 16))
+    raw = _pauli_sum(np.linalg.solve(b, freqs[:, :, None])[:, :, 0])
+    trace = np.trace(raw, axis1=-2, axis2=-1).real
+    rows = np.flatnonzero(np.abs(trace) >= 1e-9)
+    if not rows.size:
+        raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
+    return rows, raw[rows] / trace[rows, None, None]
 
 
 def reconstruct_stack(data: np.ndarray) -> EstimateStack:
@@ -226,45 +276,29 @@ def reconstruct_stack(data: np.ndarray) -> EstimateStack:
 
     Each data set holds, per setting of the canonical grid in its order,
     the counts or probabilities of the four outcomes of qubits 0 and 1.
-    Each raw solution is Hermitized and trace-normalized; its smallest
-    eigenvalue is reported and the simplex projection provides the
-    physical counterpart. A data set whose estimate has zero trace fixes
-    no state and is left out; that happens only for pathological inputs,
-    e.g. a post-selected branch that retained a handful of shots.
+    Each raw solution is trace-normalized; its smallest eigenvalue is
+    reported and the simplex projection provides the physical counterpart.
+    A data set whose estimate has zero trace fixes no state and is left
+    out; that happens only for pathological inputs, e.g. a post-selected
+    branch that retained a handful of shots.
 
     Raises DegenerateReconstructionError when no data set fixes a state.
     """
-    freqs = _frequencies_00(data)
-    k = len(freqs)
-    # one solve per data set: the same LAPACK call, bit for bit, as a single one
-    b = np.broadcast_to(_design_matrix(), (k, 16, 16))
-    coeffs = np.linalg.solve(b, freqs[:, :, None])[:, :, 0]
-    raw = np.zeros((k, 4, 4), dtype=complex)
-    for j, p in enumerate(_pauli_pairs()):
-        raw = raw + coeffs[:, j, None, None] * p
-    raw = raw / 4.0
-    raw = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
-    trace = np.trace(raw, axis1=-2, axis2=-1).real
-    rows = np.flatnonzero(np.abs(trace) >= 1e-9)
-    if not rows.size:
-        raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
-    raw = raw[rows] / trace[rows, None, None]
+    rows, raw = _linear_estimates(data)
     projected, eigenvalues = project_psd(raw)
-    return EstimateStack(rows, raw, projected, eigenvalues[:, 0])
+    return EstimateStack(rows, projected, eigenvalues[:, 0])
 
 
 def linear_reconstruct(data: np.ndarray) -> TomographyEstimate:
-    """``reconstruct_stack`` of one (16, 4) data set.
+    """``reconstruct_stack`` of one (16, 4) data set, its projection
+    validated as a ``DensityMatrix``.
 
     Raises DegenerateReconstructionError when the data fix no state.
     """
     est = reconstruct_stack(np.asarray(data)[None])
-    min_eig = float(est.min_eigenvalue[0])
     return TomographyEstimate(
-        raw=est.raw[0],
         projected=DensityMatrix(2, est.projected[0]),
-        method="linear" if min_eig > -1e-12 else "linear+projection",
-        min_eigenvalue=min_eig,
+        method="linear" if est.min_eigenvalue[0] > -1e-12 else "linear+projection",
     )
 
 
@@ -278,8 +312,9 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
     positive = u - cssv / np.arange(1, n + 1) > 0
     # the last positive position (the first one always is)
     rho = n - np.argmax(positive[..., ::-1], axis=-1)
-    tau = np.take_along_axis(cssv, rho[..., None] - 1, axis=-1) / rho[..., None]
-    return np.clip(v - tau, 0.0, None)
+    # cssv[..., rho - 1] of each row, read through the flat array
+    tau = cssv.reshape(-1)[np.arange(0, cssv.size, n) + (rho.reshape(-1) - 1)]
+    return np.clip(v - tau.reshape(rho.shape + (1,)) / rho[..., None], 0.0, None)
 
 
 def project_psd(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +323,11 @@ def project_psd(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each slice of a (K, d, d) stack keeps its eigenvectors, and its
     (trace-one, possibly negative) eigenvalues are replaced by their
     Euclidean projection onto the probability simplex, so its trace returns
-    to exactly 1. Returns the stack, validated as density matrices, and the
-    (K, d) eigenvalues of the Hermitized input slices in ascending order.
+    to exactly 1. Returns the stack and the (K, d) eigenvalues of the
+    Hermitized input slices in ascending order.
+
+    The result is Hermitian, trace-one and PSD by construction, so it is
+    not validated again here; property tests pin those invariants.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 3:
@@ -298,5 +336,4 @@ def project_psd(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(herm)
     m = (vecs * simplex_project(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
-    DensityMatrix.validate(m)
     return m, vals

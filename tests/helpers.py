@@ -2,7 +2,10 @@
 the exact oracles the acceptance criteria compare the package against (the
 exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
-the general count marginalization, and the triality defect)."""
+the general count marginalization, and the triality defect), and copies
+of code the package replaced by faster code that must agree with it bit
+for bit (the 16-step Pauli-pair loop of the raw estimate, and the
+post-selection of one point's branch at a time)."""
 
 from dataclasses import replace
 
@@ -10,7 +13,9 @@ import numpy as np
 
 from qndsim import circuits as circ
 from qndsim import tomography as tom
-from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
+from qndsim.circuits import (
+    Circuit, EmptyBranchError, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x,
+)
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
 from qndsim.observables import concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
@@ -65,6 +70,21 @@ def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(path)))
 
 
+def tomography_data(
+    state: StateVector | DensityMatrix,
+    shots: int | None,
+    master_seed: int = 0,
+    noise: NoiseModel = NoiseModel(),
+    seed_path: tuple[int, ...] = (),
+) -> np.ndarray:
+    """One state's (16, 4) tomography data: every setting's outcome
+    distribution, drawn (or read exactly when ``shots`` is None)."""
+    probs = tom.setting_probabilities([state], noise)
+    if shots is None:
+        return probs[0]
+    return tom.collect(probs, shots, master_seed, [seed_path])[0]
+
+
 def tomograph(
     state: StateVector | DensityMatrix,
     shots: int | None,
@@ -72,12 +92,86 @@ def tomograph(
     noise: NoiseModel = NoiseModel(),
     seed_path: tuple[int, ...] = (),
 ) -> tom.TomographyEstimate:
-    """Tomograph one state: every setting's outcome distribution, drawn
-    (or read exactly when ``shots`` is None), then reconstructed."""
-    probs = tom.setting_probabilities([state], noise)
-    if shots is None:
-        return tom.linear_reconstruct(probs[0])
-    return tom.linear_reconstruct(tom.collect(probs, shots, master_seed, [seed_path])[0])
+    """Tomograph one state: ``linear_reconstruct`` of its tomography data."""
+    return tom.linear_reconstruct(tomography_data(state, shots, master_seed, noise, seed_path))
+
+
+def raw_estimate(data: np.ndarray) -> np.ndarray:
+    """The raw (trace-normalized, possibly non-PSD) linear estimate of one
+    (16, 4) data set, as ``reconstruct_stack`` computes it."""
+    _, raw = tom._linear_estimates(np.asarray(data)[None])
+    return raw[0]
+
+
+def min_eigenvalue(data: np.ndarray) -> float:
+    """The smallest eigenvalue of one data set's raw estimate."""
+    return float(tom.reconstruct_stack(np.asarray(data)[None]).min_eigenvalue[0])
+
+
+def pauli_loop_sum(coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[:, j] P_j / 4, Hermitized, of a (K, 16) coefficient
+    stack: the 16-step loop over the Pauli-pair operators that
+    ``tomography._pauli_sum`` replaced."""
+    raw = np.zeros((len(coeffs), 4, 4), dtype=complex)
+    for j, p in enumerate(tom._pauli_pairs()):
+        raw = raw + coeffs[:, j, None, None] * p
+    raw = raw / 4.0
+    return (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+
+
+def loop_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tomography._linear_estimates`` with the raw estimates summed by
+    ``pauli_loop_sum``: the rows that fix a state and their estimates."""
+    freqs = tom._frequencies_00(data)
+    b = np.broadcast_to(tom._design_matrix(), (len(freqs), 16, 16))
+    raw = pauli_loop_sum(np.linalg.solve(b, freqs[:, :, None])[:, :, 0])
+    trace = np.trace(raw, axis1=-2, axis2=-1).real
+    rows = np.flatnonzero(np.abs(trace) >= 1e-9)
+    if not rows.size:
+        raise tom.DegenerateReconstructionError("estimated trace is zero")
+    return rows, raw[rows] / trace[rows, None, None]
+
+
+def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:
+    """The counts of one branch, ancilla bits stripped, as
+    ``circuits.postselect_counts`` gives them; raises EmptyBranchError when
+    any row retains no shots, as it did when it post-selected one point's
+    branch at a time."""
+    counts = np.asarray(counts)
+    positions = tuple(ancilla_positions)
+    m = _count_bits(counts, positions)
+    lead = counts.shape[:-1]
+    index = [slice(None)] * m
+    for p, bit in zip(positions, outcome):
+        index[p] = int(bit)
+    kept = counts.reshape(lead + (2,) * m)[(Ellipsis, *index)]
+    kept = kept.reshape(lead + (2 ** (m - len(positions)),))
+    if not kept.sum(axis=-1).all():
+        raise EmptyBranchError(f"no shots retained for ancilla outcome {outcome!r}")
+    return kept
+
+
+def postselected_sets(data: np.ndarray, postselected, ancilla_positions):
+    """The output analysis's data sets as it built them one point and one
+    branch at a time: per point, its pair data, then each listed branch
+    whose every setting retained a shot. Returns the (K, 16, 4) stack, the
+    (point, branch or None) owner of each row, and each branch row's
+    fewest retained shots."""
+    pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
+    sets, owners, retained = [], [], []
+    for i, (point_data, listed) in enumerate(zip(data, postselected)):
+        sets.append(pair[i])
+        owners.append((i, None))
+        retained.append(None)
+        for b in listed:
+            try:
+                kept = postselect_branch(point_data, ancilla_positions, b.outcome)
+            except EmptyBranchError:
+                continue
+            sets.append(kept)
+            owners.append((i, b))
+            retained.append(int(kept.sum(axis=-1).min()))
+    return np.stack(sets), owners, retained
 
 
 def append_ancillas(state: StateVector, count: int) -> StateVector:
@@ -124,7 +218,7 @@ def qnd_estimates_exact(
         full_rho = append_ancillas_rho(pair_state, n_anc)
         out = circ.run_noisy(mc, full_rho, circ.NoiseModel())
     probs = circ.exact_probabilities(out, s.ancilla_qubits)
-    return estimate_observable(s, probs)
+    return {name: float(v[0]) for name, v in estimate_observable(s, probs[None]).items()}
 
 
 def post_measurement_pair_state(

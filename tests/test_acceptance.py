@@ -21,7 +21,9 @@ from helpers import (
     qnd_estimates_exact,
     random_density_matrix,
     random_real_pure_state,
+    raw_estimate,
     tomograph,
+    tomography_data,
     triality_defect,
 )
 from qndsim import circuits as circ
@@ -160,8 +162,8 @@ def test_criterion_07_tomography_round_trip():
     worst = 0.0
     for _ in range(25):
         rho = random_density_matrix(rng, 2)
-        est = tomograph(rho, shots=None)
-        worst = max(worst, float(np.max(np.abs(est.raw - rho.matrix))))
+        raw = raw_estimate(tomography_data(rho, shots=None))
+        worst = max(worst, float(np.max(np.abs(raw - rho.matrix))))
 
     bell = StateVector(2, ex.PHI_PLUS)
     rho_bell = bell.density().matrix

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    marginalize_counts, random_circuit, random_density_matrix, random_pure_state, rng_stream,
-    tomograph,
+    marginalize_counts, postselect_branch, random_circuit, random_density_matrix,
+    random_pure_state, rng_stream, tomograph,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -81,7 +81,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     selected = []
     for b in ideal:
         try:
-            data.append(circ.postselect_counts(counts, setting.ancilla_qubits, b.outcome))
+            data.append(postselect_branch(counts, setting.ancilla_qubits, b.outcome))
         except EmptyBranchError:
             continue
         selected.append(b)
@@ -132,7 +132,7 @@ def _reference_point(config, index, phi, seed_tag):
     return SweepRecord(
         observable=obs, phi=phi, theta=config.theta_resolved, lam=config.lam,
         theory=theory_value(obs, chi_ideal),
-        qnd_estimate=ex.estimate_observable(setting, anc)[obs],
+        qnd_estimate=float(ex.estimate_observable(setting, anc[None])[obs][0]),
         tomo_in=float(observable_set(est_in.projected.matrix[None])[key][0]),
         tomo_out=tomo_out,
         fidelity_in=float(fidelity(chi_ideal.density().matrix[None],

@@ -248,10 +248,12 @@ class TestCountFiltering:
         kept = postselect_counts(counts, (1,), "0")
         assert kept.sum() / counts.sum() == pytest.approx(0.75)
 
-    def test_no_match_raises(self):
-        counts = count_array(2, {"00": 10})
-        with pytest.raises(EmptyBranchError):
-            postselect_counts(counts, (0, 1), "10")
+    def test_no_match_keeps_an_empty_row(self):
+        # an empty branch is the caller's to judge: the harness leaves it out
+        counts = np.stack([count_array(2, {"00": 10}), count_array(2, {"10": 3, "11": 4})])
+        kept = postselect_counts(counts, (0,), "1")
+        assert kept.tolist() == [[0, 0], [3, 4]]
+        assert postselect_counts(counts[0], (0, 1), "10").tolist() == [0]
 
     def test_marginalize_counts(self):
         counts = count_array(3, {"001": 5, "011": 7, "100": 1})

@@ -42,20 +42,20 @@ def _one_point(config, monkeypatch):
     """A one-point sweep's QND estimate and the raw linear estimates of its
     input and its unconditional output data, as one real vector."""
     seen = []
-    real = tom.reconstruct_stack
+    real = tom._linear_estimates
 
     def recording(data):
-        est = real(data)
-        seen.append(est)
-        return est
+        rows, raw = real(data)
+        seen.append((rows, raw))
+        return rows, raw
 
-    monkeypatch.setattr(tom, "reconstruct_stack", recording)
+    monkeypatch.setattr(tom, "_linear_estimates", recording)
     (record,) = run_sweep(config)
-    monkeypatch.setattr(tom, "reconstruct_stack", real)
+    monkeypatch.setattr(tom, "_linear_estimates", real)
     # one reconstruction of the input data and one of the output data, whose
     # first data set is the unconditional one (the rest are branches)
-    assert len(seen) == 2 and all(est.rows[0] == 0 for est in seen)
-    raw = np.concatenate([est.raw[0].ravel() for est in seen])
+    assert len(seen) == 2 and all(rows[0] == 0 for rows, _ in seen)
+    raw = np.concatenate([raw[0].ravel() for _, raw in seen])
     return record.qnd_estimate, np.concatenate([raw.real, raw.imag])
 
 

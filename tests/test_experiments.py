@@ -91,7 +91,7 @@ class TestCircuitOne:
 
     def test_separable_plus_state_estimates_zero(self):
         probs = self.run_probs(np.array([SQ2, 0, SQ2, 0], dtype=complex))
-        est = ex.estimate_observable(ex.MeasurementSetting("concurrence1"), probs)["C1"]
+        est = ex.estimate_observable(ex.MeasurementSetting("concurrence1"), probs[None])["C1"][0]
         assert est == pytest.approx(0.0, abs=1e-10)
 
 
@@ -185,14 +185,14 @@ class TestEstimators:
     def test_zero_shots_rejected(self):
         counts = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
-            ex.estimate_observable(ex.MeasurementSetting("concurrence1"), counts)
+            ex.estimate_observable(ex.MeasurementSetting("concurrence1"), counts[None])
 
     @pytest.mark.parametrize("data", [[10.0, 20.0, 30.0, 40.0], [0.25, 0.25, 0.25, 0.2]])
     def test_probabilities_must_sum_to_one(self, data):
         # float data are read as probabilities, so counts stored as floats
         # would otherwise be used as frequencies
         with pytest.raises(ValueError, match="sum to 1"):
-            ex.estimate_observable(ex.MeasurementSetting("visibility"), np.array(data))
+            ex.estimate_observable(ex.MeasurementSetting("visibility"), np.array(data)[None])
 
     @pytest.mark.parametrize("name, data", [
         ("concurrence1", [10, 20, 30, 40]),
@@ -201,9 +201,10 @@ class TestEstimators:
         ("concurrence2", [[10, 20, 30, 40]]),
     ])
     def test_data_of_the_wrong_width_rejected(self, name, data):
-        # one entry per ancilla outcome, or the estimate reads missing outcomes as zero
+        # one entry per ancilla outcome, or the estimate reads missing outcomes
+        # as zero; the estimator takes a stack, here a stack of one
         with pytest.raises(ValueError, match="shape"):
-            ex.estimate_observable(ex.MeasurementSetting(name), np.array(data))
+            ex.estimate_observable(ex.MeasurementSetting(name), np.array(data)[None])
 
     @settings(deadline=None)
     @given(st.sampled_from(["visibility", "predictability", "concurrence1", "concurrence2"]),
@@ -213,10 +214,11 @@ class TestEstimators:
         m = len(s.ancilla_qubits)
         counts = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=2**m, max_size=2**m)
                                     .filter(any)))
-        got = ex.estimate_observable(s, counts)
+        stack = ex.estimate_observable(s, counts[None])
+        assert all(v.shape == (1,) and v.dtype == float for v in stack.values())
+        got = {name: v.tolist()[0] for name, v in stack.items()}
         want = _estimate_from_bitstring_map(s, counts)
         assert got == want
-        assert all(type(v) is float for v in got.values())
 
 
 def _estimate_from_bitstring_map(s, counts):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -173,8 +174,7 @@ class TestExactSweeps:
             est = real(data)
             if len(data) < 2:  # an input estimate
                 return est
-            return tom.EstimateStack(est.rows[:-1], est.raw[:-1], est.projected[:-1],
-                                     est.min_eigenvalue[:-1])
+            return tom.EstimateStack(est.rows[:-1], est.projected[:-1], est.min_eigenvalue[:-1])
 
         monkeypatch.setattr(tom, "reconstruct_stack", drop_last)
         with pytest.raises(tom.DegenerateReconstructionError, match="unconditional output"):
@@ -264,7 +264,8 @@ class TestBranchFailures:
             return selected[-1]
 
         def failing(data, *args, **kwargs):
-            if any(np.array_equal(d, s) for d in data for s in selected):
+            # each selected array is a whole block's branch: a stack of data sets
+            if any(np.array_equal(d, s) for d in data for block in selected for s in block):
                 raise ValueError("unexpected reconstruction failure")
             return real_reconstruct(data, *args, **kwargs)
 
@@ -385,6 +386,20 @@ class TestEmission:
         assert len(doc["records"]) == 3
         assert doc["records"][0]["branches"][0]["outcome"] == "0"
 
+    def test_json_file_is_json_dump_bytes(self, tmp_path):
+        # the document goes out in one write; the bytes are json.dump's
+        cfg = SweepConfig("C2", exact_mode=True, phi_count=6)
+        records = run_sweep(cfg)
+        fits = compute_fits(records, "C2")
+        assert "tomo_out_mixed_fraction" in fits
+        path = tmp_path / "sweep.json"
+        emit(records, "json", str(path), cfg, fits)
+        text = path.read_text(encoding="utf-8")
+        want = io.StringIO()
+        json.dump(json.loads(text), want, indent=2)
+        want.write("\n")
+        assert text == want.getvalue()
+
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "csv", str(tmp_path / "x.csv"))
@@ -418,6 +433,17 @@ class TestCli:
         cfg_file.write_text(json.dumps({"observable": "VA", "exact_mode": True, "phi_count": 6}))
         assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_criteria_report_is_json_dump_bytes(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert cli_main(["criteria", "--seeds", "1", "--phi-steps", "4", "--shots", "200",
+                         "--noise-2q", "0.05", "--out", str(out)]) == 0
+        report = harness.run_criteria_protocol(
+            [0], phi_count=4, shots=200, noise=NoiseModel(depol_2q=0.05))
+        want = io.StringIO()
+        json.dump(report, want, indent=2)
+        want.write("\n")
+        assert out.read_text(encoding="utf-8") == want.getvalue()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_density_matrix, random_pure_state
 from qndsim import qmath
@@ -133,6 +134,25 @@ class TestHermitianEigenvalues:
         np.testing.assert_allclose(vals, [1, 0, 0, 0], atol=1e-10)
         general = np.sort(np.linalg.eigvals(rho @ sigma @ rho.conj() @ sigma).real)[::-1]
         np.testing.assert_allclose(vals, general, atol=1e-10)
+
+
+class TestIsHermitian:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(4, 4), (1, 4, 4), (9, 2, 2), (3, 16, 16)]),
+           atol=st.sampled_from([0.0, 1e-10, 1e-8]),
+           step=st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]))
+    def test_finite_input_follows_allclose(self, seed, shape, atol, step):
+        # a perturbation near np.allclose's threshold atol + 1e-5 |m_dag|,
+        # on one entry of one slice, on either side of it
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = g + np.swapaxes(g.conj(), -1, -2)
+        index = tuple(int(rng.integers(n)) for n in shape)
+        m_dag = np.swapaxes(m.conj(), -1, -2)
+        m[index] += step * (atol + 1e-5 * abs(m_dag[index])) * np.exp(1j * rng.uniform(0, 6.3))
+        want = np.allclose(m, np.swapaxes(m.conj(), -1, -2), atol=atol)
+        assert qmath.is_hermitian(m, atol) == want
 
 
 class TestMatrixSqrtPsd:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy.optimize import minimize
 
-from helpers import random_density_matrix, random_pure_state, tomograph
+from helpers import (
+    min_eigenvalue, random_density_matrix, random_pure_state, raw_estimate, tomograph,
+    tomography_data,
+)
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.experiments import PHI_PLUS, PrepParams, bell_coefficients
 from qndsim.observables import observable_set
-from qndsim.qmath import StateVector, basis_state, fidelity
+from qndsim.qmath import DensityMatrix, StateVector, basis_state, fidelity
 
 
 def bell() -> StateVector:
@@ -72,34 +75,53 @@ class TestLinearReconstruct:
         rng = np.random.default_rng(51)
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            est = tomograph(rho, shots=None)
-            np.testing.assert_allclose(est.raw, rho.matrix, atol=1e-8)
+            raw = raw_estimate(tomography_data(rho, shots=None))
+            np.testing.assert_allclose(raw, rho.matrix, atol=1e-8)
 
     def test_bell_exact_is_physical(self):
-        est = tomograph(bell(), shots=None)
-        np.testing.assert_allclose(est.raw, bell().density().matrix, atol=1e-10)
-        assert est.min_eigenvalue >= -1e-10
+        data = tomography_data(bell(), shots=None)
+        np.testing.assert_allclose(raw_estimate(data), bell().density().matrix, atol=1e-10)
+        assert min_eigenvalue(data) >= -1e-10
+        assert tom.linear_reconstruct(data).method == "linear"
 
     def test_finite_shots_can_go_negative(self):
         # the non-PSD artifact of plain linear inversion: flagged, not fatal
-        est = tomograph(bell(), shots=5000, master_seed=0)
-        assert est.min_eigenvalue < 0
+        data = tomography_data(bell(), shots=5000, master_seed=0)
+        est = tom.linear_reconstruct(data)
+        assert min_eigenvalue(data) < 0
         assert est.method == "linear+projection"
         assert np.trace(est.projected.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_is_hermitian_trace_one(self):
-        est = tomograph(bell(), shots=300, master_seed=3)
-        np.testing.assert_allclose(est.raw, est.raw.conj().T, atol=1e-12)
-        assert np.trace(est.raw).real == pytest.approx(1.0, abs=1e-10)
+        raw = raw_estimate(tomography_data(bell(), shots=300, master_seed=3))
+        np.testing.assert_allclose(raw, raw.conj().T, atol=1e-12)
+        assert np.trace(raw).real == pytest.approx(1.0, abs=1e-10)
 
     @hypothesis_settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans())
     def test_exact_data_return_the_state(self, seed, pure):
         rng = np.random.default_rng(seed)
         state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
-        est = tom.linear_reconstruct(tom.setting_probabilities([state])[0])
+        raw = raw_estimate(tom.setting_probabilities([state])[0])
         rho = state.density() if pure else state
-        assert np.max(np.abs(est.raw - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(raw - rho.matrix)) <= 1e-12
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 400),
+           sets=st.integers(1, 24), probabilities=st.booleans())
+    def test_raw_estimates_are_exactly_hermitian(self, seed, shots, sets, probabilities):
+        # each entry and its mirror add the same terms, the imaginary ones
+        # negated, in one order: the raw sum needs no Hermitization
+        rng = np.random.default_rng(seed)
+        states = [random_density_matrix(rng, 2) for _ in range(sets)]
+        data = tom.setting_probabilities(states)
+        if not probabilities:
+            data = tom.collect(data, shots, seed, [(i,) for i in range(sets)])
+        try:
+            _, raw = tom._linear_estimates(data)
+        except tom.DegenerateReconstructionError:
+            return
+        assert np.array_equal(raw, np.swapaxes(raw.conj(), -1, -2))
 
     def test_incomplete_data_rejected(self):
         maps = tom.setting_probabilities([bell()])[0]
@@ -156,6 +178,26 @@ class TestProjectPsd:
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
         out, _ = tom.project_psd(raw[None])
         assert np.trace(out[0]).real == pytest.approx(1.0, abs=1e-14)
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4, 16]),
+           k=st.integers(1, 8), spread=st.sampled_from([0.0, 1e-12, 0.1, 1.0, 10.0]))
+    def test_projection_is_a_state(self, seed, d, k, spread):
+        # project_psd does not validate its result, so every Hermitian,
+        # trace-one stack, far from PSD included, must come out a state
+        # within the benchmark's 1e-9 bounds
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(scale=spread, size=(k, d)) + 1.0 / d
+        vals += (1.0 - vals.sum(axis=-1, keepdims=True)) / d
+        g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        vecs = np.linalg.qr(g)[0]
+        raw = (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        raw = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+        projected, eigenvalues = tom.project_psd(raw)
+        DensityMatrix.validate(projected)
+        assert np.abs(np.trace(projected, axis1=-2, axis2=-1) - 1.0).max() <= 1e-9
+        assert np.linalg.eigvalsh(projected)[:, 0].min() >= -1e-9
+        np.testing.assert_allclose(eigenvalues, np.sort(vals, axis=-1), atol=1e-8 * max(1, spread))
 
     def test_idempotent(self):
         raw = np.diag([1.1, 0.2, -0.2, -0.1]).astype(complex)
