@@ -2,13 +2,14 @@
 
 Execution comes in two flavors: pure state-vector evolution and noisy
 density-matrix evolution with a per-gate depolarizing channel. Both run a
-batch of circuits, from one initial state per circuit, as one stack,
-layer by layer (``run_batch``); a single circuit is a batch of one.
-A measurement's outcome distribution is the Born-rule marginal with an
-optional independent readout flip per recorded bit; sampling draws from
-it, multinomially, each row from the seed stream its seed path names
-under the master seed, and exact mode reads it. Counts are integer arrays
-indexed by outcome, and post-selection indexes their bit axes.
+batch of circuits as one stack, layer by layer (``run_batch``, which takes
+and returns (B, d) amplitudes or (B, d, d) density matrices, one state per
+circuit); a single circuit is a batch of one.
+A measurement's outcome distribution is the Born-rule marginal of such a
+stack with an optional independent readout flip per recorded bit; sampling
+draws from it, multinomially, each row from the seed stream its seed path
+names under the master seed, and exact mode reads it. Counts are integer
+arrays indexed by outcome, and post-selection indexes their bit axes.
 
 Sampling is only reproducible if probabilities are bit-identical: many
 states here have outcomes of exactly equal probability, and a one-ULP
@@ -276,7 +277,7 @@ def run_pure(circuit: Circuit, initial: StateVector) -> StateVector:
     """Apply the circuit's gates in order to a pure state."""
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError("dimension mismatch between circuit and state")
-    amps = _evolve_pure(initial.amplitudes[None].copy(), _gate_layers(circuit), circuit.num_qubits)
+    amps = run_batch(initial.amplitudes[None], _gate_layers(circuit), NoiseModel())
     return StateVector(circuit.num_qubits, amps[0])
 
 
@@ -284,86 +285,79 @@ def run_noisy(circuit: Circuit, initial: DensityMatrix, noise: NoiseModel) -> De
     """Density-matrix evolution with depolarizing noise after each gate."""
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError("dimension mismatch between circuit and state")
-    m = _evolve_density(
-        initial.matrix[None].copy(), _gate_layers(circuit), circuit.num_qubits, noise
-    )
+    m = run_batch(initial.matrix[None], _gate_layers(circuit), noise)
     return DensityMatrix(circuit.num_qubits, m[0])
 
 
-def run_batch(
-    initial: Sequence[StateVector | DensityMatrix], layers, noise: NoiseModel
-) -> np.ndarray:
-    """Run a batch of circuits, given as layers, from a sequence of initial
-    states, one per slice.
+def _stack_qubits(states: np.ndarray) -> int:
+    """The register size n of a (B, d) amplitude or (B, d, d) density
+    stack with d = 2^n; raises ValueError for any other shape, and for n
+    outside 1..4."""
+    d = states.shape[-1] if states.ndim in (2, 3) else 0
+    n = d.bit_length() - 1
+    if not 1 <= n <= 4 or d != 2**n or states.ndim == 3 and states.shape[1] != d:
+        raise ValueError("need a (B, 2^n) amplitude or (B, 2^n, 2^n) density stack "
+                         f"with n in 1..4, got shape {states.shape}")
+    return n
 
-    Pure states evolve as a (B, d) stack of amplitudes and admit no
-    depolarizing noise; density matrices as a (B, d, d) stack, with
+
+def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
+    """Run a batch of circuits, given as layers, from a stack of initial
+    states, one per slice; returns the evolved stack, a new array of the
+    same shape.
+
+    A (B, d) stack of amplitudes evolves as pure states and admits no
+    depolarizing noise; a (B, d, d) stack of density matrices gets
     depolarizing noise after each gate. Each slice comes out exactly as
     ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
-    and initial state. The stack is validated once, every slice with the
-    checks of StateVector or DensityMatrix.
+    and initial state. The structure is checked before any work: the
+    stack's shape, one entry per slice in every layer, the gates' qubits
+    and the noise. The states are not validated, in or out: ``run_pure``
+    and ``run_noisy`` validate theirs, and property tests pin the engine.
     """
-    states = list(initial)
-    if not states:
+    # a C-ordered copy, evolved in place: a slice's products round by its
+    # layout, and order "K" would put a broadcast input's batch axis last
+    states = np.array(initial, dtype=complex, order="C")
+    n = _stack_qubits(states)
+    pure = states.ndim == 2
+    if not len(states):
         raise ValueError("run_batch needs at least one initial state")
-    first = states[0]
-    if any(type(s) is not type(first) or s.num_qubits != first.num_qubits for s in states):
-        raise ValueError("initial states must all be pure or all mixed, on one register")
-    pure = isinstance(first, StateVector)
     if pure and (noise.depol_1q or noise.depol_2q):
         raise ValueError("depolarizing noise needs a density-matrix input (state.density())")
-    n = first.num_qubits
-    batch = len(layers[0]) if layers else len(states)
-    if any(len(layer) != batch for layer in layers):
-        raise ValueError("every layer needs one entry per slice")
-    if len(states) != batch:
-        raise ValueError(f"{len(states)} initial states for a batch of {batch} slices")
-    if any(q >= n for layer in layers for g in layer if g is not None for q in g.targets):
+    if any(len(layer) != len(states) for layer in layers):
+        raise ValueError(f"every layer needs one entry per slice, {len(states)} in all")
+    if any(not 0 <= q < n for layer in layers for g in layer if g is not None for q in g.targets):
         raise ValueError("dimension mismatch between circuit and state")
     if pure:
-        amps = _evolve_pure(np.stack([s.amplitudes for s in states]), layers, n)
-        StateVector.validate(amps)
-        return amps
-    m = _evolve_density(np.stack([s.matrix for s in states]), layers, n, noise)
-    DensityMatrix.validate(m)
-    return m
+        return _evolve_pure(states, layers, n)
+    return _evolve_density(states, layers, n, noise)
 
 
-def born_probabilities(stack: np.ndarray) -> np.ndarray:
-    """(B, d) outcome probabilities over all qubits (qubit 0 the most
-    significant bit) of a ``run_batch`` stack."""
-    if stack.ndim == 2:
-        return np.abs(stack) ** 2
-    return np.diagonal(stack, axis1=-2, axis2=-1).real
-
-
-def _marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits) -> np.ndarray:
-    """Born-rule probabilities over the measured qubits, in listed-bit order;
+def _marginal_probabilities(states: np.ndarray, measured_qubits) -> np.ndarray:
+    """(B, 2^m) Born-rule probabilities over the measured qubits, in
+    listed-bit order, of each state of a ``run_batch`` stack; the stack and
     the qubits are checked first."""
     measured_qubits = tuple(measured_qubits)
-    n = state.num_qubits
+    states = np.asarray(states)
+    n = _stack_qubits(states)
     if not measured_qubits:
         raise ValueError("measured_qubits must not be empty")
     if len(set(measured_qubits)) != len(measured_qubits):
         raise ValueError("measured_qubits must be distinct")
     if any(q < 0 or q >= n for q in measured_qubits):
         raise ValueError("measured qubit out of range")
-    if isinstance(state, StateVector):
-        probs_t = np.abs(state.amplitudes.reshape([2] * n)) ** 2
-        drop = tuple(q for q in range(n) if q not in measured_qubits)
+    b = len(states)
+    remaining = sorted(measured_qubits)
+    if states.ndim == 2:
+        probs_t = np.abs(states.reshape((b,) + (2,) * n)) ** 2
+        drop = tuple(1 + q for q in range(n) if q not in measured_qubits)
         probs_t = probs_t.sum(axis=drop) if drop else probs_t
-        remaining = sorted(measured_qubits)
-        probs_t = probs_t.transpose([remaining.index(q) for q in measured_qubits])
-        return probs_t.reshape(-1)
-    if len(measured_qubits) == n:
-        reduced = state.matrix
-        remaining = list(range(n))
     else:
-        remaining = sorted(measured_qubits)
-        reduced = partial_trace(state.matrix, remaining)
-    probs_t = np.diag(reduced).real.reshape([2] * len(remaining))
-    probs_t = probs_t.transpose([remaining.index(q) for q in measured_qubits])
-    return probs_t.reshape(-1)
+        reduced = states if len(remaining) == n else partial_trace(states, remaining)
+        probs_t = np.diagonal(reduced, axis1=-2, axis2=-1).real
+        probs_t = probs_t.reshape((b,) + (2,) * len(remaining))
+    probs_t = probs_t.transpose([0] + [1 + remaining.index(q) for q in measured_qubits])
+    return probs_t.reshape(b, -1)
 
 
 @lru_cache(maxsize=64)
@@ -374,12 +368,14 @@ def _confusion(num_bits: int, flip: float) -> np.ndarray:
     return confusion
 
 
-def _outcome_distribution(born: np.ndarray, readout_flip: float) -> np.ndarray:
-    """The recorded-outcome distribution of each row of a (B, 2^m) stack of
-    Born probabilities: clipped at zero, then each recorded bit flipped
-    independently with probability ``readout_flip``. Sampling draws from
-    it and exact mode reads it."""
-    probs = np.clip(born, 0.0, None)
+def _outcome_distribution(
+    states: np.ndarray, measured_qubits, readout_flip: float
+) -> np.ndarray:
+    """The (B, 2^m) recorded-outcome distributions of the measured qubits
+    of each state of a ``run_batch`` stack: its Born-rule marginal, clipped
+    at zero, then each recorded bit flipped independently with probability
+    ``readout_flip``. Sampling draws from it and exact mode reads it."""
+    probs = np.clip(_marginal_probabilities(states, measured_qubits), 0.0, None)
     if readout_flip > 0.0:
         m = probs.shape[-1].bit_length() - 1
         # a matrix-vector product per row; probs @ confusion.T rounds differently
@@ -404,13 +400,13 @@ def _frequencies(data: np.ndarray) -> np.ndarray:
 
 
 def exact_probabilities(
-    state: StateVector | DensityMatrix, measured_qubits, readout_flip: float = 0.0
+    states: np.ndarray, measured_qubits, readout_flip: float = 0.0
 ) -> np.ndarray:
-    """The (2^m,) exact outcome probabilities, each recorded bit flipped
-    with probability ``readout_flip``: the distribution ``sample_counts``
-    draws from, its infinite-shot limit."""
-    born = _marginal_probabilities(state, measured_qubits)[None]
-    return _outcome_distribution(born, readout_flip)[0]
+    """The (B, 2^m) exact outcome probabilities of each state of a
+    ``run_batch`` stack, each recorded bit flipped with probability
+    ``readout_flip``: the distributions ``sample_counts`` draws from, their
+    infinite-shot limit."""
+    return _outcome_distribution(states, measured_qubits, readout_flip)
 
 
 # numpy's SeedSequence hash and the PCG64 seeding it feeds (numpy/random/
@@ -526,19 +522,19 @@ def sample_batch(
 
 
 def sample_counts(
-    states: Sequence[StateVector | DensityMatrix],
+    states: np.ndarray,
     measured_qubits,
     shots: int,
     master_seed: int,
     seed_paths: Sequence[tuple[int, ...]],
     readout_flip: float = 0.0,
 ) -> np.ndarray:
-    """Multinomial draws from the distribution ``exact_probabilities``
-    gives, one per state: state i draws from stream (master_seed,
-    *seed_paths[i]) (see ``sample_batch``). Returns the (states, 2^m)
-    counts."""
-    born = np.stack([_marginal_probabilities(s, measured_qubits) for s in states])
-    return sample_batch(_outcome_distribution(born, readout_flip), shots, master_seed, seed_paths)
+    """Multinomial draws from the distributions ``exact_probabilities``
+    gives, one per state of a ``run_batch`` stack: state i draws from
+    stream (master_seed, *seed_paths[i]) (see ``sample_batch``). Returns
+    the (B, 2^m) counts."""
+    probs = _outcome_distribution(states, measured_qubits, readout_flip)
+    return sample_batch(probs, shots, master_seed, seed_paths)
 
 
 def postselect(

@@ -15,10 +15,11 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   observable, the block's distinct preparation angles reduced mod 2*pi
   and the noise model, and is cached on exactly that key. It runs the
   full circuits of all those points as one batch and keeps, per point,
-  the theory value, the ideal branch data, the fidelity targets, the
-  full-register state whose ancillas the readout measures, and every
-  tomography setting's outcome distribution, readout flip included, for
-  the input pair and for the output register. The last
+  the theory value, the ideal branch data, the fidelity targets and
+  every tomography setting's outcome distribution, readout flip
+  included, for the input pair and for the output register; the
+  full-register states whose ancillas the readout measures stay the one
+  stack the batch returned. The last
   ``PREPARED_BLOCKS`` blocks stay cached, so the seeds of a criteria run,
   like any sweeps that differ only in their seed or their mode, prepare
   each block once.
@@ -29,7 +30,8 @@ Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
   (``_output_tomography``, which post-selects the whole block once per
   ancilla outcome). Exact mode runs the same analysis with each
   draw replaced by the distribution it draws from, the infinite-shot
-  limit. Its data depend on the prepared state alone, so it analyzes each
+  limit. Its data depend on the prepared state alone, so it reads the
+  ancilla distributions of the whole block in one call, analyzes each
   distinct state of the block once and post-selects no branch.
 
 Each mixed point's output-tomography evolution runs on its own (pure
@@ -60,7 +62,7 @@ from . import tomography as tom
 from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
 from .circuits import NoiseModel
 from .observables import concurrence_pure, observable_set, predictability, visibility
-from .qmath import DensityMatrix, StateVector, basis_state, fidelity, partial_trace
+from .qmath import StateVector, basis_state, fidelity, partial_trace
 
 THETA_DEFAULTS = {
     "VA": 0.0,
@@ -209,9 +211,10 @@ def theory_value(observable: str, chi: StateVector) -> float:
 
 def _prepare_states(
     params: list[ex.PrepParams], setting: ex.MeasurementSetting, noise: NoiseModel
-) -> tuple[list[StateVector | DensityMatrix], list[StateVector | DensityMatrix]]:
-    """Input pair states, one run per point, and full post-circuit states,
-    one batch for all points; pure unless noise is on."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of the input pair states, one run per point, and of the full
+    post-circuit states, one batch for all points: amplitudes, or density
+    matrices when noise is on."""
     n = setting.num_qubits
     preps = [ex.prep_circuit(p) for p in params]
     # the circuits differ only in their preparation angles, so they run as
@@ -220,13 +223,14 @@ def _prepare_states(
     layers += [(g,) * len(preps) for g in ex.measurement_circuit(setting).gates]
     if noise.depol_1q or noise.depol_2q or noise.readout_flip:
         rho0 = basis_state(2).density()
-        chi_actual = [circ.run_noisy(prep, rho0, noise) for prep in preps]
-        out = circ.run_batch([basis_state(n).density()] * len(preps), layers, noise)
-        return chi_actual, [DensityMatrix(n, m) for m in out]
-    psi0 = basis_state(2)
-    chi_actual = [circ.run_pure(prep, psi0) for prep in preps]
-    out = circ.run_batch([basis_state(n)] * len(preps), layers, noise)
-    return chi_actual, [StateVector(n, a) for a in out]
+        chi_actual = np.stack([circ.run_noisy(prep, rho0, noise).matrix for prep in preps])
+        initial = basis_state(n).density().matrix
+    else:
+        psi0 = basis_state(2)
+        chi_actual = np.stack([circ.run_pure(prep, psi0).amplitudes for prep in preps])
+        initial = basis_state(n).amplitudes
+    out = circ.run_batch(np.broadcast_to(initial, (len(preps),) + initial.shape), layers, noise)
+    return chi_actual, out
 
 
 def _prep_params(phi: float, theta: float, lam: float) -> ex.PrepParams:
@@ -277,11 +281,13 @@ class PreparedBlock:
     ``target_out``, (B, 4, 4) stacks of the ideal input states and of the
     ideal unconditional outputs.
 
-    ``readout`` holds the full-register states whose ancillas the readout
-    measures. ``probs_in`` and ``probs_out`` hold each setting's outcome
-    distribution, readout flip included, (B, 16, 4) for the input pair and
-    (B, 16, 2^n) for the full output register. Sampled mode draws from
-    them and exact mode reads them, so one block serves both modes.
+    ``readout`` is the ``run_batch`` stack of the full-register states
+    whose ancillas the readout measures: (B, 2^n) amplitudes or
+    (B, 2^n, 2^n) density matrices, never validated again. ``probs_in``
+    and ``probs_out`` hold each setting's outcome distribution, readout
+    flip included, (B, 16, 4) for the input pair and (B, 16, 2^n) for the
+    full output register. Sampled mode draws from these distributions and
+    the readout's, exact mode reads them, so one block serves both modes.
 
     Every array is owned and read-only, so an entry pins nothing else.
     """
@@ -290,12 +296,12 @@ class PreparedBlock:
     branches: tuple[tuple[ex.Branch, ...], ...]
     target_in: np.ndarray
     target_out: np.ndarray
-    readout: tuple[StateVector | DensityMatrix, ...]
+    readout: np.ndarray
     probs_in: np.ndarray
     probs_out: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.target_in, self.target_out, self.probs_in, self.probs_out):
+        for a in (self.target_in, self.target_out, self.readout, self.probs_in, self.probs_out):
             a.flags.writeable = False
 
 
@@ -308,19 +314,18 @@ def _prepare_block(
     setting = ex.setting_for(observable)
     chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
     ideal = tuple(ex.branch_data(setting, p) for p in params)
-    chi_actual, out_states = _prepare_states(list(params), setting, noise)
-    if isinstance(out_states[0], StateVector):
-        probs_out = tom.setting_probabilities(out_states, noise)
-    else:
-        # one state at a time: the evolved stack of a point is 16 full-register
-        # density matrices, and the block's would be 16 times that
-        probs_out = np.concatenate([tom.setting_probabilities([s], noise) for s in out_states])
+    chi_actual, readout = _prepare_states(list(params), setting, noise)
+    # density matrices one state at a time: the evolved stack of a point is
+    # 16 full-register density matrices, and the block's would be 16 times that
+    step = 1 if readout.ndim == 3 else len(readout)
+    probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
+                                for i in range(0, len(readout), step)])
     return PreparedBlock(
         theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
         branches=ideal,
         target_in=np.stack([np.outer(chi.amplitudes, chi.amplitudes.conj()) for chi in chi_ideal]),
         target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
-        readout=tuple(out_states),
+        readout=readout,
         probs_in=tom.setting_probabilities(chi_actual, noise),
         probs_out=probs_out,
     )
@@ -345,14 +350,13 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         # exact data are a function of the slot alone: each slot is analyzed
         # once, unconditionally only, and a point reads its slot's results
         rows = slots
-        anc_stats = np.stack([circ.exact_probabilities(r, setting.ancilla_qubits, flip)
-                              for r in block.readout])
+        anc_stats = circ.exact_probabilities(block.readout, setting.ancilla_qubits, flip)
         data_in, data_out = block.probs_in, block.probs_out
         target_in, ideal, target_out = block.target_in, block.branches, block.target_out
         postselected = [()] * len(ideal)
     else:
         rows = range(len(points))
-        anc_stats = circ.sample_counts([block.readout[k] for k in slots], setting.ancilla_qubits,
+        anc_stats = circ.sample_counts(block.readout[slots], setting.ancilla_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
         data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
         data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])

@@ -77,18 +77,11 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        StateVector.validate(amps)
+        norm = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @staticmethod
-    def validate(amps: np.ndarray) -> None:
-        """Raise ValueError unless every row of a (..., d) stack is normalized."""
-        norms = np.sum(np.abs(amps) ** 2, axis=-1)
-        bad = np.abs(norms - 1.0) > ATOL_CONSTRUCT
-        if bad.any():
-            norm = float(np.reshape(norms, -1)[np.reshape(bad, -1)][0])
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
     def density(self) -> "DensityMatrix":
         """Outer product |psi><psi| as a DensityMatrix."""

@@ -19,8 +19,8 @@ non-PSD; a simplex projection of the eigenvalue vector supplies the closest
 physical state for anything that needs one (observables, fidelity).
 
 The batched functions take and return stacks only: ``setting_probabilities``
-evolves a sequence of states into a (states, 16, 2^n) array of outcome
-distributions, ``collect`` draws a stack of counts from such an array,
+evolves a ``run_batch`` stack of states into a (states, 16, 2^n) array of
+outcome distributions, ``collect`` draws a stack of counts from such an array,
 ``reconstruct_stack`` analyzes a (K, 16, 4) stack of data sets and
 ``project_psd`` projects a (K, d, d) stack, returning the eigenvalues it
 projected as well. ``linear_reconstruct`` is the analysis of one data set,
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import circuits as circ
 from .circuits import Circuit, NoiseModel, h, rx, x
-from .qmath import DensityMatrix, StateVector, tensor
+from .qmath import DensityMatrix, tensor
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _BASIS_KETS = {
@@ -158,27 +158,26 @@ def _design_matrix() -> np.ndarray:
     return b
 
 
-def setting_probabilities(
-    states: Sequence[StateVector | DensityMatrix], noise: NoiseModel = NoiseModel()
-) -> np.ndarray:
-    """Outcome distributions of every setting for each of a sequence of
-    states: a (states, 16, 2^n) array, settings in ``tomography_settings()``
-    order.
+def setting_probabilities(states: np.ndarray, noise: NoiseModel = NoiseModel()) -> np.ndarray:
+    """Outcome distributions of every setting for each state of a
+    ``run_batch`` stack: a (states, 16, 2^n) array, settings in
+    ``tomography_settings()`` order.
 
-    The states, all pure or all mixed, run as one stack. Every qubit of a
-    state is read out (outcome index bits list qubit 0 first), and the
-    pre-rotations act on qubits 0 and 1. On density matrices they run
+    Each state runs once per setting, all of them as one stack. Every
+    qubit of a state is read out (outcome index bits list qubit 0 first),
+    and the pre-rotations act on qubits 0 and 1. A density stack runs
     through the noisy evolution so tomography is not artificially cleaner
-    than the rest of the experiment; pure states admit no depolarizing
-    noise (``run_batch`` rejects it). Each recorded bit flips with the
-    noise model's readout flip. ``collect`` draws from these distributions;
-    exact mode reads them. The array is a fresh one: it holds no view into
-    the evolved stack.
+    than the rest of the experiment; an amplitude stack admits no
+    depolarizing noise (``run_batch`` rejects it). Each recorded bit flips
+    with the noise model's readout flip. ``collect`` draws from these
+    distributions; exact mode reads them. The array is a fresh one: it
+    holds no view into the evolved stack.
     """
-    states = list(states)
+    states = np.asarray(states)
     layers = [layer * len(states) for layer in _PRE_ROTATION_LAYERS]
-    stack = circ.run_batch([s for s in states for _ in range(16)], layers, noise)
-    probs = circ._outcome_distribution(circ.born_probabilities(stack), noise.readout_flip)
+    stack = circ.run_batch(np.repeat(states, 16, axis=0), layers, noise)
+    every_qubit = range(stack.shape[-1].bit_length() - 1)
+    probs = circ._outcome_distribution(stack, every_qubit, noise.readout_flip)
     return probs.reshape(len(states), 16, probs.shape[-1]).copy()
 
 

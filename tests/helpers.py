@@ -4,9 +4,12 @@ exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
 the general count marginalization, and the triality defect), and copies
 of code the package replaced by faster code that must agree with it bit
-for bit (the 16-step Pauli-pair loop of the raw estimate, and the
-post-selection of one point's branch at a time)."""
+for bit (the 16-step Pauli-pair loop of the raw estimate, the
+post-selection of one point's branch at a time, and the Born-rule marginal
+of one state at a time), and the depolarizing channel written as a Pauli
+twirl."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +21,13 @@ from qndsim.circuits import (
 )
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
 from qndsim.observables import concurrence_pure, predictability, visibility
-from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
+from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
+
+
+def as_stack(states) -> np.ndarray:
+    """The ``run_batch`` stack of a sequence of states, all pure or all
+    mixed: (B, d) amplitudes or (B, d, d) density matrices."""
+    return np.stack([s.amplitudes if isinstance(s, StateVector) else s.matrix for s in states])
 
 
 def random_pure_state(rng: np.random.Generator, num_qubits: int = 2) -> StateVector:
@@ -79,7 +88,7 @@ def tomography_data(
 ) -> np.ndarray:
     """One state's (16, 4) tomography data: every setting's outcome
     distribution, drawn (or read exactly when ``shots`` is None)."""
-    probs = tom.setting_probabilities([state], noise)
+    probs = tom.setting_probabilities(as_stack([state]), noise)
     if shots is None:
         return probs[0]
     return tom.collect(probs, shots, master_seed, [seed_path])[0]
@@ -130,6 +139,52 @@ def loop_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not rows.size:
         raise tom.DegenerateReconstructionError("estimated trace is zero")
     return rows, raw[rows] / trace[rows, None, None]
+
+
+def marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits) -> np.ndarray:
+    """The (2^m,) Born-rule probabilities of one state over the measured
+    qubits, in listed-bit order: the per-state code that
+    ``circuits._marginal_probabilities`` replaced by one call on a stack."""
+    measured_qubits = tuple(measured_qubits)
+    n = state.num_qubits
+    if isinstance(state, StateVector):
+        probs_t = np.abs(state.amplitudes.reshape([2] * n)) ** 2
+        drop = tuple(q for q in range(n) if q not in measured_qubits)
+        probs_t = probs_t.sum(axis=drop) if drop else probs_t
+        remaining = sorted(measured_qubits)
+        probs_t = probs_t.transpose([remaining.index(q) for q in measured_qubits])
+        return probs_t.reshape(-1)
+    if len(measured_qubits) == n:
+        reduced = state.matrix
+        remaining = list(range(n))
+    else:
+        remaining = sorted(measured_qubits)
+        reduced = partial_trace(state.matrix, remaining)
+    probs_t = np.diag(reduced).real.reshape([2] * len(remaining))
+    probs_t = probs_t.transpose([remaining.index(q) for q in measured_qubits])
+    return probs_t.reshape(-1)
+
+
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def pauli_twirl(rho: np.ndarray, num_qubits: int, support, p: float) -> np.ndarray:
+    """The depolarizing channel on the qubits of ``support`` as a Pauli
+    twirl: (1 - p) rho + p / 4^s sum_P P rho P^dagger over the 4^s Pauli
+    strings P on the support (identity elsewhere), for a (d, d) matrix or
+    a (B, d, d) stack."""
+    support = tuple(support)
+    twirled = np.zeros_like(rho, dtype=complex)
+    for paulis in itertools.product(PAULIS, repeat=len(support)):
+        on = dict(zip(support, paulis))
+        op = tensor(*[on.get(q, PAULIS[0]) for q in range(num_qubits)])
+        twirled = twirled + op @ rho @ op.conj().T
+    return (1.0 - p) * rho + p * twirled / 4 ** len(support)
 
 
 def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:
@@ -217,8 +272,8 @@ def qnd_estimates_exact(
     else:
         full_rho = append_ancillas_rho(pair_state, n_anc)
         out = circ.run_noisy(mc, full_rho, circ.NoiseModel())
-    probs = circ.exact_probabilities(out, s.ancilla_qubits)
-    return {name: float(v[0]) for name, v in estimate_observable(s, probs[None]).items()}
+    probs = circ.exact_probabilities(as_stack([out]), s.ancilla_qubits)
+    return {name: float(v[0]) for name, v in estimate_observable(s, probs).items()}
 
 
 def post_measurement_pair_state(

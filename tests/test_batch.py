@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit, random_density_matrix, random_pure_state, rng_stream
+from helpers import (
+    as_stack, random_circuit, random_density_matrix, random_pure_state, rng_stream,
+)
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, cnot, h, x
@@ -103,9 +105,10 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
     else:
         noise = NoiseModel(depol_1q=depol, depol_2q=0.1, readout_flip=flip, enabled=True)
     ts = tom.tomography_settings()
-    stack = circ.run_batch([state] * 16, tom._PRE_ROTATION_LAYERS, noise)
-    probs = circ.born_probabilities(stack)
-    counts = tom.collect(tom.setting_probabilities([state], noise), 300, seed, [(2, 5)])[0]
+    stack = circ.run_batch(as_stack([state] * 16), tom._PRE_ROTATION_LAYERS, noise)
+    probs = circ._marginal_probabilities(stack, range(num_qubits))
+    counts = tom.collect(tom.setting_probabilities(as_stack([state]), noise), 300, seed,
+                         [(2, 5)])[0]
     assert len(stack) == len(counts) == 16
     for k, setting in enumerate(ts):
         pre = setting.pre_rotation().widened(num_qubits)
@@ -149,7 +152,7 @@ def test_exact_collection_reads_the_same_stack():
     rng = np.random.default_rng(3)
     rho = random_density_matrix(rng, 2)
     ts = tom.tomography_settings()
-    maps = tom.setting_probabilities([rho])[0]
+    maps = tom.setting_probabilities(as_stack([rho]))[0]
     for setting, got in zip(ts, maps):
         reference = _reference_noisy(setting.pre_rotation(), rho.matrix, NoiseModel())
         assert np.array_equal(got, np.clip(np.diag(reference).real, 0.0, None))
@@ -165,13 +168,13 @@ def test_pure_input_rejects_depolarizing_noise(depol, monkeypatch):
     monkeypatch.setattr(circ, "_evolve_pure", no_work)
     noise = NoiseModel(readout_flip=0.05, enabled=True, **depol)
     with pytest.raises(ValueError, match="density-matrix input"):
-        circ.run_batch([psi] * 16, tom._PRE_ROTATION_LAYERS, noise)
+        circ.run_batch(as_stack([psi] * 16), tom._PRE_ROTATION_LAYERS, noise)
     with pytest.raises(ValueError, match="density-matrix input"):
-        tom.setting_probabilities([psi], noise)
+        tom.setting_probabilities(as_stack([psi]), noise)
     monkeypatch.undo()
     # a readout flip alone, or switched-off noise, stays allowed
-    tom.setting_probabilities([psi], NoiseModel(readout_flip=0.05, enabled=True))
-    tom.setting_probabilities([psi], NoiseModel(enabled=False, **depol))
+    tom.setting_probabilities(as_stack([psi]), NoiseModel(readout_flip=0.05, enabled=True))
+    tom.setting_probabilities(as_stack([psi]), NoiseModel(enabled=False, **depol))
 
 
 @pytest.mark.parametrize(
@@ -198,14 +201,18 @@ def test_non_hermitian_slice_fails_the_stack():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    scale=st.sampled_from([0.0, 1e-11, 9e-11, 1e-10, 2e-10, 1e-9, 1e-6]),
+    step=st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
     entry=st.sampled_from([None, np.inf, -np.inf, np.nan, complex(np.inf, 1.0)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hermitian_check_is_allclose(scale, entry, seed):
+def test_hermitian_check_is_allclose(step, entry, seed):
+    # a perturbation near the threshold 1e-10 + 1e-5 |m_dag| of validate's
+    # np.allclose rule, on either side of it: unscaled, the relative term
+    # would hide the absolute tolerance
     rng = np.random.default_rng(seed)
     m = random_density_matrix(rng, 2).matrix.copy()
-    m[0, 1] += scale * complex(*rng.normal(size=2))
+    threshold = 1e-10 + 1e-5 * abs(np.conj(m[1, 0]))
+    m[0, 1] += step * threshold * np.exp(1j * rng.uniform(0, 6.3))
     if entry is not None:
         m[2, 3] = entry
         m[3, 2] = np.conj(entry) if rng.integers(2) else entry

@@ -14,7 +14,10 @@ same to the last bit, so each comparison here reads bit patterns
   point and one branch at a time (``helpers.postselected_sets``), empty
   branches included (``test_stack.py`` checks ``postselect_counts``'s
   empty rows against the dictionary code);
-* the estimator on a stack against the scalar estimator on each row.
+* the estimator on a stack against the scalar estimator on each row;
+* the Born-rule marginal, and the outcome distribution read from it, of a
+  stack of states in one call against one state at a time
+  (``helpers.marginal_probabilities``), pure and mixed.
 
 The claims must hold on every numpy the package supports, so CI also
 runs this file on the oldest one.
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
-    loop_linear_estimates, pauli_loop_sum, postselected_sets,
+    as_stack, loop_linear_estimates, marginal_probabilities, pauli_loop_sum, postselected_sets,
     random_density_matrix, random_pure_state,
 )
 from qndsim import circuits as circ
@@ -33,7 +36,7 @@ from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.experiments import PrepParams
-from qndsim.qmath import basis_state
+from qndsim.qmath import DensityMatrix, StateVector, basis_state
 
 
 def _bits(a) -> np.ndarray:
@@ -89,7 +92,7 @@ def _probabilities(rng: np.random.Generator, k: int) -> np.ndarray:
     states = [random_density_matrix(rng, 2) if kind == 0
               else random_pure_state(rng, 2).density() if kind == 1
               else basis_state(2, int(rng.integers(4))).density() for kind in kinds]
-    return tom.setting_probabilities(states)
+    return tom.setting_probabilities(as_stack(states))
 
 
 def _reference_simplex(values: np.ndarray) -> np.ndarray:
@@ -218,3 +221,61 @@ def test_estimator_stack_matches_each_row(seed, k, name, probabilities, layout):
         assert values.shape == (len(data),)
         want = np.array([r[name_] for r in rows])
         assert np.array_equal(_bits(values), _bits(want))
+
+
+
+# measured qubits of a 4-qubit register, and each case's counterpart on 3
+# qubits; "all" measures every qubit
+MEASURED = {(2, 3): (1, 2), (2,): (2,), (2, 0): (2, 0), (3,): (2,), "all": "all"}
+
+
+def _marginal_stack(rng: np.random.Generator, n: int, pure: bool, k: int) -> np.ndarray:
+    """A stack of k random states and basis states of n qubits: amplitudes,
+    with -0.0 for every zero, or density matrices with -0.0 for half of
+    their zero diagonal entries, which the Born rule must keep apart."""
+    states = []
+    for _ in range(k):
+        if rng.integers(2):
+            states.append(random_pure_state(rng, n) if pure else random_density_matrix(rng, n))
+        else:
+            basis = basis_state(n, int(rng.integers(2**n)))
+            states.append(basis if pure else basis.density())
+    stack = as_stack(states)
+    if pure:
+        stack[stack == 0] = -0.0
+    else:
+        diagonal = np.einsum("kii->ki", stack)  # a view that writes through
+        diagonal[(diagonal == 0) & (rng.random(diagonal.shape) < 0.5)] = -0.0
+    return stack
+
+
+def _reference_distribution(state, measured, flip: float) -> np.ndarray:
+    """One state's recorded-outcome distribution as ``exact_probabilities``
+    computed it, from a (1, 2^m) stack of its marginal."""
+    probs = np.clip(marginal_probabilities(state, measured)[None], 0.0, None)
+    if flip > 0.0:
+        confusion = circ._confusion(len(measured), flip)
+        probs = np.matmul(confusion, probs[:, :, None])[:, :, 0]
+    return probs[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), pure=st.booleans(),
+       k=st.integers(1, 12), measured=st.sampled_from(sorted(MEASURED, key=str)),
+       flip=st.sampled_from([0.0, 0.01, 0.3]))
+def test_stacked_marginal_matches_one_state_at_a_time(seed, n, pure, k, measured, flip):
+    measured = measured if n == 4 else MEASURED[measured]
+    measured = tuple(range(n)) if measured == "all" else measured
+    rng = np.random.default_rng(seed)
+    stack = _marginal_stack(rng, n, pure, k)
+    states = [StateVector(n, row) if pure else DensityMatrix(n, row) for row in stack]
+    got = circ._marginal_probabilities(stack, measured)
+    want = np.stack([marginal_probabilities(state, measured) for state in states])
+    assert got.shape == (k, 2 ** len(measured))
+    assert np.array_equal(_bits(got), _bits(want))
+    if len(measured) == n:  # every qubit: |amplitude|^2, or the diagonal
+        born = np.abs(stack) ** 2 if pure else np.einsum("kii->ki", stack).real
+        assert np.array_equal(_bits(got), _bits(born))
+    got = circ.exact_probabilities(stack, measured, flip)
+    want = np.stack([_reference_distribution(state, measured, flip) for state in states])
+    assert np.array_equal(_bits(got), _bits(want))

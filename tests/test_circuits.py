@@ -1,16 +1,22 @@
 """Circuit execution, noise channel, sampling, and post-selection."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from helpers import marginalize_counts, random_circuit, random_pure_state, rng_stream
+from helpers import (
+    as_stack, marginalize_counts, pauli_twirl, random_circuit, random_density_matrix,
+    random_pure_state, rng_stream,
+)
 from qndsim.circuits import (
     Circuit,
     EmptyBranchError,
     NoiseModel,
+    _depolarize,
     cnot,
     exact_probabilities,
     h,
@@ -132,80 +138,127 @@ class TestRunNoisy:
             model.depol_1q = 0.0
 
 
+def _supports(num_qubits: int) -> list[tuple[int, ...]]:
+    """Every support of a one- or two-qubit gate, in either order."""
+    qubits = range(num_qubits)
+    return [(q,) for q in qubits] + list(itertools.permutations(qubits, 2))
+
+
+class TestDepolarize:
+    """The channel on its own, where the engine's final renormalization
+    cannot hide a wrong weight: it preserves the trace, keeps a PSD input
+    PSD, and is the Pauli twirl (``helpers.pauli_twirl``), on supports in
+    any order, non-adjacent ones included."""
+
+    @staticmethod
+    def check(rng, num_qubits: int, support: tuple[int, ...], p: float) -> None:
+        d = 2**num_qubits
+        rho = np.stack([random_density_matrix(rng, num_qubits).matrix for _ in range(3)]
+                       + [basis_state(num_qubits, int(rng.integers(d))).density().matrix])
+        got = _depolarize(rho.copy(), num_qubits, support, p)
+        trace_in = np.trace(rho, axis1=-2, axis2=-1)
+        assert np.abs(np.trace(got, axis1=-2, axis2=-1) - trace_in).max() <= 1e-12
+        herm = (got + np.swapaxes(got.conj(), -1, -2)) / 2
+        assert np.linalg.eigvalsh(herm)[:, 0].min() >= -1e-12
+        assert np.abs(got - pauli_twirl(rho, num_qubits, support, p)).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(register=st.integers(1, 4).flatmap(
+               lambda n: st.tuples(st.just(n), st.sampled_from(_supports(n)))),
+           p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_pauli_twirl(self, register, p, seed):
+        num_qubits, support = register
+        event("support in ascending order" if list(support) == sorted(support)
+              else "support out of order")
+        self.check(np.random.default_rng(seed), num_qubits, support, p)
+
+    @pytest.mark.parametrize("num_qubits, support", [
+        (4, (3, 1)), (3, (2, 0)), (4, (0, 3)), (2, (1, 0)), (1, (0,)), (4, (2,))])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    def test_listed_supports(self, num_qubits, support, p):
+        self.check(np.random.default_rng(10 * num_qubits + len(support)), num_qubits,
+                   support, p)
+
+
 class TestSampling:
     def test_deterministic_ground_state(self):
-        counts = sample_counts([basis_state(1)], (0,), 100, 0, [()])[0]
+        counts = sample_counts(as_stack([basis_state(1)]), (0,), 100, 0, [()])[0]
         assert counts.tolist() == [100, 0]
 
     def test_plus_state_frequency(self):
         plus = run_pure(Circuit(1, (h(0),)), basis_state(1))
-        counts = sample_counts([plus], (0,), 5000, 5, [()])[0]
+        counts = sample_counts(as_stack([plus]), (0,), 5000, 5, [()])[0]
         # 3 sigma band for a fair coin at 5000 shots
         assert abs(counts[1] / 5000 - 0.5) < 3 * math.sqrt(0.25 / 5000)
 
     def test_bell_state_only_correlated_outcomes(self):
         bell = run_pure(bell_circuit(), basis_state(2))
-        counts = sample_counts([bell], (0, 1), 2000, 7, [()])[0]
+        counts = sample_counts(as_stack([bell]), (0, 1), 2000, 7, [()])[0]
         assert np.flatnonzero(counts).tolist() == [0b00, 0b11]
 
     def test_same_seed_same_counts(self):
         psi = random_pure_state(np.random.default_rng(24), 2)
-        a = sample_counts([psi], (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
-        b = sample_counts([psi], (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
+        a = sample_counts(as_stack([psi]), (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
+        b = sample_counts(as_stack([psi]), (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
         assert np.array_equal(a, b)
 
     def test_large_sample_matches_exact_probabilities(self):
         rng = np.random.default_rng(25)
         psi = random_pure_state(rng, 2)
         shots = 10**6
-        counts = sample_counts([psi], (0, 1), shots, 1, [()])[0]
-        exact = exact_probabilities(psi, (0, 1))
+        counts = sample_counts(as_stack([psi]), (0, 1), shots, 1, [()])[0]
+        exact = exact_probabilities(as_stack([psi]), (0, 1))[0]
         for i, p in enumerate(exact):
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[i] / shots - p) < 5 * max(sigma, 1e-6)
 
     def test_readout_flip_changes_distribution(self):
-        counts = sample_counts([basis_state(1)], (0,), 10000, 3, [()], readout_flip=0.1)[0]
+        counts = sample_counts(as_stack([basis_state(1)]), (0,), 10000, 3, [()],
+                               readout_flip=0.1)[0]
         assert abs(counts[1] / 10000 - 0.1) < 0.02
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            sample_counts([basis_state(1)], (), 10, 0, [()])
+            sample_counts(as_stack([basis_state(1)]), (), 10, 0, [()])
         with pytest.raises(ValueError):
-            sample_counts([basis_state(1)], (0,), 0, 0, [()])
+            sample_counts(as_stack([basis_state(1)]), (0,), 0, 0, [()])
 
 
 class TestExactProbabilities:
     def test_bell_state(self):
-        probs = exact_probabilities(run_pure(bell_circuit(), basis_state(2)), (0, 1))
+        bell = run_pure(bell_circuit(), basis_state(2))
+        probs = exact_probabilities(as_stack([bell]), (0, 1))[0]
         assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
     def test_prepared_state_at_bell_point(self):
         chi = run_pure(prep_circuit(PrepParams(math.pi / 2, math.pi)), basis_state(2))
-        assert exact_probabilities(chi, (0, 1)) == pytest.approx([0.5, 0.0, 0.0, 0.5])
+        probs = exact_probabilities(as_stack([chi]), (0, 1))[0]
+        assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(26)
         for _ in range(10):
             psi = random_pure_state(rng, 3)
             for qubits in ((0,), (2, 0), (0, 1, 2)):
-                assert exact_probabilities(psi, qubits).sum() == pytest.approx(
+                assert exact_probabilities(as_stack([psi]), qubits)[0].sum() == pytest.approx(
                     1.0, abs=1e-10
                 )
 
     def test_readout_flip_is_the_distribution_sampling_draws(self):
-        assert exact_probabilities(basis_state(1), (0,), 0.1) == pytest.approx([0.9, 0.1])
+        one = exact_probabilities(as_stack([basis_state(1)]), (0,), 0.1)
+        assert one.shape == (1, 2)
+        assert one[0] == pytest.approx([0.9, 0.1])
         psi = random_pure_state(np.random.default_rng(28), 3)
-        p = exact_probabilities(psi, (2, 0), 0.07)
+        p = exact_probabilities(as_stack([psi]), (2, 0), 0.07)[0]
         want = np.random.default_rng(5).multinomial(1000, p / p.sum())
-        got = sample_counts([psi], (2, 0), 1000, 5, [()], readout_flip=0.07)[0]
+        got = sample_counts(as_stack([psi]), (2, 0), 1000, 5, [()], readout_flip=0.07)[0]
         assert np.array_equal(got, want)
 
     def test_density_matrix_input_agrees_with_pure(self):
         rng = np.random.default_rng(27)
         psi = random_pure_state(rng, 3)
-        a = exact_probabilities(psi, (1, 0))
-        b = exact_probabilities(psi.density(), (1, 0))
+        a = exact_probabilities(as_stack([psi]), (1, 0))[0]
+        b = exact_probabilities(as_stack([psi.density()]), (1, 0))[0]
         assert a == pytest.approx(b, abs=1e-10)
 
 

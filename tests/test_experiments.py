@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    append_ancillas, measurement_circuit_without_half_angle, post_measurement_pair_state,
-    qnd_estimates_exact,
+    append_ancillas, as_stack, measurement_circuit_without_half_angle,
+    post_measurement_pair_state, qnd_estimates_exact,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -78,7 +78,7 @@ class TestCircuitOne:
     def run_probs(self, pair_amps):
         psi = append_ancillas(StateVector(2, pair_amps), 1)
         out = circ.run_pure(ex.qnd1_circuit(), psi)
-        return circ.exact_probabilities(out, (2,))
+        return circ.exact_probabilities(as_stack([out]), (2,))[0]
 
     def test_bell_input_is_deterministic(self):
         probs = self.run_probs(ex.PHI_PLUS)
@@ -135,7 +135,7 @@ class TestCircuitTwoOutputs:
             ex.measurement_circuit(ex.MeasurementSetting("predictability"))
         )
         out = circ.run_pure(full, basis_state(4))
-        probs = circ.exact_probabilities(out, (2, 3))
+        probs = circ.exact_probabilities(as_stack([out]), (2, 3))[0]
         assert probs[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_concurrence_on_bell_state_single_branch(self):
@@ -144,7 +144,7 @@ class TestCircuitTwoOutputs:
             ex.measurement_circuit(ex.MeasurementSetting("concurrence2"))
         )
         out = circ.run_pure(full, basis_state(4))
-        probs = circ.exact_probabilities(out, (2, 3))
+        probs = circ.exact_probabilities(as_stack([out]), (2, 3))[0]
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_wrong_setting(self):

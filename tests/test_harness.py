@@ -221,9 +221,11 @@ class TestSampledSweeps:
     ])
     def test_any_nonzero_probability_selects_density_engine(self, noise, kind):
         # a readout flip alone still runs the density engine, so its samples
-        # stay those of earlier versions; all zeros is the pure engine
+        # stay those of earlier versions; all zeros is the pure engine. The
+        # states are stacks: (B, d) amplitudes or (B, d, d) density matrices
         chi, out = _prepare_states([PrepParams(0.3, math.pi)], ex.setting_for("C2"), noise)
-        assert all(isinstance(s, kind) for s in chi + out)
+        assert chi.ndim == out.ndim == (2 if kind is StateVector else 3)
+        assert chi.shape[:2] == (1, 4) and out.shape[:2] == (1, 16)
 
     def test_noisy_sweep_runs_and_degrades(self):
         noise = NoiseModel(depol_1q=0.01, depol_2q=0.08, readout_flip=0.02, enabled=True)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
-    marginalize_counts, min_eigenvalue, random_density_matrix, random_pure_state, raw_estimate,
+    as_stack, marginalize_counts, min_eigenvalue, random_density_matrix, random_pure_state,
+    raw_estimate,
 )
 from qndsim import circuits as circ
 from qndsim import tomography as tom
@@ -184,7 +185,7 @@ def _data_set(rng: np.random.Generator, probs: np.ndarray, kind: str) -> np.ndar
 def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
     rng = np.random.default_rng(seed)
     state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
-    probs = tom.setting_probabilities([state])[0]
+    probs = tom.setting_probabilities(as_stack([state]))[0]
     data = np.stack([_data_set(rng, probs, kind) for kind in kinds])
     references = [_reference_estimate(d) for d in data]
     rows = [i for i, ref in enumerate(references) if ref is not None]
@@ -224,7 +225,8 @@ def test_stacked_analysis_matches_stack_of_one(seed, pure, kinds):
 def test_stack_covers_projection_and_degenerate_rows():
     # the cases the property test must see: an estimate that needs the
     # simplex projection and a branch whose estimate has zero trace
-    bell = tom.setting_probabilities([random_pure_state(np.random.default_rng(8), 2)])[0]
+    psi = random_pure_state(np.random.default_rng(8), 2)
+    bell = tom.setting_probabilities(as_stack([psi]))[0]
     rng = np.random.default_rng(9)
     many = _data_set(rng, bell, "many")
     none_00 = np.tile([0, 1, 0, 2], (16, 1))
@@ -239,7 +241,7 @@ def test_probabilities_are_used_as_given():
     # exact records depend on the "00" probabilities as computed: a row
     # whose sum is not exactly 1 must not be renormalized
     rng = np.random.default_rng(21)
-    probs = [tom.setting_probabilities([random_density_matrix(rng, 2)])[0] for _ in range(8)]
+    probs = tom.setting_probabilities(as_stack([random_density_matrix(rng, 2) for _ in range(8)]))
     assert any((p.sum(axis=-1) != 1.0).any() for p in probs)  # a telling case
     for p in probs:
         est = tom.linear_reconstruct(p)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_density_matrix, random_pure_state, rng_stream
+from helpers import as_stack, random_density_matrix, random_pure_state, rng_stream
 from qndsim import circuits as circ
 from qndsim import tomography as tom
 from qndsim.harness import SweepConfig, run_sweep
@@ -110,21 +110,25 @@ def test_stacked_normalization_is_the_per_row_one(rows, outcomes, layout, draw_s
 
 
 def test_stacked_sample_counts_equal_per_state_draws():
+    # a stack of amplitudes and a stack of density matrices
     rng = np.random.default_rng(4)
-    states = [random_pure_state(rng, 3) for _ in range(5)] + [random_density_matrix(rng, 3)]
-    paths = [(0, i) for i in range(len(states))]
-    got = circ.sample_counts(states, (2, 0), 700, 12, paths, readout_flip=0.03)
-    assert got.shape == (len(states), 4)
-    for state, path, counts in zip(states, paths, got):
-        alone = circ.sample_counts([state], (2, 0), 700, 12, [path], readout_flip=0.03)[0]
-        assert np.array_equal(counts, alone)
-        p = circ.exact_probabilities(state, (2, 0), 0.03)
-        assert np.array_equal(counts, rng_stream(12, *path).multinomial(700, p / p.sum()))
+    for make in (random_pure_state, random_density_matrix):
+        states = as_stack([make(rng, 3) for _ in range(5)])
+        paths = [(0, i) for i in range(len(states))]
+        got = circ.sample_counts(states, (2, 0), 700, 12, paths, readout_flip=0.03)
+        assert got.shape == (len(states), 4)
+        for i, (path, counts) in enumerate(zip(paths, got)):
+            alone = circ.sample_counts(states[i:i + 1], (2, 0), 700, 12, [path],
+                                       readout_flip=0.03)[0]
+            assert np.array_equal(counts, alone)
+            p = circ.exact_probabilities(states[i:i + 1], (2, 0), 0.03)[0]
+            assert np.array_equal(counts, rng_stream(12, *path).multinomial(700, p / p.sum()))
 
 
 def test_collect_draws_setting_k_of_state_i_from_its_path():
     rng = np.random.default_rng(5)
-    probs = tom.setting_probabilities([random_pure_state(rng, 2) for _ in range(3)])
+    states = as_stack([random_pure_state(rng, 2) for _ in range(3)])
+    probs = tom.setting_probabilities(states)
     paths = [(1, 4), (1, 9), (2, 2**33)]
     counts = tom.collect(probs, 400, 6, paths)
     for i, path in enumerate(paths):
@@ -190,4 +194,4 @@ class TestSeedInput:
         with pytest.raises(ValueError, match="seed path elements"):
             tom.collect(probs, 10, 0, [(1, 0), (1, 0.5)])
         with pytest.raises(ValueError, match="seed paths for 2 rows"):
-            circ.sample_counts([basis_state(1)] * 2, (0,), 10, 0, [()])
+            circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0, [()])

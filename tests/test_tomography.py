@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
-from scipy.optimize import minimize
 
 from helpers import (
-    min_eigenvalue, random_density_matrix, random_pure_state, raw_estimate, tomograph,
+    as_stack, min_eigenvalue, random_density_matrix, random_pure_state, raw_estimate, tomograph,
     tomography_data,
 )
 from qndsim import circuits as circ
@@ -42,7 +41,7 @@ class TestSettings:
 
 class TestCollect:
     def test_exact_mode_gives_16_probability_maps(self):
-        maps = tom.setting_probabilities([bell()])[0]
+        maps = tom.setting_probabilities(as_stack([bell()]))[0]
         assert maps.shape == (16, 4)
         np.testing.assert_allclose(maps.sum(axis=1), 1.0, atol=1e-10)
 
@@ -50,12 +49,12 @@ class TestCollect:
         settings = tom.tomography_settings()
         hh = next(s for s in settings if s.basis_a + s.basis_b == "HH")
         probs = circ.exact_probabilities(
-            circ.run_pure(hh.pre_rotation(), bell()), (0, 1)
-        )
+            as_stack([circ.run_pure(hh.pre_rotation(), bell())]), (0, 1)
+        )[0]
         assert np.flatnonzero(probs > 1e-15).tolist() == [0, 3]
 
     def test_deterministic_under_fixed_seed(self):
-        probs = tom.setting_probabilities([bell()])
+        probs = tom.setting_probabilities(as_stack([bell()]))
         a = tom.collect(probs, 500, 5, [()])[0]
         b = tom.collect(probs, 500, 5, [()])[0]
         assert a.shape == (16, 4) and np.array_equal(a, b)
@@ -67,7 +66,7 @@ class TestCollect:
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            tom.collect(tom.setting_probabilities([bell()]), 0, 0, [()])
+            tom.collect(tom.setting_probabilities(as_stack([bell()])), 0, 0, [()])
 
 
 class TestLinearReconstruct:
@@ -102,7 +101,7 @@ class TestLinearReconstruct:
     def test_exact_data_return_the_state(self, seed, pure):
         rng = np.random.default_rng(seed)
         state = random_pure_state(rng, 2) if pure else random_density_matrix(rng, 2)
-        raw = raw_estimate(tom.setting_probabilities([state])[0])
+        raw = raw_estimate(tom.setting_probabilities(as_stack([state]))[0])
         rho = state.density() if pure else state
         assert np.max(np.abs(raw - rho.matrix)) <= 1e-12
 
@@ -114,7 +113,7 @@ class TestLinearReconstruct:
         # negated, in one order: the raw sum needs no Hermitization
         rng = np.random.default_rng(seed)
         states = [random_density_matrix(rng, 2) for _ in range(sets)]
-        data = tom.setting_probabilities(states)
+        data = tom.setting_probabilities(as_stack(states))
         if not probabilities:
             data = tom.collect(data, shots, seed, [(i,) for i in range(sets)])
         try:
@@ -124,7 +123,7 @@ class TestLinearReconstruct:
         assert np.array_equal(raw, np.swapaxes(raw.conj(), -1, -2))
 
     def test_incomplete_data_rejected(self):
-        maps = tom.setting_probabilities([bell()])[0]
+        maps = tom.setting_probabilities(as_stack([bell()]))[0]
         with pytest.raises(ValueError):
             tom.linear_reconstruct(maps[:10])
 
@@ -132,7 +131,7 @@ class TestLinearReconstruct:
         # rows of 0.5 would otherwise read as the maximally mixed state
         with pytest.raises(ValueError, match="sum to 1"):
             tom.linear_reconstruct(np.full((16, 4), 0.5))
-        data = np.stack([tom.setting_probabilities([bell()])[0]] * 2)
+        data = np.stack([tom.setting_probabilities(as_stack([bell()]))[0]] * 2)
         data[1, 5] *= 1.01
         with pytest.raises(ValueError, match="sum to 1"):
             tom.reconstruct_stack(data)
@@ -159,6 +158,10 @@ class TestProjectPsd:
         )
 
     def test_simplex_projection_against_qp_oracle(self):
+        # imported here: scipy.optimize alone costs most of a second to
+        # import, which every collection of the module would pay
+        from scipy.optimize import minimize
+
         rng = np.random.default_rng(53)
         for _ in range(10):
             v = rng.normal(size=4)
