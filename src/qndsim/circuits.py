@@ -213,10 +213,7 @@ def _layer_operators(layers, num_qubits: int):
                 groups.setdefault(g, []).append(i)
         if not groups:
             continue
-        supports = {g.targets for g in groups}
-        if len(supports) > 1:
-            raise ValueError("the gates of a layer must act on the same qubits")
-        support = supports.pop()
+        support = next(iter(groups)).targets
         acting = sum(len(index) for index in groups.values())
         if len(groups) == acting > 1:
             ops = [([i for (i,) in groups.values()],
@@ -311,8 +308,8 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
     depolarizing noise after each gate. Each slice comes out exactly as
     ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
     and initial state. The structure is checked before any work: the
-    stack's shape, one entry per slice in every layer, the gates' qubits
-    and the noise. The states are not validated, in or out: ``run_pure``
+    stack's shape, one entry per slice in every layer, the gates' qubits,
+    one support per layer, and the noise. The states are not validated, in or out: ``run_pure``
     and ``run_noisy`` validate theirs, and property tests pin the engine.
     """
     # a C-ordered copy, evolved in place: a slice's products round by its
@@ -328,6 +325,8 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
         raise ValueError(f"every layer needs one entry per slice, {len(states)} in all")
     if any(not 0 <= q < n for layer in layers for g in layer if g is not None for q in g.targets):
         raise ValueError("dimension mismatch between circuit and state")
+    if any(len({g.targets for g in layer if g is not None}) > 1 for layer in layers):
+        raise ValueError("the gates of a layer must act on the same qubits")
     if pure:
         return _evolve_pure(states, layers, n)
     return _evolve_density(states, layers, n, noise)

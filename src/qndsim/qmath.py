@@ -78,7 +78,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:  # NaN fails too
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -452,15 +452,20 @@ def test_stack_arguments_rejected(states, message, monkeypatch):
         circ.run_batch(states, [(None, None)], NoiseModel())
 
 
-def test_gates_outside_the_register_rejected_before_any_work(monkeypatch):
+@pytest.mark.parametrize("gate, message", [
+    (circ.cnot(0, 2), "dimension mismatch"),
+    (circ.x(-1), "dimension mismatch"),
+    (circ.x(1), "act on the same qubits"),
+])
+def test_bad_layers_rejected_before_any_work(gate, message, monkeypatch):
+    # the bad gate sits in the second layer, after a valid first one
     def no_work(*args):
         raise AssertionError("evolution started")
 
     monkeypatch.setattr(circ, "_evolve_density", no_work)
-    for gate in (circ.cnot(0, 2), circ.x(-1)):
-        layers = [(circ.h(0), circ.h(0)), (gate, None)]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            circ.run_batch(as_stack([basis_state(2).density()] * 2), layers, NoiseModel())
+    layers = [(circ.h(0), circ.h(0)), (circ.x(0), gate)]
+    with pytest.raises(ValueError, match=message):
+        circ.run_batch(as_stack([basis_state(2).density()] * 2), layers, NoiseModel())
 
 
 def test_collect_needs_a_seed_path_per_state():

@@ -241,6 +241,11 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    def test_state_vector_rejects_nan(self):
+        # NaN compares false with any tolerance, so it must fail the check
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([np.nan, 0.0]))
+
     def test_density_matrix_requires_unit_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.eye(2))
