@@ -12,7 +12,6 @@ from .qmath import (
 )
 from .circuits import (
     Circuit,
-    EmptyBranchError,
     Gate,
     NoiseModel,
     exact_probabilities,

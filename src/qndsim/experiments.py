@@ -38,15 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as circ
-from .circuits import (
-    Circuit,
-    EmptyBranchError,
-    cnot,
-    cry,
-    h,
-    rx,
-    ry,
-)
+from .circuits import Circuit, cnot, cry, h, rx, ry
 from .qmath import StateVector, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -303,6 +295,22 @@ def _conc2_branch_vectors(c: BellCoefficients) -> dict[str, np.ndarray]:
     }
 
 
+@dataclass(frozen=True, slots=True)
+class Branch:
+    """One ancilla outcome: the ideal conditional pair state and its
+    theoretical probability. An empty branch, of weight below 1e-12, is
+    ``state=None, probability=0.0``; a branch is ``reliable`` when its
+    probability reaches RELIABLE_BRANCH_PROB."""
+
+    outcome: str
+    state: StateVector | None
+    probability: float
+
+    @property
+    def reliable(self) -> bool:
+        return self.probability >= RELIABLE_BRANCH_PROB
+
+
 def branch_outcomes(s: MeasurementSetting) -> tuple[str, ...]:
     if s.observable == "concurrence1":
         return ("0", "1")
@@ -311,33 +319,31 @@ def branch_outcomes(s: MeasurementSetting) -> tuple[str, ...]:
 
 def conditional_target_state(
     s: MeasurementSetting, c: BellCoefficients, ancilla_outcome: str
-) -> tuple[StateVector, float]:
-    """Closed-form conditional pair state and branch probability.
+) -> Branch:
+    """Closed-form conditional pair state and branch probability, as a
+    ``Branch`` (empty below a weight of 1e-12).
 
     Only defined for the two-ancilla settings; the single-ancilla concurrence
     circuit has no closed form here and is characterized by simulation
     (see :func:`simulated_branches`).
     """
-    if s.observable == "visibility" or s.observable == "predictability":
+    if s.observable == "concurrence1":
+        raise ValueError("no closed-form conditional state for this setting")
+    if ancilla_outcome not in branch_outcomes(s):
+        raise ValueError(f"invalid outcome {ancilla_outcome!r}")
+    if s.observable == "concurrence2":
+        vec = _conc2_branch_vectors(c)[ancilla_outcome]
+        prob = float(np.sum(np.abs(vec) ** 2))
+    else:
         table = _VIS_BRANCHES if s.observable == "visibility" else _PRED_BRANCHES
-        if ancilla_outcome not in table:
-            raise ValueError(f"invalid outcome {ancilla_outcome!r}")
         coeff_fn, ket_a, ket_b = table[ancilla_outcome]
         coeff = coeff_fn(c)
         prob = coeff * coeff / 2.0
-        if prob < 1e-12:
-            raise EmptyBranchError(f"branch {ancilla_outcome!r} has zero weight")
-        return StateVector(2, tensor(ket_a.reshape(2, 1), ket_b.reshape(2, 1)).reshape(-1)), prob
-    if s.observable == "concurrence2":
-        vectors = _conc2_branch_vectors(c)
-        if ancilla_outcome not in vectors:
-            raise ValueError(f"invalid outcome {ancilla_outcome!r}")
-        vec = vectors[ancilla_outcome]
-        prob = float(np.sum(np.abs(vec) ** 2))
-        if prob < 1e-12:
-            raise EmptyBranchError(f"branch {ancilla_outcome!r} has zero weight")
-        return StateVector(2, vec / math.sqrt(prob)), prob
-    raise ValueError("no closed-form conditional state for this setting")
+    if prob < 1e-12:
+        return Branch(ancilla_outcome, None, 0.0)
+    # the product kets of the other settings are unit vectors already
+    ket = vec / math.sqrt(prob) if s.observable == "concurrence2" else np.kron(ket_a, ket_b)
+    return Branch(ancilla_outcome, StateVector(2, ket), prob)
 
 
 def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
@@ -365,10 +371,10 @@ def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
     return StateVector(4, amps)
 
 
-def simulated_branches(
-    s: MeasurementSetting, p: PrepParams
-) -> list[tuple[str, StateVector | None, float]]:
-    """Noiseless conditional states obtained by actually running the circuit.
+def simulated_branches(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
+    """Noiseless conditional states obtained by actually running the
+    circuit, one ``Branch`` per ancilla outcome (``circuits.postselect``
+    gives an empty one as ``(None, 0.0)``).
 
     Cross-checks the closed forms, and is the defining characterization for
     the single-ancilla concurrence circuit.
@@ -376,25 +382,7 @@ def simulated_branches(
     n = s.num_qubits
     full = prep_circuit(p).widened(n).then(measurement_circuit(s))
     out = circ.run_pure(full, basis_state(n))
-    branches: list[tuple[str, StateVector | None, float]] = []
-    for outcome in branch_outcomes(s):
-        try:
-            state, prob = circ.postselect(out, s.ancilla_qubits, outcome)
-        except EmptyBranchError:
-            state, prob = None, 0.0
-        branches.append((outcome, state, prob))
-    return branches
-
-
-@dataclass(frozen=True, slots=True)
-class Branch:
-    """One ancilla outcome: the ideal conditional pair state (None for an
-    empty branch), its theoretical probability, and its reliability flag."""
-
-    outcome: str
-    state: StateVector | None
-    probability: float
-    reliable: bool
+    return tuple(Branch(o, *circ.postselect(out, s.ancilla_qubits, o)) for o in branch_outcomes(s))
 
 
 def branch_data(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
@@ -404,17 +392,9 @@ def branch_data(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
     circuit is simulated (see :func:`simulated_branches`).
     """
     if s.observable == "concurrence1":
-        entries = simulated_branches(s, p)
-    else:
-        c = bell_coefficients(p)
-        entries = []
-        for outcome in branch_outcomes(s):
-            try:
-                state, prob = conditional_target_state(s, c, outcome)
-            except EmptyBranchError:
-                state, prob = None, 0.0
-            entries.append((outcome, state, prob))
-    return tuple(Branch(o, st, pr, pr >= RELIABLE_BRANCH_PROB) for o, st, pr in entries)
+        return simulated_branches(s, p)
+    c = bell_coefficients(p)
+    return tuple(conditional_target_state(s, c, o) for o in branch_outcomes(s))
 
 
 def output_mixture(branches: tuple[Branch, ...]) -> np.ndarray:

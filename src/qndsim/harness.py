@@ -108,11 +108,7 @@ class SweepConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
+            if not circ._finite_real(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("phi_count", "shots", "master_seed"):
             value = getattr(self, name)
@@ -353,7 +349,6 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         anc_stats = circ.exact_probabilities(block.readout, setting.ancilla_qubits, flip)
         data_in, data_out = block.probs_in, block.probs_out
         target_in, ideal, target_out = block.target_in, block.branches, block.target_out
-        postselected = [()] * len(ideal)
     else:
         rows = range(len(points))
         anc_stats = circ.sample_counts(block.readout[slots], setting.ancilla_qubits,
@@ -361,9 +356,8 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
         data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
         target_in, target_out = block.target_in[slots], block.target_out[slots]
-        ideal = postselected = [block.branches[k] for k in slots]
-    tomo_out, fidelity_out, branches = _output_tomography(
-        setting, data_out, ideal, postselected, target_out, key)
+        ideal = [block.branches[k] for k in slots]
+    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, ideal, target_out, key)
     qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
     # one linear estimate per input data set, analyzed as one stack
     est_in = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data_in])
@@ -390,19 +384,20 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     ]
 
 
-def _output_tomography(setting, data, ideal, postselected, target_out, key: str):
-    """Analyze each point's full-register output-tomography data, counts or
-    distributions, unconditionally and post-selected on each ancilla outcome
-    of its ``postselected`` branches, for every point of the block as one
-    stack of estimates. A branch not listed there, one in which some
-    setting retained no shot, or one that retained too few shots to fix a
-    state, carries its ideal data only.
+def _output_tomography(setting, data, ideal, target_out, key: str):
+    """Analyze each point's full-register output-tomography data, for every
+    point of the block as one stack of estimates: unconditionally, and for
+    integer counts (not the exact distributions; the dtype rule of
+    ``circuits._frequencies``) post-selected on each of its ``ideal``
+    branches. A branch not post-selected, or one that retained no shot in
+    some setting or too few to fix a state, carries its ideal data only.
 
     Returns, per point, the unconditional observable value, its fidelity,
     and the branch results.
     """
     # the pair data: each outcome summed over the trailing ancilla bits
     pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
+    postselected = ideal if np.issubdtype(data.dtype, np.integer) else [()] * len(data)
     # each listed outcome post-selected on the whole block at once, and the
     # fewest shots any setting of each point retained in it
     outcomes = dict.fromkeys(b.outcome for listed in postselected for b in listed)

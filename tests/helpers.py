@@ -3,22 +3,23 @@ the exact oracles the acceptance criteria compare the package against (the
 exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
 the general count marginalization, and the triality defect), and copies
-of code the package replaced by faster code that must agree with it bit
-for bit (the 16-step Pauli-pair loop of the raw estimate, the
-post-selection of one point's branch at a time, and the Born-rule marginal
-of one state at a time), and the depolarizing channel written as a Pauli
+of code the package replaced by faster or simpler code that must agree
+with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
+post-selection of one point's branch at a time, the Born-rule marginal
+of one state at a time, and the branch data built from tuples and an
+empty-branch exception), and the depolarizing channel written as a Pauli
 twirl."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from qndsim import circuits as circ
+from qndsim import experiments as ex
 from qndsim import tomography as tom
-from qndsim.circuits import (
-    Circuit, EmptyBranchError, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x,
-)
+from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
 from qndsim.observables import concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
@@ -187,11 +188,11 @@ def pauli_twirl(rho: np.ndarray, num_qubits: int, support, p: float) -> np.ndarr
     return (1.0 - p) * rho + p * twirled / 4 ** len(support)
 
 
-def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:
+def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray | None:
     """The counts of one branch, ancilla bits stripped, as
-    ``circuits.postselect_counts`` gives them; raises EmptyBranchError when
-    any row retains no shots, as it did when it post-selected one point's
-    branch at a time."""
+    ``circuits.postselect_counts`` gives them; None when any row retains
+    no shots, a branch the analysis of one point's branch at a time
+    dropped."""
     counts = np.asarray(counts)
     positions = tuple(ancilla_positions)
     m = _count_bits(counts, positions)
@@ -201,9 +202,7 @@ def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np
         index[p] = int(bit)
     kept = counts.reshape(lead + (2,) * m)[(Ellipsis, *index)]
     kept = kept.reshape(lead + (2 ** (m - len(positions)),))
-    if not kept.sum(axis=-1).all():
-        raise EmptyBranchError(f"no shots retained for ancilla outcome {outcome!r}")
-    return kept
+    return kept if kept.sum(axis=-1).all() else None
 
 
 def postselected_sets(data: np.ndarray, postselected, ancilla_positions):
@@ -219,14 +218,78 @@ def postselected_sets(data: np.ndarray, postselected, ancilla_positions):
         owners.append((i, None))
         retained.append(None)
         for b in listed:
-            try:
-                kept = postselect_branch(point_data, ancilla_positions, b.outcome)
-            except EmptyBranchError:
+            kept = postselect_branch(point_data, ancilla_positions, b.outcome)
+            if kept is None:
                 continue
             sets.append(kept)
             owners.append((i, b))
             retained.append(int(kept.sum(axis=-1).min()))
     return np.stack(sets), owners, retained
+
+
+class _ZeroWeight(ValueError):
+    """A branch of (numerically) zero weight, as the code below signals it."""
+
+
+def _postselect_or_raise(state: StateVector, ancilla_qubits, outcome: str):
+    """``circuits.postselect`` as it was: raises on an empty branch."""
+    ancillas = tuple(ancilla_qubits)
+    n = state.num_qubits
+    t = state.amplitudes.reshape([2] * n)
+    index: list[object] = [slice(None)] * n
+    for q, bit in zip(ancillas, outcome):
+        index[q] = int(bit)
+    branch = t[tuple(index)].reshape(-1)
+    prob = float(np.sum(np.abs(branch) ** 2))
+    if prob < 1e-12:
+        raise _ZeroWeight(outcome)
+    return StateVector(n - len(ancillas), branch / math.sqrt(prob)), prob
+
+
+def _target_or_raise(s: MeasurementSetting, c, outcome: str):
+    """``experiments.conditional_target_state`` as it was: a (state,
+    probability) tuple, raising on an empty branch."""
+    if s.observable in ("visibility", "predictability"):
+        table = ex._VIS_BRANCHES if s.observable == "visibility" else ex._PRED_BRANCHES
+        coeff_fn, ket_a, ket_b = table[outcome]
+        coeff = coeff_fn(c)
+        prob = coeff * coeff / 2.0
+        if prob < 1e-12:
+            raise _ZeroWeight(outcome)
+        return StateVector(2, tensor(ket_a.reshape(2, 1), ket_b.reshape(2, 1)).reshape(-1)), prob
+    vec = ex._conc2_branch_vectors(c)[outcome]
+    prob = float(np.sum(np.abs(vec) ** 2))
+    if prob < 1e-12:
+        raise _ZeroWeight(outcome)
+    return StateVector(2, vec / math.sqrt(prob)), prob
+
+
+def tuple_branch_data(s: MeasurementSetting, p) -> tuple[tuple, ...]:
+    """``experiments.branch_data`` as it was built before ``Branch`` was the
+    one form: (state, probability) tuples, each empty branch caught as an
+    exception and converted, and the reliability flag computed here.
+    Returns (outcome, state or None, probability, reliable) per outcome."""
+    if s.observable == "concurrence1":
+        n = s.num_qubits
+        full = ex.prep_circuit(p).widened(n).then(measurement_circuit(s))
+        out = circ.run_pure(full, basis_state(n))
+        entries = []
+        for outcome in ex.branch_outcomes(s):
+            try:
+                state, prob = _postselect_or_raise(out, s.ancilla_qubits, outcome)
+            except _ZeroWeight:
+                state, prob = None, 0.0
+            entries.append((outcome, state, prob))
+    else:
+        c = ex.bell_coefficients(p)
+        entries = []
+        for outcome in ex.branch_outcomes(s):
+            try:
+                state, prob = _target_or_raise(s, c, outcome)
+            except _ZeroWeight:
+                state, prob = None, 0.0
+            entries.append((outcome, state, prob))
+    return tuple((o, st, pr, pr >= ex.RELIABLE_BRANCH_PROB) for o, st, pr in entries)
 
 
 def append_ancillas(state: StateVector, count: int) -> StateVector:

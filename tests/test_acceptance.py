@@ -105,15 +105,15 @@ def test_criterion_04_state_preparation():
                 s = ex.setting_for(obs)
                 coeffs = ex.bell_coefficients(p)
                 key = "C" if obs in ("C1", "C2") else obs
-                for outcome, state, prob in ex.simulated_branches(s, p):
-                    if state is None or prob < ex.RELIABLE_BRANCH_PROB:
+                for b in ex.simulated_branches(s, p):
+                    if b.state is None or not b.reliable:
                         continue
                     checked += 1
-                    value = observable_set(state.density().matrix[None])[key][0]
+                    value = observable_set(b.state.density().matrix[None])[key][0]
                     worst_obs = max(worst_obs, abs(value - 1.0))
                     if s.observable != "concurrence1":
-                        target, _ = ex.conditional_target_state(s, coeffs, outcome)
-                        fid = abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2
+                        target = ex.conditional_target_state(s, coeffs, b.outcome).state
+                        fid = abs(np.vdot(target.amplitudes, b.state.amplitudes)) ** 2
                         worst_fid = max(worst_fid, abs(fid - 1.0))
     _report(4, worst_obs <= 1e-10 and worst_fid <= 1e-10,
             f"{checked} reliable branches; max |observable-1| {worst_obs:.2e}, "

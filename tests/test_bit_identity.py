@@ -17,7 +17,10 @@ same to the last bit, so each comparison here reads bit patterns
 * the estimator on a stack against the scalar estimator on each row;
 * the Born-rule marginal, and the outcome distribution read from it, of a
   stack of states in one call against one state at a time
-  (``helpers.marginal_probabilities``), pure and mixed.
+  (``helpers.marginal_probabilities``), pure and mixed;
+* the ideal branch data, ``Branch`` from every producer, against the
+  tuples and empty-branch exception they were built from
+  (``helpers.tuple_branch_data``), empty branches included.
 
 The claims must hold on every numpy the package supports, so CI also
 runs this file on the oldest one.
@@ -29,7 +32,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
     as_stack, loop_linear_estimates, marginal_probabilities, pauli_loop_sum, postselected_sets,
-    random_density_matrix, random_pure_state,
+    random_density_matrix, random_pure_state, tuple_branch_data,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -176,7 +179,7 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tom, "reconstruct_stack", spy)
         _, _, branches = harness._output_tomography(
-            setting, counts, ideal, ideal, target_out, harness._observable_key(observable))
+            setting, counts, ideal, target_out, harness._observable_key(observable))
     (got,) = stacks
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -279,3 +282,47 @@ def test_stacked_marginal_matches_one_state_at_a_time(seed, n, pure, k, measured
     got = circ.exact_probabilities(stack, measured, flip)
     want = np.stack([_reference_distribution(state, measured, flip) for state in states])
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def _assert_branches_match(got, want) -> int:
+    """Compare ``Branch`` data with the tuple code's, bit for bit; return
+    the number of empty branches."""
+    assert len(got) == len(want)
+    for b, (outcome, state, prob, reliable) in zip(got, want):
+        assert type(b) is ex.Branch
+        assert b.outcome == outcome
+        assert _bits(np.float64(b.probability)) == _bits(np.float64(prob))
+        assert b.reliable is reliable
+        if state is None:
+            assert b.state is None and b.probability == 0.0
+        else:
+            assert np.array_equal(_bits(b.state.amplitudes), _bits(state.amplitudes))
+    return sum(b.state is None for b in got)
+
+
+SETTINGS = ("visibility", "predictability", "concurrence1", "concurrence2")
+ANGLE = st.floats(0.0, 2 * np.pi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(SETTINGS), phi=ANGLE, theta=ANGLE, lam=ANGLE)
+def test_branch_data_matches_the_tuple_code(name, phi, theta, lam):
+    s = ex.MeasurementSetting(name)
+    p = PrepParams(phi, theta, lam)
+    if _assert_branches_match(ex.branch_data(s, p), tuple_branch_data(s, p)):
+        event("empty branch")
+
+
+@pytest.mark.parametrize("phi, theta", [(0.0, 0.0), (0.0, np.pi), (np.pi / 2, np.pi),
+                                        (np.pi / 2, 0.0), (np.pi, np.pi)])
+def test_branch_data_matches_the_tuple_code_on_empty_branches(phi, theta):
+    # the Bell point (phi = pi/2, theta = pi) empties a branch of every
+    # setting, circuit 1's included; phi = 0 empties three predictability ones
+    empty = {}
+    for name in SETTINGS:
+        s = ex.MeasurementSetting(name)
+        p = PrepParams(phi, theta)
+        empty[name] = _assert_branches_match(ex.branch_data(s, p), tuple_branch_data(s, p))
+    assert empty["predictability"] >= 2 and empty["concurrence2"] >= 2
+    if (phi, theta) == (np.pi / 2, np.pi):
+        assert min(empty.values()) >= 1

@@ -34,7 +34,7 @@ from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.analysis import BranchResult, SweepRecord
-from qndsim.circuits import Circuit, EmptyBranchError, Gate, NoiseModel
+from qndsim.circuits import Circuit, Gate, NoiseModel
 from qndsim.harness import (
     BLOCK_POINTS,
     THETA_DEFAULTS,
@@ -81,10 +81,10 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     data = [marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
-        try:
-            data.append(postselect_branch(counts, setting.ancilla_qubits, b.outcome))
-        except EmptyBranchError:
+        kept = postselect_branch(counts, setting.ancilla_qubits, b.outcome)
+        if kept is None:
             continue
+        data.append(kept)
         selected.append(b)
     est = tom.reconstruct_stack(np.stack(data))
     assert est.rows[0] == 0

@@ -14,10 +14,12 @@ from helpers import (
 )
 from qndsim.circuits import (
     Circuit,
-    EmptyBranchError,
+    Gate,
     NoiseModel,
     _depolarize,
+    _full_unitary,
     cnot,
+    cry,
     exact_probabilities,
     h,
     postselect,
@@ -79,6 +81,63 @@ class TestRunPure:
             Circuit(2, (x(2),))
         with pytest.raises(ValueError):
             cnot(1, 1)
+
+
+class TestGates:
+    @pytest.mark.parametrize("kind, targets, angle, message", [
+        ("foo", (0,), None, "unknown gate kind"),
+        ("rx", (0,), None, "finite real angle"),
+        ("rx", (0,), math.nan, "finite real angle"),
+        ("ry", (0,), math.inf, "finite real angle"),
+        ("cry", (0, 1), -math.inf, "finite real angle"),
+        ("ry", (0,), np.float64("nan"), "finite real angle"),
+        ("rx", (0,), True, "finite real angle"),
+        ("rx", (0,), 1 + 0j, "finite real angle"),
+        ("ry", (0,), "0.3", "finite real angle"),
+        ("cry", (0, 1), 10**400, "finite real angle"),
+        ("x", (0,), 0.3, "takes no angle"),
+        ("h", (0,), 0.0, "takes no angle"),
+        ("cnot", (0, 1), 1.0, "takes no angle"),
+        ("cnot", (1, 1), None, "2 distinct"),
+        ("cry", (0,), 0.5, "2 distinct"),
+        ("rx", (0, 1), 0.5, "1 distinct"),
+        ("h", (), None, "1 distinct"),
+    ])
+    def test_invalid_gate_rejected_at_construction(self, kind, targets, angle, message):
+        with pytest.raises(ValueError, match=message):
+            Gate(kind, targets, angle)
+
+    def test_any_finite_real_angle_accepted(self):
+        for angle in (0, 3, -2.5, np.float32(0.25), np.float64(1e300), np.int64(7)):
+            assert rx(0, angle).angle is angle
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["rx", "ry", "x", "h", "cnot", "cry"]),
+           num_qubits=st.integers(1, 4),
+           angle=st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_gate_is_unitary(self, kind, num_qubits, angle):
+        # construction admits only finite angles, so the engine never
+        # re-checks unitarity: every target of the register is checked here
+        arity = 2 if kind in ("cnot", "cry") else 1
+        for targets in itertools.permutations(range(num_qubits), arity):
+            gate = Gate(kind, targets, angle if kind in ("rx", "ry", "cry") else None)
+            u = _full_unitary(gate, num_qubits)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(2**num_qubits), rtol=0, atol=1e-12)
+
+    def test_unitary_cache_is_bounded(self):
+        # more distinct angles than the cache holds: the fixed gates each
+        # circuit shares stay recent, so they are still hits at the end
+        assert _full_unitary.cache_info().maxsize == 256
+        fixed = (h(0), cnot(0, 1), x(2))
+        misses = _full_unitary.cache_info().misses
+        for k in range(300):
+            run_pure(Circuit(3, fixed + (ry(1, 1e-3 * (k + 1)),)), basis_state(3))
+        info = _full_unitary.cache_info()
+        assert info.misses - misses >= 300
+        assert info.currsize <= 256
+        run_pure(Circuit(3, fixed), basis_state(3))
+        after = _full_unitary.cache_info()
+        assert (after.hits - info.hits, after.misses - info.misses) == (3, 0)
 
 
 class TestRunNoisy:
@@ -269,9 +328,8 @@ class TestPostselect:
         assert prob == pytest.approx(0.5)
         np.testing.assert_allclose(state.amplitudes, [0, 1], atol=1e-12)
 
-    def test_empty_branch_raises(self):
-        with pytest.raises(EmptyBranchError):
-            postselect(basis_state(2), (1,), "1")
+    def test_empty_branch_is_none(self):
+        assert postselect(basis_state(2), (1,), "1") == (None, 0.0)
 
     def test_recombined_branches_match_partial_trace(self):
         # summing prob * |cond><cond| over a complete ancilla readout must
@@ -281,9 +339,8 @@ class TestPostselect:
             psi = random_pure_state(rng, 3)
             mix = np.zeros((2, 2), dtype=complex)
             for outcome in ("00", "01", "10", "11"):
-                try:
-                    state, prob = postselect(psi, (0, 2), outcome)
-                except EmptyBranchError:
+                state, prob = postselect(psi, (0, 2), outcome)
+                if state is None:
                     continue
                 mix += prob * np.outer(state.amplitudes, state.amplitudes.conj())
             reduced = partial_trace(psi.density().matrix, (1,))

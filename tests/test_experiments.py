@@ -13,7 +13,6 @@ from helpers import (
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
-from qndsim.circuits import EmptyBranchError
 from qndsim.observables import observable_set
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
@@ -126,8 +125,8 @@ class TestCircuitTwoOutputs:
         assert c.eta - c.beta == pytest.approx(0.0, abs=1e-12)
         assert c.alpha + c.gamma == pytest.approx(0.0, abs=1e-12)
         for outcome in ("00", "01"):
-            with pytest.raises(EmptyBranchError):
-                ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, outcome)
+            got = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, outcome)
+            assert got == ex.Branch(outcome, None, 0.0)
 
     def test_predictability_on_ground_state(self):
         p = ex.PrepParams(0.0)
@@ -243,20 +242,24 @@ def _estimate_from_bitstring_map(s, counts):
 class TestConditionalTargets:
     def test_visibility_plus_plus_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        state, prob = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "11")
+        b = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "11")
+        state, prob = b.state, b.probability
+        assert b.outcome == "11"
         assert prob == pytest.approx((c.eta + c.beta) ** 2 / 2, abs=1e-12)
         np.testing.assert_allclose(np.abs(state.amplitudes), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_predictability_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
         s = ex.MeasurementSetting("predictability")
-        state, prob = ex.conditional_target_state(s, c, "10")
+        b = ex.conditional_target_state(s, c, "10")
+        state, prob = b.state, b.probability
         assert prob == pytest.approx((c.alpha + c.beta) ** 2 / 2, abs=1e-12)
         np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-12)
 
     def test_concurrence_branch(self):
         c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        state, prob = ex.conditional_target_state(ex.MeasurementSetting("concurrence2"), c, "01")
+        b = ex.conditional_target_state(ex.MeasurementSetting("concurrence2"), c, "01")
+        state, prob = b.state, b.probability
         assert prob == pytest.approx(c.alpha**2 + c.eta**2, abs=1e-12)
         expected = (c.alpha * ex.PSI_MINUS + c.eta * ex.PHI_PLUS) / math.sqrt(prob)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -290,12 +293,12 @@ class TestConditionalTargets:
                 ex.MeasurementSetting("predictability"),
                 ex.MeasurementSetting("concurrence2"),
             ):
-                for outcome, state, prob in ex.simulated_branches(s, p):
-                    if state is None:
+                for b in ex.simulated_branches(s, p):
+                    if b.state is None:
                         continue
-                    target, tprob = ex.conditional_target_state(s, c, outcome)
-                    assert prob == pytest.approx(tprob, abs=1e-10)
-                    overlap = abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2
+                    target = ex.conditional_target_state(s, c, b.outcome)
+                    assert b.probability == pytest.approx(target.probability, abs=1e-10)
+                    overlap = abs(np.vdot(target.state.amplitudes, b.state.amplitudes)) ** 2
                     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -320,10 +323,10 @@ class TestStatePreparation:
                 p = ex.PrepParams(phi, theta)
                 for name in ("VA", "PA", "C2", "C1"):
                     s = ex.setting_for(name)
-                    for outcome, state, prob in ex.simulated_branches(s, p):
-                        if state is None or prob < ex.RELIABLE_BRANCH_PROB:
+                    for b in ex.simulated_branches(s, p):
+                        if b.state is None or not b.reliable:
                             continue
-                        vals = observable_set(state.density().matrix[None])
+                        vals = observable_set(b.state.density().matrix[None])
                         key = "C" if name in ("C1", "C2") else name
                         assert vals[key][0] == pytest.approx(1.0, abs=1e-10)
 

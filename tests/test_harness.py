@@ -544,17 +544,11 @@ class TestCli:
 
     def test_import_needs_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency: importing the package loads no
-        # scipy, and every subcommand runs with scipy blocked
+        # scipy, and every subcommand then runs with scipy blocked, all in one
+        # fresh interpreter
         src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        res = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, qndsim.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
         runs = [
             ["sweep", "--observable", "C2", "--exact", "--phi-steps", "3", "--format", "json",
              "--out", "s.json"],
@@ -564,12 +558,21 @@ class TestCli:
              "--noise-2q", "0.05", "--out", "c.json"],
             ["check-identity", "--grid", "2"],
         ]
-        blocked = ("import sys; sys.modules['scipy'] = None; from qndsim.cli import main; "
-                   "sys.exit(main(sys.argv[1:]))")
-        for argv in runs:
-            res = subprocess.run([sys.executable, "-c", blocked, *argv], cwd=tmp_path,
-                                 capture_output=True, text=True, env=env)
-            assert res.returncode == 0, (argv[0], res.stderr)
+        script = (
+            "import json, sys, qndsim.cli\n"
+            "loaded = 'scipy' in sys.modules\n"
+            "sys.modules['scipy'] = None\n"
+            "status = [qndsim.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps({'scipy_loaded': loaded, 'status': status}))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=tmp_path,
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout.strip().splitlines()[-1])
+        assert doc["scipy_loaded"] is False
+        assert len(doc["status"]) == len(runs)
+        for argv, status in zip(runs, doc["status"]):
+            assert status == 0, (argv[0], res.stderr)
 
     def test_check_identity_subcommand(self):
         assert cli_main(["check-identity", "--grid", "3"]) == 0

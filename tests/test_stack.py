@@ -20,7 +20,7 @@ from helpers import (
 )
 from qndsim import circuits as circ
 from qndsim import tomography as tom
-from qndsim.circuits import EmptyBranchError, NoiseModel
+from qndsim.circuits import NoiseModel
 from qndsim.harness import SweepConfig, run_sweep
 from qndsim.observables import SPIN_FLIP, observable_set
 from qndsim.qmath import fidelity, partial_trace
@@ -41,7 +41,7 @@ def _reference_marginalize(counts: dict[str, int], keep) -> dict[str, int]:
     return merged
 
 
-def _reference_postselect(counts: dict[str, int], positions, outcome: str) -> dict[str, int]:
+def _reference_postselect(counts: dict[str, int], positions, outcome: str) -> dict[str, int] | None:
     kept: dict[str, int] = {}
     total = 0
     for key, c in counts.items():
@@ -49,9 +49,7 @@ def _reference_postselect(counts: dict[str, int], positions, outcome: str) -> di
             stripped = "".join(ch for i, ch in enumerate(key) if i not in positions)
             kept[stripped] = kept.get(stripped, 0) + c
             total += c
-    if total == 0:
-        raise EmptyBranchError(outcome)
-    return kept
+    return kept if total else None
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,8 +79,7 @@ def test_count_arrays_match_dict_filtering(seed, num_bits, rows, sparse):
         if not got.any():
             # a row that retained no shots is kept as zeros
             event("empty branch")
-            with pytest.raises(EmptyBranchError):
-                _reference_postselect(_as_dict(row), positions, outcome)
+            assert _reference_postselect(_as_dict(row), positions, outcome) is None
             continue
         assert _as_dict(got) == _reference_postselect(_as_dict(row), positions, outcome)
 
