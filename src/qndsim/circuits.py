@@ -422,7 +422,6 @@ def exact_probabilities(
 # bit_generator.pyx and pcg64.h), fixed by numpy's stream-compatibility
 # policy (NEP 19); PCG64 after O'Neill (2014)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -440,11 +439,25 @@ def _seed_words(seed_paths, rows: int) -> tuple[np.ndarray, np.ndarray]:
     paths = [tuple(p) for p in seed_paths]
     if len(paths) != rows:
         raise ValueError(f"{len(paths)} seed paths for {rows} rows")
-    flat = [v for path in paths for v in path]
-    for kind in set(map(type, flat)):
+    for kind in {type(v) for path in paths for v in path}:
         if issubclass(kind, bool) or not issubclass(kind, numbers.Integral):
             raise ValueError(f"seed path elements must be integers, got {kind.__name__}")
-    values = np.array([int(v) for v in flat], dtype=object)
+    if len(set(map(len, paths))) == 1:
+        # paths of one length, as every caller's are, read as one array:
+        # one word per element when every element fits in 32 bits
+        try:
+            values = np.array(paths, dtype=np.int64)
+        except (OverflowError, TypeError):  # beyond int64: the multi-word path
+            values = None
+        if values is not None and not ((values < 0) | (values > _MASK32)).any():
+            return values.astype(np.uint32), np.full(rows, values.shape[1], dtype=np.intp)
+    return _multi_word_paths(paths)
+
+
+def _multi_word_paths(paths: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """``_seed_words`` of integer paths of any lengths and element sizes."""
+    rows = len(paths)
+    values = np.array([int(v) for path in paths for v in path], dtype=object)
     if (values < 0).any():
         raise ValueError("seed path elements must be >= 0")
     parts, count = [values & _MASK32], np.ones(len(values), dtype=np.intp)
@@ -493,6 +506,43 @@ def _stream_seeds(seq: np.random.SeedSequence, words: np.ndarray, lengths: np.nd
     return state.astype("<u4").view("<u8")
 
 
+_LOW32, _SHIFT = np.uint64(_MASK32), np.uint64(32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+
+
+def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 words of each 128-bit product a * b, from
+    32-bit halves whose partial products fit in 64 bits."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    middle = (lo_lo >> _SHIFT) + (hi_lo & _LOW32) + (lo_hi & _LOW32)  # below 3 * 2^32
+    low = middle << _SHIFT | lo_lo & _LOW32
+    high = a_hi * b_hi + (hi_lo >> _SHIFT) + (lo_hi >> _SHIFT) + (middle >> _SHIFT)
+    return high, low
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """PCG64's seeding of each row of ``_stream_seeds``' (rows, 4) words
+    (s_hi, s_lo, q_hi, q_lo): inc = 2q + 1 and state = (inc + s) * M + inc
+    mod 2^128, as (rows, 4) uint64 words (state_hi, state_lo, inc_hi,
+    inc_lo). The arithmetic wraps on uint64 arrays, with explicit carries."""
+    s_hi, s_lo, q_hi, q_lo = seeds.T
+    one = np.uint64(1)
+    inc_hi, inc_lo = q_hi << one | q_lo >> np.uint64(63), q_lo << one | one
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    high, low = _mul_wide(t_lo, _PCG_MULT_LO)
+    high += t_hi * _PCG_MULT_LO + t_lo * _PCG_MULT_HI
+    state_lo = low + inc_lo
+    state_hi = high + inc_hi + (state_lo < low)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
+
+
+MAX_SHOTS = 2**63 - 1
+"""The most shots one draw can take: numpy's multinomial counts in int64."""
+
+
 def sample_batch(
     probs: np.ndarray, shots: int, master_seed: int, seed_paths: Sequence[tuple[int, ...]]
 ) -> np.ndarray:
@@ -502,31 +552,38 @@ def sample_batch(
     an empty path is the stream of ``default_rng(master_seed)``. Returns
     the (B, 2^m) integer counts.
 
-    Every row's seed is hashed in one pass, and one generator is re-seeded
-    per row, so a call costs one SeedSequence however many rows it draws.
-    The shot count and the seed input are checked before any draw.
+    Every row's seed is hashed, and its PCG64 state computed, in one pass,
+    and one generator is re-seeded per row, so a call costs one
+    SeedSequence however many rows it draws. The shot count, the stack
+    (2-D, every row nonnegative and finite with a positive total) and the
+    seed input are checked before any draw.
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
+            or not 1 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be an integer >= 1 and <= 2**63 - 1, got {shots!r}")
     if (isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral)
             or master_seed < 0):
         raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
     probs = np.ascontiguousarray(probs, dtype=float)
+    if probs.ndim != 2:
+        raise ValueError(f"need a (rows, outcomes) stack of distributions, got shape {probs.shape}")
+    totals = probs.sum(axis=-1, keepdims=True)
+    if not ((probs >= 0).all() and (np.isfinite(totals) & (totals > 0)).all()):
+        raise ValueError("every row of probabilities must be nonnegative and finite "
+                         "with a positive total")
     words, lengths = _seed_words(seed_paths, len(probs))
     seq = np.random.SeedSequence(int(master_seed))
-    seeds = _stream_seeds(seq, words, lengths)
+    states = _pcg64_states(_stream_seeds(seq, words, lengths))
     bitgen = np.random.PCG64(seq)
     gen = np.random.Generator(bitgen)
-    pvals = probs / probs.sum(axis=-1, keepdims=True)
+    pvals = probs / totals
     counts = np.empty(probs.shape, dtype=np.int64)
-    for row, p in enumerate(pvals):
-        # PCG64's seeding: inc = 2q + 1, state = (inc + s) * M + inc mod 2^128
-        s_hi, s_lo, q_hi, q_lo = seeds[row].tolist()
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        counts[row] = gen.multinomial(shots, p)
+    inner = {"state": 0, "inc": 0}
+    outer = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for row, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(states.tolist()):
+        inner["state"], inner["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        bitgen.state = outer
+        counts[row] = gen.multinomial(shots, pvals[row])
     return counts
 
 

@@ -129,6 +129,9 @@ class SweepConfig:
                              "must be finite")
         if not self.exact_mode and self.shots < 1:
             raise ValueError("shots must be >= 1 unless exact_mode")
+        if not self.exact_mode and self.shots > circ.MAX_SHOTS:
+            raise ValueError(f"shots must be at most 2**63 - 1, the most one draw takes, "
+                             f"got {self.shots}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 
@@ -192,8 +195,15 @@ def _check_keys(what: str, d: dict, allowed: set[str]) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
-def _observable_key(observable: str) -> str:
-    return "C" if observable in ("C1", "C2") else observable
+def _observable_values(observable: str, rho: np.ndarray) -> np.ndarray:
+    """The observable's (K,) values on a (K, 4, 4) stack of two-qubit
+    states: the concurrence from ``observable_set``, and any other one
+    from the single-qubit state it reads. The kernels are the ones
+    ``observable_set`` applies, so each value is its value, bit for bit."""
+    if observable in ("C1", "C2"):
+        return observable_set(rho)["C"]
+    reduced = partial_trace(rho, (0,) if observable in ("VA", "PA") else (1,))
+    return visibility(reduced) if observable in ("VA", "VB") else predictability(reduced)
 
 
 def theory_value(observable: str, chi: StateVector) -> float:
@@ -201,8 +211,7 @@ def theory_value(observable: str, chi: StateVector) -> float:
     if observable in ("C1", "C2"):
         return concurrence_pure(chi)
     a = chi.amplitudes
-    reduced = partial_trace(np.outer(a, a.conj()), (0,) if observable in ("VA", "PA") else (1,))
-    return float(visibility(reduced) if observable in ("VA", "VB") else predictability(reduced))
+    return float(_observable_values(observable, np.outer(a, a.conj())[None])[0])
 
 
 def _prepare_states(
@@ -331,7 +340,6 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     """The seed stage: draw from the block's prepared distributions, or read
     them in exact mode, and analyze the data."""
     obs = config.observable
-    key = _observable_key(obs)
     setting = ex.setting_for(obs)
     ms, shots, flip = config.master_seed, config.shots, config.noise.readout_flip
     indices = [index for index, _, _ in points]
@@ -357,11 +365,11 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
         target_in, target_out = block.target_in[slots], block.target_out[slots]
         ideal = [block.branches[k] for k in slots]
-    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, ideal, target_out, key)
+    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, ideal, target_out, obs)
     qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
     # one linear estimate per input data set, analyzed as one stack
     est_in = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data_in])
-    tomo_in = observable_set(est_in)[key].tolist()
+    tomo_in = _observable_values(obs, est_in).tolist()
     fidelity_in = fidelity(target_in, est_in).tolist()
 
     return [
@@ -384,7 +392,7 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     ]
 
 
-def _output_tomography(setting, data, ideal, target_out, key: str):
+def _output_tomography(setting, data, ideal, target_out, observable: str):
     """Analyze each point's full-register output-tomography data, for every
     point of the block as one stack of estimates: unconditionally, and for
     integer counts (not the exact distributions; the dtype rule of
@@ -416,7 +424,7 @@ def _output_tomography(setting, data, ideal, target_out, key: str):
     analyzed = [owners[r] for r in est.rows.tolist()]
     if sum(b is None for _, b in analyzed) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    values = observable_set(est.projected)[key].tolist()
+    values = _observable_values(observable, est.projected).tolist()
     targets = {
         k: target_out[i] if b is None
         else np.outer(b.state.amplitudes, b.state.amplitudes.conj())

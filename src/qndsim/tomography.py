@@ -258,14 +258,15 @@ def _linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises DegenerateReconstructionError when no data set fixes a state.
     """
     freqs = _frequencies_00(data)
-    k = len(freqs)
-    # one solve per data set: the same LAPACK call, bit for bit, as a single one
-    b = np.broadcast_to(_design_matrix(), (k, 16, 16))
-    raw = _pauli_sum(np.linalg.solve(b, freqs[:, :, None])[:, :, 0])
+    # one solve per data set, the matrix broadcast by solve itself: the
+    # same LAPACK call, bit for bit, as a single one
+    raw = _pauli_sum(np.linalg.solve(_design_matrix(), freqs[:, :, None])[:, :, 0])
     trace = np.trace(raw, axis1=-2, axis2=-1).real
     rows = np.flatnonzero(np.abs(trace) >= 1e-9)
     if not rows.size:
         raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
+    if rows.size == len(raw):  # every data set fixes a state
+        return rows, raw / trace[:, None, None]
     return rows, raw[rows] / trace[rows, None, None]
 
 

@@ -6,9 +6,10 @@ the general count marginalization, and the triality defect), and copies
 of code the package replaced by faster or simpler code that must agree
 with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
 post-selection of one point's branch at a time, the Born-rule marginal
-of one state at a time, and the branch data built from tuples and an
-empty-branch exception), and the depolarizing channel written as a Pauli
-twirl."""
+of one state at a time, the branch data built from tuples and an
+empty-branch exception, the PCG64 seeding in Python integers, and the
+linear estimates solved against a broadcast copy of the design matrix),
+and the depolarizing channel written as a Pauli twirl."""
 
 import itertools
 import math
@@ -140,6 +141,31 @@ def loop_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not rows.size:
         raise tom.DegenerateReconstructionError("estimated trace is zero")
     return rows, raw[rows] / trace[rows, None, None]
+
+
+def broadcast_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tomography._linear_estimates`` as it solved against a broadcast
+    (K, 16, 16) copy of the design matrix and indexed the kept rows even
+    when every row was kept."""
+    freqs = tom._frequencies_00(data)
+    b = np.broadcast_to(tom._design_matrix(), (len(freqs), 16, 16))
+    raw = tom._pauli_sum(np.linalg.solve(b, freqs[:, :, None])[:, :, 0])
+    trace = np.trace(raw, axis1=-2, axis2=-1).real
+    rows = np.flatnonzero(np.abs(trace) >= 1e-9)
+    if not rows.size:
+        raise tom.DegenerateReconstructionError("estimated trace is zero")
+    return rows, raw[rows] / trace[rows, None, None]
+
+
+def python_pcg64_seeding(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> list[int]:
+    """PCG64's seeding of one row of ``circuits._stream_seeds`` in Python
+    integers, as ``sample_batch`` computed it a row at a time: inc = 2q + 1
+    and state = (inc + s) * M + inc mod 2^128, as [state_hi, state_lo,
+    inc_hi, inc_lo]."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask128
+    state = ((inc + (s_hi << 64 | s_lo)) * circ._PCG_MULT + inc) & mask128
+    return [state >> 64, state & mask64, inc >> 64, inc & mask64]
 
 
 def marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits) -> np.ndarray:

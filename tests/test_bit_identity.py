@@ -9,6 +9,14 @@ same to the last bit, so each comparison here reads bit patterns
   zeros, -0.0 and non-contiguous layouts;
 * the raw estimates and their projections against the loop's, on count
   and probability data;
+* the raw estimates, solved with the design matrix broadcast by
+  ``np.linalg.solve``, against a solve on a broadcast copy of it
+  (``helpers.broadcast_linear_estimates``), with data sets left out and
+  without;
+* the sweep's observable read from one single-qubit state, or from
+  ``observable_set`` for the concurrence, against ``observable_set`` on
+  the whole stack, and the theory value against the formula on the one
+  matrix it read before;
 * the flat-index simplex threshold against ``np.take_along_axis``;
 * a block's post-selection, one call per ancilla outcome, against one
   point and one branch at a time (``helpers.postselected_sets``), empty
@@ -28,18 +36,20 @@ runs this file on the oldest one.
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import (
-    as_stack, loop_linear_estimates, marginal_probabilities, pauli_loop_sum, postselected_sets,
-    random_density_matrix, random_pure_state, tuple_branch_data,
+    as_stack, broadcast_linear_estimates, loop_linear_estimates, marginal_probabilities,
+    pauli_loop_sum, postselected_sets, random_density_matrix, random_pure_state,
+    tuple_branch_data,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.experiments import PrepParams
-from qndsim.qmath import DensityMatrix, StateVector, basis_state
+from qndsim.observables import observable_set, predictability, visibility
+from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
 
 def _bits(a) -> np.ndarray:
@@ -59,6 +69,7 @@ def _layout(a: np.ndarray, layout: str) -> np.ndarray:
 
 
 LAYOUTS = st.sampled_from(["C", "F", "strided"])
+ANGLE = st.floats(0.0, 2 * np.pi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,6 +155,79 @@ def test_estimates_match_the_loop(seed, k, layout, kind):
     assert np.array_equal(_bits(est.min_eigenvalue), _bits(vals[:, 0]))
 
 
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), layout=LAYOUTS,
+       kind=st.sampled_from(["counts", "sparse counts", "probabilities"]),
+       dropped=st.sampled_from([0, 0, 0, 1, 3, 40]))
+def test_linear_estimates_match_the_broadcast_copy(seed, k, layout, kind, dropped):
+    rng = np.random.default_rng(seed)
+    if kind == "probabilities":
+        data = _probabilities(rng, k)
+        unfixed = [0.0, 0.5, 0.25, 0.25]
+    else:
+        data = _counts(rng, k, sparse=kind == "sparse counts")
+        unfixed = [0, 3, 1, 0]
+    # a data set that reads "00" in no setting has a zero estimate, left out
+    drop = rng.choice(k, size=min(dropped, k), replace=False)
+    data[drop] = unfixed
+    data = _layout(data, layout)
+    try:
+        want_rows, want_raw = broadcast_linear_estimates(data)
+    except tom.DegenerateReconstructionError:
+        event("no data set fixes a state")
+        with pytest.raises(tom.DegenerateReconstructionError):
+            tom._linear_estimates(data)
+        return
+    event("every data set kept" if len(want_rows) == k else "data sets left out")
+    rows, raw = tom._linear_estimates(data)
+    assert rows.tolist() == want_rows.tolist()
+    assert raw.flags.c_contiguous
+    assert np.array_equal(_bits(raw), _bits(want_raw))
+
+
+def _two_qubit_stack(rng: np.random.Generator, k: int, kind: str) -> np.ndarray:
+    """k two-qubit states as the seed stage meets them: projected linear
+    estimates of count data, or random mixed, pure and basis states."""
+    if kind == "estimates":
+        return tom.reconstruct_stack(_counts(rng, k, sparse=False)).projected
+    makers = {
+        "mixed": lambda: random_density_matrix(rng, 2),
+        "pure": lambda: random_pure_state(rng, 2).density(),
+        "basis": lambda: basis_state(2, int(rng.integers(4))).density(),
+    }
+    return as_stack([makers[kind]() for _ in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 24),
+       observable=st.sampled_from(ex.OBSERVABLES),
+       kind=st.sampled_from(["estimates", "mixed", "pure", "basis"]))
+def test_observable_values_match_observable_set(seed, k, observable, kind):
+    rho = _two_qubit_stack(np.random.default_rng(seed), k, kind)
+    key = "C" if observable in ("C1", "C2") else observable
+    got = harness._observable_values(observable, rho)
+    assert got.shape == (len(rho),)
+    assert np.array_equal(_bits(got), _bits(observable_set(rho)[key]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(observable=st.sampled_from(["VA", "VB", "PA", "PB"]), phi=ANGLE, theta=ANGLE,
+       lam=ANGLE)
+@example(observable="VA", phi=0.0, theta=0.0, lam=0.0)
+@example(observable="PB", phi=np.pi / 2, theta=np.pi, lam=0.0)
+def test_theory_value_matches_the_matrix_formula(observable, phi, theta, lam):
+    chi = ex.bell_coefficients(PrepParams(phi, theta, lam)).state_vector()
+    a = chi.amplitudes
+    rho = np.outer(a, a.conj())
+    # the formula on the one (4, 4) matrix, as theory_value read it
+    reduced = partial_trace(rho, (0,) if observable in ("VA", "PA") else (1,))
+    formula = float(visibility(reduced) if observable in ("VA", "VB") else predictability(reduced))
+    got = harness.theory_value(observable, chi)
+    assert isinstance(got, float)
+    assert _bits(np.float64(got)) == _bits(np.float64(formula))
+    assert _bits(np.float64(got)) == _bits(observable_set(rho[None])[observable][0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(4,), (1, 4), (7, 2), (3, 5, 16)]),
        spread=st.sampled_from([0.0, 0.1, 1.0, 10.0]))
@@ -179,7 +263,7 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tom, "reconstruct_stack", spy)
         _, _, branches = harness._output_tomography(
-            setting, counts, ideal, target_out, harness._observable_key(observable))
+            setting, counts, ideal, target_out, observable)
     (got,) = stacks
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -301,7 +385,6 @@ def _assert_branches_match(got, want) -> int:
 
 
 SETTINGS = ("visibility", "predictability", "concurrence1", "concurrence2")
-ANGLE = st.floats(0.0, 2 * np.pi)
 
 
 @settings(max_examples=150, deadline=None)

@@ -32,6 +32,7 @@ from helpers import (
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
+from qndsim import observables
 from qndsim import tomography as tom
 from qndsim.analysis import BranchResult, SweepRecord
 from qndsim.circuits import Circuit, Gate, NoiseModel
@@ -40,7 +41,6 @@ from qndsim.harness import (
     THETA_DEFAULTS,
     PreparedBlock,
     SweepConfig,
-    _observable_key,
     _prep_params,
     _prepare_block,
     repeat_fixed_state,
@@ -113,7 +113,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
 
 def _reference_point(config, index, phi, seed_tag):
     obs = config.observable
-    key = _observable_key(obs)
+    key = "C" if obs in ("C1", "C2") else obs
     setting = ex.setting_for(obs)
     noise, ms = config.noise, config.master_seed
     p = _prep_params(phi, config.theta_resolved, config.lam)
@@ -295,13 +295,16 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
 
 
 @pytest.mark.parametrize("noise", ["none", "criterion 9"])
-def test_a_sampled_block_analyzes_its_estimates_as_two_stacks(noise, monkeypatch):
-    # one observable_set and one fidelity call for the block's input
-    # estimates, then one each for its output estimates, branches included
+@pytest.mark.parametrize("observable", ["VA", "C2"])
+def test_a_sampled_block_analyzes_its_estimates_as_two_stacks(observable, noise, monkeypatch):
+    # one fidelity call for the block's input estimates, then one for its
+    # output estimates, branches included. Only the concurrence needs the
+    # whole two-qubit state: its stacks go through observable_set and the
+    # spin-flip roots, and a visibility reads one single-qubit state
     calls = []
 
-    def counting(name):
-        real = getattr(harness, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             rows = args[-1]
@@ -309,19 +312,21 @@ def test_a_sampled_block_analyzes_its_estimates_as_two_stacks(noise, monkeypatch
             return real(*args)
         return counted
 
-    for name in ("observable_set", "fidelity"):
-        monkeypatch.setattr(harness, name, counting(name))
-    config = SweepConfig("VA", phi_count=BLOCK_POINTS, shots=300, noise=NOISE[noise],
+    for module, name in ((harness, "observable_set"), (harness, "fidelity"),
+                         (observables, "_spin_flip_roots")):
+        monkeypatch.setattr(module, name, counting(module, name))
+    config = SweepConfig(observable, phi_count=BLOCK_POINTS, shots=300, noise=NOISE[noise],
                          master_seed=2)
     records = run_sweep(config)
     assert len(records) == BLOCK_POINTS == 16
     analyzed = sum(b.tomo_value is not None for r in records for b in r.branches)
     with_target = sum(b.fidelity is not None for r in records for b in r.branches)
     assert analyzed > 0
-    assert sorted(calls) == sorted([
-        ("observable_set", 16), ("fidelity", 16),
-        ("observable_set", 16 + analyzed), ("fidelity", 16 + with_target),
-    ])
+    expected = [("fidelity", 16), ("fidelity", 16 + with_target)]
+    if observable == "C2":
+        expected += [(name, rows) for name in ("observable_set", "_spin_flip_roots")
+                     for rows in (16, 16 + analyzed)]
+    assert sorted(calls) == sorted(expected)
 
 
 @pytest.mark.parametrize("noise", ["none", "criterion 9"])

@@ -4,17 +4,24 @@ path draws (``helpers.rng_stream``), bit for bit.
 
 The bulk hash reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
 which numpy's stream-compatibility policy fixes; these tests are the ones
-to run against the oldest supported numpy.
+to run against the oldest supported numpy. The PCG64 seeding runs on
+uint64 words with explicit carries, and is compared with the Python-integer
+formula it replaced (``helpers.python_pcg64_seeding``) bit for bit; paths
+of one length and 32-bit elements are read as one array, and compared with
+the multi-word assembly and with ``SeedSequence`` itself.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from helpers import as_stack, random_density_matrix, random_pure_state, rng_stream
+from helpers import (
+    as_stack, python_pcg64_seeding, random_density_matrix, random_pure_state, rng_stream,
+)
 from qndsim import circuits as circ
+from qndsim import cli
 from qndsim import tomography as tom
 from qndsim.harness import SweepConfig, run_sweep
 from qndsim.qmath import basis_state
@@ -156,6 +163,73 @@ def test_a_sampled_block_builds_one_seed_sequence_per_draw(monkeypatch):
     assert made["Generator"] <= made["draws"] and made["default_rng"] == 0
 
 
+MASK64 = 2**64 - 1
+# a uint64 word: any value, or one of the edges the carries turn on
+WORD = st.one_of(st.integers(0, MASK64), st.sampled_from([0, 1, 2**63 - 1, 2**63, MASK64]))
+
+
+def _carries(s_hi, s_lo, q_hi, q_lo) -> tuple[bool, bool]:
+    """Whether inc + s and then t * M + inc carry out of the low word."""
+    inc_lo = (q_lo << 1 | 1) & MASK64
+    t_lo = (inc_lo + s_lo) & MASK64
+    low = t_lo * (circ._PCG_MULT & MASK64) & MASK64
+    return inc_lo + s_lo > MASK64, low + inc_lo > MASK64
+
+
+# q_lo = 2^64 - 1 makes inc_lo = 2^64 - 1: s_lo = 2 then carries into
+# t_hi, and the low word of t_lo * M (t_lo = 1) carries into the state's
+BOTH_CARRIES = (5, 2, 7, MASK64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=20))
+@example(rows=[BOTH_CARRIES, (0, 0, 0, 0), (MASK64,) * 4, (MASK64, 1, MASK64, MASK64)])
+def test_array_seeding_is_the_python_integer_formula(rows):
+    got = circ._pcg64_states(np.array(rows, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
+    assert got.tolist() == [python_pcg64_seeding(*row) for row in rows]
+    for row in rows:
+        first, second = _carries(*row)
+        event(f"carries: inc + s {first}, state {second}")
+
+
+def test_the_forced_row_takes_both_carries():
+    assert _carries(*BOTH_CARRIES) == (True, True)
+    assert _carries(1, 1, 0, MASK64) == (True, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 2**32 - 1])),
+                 min_size=width, max_size=width).map(tuple),
+        min_size=1, max_size=12)),
+    master_seed=st.integers(0, 2**70),
+)
+def test_one_word_paths_match_the_multi_word_assembly(paths, master_seed):
+    words, lengths = circ._seed_words(paths, len(paths))
+    want_words, want_lengths = circ._multi_word_paths(paths)
+    assert words.dtype == want_words.dtype == np.uint32
+    assert np.array_equal(words, want_words) and np.array_equal(lengths, want_lengths)
+    seq = np.random.SeedSequence(master_seed)
+    seeds = circ._stream_seeds(seq, words, lengths)
+    for path, row in zip(paths, seeds):
+        want = np.random.SeedSequence(master_seed, spawn_key=path).generate_state(4, np.uint64)
+        assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("paths", [
+    [(1, 2), (3,)],  # lengths differ
+    [(1, 2**32), (3, 4)],  # an element of two words
+    [(np.uint64(2**64 - 1),), (np.uint64(1),)],  # beyond int64
+    [(2**100,), (0,)],
+])
+def test_other_paths_take_the_multi_word_assembly(paths):
+    words, lengths = circ._seed_words(paths, len(paths))
+    want_words, want_lengths = circ._multi_word_paths(paths)
+    assert np.array_equal(words, want_words) and np.array_equal(lengths, want_lengths)
+
+
 class TestSeedInput:
     """Bad seed input or shot counts are rejected with ValueError before any
     row is drawn."""
@@ -178,6 +252,30 @@ class TestSeedInput:
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             circ.sample_batch(np.full((2, 2), 0.5), shots, 0, [(), ()])
 
+    @pytest.mark.parametrize("shots", [2**63, 10**20, np.uint64(2**63)])
+    def test_shots_beyond_int64(self, shots, no_draw):
+        # multinomial counts in int64, and overflowed converting the count
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, [(), ()])
+
+    def test_the_most_shots_int64_holds(self):
+        counts = circ.sample_batch(np.full((1, 2), 0.5), 2**63 - 1, 0, [()])
+        assert counts.sum() == 2**63 - 1
+
+    @pytest.mark.parametrize("probs", [np.full(2, 0.5), np.full((1, 2, 2), 0.25),
+                                       np.float64(1.0)])
+    def test_a_2d_stack(self, probs, no_draw):
+        with pytest.raises(ValueError, match=r"\(rows, outcomes\) stack"):
+            circ.sample_batch(probs, 10, 0, [()] * max(1, len(np.atleast_1d(probs))))
+
+    @pytest.mark.parametrize("bad_row", [[0.5, -0.1], [np.nan, 1.0], [np.inf, 1.0],
+                                         [0.0, 0.0]])
+    def test_rows_with_a_positive_finite_total(self, bad_row, no_draw):
+        # the first row is valid: no row may be drawn before the bad one is seen
+        probs = np.array([[0.5, 0.5], bad_row])
+        with pytest.raises(ValueError, match="nonnegative and finite with a positive total"):
+            circ.sample_batch(probs, 10, 0, [(0,), (1,)])
+
     @pytest.mark.parametrize("master_seed", [-1, 1.0, True, "3", None, 2.5])
     def test_master_seed(self, master_seed, no_draw):
         with pytest.raises(ValueError, match="master_seed"):
@@ -195,3 +293,26 @@ class TestSeedInput:
             tom.collect(probs, 10, 0, [(1, 0), (1, 0.5)])
         with pytest.raises(ValueError, match="seed paths for 2 rows"):
             circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0, [()])
+
+
+class TestShotsAConfigCanDraw:
+    """A sampled sweep's shot count must fit numpy's int64 draw: the config
+    refuses a larger one, and the command line exits 2 with one line."""
+
+    def test_config(self):
+        with pytest.raises(ValueError, match="shots must be at most 2\\*\\*63 - 1"):
+            SweepConfig("VA", shots=2**63)
+        SweepConfig("VA", shots=2**63 - 1)
+        SweepConfig("VA", shots=2**63, exact_mode=True)  # exact mode draws nothing
+
+    def test_command_line(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("prepared a block before checking the shots")
+        monkeypatch.setattr(circ, "run_batch", refuse)
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--observable", "VA", "--shots", str(10**20),
+                         "--phi-steps", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: shots") and err.count("\n") == 1
+        assert not out.exists()
