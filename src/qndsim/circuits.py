@@ -439,25 +439,11 @@ def _seed_words(seed_paths, rows: int) -> tuple[np.ndarray, np.ndarray]:
     paths = [tuple(p) for p in seed_paths]
     if len(paths) != rows:
         raise ValueError(f"{len(paths)} seed paths for {rows} rows")
-    for kind in {type(v) for path in paths for v in path}:
+    flat = [v for path in paths for v in path]
+    for kind in set(map(type, flat)):
         if issubclass(kind, bool) or not issubclass(kind, numbers.Integral):
             raise ValueError(f"seed path elements must be integers, got {kind.__name__}")
-    if len(set(map(len, paths))) == 1:
-        # paths of one length, as every caller's are, read as one array:
-        # one word per element when every element fits in 32 bits
-        try:
-            values = np.array(paths, dtype=np.int64)
-        except (OverflowError, TypeError):  # beyond int64: the multi-word path
-            values = None
-        if values is not None and not ((values < 0) | (values > _MASK32)).any():
-            return values.astype(np.uint32), np.full(rows, values.shape[1], dtype=np.intp)
-    return _multi_word_paths(paths)
-
-
-def _multi_word_paths(paths: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """``_seed_words`` of integer paths of any lengths and element sizes."""
-    rows = len(paths)
-    values = np.array([int(v) for path in paths for v in path], dtype=object)
+    values = np.array([int(v) for v in flat], dtype=object)
     if (values < 0).any():
         raise ValueError("seed path elements must be >= 0")
     parts, count = [values & _MASK32], np.ones(len(values), dtype=np.intp)

@@ -265,8 +265,6 @@ def _linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(np.abs(trace) >= 1e-9)
     if not rows.size:
         raise DegenerateReconstructionError("degenerate reconstruction: estimated trace is zero")
-    if rows.size == len(raw):  # every data set fixes a state
-        return rows, raw / trace[:, None, None]
     return rows, raw[rows] / trace[rows, None, None]
 
 

@@ -145,8 +145,7 @@ def loop_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def broadcast_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``tomography._linear_estimates`` as it solved against a broadcast
-    (K, 16, 16) copy of the design matrix and indexed the kept rows even
-    when every row was kept."""
+    (K, 16, 16) copy of the design matrix."""
     freqs = tom._frequencies_00(data)
     b = np.broadcast_to(tom._design_matrix(), (len(freqs), 16, 16))
     raw = tom._pauli_sum(np.linalg.solve(b, freqs[:, :, None])[:, :, 0])

@@ -6,9 +6,7 @@ The bulk hash reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
 which numpy's stream-compatibility policy fixes; these tests are the ones
 to run against the oldest supported numpy. The PCG64 seeding runs on
 uint64 words with explicit carries, and is compared with the Python-integer
-formula it replaced (``helpers.python_pcg64_seeding``) bit for bit; paths
-of one length and 32-bit elements are read as one array, and compared with
-the multi-word assembly and with ``SeedSequence`` itself.
+formula it replaced (``helpers.python_pcg64_seeding``) bit for bit.
 """
 
 import math
@@ -196,38 +194,6 @@ def test_array_seeding_is_the_python_integer_formula(rows):
 def test_the_forced_row_takes_both_carries():
     assert _carries(*BOTH_CARRIES) == (True, True)
     assert _carries(1, 1, 0, MASK64) == (True, False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    paths=st.integers(0, 4).flatmap(lambda width: st.lists(
-        st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 2**32 - 1])),
-                 min_size=width, max_size=width).map(tuple),
-        min_size=1, max_size=12)),
-    master_seed=st.integers(0, 2**70),
-)
-def test_one_word_paths_match_the_multi_word_assembly(paths, master_seed):
-    words, lengths = circ._seed_words(paths, len(paths))
-    want_words, want_lengths = circ._multi_word_paths(paths)
-    assert words.dtype == want_words.dtype == np.uint32
-    assert np.array_equal(words, want_words) and np.array_equal(lengths, want_lengths)
-    seq = np.random.SeedSequence(master_seed)
-    seeds = circ._stream_seeds(seq, words, lengths)
-    for path, row in zip(paths, seeds):
-        want = np.random.SeedSequence(master_seed, spawn_key=path).generate_state(4, np.uint64)
-        assert np.array_equal(row, want)
-
-
-@pytest.mark.parametrize("paths", [
-    [(1, 2), (3,)],  # lengths differ
-    [(1, 2**32), (3, 4)],  # an element of two words
-    [(np.uint64(2**64 - 1),), (np.uint64(1),)],  # beyond int64
-    [(2**100,), (0,)],
-])
-def test_other_paths_take_the_multi_word_assembly(paths):
-    words, lengths = circ._seed_words(paths, len(paths))
-    want_words, want_lengths = circ._multi_word_paths(paths)
-    assert np.array_equal(words, want_words) and np.array_equal(lengths, want_lengths)
 
 
 class TestSeedInput:
