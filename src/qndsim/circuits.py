@@ -422,43 +422,35 @@ def exact_probabilities(
 # bit_generator.pyx and pcg64.h), fixed by numpy's stream-compatibility
 # policy (NEP 19); PCG64 after O'Neill (2014)
 _MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_words(seed_paths, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each path's spawn-key words as SeedSequence assembles them: every
-    element's 32-bit words, least significant first. Returns a zero-padded
-    (rows, W) uint32 array and each row's word count.
+def _seed_words(seed_paths, rows: int) -> np.ndarray:
+    """The paths as one (rows, W) uint32 array: a path of W elements, each
+    one 32-bit word, is the spawn key SeedSequence hashes as W words.
 
-    Raises ValueError unless there is one path per row and every element
-    is a nonnegative integer (not a bool).
+    Raises ValueError unless there is one path per row, every path has the
+    same length, and every element is an integer (not a bool) in
+    0..2**32 - 1.
     """
     paths = [tuple(p) for p in seed_paths]
     if len(paths) != rows:
         raise ValueError(f"{len(paths)} seed paths for {rows} rows")
+    width = len(paths[0]) if paths else 0
+    if any(len(p) != width for p in paths):
+        raise ValueError("seed paths must all have the same length")
     flat = [v for path in paths for v in path]
     for kind in set(map(type, flat)):
         if issubclass(kind, bool) or not issubclass(kind, numbers.Integral):
             raise ValueError(f"seed path elements must be integers, got {kind.__name__}")
-    values = np.array([int(v) for v in flat], dtype=object)
-    if (values < 0).any():
-        raise ValueError("seed path elements must be >= 0")
-    parts, count = [values & _MASK32], np.ones(len(values), dtype=np.intp)
-    rest = values >> 32
-    while rest.any():
-        count += rest != 0
-        parts.append(rest & _MASK32)
-        rest = rest >> 32
-    words = np.array(parts, dtype=np.uint32).T
-    owner = np.repeat(np.arange(rows), [len(p) for p in paths])
-    lengths = np.bincount(owner, weights=count, minlength=rows).astype(np.intp)
-    stream = words[np.arange(words.shape[1]) < count[:, None]]  # every row's words in order
-    padded = np.zeros((rows, lengths.max(initial=0)), dtype=np.uint32)
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = stream
-    return padded, lengths
+    values = [int(v) for v in flat]
+    if values and not (min(values) >= 0 and max(values) <= _MASK32):
+        raise ValueError("seed path elements must be in 0..2**32 - 1")
+    return np.array(values, dtype=np.uint32).reshape(rows, width)
 
 
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
@@ -467,7 +459,7 @@ def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
                     dtype=np.uint32)
 
 
-def _stream_seeds(seq: np.random.SeedSequence, words: np.ndarray, lengths: np.ndarray):
+def _stream_seeds(seq: np.random.SeedSequence, words: np.ndarray) -> np.ndarray:
     """The (rows, 4) uint64 words each row's PCG64 is seeded from, those of
     ``SeedSequence(seq.entropy, spawn_key=path)``: the master seed's pool
     mixed with the row's path words, then ``generate_state(4, np.uint64)``."""
@@ -483,46 +475,13 @@ def _stream_seeds(seq: np.random.SeedSequence, words: np.ndarray, lengths: np.nd
     pool = np.tile(seq.pool, (rows, 1))
     for j in range(width):
         mixed = pool * np.uint32(_MIX_L) - hashed[:, j] * np.uint32(_MIX_R)
-        pool = np.where((lengths > j)[:, None], mixed ^ (mixed >> 16), pool)
+        pool = mixed ^ (mixed >> 16)
     # generate_state: the pool cycled to 8 words, hashed with its own constants
     consts = _hash_constants(_INIT_B, _MULT_B, 0, 9)
     state = np.tile(pool, 2) ^ consts[:-1]
     state *= consts[1:]
     state ^= state >> 16
     return state.astype("<u4").view("<u8")
-
-
-_LOW32, _SHIFT = np.uint64(_MASK32), np.uint64(32)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
-
-
-def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low uint64 words of each 128-bit product a * b, from
-    32-bit halves whose partial products fit in 64 bits."""
-    a_lo, a_hi = a & _LOW32, a >> _SHIFT
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    middle = (lo_lo >> _SHIFT) + (hi_lo & _LOW32) + (lo_hi & _LOW32)  # below 3 * 2^32
-    low = middle << _SHIFT | lo_lo & _LOW32
-    high = a_hi * b_hi + (hi_lo >> _SHIFT) + (lo_hi >> _SHIFT) + (middle >> _SHIFT)
-    return high, low
-
-
-def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
-    """PCG64's seeding of each row of ``_stream_seeds``' (rows, 4) words
-    (s_hi, s_lo, q_hi, q_lo): inc = 2q + 1 and state = (inc + s) * M + inc
-    mod 2^128, as (rows, 4) uint64 words (state_hi, state_lo, inc_hi,
-    inc_lo). The arithmetic wraps on uint64 arrays, with explicit carries."""
-    s_hi, s_lo, q_hi, q_lo = seeds.T
-    one = np.uint64(1)
-    inc_hi, inc_lo = q_hi << one | q_lo >> np.uint64(63), q_lo << one | one
-    t_lo = inc_lo + s_lo
-    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
-    high, low = _mul_wide(t_lo, _PCG_MULT_LO)
-    high += t_hi * _PCG_MULT_LO + t_lo * _PCG_MULT_HI
-    state_lo = low + inc_lo
-    state_hi = high + inc_hi + (state_lo < low)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
 
 
 MAX_SHOTS = 2**63 - 1
@@ -538,11 +497,12 @@ def sample_batch(
     an empty path is the stream of ``default_rng(master_seed)``. Returns
     the (B, 2^m) integer counts.
 
-    Every row's seed is hashed, and its PCG64 state computed, in one pass,
-    and one generator is re-seeded per row, so a call costs one
-    SeedSequence however many rows it draws. The shot count, the stack
-    (2-D, every row nonnegative and finite with a positive total) and the
-    seed input are checked before any draw.
+    The paths all have one length, with every element in 0..2**32 - 1.
+    Every row's seed is hashed in one array pass, and one generator is
+    re-seeded per row, so a call costs one SeedSequence however many rows
+    it draws. The shot count, the stack (2-D, every row nonnegative and
+    finite with a positive total) and the seed input are checked before
+    any draw.
     """
     if (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
             or not 1 <= shots <= MAX_SHOTS):
@@ -553,21 +513,25 @@ def sample_batch(
     probs = np.ascontiguousarray(probs, dtype=float)
     if probs.ndim != 2:
         raise ValueError(f"need a (rows, outcomes) stack of distributions, got shape {probs.shape}")
-    totals = probs.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a total past the float range is refused below
+        totals = probs.sum(axis=-1, keepdims=True)
     if not ((probs >= 0).all() and (np.isfinite(totals) & (totals > 0)).all()):
         raise ValueError("every row of probabilities must be nonnegative and finite "
                          "with a positive total")
-    words, lengths = _seed_words(seed_paths, len(probs))
+    words = _seed_words(seed_paths, len(probs))
     seq = np.random.SeedSequence(int(master_seed))
-    states = _pcg64_states(_stream_seeds(seq, words, lengths))
+    seeds = _stream_seeds(seq, words)
     bitgen = np.random.PCG64(seq)
     gen = np.random.Generator(bitgen)
     pvals = probs / totals
     counts = np.empty(probs.shape, dtype=np.int64)
     inner = {"state": 0, "inc": 0}
     outer = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for row, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(states.tolist()):
-        inner["state"], inner["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+    for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds.tolist()):
+        # PCG64's seeding: inc = 2q + 1, state = (inc + s) * M + inc mod 2^128
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        inner["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        inner["inc"] = inc
         bitgen.state = outer
         counts[row] = gen.multinomial(shots, pvals[row])
     return counts

@@ -79,6 +79,10 @@ CSV_COLUMNS = (
     "fidelity_post", "branch", "branch_reliable", "shots", "seed",
 )
 
+MAX_POINTS = 2**32
+"""The most points a sweep or a repeat run takes: a point's index is an
+element of its seed paths, which ``circuits.sample_batch`` holds to 32 bits."""
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -127,6 +131,8 @@ class SweepConfig:
         if not finite:
             raise ValueError("the last phi, phi_start + (phi_count - 1) * phi_step, "
                              "must be finite")
+        if self.phi_count > MAX_POINTS:
+            raise ValueError(f"phi_count must be at most 2**32, got {self.phi_count}")
         if not self.exact_mode and self.shots < 1:
             raise ValueError("shots must be >= 1 unless exact_mode")
         if not self.exact_mode and self.shots > circ.MAX_SHOTS:
@@ -467,6 +473,8 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
         raise ValueError(f"repetitions must be an integer, got {repetitions!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if repetitions > MAX_POINTS:
+        raise ValueError(f"repetitions must be at most 2**32, got {repetitions}")
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
     return _measure_points(fixed, [(r, math.pi / 2, r) for r in range(repetitions)])
 

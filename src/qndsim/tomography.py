@@ -190,9 +190,8 @@ def collect(
     (``setting_probabilities``) and ``seed_paths`` lists one path per
     state: setting k of state i draws from stream (master_seed,
     *seed_paths[i], k). Returns the integer counts, shaped like ``probs``.
+    ``sample_batch`` checks the shots and the paths before any draw.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1 per setting")
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise ValueError(f"need (states, settings, 2^n) probabilities, got shape {probs.shape}")

@@ -7,9 +7,9 @@ of code the package replaced by faster or simpler code that must agree
 with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
 post-selection of one point's branch at a time, the Born-rule marginal
 of one state at a time, the branch data built from tuples and an
-empty-branch exception, the PCG64 seeding in Python integers, and the
-linear estimates solved against a broadcast copy of the design matrix),
-and the depolarizing channel written as a Pauli twirl."""
+empty-branch exception, and the linear estimates solved against a
+broadcast copy of the design matrix), and the depolarizing channel
+written as a Pauli twirl."""
 
 import itertools
 import math
@@ -154,17 +154,6 @@ def broadcast_linear_estimates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if not rows.size:
         raise tom.DegenerateReconstructionError("estimated trace is zero")
     return rows, raw[rows] / trace[rows, None, None]
-
-
-def python_pcg64_seeding(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> list[int]:
-    """PCG64's seeding of one row of ``circuits._stream_seeds`` in Python
-    integers, as ``sample_batch`` computed it a row at a time: inc = 2q + 1
-    and state = (inc + s) * M + inc mod 2^128, as [state_hi, state_lo,
-    inc_hi, inc_lo]."""
-    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
-    inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask128
-    state = ((inc + (s_hi << 64 | s_lo)) * circ._PCG_MULT + inc) & mask128
-    return [state >> 64, state & mask64, inc >> 64, inc & mask64]
 
 
 def marginal_probabilities(state: StateVector | DensityMatrix, measured_qubits) -> np.ndarray:

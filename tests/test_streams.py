@@ -4,24 +4,24 @@ path draws (``helpers.rng_stream``), bit for bit.
 
 The bulk hash reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
 which numpy's stream-compatibility policy fixes; these tests are the ones
-to run against the oldest supported numpy. The PCG64 seeding runs on
-uint64 words with explicit carries, and is compared with the Python-integer
-formula it replaced (``helpers.python_pcg64_seeding``) bit for bit.
+to run against the oldest supported numpy. A call's seed paths all have one
+length, with every element one 32-bit word (0..2**32 - 1); master seeds
+may have any number of words. Any other path is refused before any draw,
+and the sweep and repeat configs bound their point counts so that every
+point index is such a word.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import (
-    as_stack, python_pcg64_seeding, random_density_matrix, random_pure_state, rng_stream,
-)
+from helpers import as_stack, random_density_matrix, random_pure_state, rng_stream
 from qndsim import circuits as circ
-from qndsim import cli
+from qndsim import cli, harness
 from qndsim import tomography as tom
-from qndsim.harness import SweepConfig, run_sweep
+from qndsim.harness import SweepConfig, repeat_fixed_state, run_sweep
 from qndsim.qmath import basis_state
 
 
@@ -39,6 +39,14 @@ def _assert_rows_match(probs, shots, master_seed, paths):
         assert np.array_equal(g, w), f"row {row}, path {paths[row]}"
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    # every draw needs a generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a generator before checking the seed input")
+    monkeypatch.setattr(np.random, "Generator", refuse)
+
+
 def _tied(rng: np.random.Generator, outcomes: int) -> np.ndarray:
     """A distribution with exactly equal outcomes, as many prepared states have."""
     p = np.zeros(outcomes)
@@ -46,18 +54,28 @@ def _tied(rng: np.random.Generator, outcomes: int) -> np.ndarray:
     return p
 
 
+# a path element: any 32-bit word, or one of its edges
+ELEMENT = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2**32 - 1]))
+
+
+@st.composite
+def same_length_paths(draw):
+    """1 to 12 paths of one length, 0 to 4 elements each."""
+    width = draw(st.integers(0, 4))
+    path = st.lists(ELEMENT, min_size=width, max_size=width).map(tuple)
+    return draw(st.lists(path, min_size=1, max_size=12))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     # one to four master-seed words fill the hash pool; five or more extend it
     master_seed=st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**200 - 1)),
-    paths=st.lists(st.lists(st.integers(0, 2**40), max_size=4).map(tuple),
-                   min_size=1, max_size=12),
+    paths=same_length_paths(),
     outcomes=st.sampled_from([2, 4, 16]),
     shots=st.integers(1, 3000),
     draw_seed=st.integers(0, 2**32 - 1),
 )
 def test_bulk_streams_match_numpy(master_seed, paths, outcomes, shots, draw_seed):
-    # paths of 0 to 4 elements, with 1 or 2 words each, in one call
     rng = np.random.default_rng(draw_seed)
     probs = rng.random((len(paths), outcomes))
     probs[::2] = [_tied(rng, outcomes) for _ in probs[::2]]
@@ -68,15 +86,18 @@ def test_bulk_streams_match_numpy(master_seed, paths, outcomes, shots, draw_seed
                                          2**128 + 7, 2**160 + 5, 2**199 * 3])
 def test_master_seeds_of_every_word_count(master_seed):
     # 2^128 and up have five or more words, which shift the hash constants
-    paths = [(), (1,), (2, 3, 4), (0, 0, 0, 0, 0), (2**32 - 1, 2**32)]
+    paths = [(0, 0, 0), (1, 2, 3), (2**32 - 1,) * 3, (5, 0, 2**32 - 1), (7, 7, 7)]
     probs = np.random.default_rng(1).random((len(paths), 4))
     _assert_rows_match(probs, 2000, master_seed, paths)
 
 
-def test_path_elements_beyond_one_word():
-    paths = [(2**32,), (2**40 + 1, 5), (2**64, 2**96 + 7), (5, 2**32 - 1), (2**150,)]
-    probs = np.random.default_rng(2).random((len(paths), 4))
-    _assert_rows_match(probs, 2000, 9, paths)
+def test_path_elements_beyond_one_word(no_draw):
+    # np.uint64(2**63) is refused, not wrapped to a negative int64
+    for big in (2**32, 2**64, np.uint64(2**63), np.uint64(2**32)):
+        with pytest.raises(ValueError, match=r"seed path elements must be in 0\.\.2\*\*32 - 1"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1, 5), (big, 5)])
+    with pytest.raises(ValueError, match="seed paths must all have the same length"):
+        circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1,), (1, 2)])
 
 
 @pytest.mark.parametrize("master_seed", [0, 3, 2**70])
@@ -88,8 +109,9 @@ def test_empty_path_is_the_master_seeds_generator(master_seed):
 
 def test_numpy_integer_seeds_match_python_integers():
     probs = np.random.default_rng(3).random((2, 4))
-    want = circ.sample_batch(probs, 500, 4, [(1, 2), (3,)])
-    got = circ.sample_batch(probs, 500, np.int64(4), [(np.uint32(1), np.int64(2)), (np.uint8(3),)])
+    want = circ.sample_batch(probs, 500, 4, [(1, 2), (3, 2**32 - 1)])
+    got = circ.sample_batch(probs, 500, np.int64(4), [(np.uint32(1), np.int64(2)),
+                                                      (np.uint8(3), np.uint64(2**32 - 1))])
     assert np.array_equal(got, want)
 
 
@@ -134,7 +156,7 @@ def test_collect_draws_setting_k_of_state_i_from_its_path():
     rng = np.random.default_rng(5)
     states = as_stack([random_pure_state(rng, 2) for _ in range(3)])
     probs = tom.setting_probabilities(states)
-    paths = [(1, 4), (1, 9), (2, 2**33)]
+    paths = [(1, 4), (1, 9), (2, 2**32 - 1)]
     counts = tom.collect(probs, 400, 6, paths)
     for i, path in enumerate(paths):
         assert np.array_equal(counts[i], _oracle(probs[i], 400, 6, [(*path, k) for k in range(16)]))
@@ -161,51 +183,9 @@ def test_a_sampled_block_builds_one_seed_sequence_per_draw(monkeypatch):
     assert made["Generator"] <= made["draws"] and made["default_rng"] == 0
 
 
-MASK64 = 2**64 - 1
-# a uint64 word: any value, or one of the edges the carries turn on
-WORD = st.one_of(st.integers(0, MASK64), st.sampled_from([0, 1, 2**63 - 1, 2**63, MASK64]))
-
-
-def _carries(s_hi, s_lo, q_hi, q_lo) -> tuple[bool, bool]:
-    """Whether inc + s and then t * M + inc carry out of the low word."""
-    inc_lo = (q_lo << 1 | 1) & MASK64
-    t_lo = (inc_lo + s_lo) & MASK64
-    low = t_lo * (circ._PCG_MULT & MASK64) & MASK64
-    return inc_lo + s_lo > MASK64, low + inc_lo > MASK64
-
-
-# q_lo = 2^64 - 1 makes inc_lo = 2^64 - 1: s_lo = 2 then carries into
-# t_hi, and the low word of t_lo * M (t_lo = 1) carries into the state's
-BOTH_CARRIES = (5, 2, 7, MASK64)
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=20))
-@example(rows=[BOTH_CARRIES, (0, 0, 0, 0), (MASK64,) * 4, (MASK64, 1, MASK64, MASK64)])
-def test_array_seeding_is_the_python_integer_formula(rows):
-    got = circ._pcg64_states(np.array(rows, dtype=np.uint64))
-    assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
-    assert got.tolist() == [python_pcg64_seeding(*row) for row in rows]
-    for row in rows:
-        first, second = _carries(*row)
-        event(f"carries: inc + s {first}, state {second}")
-
-
-def test_the_forced_row_takes_both_carries():
-    assert _carries(*BOTH_CARRIES) == (True, True)
-    assert _carries(1, 1, 0, MASK64) == (True, False)
-
-
 class TestSeedInput:
     """Bad seed input or shot counts are rejected with ValueError before any
     row is drawn."""
-
-    @pytest.fixture
-    def no_draw(self, monkeypatch):
-        # every draw needs a generator
-        def refuse(*args, **kwargs):
-            raise AssertionError("made a generator before checking the seed input")
-        monkeypatch.setattr(np.random, "Generator", refuse)
 
     @pytest.mark.parametrize("paths", [[(1,), (2,)], [(1,), (2,), (3,), (4,)], []])
     def test_one_path_per_row(self, paths, no_draw):
@@ -235,9 +215,10 @@ class TestSeedInput:
             circ.sample_batch(probs, 10, 0, [()] * max(1, len(np.atleast_1d(probs))))
 
     @pytest.mark.parametrize("bad_row", [[0.5, -0.1], [np.nan, 1.0], [np.inf, 1.0],
-                                         [0.0, 0.0]])
+                                         [0.0, 0.0], [1e308, 1e308]])
     def test_rows_with_a_positive_finite_total(self, bad_row, no_draw):
-        # the first row is valid: no row may be drawn before the bad one is seen
+        # the first row is valid: no row may be drawn before the bad one is
+        # seen; the last bad row is finite, but its total is not
         probs = np.array([[0.5, 0.5], bad_row])
         with pytest.raises(ValueError, match="nonnegative and finite with a positive total"):
             circ.sample_batch(probs, 10, 0, [(0,), (1,)])
@@ -255,6 +236,9 @@ class TestSeedInput:
 
     def test_collect_and_sample_counts_check_too(self, no_draw):
         probs = np.full((2, 16, 4), 0.25)
+        for shots in (None, "3", 2.5):
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                tom.collect(probs, shots, 0, [(1, 0), (1, 1)])
         with pytest.raises(ValueError, match="seed path elements"):
             tom.collect(probs, 10, 0, [(1, 0), (1, 0.5)])
         with pytest.raises(ValueError, match="seed paths for 2 rows"):
@@ -282,3 +266,23 @@ class TestShotsAConfigCanDraw:
         assert code == 2
         assert err.startswith("error: shots") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestPointsAConfigCanSeed:
+    """A point's index is an element of its seed paths, which hold 32-bit
+    words: the configs refuse more than 2**32 points before any work."""
+
+    def test_sweep_config(self):
+        SweepConfig("VA", phi_count=2**32)  # constructed only, never run
+        with pytest.raises(ValueError, match=r"phi_count must be at most 2\*\*32"):
+            SweepConfig("VA", phi_count=2**32 + 1)
+
+    def test_repetitions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("began the run before checking the repetitions")
+        monkeypatch.setattr(circ, "run_batch", refuse)
+        # the fixed config comes before the list of points: without the check
+        # that list would take 2**32 + 1 entries
+        monkeypatch.setattr(harness, "replace", refuse)
+        with pytest.raises(ValueError, match=r"repetitions must be at most 2\*\*32"):
+            repeat_fixed_state(SweepConfig("VA", shots=100), 2**32 + 1)
