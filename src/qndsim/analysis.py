@@ -84,6 +84,14 @@ def _werner_mix(coeffs: BellCoefficients, p: float) -> DensityMatrix:
     return DensityMatrix(2, m)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array of finite floats, bit for bit: the
+    same sort, then each value that differs from its left neighbour. On
+    numpy 2, ``np.unique`` imports ``numpy.ma`` the first time it runs."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def fit_mixed_fraction(
     measured_concurrence: Sequence[float], coeffs_per_point: Sequence[BellCoefficients]
 ) -> FitResult:
@@ -104,7 +112,7 @@ def fit_mixed_fraction(
     conc = np.array([concurrence_pure(c.state_vector()) for c in coeffs_per_point])
     slope = conc + 0.5
     breaks = conc / slope
-    edges = np.unique(np.concatenate(([0.0, 1.0], breaks)))
+    edges = _sorted_distinct(np.concatenate(([0.0, 1.0], breaks)))
     candidates = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         # on (lo, hi) the model is conc - p * slope where still entangled, else 0

@@ -9,30 +9,44 @@ The protocol for every sweep point mirrors the experimental procedure:
 4. re-analyze the same output-tomography data post-selected on each ancilla
    outcome (state-preparation check).
 
-Points run in blocks of ``BLOCK_POINTS``, each block in two stages:
+Points run in blocks of ``BLOCK_POINTS``, each block in stages cached on
+exactly what they depend on, so that no stage runs twice for one key:
 
-* The seed-independent stage (``_prepare_block``) is a function of the
-  observable, the block's distinct preparation angles reduced mod 2*pi
-  and the noise model, and is cached on exactly that key. It runs the
-  full circuits of all those points as one batch and keeps, per point,
-  the theory value, the ideal branch data, the fidelity targets and
-  every tomography setting's outcome distribution, readout flip
-  included, for the input pair and for the output register; the
-  full-register states whose ancillas the readout measures stay the one
-  stack the batch returned. The last
-  ``PREPARED_BLOCKS`` blocks stay cached, so the seeds of a criteria run,
-  like any sweeps that differ only in their seed or their mode, prepare
-  each block once.
+* The input stage (``_prepare_input``) is a function of the block's
+  distinct preparation angles reduced mod 2*pi and the noise model. It
+  runs each input pair's preparation and keeps, per state, the ideal
+  input (the fidelity target) and every tomography setting's outcome
+  distribution, readout flip included. The observable is not in its key:
+  observables prepared at the same angles, like PA, PB, C1 and C2 at
+  their default theta, share one entry.
+* The input analysis (``_input_analysis``) draws the input tomography
+  counts from those distributions, or reads them in exact mode, and
+  keeps each point's input estimate and its fidelity. It is keyed on the
+  points' angles and the noise, plus the draw (shots, master seed and the
+  points' indices), or in exact mode on the distinct states alone. So
+  the observables of one seed that share an input stage share its
+  estimates too, and each sweep point reads the observable it measures
+  from its estimate.
+* The measurement stage (``_prepare_block``) is a function of the
+  observable, the distinct reduced angles and the noise model. It runs
+  the full circuits of all those points as one batch and keeps, per
+  point, the theory value, the ideal branch data, the output fidelity
+  target and every tomography setting's outcome distribution over the
+  output register; the full-register states whose ancillas the readout
+  measures stay the one stack the batch returned.
 * The seed stage (``_measure_block``) draws the ancilla readout and the
-  input and output tomography counts from those distributions and
-  analyzes them: the input estimates of every point as one stack, and the
-  output estimates of every point and branch as another
-  (``_output_tomography``, which post-selects the whole block once per
-  ancilla outcome). Exact mode runs the same analysis with each
-  draw replaced by the distribution it draws from, the infinite-shot
-  limit. Its data depend on the prepared state alone, so it reads the
-  ancilla distributions of the whole block in one call, analyzes each
-  distinct state of the block once and post-selects no branch.
+  output tomography counts from the measurement stage's distributions
+  and analyzes the output estimates of every point and branch as one
+  stack (``_output_tomography``, which post-selects the whole block once
+  per ancilla outcome). Exact mode runs the same analysis with each draw
+  replaced by the distribution it draws from, the infinite-shot limit.
+  Its data depend on the prepared state alone, so it reads the ancilla
+  distributions of the whole block in one call, analyzes each distinct
+  state of the block once and post-selects no branch.
+
+Each cache keeps its last ``PREPARED_BLOCKS`` entries, so the seeds of a
+criteria run, like any sweeps that differ only in their seed or their
+mode, prepare each block once.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -220,28 +234,10 @@ def theory_value(observable: str, chi: StateVector) -> float:
     return float(_observable_values(observable, np.outer(a, a.conj())[None])[0])
 
 
-def _prepare_states(
-    params: list[ex.PrepParams], setting: ex.MeasurementSetting, noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of the input pair states, one run per point, and of the full
-    post-circuit states, one batch for all points: amplitudes, or density
-    matrices when noise is on."""
-    n = setting.num_qubits
-    preps = [ex.prep_circuit(p) for p in params]
-    # the circuits differ only in their preparation angles, so they run as
-    # one batch with a layer per gate position
-    layers = [*zip(*(prep.gates for prep in preps))]
-    layers += [(g,) * len(preps) for g in ex.measurement_circuit(setting).gates]
-    if noise.depol_1q or noise.depol_2q or noise.readout_flip:
-        rho0 = basis_state(2).density()
-        chi_actual = np.stack([circ.run_noisy(prep, rho0, noise).matrix for prep in preps])
-        initial = basis_state(n).density().matrix
-    else:
-        psi0 = basis_state(2)
-        chi_actual = np.stack([circ.run_pure(prep, psi0).amplitudes for prep in preps])
-        initial = basis_state(n).amplitudes
-    out = circ.run_batch(np.broadcast_to(initial, (len(preps),) + initial.shape), layers, noise)
-    return chi_actual, out
+def _noisy(noise: NoiseModel) -> bool:
+    """Whether states run on the density engine: for any nonzero
+    probability, a readout flip alone included."""
+    return bool(noise.depol_1q or noise.depol_2q or noise.readout_flip)
 
 
 def _prep_params(phi: float, theta: float, lam: float) -> ex.PrepParams:
@@ -274,45 +270,97 @@ def _measure_points(config: SweepConfig, points: list[Point]) -> list[SweepRecor
 
 
 PREPARED_BLOCKS = 32
-"""Prepared blocks kept by ``_prepare_block``, least recently used first out.
+"""Entries kept by each stage cache (``_prepare_input``, ``_input_analysis``
+and ``_prepare_block``), least recently used first out.
 
 One criteria seed, like one benchmark unit, visits a block per observable
 and per 16 phi points, six or more in turn, and the next seed visits them
 again in the same order: a cache smaller than one pass misses on every
-call. A 16-point block holds 50 to 150 KB."""
+call. A 16-point block holds 50 to 150 KB, its input stage 12 KB and its
+input analysis 4 KB."""
+
+
+@lru_cache(maxsize=PREPARED_BLOCKS)
+def _prepare_input(
+    params: tuple[ex.PrepParams, ...], noise: NoiseModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The input stage of distinct preparations: the (B, 4, 4) ideal input
+    states, the fidelity targets, and the (B, 16, 4) outcome distributions
+    of every tomography setting on the states actually prepared, readout
+    flip included. Both arrays are owned and read-only."""
+    preps = [ex.prep_circuit(p) for p in params]
+    if _noisy(noise):
+        rho0 = basis_state(2).density()
+        actual = np.stack([circ.run_noisy(prep, rho0, noise).matrix for prep in preps])
+    else:
+        psi0 = basis_state(2)
+        actual = np.stack([circ.run_pure(prep, psi0).amplitudes for prep in preps])
+    chi = [ex.bell_coefficients(p).state_vector().amplitudes for p in params]
+    target = np.stack([np.outer(a, a.conj()) for a in chi])
+    probs = tom.setting_probabilities(actual, noise)
+    for a in (target, probs):
+        a.flags.writeable = False
+    return target, probs
+
+
+@lru_cache(maxsize=PREPARED_BLOCKS)
+def _input_analysis(
+    params: tuple[ex.PrepParams, ...],
+    noise: NoiseModel,
+    draw: tuple[int, int, tuple[int, ...]] | None,
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Each point's input estimate, a read-only (P, 4, 4) stack, and its
+    fidelity with the ideal input.
+
+    Sampled, ``draw`` is (shots, master seed, the points' indices) and
+    point i's data come from streams (master seed, 1, index i, setting).
+    Exact, ``draw`` is None and ``params`` lists distinct states, whose
+    data are their outcome distributions.
+    """
+    slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
+    slots = [slot_of[p] for p in params]
+    target, probs = _prepare_input(tuple(slot_of), noise)
+    if draw is None:
+        data = probs
+    else:
+        shots, master_seed, indices = draw
+        data = tom.collect(probs[slots], shots, master_seed, [(1, index) for index in indices])
+        target = target[slots]
+    # one linear estimate per input data set, analyzed as one stack
+    est = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data])
+    est.flags.writeable = False
+    return est, tuple(fidelity(target, est).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedBlock:
-    """The seed-independent stage of a block. Every field has one entry
-    per prepared state.
+    """The measurement stage of a block: what the observable's circuit
+    does to each prepared state, whatever the seed. Every field has one
+    entry per prepared state; the input states are ``_prepare_input``'s.
 
     ``theory`` and ``branches`` are the observable's defining-formula value
-    and the ideal branch data. The fidelity targets are ``target_in`` and
-    ``target_out``, (B, 4, 4) stacks of the ideal input states and of the
-    ideal unconditional outputs.
+    and the ideal branch data. ``target_out`` is the (B, 4, 4) stack of the
+    ideal unconditional outputs, the fidelity targets.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
     whose ancillas the readout measures: (B, 2^n) amplitudes or
-    (B, 2^n, 2^n) density matrices, never validated again. ``probs_in``
-    and ``probs_out`` hold each setting's outcome distribution, readout
-    flip included, (B, 16, 4) for the input pair and (B, 16, 2^n) for the
-    full output register. Sampled mode draws from these distributions and
-    the readout's, exact mode reads them, so one block serves both modes.
+    (B, 2^n, 2^n) density matrices, never validated again. ``probs_out``
+    holds each setting's outcome distribution over the full output
+    register, readout flip included, (B, 16, 2^n). Sampled mode draws from
+    these distributions and the readout's, exact mode reads them, so one
+    block serves both modes.
 
     Every array is owned and read-only, so an entry pins nothing else.
     """
 
     theory: tuple[float, ...]
     branches: tuple[tuple[ex.Branch, ...], ...]
-    target_in: np.ndarray
     target_out: np.ndarray
     readout: np.ndarray
-    probs_in: np.ndarray
     probs_out: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.target_in, self.target_out, self.readout, self.probs_in, self.probs_out):
+        for a in (self.target_out, self.readout, self.probs_out):
             a.flags.writeable = False
 
 
@@ -320,24 +368,29 @@ class PreparedBlock:
 def _prepare_block(
     observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel
 ) -> PreparedBlock:
-    """Everything the seed does not change: the states, their ideal
-    counterparts and the outcome distributions of every measurement."""
+    """The measurement stage of distinct preparations: their full circuits
+    as one batch, the states' ideal counterparts and the outcome
+    distributions of every measurement."""
     setting = ex.setting_for(observable)
-    chi_ideal = [ex.bell_coefficients(p).state_vector() for p in params]
+    n = setting.num_qubits
     ideal = tuple(ex.branch_data(setting, p) for p in params)
-    chi_actual, readout = _prepare_states(list(params), setting, noise)
+    # the circuits differ only in their preparation angles, so they run as
+    # one batch with a layer per gate position
+    layers = [*zip(*(ex.prep_circuit(p).gates for p in params))]
+    layers += [(g,) * len(params) for g in ex.measurement_circuit(setting).gates]
+    initial = basis_state(n).density().matrix if _noisy(noise) else basis_state(n).amplitudes
+    readout = circ.run_batch(np.broadcast_to(initial, (len(params),) + initial.shape), layers, noise)
     # density matrices one state at a time: the evolved stack of a point is
     # 16 full-register density matrices, and the block's would be 16 times that
     step = 1 if readout.ndim == 3 else len(readout)
     probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
                                 for i in range(0, len(readout), step)])
     return PreparedBlock(
-        theory=tuple(theory_value(observable, chi) for chi in chi_ideal),
+        theory=tuple(theory_value(observable, ex.bell_coefficients(p).state_vector())
+                     for p in params),
         branches=ideal,
-        target_in=np.stack([np.outer(chi.amplitudes, chi.amplitudes.conj()) for chi in chi_ideal]),
         target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
         readout=readout,
-        probs_in=tom.setting_probabilities(chi_actual, noise),
         probs_out=probs_out,
     )
 
@@ -353,30 +406,31 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     # points at the same angles, like the repetitions of one state, share a slot
     slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
     slots = [slot_of[p] for p in params]
+    # the input stage first, as the protocol runs it: its evolution then
+    # shares the peak memory with no stack of the measurement stage
+    _prepare_input(tuple(slot_of), config.noise)
     block = _prepare_block(obs, tuple(slot_of), config.noise)
 
-    # the ancilla readout and the input and output tomography data
+    # the ancilla readout and the output tomography data
     if config.exact_mode:
         # exact data are a function of the slot alone: each slot is analyzed
         # once, unconditionally only, and a point reads its slot's results
         rows = slots
         anc_stats = circ.exact_probabilities(block.readout, setting.ancilla_qubits, flip)
-        data_in, data_out = block.probs_in, block.probs_out
-        target_in, ideal, target_out = block.target_in, block.branches, block.target_out
+        data_out, ideal, target_out = block.probs_out, block.branches, block.target_out
+        input_key = (tuple(slot_of), config.noise, None)
     else:
         rows = range(len(points))
         anc_stats = circ.sample_counts(block.readout[slots], setting.ancilla_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
-        data_in = tom.collect(block.probs_in[slots], shots, ms, [(1, index) for index in indices])
         data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
-        target_in, target_out = block.target_in[slots], block.target_out[slots]
+        target_out = block.target_out[slots]
         ideal = [block.branches[k] for k in slots]
+        input_key = (tuple(params), config.noise, (shots, ms, tuple(indices)))
     tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, ideal, target_out, obs)
     qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
-    # one linear estimate per input data set, analyzed as one stack
-    est_in = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data_in])
+    est_in, fidelity_in = _input_analysis(*input_key)
     tomo_in = _observable_values(obs, est_in).tolist()
-    fidelity_in = fidelity(target_in, est_in).tolist()
 
     return [
         SweepRecord(

@@ -2,11 +2,12 @@
 
 import pytest
 
-from qndsim import harness
+from helpers import clear_stage_caches
 
 
 @pytest.fixture(autouse=True)
-def cold_prepared_blocks():
-    """Start every test from an empty prepared-block cache, so that no test
-    passes on entries an earlier test left behind."""
-    harness._prepare_block.cache_clear()
+def cold_stage_caches():
+    """Start every test from empty stage caches (input stage, input
+    analysis and measurement stage), so that no test passes on entries an
+    earlier test left behind."""
+    clear_stage_caches()

@@ -8,8 +8,8 @@ with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
 post-selection of one point's branch at a time, the Born-rule marginal
 of one state at a time, the branch data built from tuples and an
 empty-branch exception, and the linear estimates solved against a
-broadcast copy of the design matrix), and the depolarizing channel
-written as a Pauli twirl."""
+broadcast copy of the design matrix), the depolarizing channel
+written as a Pauli twirl, and a reset of the sweep's stage caches."""
 
 import itertools
 import math
@@ -19,11 +19,23 @@ import numpy as np
 
 from qndsim import circuits as circ
 from qndsim import experiments as ex
+from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
 from qndsim.observables import concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
+
+
+STAGE_CACHES = (harness._prepare_input, harness._input_analysis, harness._prepare_block)
+"""The sweep's stage caches: the input stage, the input analysis and the
+measurement stage."""
+
+
+def clear_stage_caches() -> None:
+    """Empty every stage cache, so that the next sweep runs every stage."""
+    for cache in STAGE_CACHES:
+        cache.cache_clear()
 
 
 def as_stack(states) -> np.ndarray:

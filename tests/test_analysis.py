@@ -1,15 +1,21 @@
 """Sweep metrics, fits, and the criteria summary."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qndsim
 from qndsim.analysis import (
     BranchResult,
     SweepRecord,
+    _sorted_distinct,
     criteria_summary,
     fit_mixed_fraction,
     fit_scale,
@@ -142,6 +148,41 @@ class TestFitMixedFraction:
         (fit_loss,) = closed_form_losses([fit.parameter], measured, coeffs)
         grid_losses = closed_form_losses(np.linspace(0.0, 1.0, 10_000), measured, coeffs)
         assert fit_loss <= grid_losses.min() + 1e-12
+
+    # the breakpoints the fit sorts: 0, 1 and one per point, with ties and
+    # both signed zeros, from arrays short enough for an insertion sort to
+    # long enough for an introsort
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 0.5, 1.0]) | st.floats(-1.0, 2.0),
+                    max_size=60))
+    def test_edges_are_numpys_unique(self, breaks):
+        values = np.concatenate(([0.0, 1.0], np.array(breaks, dtype=float)))
+        edges, expected = _sorted_distinct(values), np.unique(values)
+        assert edges.dtype == expected.dtype
+        assert np.array_equal(edges.view(np.uint64), expected.view(np.uint64))
+
+    def test_fit_does_not_import_numpy_ma(self, tmp_path):
+        # on numpy 2, np.unique imports numpy.ma (16 ms) the first time it
+        # runs; numpy 1.24 imports it with numpy itself
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = (
+            "import json, sys, numpy\n"
+            "preloaded = 'numpy.ma' in sys.modules\n"
+            "import qndsim.cli\n"
+            "status = qndsim.cli.main(['sweep', '--observable', 'C1', '--exact',\n"
+            "                          '--phi-steps', '4', '--format', 'json', '--out', 's.json'])\n"
+            "print(json.dumps({'preloaded': preloaded, 'loaded': 'numpy.ma' in sys.modules,\n"
+            "                  'status': status}))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                             text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout.strip().splitlines()[-1])
+        assert doc["status"] == 0
+        assert "tomo_out_mixed_fraction" in json.load(open(tmp_path / "s.json"))["fits"]
+        assert doc["preloaded"] or not doc["loaded"]
 
 
 def make_record(obs, phi, theory, qnd, tomo_in, tomo_out, branches=()):

@@ -10,13 +10,18 @@ a probability can swap the counts of two equally likely outcomes.
 In exact mode the reference is its own sampled path with each draw
 replaced by the distribution it draws from, and no branch analyzed.
 
-A block's seed-independent stage is cached (``harness._prepare_block``), so
-each comparison runs from a cold cache, again from the warm one, and with
-another seed drawn from the same entries.
+A block's seed-independent stages are cached (``harness._prepare_input``
+and ``harness._prepare_block``), and so is its input analysis
+(``harness._input_analysis``). So each comparison runs from cold caches,
+again from the warm ones, and with another seed drawn from the same
+prepared entries. The input stage is shared by the observables prepared
+at the same angles: every observable's records must be the same whether
+another one warmed its input stage or not.
 """
 
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -26,8 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    as_stack, marginalize_counts, postselect_branch, random_circuit, random_density_matrix,
-    random_pure_state, rng_stream, tomograph,
+    STAGE_CACHES, as_stack, clear_stage_caches, marginalize_counts, postselect_branch,
+    random_circuit, random_density_matrix, random_pure_state, rng_stream, tomograph,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -38,11 +43,14 @@ from qndsim.analysis import BranchResult, SweepRecord
 from qndsim.circuits import Circuit, Gate, NoiseModel
 from qndsim.harness import (
     BLOCK_POINTS,
+    PREPARED_BLOCKS,
     THETA_DEFAULTS,
     PreparedBlock,
     SweepConfig,
+    _input_analysis,
     _prep_params,
     _prepare_block,
+    _prepare_input,
     repeat_fixed_state,
     run_criteria_protocol,
     run_sweep,
@@ -157,17 +165,17 @@ def _reference_repetitions(repetitions):
 
 
 def _check_cold_and_warm(run, config, reference):
-    """``run(config)`` gives the reference records from a cold cache and
-    again from the warm one, and another seed's records come out of the
-    same entries without preparing anything."""
-    _prepare_block.cache_clear()
+    """``run(config)`` gives the reference records from cold caches and
+    again from the warm ones, and another seed's records come out of the
+    same prepared entries without preparing anything."""
+    clear_stage_caches()
     expected = reference(config)
     assert run(config) == expected  # cold: every block is prepared
     assert run(config) == expected  # warm: every block comes from the cache
     other = replace(config, master_seed=config.master_seed + 1)
-    misses = _prepare_block.cache_info().misses
+    misses = [cache.cache_info().misses for cache in (_prepare_input, _prepare_block)]
     assert run(other) == reference(other)
-    assert _prepare_block.cache_info().misses == misses
+    assert [cache.cache_info().misses for cache in (_prepare_input, _prepare_block)] == misses
 
 
 # a single point, one block minus one, and one block plus one
@@ -197,13 +205,90 @@ def test_cached_blocks_match_per_point_reference(entry, observable, noise, exact
 def test_cache_keeps_observables_and_noise_apart_and_modes_share_a_block():
     # at the same angles PA and PB share their circuit and their states: only
     # the observable in the key tells their blocks apart; exact mode reads the
-    # distributions sampled mode draws from, so the two modes share a block
+    # distributions sampled mode draws from, so the two modes share a block.
+    # The input stage has no observable in its key, so PB reads PA's, and
+    # its input analysis too, one per noise and mode
     for observable, noise, exact in itertools.product(("PA", "PB"), sorted(NOISE), (False, True)):
         config = SweepConfig(observable, theta=1.1, lam=0.3, phi_start=0.9, phi_count=1,
                              shots=200, exact_mode=exact, noise=NOISE[noise], master_seed=4)
         assert run_sweep(config) == _reference_sweep(config)
     assert _prepare_block.cache_info().currsize == 6
     assert _prepare_block.cache_info().hits == 6
+    # the 12 sweeps and the 6 input analyses read the input stage; 3 of
+    # those 18 reads prepared it
+    assert _prepare_input.cache_info().currsize == 3
+    assert _prepare_input.cache_info().hits == 12 + 6 - 3
+    assert _input_analysis.cache_info().currsize == 6
+    assert _input_analysis.cache_info().hits == 6
+
+
+# Every observable under every noise in both modes, each case through one
+# of the two entry points, in turn, so that each entry point meets every
+# observable, every noise, both modes and every count.
+WARM_GRID = [
+    (("sweep", "repeat")[(k // 2) % 2], observable, noise, exact, COUNTS[k % 3])
+    for k, (observable, noise, exact)
+    in enumerate(itertools.product(ex.OBSERVABLES, sorted(NOISE), (False, True)))
+]
+
+
+@pytest.mark.parametrize("entry, observable, noise, exact, count", WARM_GRID)
+def test_records_are_the_same_from_a_warm_input_stage(entry, observable, noise, exact, count):
+    # another observable at the same angles and seed leaves the input stage
+    # and its analysis warm; the records must be the ones a cold run gives,
+    # bit for bit, signed zeros included
+    other = ex.OBSERVABLES[(ex.OBSERVABLES.index(observable) + 1) % len(ex.OBSERVABLES)]
+    config = SweepConfig(observable, theta=1.1, lam=0.3, phi_start=0.2, phi_count=count,
+                         phi_step=0.4, shots=200, exact_mode=exact, noise=NOISE[noise],
+                         master_seed=count)
+    if entry == "sweep":
+        run = run_sweep
+    else:
+        def run(c):
+            return repeat_fixed_state(c, count)
+    cold = pickle.dumps(run(config))
+    clear_stage_caches()
+    run(replace(config, observable=other))
+    input_misses = _prepare_input.cache_info().misses
+    hits = _input_analysis.cache_info().hits
+    warm = pickle.dumps(run(config))
+    assert warm == cold
+    # the warm run prepared and analyzed no input state
+    assert _prepare_input.cache_info().misses == input_misses
+    assert _input_analysis.cache_info().hits == hits + (count > BLOCK_POINTS) + 1
+
+
+def test_input_caches_miss_on_every_change_of_their_key():
+    params = (_prep_params(0.3, 1.1, 0.2), _prep_params(0.7, 1.1, 0.2))
+    noise, draw = NOISE["criterion 9"], (200, 4, (0, 1))
+    _input_analysis(params, noise, draw)
+    # each variant: its key, and whether it needs another input stage
+    variants = [
+        ((params, NOISE["readout"], draw), True),  # noise
+        (((params[0], _prep_params(0.7, 1.1, 0.3)), noise, draw), True),  # angle
+        ((params, noise, (201, 4, (0, 1))), False),  # shots
+        ((params, noise, (200, 5, (0, 1))), False),  # master seed
+        ((params, noise, (200, 4, (0, 2))), False),  # a point index
+        ((params, noise, None), False),  # exact
+    ]
+    for key, new_input in variants:
+        before = _prepare_input.cache_info().misses, _input_analysis.cache_info().misses
+        _input_analysis(*key)
+        after = _prepare_input.cache_info().misses, _input_analysis.cache_info().misses
+        assert after == (before[0] + new_input, before[1] + 1), key
+    hits = _input_analysis.cache_info().hits
+    _input_analysis(params, noise, draw)
+    assert _input_analysis.cache_info().hits == hits + 1
+
+
+def test_stage_caches_stay_within_their_bound():
+    for k in range(PREPARED_BLOCKS + 3):
+        run_sweep(SweepConfig("VA", phi_start=0.01 * k, phi_count=1, exact_mode=True))
+    for cache in STAGE_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == PREPARED_BLOCKS
+        assert info.currsize == PREPARED_BLOCKS
+        assert info.misses == PREPARED_BLOCKS + 3
 
 
 @settings(max_examples=14, deadline=None)
@@ -245,11 +330,11 @@ def test_repetitions_match_per_point_reference(observable, repetitions, noise, s
 def test_criteria_seeds_match_single_seed_reports(seeds):
     kwargs = dict(observables=("VA", "C1", "C2"), phi_count=4, phi_step=math.pi / 4,
                   shots=200, noise=NOISE["criterion 9"])
-    _prepare_block.cache_clear()
+    clear_stage_caches()
     report = run_criteria_protocol(seeds, **kwargs)
     singles = []
     for seed in seeds:
-        _prepare_block.cache_clear()
+        clear_stage_caches()
         singles.append(run_criteria_protocol([seed], **kwargs))
     assert report["per_seed"] == [single["per_seed"][0] for single in singles]
     for name, mean in report["mean_average_errors"].items():
@@ -284,6 +369,17 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     arrays = [v for v in values if isinstance(v, np.ndarray)]
     assert len(arrays) >= 3
     for a in arrays:
+        assert not a.flags.writeable and a.base is None
+    # so are the input stage's arrays and the input estimates
+    target_in, probs_in = _prepare_input(params, NOISE[noise])
+    assert _prepare_input.cache_info().hits == 2  # the analysis read it too
+    assert target_in.shape == (3, 4, 4) and probs_in.shape == (3, 16, 4)
+    est_in, fidelity_in = _input_analysis(params, NOISE[noise],
+                                          None if exact else (100, 0, (0, 1, 2)))
+    assert _input_analysis.cache_info().hits == 1
+    assert est_in.shape == (3, 4, 4)
+    assert isinstance(fidelity_in, tuple) and len(fidelity_in) == 3
+    for a in (target_in, probs_in, est_in):
         assert not a.flags.writeable and a.base is None
     # the readout is the batch's stack of full-register states, amplitudes
     # or density matrices, and no density matrix object is kept: the
@@ -343,7 +439,7 @@ def test_seeds_prepare_their_states_once(noise, monkeypatch):
                   noise=NOISE[noise])
     run_criteria_protocol([0], **kwargs)
     one_seed = len(calls)
-    _prepare_block.cache_clear()
+    clear_stage_caches()
     calls.clear()
     run_criteria_protocol([0, 1, 2], **kwargs)
     assert len(calls) == one_seed > 0
@@ -361,11 +457,12 @@ def test_repetitions_prepare_their_state_once(noise, monkeypatch):
     config = SweepConfig("C2", shots=100, noise=NOISE[noise])
     repeat_fixed_state(config, 1)
     one = sorted(calls)
-    _prepare_block.cache_clear()
+    clear_stage_caches()
     calls.clear()
     repeat_fixed_state(config, 3 * BLOCK_POINTS + 2)
     assert sorted(calls) == one
     assert _prepare_block.cache_info().misses == 1
+    assert _prepare_input.cache_info().misses == 1
 
 
 def _variant(gate: Gate, rng) -> Gate | None:
@@ -484,17 +581,18 @@ def test_sweep_memory_is_bounded_by_the_block():
     noise = NOISE["criterion 9"]
     config = SweepConfig("C2", phi_count=64, shots=2000, noise=noise, master_seed=3)
     run_sweep(config)  # fills the gate caches, which later sweeps share
-    _prepare_block.cache_clear()  # but the sweep prepares its own blocks
+    clear_stage_caches()  # but the sweep prepares its own blocks
     tracemalloc.start()
     try:
         run_sweep(config)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _prepare_block.cache_info().currsize == 4
+    assert [cache.cache_info().currsize for cache in STAGE_CACHES] == [4, 4, 4]
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
-    # what stays is the four prepared blocks, which hold no evolved stacks:
-    # distributions and branch data within 384 KB, plus the 64 full-register
-    # states the readout measures, 4 KB each. One point's evolved stack of
-    # 16 settings alone would add 64 KB
+    # what stays is the four prepared blocks, their input stages and input
+    # estimates, which hold no evolved stacks: distributions, branch data and
+    # estimates within 384 KB, plus the 64 full-register states the readout
+    # measures, 4 KB each. One point's evolved stack of 16 settings alone
+    # would add 64 KB
     assert held < 384 * 2**10 + 64 * 16 * 16 * 16, f"held {held / 2**10:.0f} KB"

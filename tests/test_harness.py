@@ -25,7 +25,8 @@ from qndsim.harness import (
     SweepConfig,
     compute_fits,
     emit,
-    _prepare_states,
+    _prepare_block,
+    _prepare_input,
     repeat_fixed_state,
     run_sweep,
     theory_value,
@@ -219,13 +220,23 @@ class TestSampledSweeps:
         (NoiseModel(readout_flip=0.01), DensityMatrix),
         (NoiseModel(depol_2q=0.01), DensityMatrix),
     ])
-    def test_any_nonzero_probability_selects_density_engine(self, noise, kind):
+    def test_any_nonzero_probability_selects_density_engine(self, noise, kind, monkeypatch):
         # a readout flip alone still runs the density engine, so its samples
         # stay those of earlier versions; all zeros is the pure engine. The
-        # states are stacks: (B, d) amplitudes or (B, d, d) density matrices
-        chi, out = _prepare_states([PrepParams(0.3, math.pi)], ex.setting_for("C2"), noise)
-        assert chi.ndim == out.ndim == (2 if kind is StateVector else 3)
-        assert chi.shape[:2] == (1, 4) and out.shape[:2] == (1, 16)
+        # input pair runs one state at a time, the output register as a
+        # stack: (B, d) amplitudes or (B, d, d) density matrices
+        chi = []
+        for name in ("run_pure", "run_noisy"):
+            def run(*args, _run=getattr(circ, name)):
+                chi.append(_run(*args))
+                return chi[-1]
+            monkeypatch.setattr(circ, name, run)
+        params = (PrepParams(0.3, math.pi),)
+        _, probs_in = _prepare_input(params, noise)
+        out = _prepare_block("C2", params, noise).readout
+        assert len(chi) == 1 and isinstance(chi[0], kind) and chi[0].num_qubits == 2
+        assert out.ndim == (2 if kind is StateVector else 3)
+        assert probs_in.shape == (1, 16, 4) and out.shape[:2] == (1, 16)
 
     def test_noisy_sweep_runs_and_degrades(self):
         noise = NoiseModel(depol_1q=0.01, depol_2q=0.08, readout_flip=0.02, enabled=True)
@@ -335,6 +346,7 @@ class TestRepeatFixedState:
         with pytest.raises(ValueError, match="repetitions must be an integer"):
             repeat_fixed_state(SweepConfig("C2"), repetitions)
         assert harness._prepare_block.cache_info().misses == 0
+        assert harness._prepare_input.cache_info().misses == 0
 
     @pytest.mark.parametrize("observable", OBSERVABLES)
     def test_exact_repetitions_are_one_record(self, observable):
@@ -344,13 +356,14 @@ class TestRepeatFixedState:
         assert all(dataclasses.replace(r, seed=0) == reps[0] for r in reps)
 
     def test_exact_repetitions_analyze_each_state_once(self, monkeypatch):
-        # one input and one output reconstruction per 16-point block
+        # one output reconstruction per 16-point block, and one input
+        # reconstruction of the one state, which all four blocks read
         calls = []
         reconstruct = tom.reconstruct_stack
         monkeypatch.setattr(tom, "reconstruct_stack",
                             lambda data: calls.append(len(data)) or reconstruct(data))
         repeat_fixed_state(SweepConfig("C2", exact_mode=True), 50)
-        assert calls == [1] * 8
+        assert calls == [1] * 5
 
 
 class TestEmission:
@@ -611,7 +624,8 @@ class TestCli:
         def no_work(*args):
             raise AssertionError("a block was prepared")
 
-        monkeypatch.setattr(harness, "_prepare_block", no_work)
+        for stage in ("_prepare_input", "_input_analysis", "_prepare_block"):
+            monkeypatch.setattr(harness, stage, no_work)
         out = tmp_path / "x.csv"
         assert cli_main(["sweep", "--observable", "VA", "--exact", "--phi-step", "1e307",
                          "--phi-steps", "40", "--out", str(out)]) == 2
