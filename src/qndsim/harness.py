@@ -10,43 +10,41 @@ The protocol for every sweep point mirrors the experimental procedure:
    outcome (state-preparation check).
 
 Points run in blocks of ``BLOCK_POINTS``, each block in stages cached on
-exactly what they depend on, so that no stage runs twice for one key:
+exactly what they depend on, so that no stage runs twice for one key.
+Every stage is keyed on the block's per-point preparation angles, reduced
+mod 2*pi, and keeps one entry per point:
 
-* The input stage (``_prepare_input``) is a function of the block's
-  distinct preparation angles reduced mod 2*pi and the noise model. It
-  runs each input pair's preparation and keeps, per state, the ideal
-  input (the fidelity target) and every tomography setting's outcome
-  distribution, readout flip included. The observable is not in its key:
-  observables prepared at the same angles, like PA, PB, C1 and C2 at
-  their default theta, share one entry.
+* The input stage (``_prepare_input``) is a function of those angles and
+  the noise model. It runs each point's input pair preparation and keeps
+  the ideal input (the fidelity target) and every tomography setting's
+  outcome distribution, readout flip included. The observable is not in
+  its key: observables prepared at the same angles, like PA, PB, C1 and
+  C2 at their default theta, share one entry.
 * The input analysis (``_input_analysis``) draws the input tomography
   counts from those distributions, or reads them in exact mode, and
-  keeps each point's input estimate and its fidelity. It is keyed on the
-  points' angles and the noise, plus the draw (shots, master seed and the
-  points' indices), or in exact mode on the distinct states alone. So
-  the observables of one seed that share an input stage share its
-  estimates too, and each sweep point reads the observable it measures
-  from its estimate.
+  keeps each point's input estimate and its fidelity. Its key adds the
+  draw (shots, master seed and the points' indices), or None in exact
+  mode. So the observables of one seed that share an input stage share
+  its estimates too, and each sweep point reads the observable it
+  measures from its estimate.
 * The measurement stage (``_prepare_block``) is a function of the
-  observable, the distinct reduced angles and the noise model. It runs
-  the full circuits of all those points as one batch and keeps, per
-  point, the theory value, the ideal branch data, the output fidelity
-  target and every tomography setting's outcome distribution over the
-  output register; the full-register states whose ancillas the readout
-  measures stay the one stack the batch returned.
+  observable, the angles and the noise model. It runs the full circuits
+  of the block's points as one batch and keeps, per point, the theory
+  value, the ideal branch data, the output fidelity target and every
+  tomography setting's outcome distribution over the output register;
+  the full-register states whose ancillas the readout measures stay the
+  one stack the batch returned.
 * The seed stage (``_measure_block``) draws the ancilla readout and the
   output tomography counts from the measurement stage's distributions
   and analyzes the output estimates of every point and branch as one
   stack (``_output_tomography``, which post-selects the whole block once
   per ancilla outcome). Exact mode runs the same analysis with each draw
-  replaced by the distribution it draws from, the infinite-shot limit.
-  Its data depend on the prepared state alone, so it reads the ancilla
-  distributions of the whole block in one call, analyzes each distinct
-  state of the block once and post-selects no branch.
+  replaced by the distribution it draws from, the infinite-shot limit,
+  and post-selects no branch.
 
 Each cache keeps its last ``PREPARED_BLOCKS`` entries, so the seeds of a
-criteria run, like any sweeps that differ only in their seed or their
-mode, prepare each block once.
+criteria run, or sweeps that differ only in seed or mode, prepare each
+block once; the full blocks of a repeat run share one entry.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -284,8 +282,8 @@ input analysis 4 KB."""
 def _prepare_input(
     params: tuple[ex.PrepParams, ...], noise: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The input stage of distinct preparations: the (B, 4, 4) ideal input
-    states, the fidelity targets, and the (B, 16, 4) outcome distributions
+    """The input stage of a block's points: the (P, 4, 4) ideal input
+    states, the fidelity targets, and the (P, 16, 4) outcome distributions
     of every tomography setting on the states actually prepared, readout
     flip included. Both arrays are owned and read-only."""
     preps = [ex.prep_circuit(p) for p in params]
@@ -314,18 +312,14 @@ def _input_analysis(
 
     Sampled, ``draw`` is (shots, master seed, the points' indices) and
     point i's data come from streams (master seed, 1, index i, setting).
-    Exact, ``draw`` is None and ``params`` lists distinct states, whose
-    data are their outcome distributions.
+    Exact, ``draw`` is None and the data are the outcome distributions.
     """
-    slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
-    slots = [slot_of[p] for p in params]
-    target, probs = _prepare_input(tuple(slot_of), noise)
+    target, probs = _prepare_input(params, noise)
     if draw is None:
         data = probs
     else:
         shots, master_seed, indices = draw
-        data = tom.collect(probs[slots], shots, master_seed, [(1, index) for index in indices])
-        target = target[slots]
+        data = tom.collect(probs, shots, master_seed, [(1, index) for index in indices])
     # one linear estimate per input data set, analyzed as one stack
     est = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data])
     est.flags.writeable = False
@@ -335,18 +329,18 @@ def _input_analysis(
 @dataclass(frozen=True, eq=False)
 class PreparedBlock:
     """The measurement stage of a block: what the observable's circuit
-    does to each prepared state, whatever the seed. Every field has one
-    entry per prepared state; the input states are ``_prepare_input``'s.
+    does to each point's prepared state, whatever the seed. Every field has
+    one entry per point; the input states are ``_prepare_input``'s.
 
     ``theory`` and ``branches`` are the observable's defining-formula value
-    and the ideal branch data. ``target_out`` is the (B, 4, 4) stack of the
+    and the ideal branch data. ``target_out`` is the (P, 4, 4) stack of the
     ideal unconditional outputs, the fidelity targets.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
-    whose ancillas the readout measures: (B, 2^n) amplitudes or
-    (B, 2^n, 2^n) density matrices, never validated again. ``probs_out``
+    whose ancillas the readout measures: (P, 2^n) amplitudes or
+    (P, 2^n, 2^n) density matrices, never validated again. ``probs_out``
     holds each setting's outcome distribution over the full output
-    register, readout flip included, (B, 16, 2^n). Sampled mode draws from
+    register, readout flip included, (P, 16, 2^n). Sampled mode draws from
     these distributions and the readout's, exact mode reads them, so one
     block serves both modes.
 
@@ -368,9 +362,9 @@ class PreparedBlock:
 def _prepare_block(
     observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel
 ) -> PreparedBlock:
-    """The measurement stage of distinct preparations: their full circuits
-    as one batch, the states' ideal counterparts and the outcome
-    distributions of every measurement."""
+    """The measurement stage of a block's points: their full circuits as
+    one batch, the states' ideal counterparts and the outcome distributions
+    of every measurement."""
     setting = ex.setting_for(observable)
     n = setting.num_qubits
     ideal = tuple(ex.branch_data(setting, p) for p in params)
@@ -401,35 +395,26 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     obs = config.observable
     setting = ex.setting_for(obs)
     ms, shots, flip = config.master_seed, config.shots, config.noise.readout_flip
-    indices = [index for index, _, _ in points]
-    params = [_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points]
-    # points at the same angles, like the repetitions of one state, share a slot
-    slot_of = {p: k for k, p in enumerate(dict.fromkeys(params))}
-    slots = [slot_of[p] for p in params]
+    indices = tuple(index for index, _, _ in points)
+    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
     # the input stage first, as the protocol runs it: its evolution then
     # shares the peak memory with no stack of the measurement stage
-    _prepare_input(tuple(slot_of), config.noise)
-    block = _prepare_block(obs, tuple(slot_of), config.noise)
+    _prepare_input(params, config.noise)
+    block = _prepare_block(obs, params, config.noise)
 
     # the ancilla readout and the output tomography data
     if config.exact_mode:
-        # exact data are a function of the slot alone: each slot is analyzed
-        # once, unconditionally only, and a point reads its slot's results
-        rows = slots
         anc_stats = circ.exact_probabilities(block.readout, setting.ancilla_qubits, flip)
-        data_out, ideal, target_out = block.probs_out, block.branches, block.target_out
-        input_key = (tuple(slot_of), config.noise, None)
+        data_out, draw = block.probs_out, None
     else:
-        rows = range(len(points))
-        anc_stats = circ.sample_counts(block.readout[slots], setting.ancilla_qubits,
+        anc_stats = circ.sample_counts(block.readout, setting.ancilla_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
-        data_out = tom.collect(block.probs_out[slots], shots, ms, [(2, index) for index in indices])
-        target_out = block.target_out[slots]
-        ideal = [block.branches[k] for k in slots]
-        input_key = (tuple(params), config.noise, (shots, ms, tuple(indices)))
-    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, ideal, target_out, obs)
+        data_out = tom.collect(block.probs_out, shots, ms, [(2, index) for index in indices])
+        draw = (shots, ms, indices)
+    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, block.branches,
+                                                          block.target_out, obs)
     qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
-    est_in, fidelity_in = _input_analysis(*input_key)
+    est_in, fidelity_in = _input_analysis(params, config.noise, draw)
     tomo_in = _observable_values(obs, est_in).tolist()
 
     return [
@@ -438,17 +423,17 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=block.theory[k],
-            qnd_estimate=qnd_estimates[r],
-            tomo_in=tomo_in[r],
-            tomo_out=tomo_out[r],
-            fidelity_in=fidelity_in[r],
-            fidelity_out=fidelity_out[r],
-            branches=branches[r],
+            theory=block.theory[i],
+            qnd_estimate=qnd_estimates[i],
+            tomo_in=tomo_in[i],
+            tomo_out=tomo_out[i],
+            fidelity_in=fidelity_in[i],
+            fidelity_out=fidelity_out[i],
+            branches=branches[i],
             shots=0 if config.exact_mode else shots,
             seed=seed_tag,
         )
-        for (_, phi, seed_tag), k, r in zip(points, slots, rows)
+        for i, (_, phi, seed_tag) in enumerate(points)
     ]
 
 

@@ -1,0 +1,129 @@
+"""Mutation checks: each mutant is a one-place patch of ``src/`` that its
+named test file must kill.
+
+Run from anywhere as ``python tests/mutants.py``; pytest does not collect
+this file. For each mutant the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, requires the mutant's ``old``
+text to occur exactly once in its file, applies the patch and runs
+``pytest -q -x`` on the named test file. The run must exit with 1, a test
+failure: any other code (a collection error, say) kills nothing. The
+unmutated copy must first pass every named file. Exits 1 if the unmutated
+copy fails or any mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    test: str  # the test file that must kill it, relative to the root
+
+
+CIRCUITS = "src/qndsim/circuits.py"
+HARNESS = "src/qndsim/harness.py"
+
+MUTANTS = (
+    Mutant(
+        "no trace renormalization in _evolve_density", CIRCUITS,
+        "    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]\n", "",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "depolarizing weight halved in _depolarize", CIRCUITS,
+        "    return (1.0 - p) * m + p * mixed\n",
+        "    return (1.0 - p / 2) * m + p / 2 * mixed\n",
+        "tests/test_circuits.py",
+    ),
+    Mutant(
+        "one matrix product for the readout confusion", CIRCUITS,
+        "probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]",
+        "probs = probs @ _confusion(m, readout_flip).T",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "input analysis ignores the master seed", HARNESS,
+        "tom.collect(probs, shots, master_seed, [(1, index) for index in indices])",
+        "tom.collect(probs, shots, 0, [(1, index) for index in indices])",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "output streams restart per block", HARNESS,
+        "[(2, index) for index in indices]",
+        "[(2, r) for r in range(len(indices))]",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "every point reads the first point's branches", HARNESS,
+        "_output_tomography(setting, data_out, block.branches,",
+        "_output_tomography(setting, data_out, block.branches[:1] * len(points),",
+        "tests/test_blocks.py",
+    ),
+)
+
+
+def _copy(dest: str) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(copy: str, *tests: str) -> int:
+    """pytest's exit code on the test files of the copy, importing its src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _apply(copy: str, mutant: Mutant) -> None:
+    path = os.path.join(copy, mutant.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"mutant {mutant.name!r}: its old text occurs {found} times "
+                         f"in {mutant.path}, not once")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def main() -> int:
+    tests = sorted({m.test for m in MUTANTS})
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = os.path.join(tmp, "clean")
+        _copy(clean)
+        code = _pytest(clean, *tests)
+        if code != 0:
+            print(f"the unmutated copy fails {' '.join(tests)} (exit {code})")
+            return 1
+        print(f"unmutated: {' '.join(tests)} pass")
+        survivors = 0
+        for k, mutant in enumerate(MUTANTS):
+            copy = os.path.join(tmp, f"mutant{k}")
+            _copy(copy)
+            _apply(copy, mutant)
+            code = _pytest(copy, mutant.test)
+            killed = code == 1
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} (exit {code}) by {mutant.test}: "
+                  f"{mutant.name}", flush=True)
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

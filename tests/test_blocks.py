@@ -188,18 +188,24 @@ ANGLE = st.floats(0.0, 2 * math.pi)
 GRID = [
     (("sweep", "repeat")[k % 2], observable, noise, k // 2 % 2 == 1, COUNTS[k // 2 % 3])
     for k, (observable, noise) in enumerate(itertools.product(ex.OBSERVABLES, sorted(NOISE)))
+] + [
+    # a sweep in steps of pi, whose first block's 16 points reduce to only 4
+    # distinct angles mod 2*pi (float rounding of k*pi mod 2*pi): repeated
+    # angles inside a sweep block, not only across repetitions
+    ("pi steps", "C2", "criterion 9", exact, BLOCK_POINTS + 1) for exact in (False, True)
 ]
 
 
 @pytest.mark.parametrize("entry, observable, noise, exact, count", GRID)
 def test_cached_blocks_match_per_point_reference(entry, observable, noise, exact, count):
-    config = SweepConfig(observable, phi_start=0.2, phi_count=count, phi_step=0.4, shots=200,
-                         exact_mode=exact, noise=NOISE[noise], master_seed=count)
-    if entry == "sweep":
-        _check_cold_and_warm(run_sweep, config, _reference_sweep)
-    else:
+    phi_start, phi_step = (0.0, math.pi) if entry == "pi steps" else (0.2, 0.4)
+    config = SweepConfig(observable, phi_start=phi_start, phi_count=count, phi_step=phi_step,
+                         shots=200, exact_mode=exact, noise=NOISE[noise], master_seed=count)
+    if entry == "repeat":
         _check_cold_and_warm(lambda c: repeat_fixed_state(c, count), config,
                              _reference_repetitions(count))
+    else:
+        _check_cold_and_warm(run_sweep, config, _reference_sweep)
 
 
 def test_cache_keeps_observables_and_noise_apart_and_modes_share_a_block():
@@ -446,8 +452,9 @@ def test_seeds_prepare_their_states_once(noise, monkeypatch):
 
 
 @pytest.mark.parametrize("noise", ["none", "criterion 9"])
-def test_repetitions_prepare_their_state_once(noise, monkeypatch):
-    # the repetitions of one state share its preparation, in every block
+def test_full_blocks_of_repetitions_share_one_preparation(noise, monkeypatch):
+    # a block's stages are keyed on its points' angles, so every full block
+    # of repetitions has one key, prepared once, and the tail block another
     calls = []
     for name in ("run_batch", "run_pure", "run_noisy"):
         def counted(*args, _name=name, _run=getattr(circ, name), **kwargs):
@@ -455,14 +462,21 @@ def test_repetitions_prepare_their_state_once(noise, monkeypatch):
             return _run(*args, **kwargs)
         monkeypatch.setattr(circ, name, counted)
     config = SweepConfig("C2", shots=100, noise=NOISE[noise])
-    repeat_fixed_state(config, 1)
-    one = sorted(calls)
+    separate = []
+    for repetitions in (BLOCK_POINTS, 2):
+        clear_stage_caches()
+        calls.clear()
+        repeat_fixed_state(config, repetitions)
+        separate += calls
     clear_stage_caches()
     calls.clear()
     repeat_fixed_state(config, 3 * BLOCK_POINTS + 2)
-    assert sorted(calls) == one
-    assert _prepare_block.cache_info().misses == 1
-    assert _prepare_input.cache_info().misses == 1
+    assert sorted(calls) == sorted(separate)
+    # the input stage runs each point's preparation of each distinct block
+    engine = "run_noisy" if harness._noisy(NOISE[noise]) else "run_pure"
+    assert calls.count(engine) == BLOCK_POINTS + 2
+    assert _prepare_block.cache_info().misses == 2
+    assert _prepare_input.cache_info().misses == 2
 
 
 def _variant(gate: Gate, rng) -> Gate | None:

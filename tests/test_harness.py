@@ -355,15 +355,16 @@ class TestRepeatFixedState:
         assert [r.seed for r in reps] == list(range(20))
         assert all(dataclasses.replace(r, seed=0) == reps[0] for r in reps)
 
-    def test_exact_repetitions_analyze_each_state_once(self, monkeypatch):
-        # one output reconstruction per 16-point block, and one input
-        # reconstruction of the one state, which all four blocks read
+    def test_exact_repetitions_analyze_each_block_key_once(self, monkeypatch):
+        # one output reconstruction per block, of all its points, and one
+        # input reconstruction per point of each distinct block: the input
+        # analysis of the 16-point key is read again by blocks 2 and 3
         calls = []
         reconstruct = tom.reconstruct_stack
         monkeypatch.setattr(tom, "reconstruct_stack",
                             lambda data: calls.append(len(data)) or reconstruct(data))
         repeat_fixed_state(SweepConfig("C2", exact_mode=True), 50)
-        assert calls == [1] * 5
+        assert calls == [16] + [1] * 16 + [16, 16, 2] + [1] * 2
 
 
 class TestEmission:
