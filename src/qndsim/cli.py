@@ -12,14 +12,20 @@ Subcommands:
 A JSON config file may be passed with --config: a config echo from a JSON
 output, optionally with an ``output_path``. Explicit flags override its
 values. Exit status is 0 on success, 2 on any configuration or runtime
-error (the diagnostic goes to stderr).
+error (the diagnostic goes to stderr). An output path that is a directory,
+or whose directory does not exist, is refused before any work.
+
+``main`` may be called any number of times in one process: the argument
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 from .circuits import NoiseModel
@@ -50,7 +56,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(prog="qndsim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,7 +124,18 @@ def _build_config(args: argparse.Namespace) -> tuple[SweepConfig, str]:
     out = values.get("output_path")
     if not out or not isinstance(out, str):
         raise ValueError(f"--out or a config file's output_path is required, got {out!r}")
+    _check_output_path(out)
     return config, out
+
+
+def _check_output_path(out: str) -> None:
+    """Refuse an output path that cannot be written as a file, before any
+    work: a directory, or a path whose directory does not exist."""
+    if os.path.isdir(out):
+        raise ValueError(f"output path {out} is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        raise ValueError(f"output path {out}: {parent} is not an existing directory")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -140,6 +159,7 @@ def _cmd_repeat(args: argparse.Namespace) -> int:
 
 def _cmd_criteria(args: argparse.Namespace) -> int:
     noise = NoiseModel(args.noise_1q, args.noise_2q, args.readout_flip)
+    _check_output_path(args.out)
     report = run_criteria_protocol(
         seeds=list(range(args.seeds)),
         phi_count=args.phi_steps,

@@ -31,7 +31,9 @@ class Mutant(NamedTuple):
     test: str  # the test file that must kill it, relative to the root
 
 
+ANALYSIS = "src/qndsim/analysis.py"
 CIRCUITS = "src/qndsim/circuits.py"
+CLI = "src/qndsim/cli.py"
 HARNESS = "src/qndsim/harness.py"
 
 MUTANTS = (
@@ -69,6 +71,60 @@ MUTANTS = (
         "_output_tomography(setting, data_out, block.branches,",
         "_output_tomography(setting, data_out, block.branches[:1] * len(points),",
         "tests/test_blocks.py",
+    ),
+    Mutant(
+        "the CLI keeps a disabled model's probabilities under a noise flag", CLI,
+        "            noise = {}  # a disabled model's probabilities are all zero\n",
+        "            noise = {k: v for k, v in noise.items() if k != \"enabled\"}\n",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "no top-level or noise key check", HARNESS,
+        "    if unknown:\n        raise ValueError(f\"unknown {what} key(s)",
+        "    if False:\n        raise ValueError(f\"unknown {what} key(s)",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "JSON output indented by 1", HARNESS,
+        "fh.write(json.dumps(doc, indent=2) + \"\\n\")",
+        "fh.write(json.dumps(doc, indent=1) + \"\\n\")",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "JSON output without its trailing newline", HARNESS,
+        "fh.write(json.dumps(doc, indent=2) + \"\\n\")",
+        "fh.write(json.dumps(doc, indent=2))",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "input estimates left writeable", HARNESS,
+        "    est.flags.writeable = False\n", "",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "a readout flip alone runs on the pure engine", HARNESS,
+        "return bool(noise.depol_1q or noise.depol_2q or noise.readout_flip)",
+        "return bool(noise.depol_1q or noise.depol_2q)",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "np.unique sorts the fit's breakpoints", ANALYSIS,
+        "edges = _sorted_distinct(np.concatenate(([0.0, 1.0], breaks)))",
+        "edges = np.unique(np.concatenate(([0.0, 1.0], breaks)))",
+        "tests/test_analysis.py",
+    ),
+    Mutant(
+        "the input analysis keeps the first caller's observable values", HARNESS,
+        "    tomo_in = _observable_values(obs, est_in).tolist()\n",
+        "    tomo_in = _measure_block.__dict__.setdefault(\"first\", {}).setdefault(\n"
+        "        (params, config.noise, draw), _observable_values(obs, est_in).tolist())\n",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "no output path check", CLI,
+        "directory does not exist.\"\"\"\n",
+        "directory does not exist.\"\"\"\n    return\n",
+        "tests/test_harness.py",
     ),
 )
 

@@ -559,15 +559,19 @@ class TestCli:
     def test_import_needs_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency: importing the package loads no
         # scipy, and every subcommand then runs with scipy blocked, all in one
-        # fresh interpreter
+        # fresh interpreter. main is called repeatedly there, with an argv that
+        # argparse rejects in between: the calls share one parser, and each
+        # writes the bytes the same call writes alone in a fresh interpreter
         src = os.path.dirname(os.path.dirname(os.path.abspath(qndsim.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        rejected = ["sweep", "--observable", "XX", "--out", "x.csv"]
         runs = [
             ["sweep", "--observable", "C2", "--exact", "--phi-steps", "3", "--format", "json",
              "--out", "s.json"],
             ["repeat", "--observable", "C1", "--repetitions", "2", "--shots", "100",
              "--out", "r.csv"],
+            rejected,
             ["criteria", "--seeds", "1", "--phi-steps", "2", "--shots", "100",
              "--noise-2q", "0.05", "--out", "c.json"],
             ["check-identity", "--grid", "2"],
@@ -576,17 +580,33 @@ class TestCli:
             "import json, sys, qndsim.cli\n"
             "loaded = 'scipy' in sys.modules\n"
             "sys.modules['scipy'] = None\n"
-            "status = [qndsim.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps({'scipy_loaded': loaded, 'status': status}))\n"
+            "def run(argv):\n"
+            "    try:\n"
+            "        return qndsim.cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        return f'SystemExit({exc.code})'\n"
+            "status = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+            "parsers = qndsim.cli._build_parser.cache_info().misses\n"
+            "print(json.dumps({'scipy_loaded': loaded, 'status': status, 'parsers': parsers}))\n"
         )
         res = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=tmp_path,
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout.strip().splitlines()[-1])
         assert doc["scipy_loaded"] is False
-        assert len(doc["status"]) == len(runs)
-        for argv, status in zip(runs, doc["status"]):
-            assert status == 0, (argv[0], res.stderr)
+        assert doc["status"] == [0, 0, "SystemExit(2)", 0, 0], res.stderr
+        assert doc["parsers"] == 1
+        assert not (tmp_path / "x.csv").exists()
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for argv in runs:
+            if argv is rejected or "--out" not in argv:
+                continue
+            out = argv[argv.index("--out") + 1]
+            one = subprocess.run([sys.executable, "-m", "qndsim", *argv], cwd=alone,
+                                 capture_output=True, text=True, env=env)
+            assert one.returncode == 0, one.stderr
+            assert (tmp_path / out).read_bytes() == (alone / out).read_bytes(), argv[0]
 
     def test_check_identity_subcommand(self):
         assert cli_main(["check-identity", "--grid", "3"]) == 0
@@ -632,6 +652,35 @@ class TestCli:
                          "--phi-steps", "40", "--out", str(out)]) == 2
         assert "phi_start + (phi_count - 1) * phi_step" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--observable", "VA", "--exact", "--phi-steps", "4", "--out", "missing/a.csv"],
+        ["sweep", "--observable", "VA", "--exact", "--phi-steps", "4", "--out", "."],
+        ["sweep", "--config", "cfg.json"],
+        ["repeat", "--observable", "C2", "--exact", "--repetitions", "2", "--out", "missing/r.csv"],
+        ["repeat", "--observable", "C2", "--exact", "--repetitions", "2", "--out", "."],
+        ["criteria", "--seeds", "1", "--phi-steps", "2", "--shots", "100",
+         "--out", "missing/c.json"],
+        ["criteria", "--seeds", "1", "--phi-steps", "2", "--shots", "100", "--out", "."],
+    ], ids=["sweep missing dir", "sweep dir", "config output_path", "repeat missing dir",
+            "repeat dir", "criteria missing dir", "criteria dir"])
+    def test_unusable_output_path_refused_before_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # a path that cannot be written as a file is refused before any stage
+        # runs, with one error line, and leaves no file behind
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"observable": "VB", "exact_mode": True, "phi_count": 2,
+             "output_path": "missing/s.csv"}))
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            [err.strip()], err
+        assert "output path" in err
+        assert out == ""
+        for stage in (_prepare_input, _prepare_block):
+            assert stage.cache_info().misses == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_missing_observable_is_an_error(self, tmp_path):
         assert cli_main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
