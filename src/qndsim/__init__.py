@@ -37,8 +37,6 @@ from .experiments import (
     estimate_observable,
     measurement_circuit,
     prep_circuit,
-    qnd1_circuit,
-    qnd2_circuit,
     setting_for,
     visibility_identity_check,
 )

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .experiments import BellCoefficients
+from .experiments import RELIABLE_BRANCH_PROB, BellCoefficients
 from .observables import concurrence_pure, concurrence_wootters
 from .qmath import DensityMatrix
 
@@ -21,10 +21,13 @@ class BranchResult:
 
     outcome: str
     probability: float  # theoretical branch probability
-    reliable: bool
     retained_shots: int | None = None
     tomo_value: float | None = None
     fidelity: float | None = None
+
+    @property
+    def reliable(self) -> bool:
+        return self.probability >= RELIABLE_BRANCH_PROB
 
 
 @dataclass(frozen=True)

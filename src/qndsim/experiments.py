@@ -13,21 +13,21 @@ Circuit 2 entangles two ancillas with the pair and, depending on the
 rotation setting, estimates coherence, population imbalance, or concurrence
 from the joint ancilla statistics.
 
-A measurement setting is named by its observable alone: its rotation
-vectors are that observable's canonical ones. ``branch_data`` and
-``output_mixture`` give the ideal data a sweep is compared with, in closed
-form (the single-ancilla circuit is simulated). The exact-estimator
-oracles, which run a measurement circuit on a given pair state, live with
-the tests (``tests/helpers.py``).
+A measurement setting is named by its observable alone, and its circuit is
+that name's row of one gate table, ``_MEASUREMENT_GATES``.
+``branch_data`` and ``output_mixture`` give the ideal data a sweep is
+compared with, in closed form (the single-ancilla circuit is simulated).
+The exact-estimator oracles, which run a measurement circuit on a given
+pair state, live with the tests (``tests/helpers.py``).
 
-Rotation-convention note: the measurement settings are specified as rotation
-vectors. Writing them as exp(-i sigma.vec) (no half angle) does *not*
-reproduce the known closed-form outputs of circuit 2; the half-angle reading
-exp(-i sigma.vec / 2) does, and is the one built here. Every canonical
-vector is zero or along x or y, so a setting rotation is one ``rx`` or
-``ry`` gate; the regression suite builds the other reading from the same
-gates at twice the angle (``tests/helpers.py``) to pin which one is
-algebraically correct.
+Rotation-convention note: De Melo et al. specify the settings as rotation
+vectors, which the table's comment lists. Writing them as exp(-i sigma.vec)
+(no half angle) does *not* reproduce the known closed-form outputs of
+circuit 2; the half-angle reading exp(-i sigma.vec / 2) does, and each
+setting gate in the table is that reading of its vector: every vector is
+zero or along x or y, so it is no gate or one ``rx`` or ``ry`` gate. The
+regression suite builds the other reading from the same gates at twice the
+angle (``tests/helpers.py``) to pin which one is algebraically correct.
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ def prep_circuit(p: PrepParams) -> Circuit:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Which observable circuit 1/2 measures. Its three rotation vectors
-    are the observable's canonical ones (``_CANONICAL_VECTORS``)."""
+    """Which observable circuit 1/2 measures, by its row of the gate table
+    (``_MEASUREMENT_GATES``); any other name is refused."""
 
     observable: str  # 'visibility' | 'predictability' | 'concurrence1' | 'concurrence2'
 
     def __post_init__(self) -> None:
-        if self.observable not in _CANONICAL_VECTORS:
+        if self.observable not in _MEASUREMENT_GATES:
             raise ValueError(f"unknown observable {self.observable!r}")
 
     @property
@@ -139,11 +139,27 @@ class MeasurementSetting:
 
 
 _HALF_PI = math.pi / 2
-_CANONICAL_VECTORS = {
-    "visibility": ((0.0, _HALF_PI, 0.0), (0.0, -_HALF_PI, 0.0), (0.0, 0.0, 0.0)),
-    "predictability": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-    "concurrence2": ((_HALF_PI, 0.0, 0.0), (-_HALF_PI, 0.0, 0.0), (0.0, _HALF_PI, 0.0)),
-    "concurrence1": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+# Each setting's measurement circuit on A, B (0, 1) and ancillas C, D (2, 3).
+# Circuit 2: setting rotation theta1 on A and B; theta3 on C, CNOT C->D;
+# CNOT A->C; CNOT B->D; setting rotation theta2 on A and B. De Melo's
+# rotation vectors (theta1, theta2, theta3), each read as its half-angle
+# gate exp(-i sigma.vec / 2) and a zero vector as no gate, are
+#     visibility      (0, pi/2, 0), (0, -pi/2, 0), 0
+#     predictability  0, 0, 0
+#     concurrence2    (pi/2, 0, 0), (-pi/2, 0, 0), (0, pi/2, 0).
+# concurrence2 ends with the Bell-basis rotation, CNOT C->D then H on C, so
+# readout of C, D maps phi_plus -> 00, psi_plus -> 01, phi_minus -> 10,
+# psi_minus -> 11 (up to global signs). Circuit 1 writes the x-rotated pair
+# parity onto C.
+_MEASUREMENT_GATES = {
+    "visibility": (ry(0, _HALF_PI), ry(1, _HALF_PI), cnot(2, 3), cnot(0, 2), cnot(1, 3),
+                   ry(0, -_HALF_PI), ry(1, -_HALF_PI)),
+    "predictability": (cnot(2, 3), cnot(0, 2), cnot(1, 3)),
+    "concurrence2": (rx(0, _HALF_PI), rx(1, _HALF_PI), ry(2, _HALF_PI), cnot(2, 3),
+                     cnot(0, 2), cnot(1, 3), rx(0, -_HALF_PI), rx(1, -_HALF_PI),
+                     cnot(2, 3), h(2)),
+    "concurrence1": (rx(0, _HALF_PI), rx(1, _HALF_PI), cnot(0, 2), cnot(1, 2),
+                     rx(0, -_HALF_PI), rx(1, -_HALF_PI)),
 }
 
 
@@ -164,76 +180,10 @@ def setting_for(observable: str) -> MeasurementSetting:
     return MeasurementSetting(_SETTING_NAMES[observable])
 
 
-def _rotation_gates(qubit: int, vec: tuple[float, float, float]):
-    """Gates realizing the setting rotation exp(-i sigma.vec / 2) on one
-    qubit, or none for a zero vector. Every canonical vector is zero or
-    along x or y."""
-    vx, vy, _ = vec
-    if vx:
-        return (rx(qubit, vx),)
-    if vy:
-        return (ry(qubit, vy),)
-    return ()
-
-
-def qnd1_circuit() -> Circuit:
-    """Three-qubit concurrence circuit: x-rotated pair parity onto ancilla C."""
-    gates = (
-        rx(0, _HALF_PI),
-        rx(1, _HALF_PI),
-        cnot(0, 2),
-        cnot(1, 2),
-        rx(0, -_HALF_PI),
-        rx(1, -_HALF_PI),
-    )
-    return Circuit(3, gates)
-
-
-def qnd2_circuit(s: MeasurementSetting) -> Circuit:
-    """Four-qubit circuit measuring the configured observable via ancillas C, D.
-
-    Layout: setting rotation theta1 on A and B; ancilla block (theta3 on C,
-    CNOT C->D); CNOT A->C; CNOT B->D; setting rotation theta2 on A and B.
-    The caller measures C and D.
-    """
-    if s.observable == "concurrence1":
-        raise ValueError("the single-ancilla concurrence setting uses qnd1_circuit")
-    theta1, theta2, theta3 = _CANONICAL_VECTORS[s.observable]
-    gates = (
-        *_rotation_gates(0, theta1),
-        *_rotation_gates(1, theta1),
-        *_rotation_gates(2, theta3),
-        cnot(2, 3),
-        cnot(0, 2),
-        cnot(1, 3),
-        *_rotation_gates(0, theta2),
-        *_rotation_gates(1, theta2),
-    )
-    return Circuit(4, gates)
-
-
-def bell_basis_rotation() -> Circuit:
-    """Maps the four ancilla Bell states onto computational outcomes.
-
-    After CNOT C->D and H on C: phi_plus -> 00, psi_plus -> 01,
-    phi_minus -> 10, psi_minus -> 11 (up to irrelevant global signs).
-    """
-    return Circuit(4, (cnot(2, 3), h(2)))
-
-
 def measurement_circuit(s: MeasurementSetting) -> Circuit:
-    """The full ancilla-measurement circuit for a setting.
-
-    For the two-ancilla concurrence setting this appends the Bell-basis
-    rotation so that plain computational readout of C, D realizes the
-    Bell-basis probabilities the estimator needs.
-    """
-    if s.observable == "concurrence1":
-        return qnd1_circuit()
-    c = qnd2_circuit(s)
-    if s.observable == "concurrence2":
-        c = c.then(bell_basis_rotation())
-    return c
+    """The full ancilla-measurement circuit for a setting: its gate-table
+    row on its register. The caller measures the ancillas."""
+    return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.observable])
 
 
 def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np.ndarray]:

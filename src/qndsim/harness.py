@@ -71,7 +71,9 @@ import numpy as np
 from . import circuits as circ
 from . import experiments as ex
 from . import tomography as tom
-from .analysis import BranchResult, FitResult, SweepRecord, fit_mixed_fraction, fit_scale
+from .analysis import (
+    BranchResult, FitResult, SweepRecord, criteria_summary, fit_mixed_fraction, fit_scale,
+)
 from .circuits import NoiseModel
 from .observables import concurrence_pure, observable_set, predictability, visibility
 from .qmath import StateVector, basis_state, fidelity, partial_trace
@@ -485,11 +487,11 @@ def _output_tomography(setting, data, ideal, target_out, observable: str):
             tomo_out[i], fidelity_out[i] = values[k], fids[k]
         else:
             results[i][b.outcome] = BranchResult(
-                b.outcome, b.probability, b.reliable, retained_shots=retained[b.outcome][i],
+                b.outcome, b.probability, retained_shots=retained[b.outcome][i],
                 tomo_value=values[k], fidelity=fids.get(k),
             )
     branches = [
-        tuple(res.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in bs)
+        tuple(res.get(b.outcome, BranchResult(b.outcome, b.probability)) for b in bs)
         for res, bs in zip(results, ideal)
     ]
     return tomo_out, fidelity_out, branches
@@ -651,8 +653,6 @@ def run_criteria_protocol(
     which has no mean, and for any seed and observable whose sweep config
     is invalid, before the first sweep runs.
     """
-    from .analysis import criteria_summary
-
     if not seeds:
         raise ValueError("at least one seed is required")
     if not observables:

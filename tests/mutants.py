@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 ANALYSIS = "src/qndsim/analysis.py"
 CIRCUITS = "src/qndsim/circuits.py"
 CLI = "src/qndsim/cli.py"
+EXPERIMENTS = "src/qndsim/experiments.py"
 HARNESS = "src/qndsim/harness.py"
 
 MUTANTS = (
@@ -125,6 +126,55 @@ MUTANTS = (
         "directory does not exist.\"\"\"\n",
         "directory does not exist.\"\"\"\n    return\n",
         "tests/test_harness.py",
+    ),
+    Mutant(
+        "visibility's second rotation on A with the wrong sign", EXPERIMENTS,
+        "ry(0, -_HALF_PI)", "ry(0, _HALF_PI)",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "circuit 2's concurrence circuit without its Bell-basis rotation", EXPERIMENTS,
+        "rx(1, -_HALF_PI),\n                     cnot(2, 3), h(2)),",
+        "rx(1, -_HALF_PI)),",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "circuit 1 with cnot(0, 2) twice", EXPERIMENTS,
+        "cnot(0, 2), cnot(1, 2)", "cnot(0, 2), cnot(0, 2)",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "circuit 2 without the ancilla CNOT C->D", EXPERIMENTS,
+        "ry(2, _HALF_PI), cnot(2, 3),", "ry(2, _HALF_PI),",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "_depolarize's mixed term without its / 2**s", CIRCUITS,
+        "eye = np.eye(2**s, dtype=complex) / 2**s\n",
+        "eye = np.eye(2**s, dtype=complex)\n",
+        "tests/test_circuits.py",
+    ),
+    Mutant(
+        "postselect without its empty-branch filter", CIRCUITS,
+        "    if prob < 1e-12:\n        return None, 0.0\n", "",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "the visibility estimator summed in another order", EXPERIMENTS,
+        "sa = f[0] + f[1] - f[2] - f[3]", "sa = f[0] - f[2] + f[1] - f[3]",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "an ideal branch reliable only above the floor", EXPERIMENTS,
+        "return self.probability >= RELIABLE_BRANCH_PROB",
+        "return self.probability > RELIABLE_BRANCH_PROB",
+        "tests/test_analysis.py",
+    ),
+    Mutant(
+        "a branch result reliable only above the floor", ANALYSIS,
+        "return self.probability >= RELIABLE_BRANCH_PROB",
+        "return self.probability > RELIABLE_BRANCH_PROB",
+        "tests/test_analysis.py",
     ),
 )
 

@@ -21,9 +21,9 @@ from qndsim.analysis import (
     fit_scale,
     rms_error,
 )
-from qndsim.experiments import PrepParams, bell_coefficients
+from qndsim.experiments import RELIABLE_BRANCH_PROB, Branch, PrepParams, bell_coefficients
 from qndsim.observables import concurrence_pure, concurrence_wootters
-from qndsim.qmath import DensityMatrix
+from qndsim.qmath import DensityMatrix, basis_state
 
 PHIS = np.linspace(0, 2 * math.pi, 17)[:-1]
 
@@ -193,6 +193,16 @@ def make_record(obs, phi, theory, qnd, tomo_in, tomo_out, branches=()):
     )
 
 
+def test_reliability_floor_is_inclusive():
+    # an ideal branch and its analysis are reliable exactly from the floor on
+    assert RELIABLE_BRANCH_PROB == 0.25
+    below = float(np.nextafter(0.25, 0))
+    assert Branch("01", basis_state(2), 0.25).reliable
+    assert BranchResult("01", 0.25).reliable
+    assert not Branch("01", basis_state(2), below).reliable
+    assert not BranchResult("01", below).reliable
+
+
 class TestCriteriaSummary:
     def test_noiseless_records_give_zero_errors(self):
         records = {
@@ -205,7 +215,7 @@ class TestCriteriaSummary:
         assert report["averages"]["E_output_tomo"] == 0.0
 
     def test_error_table_structure(self):
-        branch = BranchResult("01", 1.0, True, 100, 0.97, 0.99)
+        branch = BranchResult("01", 1.0, 100, 0.97, 0.99)
         records = {
             "C2": [make_record("C2", phi, abs(math.sin(phi)), 0.9 * abs(math.sin(phi)),
                                abs(math.sin(phi)), 0.8 * abs(math.sin(phi)),

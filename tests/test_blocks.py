@@ -81,7 +81,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     if config.exact_mode:
         # the pair's distribution: the full register's summed over the ancilla bits
         est = tom.linear_reconstruct(probs.reshape(16, 4, -1).sum(axis=-1))
-        branches = tuple(BranchResult(b.outcome, b.probability, b.reliable) for b in ideal)
+        branches = tuple(BranchResult(b.outcome, b.probability) for b in ideal)
         rho = est.projected.matrix[None]
         return (float(observable_set(rho)[key][0]),
                 float(fidelity(rho_psi_theory[None], rho)[0]), branches)
@@ -107,14 +107,14 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
                                           est.projected[with_target]).tolist()))
     results = {
         b.outcome: BranchResult(
-            b.outcome, b.probability, b.reliable,
+            b.outcome, b.probability,
             retained_shots=int(data[r].sum(axis=-1).min()),
             tomo_value=values[i], fidelity=fids.get(i),
         )
         for i, (b, r) in enumerate(zip(analyzed, est.rows[1:]), 1)
     }
     branches = tuple(
-        results.get(b.outcome, BranchResult(b.outcome, b.probability, b.reliable)) for b in ideal
+        results.get(b.outcome, BranchResult(b.outcome, b.probability)) for b in ideal
     )
     return values[0], fids[0], branches
 

@@ -76,7 +76,7 @@ class TestPrepCircuit:
 class TestCircuitOne:
     def run_probs(self, pair_amps):
         psi = append_ancillas(StateVector(2, pair_amps), 1)
-        out = circ.run_pure(ex.qnd1_circuit(), psi)
+        out = circ.run_pure(ex.measurement_circuit(ex.MeasurementSetting("concurrence1")), psi)
         return circ.exact_probabilities(as_stack([out]), (2,))[0]
 
     def test_bell_input_is_deterministic(self):
@@ -147,8 +147,10 @@ class TestCircuitTwoOutputs:
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_wrong_setting(self):
-        with pytest.raises(ValueError):
-            ex.qnd2_circuit(ex.MeasurementSetting("concurrence1"))
+        # a setting is a row of the gate table; any other name is refused
+        for name in ("concurrence", "C2", ""):
+            with pytest.raises(ValueError, match="unknown observable"):
+                ex.MeasurementSetting(name)
 
 
 class TestEstimators:
