@@ -246,25 +246,39 @@ def _evolve_pure(amps: np.ndarray, layers, num_qubits: int) -> np.ndarray:
     return amps
 
 
-def _depolarize(m: np.ndarray, num_qubits: int, support: tuple[int, ...], p: float) -> np.ndarray:
-    """rho -> (1-p) rho + p (I/2^s tensor the marginal off the support), per slice."""
+@lru_cache(maxsize=64)
+def _depolarize_map(num_qubits: int, support: tuple[int, ...]):
+    """The gather that lays I/2^s (x) the marginal off the support out in
+    qubit order: the qubits kept, each register entry's row and column in
+    their marginal, as a (d, 1) and a (1, d) index array, and its (d, d)
+    weight, the entry of I/2^s its support bits select."""
     keep = [q for q in range(num_qubits) if q not in support]
     s = len(support)
+    # each register index's bit per qubit, qubit 0 the most significant
+    bits = np.arange(2**num_qubits)[:, None] >> (num_qubits - 1 - np.arange(num_qubits)) & 1
+
+    def index(qubits):
+        return bits[:, qubits] @ (1 << np.arange(len(qubits)))[::-1]
+
+    kept, held = index(keep), index(list(support))
+    eye = np.eye(2**s, dtype=complex) / 2**s
+    rows, cols, weight = kept[:, None], kept[None, :], eye[held[:, None], held[None, :]]
+    for a in (rows, cols, weight):
+        a.flags.writeable = False
+    return tuple(keep), rows, cols, weight
+
+
+def _depolarize(m: np.ndarray, num_qubits: int, support: tuple[int, ...], p: float) -> np.ndarray:
+    """rho -> (1-p) rho + p (I/2^s tensor the marginal off the support), per slice."""
+    keep, rows, cols, weight = _depolarize_map(num_qubits, support)
     if not keep:
-        mixed = np.eye(2**num_qubits, dtype=complex) / 2**num_qubits
+        mixed = weight
     else:
-        marginal = partial_trace(m, keep)
-        # the Kronecker product I/2^s (x) marginal, by broadcasting
-        b = len(m)
-        eye = np.eye(2**s, dtype=complex) / 2**s
-        mixed = eye[:, None, :, None] * marginal[:, None, :, None, :]
-        # tensor positions hold qubits support + keep; put them back in order
-        order = list(support) + keep
-        src = [order.index(q) for q in range(num_qubits)]
-        mixed = mixed.reshape((b,) + (2,) * (2 * num_qubits))
-        mixed = mixed.transpose([0] + [1 + i for i in src] + [1 + num_qubits + i for i in src])
-        mixed = mixed.reshape(b, 2**num_qubits, 2**num_qubits)
-    return (1.0 - p) * m + p * mixed
+        mixed = partial_trace(m, keep)[:, rows, cols]
+        np.multiply(weight, mixed, out=mixed)
+    out = (1.0 - p) * m
+    out += p * mixed
+    return out
 
 
 def _evolve_density(m: np.ndarray, layers, num_qubits: int, noise: NoiseModel) -> np.ndarray:

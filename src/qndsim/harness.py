@@ -9,8 +9,8 @@ The protocol for every sweep point mirrors the experimental procedure:
 4. re-analyze the same output-tomography data post-selected on each ancilla
    outcome (state-preparation check).
 
-Points run in blocks of ``BLOCK_POINTS``, each block in stages cached on
-exactly what they depend on, so that no stage runs twice for one key.
+Points run in blocks of ``BLOCK_POINTS``, each block in four stages cached
+on exactly what they depend on, so that no stage runs twice for one key.
 Every stage is keyed on the block's per-point preparation angles, reduced
 mod 2*pi, and keeps one entry per point:
 
@@ -28,23 +28,30 @@ mod 2*pi, and keeps one entry per point:
   its estimates too, and each sweep point reads the observable it
   measures from its estimate.
 * The measurement stage (``_prepare_block``) is a function of the
-  observable, the angles and the noise model. It runs the full circuits
-  of the block's points as one batch and keeps, per point, the theory
-  value, the ideal branch data, the output fidelity target and every
+  measurement setting (the circuit), the angles and the noise model, not
+  of the observable: PA and PB, or VA and VB, read one readout of one
+  circuit. It runs the full circuits of the block's points as one batch
+  and keeps, per point, the theory value of every observable the setting
+  measures, the ideal branch data, the output fidelity target and every
   tomography setting's outcome distribution over the output register;
   the full-register states whose ancillas the readout measures stay the
   one stack the batch returned.
-* The seed stage (``_measure_block``) draws the ancilla readout and the
-  output tomography counts from the measurement stage's distributions
-  and analyzes the output estimates of every point and branch as one
+* The output analysis (``_output_analysis``) adds the draw to the
+  measurement stage's key, as the input analysis does to the input
+  stage's. It draws the ancilla readout and the output tomography counts
+  from the measurement stage's distributions, or reads them in exact
+  mode, and analyzes the output estimates of every point and branch as one
   stack (``_output_tomography``, which post-selects the whole block once
-  per ancilla outcome). Exact mode runs the same analysis with each draw
-  replaced by the distribution it draws from, the infinite-shot limit,
-  and post-selects no branch.
+  per ancilla outcome) for every observable the setting measures. Exact
+  data are the infinite-shot limit, and no branch is post-selected on
+  them.
 
-Each cache keeps its last ``PREPARED_BLOCKS`` entries, so the seeds of a
-criteria run, or sweeps that differ only in seed or mode, prepare each
-block once; the full blocks of a repeat run share one entry.
+The seed stage (``_measure_block``) then only reads each point's record
+from these entries. Each cache keeps its last ``PREPARED_BLOCKS`` entries,
+so the seeds of a criteria run, or sweeps that differ only in seed or
+mode, prepare each block once, the two observables of a setting share one
+draw and one analysis per seed, and the full blocks of a repeat run share
+one entry.
 
 Each mixed point's output-tomography evolution runs on its own (pure
 points, 16 state vectors each, run as one stack), so memory depends on the
@@ -52,9 +59,10 @@ block size, not on the sweep length.
 
 Every random draw comes from a stream derived from its seed path: a
 tomography setting's from (master_seed, stage, point, setting), the
-ancilla readout's from (master_seed, 0, point), which has no setting. So
-results are byte-reproducible regardless of execution order and block
-layout, and each stage draws a whole block in one call.
+ancilla readout's from (master_seed, 0, point), which has no setting. No
+path holds the observable, so the observables of one setting draw the
+same data. Results are byte-reproducible regardless of execution order and
+block layout, and each stage draws a whole block in one call.
 """
 
 from __future__ import annotations
@@ -270,14 +278,14 @@ def _measure_points(config: SweepConfig, points: list[Point]) -> list[SweepRecor
 
 
 PREPARED_BLOCKS = 32
-"""Entries kept by each stage cache (``_prepare_input``, ``_input_analysis``
-and ``_prepare_block``), least recently used first out.
+"""Entries kept by each stage cache (``_prepare_input``, ``_input_analysis``,
+``_prepare_block`` and ``_output_analysis``), least recently used first out.
 
 One criteria seed, like one benchmark unit, visits a block per observable
 and per 16 phi points, six or more in turn, and the next seed visits them
 again in the same order: a cache smaller than one pass misses on every
-call. A 16-point block holds 50 to 150 KB, its input stage 12 KB and its
-input analysis 4 KB."""
+call. A 16-point block holds 50 to 150 KB, its input stage 12 KB, its
+input analysis 4 KB and its output analysis 3 to 4 KB."""
 
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
@@ -328,15 +336,22 @@ def _input_analysis(
     return est, tuple(fidelity(target, est).tolist())
 
 
+def _observables_of(setting: ex.MeasurementSetting) -> tuple[str, ...]:
+    """The observables one readout of the setting's circuit gives: the keys
+    of ``experiments.estimate_observable``, in ``OBSERVABLES`` order."""
+    return tuple(o for o in ex.OBSERVABLES if ex.setting_for(o) == setting)
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedBlock:
-    """The measurement stage of a block: what the observable's circuit
-    does to each point's prepared state, whatever the seed. Every field has
-    one entry per point; the input states are ``_prepare_input``'s.
+    """The measurement stage of a block: what the setting's circuit does to
+    each point's prepared state, whatever the seed. Every field has one
+    entry per point; the input states are ``_prepare_input``'s.
 
-    ``theory`` and ``branches`` are the observable's defining-formula value
-    and the ideal branch data. ``target_out`` is the (P, 4, 4) stack of the
-    ideal unconditional outputs, the fidelity targets.
+    ``theory`` maps each observable the setting measures to its
+    defining-formula values, and ``branches`` holds the ideal branch data.
+    ``target_out`` is the (P, 4, 4) stack of the ideal unconditional
+    outputs, the fidelity targets.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
     whose ancillas the readout measures: (P, 2^n) amplitudes or
@@ -349,7 +364,7 @@ class PreparedBlock:
     Every array is owned and read-only, so an entry pins nothing else.
     """
 
-    theory: tuple[float, ...]
+    theory: dict[str, tuple[float, ...]]
     branches: tuple[tuple[ex.Branch, ...], ...]
     target_out: np.ndarray
     readout: np.ndarray
@@ -362,12 +377,11 @@ class PreparedBlock:
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
 def _prepare_block(
-    observable: str, params: tuple[ex.PrepParams, ...], noise: NoiseModel
+    setting: ex.MeasurementSetting, params: tuple[ex.PrepParams, ...], noise: NoiseModel
 ) -> PreparedBlock:
     """The measurement stage of a block's points: their full circuits as
     one batch, the states' ideal counterparts and the outcome distributions
     of every measurement."""
-    setting = ex.setting_for(observable)
     n = setting.num_qubits
     ideal = tuple(ex.branch_data(setting, p) for p in params)
     # the circuits differ only in their preparation angles, so they run as
@@ -381,9 +395,9 @@ def _prepare_block(
     step = 1 if readout.ndim == 3 else len(readout)
     probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
                                 for i in range(0, len(readout), step)])
+    chi = [ex.bell_coefficients(p).state_vector() for p in params]
     return PreparedBlock(
-        theory=tuple(theory_value(observable, ex.bell_coefficients(p).state_vector())
-                     for p in params),
+        theory={obs: tuple(theory_value(obs, c) for c in chi) for obs in _observables_of(setting)},
         branches=ideal,
         target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
         readout=readout,
@@ -391,33 +405,80 @@ def _prepare_block(
     )
 
 
-def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
-    """The seed stage: draw from the block's prepared distributions, or read
-    them in exact mode, and analyze the data."""
-    obs = config.observable
-    setting = ex.setting_for(obs)
-    ms, shots, flip = config.master_seed, config.shots, config.noise.readout_flip
-    indices = tuple(index for index, _, _ in points)
-    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
-    # the input stage first, as the protocol runs it: its evolution then
-    # shares the peak memory with no stack of the measurement stage
-    _prepare_input(params, config.noise)
-    block = _prepare_block(obs, params, config.noise)
+@dataclass(frozen=True, eq=False)
+class OutputAnalysis:
+    """The output analysis of a block for one draw: arrays with a row per
+    point, for every observable the setting measures.
 
-    # the ancilla readout and the output tomography data
-    if config.exact_mode:
+    ``qnd`` maps each observable to its (P,) ancilla estimates. ``values``
+    maps each observable to its (P, 1 + B) output values and ``fidelity``
+    holds the (P, 1 + B) output fidelities: column 0 is the unconditional
+    estimate, column 1 + j the one post-selected on the point's ideal
+    branch j. ``retained`` holds the (P, B) fewest shots any setting kept in
+    each branch, 0 where the branch was not analyzed (an analyzed branch
+    kept a shot in every setting); a branch column is read only where the
+    branch was analyzed, and its fidelity only where the branch has an
+    ideal state.
+
+    Every array is owned and read-only, so an entry pins nothing else.
+    """
+
+    qnd: dict[str, np.ndarray]
+    values: dict[str, np.ndarray]
+    fidelity: np.ndarray
+    retained: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (*self.qnd.values(), *self.values.values(), self.fidelity, self.retained):
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=PREPARED_BLOCKS)
+def _output_analysis(
+    setting: ex.MeasurementSetting,
+    params: tuple[ex.PrepParams, ...],
+    noise: NoiseModel,
+    draw: tuple[int, int, tuple[int, ...]] | None,
+) -> OutputAnalysis:
+    """The ancilla readout and the output tomography of a block, drawn and
+    analyzed once for every observable the setting measures.
+
+    Sampled, ``draw`` is (shots, master seed, the points' indices): point
+    i's readout comes from stream (master seed, 0, index i) and its output
+    tomography from streams (master seed, 2, index i, setting). Exact,
+    ``draw`` is None and the data are the outcome distributions.
+    """
+    block = _prepare_block(setting, params, noise)
+    flip = noise.readout_flip
+    if draw is None:
         anc_stats = circ.exact_probabilities(block.readout, setting.ancilla_qubits, flip)
-        data_out, draw = block.probs_out, None
+        data_out = block.probs_out
     else:
+        shots, ms, indices = draw
         anc_stats = circ.sample_counts(block.readout, setting.ancilla_qubits,
                                        shots, ms, [(0, index) for index in indices], flip)
         data_out = tom.collect(block.probs_out, shots, ms, [(2, index) for index in indices])
-        draw = (shots, ms, indices)
-    tomo_out, fidelity_out, branches = _output_tomography(setting, data_out, block.branches,
-                                                          block.target_out, obs)
-    qnd_estimates = ex.estimate_observable(setting, anc_stats)[obs].tolist()
+    return OutputAnalysis(ex.estimate_observable(setting, anc_stats),
+                          *_output_tomography(setting, data_out, block.branches,
+                                              block.target_out))
+
+
+def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
+    """The seed stage: each point's record, read from the block's stages."""
+    obs = config.observable
+    setting = ex.setting_for(obs)
+    indices = tuple(index for index, _, _ in points)
+    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
+    draw = None if config.exact_mode else (config.shots, config.master_seed, indices)
+    # the input stage first, as the protocol runs it: its evolution then
+    # shares the peak memory with no stack of the measurement stage
+    _prepare_input(params, config.noise)
+    out = _output_analysis(setting, params, config.noise, draw)
+    block = _prepare_block(setting, params, config.noise)
     est_in, fidelity_in = _input_analysis(params, config.noise, draw)
     tomo_in = _observable_values(obs, est_in).tolist()
+    qnd_estimates = out.qnd[obs].tolist()
+    values, fids, kept = out.values[obs].tolist(), out.fidelity.tolist(), out.retained.tolist()
 
     return [
         SweepRecord(
@@ -425,30 +486,37 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=block.theory[i],
+            theory=block.theory[obs][i],
             qnd_estimate=qnd_estimates[i],
             tomo_in=tomo_in[i],
-            tomo_out=tomo_out[i],
+            tomo_out=values[i][0],
             fidelity_in=fidelity_in[i],
-            fidelity_out=fidelity_out[i],
-            branches=branches[i],
-            shots=0 if config.exact_mode else shots,
+            fidelity_out=fids[i][0],
+            branches=tuple(
+                BranchResult(b.outcome, b.probability, retained_shots=kept[i][j],
+                             tomo_value=values[i][1 + j],
+                             fidelity=None if b.state is None else fids[i][1 + j])
+                if kept[i][j] else BranchResult(b.outcome, b.probability)
+                for j, b in enumerate(block.branches[i])
+            ),
+            shots=0 if config.exact_mode else config.shots,
             seed=seed_tag,
         )
         for i, (_, phi, seed_tag) in enumerate(points)
     ]
 
 
-def _output_tomography(setting, data, ideal, target_out, observable: str):
+def _output_tomography(setting, data, ideal, target_out):
     """Analyze each point's full-register output-tomography data, for every
     point of the block as one stack of estimates: unconditionally, and for
     integer counts (not the exact distributions; the dtype rule of
     ``circuits._frequencies``) post-selected on each of its ``ideal``
     branches. A branch not post-selected, or one that retained no shot in
-    some setting or too few to fix a state, carries its ideal data only.
+    some setting or too few to fix a state, is not analyzed.
 
-    Returns, per point, the unconditional observable value, its fidelity,
-    and the branch results.
+    Returns the fields of ``OutputAnalysis`` but ``qnd``: each observable's
+    (P, 1 + B) values, the (P, 1 + B) fidelities and the (P, B) retained
+    shots, a branch that was not analyzed reading 0.
     """
     # the pair data: each outcome summed over the trailing ancilla bits
     pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
@@ -458,43 +526,41 @@ def _output_tomography(setting, data, ideal, target_out, observable: str):
     outcomes = dict.fromkeys(b.outcome for listed in postselected for b in listed)
     selected = {o: circ.postselect_counts(data, setting.ancilla_qubits, o) for o in outcomes}
     retained = {o: kept.sum(axis=-1).min(axis=-1).tolist() for o, kept in selected.items()}
-    sets, owners = [], []  # each data set and its (point, branch); no branch: unconditional
+    # each data set, its point, its column (0: unconditional, 1 + j: the
+    # point's branch j) and its branch (None: unconditional)
+    sets, owners = [], []
     for i, listed in enumerate(postselected):
         sets.append(pair[i])
-        owners.append((i, None))
-        for b in listed:
+        owners.append((i, 0, None))
+        for j, b in enumerate(listed, 1):
             if retained[b.outcome][i]:
                 sets.append(selected[b.outcome][i])
-                owners.append((i, b))
+                owners.append((i, j, b))
     est = tom.reconstruct_stack(np.stack(sets))
     # a data set left out of the stack retained too few shots to fix a state
     analyzed = [owners[r] for r in est.rows.tolist()]
-    if sum(b is None for _, b in analyzed) != len(data):
+    if sum(b is None for _, _, b in analyzed) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    values = _observable_values(observable, est.projected).tolist()
+    points, columns = np.array([(i, j) for i, j, _ in analyzed]).T
+    shape = (len(data), 1 + len(ideal[0]))
+    values = {}
+    for obs in _observables_of(setting):
+        values[obs] = np.zeros(shape)
+        values[obs][points, columns] = _observable_values(obs, est.projected)
     targets = {
         k: target_out[i] if b is None
         else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-        for k, (i, b) in enumerate(analyzed) if b is None or b.state is not None
+        for k, (i, _, b) in enumerate(analyzed) if b is None or b.state is not None
     }
-    fids = dict(zip(targets, fidelity(
-        np.stack(list(targets.values())), est.projected[list(targets)]
-    ).tolist()))
-    tomo_out, fidelity_out = [0.0] * len(data), [0.0] * len(data)
-    results: list[dict[str, BranchResult]] = [{} for _ in data]
-    for k, (i, b) in enumerate(analyzed):
-        if b is None:
-            tomo_out[i], fidelity_out[i] = values[k], fids[k]
-        else:
-            results[i][b.outcome] = BranchResult(
-                b.outcome, b.probability, retained_shots=retained[b.outcome][i],
-                tomo_value=values[k], fidelity=fids.get(k),
-            )
-    branches = [
-        tuple(res.get(b.outcome, BranchResult(b.outcome, b.probability)) for b in bs)
-        for res, bs in zip(results, ideal)
-    ]
-    return tomo_out, fidelity_out, branches
+    rows = list(targets)
+    fids = np.zeros(shape)
+    fids[points[rows], columns[rows]] = fidelity(np.stack(list(targets.values())),
+                                                 est.projected[rows])
+    branch = columns > 0
+    shots = np.zeros((len(data), len(ideal[0])), dtype=np.int64)
+    shots[points[branch], columns[branch] - 1] = [
+        retained[b.outcome][i] for i, _, b in analyzed if b is not None]
+    return values, fids, shots
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

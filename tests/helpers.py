@@ -7,9 +7,10 @@ of code the package replaced by faster or simpler code that must agree
 with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
 post-selection of one point's branch at a time, the Born-rule marginal
 of one state at a time, the branch data built from tuples and an
-empty-branch exception, and the linear estimates solved against a
-broadcast copy of the design matrix), the depolarizing channel
-written as a Pauli twirl, and a reset of the sweep's stage caches."""
+empty-branch exception, the linear estimates solved against a broadcast
+copy of the design matrix, and the depolarizing channel's mixed term
+built by a transpose), the depolarizing channel written as a
+Pauli twirl, and a reset of the sweep's stage caches."""
 
 import itertools
 import math
@@ -27,9 +28,10 @@ from qndsim.observables import concurrence_pure, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
 
 
-STAGE_CACHES = (harness._prepare_input, harness._input_analysis, harness._prepare_block)
-"""The sweep's stage caches: the input stage, the input analysis and the
-measurement stage."""
+STAGE_CACHES = (harness._prepare_input, harness._input_analysis, harness._prepare_block,
+                harness._output_analysis)
+"""The sweep's stage caches: the input stage, the input analysis, the
+measurement stage and the output analysis."""
 
 
 def clear_stage_caches() -> None:
@@ -212,6 +214,28 @@ def pauli_twirl(rho: np.ndarray, num_qubits: int, support, p: float) -> np.ndarr
         op = tensor(*[on.get(q, PAULIS[0]) for q in range(num_qubits)])
         twirled = twirled + op @ rho @ op.conj().T
     return (1.0 - p) * rho + p * twirled / 4 ** len(support)
+
+
+def transposed_depolarize(m: np.ndarray, num_qubits: int, support, p: float) -> np.ndarray:
+    """The depolarizing channel as ``circuits._depolarize`` computed it
+    before its gather map: the Kronecker product I/2^s (x) the marginal by
+    broadcasting, put back in qubit order by a transpose, on a (B, d, d)
+    stack."""
+    keep = [q for q in range(num_qubits) if q not in support]
+    s = len(support)
+    if not keep:
+        mixed = np.eye(2**num_qubits, dtype=complex) / 2**num_qubits
+    else:
+        marginal = partial_trace(m, keep)
+        b = len(m)
+        eye = np.eye(2**s, dtype=complex) / 2**s
+        mixed = eye[:, None, :, None] * marginal[:, None, :, None, :]
+        order = list(support) + keep
+        src = [order.index(q) for q in range(num_qubits)]
+        mixed = mixed.reshape((b,) + (2,) * (2 * num_qubits))
+        mixed = mixed.transpose([0] + [1 + i for i in src] + [1 + num_qubits + i for i in src])
+        mixed = mixed.reshape(b, 2**num_qubits, 2**num_qubits)
+    return (1.0 - p) * m + p * mixed
 
 
 def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray | None:

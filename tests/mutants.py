@@ -45,8 +45,8 @@ MUTANTS = (
     ),
     Mutant(
         "depolarizing weight halved in _depolarize", CIRCUITS,
-        "    return (1.0 - p) * m + p * mixed\n",
-        "    return (1.0 - p / 2) * m + p / 2 * mixed\n",
+        "    out = (1.0 - p) * m\n    out += p * mixed\n",
+        "    out = (1.0 - p / 2) * m\n    out += p / 2 * mixed\n",
         "tests/test_circuits.py",
     ),
     Mutant(
@@ -70,7 +70,38 @@ MUTANTS = (
     Mutant(
         "every point reads the first point's branches", HARNESS,
         "_output_tomography(setting, data_out, block.branches,",
-        "_output_tomography(setting, data_out, block.branches[:1] * len(points),",
+        "_output_tomography(setting, data_out, block.branches[:1] * len(params),",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "an output-analysis key without the draw", HARNESS,
+        "    out = _output_analysis(setting, params, config.noise, draw)\n",
+        "    out = _measure_block.__dict__.setdefault(\"out\", {}).setdefault(\n"
+        "        (setting, params, config.noise),\n"
+        "        _output_analysis(setting, params, config.noise, draw))\n",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "an output-analysis key without the noise", HARNESS,
+        "    out = _output_analysis(setting, params, config.noise, draw)\n",
+        "    out = _measure_block.__dict__.setdefault(\"out\", {}).setdefault(\n"
+        "        (setting, params, draw),\n"
+        "        _output_analysis(setting, params, config.noise, draw))\n",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "PB's records read PA's output values", HARNESS,
+        "out.values[obs].tolist()", "out.values[next(iter(out.values))].tolist()",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "PB's records read PA's ancilla estimates", HARNESS,
+        "out.qnd[obs].tolist()", "out.qnd[next(iter(out.qnd))].tolist()",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "PB's records read PA's theory values", HARNESS,
+        "theory=block.theory[obs][i],", "theory=next(iter(block.theory.values()))[i],",
         "tests/test_blocks.py",
     ),
     Mutant(
@@ -152,6 +183,12 @@ MUTANTS = (
         "_depolarize's mixed term without its / 2**s", CIRCUITS,
         "eye = np.eye(2**s, dtype=complex) / 2**s\n",
         "eye = np.eye(2**s, dtype=complex)\n",
+        "tests/test_circuits.py",
+    ),
+    Mutant(
+        "_depolarize's gather reading the marginal transposed", CIRCUITS,
+        "rows, cols, weight = kept[:, None], kept[None, :],",
+        "rows, cols, weight = kept[None, :], kept[:, None],",
         "tests/test_circuits.py",
     ),
     Mutant(

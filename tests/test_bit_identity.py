@@ -28,11 +28,17 @@ same to the last bit, so each comparison here reads bit patterns
   (``helpers.marginal_probabilities``), pure and mixed;
 * the ideal branch data, ``Branch`` from every producer, against the
   tuples and empty-branch exception they were built from
-  (``helpers.tuple_branch_data``), empty branches included.
+  (``helpers.tuple_branch_data``), empty branches included;
+* the depolarizing channel, its mixed term gathered from the marginal by
+  a cached index map, against the broadcast product put in qubit order
+  by a transpose (``helpers.transposed_depolarize``), on every support
+  of every register, entries of -0.0 included.
 
 The claims must hold on every numpy the package supports, so CI also
 runs this file on the oldest one.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -41,7 +47,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from helpers import (
     as_stack, broadcast_linear_estimates, loop_linear_estimates, marginal_probabilities,
     pauli_loop_sum, postselected_sets, random_density_matrix, random_pure_state,
-    tuple_branch_data,
+    transposed_depolarize, tuple_branch_data,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -262,17 +268,20 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tom, "reconstruct_stack", spy)
-        _, _, branches = harness._output_tomography(
-            setting, counts, ideal, target_out, observable)
+        _, _, kept = harness._output_tomography(setting, counts, ideal, target_out)
     (got,) = stacks
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     analyzed = {(owners[r][0], owners[r][1].outcome): retained[r]
                 for r in real(want).rows.tolist() if owners[r][1] is not None}
-    for i, results in enumerate(branches):
-        for result in results:
-            assert result.retained_shots == analyzed.get((i, result.outcome))
-            event("branch analyzed" if (i, result.outcome) in analyzed else "branch left out")
+    # an analyzed branch retained a shot in every setting, so 0 marks one
+    # that was not analyzed
+    assert all(shots > 0 for shots in analyzed.values())
+    assert kept.shape == (points, len(ideal[0]))
+    for i, listed in enumerate(ideal):
+        for j, b in enumerate(listed):
+            assert kept[i, j] == analyzed.get((i, b.outcome), 0)
+            event("branch analyzed" if (i, b.outcome) in analyzed else "branch left out")
 
 
 def _reference_estimate(s, row) -> dict[str, float]:
@@ -409,3 +418,30 @@ def test_branch_data_matches_the_tuple_code_on_empty_branches(phi, theta):
     assert empty["predictability"] >= 2 and empty["concurrence2"] >= 2
     if (phi, theta) == (np.pi / 2, np.pi):
         assert min(empty.values()) >= 1
+
+
+def _supports(num_qubits: int) -> list[tuple[int, ...]]:
+    """Every support of a one- or two-qubit gate, in either order."""
+    qubits = range(num_qubits)
+    return [(q,) for q in qubits] + list(itertools.permutations(qubits, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(register=st.integers(1, 4).flatmap(
+           lambda n: st.tuples(st.just(n), st.sampled_from(_supports(n)))),
+       p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(1, 6), zeros=st.floats(0.0, 1.0))
+@example(register=(2, (1, 0)), p=0.05, seed=0, k=2, zeros=0.5)
+def test_depolarize_matches_the_transpose(register, p, seed, k, zeros):
+    num_qubits, support = register
+    rng = np.random.default_rng(seed)
+    d = 2**num_qubits
+    m = np.stack([random_density_matrix(rng, num_qubits).matrix for _ in range(k)]
+                 + [basis_state(num_qubits, int(rng.integers(d))).density().matrix])
+    # signed zeros in both parts, where an entry's product may keep the sign
+    m.real[rng.random(m.shape) < zeros / 2] = -0.0
+    m.imag[rng.random(m.shape) < zeros] = -0.0
+    want = transposed_depolarize(m.copy(), num_qubits, support, p)
+    got = circ._depolarize(m.copy(), num_qubits, support, p)
+    event("the whole register" if len(support) == num_qubits else "a marginal kept")
+    assert np.array_equal(_bits(got), _bits(want))

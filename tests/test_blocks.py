@@ -11,12 +11,14 @@ In exact mode the reference is its own sampled path with each draw
 replaced by the distribution it draws from, and no branch analyzed.
 
 A block's seed-independent stages are cached (``harness._prepare_input``
-and ``harness._prepare_block``), and so is its input analysis
-(``harness._input_analysis``). So each comparison runs from cold caches,
-again from the warm ones, and with another seed drawn from the same
-prepared entries. The input stage is shared by the observables prepared
-at the same angles: every observable's records must be the same whether
-another one warmed its input stage or not.
+and ``harness._prepare_block``), and so are its input and output analyses
+(``harness._input_analysis`` and ``harness._output_analysis``). So each
+comparison runs from cold caches, again from the warm ones, and with
+another seed drawn from the same prepared entries. The input stage is
+shared by the observables prepared at the same angles, and the
+measurement stage and the output analysis by the two observables of one
+setting: every observable's records must be the same whether another one
+warmed those stages or not.
 """
 
 import itertools
@@ -45,9 +47,11 @@ from qndsim.harness import (
     BLOCK_POINTS,
     PREPARED_BLOCKS,
     THETA_DEFAULTS,
+    OutputAnalysis,
     PreparedBlock,
     SweepConfig,
     _input_analysis,
+    _output_analysis,
     _prep_params,
     _prepare_block,
     _prepare_input,
@@ -208,18 +212,24 @@ def test_cached_blocks_match_per_point_reference(entry, observable, noise, exact
         _check_cold_and_warm(run_sweep, config, _reference_sweep)
 
 
-def test_cache_keeps_observables_and_noise_apart_and_modes_share_a_block():
-    # at the same angles PA and PB share their circuit and their states: only
-    # the observable in the key tells their blocks apart; exact mode reads the
-    # distributions sampled mode draws from, so the two modes share a block.
-    # The input stage has no observable in its key, so PB reads PA's, and
-    # its input analysis too, one per noise and mode
+def test_observables_of_a_setting_share_its_stages_and_noise_keeps_them_apart():
+    # at the same angles PA and PB share their circuit and their states: the
+    # measurement stage has the setting, not the observable, in its key, so
+    # PB reads PA's block; exact mode reads the distributions sampled mode
+    # draws from, so the two modes share a block. The output analysis adds
+    # the draw, so PB reads PA's, one per noise and mode. The input stage
+    # has no observable in its key, so PB reads PA's, and its input analysis
+    # too, one per noise and mode
     for observable, noise, exact in itertools.product(("PA", "PB"), sorted(NOISE), (False, True)):
         config = SweepConfig(observable, theta=1.1, lam=0.3, phi_start=0.9, phi_count=1,
                              shots=200, exact_mode=exact, noise=NOISE[noise], master_seed=4)
         assert run_sweep(config) == _reference_sweep(config)
-    assert _prepare_block.cache_info().currsize == 6
-    assert _prepare_block.cache_info().hits == 6
+    # the 12 sweeps and the 6 output analyses read the measurement stage; 3
+    # of those 18 reads prepared it
+    assert _prepare_block.cache_info().currsize == 3
+    assert _prepare_block.cache_info().hits == 12 + 6 - 3
+    assert _output_analysis.cache_info().currsize == 6
+    assert _output_analysis.cache_info().hits == 6
     # the 12 sweeps and the 6 input analyses read the input stage; 3 of
     # those 18 reads prepared it
     assert _prepare_input.cache_info().currsize == 3
@@ -262,6 +272,35 @@ def test_records_are_the_same_from_a_warm_input_stage(entry, observable, noise, 
     # the warm run prepared and analyzed no input state
     assert _prepare_input.cache_info().misses == input_misses
     assert _input_analysis.cache_info().hits == hits + (count > BLOCK_POINTS) + 1
+
+
+@pytest.mark.parametrize("noise, exact", [("criterion 9", False), ("none", False),
+                                          ("criterion 9", True)],
+                         ids=["noisy sampled", "noiseless sampled", "exact"])
+@pytest.mark.parametrize("first, second, theta", [("PA", "PB", None), ("VA", "VB", 1.1)])
+def test_the_second_observable_of_a_setting_reads_the_first_ones_stages(
+        first, second, theta, noise, exact):
+    # one readout of a setting's circuit gives both of its observables: the
+    # second, run right after the first at the same angles and seed, reads
+    # the first one's measurement stage and output analysis, and its records
+    # are those of a cold run, bit for bit, signed zeros included. PA and PB
+    # share their default theta; VA and VB share an explicit one
+    config = SweepConfig(second, theta=theta, lam=0.3, phi_start=0.2,
+                         phi_count=BLOCK_POINTS + 1, phi_step=0.4, shots=200, exact_mode=exact,
+                         noise=NOISE[noise], master_seed=7)
+    cold = run_sweep(config)
+    assert cold == _reference_sweep(config)
+    clear_stage_caches()
+    before = run_sweep(replace(config, observable=first))
+    blocks, analyses = _prepare_block.cache_info(), _output_analysis.cache_info()
+    warm = run_sweep(config)
+    assert _prepare_block.cache_info().misses == blocks.misses
+    assert _output_analysis.cache_info().misses == analyses.misses
+    assert _output_analysis.cache_info().hits == analyses.hits + 2
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    # the two observables read different values from the shared entries
+    for name in ("theory", "qnd_estimate", "tomo_out"):
+        assert [getattr(r, name) for r in before] != [getattr(r, name) for r in warm], name
 
 
 def test_input_caches_miss_on_every_change_of_their_key():
@@ -348,10 +387,14 @@ def test_criteria_seeds_match_single_seed_reports(seeds):
 
 
 def _reachable(obj):
-    """Every value reachable from a block through dataclass fields and tuples."""
+    """Every value reachable from a stage entry through dataclass fields,
+    tuples and dict values."""
     yield obj
     if isinstance(obj, tuple):
         for item in obj:
+            yield from _reachable(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
             yield from _reachable(item)
     elif hasattr(obj, "__dataclass_fields__"):
         for name in obj.__dataclass_fields__:
@@ -362,19 +405,40 @@ def _reachable(obj):
 @pytest.mark.parametrize("noise", sorted(NOISE))
 @pytest.mark.parametrize("observable", ex.OBSERVABLES)
 def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
-    # the block a sweep in either mode read, unchanged by the reading
+    # the block a sweep in either mode read, unchanged by the reading: the
+    # measurement stage of the observable's setting, read by the output
+    # analysis and by the records
     config = SweepConfig(observable, phi_count=3, phi_step=0.7, shots=100, exact_mode=exact,
                          noise=NOISE[noise])
     run_sweep(config)
     theta = THETA_DEFAULTS[observable]
     params = tuple(_prep_params(0.7 * k, theta, 0.0) for k in range(3))
-    block = _prepare_block(observable, params, NOISE[noise])
-    assert _prepare_block.cache_info().hits == 1
+    setting = ex.setting_for(observable)
+    block = _prepare_block(setting, params, NOISE[noise])
+    assert _prepare_block.cache_info().hits == 2
     assert isinstance(block, PreparedBlock)
     values = list(_reachable(block))
     arrays = [v for v in values if isinstance(v, np.ndarray)]
     assert len(arrays) >= 3
     for a in arrays:
+        assert not a.flags.writeable and a.base is None
+    # the theory values of every observable the setting measures
+    measured = [o for o in ex.OBSERVABLES if ex.setting_for(o) == setting]
+    assert list(block.theory) == measured
+    assert all(len(v) == 3 and all(type(x) is float for x in v) for v in block.theory.values())
+    # so are the output analysis's arrays, one row per point, for the same
+    # observables as the estimator's
+    out = _output_analysis(setting, params, NOISE[noise], None if exact else (100, 0, (0, 1, 2)))
+    assert _output_analysis.cache_info().hits == 1
+    assert isinstance(out, OutputAnalysis)
+    assert list(out.qnd) == list(out.values) == measured
+    width = len(ex.branch_outcomes(setting))
+    assert all(v.shape == (3,) for v in out.qnd.values())
+    assert all(v.shape == (3, 1 + width) for v in out.values.values())
+    assert out.fidelity.shape == (3, 1 + width) and out.retained.shape == (3, width)
+    out_arrays = [v for v in _reachable(out) if isinstance(v, np.ndarray)]
+    assert len(out_arrays) == 2 + 2 * len(measured)
+    for a in out_arrays:
         assert not a.flags.writeable and a.base is None
     # so are the input stage's arrays and the input estimates
     target_in, probs_in = _prepare_input(params, NOISE[noise])
@@ -390,7 +454,7 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     # the readout is the batch's stack of full-register states, amplitudes
     # or density matrices, and no density matrix object is kept: the
     # fidelity targets are arrays too
-    d = 2 ** ex.setting_for(observable).num_qubits
+    d = 2 ** setting.num_qubits
     pure = NOISE[noise] == NoiseModel()
     assert block.readout.shape == ((3, d) if pure else (3, d, d))
     assert not any(isinstance(v, DensityMatrix) for v in values)
@@ -602,11 +666,11 @@ def test_sweep_memory_is_bounded_by_the_block():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [cache.cache_info().currsize for cache in STAGE_CACHES] == [4, 4, 4]
+    assert [cache.cache_info().currsize for cache in STAGE_CACHES] == [4, 4, 4, 4]
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
-    # what stays is the four prepared blocks, their input stages and input
-    # estimates, which hold no evolved stacks: distributions, branch data and
-    # estimates within 384 KB, plus the 64 full-register states the readout
+    # what stays is the four prepared blocks, their input stages, input
+    # estimates and output analyses, which hold no evolved stacks:
+    # distributions, branch data, estimates and output values within 384 KB, plus the 64 full-register states the readout
     # measures, 4 KB each. One point's evolved stack of 16 settings alone
     # would add 64 KB
     assert held < 384 * 2**10 + 64 * 16 * 16 * 16, f"held {held / 2**10:.0f} KB"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qndsim
+from helpers import STAGE_CACHES
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
@@ -233,7 +234,7 @@ class TestSampledSweeps:
             monkeypatch.setattr(circ, name, run)
         params = (PrepParams(0.3, math.pi),)
         _, probs_in = _prepare_input(params, noise)
-        out = _prepare_block("C2", params, noise).readout
+        out = _prepare_block(ex.setting_for("C2"), params, noise).readout
         assert len(chi) == 1 and isinstance(chi[0], kind) and chi[0].num_qubits == 2
         assert out.ndim == (2 if kind is StateVector else 3)
         assert probs_in.shape == (1, 16, 4) and out.shape[:2] == (1, 16)
@@ -347,6 +348,7 @@ class TestRepeatFixedState:
             repeat_fixed_state(SweepConfig("C2"), repetitions)
         assert harness._prepare_block.cache_info().misses == 0
         assert harness._prepare_input.cache_info().misses == 0
+        assert harness._output_analysis.cache_info().misses == 0
 
     @pytest.mark.parametrize("observable", OBSERVABLES)
     def test_exact_repetitions_are_one_record(self, observable):
@@ -356,15 +358,18 @@ class TestRepeatFixedState:
         assert all(dataclasses.replace(r, seed=0) == reps[0] for r in reps)
 
     def test_exact_repetitions_analyze_each_block_key_once(self, monkeypatch):
-        # one output reconstruction per block, of all its points, and one
-        # input reconstruction per point of each distinct block: the input
-        # analysis of the 16-point key is read again by blocks 2 and 3
+        # one output reconstruction per distinct block key, of all its
+        # points, and one input reconstruction per point of each: the exact
+        # output and input analyses of the 16-point key are read again by
+        # blocks 2 and 3
         calls = []
         reconstruct = tom.reconstruct_stack
         monkeypatch.setattr(tom, "reconstruct_stack",
                             lambda data: calls.append(len(data)) or reconstruct(data))
         repeat_fixed_state(SweepConfig("C2", exact_mode=True), 50)
-        assert calls == [16] + [1] * 16 + [16, 16, 2] + [1] * 2
+        assert calls == [16] + [1] * 16 + [2] + [1] * 2
+        assert harness._output_analysis.cache_info().hits == 2
+        assert harness._input_analysis.cache_info().hits == 2
 
 
 class TestEmission:
@@ -645,7 +650,8 @@ class TestCli:
         def no_work(*args):
             raise AssertionError("a block was prepared")
 
-        for stage in ("_prepare_input", "_input_analysis", "_prepare_block"):
+        for stage in ("_prepare_input", "_input_analysis", "_prepare_block",
+                      "_output_analysis"):
             monkeypatch.setattr(harness, stage, no_work)
         out = tmp_path / "x.csv"
         assert cli_main(["sweep", "--observable", "VA", "--exact", "--phi-step", "1e307",
@@ -678,7 +684,7 @@ class TestCli:
             [err.strip()], err
         assert "output path" in err
         assert out == ""
-        for stage in (_prepare_input, _prepare_block):
+        for stage in STAGE_CACHES:
             assert stage.cache_info().misses == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
