@@ -131,7 +131,7 @@ class MeasurementSetting:
 
     @property
     def num_qubits(self) -> int:
-        return 3 if self.observable == "concurrence1" else 4
+        return 2 + len(self.ancilla_qubits)
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:
@@ -261,10 +261,13 @@ class Branch:
         return self.probability >= RELIABLE_BRANCH_PROB
 
 
+# every readout of one or two ancillas, as bitstrings in ascending order; one
+# tuple per count, so the branches of every block share its strings
+_OUTCOMES = {a: tuple(format(k, f"0{a}b") for k in range(2**a)) for a in (1, 2)}
+
+
 def branch_outcomes(s: MeasurementSetting) -> tuple[str, ...]:
-    if s.observable == "concurrence1":
-        return ("0", "1")
-    return ("00", "01", "10", "11")
+    return _OUTCOMES[len(s.ancilla_qubits)]
 
 
 def conditional_target_state(

@@ -507,12 +507,14 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
 
 
 def _output_tomography(setting, data, ideal, target_out):
-    """Analyze each point's full-register output-tomography data, for every
-    point of the block as one stack of estimates: unconditionally, and for
-    integer counts (not the exact distributions; the dtype rule of
-    ``circuits._frequencies``) post-selected on each of its ``ideal``
-    branches. A branch not post-selected, or one that retained no shot in
-    some setting or too few to fix a state, is not analyzed.
+    """Analyze a block's full-register output-tomography data as one stack
+    of estimates, its data sets laid out on a (point, column) grid. Column 0
+    holds each point's pair data. For integer counts (not the exact
+    distributions; the dtype rule of ``circuits._frequencies``), column
+    1 + j holds the data post-selected on the j-th outcome of
+    ``experiments.branch_outcomes``, the order of the ``ideal`` branches.
+    A data set that retained no shot in some setting, or too few to fix a
+    state, is not analyzed.
 
     Returns the fields of ``OutputAnalysis`` but ``qnd``: each observable's
     (P, 1 + B) values, the (P, 1 + B) fidelities and the (P, B) retained
@@ -520,47 +522,35 @@ def _output_tomography(setting, data, ideal, target_out):
     """
     # the pair data: each outcome summed over the trailing ancilla bits
     pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
-    postselected = ideal if np.issubdtype(data.dtype, np.integer) else [()] * len(data)
-    # each listed outcome post-selected on the whole block at once, and the
-    # fewest shots any setting of each point retained in it
-    outcomes = dict.fromkeys(b.outcome for listed in postselected for b in listed)
-    selected = {o: circ.postselect_counts(data, setting.ancilla_qubits, o) for o in outcomes}
-    retained = {o: kept.sum(axis=-1).min(axis=-1).tolist() for o, kept in selected.items()}
-    # each data set, its point, its column (0: unconditional, 1 + j: the
-    # point's branch j) and its branch (None: unconditional)
-    sets, owners = [], []
-    for i, listed in enumerate(postselected):
-        sets.append(pair[i])
-        owners.append((i, 0, None))
-        for j, b in enumerate(listed, 1):
-            if retained[b.outcome][i]:
-                sets.append(selected[b.outcome][i])
-                owners.append((i, j, b))
-    est = tom.reconstruct_stack(np.stack(sets))
-    # a data set left out of the stack retained too few shots to fix a state
-    analyzed = [owners[r] for r in est.rows.tolist()]
-    if sum(b is None for _, _, b in analyzed) != len(data):
+    outcomes = ex.branch_outcomes(setting) if np.issubdtype(data.dtype, np.integer) else ()
+    sets = np.stack([pair, *(circ.postselect_counts(data, setting.ancilla_qubits, o)
+                             for o in outcomes)], axis=1)
+    # the fewest shots any setting kept in each cell; the cells that kept one
+    # are stacked in row-major order, and reconstruct_stack leaves out a set
+    # whose estimate has zero trace, too few shots to fix a state
+    kept = sets.sum(axis=-1).min(axis=-1)
+    est = tom.reconstruct_stack(sets[kept > 0])
+    points, columns = (a[est.rows] for a in np.nonzero(kept > 0))
+    if np.count_nonzero(columns == 0) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    points, columns = np.array([(i, j) for i, j, _ in analyzed]).T
     shape = (len(data), 1 + len(ideal[0]))
     values = {}
     for obs in _observables_of(setting):
         values[obs] = np.zeros(shape)
         values[obs][points, columns] = _observable_values(obs, est.projected)
-    targets = {
-        k: target_out[i] if b is None
-        else np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-        for k, (i, _, b) in enumerate(analyzed) if b is None or b.state is not None
-    }
-    rows = list(targets)
+    # the fidelity targets on the grid: the ideal unconditional output, then
+    # each ideal branch state; an empty branch has none and is not scored
+    kets = np.array([[np.zeros(4) if b.state is None else b.state.amplitudes for b in bs]
+                     for bs in ideal])
+    targets = np.concatenate([target_out[:, None], kets[..., None] * kets[..., None, :].conj()],
+                             axis=1)
+    scored = np.array([[True, *(b.state is not None for b in bs)] for bs in ideal])[points, columns]
     fids = np.zeros(shape)
-    fids[points[rows], columns[rows]] = fidelity(np.stack(list(targets.values())),
-                                                 est.projected[rows])
-    branch = columns > 0
-    shots = np.zeros((len(data), len(ideal[0])), dtype=np.int64)
-    shots[points[branch], columns[branch] - 1] = [
-        retained[b.outcome][i] for i, _, b in analyzed if b is not None]
-    return values, fids, shots
+    fids[points[scored], columns[scored]] = fidelity(targets[points[scored], columns[scored]],
+                                                     est.projected[scored])
+    shots = np.zeros(shape, dtype=np.int64)
+    shots[points, columns] = kept[points, columns]
+    return values, fids, shots[:, 1:].copy()
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

@@ -213,6 +213,35 @@ MUTANTS = (
         "return self.probability > RELIABLE_BRANCH_PROB",
         "tests/test_analysis.py",
     ),
+    Mutant(
+        "the output grid without its est.rows filter", HARNESS,
+        "points, columns = (a[est.rows] for a in np.nonzero(kept > 0))",
+        "points, columns = np.nonzero(kept > 0)",
+        "tests/test_bit_identity.py",
+    ),
+    Mutant(
+        "retained shots read from the grid's column 0", HARNESS,
+        "shots[points, columns] = kept[points, columns]",
+        "shots[points, columns] = kept[points, 0]",
+        "tests/test_bit_identity.py",
+    ),
+    Mutant(
+        "every branch scored against the unconditional target", HARNESS,
+        "fidelity(targets[points[scored], columns[scored]],",
+        "fidelity(targets[points[scored], 0],",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "a row drawn from its neighbour's distribution", CIRCUITS,
+        "counts[row] = gen.multinomial(shots, pvals[row])",
+        "counts[row] = gen.multinomial(shots, pvals[row - 1])",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "the readout flip dropped", CIRCUITS,
+        "    if readout_flip > 0.0:\n", "    if False:\n",
+        "tests/test_streams.py",
+    ),
 )
 
 

@@ -9,8 +9,12 @@ length, with every element one 32-bit word (0..2**32 - 1); master seeds
 may have any number of words. Any other path is refused before any draw,
 and the sweep and repeat configs bound their point counts so that every
 point index is such a word.
+
+A pooled G-test checks the draws as distributions, which no stream layout
+changes: each row's counts against the distribution it was drawn from.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import as_stack, random_density_matrix, random_pure_state, rng_stream
 from qndsim import circuits as circ
 from qndsim import cli, harness
+from qndsim import experiments as ex
 from qndsim import tomography as tom
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_sweep
 from qndsim.qmath import basis_state
@@ -181,6 +186,82 @@ def test_a_sampled_block_builds_one_seed_sequence_per_draw(monkeypatch):
     assert made["draws"] == 3
     assert made["SeedSequence"] <= made["draws"]
     assert made["Generator"] <= made["draws"] and made["default_rng"] == 0
+
+
+# The draws as distributions, whatever the stream layout: every row of
+# counts must be a multinomial draw from the distribution it was drawn from.
+G_SEED = 20261019  # fixed before the test first ran
+G_SHOTS = 2000
+G_FALSE_ALARM = 1e-6
+G_FLIP = 0.04
+G_PREPARED = [ex.PrepParams(phi, theta, lam) for phi, theta, lam in
+              [(0.0, 0.0, 0.0), (0.08, 0.0, 0.0), (1.1, math.pi, 0.0), (2.0, 1.3, 0.4),
+               (math.pi / 2, math.pi, math.pi / 2)]]
+
+
+def _flipped(probs: np.ndarray, flip: float) -> np.ndarray:
+    """Each recorded bit of (..., 2^m) distributions flipped independently
+    with probability ``flip``, computed apart from the engine's readout."""
+    bit = np.array([[1 - flip, flip], [flip, 1 - flip]])
+    return probs @ functools.reduce(np.kron, [bit] * (probs.shape[-1].bit_length() - 1))
+
+
+def _pooled_g(counts: np.ndarray, probs: np.ndarray) -> tuple[float, int, int]:
+    """The G statistic of (rows, k) counts against the (rows, k)
+    distributions they were drawn from, its degrees of freedom and the
+    number of pooled bins. Each row pools its smallest bins until every bin
+    expects at least 5 counts; a row of n bins adds n - 1 degrees of
+    freedom."""
+    g, dof, pooled = 0.0, 0, 0
+    for o, p in zip(counts, probs):
+        e = o.sum() * p / p.sum()
+        order = np.argsort(e)
+        m = np.count_nonzero(e < 5)
+        if m:
+            m = max(m, int(np.searchsorted(np.cumsum(e[order]), 5.0)) + 1)
+        obs, exp = o[order[m:]], e[order[m:]]
+        if m:
+            obs, exp = np.append(obs, o[order[:m]].sum()), np.append(exp, e[order[:m]].sum())
+        g += 2.0 * float(np.sum(obs[obs > 0] * np.log(obs[obs > 0] / exp[obs > 0])))
+        dof += len(obs) - 1
+        pooled += m
+    return g, dof, pooled
+
+
+def test_draws_follow_their_distributions():
+    # a pooled G-test: the 16 tomography settings of a few prepared pairs and
+    # the ancilla readout of each measurement circuit, with and without the
+    # readout flip, which the expected distributions apply apart from the
+    # engine. One statistic over every row, against the chi-square
+    # threshold of false-alarm rate G_FALSE_ALARM
+    from scipy.stats import chi2  # the test extra; most of this test's time
+
+    pairs = as_stack([circ.run_pure(ex.prep_circuit(p), basis_state(2)) for p in G_PREPARED])
+    drawn, expected = [], []
+    for f, flip in enumerate((0.0, G_FLIP)):
+        probs = tom.setting_probabilities(pairs, circ.NoiseModel(readout_flip=flip))
+        paths = [(f, i) for i in range(len(pairs))]
+        drawn.append(tom.collect(probs, G_SHOTS, G_SEED, paths).reshape(-1, 4))
+        expected.append(_flipped(tom.setting_probabilities(pairs), flip).reshape(-1, 4))
+        for k, name in enumerate(("visibility", "predictability", "concurrence1",
+                                  "concurrence2")):
+            s = ex.MeasurementSetting(name)
+            full = [ex.prep_circuit(p).widened(s.num_qubits).then(ex.measurement_circuit(s))
+                    for p in G_PREPARED]
+            states = as_stack([circ.run_pure(c, basis_state(s.num_qubits)) for c in full])
+            paths = [(2 + f, k, i) for i in range(len(states))]
+            counts = circ.sample_counts(states, s.ancilla_qubits, G_SHOTS, G_SEED, paths, flip)
+            p = _flipped(circ.exact_probabilities(states, s.ancilla_qubits), flip)
+            # pad the one-ancilla rows with never-drawn outcomes
+            drawn.append(np.pad(counts, ((0, 0), (0, 4 - counts.shape[1]))))
+            expected.append(np.pad(p, ((0, 0), (0, 4 - p.shape[1]))))
+    counts, probs = np.concatenate(drawn), np.concatenate(expected)
+    assert (counts.sum(axis=1) == G_SHOTS).all()
+    impossible = probs == 0
+    assert impossible.any() and not counts[impossible].any()
+    g, dof, pooled = _pooled_g(counts, probs)
+    assert pooled > impossible.sum()  # some possible outcome was pooled too
+    assert g < chi2.isf(G_FALSE_ALARM, dof), f"G = {g:.1f} on {dof} degrees of freedom"
 
 
 class TestSeedInput:
