@@ -567,14 +567,18 @@ def sample_counts(
     return sample_batch(probs, shots, master_seed, seed_paths)
 
 
+EMPTY_BRANCH_PROB = 1e-12
+"""The weight below which a branch is empty: it has no conditional state."""
+
+
 def postselect(
     state: StateVector, ancilla_qubits, outcome: str
 ) -> tuple[StateVector | None, float]:
     """Condition a pure state on a computational outcome of the ancillas.
 
     Returns the renormalized state on the remaining qubits (original order)
-    and the Born probability of the branch; a branch of weight below 1e-12
-    is empty, ``(None, 0.0)``.
+    and the Born probability of the branch; a branch of weight below
+    EMPTY_BRANCH_PROB is empty, ``(None, 0.0)``.
     """
     ancillas = tuple(ancilla_qubits)
     if len(outcome) != len(ancillas):
@@ -588,7 +592,7 @@ def postselect(
         index[q] = int(bit)
     branch = t[tuple(index)].reshape(-1)
     prob = float(np.sum(np.abs(branch) ** 2))
-    if prob < 1e-12:
+    if prob < EMPTY_BRANCH_PROB:
         return None, 0.0
     return StateVector(n - len(ancillas), branch / math.sqrt(prob)), prob
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as circ
-from .circuits import Circuit, cnot, cry, h, rx, ry
+from .circuits import EMPTY_BRANCH_PROB, Circuit, cnot, cry, h, rx, ry
 from .qmath import StateVector, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -248,9 +248,9 @@ def _conc2_branch_vectors(c: BellCoefficients) -> dict[str, np.ndarray]:
 @dataclass(frozen=True, slots=True)
 class Branch:
     """One ancilla outcome: the ideal conditional pair state and its
-    theoretical probability. An empty branch, of weight below 1e-12, is
-    ``state=None, probability=0.0``; a branch is ``reliable`` when its
-    probability reaches RELIABLE_BRANCH_PROB."""
+    theoretical probability. An empty branch, of weight below
+    EMPTY_BRANCH_PROB, is ``state=None, probability=0.0``; a branch is
+    ``reliable`` when its probability reaches RELIABLE_BRANCH_PROB."""
 
     outcome: str
     state: StateVector | None
@@ -274,7 +274,7 @@ def conditional_target_state(
     s: MeasurementSetting, c: BellCoefficients, ancilla_outcome: str
 ) -> Branch:
     """Closed-form conditional pair state and branch probability, as a
-    ``Branch`` (empty below a weight of 1e-12).
+    ``Branch`` (empty below a weight of EMPTY_BRANCH_PROB).
 
     Only defined for the two-ancilla settings; the single-ancilla concurrence
     circuit has no closed form here and is characterized by simulation
@@ -292,7 +292,7 @@ def conditional_target_state(
         coeff_fn, ket_a, ket_b = table[ancilla_outcome]
         coeff = coeff_fn(c)
         prob = coeff * coeff / 2.0
-    if prob < 1e-12:
+    if prob < EMPTY_BRANCH_PROB:
         return Branch(ancilla_outcome, None, 0.0)
     # the product kets of the other settings are unit vectors already
     ket = vec / math.sqrt(prob) if s.observable == "concurrence2" else np.kron(ket_a, ket_b)

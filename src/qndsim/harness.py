@@ -16,10 +16,11 @@ mod 2*pi, and keeps one entry per point:
 
 * The input stage (``_prepare_input``) is a function of those angles and
   the noise model. It runs each point's input pair preparation and keeps
-  the ideal input (the fidelity target) and every tomography setting's
-  outcome distribution, readout flip included. The observable is not in
-  its key: observables prepared at the same angles, like PA, PB, C1 and
-  C2 at their default theta, share one entry.
+  the ideal input (the fidelity target), every tomography setting's
+  outcome distribution, readout flip included, and the theory: every
+  observable's defining-formula value on the ideal input. The observable
+  is not in its key: observables prepared at the same angles, like PA,
+  PB, C1 and C2 at their default theta, share one entry.
 * The input analysis (``_input_analysis``) draws the input tomography
   counts from those distributions, or reads them in exact mode, and
   keeps each point's input estimate and its fidelity. Its key adds the
@@ -31,11 +32,10 @@ mod 2*pi, and keeps one entry per point:
   measurement setting (the circuit), the angles and the noise model, not
   of the observable: PA and PB, or VA and VB, read one readout of one
   circuit. It runs the full circuits of the block's points as one batch
-  and keeps, per point, the theory value of every observable the setting
-  measures, the ideal branch data, the output fidelity target and every
-  tomography setting's outcome distribution over the output register;
-  the full-register states whose ancillas the readout measures stay the
-  one stack the batch returned.
+  and keeps, per point, the ideal branch data, the output fidelity target
+  and every tomography setting's outcome distribution over the output
+  register; the full-register states whose ancillas the readout measures
+  stay the one stack the batch returned.
 * The output analysis (``_output_analysis``) adds the draw to the
   measurement stage's key, as the input analysis does to the input
   stage's. It draws the ancilla readout and the output tomography counts
@@ -53,9 +53,9 @@ mode, prepare each block once, the two observables of a setting share one
 draw and one analysis per seed, and the full blocks of a repeat run share
 one entry.
 
-Each mixed point's output-tomography evolution runs on its own (pure
-points, 16 state vectors each, run as one stack), so memory depends on the
-block size, not on the sweep length.
+Each block's points are built when it runs, and each mixed point's
+output-tomography evolution runs on its own (pure points: 16 state vectors
+as one stack), so memory depends on the block size, not the sweep length.
 
 Every random draw comes from a stream derived from its seed path: a
 tomography setting's from (master_seed, stage, point, setting), the
@@ -71,6 +71,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
@@ -84,7 +85,7 @@ from .analysis import (
 )
 from .circuits import NoiseModel
 from .observables import concurrence_pure, observable_set, predictability, visibility
-from .qmath import StateVector, basis_state, fidelity, partial_trace
+from .qmath import basis_state, fidelity, partial_trace
 
 THETA_DEFAULTS = {
     "VA": 0.0,
@@ -167,9 +168,6 @@ class SweepConfig:
     def theta_resolved(self) -> float:
         return THETA_DEFAULTS[self.observable] if self.theta is None else self.theta
 
-    def phi_values(self) -> list[float]:
-        return [self.phi_start + i * self.phi_step for i in range(self.phi_count)]
-
     def to_dict(self) -> dict:
         return {
             "observable": self.observable,
@@ -234,14 +232,6 @@ def _observable_values(observable: str, rho: np.ndarray) -> np.ndarray:
     return visibility(reduced) if observable in ("VA", "VB") else predictability(reduced)
 
 
-def theory_value(observable: str, chi: StateVector) -> float:
-    """Defining-formula value of the observable on the ideal pure input."""
-    if observable in ("C1", "C2"):
-        return concurrence_pure(chi)
-    a = chi.amplitudes
-    return float(_observable_values(observable, np.outer(a, a.conj())[None])[0])
-
-
 def _noisy(noise: NoiseModel) -> bool:
     """Whether states run on the density engine: for any nonzero
     probability, a readout flip alone included."""
@@ -269,11 +259,13 @@ Point = tuple[int, float, int]
 the seed tag its record carries."""
 
 
-def _measure_points(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
-    """Records of the points, measured BLOCK_POINTS at a time."""
+def _measure_points(config: SweepConfig, count: int,
+                    point: Callable[[int], Point]) -> list[SweepRecord]:
+    """Records of point(0) to point(count - 1), each block built when it runs."""
     records: list[SweepRecord] = []
-    for start in range(0, len(points), BLOCK_POINTS):
-        records += _measure_block(config, points[start:start + BLOCK_POINTS])
+    for start in range(0, count, BLOCK_POINTS):
+        stop = min(start + BLOCK_POINTS, count)
+        records += _measure_block(config, [point(i) for i in range(start, stop)])
     return records
 
 
@@ -284,18 +276,19 @@ PREPARED_BLOCKS = 32
 One criteria seed, like one benchmark unit, visits a block per observable
 and per 16 phi points, six or more in turn, and the next seed visits them
 again in the same order: a cache smaller than one pass misses on every
-call. A 16-point block holds 50 to 150 KB, its input stage 12 KB, its
+call. A 16-point block holds 50 to 150 KB, its input stage 13 KB, its
 input analysis 4 KB and its output analysis 3 to 4 KB."""
 
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
 def _prepare_input(
     params: tuple[ex.PrepParams, ...], noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """The input stage of a block's points: the (P, 4, 4) ideal input
-    states, the fidelity targets, and the (P, 16, 4) outcome distributions
-    of every tomography setting on the states actually prepared, readout
-    flip included. Both arrays are owned and read-only."""
+    states, the fidelity targets; the (P, 16, 4) outcome distributions of
+    every tomography setting on the states actually prepared, readout flip
+    included; and the theory, each observable's (P,) defining-formula
+    values on the ideal inputs. Every array is owned and read-only."""
     preps = [ex.prep_circuit(p) for p in params]
     if _noisy(noise):
         rho0 = basis_state(2).density()
@@ -303,12 +296,15 @@ def _prepare_input(
     else:
         psi0 = basis_state(2)
         actual = np.stack([circ.run_pure(prep, psi0).amplitudes for prep in preps])
-    chi = [ex.bell_coefficients(p).state_vector().amplitudes for p in params]
-    target = np.stack([np.outer(a, a.conj()) for a in chi])
+    chi = [ex.bell_coefficients(p).state_vector() for p in params]
+    target = np.stack([np.outer(c.amplitudes, c.amplitudes.conj()) for c in chi])
     probs = tom.setting_probabilities(actual, noise)
-    for a in (target, probs):
+    concurrence = np.array([concurrence_pure(c) for c in chi])
+    theory = {obs: concurrence if obs in ("C1", "C2") else _observable_values(obs, target)
+              for obs in ex.OBSERVABLES}
+    for a in (target, probs, *theory.values()):
         a.flags.writeable = False
-    return target, probs
+    return target, probs, theory
 
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
@@ -324,7 +320,7 @@ def _input_analysis(
     point i's data come from streams (master seed, 1, index i, setting).
     Exact, ``draw`` is None and the data are the outcome distributions.
     """
-    target, probs = _prepare_input(params, noise)
+    target, probs, _ = _prepare_input(params, noise)
     if draw is None:
         data = probs
     else:
@@ -348,10 +344,9 @@ class PreparedBlock:
     each point's prepared state, whatever the seed. Every field has one
     entry per point; the input states are ``_prepare_input``'s.
 
-    ``theory`` maps each observable the setting measures to its
-    defining-formula values, and ``branches`` holds the ideal branch data.
-    ``target_out`` is the (P, 4, 4) stack of the ideal unconditional
-    outputs, the fidelity targets.
+    ``branches`` holds the ideal branch data. ``target_out`` is the
+    (P, 4, 4) stack of the ideal unconditional outputs, the fidelity
+    targets.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
     whose ancillas the readout measures: (P, 2^n) amplitudes or
@@ -364,7 +359,6 @@ class PreparedBlock:
     Every array is owned and read-only, so an entry pins nothing else.
     """
 
-    theory: dict[str, tuple[float, ...]]
     branches: tuple[tuple[ex.Branch, ...], ...]
     target_out: np.ndarray
     readout: np.ndarray
@@ -395,9 +389,7 @@ def _prepare_block(
     step = 1 if readout.ndim == 3 else len(readout)
     probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
                                 for i in range(0, len(readout), step)])
-    chi = [ex.bell_coefficients(p).state_vector() for p in params]
     return PreparedBlock(
-        theory={obs: tuple(theory_value(obs, c) for c in chi) for obs in _observables_of(setting)},
         branches=ideal,
         target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
         readout=readout,
@@ -472,7 +464,7 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     draw = None if config.exact_mode else (config.shots, config.master_seed, indices)
     # the input stage first, as the protocol runs it: its evolution then
     # shares the peak memory with no stack of the measurement stage
-    _prepare_input(params, config.noise)
+    theory = _prepare_input(params, config.noise)[2][obs].tolist()
     out = _output_analysis(setting, params, config.noise, draw)
     block = _prepare_block(setting, params, config.noise)
     est_in, fidelity_in = _input_analysis(params, config.noise, draw)
@@ -486,7 +478,7 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             phi=phi,
             theta=config.theta_resolved,
             lam=config.lam,
-            theory=block.theory[obs][i],
+            theory=theory[i],
             qnd_estimate=qnd_estimates[i],
             tomo_in=tomo_in[i],
             tomo_out=values[i][0],
@@ -555,8 +547,8 @@ def _output_tomography(setting, data, ideal, target_out):
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full protocol over the phi grid. Deterministic per config."""
-    ms = config.master_seed
-    return _measure_points(config, [(i, phi, ms) for i, phi in enumerate(config.phi_values())])
+    return _measure_points(config, config.phi_count, lambda i: (
+        i, config.phi_start + i * config.phi_step, config.master_seed))
 
 
 def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
@@ -573,7 +565,7 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
     if repetitions > MAX_POINTS:
         raise ValueError(f"repetitions must be at most 2**32, got {repetitions}")
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
-    return _measure_points(fixed, [(r, math.pi / 2, r) for r in range(repetitions)])
+    return _measure_points(fixed, repetitions, lambda r: (r, math.pi / 2, r))
 
 
 def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitResult]:

@@ -2,7 +2,8 @@
 the exact oracles the acceptance criteria compare the package against (the
 exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
-the general count marginalization, and the triality defect), and copies
+the general count marginalization, the triality defect, and the theory
+value of one point), and copies
 of code the package replaced by faster or simpler code that must agree
 with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
 post-selection of one point's branch at a time, the Born-rule marginal
@@ -366,6 +367,17 @@ def measurement_circuit_without_half_angle(s: MeasurementSetting) -> Circuit:
     return Circuit(mc.num_qubits, tuple(
         replace(g, angle=2 * g.angle) if g.kind in ("rx", "ry") else g for g in mc.gates
     ))
+
+
+def theory_value(observable: str, chi: StateVector) -> float:
+    """Defining-formula value of the observable on one ideal pure input:
+    the per-point oracle of the input stage's theory. The concurrence is
+    ``concurrence_pure``; any other observable is read from the one (4, 4)
+    matrix by the kernel the stage applies to its whole stack."""
+    if observable in ("C1", "C2"):
+        return concurrence_pure(chi)
+    a = chi.amplitudes
+    return float(harness._observable_values(observable, np.outer(a, a.conj())[None])[0])
 
 
 def qnd_estimates_exact(

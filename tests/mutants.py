@@ -101,7 +101,32 @@ MUTANTS = (
     ),
     Mutant(
         "PB's records read PA's theory values", HARNESS,
-        "theory=block.theory[obs][i],", "theory=next(iter(block.theory.values()))[i],",
+        "theory = _prepare_input(params, config.noise)[2][obs].tolist()",
+        "theory = _prepare_input(params, config.noise)[2][\"PA\" if obs == \"PB\" else obs]"
+        ".tolist()",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "VB's theory read from qubit 0", HARNESS,
+        "else _observable_values(obs, target)",
+        "else _observable_values(\"VA\" if obs == \"VB\" else obs, target)",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "the concurrence theory from observable_set, not concurrence_pure", HARNESS,
+        "concurrence = np.array([concurrence_pure(c) for c in chi])",
+        "concurrence = observable_set(target)[\"C\"]",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "the last partial block one point short", HARNESS,
+        "stop = min(start + BLOCK_POINTS, count)\n",
+        "stop = min(start + BLOCK_POINTS, count - (count % BLOCK_POINTS > 1))\n",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "repetitions tagged with the master seed", HARNESS,
+        "lambda r: (r, math.pi / 2, r)", "lambda r: (r, math.pi / 2, fixed.master_seed)",
         "tests/test_blocks.py",
     ),
     Mutant(
@@ -193,7 +218,7 @@ MUTANTS = (
     ),
     Mutant(
         "postselect without its empty-branch filter", CIRCUITS,
-        "    if prob < 1e-12:\n        return None, 0.0\n", "",
+        "    if prob < EMPTY_BRANCH_PROB:\n        return None, 0.0\n", "",
         "tests/test_experiments.py",
     ),
     Mutant(

@@ -15,8 +15,10 @@ same to the last bit, so each comparison here reads bit patterns
   without;
 * the sweep's observable read from one single-qubit state, or from
   ``observable_set`` for the concurrence, against ``observable_set`` on
-  the whole stack, and the theory value against the formula on the one
-  matrix it read before;
+  the whole stack, and the theory value of one point
+  (``helpers.theory_value``) against the formula on the one matrix;
+* the input stage's theory, every observable on the block's whole stack
+  of ideal inputs, against the theory value of each point;
 * the flat-index simplex threshold against ``np.take_along_axis``;
 * a block's post-selection, one call per ancilla outcome, against one
   point and one branch at a time (``helpers.postselected_sets``), empty
@@ -46,13 +48,14 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import (
     as_stack, broadcast_linear_estimates, loop_linear_estimates, marginal_probabilities,
-    pauli_loop_sum, postselected_sets, random_density_matrix, random_pure_state,
+    pauli_loop_sum, postselected_sets, random_density_matrix, random_pure_state, theory_value,
     transposed_depolarize, tuple_branch_data,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
+from qndsim.circuits import NoiseModel
 from qndsim.experiments import PrepParams
 from qndsim.observables import observable_set, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
@@ -225,13 +228,28 @@ def test_theory_value_matches_the_matrix_formula(observable, phi, theta, lam):
     chi = ex.bell_coefficients(PrepParams(phi, theta, lam)).state_vector()
     a = chi.amplitudes
     rho = np.outer(a, a.conj())
-    # the formula on the one (4, 4) matrix, as theory_value read it
+    # the formula on the one (4, 4) matrix
     reduced = partial_trace(rho, (0,) if observable in ("VA", "PA") else (1,))
     formula = float(visibility(reduced) if observable in ("VA", "VB") else predictability(reduced))
-    got = harness.theory_value(observable, chi)
+    got = theory_value(observable, chi)
     assert isinstance(got, float)
     assert _bits(np.float64(got)) == _bits(np.float64(formula))
     assert _bits(np.float64(got)) == _bits(observable_set(rho[None])[observable][0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(angles=st.lists(st.tuples(ANGLE, ANGLE, ANGLE), min_size=1, max_size=16))
+@example(angles=[(0.0, 0.0, 0.0), (np.pi / 2, np.pi, 0.0), (np.pi, np.pi, np.pi)])
+def test_input_stage_theory_matches_each_point(angles):
+    # the stage reads every observable's theory from the block's stack of
+    # ideal inputs at once; each value must be the one point's, bit for bit
+    params = tuple(PrepParams(*a) for a in angles)
+    _, _, theory = harness._prepare_input(params, NoiseModel())
+    assert list(theory) == list(ex.OBSERVABLES)
+    chi = [ex.bell_coefficients(p).state_vector() for p in params]
+    for observable, values in theory.items():
+        want = np.array([theory_value(observable, c) for c in chi])
+        assert np.array_equal(_bits(values), _bits(want)), observable
 
 
 @settings(max_examples=200, deadline=None)

@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     STAGE_CACHES, as_stack, clear_stage_caches, marginalize_counts, postselect_branch,
-    random_circuit, random_density_matrix, random_pure_state, rng_stream, tomograph,
+    random_circuit, random_density_matrix, random_pure_state, rng_stream, theory_value, tomograph,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -58,7 +58,6 @@ from qndsim.harness import (
     repeat_fixed_state,
     run_criteria_protocol,
     run_sweep,
-    theory_value,
 )
 from qndsim.observables import observable_set
 from qndsim.qmath import DensityMatrix, basis_state, fidelity
@@ -157,8 +156,8 @@ def _reference_point(config, index, phi, seed_tag):
 
 
 def _reference_sweep(config):
-    return [_reference_point(config, i, phi, config.master_seed)
-            for i, phi in enumerate(config.phi_values())]
+    return [_reference_point(config, i, config.phi_start + i * config.phi_step, config.master_seed)
+            for i in range(config.phi_count)]
 
 
 def _reference_repetitions(repetitions):
@@ -422,10 +421,7 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     assert len(arrays) >= 3
     for a in arrays:
         assert not a.flags.writeable and a.base is None
-    # the theory values of every observable the setting measures
     measured = [o for o in ex.OBSERVABLES if ex.setting_for(o) == setting]
-    assert list(block.theory) == measured
-    assert all(len(v) == 3 and all(type(x) is float for x in v) for v in block.theory.values())
     # so are the output analysis's arrays, one row per point, for the same
     # observables as the estimator's
     out = _output_analysis(setting, params, NOISE[noise], None if exact else (100, 0, (0, 1, 2)))
@@ -440,10 +436,16 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     assert len(out_arrays) == 2 + 2 * len(measured)
     for a in out_arrays:
         assert not a.flags.writeable and a.base is None
-    # so are the input stage's arrays and the input estimates
-    target_in, probs_in = _prepare_input(params, NOISE[noise])
+    # so are the input stage's arrays, the theory of every observable among
+    # them, and the input estimates
+    target_in, probs_in, theory = _prepare_input(params, NOISE[noise])
     assert _prepare_input.cache_info().hits == 2  # the analysis read it too
     assert target_in.shape == (3, 4, 4) and probs_in.shape == (3, 16, 4)
+    assert list(theory) == list(ex.OBSERVABLES)
+    assert theory["C1"] is theory["C2"]
+    for a in theory.values():
+        assert a.shape == (3,) and a.dtype == np.float64
+        assert not a.flags.writeable and a.base is None
     est_in, fidelity_in = _input_analysis(params, NOISE[noise],
                                           None if exact else (100, 0, (0, 1, 2)))
     assert _input_analysis.cache_info().hits == 1
@@ -674,3 +676,35 @@ def test_sweep_memory_is_bounded_by_the_block():
     # measures, 4 KB each. One point's evolved stack of 16 settings alone
     # would add 64 KB
     assert held < 384 * 2**10 + 64 * 16 * 16 * 16, f"held {held / 2**10:.0f} KB"
+
+
+class _FirstBlock(Exception):
+    """Raised by a stub in place of the first block's measurement."""
+
+
+def test_each_blocks_points_are_built_when_it_runs(monkeypatch):
+    # a sweep or a repeat run of a million points holds one block's points
+    # at a time, not a list of every point: stopped at its first block, it
+    # peaks within a few KB. A list of the million points alone takes
+    # about 130 MB
+    blocks = []
+
+    def first_block(config, points):
+        blocks.append(points)
+        raise _FirstBlock
+
+    monkeypatch.setattr(harness, "_measure_block", first_block)
+    count = 10**6
+    config = SweepConfig("VA", phi_start=0.1, phi_step=1e-6, phi_count=count, master_seed=5)
+    for run in (run_sweep, lambda c: repeat_fixed_state(c, count)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(_FirstBlock):
+                run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, f"peak {peak / 2**10:.0f} KB"
+    # each point is the one the whole grid would give, phi the same float
+    assert blocks == [[(i, 0.1 + i * 1e-6, 5) for i in range(BLOCK_POINTS)],
+                      [(r, math.pi / 2, r) for r in range(BLOCK_POINTS)]]

@@ -30,10 +30,9 @@ from qndsim.harness import (
     _prepare_input,
     repeat_fixed_state,
     run_sweep,
-    theory_value,
 )
 from qndsim.qmath import DensityMatrix, StateVector
-from qndsim.experiments import OBSERVABLES, PrepParams, bell_coefficients
+from qndsim.experiments import OBSERVABLES, PrepParams
 
 
 def read_csv(path) -> list[dict]:
@@ -86,8 +85,8 @@ class TestConfig:
             SweepConfig("VA", **{name: value})
 
     def test_phi_grid(self):
-        cfg = SweepConfig("VA", phi_count=3, phi_step=0.5, phi_start=1.0)
-        assert cfg.phi_values() == [1.0, 1.5, 2.0]
+        cfg = SweepConfig("VA", phi_count=3, phi_step=0.5, phi_start=1.0, exact_mode=True)
+        assert [r.phi for r in run_sweep(cfg)] == [1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("kwargs", [
         dict(exact_mode=True, phi_step=1e307, phi_count=40),  # the last phi is inf
@@ -188,10 +187,10 @@ class TestExactSweeps:
         for r in records:
             assert r.qnd_estimate == pytest.approx(abs(math.sin(r.phi)), abs=1e-10)
 
-    def test_theory_value_helper(self):
-        chi = bell_coefficients(PrepParams(math.pi / 2, math.pi)).state_vector()
-        assert theory_value("C2", chi) == pytest.approx(1.0)
-        assert theory_value("VA", chi) == pytest.approx(0.0, abs=1e-12)
+    def test_input_stage_theory_at_the_bell_point(self):
+        _, _, theory = _prepare_input((PrepParams(math.pi / 2, math.pi),), NoiseModel())
+        assert theory["C2"][0] == pytest.approx(1.0)
+        assert theory["VA"][0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSampledSweeps:
@@ -233,7 +232,7 @@ class TestSampledSweeps:
                 return chi[-1]
             monkeypatch.setattr(circ, name, run)
         params = (PrepParams(0.3, math.pi),)
-        _, probs_in = _prepare_input(params, noise)
+        _, probs_in, _ = _prepare_input(params, noise)
         out = _prepare_block(ex.setting_for("C2"), params, noise).readout
         assert len(chi) == 1 and isinstance(chi[0], kind) and chi[0].num_qubits == 2
         assert out.ndim == (2 if kind is StateVector else 3)

@@ -244,3 +244,43 @@ class TestFidelityVsShots:
                                   for s in range(50)])
             means.append(np.mean(fidelity(np.broadcast_to(rho_bell, estimates.shape), estimates)))
         assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+COV_FALSE_ALARM = 1e-7
+"""Two-sided false-alarm rate of each bound of the covariance test."""
+
+
+@pytest.mark.parametrize("noise", [circ.NoiseModel(),
+                                   circ.NoiseModel(depol_1q=0.005, depol_2q=0.05,
+                                                   readout_flip=0.01)],
+                         ids=["noiseless", "criterion 9"])
+def test_raw_coefficient_covariance_is_the_binomial_one(noise):
+    # The raw Pauli-pair coefficients are solve(B, f) of the 16 "00"
+    # frequencies f, which are independent binomials of N shots each, so
+    # their covariance is B^-1 diag(p(1 - p)/N) B^-T (James et al., PRA 64,
+    # 052312, 2001). Over M fixed-seed draws of one random mixed state, each
+    # sample variance, scaled by M - 1 and the analytic variance, is
+    # chi-square on M - 1 degrees of freedom, and each sample correlation's
+    # Fisher z is normal about the analytic one's with variance 1/(M - 3)
+    from scipy.stats import chi2, norm  # the test extra
+
+    m_draws, shots = 2000, 2000
+    rho = random_density_matrix(np.random.default_rng(11), 2)
+    probs = tom.setting_probabilities(as_stack([rho]), noise)
+    counts = tom.collect(np.broadcast_to(probs, (m_draws, 16, 4)), shots, 12,
+                         [(k,) for k in range(m_draws)])
+    b = tom._design_matrix()
+    coeffs = np.linalg.solve(b, (counts[..., 0] / shots).T)
+    p = probs[0, :, 0]
+    b_inv = np.linalg.inv(b)
+    want = b_inv @ np.diag(p * (1 - p) / shots) @ b_inv.T
+    got = np.cov(coeffs)
+    ratio = np.diag(got) / np.diag(want)
+    dof = m_draws - 1
+    low, high = chi2.ppf(COV_FALSE_ALARM / 2, dof) / dof, chi2.isf(COV_FALSE_ALARM / 2, dof) / dof
+    assert ((low < ratio) & (ratio < high)).all(), (ratio.min(), ratio.max(), low, high)
+    pairs = np.triu_indices(16, 1)
+    z_got, z_want = (np.arctanh((c / np.sqrt(np.outer(np.diag(c), np.diag(c))))[pairs])
+                     for c in (got, want))
+    bound = norm.isf(COV_FALSE_ALARM / 2) / math.sqrt(m_draws - 3)
+    assert np.abs(z_got - z_want).max() < bound, np.abs(z_got - z_want).max() / bound
