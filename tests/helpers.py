@@ -1,17 +1,17 @@
 """Shared helpers for the test suite: seeded random-object generators, and
-the exact oracles the acceptance criteria compare the package against (the
-exact QND estimator on a given pair state, the pair state after one
+the exact oracles the acceptance criteria compare the package against
+(the exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
 the general count marginalization, the triality defect, and the theory
-value of one point), and copies
-of code the package replaced by faster or simpler code that must agree
-with it bit for bit (the 16-step Pauli-pair loop of the raw estimate, the
-post-selection of one point's branch at a time, the Born-rule marginal
-of one state at a time, the branch data built from tuples and an
-empty-branch exception, the linear estimates solved against a broadcast
-copy of the design matrix, and the depolarizing channel's mixed term
-built by a transpose), the depolarizing channel written as a
-Pauli twirl, and a reset of the sweep's stage caches."""
+value of one point), and copies of code the package replaced by faster
+or simpler code that must agree with it bit for bit (the 16-step Pauli-
+pair loop of the raw estimate, the post-selection of one point's branch
+at a time, the Born-rule marginal of one state at a time, the branch
+data built from tuples and an empty-branch exception, the linear
+estimates solved against a broadcast copy of the design matrix, and the
+depolarizing channel's mixed term built by a transpose), the
+depolarizing channel written as a Pauli twirl, and a reset of the
+sweep's stage caches."""
 
 import itertools
 import math
