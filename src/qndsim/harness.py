@@ -32,7 +32,7 @@ mod 2*pi, and keeps one entry per point:
   measurement setting (the circuit), the angles and the noise model, not
   of the observable: PA and PB, or VA and VB, read one readout of one
   circuit. It runs the full circuits of the block's points as one batch
-  and keeps, per point, the ideal branch data, the output fidelity target
+  and keeps, per point, the ideal branch probabilities, the fidelity targets
   and every tomography setting's outcome distribution over the output
   register; the full-register states whose ancillas the readout measures
   stay the one stack the batch returned.
@@ -312,9 +312,9 @@ def _input_analysis(
     params: tuple[ex.PrepParams, ...],
     noise: NoiseModel,
     draw: tuple[int, int, tuple[int, ...]] | None,
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Each point's input estimate, a read-only (P, 4, 4) stack, and its
-    fidelity with the ideal input.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's input estimate, a (P, 4, 4) stack, and its fidelity
+    with the ideal input, a (P,) array; both owned and read-only.
 
     Sampled, ``draw`` is (shots, master seed, the points' indices) and
     point i's data come from streams (master seed, 1, index i, setting).
@@ -329,7 +329,9 @@ def _input_analysis(
     # one linear estimate per input data set, analyzed as one stack
     est = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data])
     est.flags.writeable = False
-    return est, tuple(fidelity(target, est).tolist())
+    fid = fidelity(target, est)
+    fid.flags.writeable = False
+    return est, fid
 
 
 def _observables_of(setting: ex.MeasurementSetting) -> tuple[str, ...]:
@@ -344,9 +346,9 @@ class PreparedBlock:
     each point's prepared state, whatever the seed. Every field has one
     entry per point; the input states are ``_prepare_input``'s.
 
-    ``branches`` holds the ideal branch data. ``target_out`` is the
-    (P, 4, 4) stack of the ideal unconditional outputs, the fidelity
-    targets.
+    ``probability`` holds the (P, B) ideal branch probabilities, 0.0 for an
+    empty branch, and ``targets`` the (P, 1 + B, 4, 4) fidelity targets: the
+    ideal unconditional output, then each branch's projector, zero if empty.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
     whose ancillas the readout measures: (P, 2^n) amplitudes or
@@ -359,14 +361,14 @@ class PreparedBlock:
     Every array is owned and read-only, so an entry pins nothing else.
     """
 
-    branches: tuple[tuple[ex.Branch, ...], ...]
-    target_out: np.ndarray
+    probability: np.ndarray
+    targets: np.ndarray
     readout: np.ndarray
     probs_out: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.target_out, self.readout, self.probs_out):
-            a.flags.writeable = False
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
 
 @lru_cache(maxsize=PREPARED_BLOCKS)
@@ -377,7 +379,6 @@ def _prepare_block(
     one batch, the states' ideal counterparts and the outcome distributions
     of every measurement."""
     n = setting.num_qubits
-    ideal = tuple(ex.branch_data(setting, p) for p in params)
     # the circuits differ only in their preparation angles, so they run as
     # one batch with a layer per gate position
     layers = [*zip(*(ex.prep_circuit(p).gates for p in params))]
@@ -389,9 +390,14 @@ def _prepare_block(
     step = 1 if readout.ndim == 3 else len(readout)
     probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
                                 for i in range(0, len(readout), step)])
+    # the ideal branch data after the evolution, whose peak memory they then miss
+    ideal = [ex.branch_data(setting, p) for p in params]
+    kets = np.array([[np.zeros(4) if b.state is None else b.state.amplitudes for b in bs]
+                     for bs in ideal])
     return PreparedBlock(
-        branches=ideal,
-        target_out=np.stack([ex.output_mixture(bs) for bs in ideal]),
+        probability=np.array([[b.probability for b in bs] for bs in ideal]),
+        targets=np.concatenate([np.stack([ex.output_mixture(bs) for bs in ideal])[:, None],
+                                kets[..., None] * kets[..., None, :].conj()], axis=1),
         readout=readout,
         probs_out=probs_out,
     )
@@ -451,8 +457,8 @@ def _output_analysis(
                                        shots, ms, [(0, index) for index in indices], flip)
         data_out = tom.collect(block.probs_out, shots, ms, [(2, index) for index in indices])
     return OutputAnalysis(ex.estimate_observable(setting, anc_stats),
-                          *_output_tomography(setting, data_out, block.branches,
-                                              block.target_out))
+                          *_output_tomography(setting, data_out, block.targets,
+                                              block.probability))
 
 
 def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
@@ -466,9 +472,10 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     # shares the peak memory with no stack of the measurement stage
     theory = _prepare_input(params, config.noise)[2][obs].tolist()
     out = _output_analysis(setting, params, config.noise, draw)
-    block = _prepare_block(setting, params, config.noise)
-    est_in, fidelity_in = _input_analysis(params, config.noise, draw)
+    probability = _prepare_block(setting, params, config.noise).probability.tolist()
+    est_in, fid_in = _input_analysis(params, config.noise, draw)
     tomo_in = _observable_values(obs, est_in).tolist()
+    fidelity_in = fid_in.tolist()
     qnd_estimates = out.qnd[obs].tolist()
     values, fids, kept = out.values[obs].tolist(), out.fidelity.tolist(), out.retained.tolist()
 
@@ -485,11 +492,10 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
             fidelity_in=fidelity_in[i],
             fidelity_out=fids[i][0],
             branches=tuple(
-                BranchResult(b.outcome, b.probability, retained_shots=kept[i][j],
-                             tomo_value=values[i][1 + j],
-                             fidelity=None if b.state is None else fids[i][1 + j])
-                if kept[i][j] else BranchResult(b.outcome, b.probability)
-                for j, b in enumerate(block.branches[i])
+                BranchResult(outcome, p, retained_shots=kept[i][j], tomo_value=values[i][1 + j],
+                             fidelity=fids[i][1 + j] if p > 0 else None)
+                if kept[i][j] else BranchResult(outcome, p)
+                for j, (outcome, p) in enumerate(zip(ex.branch_outcomes(setting), probability[i]))
             ),
             shots=0 if config.exact_mode else config.shots,
             seed=seed_tag,
@@ -498,15 +504,15 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     ]
 
 
-def _output_tomography(setting, data, ideal, target_out):
+def _output_tomography(setting, data, targets, probability):
     """Analyze a block's full-register output-tomography data as one stack
-    of estimates, its data sets laid out on a (point, column) grid. Column 0
-    holds each point's pair data. For integer counts (not the exact
-    distributions; the dtype rule of ``circuits._frequencies``), column
-    1 + j holds the data post-selected on the j-th outcome of
-    ``experiments.branch_outcomes``, the order of the ``ideal`` branches.
-    A data set that retained no shot in some setting, or too few to fix a
-    state, is not analyzed.
+    of estimates, its data sets laid out on the (point, column) grid of the
+    fidelity ``targets``. Column 0 holds each point's pair data. For integer
+    counts (not the exact distributions; the dtype rule of
+    ``circuits._frequencies``), column 1 + j holds the data post-selected on
+    the j-th outcome of ``experiments.branch_outcomes``. A data set that
+    retained no shot in some setting, or too few to fix a state, is not
+    analyzed; a branch is scored only where its ``probability`` is positive.
 
     Returns the fields of ``OutputAnalysis`` but ``qnd``: each observable's
     (P, 1 + B) values, the (P, 1 + B) fidelities and the (P, B) retained
@@ -525,18 +531,12 @@ def _output_tomography(setting, data, ideal, target_out):
     points, columns = (a[est.rows] for a in np.nonzero(kept > 0))
     if np.count_nonzero(columns == 0) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    shape = (len(data), 1 + len(ideal[0]))
+    shape = targets.shape[:2]
     values = {}
     for obs in _observables_of(setting):
         values[obs] = np.zeros(shape)
         values[obs][points, columns] = _observable_values(obs, est.projected)
-    # the fidelity targets on the grid: the ideal unconditional output, then
-    # each ideal branch state; an empty branch has none and is not scored
-    kets = np.array([[np.zeros(4) if b.state is None else b.state.amplitudes for b in bs]
-                     for bs in ideal])
-    targets = np.concatenate([target_out[:, None], kets[..., None] * kets[..., None, :].conj()],
-                             axis=1)
-    scored = np.array([[True, *(b.state is not None for b in bs)] for bs in ideal])[points, columns]
+    scored = np.insert(probability > 0, 0, True, axis=1)[points, columns]
     fids = np.zeros(shape)
     fids[points[scored], columns[scored]] = fidelity(targets[points[scored], columns[scored]],
                                                      est.projected[scored])
@@ -698,8 +698,9 @@ def run_criteria_protocol(
     prepared blocks.
 
     Raises ValueError for an empty ``seeds`` or ``observables`` list,
-    which has no mean, and for any seed and observable whose sweep config
-    is invalid, before the first sweep runs.
+    which has no mean, for a repeated seed or observable, which would be
+    counted twice or reported once, and for any seed and observable whose
+    sweep config is invalid, before the first sweep runs.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -710,6 +711,9 @@ def run_criteria_protocol(
                      shots=shots, noise=noise, master_seed=seed) for obs in observables]
         for seed in seeds
     ]
+    for name, items in (("seed", seeds), ("observable", observables)):
+        if len(set(items)) != len(items):
+            raise ValueError(f"a repeated {name} in {list(items)!r}")
     per_seed = [
         criteria_summary({cfg.observable: run_sweep(cfg) for cfg in seed_configs})
         for seed_configs in configs

@@ -8,6 +8,6 @@ from helpers import clear_stage_caches
 @pytest.fixture(autouse=True)
 def cold_stage_caches():
     """Start every test from empty stage caches (input stage, input
-    analysis and measurement stage), so that no test passes on entries an
-    earlier test left behind."""
+    analysis, measurement stage and output analysis), so that no test
+    passes on entries an earlier test left behind."""
     clear_stage_caches()

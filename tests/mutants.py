@@ -68,9 +68,9 @@ MUTANTS = (
         "tests/test_blocks.py",
     ),
     Mutant(
-        "every point reads the first point's branches", HARNESS,
-        "_output_tomography(setting, data_out, block.branches,",
-        "_output_tomography(setting, data_out, block.branches[:1] * len(params),",
+        "every point reads the first point's targets", HARNESS,
+        "_output_tomography(setting, data_out, block.targets,",
+        "_output_tomography(setting, data_out, block.targets[[0] * len(params)],",
         "tests/test_blocks.py",
     ),
     Mutant(
@@ -254,6 +254,18 @@ MUTANTS = (
         "every branch scored against the unconditional target", HARNESS,
         "fidelity(targets[points[scored], columns[scored]],",
         "fidelity(targets[points[scored], 0],",
+        "tests/test_golden.py",
+    ),
+    Mutant(
+        "an empty branch is scored", HARNESS,
+        "np.insert(probability > 0, 0, True, axis=1)",
+        "np.insert(probability >= 0, 0, True, axis=1)",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "column 0 scored against branch 0's target", HARNESS,
+        "fidelity(targets[points[scored], columns[scored]],",
+        "fidelity(targets[points[scored], np.maximum(columns[scored], 1)],",
         "tests/test_golden.py",
     ),
     Mutant(

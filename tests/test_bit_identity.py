@@ -23,7 +23,9 @@ same to the last bit, so each comparison here reads bit patterns
 * a block's post-selection, one call per ancilla outcome, against one
   point and one branch at a time (``helpers.postselected_sets``), empty
   branches included (``test_stack.py`` checks ``postselect_counts``'s
-  empty rows against the dictionary code);
+  empty rows against the dictionary code), and the measurement stage's
+  branch probabilities and fidelity targets against each point's branch
+  data and output mixture, the Bell point's empty branches included;
 * the estimator on a stack against the scalar estimator on each row;
 * the Born-rule marginal, and the outcome distribution read from it, of a
   stack of states in one call against one state at a time
@@ -266,15 +268,33 @@ def test_simplex_threshold_matches_take_along_axis(seed, shape, spread):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 16),
-       observable=st.sampled_from(ex.OBSERVABLES), high=st.sampled_from([2, 4, 200]))
-def test_block_postselection_matches_one_branch_at_a_time(seed, points, observable, high):
+       observable=st.sampled_from(ex.OBSERVABLES), high=st.sampled_from([2, 4, 200]),
+       bell=st.booleans())
+def test_block_postselection_matches_one_branch_at_a_time(seed, points, observable, high, bell):
     rng = np.random.default_rng(seed)
     setting = ex.setting_for(observable)
     counts = rng.integers(0, high, size=(points, 16, 2**setting.num_qubits))
     counts[..., 0] += 1  # the pair data read "00" in every setting, so they fix a state
-    params = [PrepParams(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(points)]
+    params = tuple(PrepParams(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(points))
+    if bell:  # the Bell point empties a branch of every setting
+        params = (PrepParams(np.pi / 2, np.pi),) + params[1:]
     ideal = [ex.branch_data(setting, p) for p in params]
-    target_out = np.stack([ex.output_mixture(bs) for bs in ideal])
+    # the measurement stage's branch arrays hold each point's branch data
+    # and output mixture, an empty branch as probability 0.0 and zero target
+    block = harness._prepare_block(setting, params, NoiseModel())
+    assert block.probability.shape == (points, len(ideal[0]))
+    assert block.targets.shape == (points, 1 + len(ideal[0]), 4, 4)
+    for i, listed in enumerate(ideal):
+        assert np.array_equal(_bits(block.targets[i, 0]), _bits(ex.output_mixture(listed)))
+        for j, b in enumerate(listed):
+            assert _bits(block.probability[i, j]) == _bits(np.float64(b.probability))
+            if b.state is None:
+                assert block.probability[i, j] == 0.0 and not block.targets[i, 1 + j].any()
+                event("empty branch")
+            else:
+                ket = b.state.amplitudes
+                assert np.array_equal(_bits(block.targets[i, 1 + j]),
+                                      _bits(np.outer(ket, ket.conj())))
     want, owners, retained = postselected_sets(counts, ideal, setting.ancilla_qubits)
 
     stacks = []
@@ -286,7 +306,8 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tom, "reconstruct_stack", spy)
-        _, _, kept = harness._output_tomography(setting, counts, ideal, target_out)
+        _, _, kept = harness._output_tomography(setting, counts, block.targets,
+                                                block.probability)
     (got,) = stacks
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

@@ -60,7 +60,7 @@ from qndsim.harness import (
     run_sweep,
 )
 from qndsim.observables import observable_set
-from qndsim.qmath import DensityMatrix, basis_state, fidelity
+from qndsim.qmath import basis_state, fidelity
 
 NOISE = {
     "none": NoiseModel(),
@@ -416,11 +416,16 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     block = _prepare_block(setting, params, NOISE[noise])
     assert _prepare_block.cache_info().hits == 2
     assert isinstance(block, PreparedBlock)
+    # every field is an array, no Branch or density matrix object: the
+    # ideal branch data are the branch probabilities and the target grid
     values = list(_reachable(block))
     arrays = [v for v in values if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 3
+    assert len(arrays) == len(values) - 1 == 4
     for a in arrays:
         assert not a.flags.writeable and a.base is None
+    width = len(ex.branch_outcomes(setting))
+    assert block.probability.shape == (3, width) and block.probability.dtype == np.float64
+    assert block.targets.shape == (3, 1 + width, 4, 4)
     measured = [o for o in ex.OBSERVABLES if ex.setting_for(o) == setting]
     # so are the output analysis's arrays, one row per point, for the same
     # observables as the estimator's
@@ -428,7 +433,6 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     assert _output_analysis.cache_info().hits == 1
     assert isinstance(out, OutputAnalysis)
     assert list(out.qnd) == list(out.values) == measured
-    width = len(ex.branch_outcomes(setting))
     assert all(v.shape == (3,) for v in out.qnd.values())
     assert all(v.shape == (3, 1 + width) for v in out.values.values())
     assert out.fidelity.shape == (3, 1 + width) and out.retained.shape == (3, width)
@@ -450,16 +454,14 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
                                           None if exact else (100, 0, (0, 1, 2)))
     assert _input_analysis.cache_info().hits == 1
     assert est_in.shape == (3, 4, 4)
-    assert isinstance(fidelity_in, tuple) and len(fidelity_in) == 3
-    for a in (target_in, probs_in, est_in):
+    assert fidelity_in.shape == (3,) and fidelity_in.dtype == np.float64
+    for a in (target_in, probs_in, est_in, fidelity_in):
         assert not a.flags.writeable and a.base is None
     # the readout is the batch's stack of full-register states, amplitudes
-    # or density matrices, and no density matrix object is kept: the
-    # fidelity targets are arrays too
+    # or density matrices
     d = 2 ** setting.num_qubits
     pure = NOISE[noise] == NoiseModel()
     assert block.readout.shape == ((3, d) if pure else (3, d, d))
-    assert not any(isinstance(v, DensityMatrix) for v in values)
 
 
 @pytest.mark.parametrize("noise", ["none", "criterion 9"])

@@ -311,6 +311,8 @@ def test_criteria_protocol_rejects_empty_observables(monkeypatch):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(seeds=[0], observables=("VA", "XX")), "unknown observable 'XX'"),
     (dict(seeds=[0, -1]), "master_seed must be >= 0"),
+    (dict(seeds=[0], observables=("VA", "C1", "VA")), "repeated observable"),
+    (dict(seeds=[0, 3, 0]), "repeated seed"),
 ])
 def test_criteria_protocol_rejects_a_bad_config_before_any_sweep(monkeypatch, kwargs, message):
     sweeps = []
