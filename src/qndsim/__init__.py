@@ -15,7 +15,6 @@ from .circuits import (
     Gate,
     NoiseModel,
     exact_probabilities,
-    postselect,
     postselect_counts,
     run_noisy,
     run_pure,
@@ -33,7 +32,6 @@ from .experiments import (
     MeasurementSetting,
     PrepParams,
     bell_coefficients,
-    conditional_target_state,
     estimate_observable,
     measurement_circuit,
     prep_circuit,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -140,17 +140,6 @@ class Circuit:
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
                 raise ValueError(f"gate {g} targets outside 0..{self.num_qubits - 1}")
-
-    def then(self, other: "Circuit") -> "Circuit":
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("cannot concatenate circuits of different width")
-        return Circuit(self.num_qubits, self.gates + other.gates)
-
-    def widened(self, num_qubits: int) -> "Circuit":
-        """Same gates on a wider register (extra qubits untouched)."""
-        if num_qubits < self.num_qubits:
-            raise ValueError("cannot shrink a circuit")
-        return replace(self, num_qubits=num_qubits)
 
 
 @dataclass(frozen=True, init=False)
@@ -565,36 +554,6 @@ def sample_counts(
     the (B, 2^m) counts."""
     probs = _outcome_distribution(states, measured_qubits, readout_flip)
     return sample_batch(probs, shots, master_seed, seed_paths)
-
-
-EMPTY_BRANCH_PROB = 1e-12
-"""The weight below which a branch is empty: it has no conditional state."""
-
-
-def postselect(
-    state: StateVector, ancilla_qubits, outcome: str
-) -> tuple[StateVector | None, float]:
-    """Condition a pure state on a computational outcome of the ancillas.
-
-    Returns the renormalized state on the remaining qubits (original order)
-    and the Born probability of the branch; a branch of weight below
-    EMPTY_BRANCH_PROB is empty, ``(None, 0.0)``.
-    """
-    ancillas = tuple(ancilla_qubits)
-    if len(outcome) != len(ancillas):
-        raise ValueError("outcome length must match number of ancilla qubits")
-    n = state.num_qubits
-    if len(ancillas) >= n:
-        raise ValueError("cannot postselect every qubit away")
-    t = state.amplitudes.reshape([2] * n)
-    index: list[object] = [slice(None)] * n
-    for q, bit in zip(ancillas, outcome):
-        index[q] = int(bit)
-    branch = t[tuple(index)].reshape(-1)
-    prob = float(np.sum(np.abs(branch) ** 2))
-    if prob < EMPTY_BRANCH_PROB:
-        return None, 0.0
-    return StateVector(n - len(ancillas), branch / math.sqrt(prob)), prob
 
 
 def _count_bits(counts: np.ndarray, positions: tuple[int, ...]) -> int:

@@ -15,8 +15,11 @@ from the joint ancilla statistics.
 
 A measurement setting is named by its observable alone, and its circuit is
 that name's row of one gate table, ``_MEASUREMENT_GATES``.
-``branch_data`` and ``output_mixture`` give the ideal data a sweep is
-compared with, in closed form (the single-ancilla circuit is simulated).
+``branch_data`` gives the ideal data a sweep is compared with, for a
+whole block of points as arrays: (P, B) branch probabilities and (P, B, 4)
+unit kets, in closed form (the single-ancilla circuit's block is simulated
+as one pure batch); ``output_mixture`` mixes them into each point's ideal
+unconditional output.
 The exact-estimator oracles, which run a measurement circuit on a given
 pair state, live with the tests (``tests/helpers.py``).
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as circ
-from .circuits import EMPTY_BRANCH_PROB, Circuit, cnot, cry, h, rx, ry
+from .circuits import Circuit, cnot, cry, h, rx, ry
 from .qmath import StateVector, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -57,6 +60,9 @@ KET_1 = np.array([0, 1], dtype=complex)
 # A post-selection branch counts as reliable when its theoretical probability
 # (squared amplitude in the pre-measurement state) reaches this floor.
 RELIABLE_BRANCH_PROB = 0.25
+
+EMPTY_BRANCH_PROB = 1e-12
+"""The weight below which a branch is empty: it has no conditional state."""
 
 OBSERVABLES = ("VA", "VB", "PA", "PB", "C1", "C2")
 
@@ -245,22 +251,6 @@ def _conc2_branch_vectors(c: BellCoefficients) -> dict[str, np.ndarray]:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
-    """One ancilla outcome: the ideal conditional pair state and its
-    theoretical probability. An empty branch, of weight below
-    EMPTY_BRANCH_PROB, is ``state=None, probability=0.0``; a branch is
-    ``reliable`` when its probability reaches RELIABLE_BRANCH_PROB."""
-
-    outcome: str
-    state: StateVector | None
-    probability: float
-
-    @property
-    def reliable(self) -> bool:
-        return self.probability >= RELIABLE_BRANCH_PROB
-
-
 # every readout of one or two ancillas, as bitstrings in ascending order; one
 # tuple per count, so the branches of every block share its strings
 _OUTCOMES = {a: tuple(format(k, f"0{a}b") for k in range(2**a)) for a in (1, 2)}
@@ -268,35 +258,6 @@ _OUTCOMES = {a: tuple(format(k, f"0{a}b") for k in range(2**a)) for a in (1, 2)}
 
 def branch_outcomes(s: MeasurementSetting) -> tuple[str, ...]:
     return _OUTCOMES[len(s.ancilla_qubits)]
-
-
-def conditional_target_state(
-    s: MeasurementSetting, c: BellCoefficients, ancilla_outcome: str
-) -> Branch:
-    """Closed-form conditional pair state and branch probability, as a
-    ``Branch`` (empty below a weight of EMPTY_BRANCH_PROB).
-
-    Only defined for the two-ancilla settings; the single-ancilla concurrence
-    circuit has no closed form here and is characterized by simulation
-    (see :func:`simulated_branches`).
-    """
-    if s.observable == "concurrence1":
-        raise ValueError("no closed-form conditional state for this setting")
-    if ancilla_outcome not in branch_outcomes(s):
-        raise ValueError(f"invalid outcome {ancilla_outcome!r}")
-    if s.observable == "concurrence2":
-        vec = _conc2_branch_vectors(c)[ancilla_outcome]
-        prob = float(np.sum(np.abs(vec) ** 2))
-    else:
-        table = _VIS_BRANCHES if s.observable == "visibility" else _PRED_BRANCHES
-        coeff_fn, ket_a, ket_b = table[ancilla_outcome]
-        coeff = coeff_fn(c)
-        prob = coeff * coeff / 2.0
-    if prob < EMPTY_BRANCH_PROB:
-        return Branch(ancilla_outcome, None, 0.0)
-    # the product kets of the other settings are unit vectors already
-    ket = vec / math.sqrt(prob) if s.observable == "concurrence2" else np.kron(ket_a, ket_b)
-    return Branch(ancilla_outcome, StateVector(2, ket), prob)
 
 
 def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
@@ -324,44 +285,68 @@ def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
     return StateVector(4, amps)
 
 
-def simulated_branches(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
-    """Noiseless conditional states obtained by actually running the
-    circuit, one ``Branch`` per ancilla outcome (``circuits.postselect``
-    gives an empty one as ``(None, 0.0)``).
+def block_layers(s: MeasurementSetting, params: tuple[PrepParams, ...]) -> list[circ.Layer]:
+    """The full circuits of a block's points, each point's preparation
+    then the setting's measurement, as ``run_batch`` layers: the circuits
+    differ only in their preparation angles, so each gate position is one
+    layer."""
+    layers = [*zip(*(prep_circuit(p).gates for p in params))]
+    return layers + [(g,) * len(params) for g in measurement_circuit(s).gates]
 
-    Cross-checks the closed forms, and is the defining characterization for
-    the single-ancilla concurrence circuit.
+
+def branch_data(
+    s: MeasurementSetting, params: tuple[PrepParams, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's ideal branch data, a row per point and a column per
+    outcome of ``branch_outcomes``: the (P, B) branch probabilities and the
+    (P, B, 4) unit kets of the conditional pair states. A branch of weight
+    below EMPTY_BRANCH_PROB is empty: probability 0.0 and a zero ket.
+
+    Closed forms for the two-ancilla settings. The single-ancilla
+    concurrence circuit is simulated: the block's full circuits run as one
+    pure batch, and each branch is read at its ancilla bit.
     """
-    n = s.num_qubits
-    full = prep_circuit(p).widened(n).then(measurement_circuit(s))
-    out = circ.run_pure(full, basis_state(n))
-    return tuple(Branch(o, *circ.postselect(out, s.ancilla_qubits, o)) for o in branch_outcomes(s))
+    if s.observable in ("visibility", "predictability"):
+        table = _VIS_BRANCHES if s.observable == "visibility" else _PRED_BRANCHES
+        rows = [table[o] for o in branch_outcomes(s)]
+        coeff = np.array([[fn(c) for fn, _, _ in rows] for c in map(bell_coefficients, params)])
+        probability = coeff * coeff / 2.0
+        # the product kets are unit vectors already
+        kets = np.array([[np.kron(a, b) for _, a, b in rows]] * len(params))
+    else:
+        if s.observable == "concurrence1":
+            n = s.num_qubits
+            amps = circ.run_batch(np.broadcast_to(basis_state(n).amplitudes, (len(params), 2**n)),
+                                  block_layers(s, params), circ.NoiseModel())
+            # the ancilla, qubit 2, is the last bit of a register index
+            amps = amps.reshape(len(params), 4, 2)
+            vecs = np.stack([amps[:, :, bit] for bit in range(2)], axis=1)
+        else:
+            vecs = np.array([[_conc2_branch_vectors(c)[o] for o in branch_outcomes(s)]
+                             for c in map(bell_coefficients, params)])
+        probability = np.sum(np.abs(vecs) ** 2, axis=-1)
+        kets = np.zeros_like(vecs)
+        full = probability >= EMPTY_BRANCH_PROB
+        kets[full] = vecs[full] / np.sqrt(probability[full])[:, None]
+    empty = probability < EMPTY_BRANCH_PROB
+    probability[empty] = 0.0
+    kets[empty] = 0.0
+    return probability, kets
 
 
-def branch_data(s: MeasurementSetting, p: PrepParams) -> tuple[Branch, ...]:
-    """Ideal conditional states and probabilities, one per ancilla outcome.
-
-    Closed forms for the two-ancilla settings; the single-ancilla concurrence
-    circuit is simulated (see :func:`simulated_branches`).
-    """
-    if s.observable == "concurrence1":
-        return simulated_branches(s, p)
-    c = bell_coefficients(p)
-    return tuple(conditional_target_state(s, c, o) for o in branch_outcomes(s))
-
-
-def output_mixture(branches: tuple[Branch, ...]) -> np.ndarray:
-    """Pair state after the ancilla readout when the outcome is discarded,
-    as a (4, 4) density matrix.
+def output_mixture(probability: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Each point's pair state after the ancilla readout when the outcome
+    is discarded, as a (P, 4, 4) stack of density matrices, from a block's
+    ``branch_data`` arrays.
 
     The pre-measurement state couples orthogonal ancilla kets to each branch,
     so this is the probability mixture of the conditional branch states.
     """
-    m = np.zeros((4, 4), dtype=complex)
-    for b in branches:
-        if b.state is not None:
-            m += b.probability * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-    m /= np.trace(m).real
+    m = np.zeros((len(kets), 4, 4), dtype=complex)
+    for j in range(kets.shape[1]):
+        ket = kets[:, j]
+        m += probability[:, j, None, None] * (ket[:, :, None] * ket[:, None, :].conj())
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     return m
 
 

@@ -32,19 +32,20 @@ mod 2*pi, and keeps one entry per point:
   measurement setting (the circuit), the angles and the noise model, not
   of the observable: PA and PB, or VA and VB, read one readout of one
   circuit. It runs the full circuits of the block's points as one batch
-  and keeps, per point, the ideal branch probabilities, the fidelity targets
-  and every tomography setting's outcome distribution over the output
-  register; the full-register states whose ancillas the readout measures
-  stay the one stack the batch returned.
+  and keeps, per point, the ideal branch data as the producer's arrays
+  (``experiments.branch_data``: branch probabilities and unit kets), the
+  ideal unconditional output and every tomography setting's outcome
+  distribution over the output register; the full-register states whose
+  ancillas the readout measures stay the one stack the batch returned.
 * The output analysis (``_output_analysis``) adds the draw to the
   measurement stage's key, as the input analysis does to the input
   stage's. It draws the ancilla readout and the output tomography counts
   from the measurement stage's distributions, or reads them in exact
   mode, and analyzes the output estimates of every point and branch as one
   stack (``_output_tomography``, which post-selects the whole block once
-  per ancilla outcome) for every observable the setting measures. Exact
-  data are the infinite-shot limit, and no branch is post-selected on
-  them.
+  per ancilla outcome and forms the projectors of the branches it scores)
+  for every observable the setting measures. Exact data are the
+  infinite-shot limit, and no branch is post-selected on them.
 
 The seed stage (``_measure_block``) then only reads each point's record
 from these entries. Each cache keeps its last ``PREPARED_BLOCKS`` entries,
@@ -276,7 +277,7 @@ PREPARED_BLOCKS = 32
 One criteria seed, like one benchmark unit, visits a block per observable
 and per 16 phi points, six or more in turn, and the next seed visits them
 again in the same order: a cache smaller than one pass misses on every
-call. A 16-point block holds 50 to 150 KB, its input stage 13 KB, its
+call. A 16-point block holds 25 to 105 KB, its input stage 13 KB, its
 input analysis 4 KB and its output analysis 3 to 4 KB."""
 
 
@@ -346,9 +347,11 @@ class PreparedBlock:
     each point's prepared state, whatever the seed. Every field has one
     entry per point; the input states are ``_prepare_input``'s.
 
-    ``probability`` holds the (P, B) ideal branch probabilities, 0.0 for an
-    empty branch, and ``targets`` the (P, 1 + B, 4, 4) fidelity targets: the
-    ideal unconditional output, then each branch's projector, zero if empty.
+    ``probability`` and ``kets`` are the block's ``branch_data``: the (P, B)
+    ideal branch probabilities, 0.0 for an empty branch, and the (P, B, 4)
+    unit kets of the branch states, zero for an empty branch. ``mixture``
+    holds the (P, 4, 4) ideal unconditional outputs (``output_mixture``).
+    They are the fidelity targets of the output analysis.
 
     ``readout`` is the ``run_batch`` stack of the full-register states
     whose ancillas the readout measures: (P, 2^n) amplitudes or
@@ -362,7 +365,8 @@ class PreparedBlock:
     """
 
     probability: np.ndarray
-    targets: np.ndarray
+    kets: np.ndarray
+    mixture: np.ndarray
     readout: np.ndarray
     probs_out: np.ndarray
 
@@ -379,28 +383,18 @@ def _prepare_block(
     one batch, the states' ideal counterparts and the outcome distributions
     of every measurement."""
     n = setting.num_qubits
-    # the circuits differ only in their preparation angles, so they run as
-    # one batch with a layer per gate position
-    layers = [*zip(*(ex.prep_circuit(p).gates for p in params))]
-    layers += [(g,) * len(params) for g in ex.measurement_circuit(setting).gates]
     initial = basis_state(n).density().matrix if _noisy(noise) else basis_state(n).amplitudes
-    readout = circ.run_batch(np.broadcast_to(initial, (len(params),) + initial.shape), layers, noise)
+    readout = circ.run_batch(np.broadcast_to(initial, (len(params),) + initial.shape),
+                             ex.block_layers(setting, params), noise)
     # density matrices one state at a time: the evolved stack of a point is
     # 16 full-register density matrices, and the block's would be 16 times that
     step = 1 if readout.ndim == 3 else len(readout)
     probs_out = np.concatenate([tom.setting_probabilities(readout[i:i + step], noise)
                                 for i in range(0, len(readout), step)])
     # the ideal branch data after the evolution, whose peak memory they then miss
-    ideal = [ex.branch_data(setting, p) for p in params]
-    kets = np.array([[np.zeros(4) if b.state is None else b.state.amplitudes for b in bs]
-                     for bs in ideal])
-    return PreparedBlock(
-        probability=np.array([[b.probability for b in bs] for bs in ideal]),
-        targets=np.concatenate([np.stack([ex.output_mixture(bs) for bs in ideal])[:, None],
-                                kets[..., None] * kets[..., None, :].conj()], axis=1),
-        readout=readout,
-        probs_out=probs_out,
-    )
+    probability, kets = ex.branch_data(setting, params)
+    return PreparedBlock(probability, kets, ex.output_mixture(probability, kets), readout,
+                         probs_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,8 +451,7 @@ def _output_analysis(
                                        shots, ms, [(0, index) for index in indices], flip)
         data_out = tom.collect(block.probs_out, shots, ms, [(2, index) for index in indices])
     return OutputAnalysis(ex.estimate_observable(setting, anc_stats),
-                          *_output_tomography(setting, data_out, block.targets,
-                                              block.probability))
+                          *_output_tomography(setting, data_out, block))
 
 
 def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
@@ -504,15 +497,17 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
     ]
 
 
-def _output_tomography(setting, data, targets, probability):
+def _output_tomography(setting, data, block):
     """Analyze a block's full-register output-tomography data as one stack
-    of estimates, its data sets laid out on the (point, column) grid of the
-    fidelity ``targets``. Column 0 holds each point's pair data. For integer
-    counts (not the exact distributions; the dtype rule of
-    ``circuits._frequencies``), column 1 + j holds the data post-selected on
-    the j-th outcome of ``experiments.branch_outcomes``. A data set that
-    retained no shot in some setting, or too few to fix a state, is not
-    analyzed; a branch is scored only where its ``probability`` is positive.
+    of estimates, its data sets laid out on a (point, column) grid. Column
+    0 holds each point's pair data. For integer counts (not the exact
+    distributions; the dtype rule of ``circuits._frequencies``), column
+    1 + j holds the data post-selected on the j-th outcome of
+    ``experiments.branch_outcomes``. A data set that retained no shot in
+    some setting, or too few to fix a state, is not analyzed. Column 0 is
+    scored against the measurement stage's ``mixture``, and column 1 + j
+    against the projector on branch j's ket, only where the branch's
+    ``probability`` is positive.
 
     Returns the fields of ``OutputAnalysis`` but ``qnd``: each observable's
     (P, 1 + B) values, the (P, 1 + B) fidelities and the (P, B) retained
@@ -531,15 +526,19 @@ def _output_tomography(setting, data, targets, probability):
     points, columns = (a[est.rows] for a in np.nonzero(kept > 0))
     if np.count_nonzero(columns == 0) != len(data):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
-    shape = targets.shape[:2]
+    shape = (len(data), 1 + block.probability.shape[1])
     values = {}
     for obs in _observables_of(setting):
         values[obs] = np.zeros(shape)
         values[obs][points, columns] = _observable_values(obs, est.projected)
-    scored = np.insert(probability > 0, 0, True, axis=1)[points, columns]
+    scored = np.insert(block.probability > 0, 0, True, axis=1)[points, columns]
+    at, col = points[scored], columns[scored]
+    targets = block.mixture[at]
+    branch = col > 0
+    ket = block.kets[at[branch], col[branch] - 1]
+    targets[branch] = ket[:, :, None] * ket[:, None, :].conj()
     fids = np.zeros(shape)
-    fids[points[scored], columns[scored]] = fidelity(targets[points[scored], columns[scored]],
-                                                     est.projected[scored])
+    fids[at, col] = fidelity(targets, est.projected[scored])
     shots = np.zeros(shape, dtype=np.int64)
     shots[points, columns] = kept[points, columns]
     return values, fids, shots[:, 1:].copy()

@@ -129,7 +129,10 @@ class DensityMatrix:
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
-    """Computational basis ket |index> on ``num_qubits`` qubits."""
+    """Computational basis ket |index> on ``num_qubits`` qubits; raises
+    ValueError for an index outside 0..2^n - 1, which would wrap or fail."""
+    if not 0 <= index < 2**num_qubits:
+        raise ValueError(f"basis index must be in 0..{2**num_qubits - 1}, got {index}")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)

@@ -2,12 +2,15 @@
 the exact oracles the acceptance criteria compare the package against
 (the exact QND estimator on a given pair state, the pair state after one
 measurement pass, the measurement circuit read without the half angle,
-the general count marginalization, the triality defect, and the theory
-value of one point), and copies of code the package replaced by faster
-or simpler code that must agree with it bit for bit (the 16-step Pauli-
-pair loop of the raw estimate, the post-selection of one point's branch
-at a time, the Born-rule marginal of one state at a time, the branch
-data built from tuples and an empty-branch exception, the linear
+one point's branches simulated alone and post-selected, which pins which
+outcome is which, the general count marginalization, the triality
+defect, and the theory value of one point), and copies of code the
+package replaced by faster or simpler code that must agree with it bit
+for bit (the 16-step Pauli-pair loop of the raw estimate, the
+post-selection of one point's branch at a time, the Born-rule marginal
+of one state at a time, one point's branch data built from tuples and an
+empty-branch exception and its output mixture summed a branch at a
+time, the linear
 estimates solved against a broadcast copy of the design matrix, and the
 depolarizing channel's mixed term built by a transpose), the
 depolarizing channel written as a Pauli twirl, and a reset of the
@@ -256,26 +259,32 @@ def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np
     return kept if kept.sum(axis=-1).all() else None
 
 
-def postselected_sets(data: np.ndarray, postselected, ancilla_positions):
+def postselected_sets(data: np.ndarray, outcomes, ancilla_positions):
     """The output analysis's data sets as it built them one point and one
-    branch at a time: per point, its pair data, then each listed branch
-    whose every setting retained a shot. Returns the (K, 16, 4) stack, the
-    (point, branch or None) owner of each row, and each branch row's
-    fewest retained shots."""
+    branch at a time: per point, its pair data, then each listed outcome's
+    branch whose every setting retained a shot. Returns the (K, 16, 4)
+    stack, the (point, outcome or None) owner of each row, and each branch
+    row's fewest retained shots."""
     pair = data.reshape(*data.shape[:2], 4, -1).sum(axis=-1)
     sets, owners, retained = [], [], []
-    for i, (point_data, listed) in enumerate(zip(data, postselected)):
+    for i, point_data in enumerate(data):
         sets.append(pair[i])
         owners.append((i, None))
         retained.append(None)
-        for b in listed:
-            kept = postselect_branch(point_data, ancilla_positions, b.outcome)
+        for outcome in outcomes:
+            kept = postselect_branch(point_data, ancilla_positions, outcome)
             if kept is None:
                 continue
             sets.append(kept)
-            owners.append((i, b))
+            owners.append((i, outcome))
             retained.append(int(kept.sum(axis=-1).min()))
     return np.stack(sets), owners, retained
+
+
+def full_circuit(s: MeasurementSetting, p) -> Circuit:
+    """One point's full circuit on the setting's register: the pair
+    preparation, then the measurement circuit."""
+    return Circuit(s.num_qubits, ex.prep_circuit(p).gates + measurement_circuit(s).gates)
 
 
 class _ZeroWeight(ValueError):
@@ -283,7 +292,10 @@ class _ZeroWeight(ValueError):
 
 
 def _postselect_or_raise(state: StateVector, ancilla_qubits, outcome: str):
-    """``circuits.postselect`` as it was: raises on an empty branch."""
+    """Condition a pure state on a computational outcome of the ancillas:
+    the renormalized state of the remaining qubits (original order) and the
+    Born probability of the branch. Raises on an empty branch, as the
+    post-selection of single states did before empty branches were data."""
     ancillas = tuple(ancilla_qubits)
     n = state.num_qubits
     t = state.amplitudes.reshape([2] * n)
@@ -298,7 +310,7 @@ def _postselect_or_raise(state: StateVector, ancilla_qubits, outcome: str):
 
 
 def _target_or_raise(s: MeasurementSetting, c, outcome: str):
-    """``experiments.conditional_target_state`` as it was: a (state,
+    """One closed-form conditional pair state as it was built: a (state,
     probability) tuple, raising on an empty branch."""
     if s.observable in ("visibility", "predictability"):
         table = ex._VIS_BRANCHES if s.observable == "visibility" else ex._PRED_BRANCHES
@@ -315,32 +327,49 @@ def _target_or_raise(s: MeasurementSetting, c, outcome: str):
     return StateVector(2, vec / math.sqrt(prob)), prob
 
 
+def _caught(build, outcome: str):
+    """(outcome, state, probability) of one branch, an empty branch caught
+    as the exception and given as (outcome, None, 0.0)."""
+    try:
+        return (outcome, *build(outcome))
+    except _ZeroWeight:
+        return outcome, None, 0.0
+
+
+def simulated_branches(s: MeasurementSetting, p) -> tuple[tuple, ...]:
+    """One point's branches obtained by running its full circuit alone and
+    post-selecting the output on each ancilla outcome: (outcome, state or
+    None, probability) per outcome. The oracle of which outcome is which,
+    for every setting."""
+    out = circ.run_pure(full_circuit(s, p), basis_state(s.num_qubits))
+    return tuple(_caught(lambda o: _postselect_or_raise(out, s.ancilla_qubits, o), o)
+                 for o in ex.branch_outcomes(s))
+
+
 def tuple_branch_data(s: MeasurementSetting, p) -> tuple[tuple, ...]:
-    """``experiments.branch_data`` as it was built before ``Branch`` was the
-    one form: (state, probability) tuples, each empty branch caught as an
-    exception and converted, and the reliability flag computed here.
-    Returns (outcome, state or None, probability, reliable) per outcome."""
+    """One point's ideal branch data as they were built before a block's
+    were arrays: (state, probability) tuples, each empty branch caught as
+    an exception and converted, circuit 1's simulated alone and the others
+    in closed form, and the reliability flag computed here. Returns
+    (outcome, state or None, probability, reliable) per outcome."""
     if s.observable == "concurrence1":
-        n = s.num_qubits
-        full = ex.prep_circuit(p).widened(n).then(measurement_circuit(s))
-        out = circ.run_pure(full, basis_state(n))
-        entries = []
-        for outcome in ex.branch_outcomes(s):
-            try:
-                state, prob = _postselect_or_raise(out, s.ancilla_qubits, outcome)
-            except _ZeroWeight:
-                state, prob = None, 0.0
-            entries.append((outcome, state, prob))
+        entries = simulated_branches(s, p)
     else:
         c = ex.bell_coefficients(p)
-        entries = []
-        for outcome in ex.branch_outcomes(s):
-            try:
-                state, prob = _target_or_raise(s, c, outcome)
-            except _ZeroWeight:
-                state, prob = None, 0.0
-            entries.append((outcome, state, prob))
+        entries = tuple(_caught(lambda o: _target_or_raise(s, c, o), o)
+                        for o in ex.branch_outcomes(s))
     return tuple((o, st, pr, pr >= ex.RELIABLE_BRANCH_PROB) for o, st, pr in entries)
+
+
+def tuple_output_mixture(entries) -> np.ndarray:
+    """One point's ideal unconditional output, a (4, 4) matrix, from its
+    ``tuple_branch_data`` entries, summed as it was one point at a time."""
+    m = np.zeros((4, 4), dtype=complex)
+    for _, state, prob, _ in entries:
+        if state is not None:
+            m += prob * np.outer(state.amplitudes, state.amplitudes.conj())
+    m /= np.trace(m).real
+    return m
 
 
 def append_ancillas(state: StateVector, count: int) -> StateVector:

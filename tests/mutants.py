@@ -68,9 +68,14 @@ MUTANTS = (
         "tests/test_blocks.py",
     ),
     Mutant(
-        "every point reads the first point's targets", HARNESS,
-        "_output_tomography(setting, data_out, block.targets,",
-        "_output_tomography(setting, data_out, block.targets[[0] * len(params)],",
+        "every point's branches scored against the first point's kets", HARNESS,
+        "ket = block.kets[at[branch], col[branch] - 1]",
+        "ket = block.kets[0 * at[branch], col[branch] - 1]",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "every point scored against the first point's output mixture", HARNESS,
+        "targets = block.mixture[at]", "targets = block.mixture[0 * at]",
         "tests/test_blocks.py",
     ),
     Mutant(
@@ -217,20 +222,35 @@ MUTANTS = (
         "tests/test_circuits.py",
     ),
     Mutant(
-        "postselect without its empty-branch filter", CIRCUITS,
-        "    if prob < EMPTY_BRANCH_PROB:\n        return None, 0.0\n", "",
+        "branch data without the empty-branch threshold", EXPERIMENTS,
+        "    empty = probability < EMPTY_BRANCH_PROB\n",
+        "    empty = probability < 0.0\n",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "an empty branch keeps its rounding-level probability", EXPERIMENTS,
+        "    probability[empty] = 0.0\n", "",
+        "tests/test_bit_identity.py",
+    ),
+    Mutant(
+        "an empty branch keeps its product ket", EXPERIMENTS,
+        "    kets[empty] = 0.0\n", "",
+        "tests/test_bit_identity.py",
+    ),
+    Mutant(
+        "circuit 1's branches read from the other ancilla bit", EXPERIMENTS,
+        "amps[:, :, bit] for bit in range(2)", "amps[:, :, 1 - bit] for bit in range(2)",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "the output mixture weighted by the square root of the probabilities", EXPERIMENTS,
+        "m += probability[:, j, None, None] *", "m += np.sqrt(probability[:, j, None, None]) *",
         "tests/test_experiments.py",
     ),
     Mutant(
         "the visibility estimator summed in another order", EXPERIMENTS,
         "sa = f[0] + f[1] - f[2] - f[3]", "sa = f[0] - f[2] + f[1] - f[3]",
         "tests/test_golden.py",
-    ),
-    Mutant(
-        "an ideal branch reliable only above the floor", EXPERIMENTS,
-        "return self.probability >= RELIABLE_BRANCH_PROB",
-        "return self.probability > RELIABLE_BRANCH_PROB",
-        "tests/test_analysis.py",
     ),
     Mutant(
         "a branch result reliable only above the floor", ANALYSIS,
@@ -252,20 +272,18 @@ MUTANTS = (
     ),
     Mutant(
         "every branch scored against the unconditional target", HARNESS,
-        "fidelity(targets[points[scored], columns[scored]],",
-        "fidelity(targets[points[scored], 0],",
+        "    targets[branch] = ket[:, :, None] * ket[:, None, :].conj()\n", "",
         "tests/test_golden.py",
     ),
     Mutant(
         "an empty branch is scored", HARNESS,
-        "np.insert(probability > 0, 0, True, axis=1)",
-        "np.insert(probability >= 0, 0, True, axis=1)",
+        "np.insert(block.probability > 0, 0, True, axis=1)",
+        "np.insert(block.probability >= 0, 0, True, axis=1)",
         "tests/test_blocks.py",
     ),
     Mutant(
-        "column 0 scored against branch 0's target", HARNESS,
-        "fidelity(targets[points[scored], columns[scored]],",
-        "fidelity(targets[points[scored], np.maximum(columns[scored], 1)],",
+        "column 0 scored against the last branch's target", HARNESS,
+        "    branch = col > 0\n", "    branch = col >= 0\n",
         "tests/test_golden.py",
     ),
     Mutant(

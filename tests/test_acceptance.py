@@ -22,13 +22,14 @@ from helpers import (
     random_density_matrix,
     random_real_pure_state,
     raw_estimate,
+    simulated_branches,
     tomograph,
     tomography_data,
     triality_defect,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
-from qndsim.analysis import fit_mixed_fraction, rms_error
+from qndsim.analysis import BranchResult, fit_mixed_fraction, rms_error
 from qndsim.circuits import NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol, run_sweep
 from qndsim.observables import concurrence_wootters, observable_set
@@ -98,23 +99,21 @@ def test_criterion_04_state_preparation():
     and matches the closed-form branch state with fidelity 1 (1e-10)."""
     worst_obs, worst_fid = 0.0, 0.0
     checked = 0
-    for phi in GRID_16:
-        for theta in GRID_16:
-            p = ex.PrepParams(phi, theta)
-            for obs in ("VA", "PA", "C2", "C1"):
-                s = ex.setting_for(obs)
-                coeffs = ex.bell_coefficients(p)
-                key = "C" if obs in ("C1", "C2") else obs
-                for b in ex.simulated_branches(s, p):
-                    if b.state is None or not b.reliable:
-                        continue
-                    checked += 1
-                    value = observable_set(b.state.density().matrix[None])[key][0]
-                    worst_obs = max(worst_obs, abs(value - 1.0))
-                    if s.observable != "concurrence1":
-                        target = ex.conditional_target_state(s, coeffs, b.outcome).state
-                        fid = abs(np.vdot(target.amplitudes, b.state.amplitudes)) ** 2
-                        worst_fid = max(worst_fid, abs(fid - 1.0))
+    params = tuple(ex.PrepParams(phi, theta) for phi in GRID_16 for theta in GRID_16)
+    for obs in ("VA", "PA", "C2", "C1"):
+        s = ex.setting_for(obs)
+        key = "C" if obs in ("C1", "C2") else obs
+        _, kets = ex.branch_data(s, params)
+        for i, p in enumerate(params):
+            for j, (outcome, state, prob) in enumerate(simulated_branches(s, p)):
+                if state is None or not BranchResult(outcome, prob).reliable:
+                    continue
+                checked += 1
+                value = observable_set(state.density().matrix[None])[key][0]
+                worst_obs = max(worst_obs, abs(value - 1.0))
+                if s.observable != "concurrence1":
+                    fid = abs(np.vdot(kets[i, j], state.amplitudes)) ** 2
+                    worst_fid = max(worst_fid, abs(fid - 1.0))
     _report(4, worst_obs <= 1e-10 and worst_fid <= 1e-10,
             f"{checked} reliable branches; max |observable-1| {worst_obs:.2e}, "
             f"max |fidelity-1| {worst_fid:.2e}")
@@ -132,9 +131,8 @@ def test_criterion_05_operator_identity():
     p = ex.PrepParams(1.1, 2.3)
     target = ex.qnd_output_state(ex.MeasurementSetting("visibility"), ex.bell_coefficients(p))
     literal = circ.run_pure(
-        ex.prep_circuit(p).widened(4).then(
-            measurement_circuit_without_half_angle(ex.MeasurementSetting("visibility"))
-        ),
+        circ.Circuit(4, ex.prep_circuit(p).gates + measurement_circuit_without_half_angle(
+            ex.MeasurementSetting("visibility")).gates),
         basis_state(4),
     )
     literal_fails = float(np.max(np.abs(literal.amplitudes - target.amplitudes))) > 0.1

@@ -21,7 +21,7 @@ from qndsim.analysis import (
     fit_scale,
     rms_error,
 )
-from qndsim.experiments import RELIABLE_BRANCH_PROB, Branch, PrepParams, bell_coefficients
+from qndsim.experiments import RELIABLE_BRANCH_PROB, PrepParams, bell_coefficients
 from qndsim.observables import concurrence_pure, concurrence_wootters
 from qndsim.qmath import DensityMatrix, basis_state
 
@@ -194,12 +194,11 @@ def make_record(obs, phi, theory, qnd, tomo_in, tomo_out, branches=()):
 
 
 def test_reliability_floor_is_inclusive():
-    # an ideal branch and its analysis are reliable exactly from the floor on
+    # a branch is reliable exactly from the floor on: the one place the
+    # flag is read from an ideal branch probability
     assert RELIABLE_BRANCH_PROB == 0.25
     below = float(np.nextafter(0.25, 0))
-    assert Branch("01", basis_state(2), 0.25).reliable
     assert BranchResult("01", 0.25).reliable
-    assert not Branch("01", basis_state(2), below).reliable
     assert not BranchResult("01", below).reliable
 
 

@@ -111,7 +111,7 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
                          [(2, 5)])[0]
     assert len(stack) == len(counts) == 16
     for k, setting in enumerate(ts):
-        pre = setting.pre_rotation().widened(num_qubits)
+        pre = Circuit(num_qubits, setting.pre_rotation().gates)
         if pure:
             expected = _reference_pure(pre, state.amplitudes)
             assert np.array_equal(stack[k], expected)

@@ -24,15 +24,16 @@ same to the last bit, so each comparison here reads bit patterns
   point and one branch at a time (``helpers.postselected_sets``), empty
   branches included (``test_stack.py`` checks ``postselect_counts``'s
   empty rows against the dictionary code), and the measurement stage's
-  branch probabilities and fidelity targets against each point's branch
-  data and output mixture, the Bell point's empty branches included;
+  branch arrays and output mixtures against the producer's;
 * the estimator on a stack against the scalar estimator on each row;
 * the Born-rule marginal, and the outcome distribution read from it, of a
   stack of states in one call against one state at a time
   (``helpers.marginal_probabilities``), pure and mixed;
-* the ideal branch data, ``Branch`` from every producer, against the
-  tuples and empty-branch exception they were built from
-  (``helpers.tuple_branch_data``), empty branches included;
+* a block's ideal branch data and output mixtures, built as arrays for
+  the whole block, against each point's tuples, empty-branch exceptions
+  and mixture summed one branch at a time (``helpers.tuple_branch_data``
+  and ``helpers.tuple_output_mixture``), on blocks of distinct points, of
+  identical points and with empty branches;
 * the depolarizing channel, its mixed term gathered from the marginal by
   a cached index map, against the broadcast product put in qubit order
   by a transpose (``helpers.transposed_depolarize``), on every support
@@ -51,7 +52,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from helpers import (
     as_stack, broadcast_linear_estimates, loop_linear_estimates, marginal_probabilities,
     pauli_loop_sum, postselected_sets, random_density_matrix, random_pure_state, theory_value,
-    transposed_depolarize, tuple_branch_data,
+    transposed_depolarize, tuple_branch_data, tuple_output_mixture,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -278,24 +279,18 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
     params = tuple(PrepParams(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(points))
     if bell:  # the Bell point empties a branch of every setting
         params = (PrepParams(np.pi / 2, np.pi),) + params[1:]
-    ideal = [ex.branch_data(setting, p) for p in params]
-    # the measurement stage's branch arrays hold each point's branch data
-    # and output mixture, an empty branch as probability 0.0 and zero target
+    # the measurement stage holds the producer's arrays
     block = harness._prepare_block(setting, params, NoiseModel())
-    assert block.probability.shape == (points, len(ideal[0]))
-    assert block.targets.shape == (points, 1 + len(ideal[0]), 4, 4)
-    for i, listed in enumerate(ideal):
-        assert np.array_equal(_bits(block.targets[i, 0]), _bits(ex.output_mixture(listed)))
-        for j, b in enumerate(listed):
-            assert _bits(block.probability[i, j]) == _bits(np.float64(b.probability))
-            if b.state is None:
-                assert block.probability[i, j] == 0.0 and not block.targets[i, 1 + j].any()
-                event("empty branch")
-            else:
-                ket = b.state.amplitudes
-                assert np.array_equal(_bits(block.targets[i, 1 + j]),
-                                      _bits(np.outer(ket, ket.conj())))
-    want, owners, retained = postselected_sets(counts, ideal, setting.ancilla_qubits)
+    probability, kets = ex.branch_data(setting, params)
+    width = len(ex.branch_outcomes(setting))
+    assert probability.shape == (points, width) and kets.shape == (points, width, 4)
+    assert np.array_equal(_bits(block.probability), _bits(probability))
+    assert np.array_equal(_bits(block.kets), _bits(kets))
+    assert np.array_equal(_bits(block.mixture), _bits(ex.output_mixture(probability, kets)))
+    if not probability.all():
+        event("empty branch")
+    outcomes = ex.branch_outcomes(setting)
+    want, owners, retained = postselected_sets(counts, outcomes, setting.ancilla_qubits)
 
     stacks = []
     real = tom.reconstruct_stack
@@ -306,21 +301,20 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tom, "reconstruct_stack", spy)
-        _, _, kept = harness._output_tomography(setting, counts, block.targets,
-                                                block.probability)
+        _, _, kept = harness._output_tomography(setting, counts, block)
     (got,) = stacks
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    analyzed = {(owners[r][0], owners[r][1].outcome): retained[r]
+    analyzed = {owners[r]: retained[r]
                 for r in real(want).rows.tolist() if owners[r][1] is not None}
     # an analyzed branch retained a shot in every setting, so 0 marks one
     # that was not analyzed
     assert all(shots > 0 for shots in analyzed.values())
-    assert kept.shape == (points, len(ideal[0]))
-    for i, listed in enumerate(ideal):
-        for j, b in enumerate(listed):
-            assert kept[i, j] == analyzed.get((i, b.outcome), 0)
-            event("branch analyzed" if (i, b.outcome) in analyzed else "branch left out")
+    assert kept.shape == (points, width)
+    for i in range(points):
+        for j, outcome in enumerate(outcomes):
+            assert kept[i, j] == analyzed.get((i, outcome), 0)
+            event("branch analyzed" if (i, outcome) in analyzed else "branch left out")
 
 
 def _reference_estimate(s, row) -> dict[str, float]:
@@ -416,47 +410,57 @@ def test_stacked_marginal_matches_one_state_at_a_time(seed, n, pure, k, measured
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def _assert_branches_match(got, want) -> int:
-    """Compare ``Branch`` data with the tuple code's, bit for bit; return
-    the number of empty branches."""
-    assert len(got) == len(want)
-    for b, (outcome, state, prob, reliable) in zip(got, want):
-        assert type(b) is ex.Branch
-        assert b.outcome == outcome
-        assert _bits(np.float64(b.probability)) == _bits(np.float64(prob))
-        assert b.reliable is reliable
-        if state is None:
-            assert b.state is None and b.probability == 0.0
-        else:
-            assert np.array_equal(_bits(b.state.amplitudes), _bits(state.amplitudes))
-    return sum(b.state is None for b in got)
-
-
 SETTINGS = ("visibility", "predictability", "concurrence1", "concurrence2")
+# the Bell point (phi = pi/2, theta = pi) empties a branch of every setting,
+# circuit 1's included; phi = 0 empties predictability and concurrence2 ones
+EMPTYING = (PrepParams(np.pi / 2, np.pi), PrepParams(0.0), PrepParams(0.0, np.pi),
+            PrepParams(np.pi / 2), PrepParams(np.pi, np.pi))
 
 
 @settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(SETTINGS), phi=ANGLE, theta=ANGLE, lam=ANGLE)
-def test_branch_data_matches_the_tuple_code(name, phi, theta, lam):
+@given(name=st.sampled_from(SETTINGS), seed=st.integers(0, 2**32 - 1),
+       points=st.integers(1, 16), kind=st.sampled_from(["distinct", "identical", "emptying"]))
+@example(name="concurrence1", seed=0, points=16, kind="identical")
+@example(name="predictability", seed=0, points=5, kind="emptying")
+def test_branch_data_matches_the_tuple_code(name, seed, points, kind):
+    # a block's arrays against each point's tuples: distinct angles, one
+    # point repeated (so circuit 1's run shares each gate across the
+    # block), and points that empty branches mixed in among random ones
+    rng = np.random.default_rng(seed)
     s = ex.MeasurementSetting(name)
-    p = PrepParams(phi, theta, lam)
-    if _assert_branches_match(ex.branch_data(s, p), tuple_branch_data(s, p)):
-        event("empty branch")
+    params = tuple(PrepParams(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(points))
+    if kind == "identical":
+        params = params[:1] * points
+    elif kind == "emptying":
+        params = tuple(EMPTYING[k] if k < len(EMPTYING) else p
+                       for k, p in zip(rng.integers(0, 2 * len(EMPTYING), size=points), params))
+    probability, kets = ex.branch_data(s, params)
+    mixture = ex.output_mixture(probability, kets)
+    width = len(ex.branch_outcomes(s))
+    assert probability.shape == (points, width) and probability.dtype == np.float64
+    assert kets.shape == (points, width, 4) and kets.dtype == complex
+    assert mixture.shape == (points, 4, 4)
+    for i, p in enumerate(params):
+        want = tuple_branch_data(s, p)
+        assert [o for o, *_ in want] == list(ex.branch_outcomes(s))
+        assert np.array_equal(_bits(mixture[i]), _bits(tuple_output_mixture(want)))
+        for j, (_, state, prob, _) in enumerate(want):
+            assert _bits(probability[i, j]) == _bits(np.float64(prob))
+            if state is None:
+                assert probability[i, j] == 0.0 and not kets[i, j].any()
+                event("empty branch")
+            else:
+                assert np.array_equal(_bits(kets[i, j]), _bits(state.amplitudes))
 
 
-@pytest.mark.parametrize("phi, theta", [(0.0, 0.0), (0.0, np.pi), (np.pi / 2, np.pi),
-                                        (np.pi / 2, 0.0), (np.pi, np.pi)])
-def test_branch_data_matches_the_tuple_code_on_empty_branches(phi, theta):
-    # the Bell point (phi = pi/2, theta = pi) empties a branch of every
-    # setting, circuit 1's included; phi = 0 empties three predictability ones
-    empty = {}
+def test_the_emptying_points_empty_branches():
+    # the points the block test mixes in do empty branches, of every setting
     for name in SETTINGS:
-        s = ex.MeasurementSetting(name)
-        p = PrepParams(phi, theta)
-        empty[name] = _assert_branches_match(ex.branch_data(s, p), tuple_branch_data(s, p))
-    assert empty["predictability"] >= 2 and empty["concurrence2"] >= 2
-    if (phi, theta) == (np.pi / 2, np.pi):
-        assert min(empty.values()) >= 1
+        probability, kets = ex.branch_data(ex.MeasurementSetting(name), EMPTYING)
+        assert probability[0].min() == 0.0
+        if name in ("predictability", "concurrence2"):
+            assert np.count_nonzero(probability[1] == 0.0) >= 2
+        assert not kets[probability == 0.0].any()
 
 
 def _supports(num_qubits: int) -> list[tuple[int, ...]]:

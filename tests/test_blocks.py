@@ -33,8 +33,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    STAGE_CACHES, as_stack, clear_stage_caches, marginalize_counts, postselect_branch,
-    random_circuit, random_density_matrix, random_pure_state, rng_stream, theory_value, tomograph,
+    STAGE_CACHES, as_stack, clear_stage_caches, full_circuit, marginalize_counts,
+    postselect_branch, random_circuit, random_density_matrix, random_pure_state, rng_stream,
+    theory_value, tomograph, tuple_branch_data, tuple_output_mixture,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -72,7 +73,7 @@ NOISE = {
 def _reference_states(p, setting, noise):
     n = setting.num_qubits
     prep2 = ex.prep_circuit(p)
-    full = prep2.widened(n).then(ex.measurement_circuit(setting))
+    full = full_circuit(setting, p)
     if noise.depol_1q or noise.depol_2q or noise.readout_flip:
         return (circ.run_noisy(prep2, basis_state(2).density(), noise),
                 circ.run_noisy(full, basis_state(n).density(), noise))
@@ -84,7 +85,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     if config.exact_mode:
         # the pair's distribution: the full register's summed over the ancilla bits
         est = tom.linear_reconstruct(probs.reshape(16, 4, -1).sum(axis=-1))
-        branches = tuple(BranchResult(b.outcome, b.probability) for b in ideal)
+        branches = tuple(BranchResult(o, pr) for o, _, pr, _ in ideal)
         rho = est.projected.matrix[None]
         return (float(observable_set(rho)[key][0]),
                 float(fidelity(rho_psi_theory[None], rho)[0]), branches)
@@ -92,7 +93,7 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     data = [marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
-        kept = postselect_branch(counts, setting.ancilla_qubits, b.outcome)
+        kept = postselect_branch(counts, setting.ancilla_qubits, b[0])
         if kept is None:
             continue
         data.append(kept)
@@ -101,24 +102,21 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
     assert est.rows[0] == 0
     analyzed = [selected[r - 1] for r in est.rows[1:]]
     values = observable_set(est.projected)[key].tolist()
-    with_target = [0] + [i for i, b in enumerate(analyzed, 1) if b.state is not None]
+    with_target = [0] + [i for i, (_, st, _, _) in enumerate(analyzed, 1) if st is not None]
     targets = [rho_psi_theory] + [
-        np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-        for b in analyzed if b.state is not None
+        np.outer(st.amplitudes, st.amplitudes.conj()) for _, st, _, _ in analyzed if st is not None
     ]
     fids = dict(zip(with_target, fidelity(np.stack(targets),
                                           est.projected[with_target]).tolist()))
     results = {
-        b.outcome: BranchResult(
-            b.outcome, b.probability,
+        o: BranchResult(
+            o, pr,
             retained_shots=int(data[r].sum(axis=-1).min()),
             tomo_value=values[i], fidelity=fids.get(i),
         )
-        for i, (b, r) in enumerate(zip(analyzed, est.rows[1:]), 1)
+        for i, ((o, _, pr, _), r) in enumerate(zip(analyzed, est.rows[1:]), 1)
     }
-    branches = tuple(
-        results.get(b.outcome, BranchResult(b.outcome, b.probability)) for b in ideal
-    )
+    branches = tuple(results.get(o, BranchResult(o, pr)) for o, _, pr, _ in ideal)
     return values[0], fids[0], branches
 
 
@@ -129,7 +127,7 @@ def _reference_point(config, index, phi, seed_tag):
     noise, ms = config.noise, config.master_seed
     p = _prep_params(phi, config.theta_resolved, config.lam)
     chi_ideal = ex.bell_coefficients(p).state_vector()
-    ideal = ex.branch_data(setting, p)
+    ideal = tuple_branch_data(setting, p)
     chi_actual, out_state = _reference_states(p, setting, noise)
     anc = circ.exact_probabilities(as_stack([out_state]), setting.ancilla_qubits,
                                    noise.readout_flip)[0]
@@ -137,7 +135,7 @@ def _reference_point(config, index, phi, seed_tag):
         anc = rng_stream(ms, 0, index).multinomial(config.shots, anc / anc.sum())
     est_in = tomograph(chi_actual, None if config.exact_mode else config.shots,
                        ms, noise, seed_path=(1, index))
-    rho_psi_theory = ex.output_mixture(ideal)
+    rho_psi_theory = tuple_output_mixture(ideal)
     tomo_out, fidelity_out, branches = _reference_output(
         config, setting, out_state, index, ideal, key, rho_psi_theory)
     return SweepRecord(
@@ -416,16 +414,17 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     block = _prepare_block(setting, params, NOISE[noise])
     assert _prepare_block.cache_info().hits == 2
     assert isinstance(block, PreparedBlock)
-    # every field is an array, no Branch or density matrix object: the
-    # ideal branch data are the branch probabilities and the target grid
+    # every field is an array, no branch or density matrix object: the
+    # ideal branch data are the producer's probabilities and kets, and the
+    # ideal unconditional outputs their mixture
     values = list(_reachable(block))
     arrays = [v for v in values if isinstance(v, np.ndarray)]
-    assert len(arrays) == len(values) - 1 == 4
+    assert len(arrays) == len(values) - 1 == 5
     for a in arrays:
         assert not a.flags.writeable and a.base is None
     width = len(ex.branch_outcomes(setting))
     assert block.probability.shape == (3, width) and block.probability.dtype == np.float64
-    assert block.targets.shape == (3, 1 + width, 4, 4)
+    assert block.kets.shape == (3, width, 4) and block.mixture.shape == (3, 4, 4)
     measured = [o for o in ex.OBSERVABLES if ex.setting_for(o) == setting]
     # so are the output analysis's arrays, one row per point, for the same
     # observables as the estimator's

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
-    as_stack, marginalize_counts, pauli_twirl, random_circuit, random_density_matrix,
-    random_pure_state, rng_stream,
+    _postselect_or_raise, _ZeroWeight, as_stack, marginalize_counts, pauli_twirl, random_circuit,
+    random_density_matrix, random_pure_state, rng_stream, simulated_branches,
 )
 from qndsim.circuits import (
     Circuit,
@@ -22,7 +22,6 @@ from qndsim.circuits import (
     cry,
     exact_probabilities,
     h,
-    postselect,
     postselect_counts,
     run_noisy,
     run_pure,
@@ -31,7 +30,7 @@ from qndsim.circuits import (
     sample_counts,
     x,
 )
-from qndsim.experiments import PrepParams, prep_circuit
+from qndsim.experiments import MeasurementSetting, PrepParams, prep_circuit
 from qndsim.qmath import basis_state, partial_trace
 
 SQ2 = 1 / math.sqrt(2)
@@ -322,14 +321,24 @@ class TestExactProbabilities:
 
 
 class TestPostselect:
+    """The post-selection of one pure state, the test oracle
+    (``helpers._postselect_or_raise``) that pins which ancilla outcome is
+    which branch of the ideal branch data."""
+
     def test_bell_branch(self):
         bell = run_pure(bell_circuit(), basis_state(2))
-        state, prob = postselect(bell, (1,), "1")
+        state, prob = _postselect_or_raise(bell, (1,), "1")
         assert prob == pytest.approx(0.5)
         np.testing.assert_allclose(state.amplitudes, [0, 1], atol=1e-12)
 
     def test_empty_branch_is_none(self):
-        assert postselect(basis_state(2), (1,), "1") == (None, 0.0)
+        # the oracle refuses an empty branch, and the branches read from it
+        # give it as no state of probability 0.0: circuit 1 at the Bell point
+        with pytest.raises(_ZeroWeight):
+            _postselect_or_raise(basis_state(2), (1,), "1")
+        branches = simulated_branches(MeasurementSetting("concurrence1"),
+                                      PrepParams(math.pi / 2, math.pi))
+        assert [(state, prob) for _, state, prob in branches].count((None, 0.0)) == 1
 
     def test_recombined_branches_match_partial_trace(self):
         # summing prob * |cond><cond| over a complete ancilla readout must
@@ -339,8 +348,9 @@ class TestPostselect:
             psi = random_pure_state(rng, 3)
             mix = np.zeros((2, 2), dtype=complex)
             for outcome in ("00", "01", "10", "11"):
-                state, prob = postselect(psi, (0, 2), outcome)
-                if state is None:
+                try:
+                    state, prob = _postselect_or_raise(psi, (0, 2), outcome)
+                except _ZeroWeight:
                     continue
                 mix += prob * np.outer(state.amplitudes, state.amplitudes.conj())
             reduced = partial_trace(psi.density().matrix, (1,))

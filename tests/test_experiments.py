@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    append_ancillas, as_stack, measurement_circuit_without_half_angle,
-    post_measurement_pair_state, qnd_estimates_exact,
+    append_ancillas, as_stack, full_circuit, measurement_circuit_without_half_angle,
+    post_measurement_pair_state, qnd_estimates_exact, simulated_branches,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
+from qndsim.analysis import BranchResult
 from qndsim.observables import observable_set
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace
 
@@ -102,8 +103,7 @@ class TestCircuitTwoOutputs:
         for phi in GRID:
             for theta in GRID:
                 p = ex.PrepParams(phi, theta)
-                full = ex.prep_circuit(p).widened(4).then(ex.measurement_circuit(s))
-                out = circ.run_pure(full, basis_state(4))
+                out = circ.run_pure(full_circuit(s, p), basis_state(4))
                 target = ex.qnd_output_state(s, ex.bell_coefficients(p))
                 worst = max(worst, float(np.max(np.abs(out.amplitudes - target.amplitudes))))
         assert worst < 1e-10
@@ -114,35 +114,34 @@ class TestCircuitTwoOutputs:
         # closed-form outputs are NOT reproduced without the half angle
         s = ex.MeasurementSetting(name)
         p = ex.PrepParams(1.1, 2.3)
-        full = ex.prep_circuit(p).widened(4).then(measurement_circuit_without_half_angle(s))
+        full = circ.Circuit(4, ex.prep_circuit(p).gates
+                            + measurement_circuit_without_half_angle(s).gates)
         out = circ.run_pure(full, basis_state(4))
         target = ex.qnd_output_state(s, ex.bell_coefficients(p))
         assert float(np.max(np.abs(out.amplitudes - target.amplitudes))) > 0.1
 
     def test_visibility_zero_branches_at_half_pi(self):
-        # at phi = pi/2, theta = 0 the 00 and 01 ancilla branches vanish
-        c = ex.bell_coefficients(ex.PrepParams(math.pi / 2, 0.0))
+        # at phi = pi/2, theta = 0 the 00 and 01 ancilla branches vanish,
+        # to rounding: empty, probability 0.0 and a zero ket
+        p = ex.PrepParams(math.pi / 2, 0.0)
+        c = ex.bell_coefficients(p)
         assert c.eta - c.beta == pytest.approx(0.0, abs=1e-12)
         assert c.alpha + c.gamma == pytest.approx(0.0, abs=1e-12)
-        for outcome in ("00", "01"):
-            got = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, outcome)
-            assert got == ex.Branch(outcome, None, 0.0)
+        probability, kets = ex.branch_data(ex.MeasurementSetting("visibility"), (p,))
+        assert probability[0].tolist()[:2] == [0.0, 0.0] and not kets[0, :2].any()
+        assert probability[0, 2:].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_predictability_on_ground_state(self):
         p = ex.PrepParams(0.0)
-        full = ex.prep_circuit(p).widened(4).then(
-            ex.measurement_circuit(ex.MeasurementSetting("predictability"))
-        )
-        out = circ.run_pure(full, basis_state(4))
+        out = circ.run_pure(full_circuit(ex.MeasurementSetting("predictability"), p),
+                            basis_state(4))
         probs = circ.exact_probabilities(as_stack([out]), (2, 3))[0]
         assert probs[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_concurrence_on_bell_state_single_branch(self):
         p = ex.PrepParams(math.pi / 2, math.pi)
-        full = ex.prep_circuit(p).widened(4).then(
-            ex.measurement_circuit(ex.MeasurementSetting("concurrence2"))
-        )
-        out = circ.run_pure(full, basis_state(4))
+        out = circ.run_pure(full_circuit(ex.MeasurementSetting("concurrence2"), p),
+                            basis_state(4))
         probs = circ.exact_probabilities(as_stack([out]), (2, 3))[0]
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
@@ -241,66 +240,59 @@ def _estimate_from_bitstring_map(s, counts):
     return {a: abs(sa), b: abs(sb)}
 
 
+def _branch(name: str, p: ex.PrepParams, outcome: str):
+    """One point's ideal branch for an outcome: its probability and ket."""
+    s = ex.MeasurementSetting(name)
+    probability, kets = ex.branch_data(s, (p,))
+    j = ex.branch_outcomes(s).index(outcome)
+    return probability[0, j], kets[0, j]
+
+
 class TestConditionalTargets:
     def test_visibility_plus_plus_branch(self):
-        c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        b = ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "11")
-        state, prob = b.state, b.probability
-        assert b.outcome == "11"
+        p = ex.PrepParams(1.0, 0.5)
+        c = ex.bell_coefficients(p)
+        prob, ket = _branch("visibility", p, "11")
         assert prob == pytest.approx((c.eta + c.beta) ** 2 / 2, abs=1e-12)
-        np.testing.assert_allclose(np.abs(state.amplitudes), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.abs(ket), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_predictability_branch(self):
-        c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        s = ex.MeasurementSetting("predictability")
-        b = ex.conditional_target_state(s, c, "10")
-        state, prob = b.state, b.probability
+        p = ex.PrepParams(1.0, 0.5)
+        c = ex.bell_coefficients(p)
+        prob, ket = _branch("predictability", p, "10")
         assert prob == pytest.approx((c.alpha + c.beta) ** 2 / 2, abs=1e-12)
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(ket, [0, 0, 1, 0], atol=1e-12)
 
     def test_concurrence_branch(self):
-        c = ex.bell_coefficients(ex.PrepParams(1.0, 0.5))
-        b = ex.conditional_target_state(ex.MeasurementSetting("concurrence2"), c, "01")
-        state, prob = b.state, b.probability
+        p = ex.PrepParams(1.0, 0.5)
+        c = ex.bell_coefficients(p)
+        prob, ket = _branch("concurrence2", p, "01")
         assert prob == pytest.approx(c.alpha**2 + c.eta**2, abs=1e-12)
         expected = (c.alpha * ex.PSI_MINUS + c.eta * ex.PHI_PLUS) / math.sqrt(prob)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
-
-    def test_invalid_outcome(self):
-        c = ex.bell_coefficients(ex.PrepParams(1.0))
-        with pytest.raises(ValueError):
-            ex.conditional_target_state(ex.MeasurementSetting("visibility"), c, "2")
+        np.testing.assert_allclose(ket, expected, atol=1e-12)
 
     def test_branch_probabilities_sum_to_one(self):
-        for phi in GRID:
-            for theta in GRID:
-                p = ex.PrepParams(phi, theta)
-                for s in (
-                    ex.MeasurementSetting("visibility"),
-                    ex.MeasurementSetting("predictability"),
-                    ex.MeasurementSetting("concurrence2"),
-                    ex.MeasurementSetting("concurrence1"),
-                ):
-                    total = sum(b.probability for b in ex.branch_data(s, p))
-                    assert total == pytest.approx(1.0, abs=1e-10)
+        params = tuple(ex.PrepParams(phi, theta) for phi in GRID for theta in GRID)
+        for name in ("visibility", "predictability", "concurrence2", "concurrence1"):
+            probability, _ = ex.branch_data(ex.MeasurementSetting(name), params)
+            np.testing.assert_allclose(probability.sum(axis=1), 1.0, atol=1e-10)
 
     def test_simulated_branches_match_targets(self):
-        # includes nonzero lambda: the closed forms hold for all three angles
+        # each point's circuit run alone and post-selected, against the
+        # block's closed forms; includes nonzero lambda: the closed forms
+        # hold for all three angles
         rng = np.random.default_rng(43)
-        for _ in range(20):
-            p = ex.PrepParams(*rng.uniform(0, 2 * math.pi, size=3))
-            c = ex.bell_coefficients(p)
-            for s in (
-                ex.MeasurementSetting("visibility"),
-                ex.MeasurementSetting("predictability"),
-                ex.MeasurementSetting("concurrence2"),
-            ):
-                for b in ex.simulated_branches(s, p):
-                    if b.state is None:
+        params = tuple(ex.PrepParams(*rng.uniform(0, 2 * math.pi, size=3)) for _ in range(20))
+        for name in ("visibility", "predictability", "concurrence2", "concurrence1"):
+            s = ex.MeasurementSetting(name)
+            probability, kets = ex.branch_data(s, params)
+            for i, p in enumerate(params):
+                for j, (_, state, prob) in enumerate(simulated_branches(s, p)):
+                    assert probability[i, j] == pytest.approx(prob, abs=1e-10)
+                    if state is None:
+                        assert not kets[i, j].any()
                         continue
-                    target = ex.conditional_target_state(s, c, b.outcome)
-                    assert b.probability == pytest.approx(target.probability, abs=1e-10)
-                    overlap = abs(np.vdot(target.state.amplitudes, b.state.amplitudes)) ** 2
+                    overlap = abs(np.vdot(kets[i, j], state.amplitudes)) ** 2
                     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -325,10 +317,10 @@ class TestStatePreparation:
                 p = ex.PrepParams(phi, theta)
                 for name in ("VA", "PA", "C2", "C1"):
                     s = ex.setting_for(name)
-                    for b in ex.simulated_branches(s, p):
-                        if b.state is None or not b.reliable:
+                    for outcome, state, prob in simulated_branches(s, p):
+                        if state is None or not BranchResult(outcome, prob).reliable:
                             continue
-                        vals = observable_set(b.state.density().matrix[None])
+                        vals = observable_set(state.density().matrix[None])
                         key = "C" if name in ("C1", "C2") else name
                         assert vals[key][0] == pytest.approx(1.0, abs=1e-10)
 
@@ -336,15 +328,14 @@ class TestStatePreparation:
 class TestOutputMixture:
     def test_matches_traced_circuit_output(self):
         rng = np.random.default_rng(44)
-        for _ in range(10):
-            p = ex.PrepParams(*rng.uniform(0, 2 * math.pi, size=2))
-            for name in ("VA", "PA", "C2", "C1"):
-                s = ex.setting_for(name)
-                full = ex.prep_circuit(p).widened(s.num_qubits).then(ex.measurement_circuit(s))
-                out = circ.run_pure(full, basis_state(s.num_qubits))
+        params = tuple(ex.PrepParams(*rng.uniform(0, 2 * math.pi, size=2)) for _ in range(10))
+        for name in ("VA", "PA", "C2", "C1"):
+            s = ex.setting_for(name)
+            mixture = ex.output_mixture(*ex.branch_data(s, params))
+            for i, p in enumerate(params):
+                out = circ.run_pure(full_circuit(s, p), basis_state(s.num_qubits))
                 reduced = partial_trace(out.density().matrix, (0, 1))
-                mixture = ex.output_mixture(ex.branch_data(s, p))
-                np.testing.assert_allclose(mixture, reduced, atol=1e-10)
+                np.testing.assert_allclose(mixture[i], reduced, atol=1e-10)
 
     @settings(deadline=None)
     @given(angles=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3))
@@ -352,7 +343,8 @@ class TestOutputMixture:
         # the harness reads the array as a fidelity target without validating it
         p = ex.PrepParams(*angles)
         for name in ex.OBSERVABLES:
-            DensityMatrix(2, ex.output_mixture(ex.branch_data(ex.setting_for(name), p)))
+            mixture = ex.output_mixture(*ex.branch_data(ex.setting_for(name), (p,)))
+            DensityMatrix(2, mixture[0])
 
 
 class TestOperatorIdentity:

@@ -258,3 +258,7 @@ class TestStateTypes:
         psi = basis_state(2)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+        # a basis index outside 0..3 is refused: -1 would wrap to |11>
+        for index in (-1, 4):
+            with pytest.raises(ValueError, match="basis index"):
+                basis_state(2, index)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import as_stack, random_density_matrix, random_pure_state, rng_stream
+from helpers import as_stack, full_circuit, random_density_matrix, random_pure_state, rng_stream
 from qndsim import circuits as circ
 from qndsim import cli, harness
 from qndsim import experiments as ex
@@ -246,9 +246,8 @@ def test_draws_follow_their_distributions():
         for k, name in enumerate(("visibility", "predictability", "concurrence1",
                                   "concurrence2")):
             s = ex.MeasurementSetting(name)
-            full = [ex.prep_circuit(p).widened(s.num_qubits).then(ex.measurement_circuit(s))
-                    for p in G_PREPARED]
-            states = as_stack([circ.run_pure(c, basis_state(s.num_qubits)) for c in full])
+            states = as_stack([circ.run_pure(full_circuit(s, p), basis_state(s.num_qubits))
+                               for p in G_PREPARED])
             paths = [(2 + f, k, i) for i in range(len(states))]
             counts = circ.sample_counts(states, s.ancilla_qubits, G_SHOTS, G_SEED, paths, flip)
             p = _flipped(circ.exact_probabilities(states, s.ancilla_qubits), flip)
