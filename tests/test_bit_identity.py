@@ -410,6 +410,22 @@ def test_stacked_marginal_matches_one_state_at_a_time(seed, n, pure, k, measured
     assert np.array_equal(_bits(got), _bits(want))
 
 
+def _assert_point_matches(s, p, probability, kets, mixture) -> int:
+    """Compare one point's row of a block's branch arrays and its output
+    mixture with the tuple code's, bit for bit; return the number of empty
+    branches."""
+    want = tuple_branch_data(s, p)
+    assert [o for o, *_ in want] == list(ex.branch_outcomes(s))
+    assert np.array_equal(_bits(mixture), _bits(tuple_output_mixture(want)))
+    for j, (_, state, prob, _) in enumerate(want):
+        assert _bits(probability[j]) == _bits(np.float64(prob))
+        if state is None:
+            assert probability[j] == 0.0 and not kets[j].any()
+        else:
+            assert np.array_equal(_bits(kets[j]), _bits(state.amplitudes))
+    return sum(state is None for _, state, _, _ in want)
+
+
 SETTINGS = ("visibility", "predictability", "concurrence1", "concurrence2")
 # the Bell point (phi = pi/2, theta = pi) empties a branch of every setting,
 # circuit 1's included; phi = 0 empties predictability and concurrence2 ones
@@ -441,26 +457,27 @@ def test_branch_data_matches_the_tuple_code(name, seed, points, kind):
     assert kets.shape == (points, width, 4) and kets.dtype == complex
     assert mixture.shape == (points, 4, 4)
     for i, p in enumerate(params):
-        want = tuple_branch_data(s, p)
-        assert [o for o, *_ in want] == list(ex.branch_outcomes(s))
-        assert np.array_equal(_bits(mixture[i]), _bits(tuple_output_mixture(want)))
-        for j, (_, state, prob, _) in enumerate(want):
-            assert _bits(probability[i, j]) == _bits(np.float64(prob))
-            if state is None:
-                assert probability[i, j] == 0.0 and not kets[i, j].any()
-                event("empty branch")
-            else:
-                assert np.array_equal(_bits(kets[i, j]), _bits(state.amplitudes))
+        if _assert_point_matches(s, p, probability[i], kets[i], mixture[i]):
+            event("empty branch")
 
 
-def test_the_emptying_points_empty_branches():
-    # the points the block test mixes in do empty branches, of every setting
+@pytest.mark.parametrize("phi, theta", [(0.0, 0.0), (0.0, np.pi), (np.pi / 2, np.pi),
+                                        (np.pi / 2, 0.0), (np.pi, np.pi)])
+def test_branch_data_matches_the_tuple_code_on_empty_branches(phi, theta):
+    # each point the block test mixes in, alone, against the tuple code: the
+    # Bell point empties a branch of every setting, and every one of these
+    # points empties two predictability and two concurrence2 branches
+    assert PrepParams(phi, theta) in EMPTYING
+    empty = {}
     for name in SETTINGS:
-        probability, kets = ex.branch_data(ex.MeasurementSetting(name), EMPTYING)
-        assert probability[0].min() == 0.0
-        if name in ("predictability", "concurrence2"):
-            assert np.count_nonzero(probability[1] == 0.0) >= 2
-        assert not kets[probability == 0.0].any()
+        s = ex.MeasurementSetting(name)
+        p = PrepParams(phi, theta)
+        probability, kets = ex.branch_data(s, (p,))
+        mixture = ex.output_mixture(probability, kets)
+        empty[name] = _assert_point_matches(s, p, probability[0], kets[0], mixture[0])
+    assert empty["predictability"] >= 2 and empty["concurrence2"] >= 2
+    if (phi, theta) == (np.pi / 2, np.pi):
+        assert min(empty.values()) >= 1
 
 
 def _supports(num_qubits: int) -> list[tuple[int, ...]]:
