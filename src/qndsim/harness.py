@@ -114,6 +114,11 @@ class SweepConfig:
 
     ``shots`` applies per circuit configuration, i.e. per tomography setting
     and per ancilla-readout run (echoed in emitted metadata).
+
+    Any real number, numpy scalars included, is accepted for the angle
+    fields and any integer for the counts and the seed; once checked, each
+    is stored as a built-in ``float`` or ``int``, so an integer given for an
+    angle is stored, written and echoed as a float.
     """
 
     observable: str
@@ -164,6 +169,14 @@ class SweepConfig:
                              f"got {self.shots}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        # numbers.Real and numbers.Integral admit numpy scalars, whose repr
+        # names their type and whose integers json cannot encode: keep
+        # built-in scalars, so every record and echo holds plain numbers
+        for name in ("theta", "lam", "phi_start", "phi_step"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("phi_count", "shots", "master_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def theta_resolved(self) -> float:
@@ -593,26 +606,43 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
 
 
 def _fmt(value) -> str:
+    """A CSV cell's text: empty for None, JSON's literal for a bool, and
+    ``float.__repr__`` for a float, the text ``json`` writes, so a cell and
+    its JSON value read the same even for a float subclass such as a numpy
+    scalar, whose own ``repr`` names its type."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
-def _record_rows(rec: SweepRecord) -> list[dict]:
-    """The record's CSV rows: the unconditional one, then one per analyzed
-    branch, each from the record's JSON object."""
-    base = _record_dict(rec)
-    branches = base.pop("branches")
-    base.update(tomo_post=None, fidelity_post=None, branch="", branch_reliable=None)
-    return [base] + [
-        {**base, "tomo_post": b["tomo_post"], "fidelity_post": b["fidelity_post"],
-         "branch": b["outcome"], "branch_reliable": b["reliable"]}
-        for b in branches if b["tomo_post"] is not None
-    ]
+_BRANCH_CELLS = tuple(CSV_COLUMNS.index(c)
+                      for c in ("tomo_post", "fidelity_post", "branch", "branch_reliable"))
+"""Where a branch row's own cells sit; every other cell is its point row's."""
+
+
+def _record_rows(rec: SweepRecord) -> list[tuple[tuple, list[str]]]:
+    """The record's CSV rows, each with its (phi, seed, branch) sort key: the
+    unconditional row, then one per analyzed branch, all from the record's
+    JSON object. The shared cells are formatted once, for the point row; a
+    branch row is a copy of it with the branch's four cells formatted."""
+    d = _record_dict(rec)
+    branches = d.pop("branches")
+    d.update(tomo_post=None, fidelity_post=None, branch="", branch_reliable=None)
+    point = [_fmt(d[c]) for c in CSV_COLUMNS]
+    phi, seed = d["phi"], d["seed"]
+    rows = [((phi, seed, ""), point)]
+    tomo, fid, outcome, reliable = _BRANCH_CELLS
+    for b in branches:
+        if b["tomo_post"] is not None:
+            row = point.copy()
+            row[tomo], row[fid] = _fmt(b["tomo_post"]), _fmt(b["fidelity_post"])
+            row[outcome], row[reliable] = _fmt(b["outcome"]), _fmt(b["reliable"])
+            rows.append(((phi, seed, b["outcome"]), row))
+    return rows
 
 
 def _record_dict(rec: SweepRecord) -> dict:
@@ -652,21 +682,22 @@ def emit(
 ) -> None:
     """Write records to ``path`` as CSV or JSON.
 
-    CSV rows are ordered by (phi, seed, branch); post-selected results get
-    one row per analyzed branch. JSON additionally echoes the configuration
-    and any fit results.
+    CSV: one row per record, plus one per analyzed branch, each built from
+    the record's JSON object (``_record_rows``), ordered by the raw
+    (phi, seed, branch) values with ties kept in the records' order. So for
+    equal (phi, seed) all point rows come first, then each branch's rows.
+    A cell's text is ``_fmt``'s; the header and every row go out in one
+    ``writerows`` call. JSON additionally echoes the configuration and any
+    fit results.
     """
     if not records:
         raise ValueError("no records to emit")
     ordered = sorted(records, key=lambda r: (r.phi, r.seed))
     if fmt == "csv":
-        rows = [row for rec in ordered for row in _record_rows(rec)]
-        rows.sort(key=lambda r: (r["phi"], r["seed"], r["branch"]))
+        keyed = [row for rec in ordered for row in _record_rows(rec)]
+        keyed.sort(key=lambda kr: kr[0])  # stable: ties keep the records' order
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+            csv.writer(fh).writerows([CSV_COLUMNS, *(row for _, row in keyed)])
     elif fmt == "json":
         doc = {
             "config": config.to_dict() if config is not None else None,
@@ -720,4 +751,5 @@ def run_criteria_protocol(
     mean = {
         e: float(np.mean([r["averages"][e] for r in per_seed])) for e in per_seed[0]["averages"]
     }
-    return {"seeds": list(seeds), "mean_average_errors": mean, "per_seed": per_seed}
+    return {"seeds": [cfgs[0].master_seed for cfgs in configs], "mean_average_errors": mean,
+            "per_seed": per_seed}

@@ -13,9 +13,11 @@ empty-branch exception and its output mixture summed a branch at a
 time, the linear
 estimates solved against a broadcast copy of the design matrix, and the
 depolarizing channel's mixed term built by a transpose), the
-depolarizing channel written as a Pauli twirl, and a reset of the
-sweep's stage caches."""
+depolarizing channel written as a Pauli twirl, the CSV writer that
+formats every cell of every row and writes one row at a time, and a reset
+of the sweep's stage caches."""
 
+import csv
 import itertools
 import math
 from dataclasses import replace
@@ -479,3 +481,43 @@ def triality_defect(psi: StateVector, subsystem: str) -> float:
     v = float(visibility(rho_k))
     p = float(predictability(rho_k))
     return c * c + v * v + p * p - 1.0
+
+
+def csv_cell(value) -> str:
+    """A CSV cell's text as the row-at-a-time writer formatted it: ``repr``
+    for a float, which names a numpy float's type."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_record_rows(rec) -> list[dict]:
+    """The record's CSV rows as dicts, each a full copy of the record's JSON
+    object: the unconditional row, then one per analyzed branch."""
+    base = harness._record_dict(rec)
+    branches = base.pop("branches")
+    base.update(tomo_post=None, fidelity_post=None, branch="", branch_reliable=None)
+    return [base] + [
+        {**base, "tomo_post": b["tomo_post"], "fidelity_post": b["fidelity_post"],
+         "branch": b["outcome"], "branch_reliable": b["reliable"]}
+        for b in branches if b["tomo_post"] is not None
+    ]
+
+
+def rowwise_csv(records, path) -> None:
+    """``harness.emit``'s CSV as the row-at-a-time writer wrote it, the byte
+    oracle of the writer that formats each record once: every row's 16
+    cells formatted by ``csv_cell``, the rows sorted by (phi, seed, branch)
+    and written one ``writerow`` call each."""
+    ordered = sorted(records, key=lambda r: (r.phi, r.seed))
+    rows = [row for rec in ordered for row in csv_record_rows(rec)]
+    rows.sort(key=lambda r: (r["phi"], r["seed"], r["branch"]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(harness.CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([csv_cell(row[c]) for c in harness.CSV_COLUMNS])

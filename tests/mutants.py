@@ -287,6 +287,51 @@ MUTANTS = (
         "tests/test_golden.py",
     ),
     Mutant(
+        "the CSV row sort loses its branch key", HARNESS,
+        "rows.append(((phi, seed, b[\"outcome\"]), row))",
+        "rows.append(((phi, seed, \"\"), row))",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "a branch row keeps its point row's tomo_post cell", HARNESS,
+        "row[tomo], row[fid] = _fmt(b[\"tomo_post\"]), _fmt(b[\"fidelity_post\"])",
+        "row[fid] = _fmt(b[\"fidelity_post\"])",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "a branch row keeps its point row's fidelity_post cell", HARNESS,
+        "row[tomo], row[fid] = _fmt(b[\"tomo_post\"]), _fmt(b[\"fidelity_post\"])",
+        "row[tomo] = _fmt(b[\"tomo_post\"])",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "branch_reliable written with str()", HARNESS,
+        "_fmt(b[\"reliable\"])", "str(b[\"reliable\"])",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "a CSV float cell written with the value's own repr", HARNESS,
+        "        return float.__repr__(value)\n", "        return repr(value)\n",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "config angles stored as given", HARNESS,
+        "object.__setattr__(self, name, float(getattr(self, name)))",
+        "object.__setattr__(self, name, getattr(self, name))",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "config counts and seed stored as given", HARNESS,
+        "object.__setattr__(self, name, int(getattr(self, name)))",
+        "object.__setattr__(self, name, getattr(self, name))",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "criteria seeds echoed as given", HARNESS,
+        "[cfgs[0].master_seed for cfgs in configs]", "list(seeds)",
+        "tests/test_harness.py",
+    ),
+    Mutant(
         "a row drawn from its neighbour's distribution", CIRCUITS,
         "counts[row] = gen.multinomial(shots, pvals[row])",
         "counts[row] = gen.multinomial(shots, pvals[row - 1])",

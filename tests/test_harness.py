@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qndsim
-from helpers import STAGE_CACHES
+from helpers import STAGE_CACHES, rowwise_csv
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
+from qndsim.analysis import BranchResult
 from qndsim.circuits import NoiseModel
 from qndsim.cli import main as cli_main
 from qndsim.harness import (
@@ -39,6 +40,16 @@ def read_csv(path) -> list[dict]:
     """An emitted CSV's rows, as dicts of strings."""
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_rowwise_csv(records, tmp_path) -> list[dict]:
+    """``emit``'s CSV of the records is the row-at-a-time writer's, byte for
+    byte; returns its rows."""
+    got, want = tmp_path / "emit.csv", tmp_path / "rowwise.csv"
+    emit(records, "csv", str(got))
+    rowwise_csv(records, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    return read_csv(got)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -298,6 +309,15 @@ def test_criteria_protocol_rejects_empty_seeds(monkeypatch):
         harness.run_criteria_protocol([])
 
 
+def test_criteria_protocol_echoes_builtin_seeds():
+    # a numpy integer seed is echoed as the int its sweeps ran with, which
+    # json can write
+    report = harness.run_criteria_protocol([np.int64(3)], observables=("VA",), phi_count=2,
+                                           shots=100)
+    assert report["seeds"] == [3] and type(report["seeds"][0]) is int
+    json.dumps(report)
+
+
 def test_criteria_protocol_rejects_empty_observables(monkeypatch):
     # averages over no observable are NaN, which is not valid JSON
     def no_work(config):
@@ -421,6 +441,80 @@ class TestEmission:
         json.dump(json.loads(text), want, indent=2)
         want.write("\n")
         assert text == want.getvalue()
+
+    @pytest.mark.parametrize("exact_mode", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(depol_1q=0.005, depol_2q=0.05, readout_flip=0.01),
+        NoiseModel(readout_flip=0.02),
+    ], ids=["noiseless", "criterion9", "flip_only"])
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_csv_is_the_rowwise_bytes(self, tmp_path, observable, noise, exact_mode):
+        cfg = SweepConfig(observable, phi_count=5, phi_step=math.pi / 4, shots=300,
+                          exact_mode=exact_mode, noise=noise, master_seed=7)
+        assert_rowwise_csv(run_sweep(cfg), tmp_path)
+
+    def test_csv_of_a_repeat_run_is_the_rowwise_bytes(self, tmp_path):
+        records = repeat_fixed_state(SweepConfig("C1", shots=300, master_seed=2), 20)
+        assert_rowwise_csv(records, tmp_path)
+
+    def test_csv_of_phis_tied_across_a_block_boundary_is_the_rowwise_bytes(self, tmp_path):
+        # 1.0 + i * 1e-17 rounds to 1.0 or to the next float up: 20 records
+        # of two phis and one seed whose draws differ, in tie groups, one of
+        # which crosses the 16-point block boundary. In each group all point
+        # rows come first, then each branch's rows in the records' order
+        cfg = SweepConfig("C2", phi_start=1.0, phi_step=1e-17, phi_count=20, shots=300,
+                          master_seed=4)
+        records = run_sweep(cfg)
+        phis = [r.phi for r in records]
+        assert len(set(phis)) == 2 and phis[harness.BLOCK_POINTS - 1] == phis[harness.BLOCK_POINTS]
+        rows = assert_rowwise_csv(records, tmp_path)
+        keys = [(float(row["phi"]), row["branch"]) for row in rows]
+        assert keys == sorted(keys) and len(keys) > len(records)
+
+    def test_csv_of_unanalyzed_and_unscored_branches_is_the_rowwise_bytes(self, tmp_path):
+        # a branch left unanalyzed gets no row; an analyzed branch whose
+        # ideal probability is 0 has no fidelity, an empty cell
+        rec = run_sweep(SweepConfig("C2", phi_count=1, shots=300))[0]
+        branches = (BranchResult("00", 0.0, retained_shots=12, tomo_value=0.25),
+                    BranchResult("01", 0.3),
+                    BranchResult("10", 0.7, retained_shots=288, tomo_value=0.5, fidelity=0.9))
+        records = [rec, dataclasses.replace(rec, seed=1, branches=branches)]
+        rows = assert_rowwise_csv(records, tmp_path)
+        made_up = [row for row in rows if row["seed"] == "1"]
+        assert [row["branch"] for row in made_up] == ["", "00", "10"]
+        assert [row["fidelity_post"] for row in made_up] == ["", "", "0.9"]
+        assert [row["branch_reliable"] for row in made_up] == ["", "false", "true"]
+
+    @pytest.mark.parametrize("exact_mode", [True, False], ids=["exact", "sampled"])
+    def test_numpy_scalar_config_writes_the_builtin_bytes(self, tmp_path, exact_mode):
+        # numpy scalars pass the config's number checks; they are stored as
+        # built-ins, so no numpy repr reaches a CSV cell and no numpy integer
+        # reaches json
+        builtin = dict(theta=0.3, lam=0.2, phi_start=0.1, phi_step=0.4, phi_count=3,
+                       shots=200, master_seed=5)
+        scalars = {k: (np.int64 if isinstance(v, int) else np.float64)(v)
+                   for k, v in builtin.items()}
+        written = []
+        for kwargs in (builtin, scalars):
+            cfg = SweepConfig("VA", exact_mode=exact_mode, **kwargs)
+            assert all(type(getattr(cfg, k)) is type(v) for k, v in builtin.items())
+            records = run_sweep(cfg)
+            for fmt in ("csv", "json"):
+                path = tmp_path / f"out.{fmt}"
+                emit(records, fmt, str(path), cfg, compute_fits(records, "VA"))
+                written.append(path.read_bytes())
+        assert written[2:] == written[:2]
+        assert b"np." not in written[0]
+        # a record built by hand with numpy floats writes json's text too
+        branches = tuple(dataclasses.replace(b, tomo_value=np.float64(b.tomo_value))
+                         if b.tomo_value is not None else b for b in records[0].branches)
+        scalar_record = dataclasses.replace(records[0], phi=np.float64(records[0].phi),
+                                            theory=np.float64(records[0].theory),
+                                            branches=branches)
+        emit(records[:1], "csv", str(tmp_path / "a.csv"))
+        emit([scalar_record], "csv", str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
