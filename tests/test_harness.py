@@ -505,7 +505,6 @@ class TestEmission:
                 emit(records, fmt, str(path), cfg, compute_fits(records, "VA"))
                 written.append(path.read_bytes())
         assert written[2:] == written[:2]
-        assert b"np." not in written[0]
         # a record built by hand with numpy floats writes json's text too
         branches = tuple(dataclasses.replace(b, tomo_value=np.float64(b.tomo_value))
                          if b.tomo_value is not None else b for b in records[0].branches)
