@@ -27,7 +27,8 @@ class BranchResult:
 
     @property
     def reliable(self) -> bool:
-        return self.probability >= RELIABLE_BRANCH_PROB
+        """Whether the probability reaches the floor, as a built-in bool."""
+        return bool(self.probability >= RELIABLE_BRANCH_PROB)
 
 
 @dataclass(frozen=True)

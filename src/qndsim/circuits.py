@@ -38,6 +38,8 @@ from .qmath import (
     ATOL_ALGEBRA,
     DensityMatrix,
     StateVector,
+    _integer,
+    _real,
     partial_trace,
     tensor,
 )
@@ -50,14 +52,6 @@ _PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def _finite_real(v) -> bool:
-    """True for a real number, not a bool, that is finite as a float."""
-    try:
-        return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 _QUBITS = {"rx": 1, "ry": 1, "x": 1, "h": 1, "cnot": 2, "cry": 2}
 _ANGLED = ("rx", "ry", "cry")
 
@@ -66,7 +60,8 @@ _ANGLED = ("rx", "ry", "cry")
 class Gate:
     """One gate application. ``targets`` lists control first for controlled
     kinds. Construction raises ValueError unless ``rx``, ``ry`` and ``cry``
-    get a finite real angle and the other kinds none, so a gate is unitary."""
+    get a finite real angle, stored as a built-in float, and the other kinds
+    none, so a gate is unitary."""
 
     kind: str  # 'rx' | 'ry' | 'x' | 'h' | 'cnot' | 'cry'
     targets: tuple[int, ...]
@@ -75,9 +70,13 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in _QUBITS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in _ANGLED and not _finite_real(self.angle):
-            raise ValueError(f"{self.kind} needs a finite real angle, got {self.angle!r}")
-        if self.kind not in _ANGLED and self.angle is not None:
+        if self.kind in _ANGLED:
+            try:
+                object.__setattr__(self, "angle", _real("angle", self.angle))
+            except ValueError:
+                raise ValueError(f"{self.kind} needs a finite real angle, "
+                                 f"got {self.angle!r}") from None
+        elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle, got {self.angle!r}")
         if len(set(self.targets)) != len(self.targets) or len(self.targets) != _QUBITS[self.kind]:
             raise ValueError(f"{self.kind} acts on {_QUBITS[self.kind]} distinct qubit(s)")
@@ -130,12 +129,13 @@ def cry(control: int, target: int, angle: float) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on a register of named (indexed) qubit wires."""
+    """Ordered gate list on a register of 1 to 4 named (indexed) qubit wires."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_qubits", _integer("num_qubits", self.num_qubits, 1, 4))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
@@ -148,7 +148,8 @@ class NoiseModel:
 
     The depolarizing channel acts on the full support of each gate right
     after it: rho -> (1-p) rho + p * (I/2^s tensor untouched marginal).
-    All probabilities zero, the default, means no noise. ``enabled`` is a
+    Each probability is a real number in [0, 1], stored as a built-in
+    float. All zero, the default, means no noise. ``enabled`` is a
     constructor argument only, not an attribute: ``enabled=False`` zeroes
     the probabilities, so configs written with the flag still load.
     """
@@ -168,9 +169,7 @@ class NoiseModel:
             raise ValueError(f"enabled must be true or false, got {enabled!r}")
         for name, v in (("depol_1q", depol_1q), ("depol_2q", depol_2q),
                         ("readout_flip", readout_flip)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v!r}")
-            object.__setattr__(self, name, v if enabled else 0.0)
+            object.__setattr__(self, name, _real(name, v, 0.0, 1.0) if enabled else 0.0)
 
 
 @lru_cache(maxsize=256)
@@ -416,8 +415,9 @@ def exact_probabilities(
 ) -> np.ndarray:
     """The (B, 2^m) exact outcome probabilities of each state of a
     ``run_batch`` stack, each recorded bit flipped with probability
-    ``readout_flip``: the distributions ``sample_counts`` draws from, their
-    infinite-shot limit."""
+    ``readout_flip``, a real number in [0, 1]: the distributions
+    ``sample_counts`` draws from, their infinite-shot limit."""
+    readout_flip = _real("readout_flip", readout_flip, 0.0, 1.0)
     return _outcome_distribution(states, measured_qubits, readout_flip)
 
 
@@ -503,16 +503,12 @@ def sample_batch(
     The paths all have one length, with every element in 0..2**32 - 1.
     Every row's seed is hashed in one array pass, and one generator is
     re-seeded per row, so a call costs one SeedSequence however many rows
-    it draws. The shot count, the stack (2-D, every row nonnegative and
-    finite with a positive total) and the seed input are checked before
-    any draw.
+    it draws. The shot count (1..MAX_SHOTS), the master seed (>= 0), the
+    stack (2-D, every row nonnegative and finite with a positive total) and
+    the seed paths are checked before any draw.
     """
-    if (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
-            or not 1 <= shots <= MAX_SHOTS):
-        raise ValueError(f"shots must be an integer >= 1 and <= 2**63 - 1, got {shots!r}")
-    if (isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral)
-            or master_seed < 0):
-        raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
+    shots = _integer("shots", shots, 1, MAX_SHOTS)
+    master_seed = _integer("master_seed", master_seed, 0)
     probs = np.ascontiguousarray(probs, dtype=float)
     if probs.ndim != 2:
         raise ValueError(f"need a (rows, outcomes) stack of distributions, got shape {probs.shape}")
@@ -522,7 +518,7 @@ def sample_batch(
         raise ValueError("every row of probabilities must be nonnegative and finite "
                          "with a positive total")
     words = _seed_words(seed_paths, len(probs))
-    seq = np.random.SeedSequence(int(master_seed))
+    seq = np.random.SeedSequence(master_seed)
     seeds = _stream_seeds(seq, words)
     bitgen = np.random.PCG64(seq)
     gen = np.random.Generator(bitgen)
@@ -552,6 +548,7 @@ def sample_counts(
     gives, one per state of a ``run_batch`` stack: state i draws from
     stream (master_seed, *seed_paths[i]) (see ``sample_batch``). Returns
     the (B, 2^m) counts."""
+    readout_flip = _real("readout_flip", readout_flip, 0.0, 1.0)
     probs = _outcome_distribution(states, measured_qubits, readout_flip)
     return sample_batch(probs, shots, master_seed, seed_paths)
 

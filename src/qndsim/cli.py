@@ -38,6 +38,7 @@ from .harness import (
     run_criteria_protocol,
     run_sweep,
 )
+from .qmath import _integer
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -181,9 +182,7 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     import numpy as np
 
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    grid = np.linspace(0.0, 2 * math.pi, args.grid)
+    grid = np.linspace(0.0, 2 * math.pi, _integer("--grid", args.grid, 1))
     params = [PrepParams(phi, theta) for phi in grid for theta in grid]
     ok = visibility_identity_check(params, atol=args.atol)
     print(f"operator identity over {len(params)} points: {'PASS' if ok else 'FAIL'}")

@@ -21,7 +21,8 @@ unit kets, in closed form (the single-ancilla circuit's block is simulated
 as one pure batch); ``output_mixture`` mixes them into each point's ideal
 unconditional output.
 The exact-estimator oracles, which run a measurement circuit on a given
-pair state, live with the tests (``tests/helpers.py``).
+pair state, and the closed-form state before each two-ancilla readout
+live with the tests (``tests/helpers.py``).
 
 Rotation-convention note: De Melo et al. specify the settings as rotation
 vectors, which the table's comment lists. Writing them as exp(-i sigma.vec)
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import circuits as circ
 from .circuits import Circuit, cnot, cry, h, rx, ry
-from .qmath import StateVector, basis_state, tensor
+from .qmath import StateVector, _real, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -69,7 +70,8 @@ OBSERVABLES = ("VA", "VB", "PA", "PB", "C1", "C2")
 
 @dataclass(frozen=True)
 class PrepParams:
-    """Angles of the input-state preparation circuit, each in [0, 2*pi]."""
+    """Angles of the input-state preparation circuit, each a real number in
+    [0, 2*pi] (to 1e-12), stored as a built-in float."""
 
     phi: float
     theta: float = 0.0
@@ -77,9 +79,8 @@ class PrepParams:
 
     def __post_init__(self) -> None:
         for name in ("phi", "theta", "lam"):
-            v = getattr(self, name)
-            if not -1e-12 <= v <= 2 * math.pi + 1e-12:
-                raise ValueError(f"{name} must lie in [0, 2*pi], got {v}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), -1e-12,
+                                                 2 * math.pi + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -260,29 +261,14 @@ def branch_outcomes(s: MeasurementSetting) -> tuple[str, ...]:
     return _OUTCOMES[len(s.ancilla_qubits)]
 
 
-def qnd_output_state(s: MeasurementSetting, c: BellCoefficients) -> StateVector:
-    """Closed-form four-qubit state right before the ancilla readout.
-
-    Given in the same basis the measurement happens in, i.e. including the
-    Bell rotation for the two-ancilla concurrence setting, so it can be
-    compared directly against :func:`measurement_circuit` output.
-    """
-    amps = np.zeros(16, dtype=complex)
-    if s.observable in ("visibility", "predictability"):
-        table = _VIS_BRANCHES if s.observable == "visibility" else _PRED_BRANCHES
-        for outcome, (coeff_fn, ket_a, ket_b) in table.items():
-            anc = int(outcome, 2)
-            pair = np.kron(ket_a, ket_b)
-            for i in range(4):
-                amps[i * 4 + anc] += SQRT_HALF * coeff_fn(c) * pair[i]
-    elif s.observable == "concurrence2":
-        for outcome, vec in _conc2_branch_vectors(c).items():
-            anc = int(outcome, 2)
-            for i in range(4):
-                amps[i * 4 + anc] += vec[i]
-    else:
-        raise ValueError("no closed-form output state for this setting")
-    return StateVector(4, amps)
+def _visibility_output(c: BellCoefficients) -> np.ndarray:
+    """Closed-form amplitudes of the visibility setting's four-qubit state
+    right before the ancilla readout: each branch's pair ket, weighted by
+    its coefficient over sqrt(2), at its ancilla outcome."""
+    amps = np.zeros((4, 4), dtype=complex)  # (pair index, ancilla outcome)
+    for outcome, (coeff_fn, ket_a, ket_b) in _VIS_BRANCHES.items():
+        amps[:, int(outcome, 2)] += SQRT_HALF * coeff_fn(c) * np.kron(ket_a, ket_b)
+    return amps.reshape(16)
 
 
 def block_layers(s: MeasurementSetting, params: tuple[PrepParams, ...]) -> list[circ.Layer]:
@@ -388,7 +374,7 @@ def visibility_identity_deviation(p: PrepParams) -> float:
     full_in = np.kron(chi, anc)
     rho_in = np.outer(full_in, full_in.conj())
     evolved = u @ rho_in @ u.conj().T
-    target = qnd_output_state(MeasurementSetting("visibility"), bell_coefficients(p)).amplitudes
+    target = _visibility_output(bell_coefficients(p))
     rho_target = np.outer(target, target.conj())
     return float(np.max(np.abs(evolved - rho_target)))
 
@@ -398,11 +384,10 @@ def visibility_identity_check(params: list[PrepParams], atol: float = 1e-8) -> b
     every listed point.
 
     Raises ValueError for an empty parameter list, which checks nothing,
-    and for a tolerance that is negative or not finite, which fails or
-    passes every point.
+    and for a tolerance that is not a finite, nonnegative real number,
+    which fails or passes every point.
     """
-    if not (math.isfinite(atol) and atol >= 0):
-        raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
+    atol = _real("atol", atol, 0.0)
     if not params:
         raise ValueError("no parameters to check")
     return all(visibility_identity_deviation(p) <= atol for p in params)

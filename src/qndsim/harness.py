@@ -71,10 +71,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -86,7 +85,7 @@ from .analysis import (
 )
 from .circuits import NoiseModel
 from .observables import concurrence_pure, observable_set, predictability, visibility
-from .qmath import basis_state, fidelity, partial_trace
+from .qmath import _integer, _real, basis_state, fidelity, partial_trace
 
 THETA_DEFAULTS = {
     "VA": 0.0,
@@ -115,10 +114,10 @@ class SweepConfig:
     ``shots`` applies per circuit configuration, i.e. per tomography setting
     and per ancilla-readout run (echoed in emitted metadata).
 
-    Any real number, numpy scalars included, is accepted for the angle
-    fields and any integer for the counts and the seed; once checked, each
-    is stored as a built-in ``float`` or ``int``, so an integer given for an
-    angle is stored, written and echoed as a float.
+    Each number, numpy scalars included, is checked by ``qmath._real`` or
+    ``qmath._integer`` and stored as the built-in ``float`` or ``int`` it
+    returns, so an integer given for an angle is stored, written and echoed
+    as a float. ``shots`` is 1..2**63 - 1, or any count >= 0 in exact mode.
     """
 
     observable: str
@@ -135,48 +134,28 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.observable not in ex.OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
-        for name in ("theta", "lam", "phi_start", "phi_step"):
-            value = getattr(self, name)
-            if value is None and name == "theta":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not circ._finite_real(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("phi_count", "shots", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.exact_mode, bool):
             raise ValueError(f"exact_mode must be true or false, got {self.exact_mode!r}")
-        if self.phi_step <= 0:
-            raise ValueError("phi_step must be positive")
-        if self.phi_count < 1:
-            raise ValueError("phi_count must be >= 1")
+        store = partial(object.__setattr__, self)
+        if self.theta is not None:
+            store("theta", _real("theta", self.theta))
+        for name in ("lam", "phi_start"):
+            store(name, _real(name, getattr(self, name)))
+        # at least the smallest positive float: a positive step
+        store("phi_step", _real("phi_step", self.phi_step, math.ulp(0.0)))
+        # the last phi is checked before the count's bound, which a count
+        # beyond the float range also breaks: the grid is the fault to report
+        count = _integer("phi_count", self.phi_count, 1)
         try:
-            finite = math.isfinite(self.phi_start + (self.phi_count - 1) * self.phi_step)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError("the last phi, phi_start + (phi_count - 1) * phi_step, "
-                             "must be finite")
-        if self.phi_count > MAX_POINTS:
-            raise ValueError(f"phi_count must be at most 2**32, got {self.phi_count}")
-        if not self.exact_mode and self.shots < 1:
-            raise ValueError("shots must be >= 1 unless exact_mode")
-        if not self.exact_mode and self.shots > circ.MAX_SHOTS:
-            raise ValueError(f"shots must be at most 2**63 - 1, the most one draw takes, "
-                             f"got {self.shots}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        # numbers.Real and numbers.Integral admit numpy scalars, whose repr
-        # names their type and whose integers json cannot encode: keep
-        # built-in scalars, so every record and echo holds plain numbers
-        for name in ("theta", "lam", "phi_start", "phi_step"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("phi_count", "shots", "master_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            last = self.phi_start + (count - 1) * self.phi_step
+        except OverflowError:  # a count beyond the float range
+            last = math.inf
+        _real("the last phi, phi_start + (phi_count - 1) * phi_step", last)
+        store("phi_count", _integer("phi_count", count, 1, MAX_POINTS))
+        # exact mode draws nothing: any nonnegative count, only echoed
+        low, high = (0, math.inf) if self.exact_mode else (1, circ.MAX_SHOTS)
+        store("shots", _integer("shots", self.shots, low, high))
+        store("master_seed", _integer("master_seed", self.master_seed, 0))
 
     @property
     def theta_resolved(self) -> float:
@@ -568,14 +547,10 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
 
     Uses phi = pi/2, theta = pi (the Bell-state point) with one derived seed
     stream per repetition; the record's ``seed`` field carries the
-    repetition index.
+    repetition index. ``repetitions`` is an integer in 1..2**32, checked
+    before any work.
     """
-    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral):
-        raise ValueError(f"repetitions must be an integer, got {repetitions!r}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if repetitions > MAX_POINTS:
-        raise ValueError(f"repetitions must be at most 2**32, got {repetitions}")
+    repetitions = _integer("repetitions", repetitions, 1, MAX_POINTS)
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
     return _measure_points(fixed, repetitions, lambda r: (r, math.pi / 2, r))
 

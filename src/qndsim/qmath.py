@@ -15,6 +15,8 @@ Numerical tolerances follow a single ladder used across the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,47 @@ import numpy as np
 ATOL_CONSTRUCT = 1e-10
 ATOL_ALGEBRA = 1e-8
 ATOL_PHYSICAL = 1e-6
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a built-in float, once checked to be a real number, not
+    a bool, finite (an integer beyond the float range is not) and in
+    [low, high]; ValueError naming ``name`` otherwise."""
+    # the built-in type first: it answers without the far slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return _in_range(name, number, low, high)
+
+
+def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as a built-in int, once checked to be an integer, not a
+    bool, in [low, high] (compared exactly, however large); ValueError
+    naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return _in_range(name, int(value), low, high)
+
+
+def _in_range(name: str, number, low, high):
+    if number < low:
+        raise ValueError(f"{name} must be >= {_bound(low)}, got {number!r}")
+    if number > high:
+        raise ValueError(f"{name} must be at most {_bound(high)}, got {number!r}")
+    return number
+
+
+def _bound(bound) -> str:
+    """A bound as a message writes it: a large 2**k or 2**k - 1 as such."""
+    if isinstance(bound, int) and bound > 2**16:
+        k = (bound + 1).bit_length() - 1
+        return {2**k: f"2**{k}", 2**k - 1: f"2**{k} - 1"}.get(bound, str(bound))
+    return str(bound)
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -70,8 +113,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= 4:
-            raise ValueError(f"num_qubits must be 1..4, got {self.num_qubits}")
+        object.__setattr__(self, "num_qubits", _integer("num_qubits", self.num_qubits, 1, 4))
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -101,8 +143,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= 4:
-            raise ValueError(f"num_qubits must be 1..4, got {self.num_qubits}")
+        object.__setattr__(self, "num_qubits", _integer("num_qubits", self.num_qubits, 1, 4))
         m = np.array(self.matrix, dtype=complex)
         d = 2**self.num_qubits
         if m.shape != (d, d):
@@ -130,9 +171,10 @@ class DensityMatrix:
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     """Computational basis ket |index> on ``num_qubits`` qubits; raises
-    ValueError for an index outside 0..2^n - 1, which would wrap or fail."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index must be in 0..{2**num_qubits - 1}, got {index}")
+    ValueError for a register outside 1..4 qubits or an index that is not
+    an integer in 0..2^n - 1, which would wrap or fail."""
+    num_qubits = _integer("num_qubits", num_qubits, 1, 4)
+    index = _integer("basis index", index, 0, 2**num_qubits - 1)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)

@@ -1,17 +1,17 @@
 """Shared helpers for the test suite: seeded random-object generators, and
 the exact oracles the acceptance criteria compare the package against
 (the exact QND estimator on a given pair state, the pair state after one
-measurement pass, the measurement circuit read without the half angle,
-one point's branches simulated alone and post-selected, which pins which
-outcome is which, the general count marginalization, the triality
-defect, and the theory value of one point), and copies of code the
-package replaced by faster or simpler code that must agree with it bit
-for bit (the 16-step Pauli-pair loop of the raw estimate, the
-post-selection of one point's branch at a time, the Born-rule marginal
-of one state at a time, one point's branch data built from tuples and an
-empty-branch exception and its output mixture summed a branch at a
-time, the linear
-estimates solved against a broadcast copy of the design matrix, and the
+measurement pass, the closed-form state before the ancilla readout, the
+measurement circuit read without the half angle, one point's branches
+simulated alone and post-selected, which pins which outcome is which,
+the general count marginalization, the triality defect, and the theory
+value of one point), and copies of code the package replaced by faster
+or simpler code that must agree with it bit for bit (the 16-step
+Pauli-pair loop of the raw estimate, the post-selection of one point's
+branch at a time, the Born-rule marginal of one state at a time, one
+point's branch data built from tuples and an empty-branch exception and
+its output mixture summed a branch at a time, the linear estimates
+solved against a broadcast copy of the design matrix, and the
 depolarizing channel's mixed term built by a transpose), the
 depolarizing channel written as a Pauli twirl, the CSV writer that
 formats every cell of every row and writes one row at a time, and a reset
@@ -398,6 +398,33 @@ def measurement_circuit_without_half_angle(s: MeasurementSetting) -> Circuit:
     return Circuit(mc.num_qubits, tuple(
         replace(g, angle=2 * g.angle) if g.kind in ("rx", "ry") else g for g in mc.gates
     ))
+
+
+def qnd_output_state(s: MeasurementSetting, c: ex.BellCoefficients) -> StateVector:
+    """Closed-form four-qubit state right before the ancilla readout of a
+    two-ancilla setting, the oracle its measurement circuit is checked
+    against.
+
+    Given in the same basis the measurement happens in, i.e. including the
+    Bell rotation for the two-ancilla concurrence setting, so it can be
+    compared directly against :func:`measurement_circuit` output.
+    """
+    amps = np.zeros(16, dtype=complex)
+    if s.observable in ("visibility", "predictability"):
+        table = ex._VIS_BRANCHES if s.observable == "visibility" else ex._PRED_BRANCHES
+        for outcome, (coeff_fn, ket_a, ket_b) in table.items():
+            anc = int(outcome, 2)
+            pair = np.kron(ket_a, ket_b)
+            for i in range(4):
+                amps[i * 4 + anc] += ex.SQRT_HALF * coeff_fn(c) * pair[i]
+    elif s.observable == "concurrence2":
+        for outcome, vec in ex._conc2_branch_vectors(c).items():
+            anc = int(outcome, 2)
+            for i in range(4):
+                amps[i * 4 + anc] += vec[i]
+    else:
+        raise ValueError("no closed-form output state for this setting")
+    return StateVector(4, amps)
 
 
 def theory_value(observable: str, chi: StateVector) -> float:

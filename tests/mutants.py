@@ -36,6 +36,7 @@ CIRCUITS = "src/qndsim/circuits.py"
 CLI = "src/qndsim/cli.py"
 EXPERIMENTS = "src/qndsim/experiments.py"
 HARNESS = "src/qndsim/harness.py"
+QMATH = "src/qndsim/qmath.py"
 
 MUTANTS = (
     Mutant(
@@ -254,8 +255,8 @@ MUTANTS = (
     ),
     Mutant(
         "a branch result reliable only above the floor", ANALYSIS,
-        "return self.probability >= RELIABLE_BRANCH_PROB",
-        "return self.probability > RELIABLE_BRANCH_PROB",
+        "return bool(self.probability >= RELIABLE_BRANCH_PROB)",
+        "return bool(self.probability > RELIABLE_BRANCH_PROB)",
         "tests/test_analysis.py",
     ),
     Mutant(
@@ -316,15 +317,70 @@ MUTANTS = (
     ),
     Mutant(
         "config angles stored as given", HARNESS,
-        "object.__setattr__(self, name, float(getattr(self, name)))",
-        "object.__setattr__(self, name, getattr(self, name))",
+        "store(name, _real(name, getattr(self, name)))",
+        "_real(name, getattr(self, name))",
         "tests/test_harness.py",
     ),
     Mutant(
         "config counts and seed stored as given", HARNESS,
-        "object.__setattr__(self, name, int(getattr(self, name)))",
-        "object.__setattr__(self, name, getattr(self, name))",
+        "        store(\"shots\", _integer(\"shots\", self.shots, low, high))\n"
+        "        store(\"master_seed\", _integer(\"master_seed\", self.master_seed, 0))\n",
+        "        _integer(\"shots\", self.shots, low, high)\n"
+        "        _integer(\"master_seed\", self.master_seed, 0)\n",
         "tests/test_harness.py",
+    ),
+    Mutant(
+        "exact mode takes a negative shot count", HARNESS,
+        "(0, math.inf) if self.exact_mode", "(-math.inf, math.inf) if self.exact_mode",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "phi_count's bound off by one", HARNESS,
+        "_integer(\"phi_count\", count, 1, MAX_POINTS)",
+        "_integer(\"phi_count\", count, 1, MAX_POINTS - 1)",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "the real-number helper accepts a bool", QMATH,
+        "if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):",
+        "if not isinstance(value, (float, numbers.Real)):",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the integer helper accepts a bool", QMATH,
+        "if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):",
+        "if not isinstance(value, (int, numbers.Integral)):",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the real-number helper returns the value as given", QMATH,
+        "    return _in_range(name, number, low, high)\n",
+        "    _in_range(name, number, low, high)\n    return value\n",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the integer helper returns the value as given", QMATH,
+        "    return _in_range(name, int(value), low, high)\n",
+        "    _in_range(name, int(value), low, high)\n    return value\n",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "an upper bound off by one", QMATH,
+        "    if number > high:\n", "    if number >= high:\n",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the basis index bound off by one", QMATH,
+        "_integer(\"basis index\", index, 0, 2**num_qubits - 1)",
+        "_integer(\"basis index\", index, 0, 2**num_qubits)",
+        "tests/test_qmath.py",
+    ),
+    Mutant(
+        "exact_probabilities takes any readout flip", CIRCUITS,
+        "    readout_flip = _real(\"readout_flip\", readout_flip, 0.0, 1.0)\n"
+        "    return _outcome_distribution(",
+        "    return _outcome_distribution(",
+        "tests/test_inputs.py",
     ),
     Mutant(
         "criteria seeds echoed as given", HARNESS,

@@ -19,6 +19,7 @@ from helpers import (
     measurement_circuit_without_half_angle,
     post_measurement_pair_state,
     qnd_estimates_exact,
+    qnd_output_state,
     random_density_matrix,
     random_real_pure_state,
     raw_estimate,
@@ -129,7 +130,7 @@ def test_criterion_05_operator_identity():
 
     # the resolved convention: half-angle passes, the literal form does not
     p = ex.PrepParams(1.1, 2.3)
-    target = ex.qnd_output_state(ex.MeasurementSetting("visibility"), ex.bell_coefficients(p))
+    target = qnd_output_state(ex.MeasurementSetting("visibility"), ex.bell_coefficients(p))
     literal = circ.run_pure(
         circ.Circuit(4, ex.prep_circuit(p).gates + measurement_circuit_without_half_angle(
             ex.MeasurementSetting("visibility")).gates),

@@ -107,8 +107,10 @@ class TestGates:
             Gate(kind, targets, angle)
 
     def test_any_finite_real_angle_accepted(self):
+        # and stored as the built-in float of the same value
         for angle in (0, 3, -2.5, np.float32(0.25), np.float64(1e300), np.int64(7)):
-            assert rx(0, angle).angle is angle
+            stored = rx(0, angle).angle
+            assert stored == angle and type(stored) is float
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["rx", "ry", "x", "h", "cnot", "cry"]),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     append_ancillas, as_stack, full_circuit, measurement_circuit_without_half_angle,
-    post_measurement_pair_state, qnd_estimates_exact, simulated_branches,
+    post_measurement_pair_state, qnd_estimates_exact, qnd_output_state, simulated_branches,
 )
 from qndsim import circuits as circ
 from qndsim import experiments as ex
@@ -104,7 +104,7 @@ class TestCircuitTwoOutputs:
             for theta in GRID:
                 p = ex.PrepParams(phi, theta)
                 out = circ.run_pure(full_circuit(s, p), basis_state(4))
-                target = ex.qnd_output_state(s, ex.bell_coefficients(p))
+                target = qnd_output_state(s, ex.bell_coefficients(p))
                 worst = max(worst, float(np.max(np.abs(out.amplitudes - target.amplitudes))))
         assert worst < 1e-10
 
@@ -117,7 +117,7 @@ class TestCircuitTwoOutputs:
         full = circ.Circuit(4, ex.prep_circuit(p).gates
                             + measurement_circuit_without_half_angle(s).gates)
         out = circ.run_pure(full, basis_state(4))
-        target = ex.qnd_output_state(s, ex.bell_coefficients(p))
+        target = qnd_output_state(s, ex.bell_coefficients(p))
         assert float(np.max(np.abs(out.amplitudes - target.amplitudes))) > 0.1
 
     def test_visibility_zero_branches_at_half_pi(self):

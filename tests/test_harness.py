@@ -89,6 +89,13 @@ class TestConfig:
             SweepConfig("VA", shots=0)
         assert SweepConfig("VA", shots=0, exact_mode=True).exact_mode
 
+    @pytest.mark.parametrize("shots", [-1, -5, np.int64(-5)])
+    def test_exact_mode_shots_are_nonnegative(self, shots):
+        # exact mode draws nothing, but it echoes the count in every record
+        with pytest.raises(ValueError, match=f"shots must be >= 0, got {int(shots)}"):
+            SweepConfig("VA", shots=shots, exact_mode=True)
+        assert SweepConfig("VA", shots=0, exact_mode=True).to_dict()["shots"] == 0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["phi_step", "phi_start", "theta", "lam"])
     def test_non_finite_fields_rejected(self, name, value):
@@ -515,6 +522,19 @@ class TestEmission:
         emit([scalar_record], "csv", str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_numpy_probability_record_writes_the_builtin_bytes(self, tmp_path):
+        # a branch's reliability is a built-in bool whatever its probability's
+        # type: a numpy bool would write True in a CSV cell and break json
+        records = run_sweep(SweepConfig("C2", phi_count=2, shots=300, master_seed=4))
+        twins = [dataclasses.replace(r, branches=tuple(
+            dataclasses.replace(b, probability=np.float64(b.probability)) for b in r.branches))
+            for r in records]
+        assert all(type(b.reliable) is bool for r in twins for b in r.branches)
+        for fmt in ("csv", "json"):
+            emit(records, fmt, str(tmp_path / f"a.{fmt}"))
+            emit(twins, fmt, str(tmp_path / f"b.{fmt}"))
+            assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
+
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "csv", str(tmp_path / "x.csv"))
@@ -714,14 +734,16 @@ class TestCli:
     def test_check_identity_rejects_an_empty_grid(self, capsys, grid):
         assert cli_main(["check-identity", "--grid", grid]) == 2
         out, err = capsys.readouterr()
-        assert "--grid must be at least 1" in err
+        assert f"error: --grid must be >= 1, got {grid}\n" == err
         assert "PASS" not in out
 
     @pytest.mark.parametrize("atol", ["nan", "-1", "inf"])
     def test_check_identity_rejects_a_bad_tolerance(self, capsys, atol):
         assert cli_main(["check-identity", "--atol", atol]) == 2
         out, err = capsys.readouterr()
-        assert "atol must be finite and nonnegative" in err
+        assert err == {"nan": "error: atol must be finite, got nan\n",
+                       "-1": "error: atol must be >= 0.0, got -1.0\n",
+                       "inf": "error: atol must be finite, got inf\n"}[atol]
         assert "PASS" not in out and "FAIL" not in out
 
     def test_criteria_subcommand(self, tmp_path):
