@@ -39,6 +39,7 @@ from .qmath import (
     DensityMatrix,
     StateVector,
     _integer,
+    _qubits,
     _real,
     partial_trace,
     tensor,
@@ -59,9 +60,9 @@ _ANGLED = ("rx", "ry", "cry")
 @dataclass(frozen=True)
 class Gate:
     """One gate application. ``targets`` lists control first for controlled
-    kinds. Construction raises ValueError unless ``rx``, ``ry`` and ``cry``
-    get a finite real angle, stored as a built-in float, and the other kinds
-    none, so a gate is unitary."""
+    kinds, as qubits of a register of up to 4 read by ``qmath._qubits``.
+    Construction raises ValueError unless ``rx``, ``ry`` and ``cry`` get a
+    finite real angle, stored as a built-in float, and the other kinds none."""
 
     kind: str  # 'rx' | 'ry' | 'x' | 'h' | 'cnot' | 'cry'
     targets: tuple[int, ...]
@@ -71,15 +72,13 @@ class Gate:
         if self.kind not in _QUBITS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind in _ANGLED:
-            try:
-                object.__setattr__(self, "angle", _real("angle", self.angle))
-            except ValueError:
-                raise ValueError(f"{self.kind} needs a finite real angle, "
-                                 f"got {self.angle!r}") from None
+            object.__setattr__(self, "angle", _real(f"{self.kind} angle", self.angle))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle, got {self.angle!r}")
-        if len(set(self.targets)) != len(self.targets) or len(self.targets) != _QUBITS[self.kind]:
+        targets = _qubits(f"{self.kind} targets", self.targets, 4)
+        if len(targets) != _QUBITS[self.kind]:
             raise ValueError(f"{self.kind} acts on {_QUBITS[self.kind]} distinct qubit(s)")
+        object.__setattr__(self, "targets", targets)
 
     def local_matrix(self) -> np.ndarray:
         """The 2x2 matrix of a single-qubit gate (controlled kinds have none)."""
@@ -129,7 +128,7 @@ def cry(control: int, target: int, angle: float) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on a register of 1 to 4 named (indexed) qubit wires."""
+    """Ordered gate list on 1 to 4 qubit wires; ``qmath._qubits`` reads each target."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
@@ -138,8 +137,7 @@ class Circuit:
         object.__setattr__(self, "num_qubits", _integer("num_qubits", self.num_qubits, 1, 4))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.targets):
-                raise ValueError(f"gate {g} targets outside 0..{self.num_qubits - 1}")
+            _qubits(f"{g.kind} targets", g.targets, self.num_qubits)
 
 
 @dataclass(frozen=True, init=False)
@@ -347,16 +345,12 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
 def _marginal_probabilities(states: np.ndarray, measured_qubits) -> np.ndarray:
     """(B, 2^m) Born-rule probabilities over the measured qubits, in
     listed-bit order, of each state of a ``run_batch`` stack; the stack and
-    the qubits are checked first."""
-    measured_qubits = tuple(measured_qubits)
+    the qubits, read by ``qmath._qubits``, are checked first."""
     states = np.asarray(states)
     n = _stack_qubits(states)
+    measured_qubits = _qubits("measured_qubits", measured_qubits, n)
     if not measured_qubits:
         raise ValueError("measured_qubits must not be empty")
-    if len(set(measured_qubits)) != len(measured_qubits):
-        raise ValueError("measured_qubits must be distinct")
-    if any(q < 0 or q >= n for q in measured_qubits):
-        raise ValueError("measured qubit out of range")
     b = len(states)
     remaining = sorted(measured_qubits)
     if states.ndim == 2:
@@ -553,16 +547,14 @@ def sample_counts(
     return sample_batch(probs, shots, master_seed, seed_paths)
 
 
-def _count_bits(counts: np.ndarray, positions: tuple[int, ...]) -> int:
-    """Check a (..., 2^m) count array and bit positions into it; return m."""
+def _count_bits(counts: np.ndarray, name: str, positions) -> tuple[int, tuple[int, ...]]:
+    """Check a (..., 2^m) count array; return m and the bit positions, read by ``_qubits``."""
     m = counts.shape[-1].bit_length() - 1 if counts.ndim else 0
     if m < 1 or counts.shape[-1] != 2**m:
         raise ValueError(f"counts need a last axis of 2^m outcomes, got shape {counts.shape}")
     if not np.issubdtype(counts.dtype, np.integer) or (counts < 0).any():
         raise ValueError("counts must be nonnegative integers")
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= m for p in positions):
-        raise ValueError(f"bit positions {positions} must be distinct and in 0..{m - 1}")
-    return m
+    return m, _qubits(name, positions, m)
 
 
 def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np.ndarray:
@@ -573,12 +565,12 @@ def postselect_counts(counts: np.ndarray, ancilla_positions, outcome: str) -> np
     (points, settings, 2^m) tomography counts; the result indexes the
     remaining bits in their original order. A row that retains no shots
     is returned as zeros: the caller decides what an empty branch means.
+    ``qmath._qubits`` reads the positions; ``outcome`` is a string of bits.
     """
     counts = np.asarray(counts)
-    positions = tuple(ancilla_positions)
-    if len(outcome) != len(positions) or set(outcome) - {"0", "1"}:
+    m, positions = _count_bits(counts, "ancilla_positions", ancilla_positions)
+    if not isinstance(outcome, str) or len(outcome) != len(positions) or set(outcome) - {"0", "1"}:
         raise ValueError("outcome must be a bitstring with one bit per ancilla position")
-    m = _count_bits(counts, positions)
     lead = counts.shape[:-1]
     index = [slice(None)] * m
     for p, bit in zip(positions, outcome):

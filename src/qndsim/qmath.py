@@ -51,6 +51,15 @@ def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -
     return _in_range(name, int(value), low, high)
 
 
+def _qubits(name: str, indices, count: int) -> tuple[int, ...]:
+    """``indices`` as a tuple of built-in ints, each read by ``_integer`` as a
+    qubit index in 0..count - 1, none repeated; ValueError naming ``name`` otherwise."""
+    qubits = tuple([_integer(name, q, 0, count - 1) for q in indices])  # a list is faster
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{name} must be {len(qubits)} distinct qubits, got {qubits}")
+    return qubits
+
+
 def _in_range(name: str, number, low, high):
     if number < low:
         raise ValueError(f"{name} must be >= {_bound(low)}, got {number!r}")
@@ -185,18 +194,16 @@ def partial_trace(m: np.ndarray, keep) -> np.ndarray:
     with d = 2^n, onto the kept qubits (taken in ascending order).
 
     Raises ValueError unless the slices are square with a power-of-two
-    dimension and ``keep`` is a nonempty proper subset of the n qubits.
+    dimension and ``_qubits`` reads ``keep`` as a nonempty proper subset.
     """
     m = np.asarray(m, dtype=complex)
     d = m.shape[-1] if m.ndim >= 2 else 0
     num_qubits = d.bit_length() - 1
     if m.ndim < 2 or m.shape[-2] != d or num_qubits < 1 or d != 2**num_qubits:
         raise ValueError(f"expected a (..., 2^n, 2^n) stack, got shape {m.shape}")
-    keep = tuple(sorted(set(keep)))
-    if not keep or len(keep) >= num_qubits:
+    keep = tuple(sorted(_qubits("keep", keep, num_qubits)))
+    if not keep or len(keep) == num_qubits:
         raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if any(q < 0 or q >= num_qubits for q in keep):
-        raise ValueError(f"qubit index out of range in {keep}")
     traced = [q for q in range(num_qubits) if q not in keep]
     batch = m.shape[:-2]
     t = m.reshape(batch + (2,) * (2 * num_qubits))
@@ -214,11 +221,11 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     or of each slice of a (..., d, d) stack.
 
     Eigenvalues in [-1e-6, 0) are treated as numerical noise and clipped;
-    anything more negative is rejected as genuinely non-PSD.
+    anything more negative is rejected as genuinely non-PSD, as is a non-finite matrix.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, atol=ATOL_ALGEBRA):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if not (is_hermitian(m, atol=ATOL_ALGEBRA) and np.isfinite(m).all()):
+        raise ValueError("matrix must be finite and Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + np.swapaxes(m.conj(), -1, -2)) / 2)
     lam_min = float(vals[..., 0].min())
     if lam_min < -ATOL_PHYSICAL:

@@ -250,8 +250,7 @@ def postselect_branch(counts: np.ndarray, ancilla_positions, outcome: str) -> np
     no shots, a branch the analysis of one point's branch at a time
     dropped."""
     counts = np.asarray(counts)
-    positions = tuple(ancilla_positions)
-    m = _count_bits(counts, positions)
+    m, positions = _count_bits(counts, "ancilla_positions", ancilla_positions)
     lead = counts.shape[:-1]
     index = [slice(None)] * m
     for p, bit in zip(positions, outcome):
@@ -480,8 +479,7 @@ def marginalize_counts(counts: np.ndarray, keep_positions) -> np.ndarray:
     the listed order.
     """
     counts = np.asarray(counts)
-    keep = tuple(keep_positions)
-    m = _count_bits(counts, keep)
+    m, keep = _count_bits(counts, "keep_positions", keep_positions)
     lead = counts.shape[:-1]
     b = len(lead)
     t = counts.reshape(lead + (2,) * m)

@@ -365,8 +365,11 @@ MUTANTS = (
         "tests/test_inputs.py",
     ),
     Mutant(
-        "an upper bound off by one", QMATH,
-        "    if number > high:\n", "    if number >= high:\n",
+        # not `number >= high` in _in_range: that refuses the gate table's
+        # cnot(2, 3) when the package is imported, which no test can report
+        "the real-number helper's upper bound exclusive", QMATH,
+        "    return _in_range(name, number, low, high)\n",
+        "    return _in_range(name, number, low, math.nextafter(high, -math.inf))\n",
         "tests/test_inputs.py",
     ),
     Mutant(
@@ -380,6 +383,39 @@ MUTANTS = (
         "    readout_flip = _real(\"readout_flip\", readout_flip, 0.0, 1.0)\n"
         "    return _outcome_distribution(",
         "    return _outcome_distribution(",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the qubit-index helper accepts a bool", QMATH,
+        "_integer(name, q, 0, count - 1) for q in indices]",
+        "_integer(name, int(q) if isinstance(q, (bool, np.bool_)) else q, 0, count - 1)"
+        " for q in indices]",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the qubit-index helper lets a repeated index through", QMATH,
+        "    if len(set(qubits)) != len(qubits):\n", "    if False:\n",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the qubit-index helper's upper bound off by one", QMATH,
+        "_integer(name, q, 0, count - 1) for q in indices]",
+        "_integer(name, q, 0, count) for q in indices]",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "matrix_sqrt_psd takes a non-finite matrix", QMATH,
+        " and np.isfinite(m).all())", ")",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "a gate keeps its targets as given", CIRCUITS,
+        "        object.__setattr__(self, \"targets\", targets)\n", "",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "postselect_counts takes an outcome that is not a string", CIRCUITS,
+        "not isinstance(outcome, str) or ", "",
         "tests/test_inputs.py",
     ),
     Mutant(

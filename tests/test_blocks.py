@@ -637,11 +637,12 @@ def test_stack_arguments_rejected(states, message, monkeypatch):
 
 @pytest.mark.parametrize("gate, message", [
     (circ.cnot(0, 2), "dimension mismatch"),
-    (circ.x(-1), "dimension mismatch"),
+    (circ.x(3), "dimension mismatch"),
     (circ.x(1), "act on the same qubits"),
 ])
 def test_bad_layers_rejected_before_any_work(gate, message, monkeypatch):
-    # the bad gate sits in the second layer, after a valid first one
+    # the bad gate sits in the second layer, after a valid first one; x(3)
+    # is the highest target a gate takes, outside this 2-qubit stack
     def no_work(*args):
         raise AssertionError("evolution started")
 
@@ -649,6 +650,12 @@ def test_bad_layers_rejected_before_any_work(gate, message, monkeypatch):
     layers = [(circ.h(0), circ.h(0)), (circ.x(0), gate)]
     with pytest.raises(ValueError, match=message):
         circ.run_batch(as_stack([basis_state(2).density()] * 2), layers, NoiseModel())
+
+
+def test_a_negative_target_is_refused_when_the_gate_is_made():
+    # the gate refuses it when made, so run_batch never sees a negative target
+    with pytest.raises(ValueError, match=re.escape("x targets must be >= 0, got -1")):
+        circ.x(-1)
 
 
 def test_collect_needs_a_seed_path_per_state():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,15 +86,15 @@ class TestRunPure:
 class TestGates:
     @pytest.mark.parametrize("kind, targets, angle, message", [
         ("foo", (0,), None, "unknown gate kind"),
-        ("rx", (0,), None, "finite real angle"),
-        ("rx", (0,), math.nan, "finite real angle"),
-        ("ry", (0,), math.inf, "finite real angle"),
-        ("cry", (0, 1), -math.inf, "finite real angle"),
-        ("ry", (0,), np.float64("nan"), "finite real angle"),
-        ("rx", (0,), True, "finite real angle"),
-        ("rx", (0,), 1 + 0j, "finite real angle"),
-        ("ry", (0,), "0.3", "finite real angle"),
-        ("cry", (0, 1), 10**400, "finite real angle"),
+        ("rx", (0,), None, "rx angle must be a real number, got {angle!r}"),
+        ("rx", (0,), math.nan, "rx angle must be finite, got {angle!r}"),
+        ("ry", (0,), math.inf, "ry angle must be finite, got {angle!r}"),
+        ("cry", (0, 1), -math.inf, "cry angle must be finite, got {angle!r}"),
+        ("ry", (0,), np.float64("nan"), "ry angle must be finite, got {angle!r}"),
+        ("rx", (0,), True, "rx angle must be a real number, got {angle!r}"),
+        ("rx", (0,), 1 + 0j, "rx angle must be a real number, got {angle!r}"),
+        ("ry", (0,), "0.3", "ry angle must be a real number, got {angle!r}"),
+        ("cry", (0, 1), 10**400, "cry angle must be finite, got {angle!r}"),
         ("x", (0,), 0.3, "takes no angle"),
         ("h", (0,), 0.0, "takes no angle"),
         ("cnot", (0, 1), 1.0, "takes no angle"),
@@ -103,7 +104,8 @@ class TestGates:
         ("h", (), None, "1 distinct"),
     ])
     def test_invalid_gate_rejected_at_construction(self, kind, targets, angle, message):
-        with pytest.raises(ValueError, match=message):
+        # an angle's message quotes its repr, which numpy 2 changed for its scalars
+        with pytest.raises(ValueError, match=re.escape(message.format(angle=angle))):
             Gate(kind, targets, angle)
 
     def test_any_finite_real_angle_accepted(self):

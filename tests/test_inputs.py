@@ -1,19 +1,23 @@
 """One checked-number rule at every entry point that takes a number.
 
 Each numeric argument of each entry point is read by ``qmath._real`` or
-``qmath._integer``. For every such argument:
+``qmath._integer``, and each qubit index by ``qmath._qubits``. For every
+such argument:
 
 * a numpy scalar gives the object its built-in twin gives, and that object
   is valid JSON: a numpy scalar's repr differs between numpy 1.24 and 2,
   and json cannot encode a numpy integer;
 * a bool, a string, NaN, an infinity and an out-of-range value raise
-  ValueError naming the argument, before any stage of a sweep runs.
+  ValueError naming the argument, before any stage of a sweep runs; a
+  qubit index is refused for a non-integer real, a numpy bool and a repeat
+  too, before any evolution, marginal or draw.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +30,8 @@ from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state
-from qndsim.qmath import DensityMatrix, StateVector, basis_state
+from qndsim.qmath import (
+    DensityMatrix, StateVector, basis_state, fidelity, matrix_sqrt_psd, partial_trace)
 
 PLUS = as_stack([StateVector(1, np.full(2, math.sqrt(0.5)))])
 
@@ -110,7 +115,7 @@ NUMPY = {REAL: (np.float64(0.25), np.int64(1)), INTEGER: (np.int64(2), np.uint32
 BAD = (True, False, "1", math.nan, math.inf, -math.inf)
 
 # the name a message gives an argument, where it is not the entry's last word
-NAMES = {"SweepConfig.shots exact": "shots", "Gate.angle": "ry needs a finite real angle",
+NAMES = {"SweepConfig.shots exact": "shots", "Gate.angle": "ry angle",
          "basis_state.index": "basis index", "check-identity --grid": "--grid"}
 
 
@@ -128,6 +133,88 @@ def test_a_bad_value_is_refused_before_any_work(entry, capsys):
     kind, call, out_of_range = ENTRY_POINTS[entry]
     name = NAMES.get(entry, entry.split(".")[-1])
     for value in BAD + out_of_range:
-        with pytest.raises(ValueError, match=name):
+        # every rule's message starts "<name> must be"
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
             call(value)
     assert all(cache.cache_info().misses == 0 for cache in STAGE_CACHES)
+
+
+MIXED = np.eye(8)[None] / 8  # a one-state 3-qubit density stack
+COUNTS = np.arange(8).reshape(1, 8)  # one row of 3-bit outcome counts
+
+# name: (the entry point called with one qubit index, the name its message
+# gives the argument, the register size, and the index the entry point is
+# given beside it, which a repeat of it must not be; None where it takes one)
+INDEX_ENTRY_POINTS = {
+    "Gate.targets": (lambda q: circ.Gate("cnot", (0, q)).targets, "cnot targets", 4, 0),
+    "rx.qubit": (lambda q: circ.rx(q, 0.5).targets, "rx targets", 4, None),
+    "ry.qubit": (lambda q: circ.ry(q, 0.5).targets, "ry targets", 4, None),
+    "x.qubit": (lambda q: circ.x(q).targets, "x targets", 4, None),
+    "h.qubit": (lambda q: circ.h(q).targets, "h targets", 4, None),
+    "cnot.target": (lambda q: circ.cnot(0, q).targets, "cnot targets", 4, 0),
+    "cry.control": (lambda q: circ.cry(q, 0, 0.5).targets, "cry targets", 4, 0),
+    "Circuit.gates": (lambda q: [g.targets for g in Circuit(2, (circ.h(0), circ.x(q))).gates],
+                      "x targets", 2, None),
+    "partial_trace.keep": (lambda q: partial_trace(MIXED, (0, q)).real.tolist(), "keep", 3, 0),
+    "exact_probabilities.measured_qubits": (
+        lambda q: circ.exact_probabilities(MIXED, (0, q)).tolist(), "measured_qubits", 3, 0),
+    "sample_counts.measured_qubits": (
+        lambda q: circ.sample_counts(MIXED, (0, q), 10, 0, [()]).tolist(), "measured_qubits",
+        3, 0),
+    "postselect_counts.ancilla_positions": (
+        lambda q: circ.postselect_counts(COUNTS, (0, q), "01").tolist(), "ancilla_positions",
+        3, 0),
+}
+
+BAD_INDICES = (True, False, np.bool_(True), 0.5, 1.0, math.nan, "1", -1)
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_a_numpy_index_gives_its_builtin_twin(entry):
+    # numpy 1.24 and numpy 2 must both read a numpy integer index as its
+    # built-in twin; json refuses a numpy integer left in the result
+    call = INDEX_ENTRY_POINTS[entry][0]
+    expected = call(1)
+    for scalar in (np.int64(1), np.uint8(1)):
+        got = call(scalar)
+        assert got == expected, entry
+        assert json.dumps(got) == json.dumps(expected), entry
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_a_bad_index_is_refused_before_any_work(entry, monkeypatch):
+    call, name, register, beside = INDEX_ENTRY_POINTS[entry]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for stage in ("_evolve_pure", "_evolve_density", "partial_trace", "sample_batch"):
+        monkeypatch.setattr(circ, stage, no_work)
+    for value in BAD_INDICES:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            call(value)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be at most {register - 1}, "
+                                                   f"got {register}")):
+        call(register)
+    if beside is not None:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 2 distinct qubits")):
+            call(beside)
+
+
+def test_a_gate_stores_its_targets_as_a_tuple_of_builtin_ints():
+    gate = circ.Gate("x", [np.int64(0)])
+    assert gate.targets == (0,) and type(gate.targets[0]) is int
+    out = circ.run_pure(Circuit(1, (gate,)), basis_state(1))
+    assert out.amplitudes.tolist() == [0, 1]
+
+
+def test_a_non_finite_matrix_has_no_root():
+    m = np.diag([np.inf, 0.0])
+    for call in (matrix_sqrt_psd, lambda a: fidelity(a, np.eye(2) / 2)):
+        with pytest.raises(ValueError, match="^matrix must be finite and Hermitian"):
+            call(m)
+
+
+def test_an_outcome_that_is_not_a_string_is_refused():
+    with pytest.raises(ValueError, match="^outcome must be a bitstring with one bit per"):
+        circ.postselect_counts(COUNTS, (0,), 0)
