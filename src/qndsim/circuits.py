@@ -27,10 +27,8 @@ outcome i at index i.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -82,19 +80,10 @@ class Gate:
 
     def local_matrix(self) -> np.ndarray:
         """The 2x2 matrix of a single-qubit gate (controlled kinds have none)."""
-        t = self.angle
-        if self.kind == "rx":
-            return np.array(
-                [[math.cos(t / 2), -1j * math.sin(t / 2)],
-                 [-1j * math.sin(t / 2), math.cos(t / 2)]],
-                dtype=complex,
-            )
-        if self.kind == "ry":
-            return np.array(
-                [[math.cos(t / 2), -math.sin(t / 2)],
-                 [math.sin(t / 2), math.cos(t / 2)]],
-                dtype=complex,
-            )
+        if self.kind in ("rx", "ry"):
+            c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
+            rows = [[c, -1j * s], [-1j * s, c]] if self.kind == "rx" else [[c, -s], [s, c]]
+            return np.array(rows, dtype=complex)
         if self.kind == "x":
             return PAULI_X
         if self.kind == "h":
@@ -128,13 +117,16 @@ def cry(control: int, target: int, angle: float) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on 1 to 4 qubit wires; ``qmath._qubits`` reads each target."""
+    """Ordered gates, a tuple (or list) of ``Gate`` stored as a tuple, on 1 to 4 qubit wires."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", _integer("num_qubits", self.num_qubits, 1, 4))
+        if not (isinstance(self.gates, (tuple, list))
+                and all(isinstance(g, Gate) for g in self.gates)):
+            raise ValueError(f"gates must be a tuple of Gate, got {self.gates!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             _qubits(f"{g.kind} targets", g.targets, self.num_qubits)
@@ -168,6 +160,13 @@ class NoiseModel:
         for name, v in (("depol_1q", depol_1q), ("depol_2q", depol_2q),
                         ("readout_flip", readout_flip)):
             object.__setattr__(self, name, _real(name, v, 0.0, 1.0) if enabled else 0.0)
+
+
+def _noise_model(noise) -> NoiseModel:
+    """``noise`` itself; raises ValueError unless it is a ``NoiseModel``."""
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
+    return noise
 
 
 @lru_cache(maxsize=256)
@@ -319,9 +318,10 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
     ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
     and initial state. The structure is checked before any work: the
     stack's shape, one entry per slice in every layer, the gates' qubits,
-    one support per layer, and the noise. The states are not validated, in or out: ``run_pure``
-    and ``run_noisy`` validate theirs, and property tests pin the engine.
+    one support per layer, and the noise, a ``NoiseModel``. The states are not validated, in
+    or out: ``run_pure`` and ``run_noisy`` validate theirs, and property tests pin the engine.
     """
+    noise = _noise_model(noise)
     # a C-ordered copy, evolved in place: a slice's products round by its
     # layout, and order "K" would put a broadcast input's batch axis last
     states = np.array(initial, dtype=complex, order="C")
@@ -426,28 +426,21 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_words(seed_paths, rows: int) -> np.ndarray:
-    """The paths as one (rows, W) uint32 array: a path of W elements, each
-    one 32-bit word, is the spawn key SeedSequence hashes as W words.
-
-    Raises ValueError unless there is one path per row, every path has the
-    same length, and every element is an integer (not a bool) in
-    0..2**32 - 1.
-    """
-    paths = [tuple(p) for p in seed_paths]
-    if len(paths) != rows:
-        raise ValueError(f"{len(paths)} seed paths for {rows} rows")
-    width = len(paths[0]) if paths else 0
-    if any(len(p) != width for p in paths):
-        raise ValueError("seed paths must all have the same length")
-    flat = [v for path in paths for v in path]
-    for kind in set(map(type, flat)):
-        if issubclass(kind, bool) or not issubclass(kind, numbers.Integral):
-            raise ValueError(f"seed path elements must be integers, got {kind.__name__}")
-    values = [int(v) for v in flat]
-    if values and not (min(values) >= 0 and max(values) <= _MASK32):
+def _seed_words(seed_paths, rows: int, unit: str = "rows") -> np.ndarray:
+    """The paths, a (rows, W) ndarray of an integer dtype, as the uint32
+    words SeedSequence hashes; raises ValueError for any other form, a row
+    count other than ``rows`` or an element outside 0..2**32 - 1."""
+    if not isinstance(seed_paths, np.ndarray) or seed_paths.ndim != 2:
+        form = getattr(seed_paths, "shape", type(seed_paths).__name__)
+        raise ValueError(f"seed paths must be a (rows, W) integer array, got {form}")
+    if seed_paths.dtype.kind not in "iu":
+        raise ValueError(f"seed path elements must be integers, got dtype {seed_paths.dtype}")
+    if len(seed_paths) != rows:
+        raise ValueError(f"{len(seed_paths)} seed paths for {rows} {unit}")
+    # built-in ints: numpy 1.24 compares a uint64 with an int through float
+    if seed_paths.size and not 0 <= int(seed_paths.min()) <= int(seed_paths.max()) <= _MASK32:
         raise ValueError("seed path elements must be in 0..2**32 - 1")
-    return np.array(values, dtype=np.uint32).reshape(rows, width)
+    return seed_paths.astype(np.uint32)
 
 
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
@@ -486,20 +479,19 @@ MAX_SHOTS = 2**63 - 1
 
 
 def sample_batch(
-    probs: np.ndarray, shots: int, master_seed: int, seed_paths: Sequence[tuple[int, ...]]
+    probs: np.ndarray, shots: int, master_seed: int, seed_paths: np.ndarray
 ) -> np.ndarray:
     """One multinomial draw per row of a (B, 2^m) stack of outcome
     distributions. Row i draws from exactly the stream of
-    ``default_rng(SeedSequence(master_seed, spawn_key=seed_paths[i]))``;
-    an empty path is the stream of ``default_rng(master_seed)``. Returns
-    the (B, 2^m) integer counts.
+    ``default_rng(SeedSequence(master_seed, spawn_key=tuple(seed_paths[i])))``
+    of the (B, W) integer array of paths; a (B, 0) one draws from
+    ``default_rng(master_seed)``'s. Returns the (B, 2^m) integer counts.
 
-    The paths all have one length, with every element in 0..2**32 - 1.
     Every row's seed is hashed in one array pass, and one generator is
     re-seeded per row, so a call costs one SeedSequence however many rows
     it draws. The shot count (1..MAX_SHOTS), the master seed (>= 0), the
     stack (2-D, every row nonnegative and finite with a positive total) and
-    the seed paths are checked before any draw.
+    the paths (``_seed_words``) are checked before any draw.
     """
     shots = _integer("shots", shots, 1, MAX_SHOTS)
     master_seed = _integer("master_seed", master_seed, 0)
@@ -535,7 +527,7 @@ def sample_counts(
     measured_qubits,
     shots: int,
     master_seed: int,
-    seed_paths: Sequence[tuple[int, ...]],
+    seed_paths: np.ndarray,
     readout_flip: float = 0.0,
 ) -> np.ndarray:
     """Multinomial draws from the distributions ``exact_probabilities``

@@ -60,10 +60,12 @@ as one stack), so memory depends on the block size, not the sweep length.
 
 Every random draw comes from a stream derived from its seed path: a
 tomography setting's from (master_seed, stage, point, setting), the
-ancilla readout's from (master_seed, 0, point), which has no setting. No
-path holds the observable, so the observables of one setting draw the
-same data. Results are byte-reproducible regardless of execution order and
-block layout, and each stage draws a whole block in one call.
+ancilla readout's from (master_seed, 0, point), which has no setting; a
+stage passes a block's paths as one (P, 2) integer array (``_block_paths``),
+the form every draw takes. No path holds the observable, so the observables
+of one setting draw the same data. Results are byte-reproducible regardless
+of execution order and block layout, and each stage draws a whole block in
+one call.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class SweepConfig:
     Each number, numpy scalars included, is checked by ``qmath._real`` or
     ``qmath._integer`` and stored as the built-in ``float`` or ``int`` it
     returns, so an integer given for an angle is stored, written and echoed
-    as a float. ``shots`` is 1..2**63 - 1, or any count >= 0 in exact mode.
+    as a float. ``shots`` is 1..2**63 - 1, or any count >= 0 in exact mode,
+    and ``noise`` a ``NoiseModel``.
     """
 
     observable: str
@@ -156,6 +159,7 @@ class SweepConfig:
         low, high = (0, math.inf) if self.exact_mode else (1, circ.MAX_SHOTS)
         store("shots", _integer("shots", self.shots, low, high))
         store("master_seed", _integer("master_seed", self.master_seed, 0))
+        circ._noise_model(self.noise)
 
     @property
     def theta_resolved(self) -> float:
@@ -300,6 +304,11 @@ def _prepare_input(
     return target, probs, theory
 
 
+def _block_paths(stage: int, indices: tuple[int, ...]) -> np.ndarray:
+    """The (P, 2) integer array of a block's seed paths (stage, index)."""
+    return np.column_stack([np.full(len(indices), stage, dtype=np.int64), indices])
+
+
 @lru_cache(maxsize=PREPARED_BLOCKS)
 def _input_analysis(
     params: tuple[ex.PrepParams, ...],
@@ -318,7 +327,7 @@ def _input_analysis(
         data = probs
     else:
         shots, master_seed, indices = draw
-        data = tom.collect(probs, shots, master_seed, [(1, index) for index in indices])
+        data = tom.collect(probs, shots, master_seed, _block_paths(1, indices))
     # one linear estimate per input data set, analyzed as one stack
     est = np.stack([tom.linear_reconstruct(d).projected.matrix for d in data])
     est.flags.writeable = False
@@ -440,8 +449,8 @@ def _output_analysis(
     else:
         shots, ms, indices = draw
         anc_stats = circ.sample_counts(block.readout, setting.ancilla_qubits,
-                                       shots, ms, [(0, index) for index in indices], flip)
-        data_out = tom.collect(block.probs_out, shots, ms, [(2, index) for index in indices])
+                                       shots, ms, _block_paths(0, indices), flip)
+        data_out = tom.collect(block.probs_out, shots, ms, _block_paths(2, indices))
     return OutputAnalysis(ex.estimate_observable(setting, anc_stats),
                           *_output_tomography(setting, data_out, block))
 

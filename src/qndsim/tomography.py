@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -182,25 +181,24 @@ def setting_probabilities(states: np.ndarray, noise: NoiseModel = NoiseModel()) 
 
 
 def collect(
-    probs: np.ndarray, shots: int, master_seed: int, seed_paths: Sequence[tuple[int, ...]]
+    probs: np.ndarray, shots: int, master_seed: int, seed_paths: np.ndarray
 ) -> np.ndarray:
     """Sample every setting of every state, one derived RNG stream per setting.
 
     ``probs`` is a (states, settings, 2^n) stack of outcome distributions
-    (``setting_probabilities``) and ``seed_paths`` lists one path per
-    state: setting k of state i draws from stream (master_seed,
+    (``setting_probabilities``) and ``seed_paths`` a (states, W) integer
+    array: setting k of state i draws from stream (master_seed,
     *seed_paths[i], k). Returns the integer counts, shaped like ``probs``.
-    ``sample_batch`` checks the shots and the paths before any draw.
+    The paths and the shots are checked before any draw.
     """
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise ValueError(f"need (states, settings, 2^n) probabilities, got shape {probs.shape}")
-    paths = [tuple(p) for p in seed_paths]
-    if len(paths) != len(probs):
-        raise ValueError(f"{len(paths)} seed paths for {len(probs)} states")
+    words = circ._seed_words(seed_paths, len(probs), "states")
     # every setting of every state in one draw: its streams are seeded together
-    settings = probs.shape[1]
-    rows = [(*path, k) for path in paths for k in range(settings)]
+    states, settings = probs.shape[:2]
+    rows = np.column_stack([np.repeat(words, settings, axis=0),
+                            np.tile(np.arange(settings, dtype=np.uint32), states)])
     counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, master_seed, rows)
     return counts.reshape(probs.shape)
 

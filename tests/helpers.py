@@ -95,6 +95,18 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def path_array(paths) -> np.ndarray:
+    """Equal-length seed paths as the (rows, W) integer array every draw
+    takes; ``[()]`` is the one-row (1, 0) array of the master seed's own
+    stream."""
+    return np.array(list(paths), dtype=np.int64)
+
+
+NO_PATH = path_array([()])
+"""One row's empty seed path, a (1, 0) array: the master seed's own stream."""
+NO_PATH.flags.writeable = False
+
+
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     """numpy's own generator for a point in the seed tree: the stream
     ``circuits.sample_batch`` must reproduce for that row's seed path."""
@@ -113,7 +125,7 @@ def tomography_data(
     probs = tom.setting_probabilities(as_stack([state]), noise)
     if shots is None:
         return probs[0]
-    return tom.collect(probs, shots, master_seed, [seed_path])[0]
+    return tom.collect(probs, shots, master_seed, path_array([seed_path]))[0]
 
 
 def tomograph(

@@ -37,6 +37,7 @@ CLI = "src/qndsim/cli.py"
 EXPERIMENTS = "src/qndsim/experiments.py"
 HARNESS = "src/qndsim/harness.py"
 QMATH = "src/qndsim/qmath.py"
+TOMOGRAPHY = "src/qndsim/tomography.py"
 
 MUTANTS = (
     Mutant(
@@ -58,14 +59,14 @@ MUTANTS = (
     ),
     Mutant(
         "input analysis ignores the master seed", HARNESS,
-        "tom.collect(probs, shots, master_seed, [(1, index) for index in indices])",
-        "tom.collect(probs, shots, 0, [(1, index) for index in indices])",
+        "tom.collect(probs, shots, master_seed, _block_paths(1, indices))",
+        "tom.collect(probs, shots, 0, _block_paths(1, indices))",
         "tests/test_blocks.py",
     ),
     Mutant(
         "output streams restart per block", HARNESS,
-        "[(2, index) for index in indices]",
-        "[(2, r) for r in range(len(indices))]",
+        "_block_paths(2, indices)",
+        "_block_paths(2, range(len(indices)))",
         "tests/test_blocks.py",
     ),
     Mutant(
@@ -433,6 +434,53 @@ MUTANTS = (
         "the readout flip dropped", CIRCUITS,
         "    if readout_flip > 0.0:\n", "    if False:\n",
         "tests/test_streams.py",
+    ),
+    Mutant(
+        "a bool array of seed paths drawn as integers", CIRCUITS,
+        "    if seed_paths.dtype.kind not in \"iu\":\n",
+        "    if seed_paths.dtype.kind not in \"iub\":\n",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "fewer seed paths than rows taken", CIRCUITS,
+        "    if len(seed_paths) != rows:\n", "    if len(seed_paths) > rows:\n",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "seed path elements beyond 32 bits wrapped", CIRCUITS,
+        "int(seed_paths.max()) <= _MASK32:", "int(seed_paths.max()) <= 2**64 - 1:",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "a negative seed path element wrapped", CIRCUITS,
+        "not 0 <= int(seed_paths.min())", "not -1 <= int(seed_paths.min())",
+        "tests/test_streams.py",
+    ),
+    Mutant(
+        "the noise check refuses only None", CIRCUITS,
+        "    if not isinstance(noise, NoiseModel):\n", "    if noise is None:\n",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "a sweep config takes any noise", HARNESS,
+        "        circ._noise_model(self.noise)\n", "",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "a circuit takes gates that are not gates", CIRCUITS,
+        "and all(isinstance(g, Gate) for g in self.gates)", "and True",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "the tomography readout ignores the readout flip", TOMOGRAPHY,
+        "_outcome_distribution(stack, every_qubit, noise.readout_flip)",
+        "_outcome_distribution(stack, every_qubit, 0.0)",
+        "tests/test_reference.py",
+    ),
+    Mutant(
+        "the R setting's pre-rotation turned the wrong way", TOMOGRAPHY,
+        "    \"R\": partial(rx, angle=math.pi / 2),", "    \"R\": partial(rx, angle=-math.pi / 2),",
+        "tests/test_reference.py",
     ),
 )
 

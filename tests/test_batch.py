@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    as_stack, random_circuit, random_density_matrix, random_pure_state, rng_stream,
+    as_stack, path_array, random_circuit, random_density_matrix, random_pure_state, rng_stream,
 )
 from qndsim import circuits as circ
 from qndsim import tomography as tom
@@ -108,7 +108,7 @@ def test_batched_settings_match_per_setting_loop(seed, num_qubits, kind, pure, d
     stack = circ.run_batch(as_stack([state] * 16), tom._PRE_ROTATION_LAYERS, noise)
     probs = circ._marginal_probabilities(stack, range(num_qubits))
     counts = tom.collect(tom.setting_probabilities(as_stack([state]), noise), 300, seed,
-                         [(2, 5)])[0]
+                         path_array([(2, 5)]))[0]
     assert len(stack) == len(counts) == 16
     for k, setting in enumerate(ts):
         pre = Circuit(num_qubits, setting.pre_rotation().gates)

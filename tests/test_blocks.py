@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    STAGE_CACHES, as_stack, clear_stage_caches, full_circuit, marginalize_counts,
+    STAGE_CACHES, as_stack, clear_stage_caches, full_circuit, marginalize_counts, path_array,
     postselect_branch, random_circuit, random_density_matrix, random_pure_state, rng_stream,
     theory_value, tomograph, tuple_branch_data, tuple_output_mixture,
 )
@@ -89,7 +89,8 @@ def _reference_output(config, setting, out_state, index, ideal, key, rho_psi_the
         rho = est.projected.matrix[None]
         return (float(observable_set(rho)[key][0]),
                 float(fidelity(rho_psi_theory[None], rho)[0]), branches)
-    counts = tom.collect(probs[None], config.shots, config.master_seed, [(2, index)])[0]
+    counts = tom.collect(probs[None], config.shots, config.master_seed,
+                         path_array([(2, index)]))[0]
     data = [marginalize_counts(counts, (0, 1))]
     selected = []
     for b in ideal:
@@ -606,12 +607,12 @@ def test_collect_from_a_stack_of_states(seed, count, pure, num_qubits):
     noise = NoiseModel(readout_flip=0.05) if pure else NoiseModel(0.01, 0.05, 0.05)
     paths = [(1, int(i)) for i in rng.permutation(count)]
     probs = tom.setting_probabilities(as_stack(states), noise)
-    counts = tom.collect(probs, 200, seed, paths)
+    counts = tom.collect(probs, 200, seed, path_array(paths))
     assert counts.shape == probs.shape == (count, 16, 2**num_qubits)
     for state, path, got, got_probs in zip(states, paths, counts, probs):
         one = tom.setting_probabilities(as_stack([state]), noise)
         assert np.array_equal(got_probs, one[0])
-        assert np.array_equal(got, tom.collect(one, 200, seed, [path])[0])
+        assert np.array_equal(got, tom.collect(one, 200, seed, path_array([path]))[0])
 
 
 @pytest.mark.parametrize("states, message", [
@@ -661,7 +662,7 @@ def test_a_negative_target_is_refused_when_the_gate_is_made():
 def test_collect_needs_a_seed_path_per_state():
     psi = basis_state(2)
     with pytest.raises(ValueError, match="1 seed paths for 2 states"):
-        tom.collect(tom.setting_probabilities(as_stack([psi, psi])), 10, 0, [(1, 0)])
+        tom.collect(tom.setting_probabilities(as_stack([psi, psi])), 10, 0, path_array([(1, 0)]))
 
 
 def test_sweep_memory_is_bounded_by_the_block():

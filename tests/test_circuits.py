@@ -10,8 +10,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
-    _postselect_or_raise, _ZeroWeight, as_stack, marginalize_counts, pauli_twirl, random_circuit,
-    random_density_matrix, random_pure_state, rng_stream, simulated_branches,
+    NO_PATH, _postselect_or_raise, _ZeroWeight, as_stack, marginalize_counts, pauli_twirl,
+    random_circuit, random_density_matrix, random_pure_state, rng_stream, simulated_branches,
 )
 from qndsim.circuits import (
     Circuit,
@@ -244,46 +244,46 @@ class TestDepolarize:
 
 class TestSampling:
     def test_deterministic_ground_state(self):
-        counts = sample_counts(as_stack([basis_state(1)]), (0,), 100, 0, [()])[0]
+        counts = sample_counts(as_stack([basis_state(1)]), (0,), 100, 0, NO_PATH)[0]
         assert counts.tolist() == [100, 0]
 
     def test_plus_state_frequency(self):
         plus = run_pure(Circuit(1, (h(0),)), basis_state(1))
-        counts = sample_counts(as_stack([plus]), (0,), 5000, 5, [()])[0]
+        counts = sample_counts(as_stack([plus]), (0,), 5000, 5, NO_PATH)[0]
         # 3 sigma band for a fair coin at 5000 shots
         assert abs(counts[1] / 5000 - 0.5) < 3 * math.sqrt(0.25 / 5000)
 
     def test_bell_state_only_correlated_outcomes(self):
         bell = run_pure(bell_circuit(), basis_state(2))
-        counts = sample_counts(as_stack([bell]), (0, 1), 2000, 7, [()])[0]
+        counts = sample_counts(as_stack([bell]), (0, 1), 2000, 7, NO_PATH)[0]
         assert np.flatnonzero(counts).tolist() == [0b00, 0b11]
 
     def test_same_seed_same_counts(self):
         psi = random_pure_state(np.random.default_rng(24), 2)
-        a = sample_counts(as_stack([psi]), (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
-        b = sample_counts(as_stack([psi]), (0, 1), 1000, 99, [()], readout_flip=0.02)[0]
+        a = sample_counts(as_stack([psi]), (0, 1), 1000, 99, NO_PATH, readout_flip=0.02)[0]
+        b = sample_counts(as_stack([psi]), (0, 1), 1000, 99, NO_PATH, readout_flip=0.02)[0]
         assert np.array_equal(a, b)
 
     def test_large_sample_matches_exact_probabilities(self):
         rng = np.random.default_rng(25)
         psi = random_pure_state(rng, 2)
         shots = 10**6
-        counts = sample_counts(as_stack([psi]), (0, 1), shots, 1, [()])[0]
+        counts = sample_counts(as_stack([psi]), (0, 1), shots, 1, NO_PATH)[0]
         exact = exact_probabilities(as_stack([psi]), (0, 1))[0]
         for i, p in enumerate(exact):
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[i] / shots - p) < 5 * max(sigma, 1e-6)
 
     def test_readout_flip_changes_distribution(self):
-        counts = sample_counts(as_stack([basis_state(1)]), (0,), 10000, 3, [()],
+        counts = sample_counts(as_stack([basis_state(1)]), (0,), 10000, 3, NO_PATH,
                                readout_flip=0.1)[0]
         assert abs(counts[1] / 10000 - 0.1) < 0.02
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            sample_counts(as_stack([basis_state(1)]), (), 10, 0, [()])
+            sample_counts(as_stack([basis_state(1)]), (), 10, 0, NO_PATH)
         with pytest.raises(ValueError):
-            sample_counts(as_stack([basis_state(1)]), (0,), 0, 0, [()])
+            sample_counts(as_stack([basis_state(1)]), (0,), 0, 0, NO_PATH)
 
 
 class TestExactProbabilities:
@@ -313,7 +313,7 @@ class TestExactProbabilities:
         psi = random_pure_state(np.random.default_rng(28), 3)
         p = exact_probabilities(as_stack([psi]), (2, 0), 0.07)[0]
         want = np.random.default_rng(5).multinomial(1000, p / p.sum())
-        got = sample_counts(as_stack([psi]), (2, 0), 1000, 5, [()], readout_flip=0.07)[0]
+        got = sample_counts(as_stack([psi]), (2, 0), 1000, 5, NO_PATH, readout_flip=0.07)[0]
         assert np.array_equal(got, want)
 
     def test_density_matrix_input_agrees_with_pure(self):

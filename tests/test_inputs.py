@@ -11,6 +11,11 @@ such argument:
   ValueError naming the argument, before any stage of a sweep runs; a
   qubit index is refused for a non-integer real, a numpy bool and a repeat
   too, before any evolution, marginal or draw.
+
+A noise model and a circuit's gates are checked for their type the same
+way: anything but a ``NoiseModel``, or a tuple or list of ``Gate``, raises
+ValueError naming the argument before any work, where it used to fail
+later with a TypeError or an AttributeError.
 """
 
 import argparse
@@ -22,14 +27,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import STAGE_CACHES, as_stack
+from helpers import NO_PATH, STAGE_CACHES, as_stack
 from qndsim import circuits as circ
 from qndsim import cli
 from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel
-from qndsim.harness import SweepConfig, repeat_fixed_state
+from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol
 from qndsim.qmath import (
     DensityMatrix, StateVector, basis_state, fidelity, matrix_sqrt_psd, partial_trace)
 
@@ -93,15 +98,15 @@ ENTRY_POINTS = {
     "exact_probabilities.readout_flip": (
         REAL, lambda v: circ.exact_probabilities(PLUS, (0,), v).tolist(), (-0.1, 1.5)),
     "sample_counts.readout_flip": (
-        REAL, lambda v: circ.sample_counts(PLUS, (0,), 10, 0, [()], v).tolist(), (-0.1, 1.5)),
+        REAL, lambda v: circ.sample_counts(PLUS, (0,), 10, 0, NO_PATH, v).tolist(), (-0.1, 1.5)),
     "sample_batch.shots": (
-        INTEGER, lambda v: circ.sample_batch(np.full((1, 2), 0.5), v, 0, [()]).tolist(),
+        INTEGER, lambda v: circ.sample_batch(np.full((1, 2), 0.5), v, 0, NO_PATH).tolist(),
         (0, 2**63)),
     "sample_batch.master_seed": (
-        INTEGER, lambda v: circ.sample_batch(np.full((1, 2), 0.5), 10, v, [()]).tolist(),
+        INTEGER, lambda v: circ.sample_batch(np.full((1, 2), 0.5), 10, v, NO_PATH).tolist(),
         (-1,)),
     "collect.shots": (
-        INTEGER, lambda v: tom.collect(np.full((1, 16, 4), 0.25), v, 0, [()]).tolist(),
+        INTEGER, lambda v: tom.collect(np.full((1, 16, 4), 0.25), v, 0, NO_PATH).tolist(),
         (0, 2**63)),
     "repeat_fixed_state.repetitions": (INTEGER, _repeat, (0, 2**32 + 1)),
     "visibility_identity_check.atol": (
@@ -159,7 +164,7 @@ INDEX_ENTRY_POINTS = {
     "exact_probabilities.measured_qubits": (
         lambda q: circ.exact_probabilities(MIXED, (0, q)).tolist(), "measured_qubits", 3, 0),
     "sample_counts.measured_qubits": (
-        lambda q: circ.sample_counts(MIXED, (0, q), 10, 0, [()]).tolist(), "measured_qubits",
+        lambda q: circ.sample_counts(MIXED, (0, q), 10, 0, NO_PATH).tolist(), "measured_qubits",
         3, 0),
     "postselect_counts.ancilla_positions": (
         lambda q: circ.postselect_counts(COUNTS, (0, q), "01").tolist(), "ancilla_positions",
@@ -218,3 +223,45 @@ def test_a_non_finite_matrix_has_no_root():
 def test_an_outcome_that_is_not_a_string_is_refused():
     with pytest.raises(ValueError, match="^outcome must be a bitstring with one bit per"):
         circ.postselect_counts(COUNTS, (0,), 0)
+
+
+NOT_NOISE = ({"depol_1q": 0.1}, None, 0.1, "noisy", NoiseModel)
+
+
+@pytest.mark.parametrize("noise", NOT_NOISE, ids=["dict", "None", "float", "str", "class"])
+def test_a_noise_that_is_not_a_noise_model_is_refused(noise, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for stage in ("_evolve_pure", "_evolve_density"):
+        monkeypatch.setattr(circ, stage, no_work)
+    message = f"^noise must be a NoiseModel, got {re.escape(repr(noise))}$"
+    calls = (
+        lambda: SweepConfig("VA", noise=noise),
+        lambda: run_criteria_protocol([0], observables=("VA",), phi_count=2, noise=noise),
+        lambda: circ.run_batch(as_stack([basis_state(1).density()]), [(circ.x(0),)], noise),
+        lambda: circ.run_batch(as_stack([basis_state(1)]), [(circ.x(0),)], noise),
+        lambda: circ.run_noisy(Circuit(1, (circ.x(0),)), basis_state(1).density(), noise),
+        lambda: tom.setting_probabilities(as_stack([basis_state(2)]), noise),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert all(cache.cache_info().misses == 0 for cache in STAGE_CACHES)
+
+
+@pytest.mark.parametrize("gates", [(("ry", 0),), (circ.x(0), "h"), (None,), circ.x(0),
+                                   "x", {circ.x(0)}],
+                         ids=["kind and qubit", "a string among gates", "None", "a bare gate",
+                              "a string", "a set"])
+def test_gates_that_are_not_gates_are_refused(gates):
+    with pytest.raises(ValueError, match="^gates must be a tuple of Gate, got "):
+        Circuit(2, gates)
+
+
+def test_a_circuit_stores_its_gates_as_a_tuple():
+    gates = [circ.x(0), circ.h(1)]
+    circuit = Circuit(2, gates)
+    gates.append(circ.x(1))
+    assert type(circuit.gates) is tuple and circuit.gates == (circ.x(0), circ.h(1))
+    assert hash(circuit) == hash(Circuit(2, (circ.x(0), circ.h(1))))

@@ -4,11 +4,13 @@ path draws (``helpers.rng_stream``), bit for bit.
 
 The bulk hash reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
 which numpy's stream-compatibility policy fixes; these tests are the ones
-to run against the oldest supported numpy. A call's seed paths all have one
-length, with every element one 32-bit word (0..2**32 - 1); master seeds
-may have any number of words. Any other path is refused before any draw,
-and the sweep and repeat configs bound their point counts so that every
-point index is such a word.
+to run against the oldest supported numpy. A call's seed paths are one
+(rows, W) integer array, every element one 32-bit word (0..2**32 - 1);
+master seeds may have any number of words. Any other form or element is
+refused before any draw, its bounds compared as built-in ints, which
+numpy 1.24 would otherwise compare with a uint64 through float; and the
+sweep and repeat configs bound their point counts so that every point
+index is such a word.
 
 A pooled G-test checks the draws as distributions, which no stream layout
 changes: each row's counts against the distribution it was drawn from.
@@ -22,7 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import as_stack, full_circuit, random_density_matrix, random_pure_state, rng_stream
+from helpers import (
+    as_stack, full_circuit, path_array, random_density_matrix, random_pure_state, rng_stream)
 from qndsim import circuits as circ
 from qndsim import cli, harness
 from qndsim import experiments as ex
@@ -38,7 +41,7 @@ def _oracle(probs: np.ndarray, shots: int, master_seed: int, paths) -> np.ndarra
 
 
 def _assert_rows_match(probs, shots, master_seed, paths):
-    got = circ.sample_batch(probs, shots, master_seed, paths)
+    got = circ.sample_batch(probs, shots, master_seed, path_array(paths))
     want = _oracle(probs, shots, master_seed, paths)
     assert got.dtype == want.dtype
     for row, (g, w) in enumerate(zip(got, want)):
@@ -98,27 +101,42 @@ def test_master_seeds_of_every_word_count(master_seed):
 
 
 def test_path_elements_beyond_one_word(no_draw):
-    # np.uint64(2**63) is refused, not wrapped to a negative int64
-    for big in (2**32, 2**64, np.uint64(2**63), np.uint64(2**32)):
+    # the bounds are compared as built-in ints: np.uint64(2**63) is refused,
+    # not wrapped to a negative int64 or misjudged through float
+    for dtype, bad in ((np.int64, 2**32), (np.int64, -1), (np.int64, 2**63 - 1),
+                       (np.uint64, 2**63), (np.uint64, 2**32), (np.uint64, 2**64 - 1)):
+        paths = np.array([(1, 5), (bad, 5)], dtype=dtype)
         with pytest.raises(ValueError, match=r"seed path elements must be in 0\.\.2\*\*32 - 1"):
-            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1, 5), (big, 5)])
-    with pytest.raises(ValueError, match="seed paths must all have the same length"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, paths)
+    # paths of two lengths have no array form, and a list is refused
+    with pytest.raises(ValueError, match=r"seed paths must be a \(rows, W\) integer array"):
         circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1,), (1, 2)])
 
 
 @pytest.mark.parametrize("master_seed", [0, 3, 2**70])
 def test_empty_path_is_the_master_seeds_generator(master_seed):
+    # a (B, 0) array: every row draws the master seed's own stream
     p = np.array([0.25, 0.25, 0.5, 0.0])
     want = np.random.default_rng(master_seed).multinomial(1000, p)
-    assert np.array_equal(circ.sample_batch(p[None], 1000, master_seed, [()])[0], want)
+    got = circ.sample_batch(np.stack([p, p]), 1000, master_seed, np.zeros((2, 0), dtype=np.uint8))
+    assert np.array_equal(got, [want, want])
 
 
 def test_numpy_integer_seeds_match_python_integers():
+    # every integer dtype and memory layout of one array of paths draws the
+    # same rows, under a numpy or a built-in master seed
     probs = np.random.default_rng(3).random((2, 4))
-    want = circ.sample_batch(probs, 500, 4, [(1, 2), (3, 2**32 - 1)])
-    got = circ.sample_batch(probs, 500, np.int64(4), [(np.uint32(1), np.int64(2)),
-                                                      (np.uint8(3), np.uint64(2**32 - 1))])
-    assert np.array_equal(got, want)
+    paths = [(1, 2), (3, 2**32 - 1)]
+    want = circ.sample_batch(probs, 500, 4, path_array(paths))
+    for dtype in (np.uint32, np.uint64, np.int64):
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            got = circ.sample_batch(probs, 500, np.int64(4), layout(np.array(paths, dtype=dtype)))
+            assert np.array_equal(got, want)
+    strided = np.repeat(np.array(paths, dtype=np.uint64), 2, axis=1)[:, ::2]
+    assert np.array_equal(circ.sample_batch(probs, 500, 4, strided), want)
+    small = np.array([(1, 2), (3, 255)], dtype=np.uint8)
+    assert np.array_equal(circ.sample_batch(probs, 500, 4, small),
+                          circ.sample_batch(probs, 500, 4, path_array([(1, 2), (3, 255)])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,10 +166,10 @@ def test_stacked_sample_counts_equal_per_state_draws():
     for make in (random_pure_state, random_density_matrix):
         states = as_stack([make(rng, 3) for _ in range(5)])
         paths = [(0, i) for i in range(len(states))]
-        got = circ.sample_counts(states, (2, 0), 700, 12, paths, readout_flip=0.03)
+        got = circ.sample_counts(states, (2, 0), 700, 12, path_array(paths), readout_flip=0.03)
         assert got.shape == (len(states), 4)
         for i, (path, counts) in enumerate(zip(paths, got)):
-            alone = circ.sample_counts(states[i:i + 1], (2, 0), 700, 12, [path],
+            alone = circ.sample_counts(states[i:i + 1], (2, 0), 700, 12, path_array([path]),
                                        readout_flip=0.03)[0]
             assert np.array_equal(counts, alone)
             p = circ.exact_probabilities(states[i:i + 1], (2, 0), 0.03)[0]
@@ -163,7 +181,7 @@ def test_collect_draws_setting_k_of_state_i_from_its_path():
     states = as_stack([random_pure_state(rng, 2) for _ in range(3)])
     probs = tom.setting_probabilities(states)
     paths = [(1, 4), (1, 9), (2, 2**32 - 1)]
-    counts = tom.collect(probs, 400, 6, paths)
+    counts = tom.collect(probs, 400, 6, path_array(paths))
     for i, path in enumerate(paths):
         assert np.array_equal(counts[i], _oracle(probs[i], 400, 6, [(*path, k) for k in range(16)]))
 
@@ -242,7 +260,7 @@ def test_draws_follow_their_distributions():
     for f, flip in enumerate((0.0, G_FLIP)):
         probs = tom.setting_probabilities(pairs, circ.NoiseModel(readout_flip=flip))
         paths = [(f, i) for i in range(len(pairs))]
-        drawn.append(tom.collect(probs, G_SHOTS, G_SEED, paths).reshape(-1, 4))
+        drawn.append(tom.collect(probs, G_SHOTS, G_SEED, path_array(paths)).reshape(-1, 4))
         expected.append(_flipped(tom.setting_probabilities(pairs), flip).reshape(-1, 4))
         for k, name in enumerate(("visibility", "predictability", "concurrence1",
                                   "concurrence2")):
@@ -250,7 +268,8 @@ def test_draws_follow_their_distributions():
             states = as_stack([circ.run_pure(full_circuit(s, p), basis_state(s.num_qubits))
                                for p in G_PREPARED])
             paths = [(2 + f, k, i) for i in range(len(states))]
-            counts = circ.sample_counts(states, s.ancilla_qubits, G_SHOTS, G_SEED, paths, flip)
+            counts = circ.sample_counts(states, s.ancilla_qubits, G_SHOTS, G_SEED,
+                                        path_array(paths), flip)
             p = _flipped(circ.exact_probabilities(states, s.ancilla_qubits), flip)
             # pad the one-ancilla rows with never-drawn outcomes
             drawn.append(np.pad(counts, ((0, 0), (0, 4 - counts.shape[1]))))
@@ -268,7 +287,8 @@ class TestSeedInput:
     """Bad seed input or shot counts are rejected with ValueError before any
     row is drawn."""
 
-    @pytest.mark.parametrize("paths", [[(1,), (2,)], [(1,), (2,), (3,), (4,)], []])
+    @pytest.mark.parametrize("paths", [np.zeros((2, 1), dtype=int), np.zeros((4, 1), dtype=int),
+                                       np.zeros((0, 1), dtype=int)])
     def test_one_path_per_row(self, paths, no_draw):
         with pytest.raises(ValueError, match="seed paths for 3 rows"):
             circ.sample_batch(np.full((3, 2), 0.5), 10, 0, paths)
@@ -279,7 +299,7 @@ class TestSeedInput:
         message = (re.escape(f"shots must be an integer, got {shots!r}") if shots
                    else "shots must be >= 1, got 0")
         with pytest.raises(ValueError, match=message):
-            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, [(), ()])
+            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, path_array([(), ()]))
 
     @pytest.mark.parametrize("shots", [2**63, 10**20, np.uint64(2**63)])
     def test_shots_beyond_int64(self, shots, no_draw):
@@ -287,17 +307,17 @@ class TestSeedInput:
         # the bound is compared with the built-in int, exactly, on any numpy
         with pytest.raises(ValueError,
                            match=rf"shots must be at most 2\*\*63 - 1, got {int(shots)}"):
-            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, [(), ()])
+            circ.sample_batch(np.full((2, 2), 0.5), shots, 0, path_array([(), ()]))
 
     def test_the_most_shots_int64_holds(self):
-        counts = circ.sample_batch(np.full((1, 2), 0.5), 2**63 - 1, 0, [()])
+        counts = circ.sample_batch(np.full((1, 2), 0.5), 2**63 - 1, 0, path_array([()]))
         assert counts.sum() == 2**63 - 1
 
     @pytest.mark.parametrize("probs", [np.full(2, 0.5), np.full((1, 2, 2), 0.25),
                                        np.float64(1.0)])
     def test_a_2d_stack(self, probs, no_draw):
         with pytest.raises(ValueError, match=r"\(rows, outcomes\) stack"):
-            circ.sample_batch(probs, 10, 0, [()] * max(1, len(np.atleast_1d(probs))))
+            circ.sample_batch(probs, 10, 0, np.zeros((len(np.atleast_1d(probs)), 0), dtype=int))
 
     @pytest.mark.parametrize("bad_row", [[0.5, -0.1], [np.nan, 1.0], [np.inf, 1.0],
                                          [0.0, 0.0], [1e308, 1e308]])
@@ -306,28 +326,50 @@ class TestSeedInput:
         # seen; the last bad row is finite, but its total is not
         probs = np.array([[0.5, 0.5], bad_row])
         with pytest.raises(ValueError, match="nonnegative and finite with a positive total"):
-            circ.sample_batch(probs, 10, 0, [(0,), (1,)])
+            circ.sample_batch(probs, 10, 0, path_array([(0,), (1,)]))
 
     @pytest.mark.parametrize("master_seed", [-1, 1.0, True, "3", None, 2.5])
     def test_master_seed(self, master_seed, no_draw):
         with pytest.raises(ValueError, match="master_seed"):
-            circ.sample_batch(np.full((2, 2), 0.5), 10, master_seed, [(), ()])
+            circ.sample_batch(np.full((2, 2), 0.5), 10, master_seed, path_array([(), ()]))
 
     @pytest.mark.parametrize("bad", [-1, 1.0, 2.5, True, np.bool_(False), "1", None,
                                      np.float64(3.0)])
     def test_path_elements(self, bad, no_draw):
-        with pytest.raises(ValueError, match="seed path elements"):
-            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, [(1, 2), (3, bad)])
+        # an array of the bad element's own dtype: int (-1 is out of range),
+        # float, bool, string and object (None) arrays are each refused
+        paths = np.array([(1, 2), (3, bad)], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError, match="^seed path elements must be "):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, paths)
+
+    @pytest.mark.parametrize("paths", [
+        np.array([1, 2]), np.zeros((2, 1, 1), dtype=int), np.int64(0), [(1,), (2,)], ((1,), (2,)),
+    ], ids=["1-D", "3-D", "scalar", "list", "tuple"])
+    def test_a_2d_array(self, paths, no_draw):
+        with pytest.raises(ValueError, match=r"^seed paths must be a \(rows, W\) integer array"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, paths)
+
+    def test_an_object_array_of_integers(self, no_draw):
+        with pytest.raises(ValueError, match="elements must be integers, got dtype object"):
+            circ.sample_batch(np.full((2, 2), 0.5), 10, 0, np.array([(1,), (2,)], dtype=object))
 
     def test_collect_and_sample_counts_check_too(self, no_draw):
         probs = np.full((2, 16, 4), 0.25)
         for shots in (None, "3", 2.5):
             with pytest.raises(ValueError, match="shots must be an integer"):
-                tom.collect(probs, shots, 0, [(1, 0), (1, 1)])
+                tom.collect(probs, shots, 0, path_array([(1, 0), (1, 1)]))
         with pytest.raises(ValueError, match="seed path elements"):
-            tom.collect(probs, 10, 0, [(1, 0), (1, 0.5)])
+            tom.collect(probs, 10, 0, np.array([(1, 0), (1, 0.5)]))
+        with pytest.raises(ValueError, match="seed path elements must be in"):
+            tom.collect(probs, 10, 0, path_array([(1, 0), (1, 2**32)]))
+        for paths in ([(1, 0), (1, 1)], np.array([1, 0])):
+            with pytest.raises(ValueError, match=r"seed paths must be a \(rows, W\) integer"):
+                tom.collect(probs, 10, 0, paths)
         with pytest.raises(ValueError, match="seed paths for 2 rows"):
-            circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0, [()])
+            circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0, path_array([()]))
+        with pytest.raises(ValueError, match="seed path elements must be integers"):
+            circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0,
+                               np.zeros((2, 1), dtype=bool))
 
 
 class TestShotsAConfigCanDraw:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from helpers import (
-    as_stack, min_eigenvalue, random_density_matrix, random_pure_state, raw_estimate, tomograph,
-    tomography_data,
+    NO_PATH, as_stack, min_eigenvalue, path_array, random_density_matrix, random_pure_state,
+    raw_estimate, tomograph, tomography_data,
 )
 from qndsim import circuits as circ
 from qndsim import tomography as tom
@@ -55,18 +55,18 @@ class TestCollect:
 
     def test_deterministic_under_fixed_seed(self):
         probs = tom.setting_probabilities(as_stack([bell()]))
-        a = tom.collect(probs, 500, 5, [()])[0]
-        b = tom.collect(probs, 500, 5, [()])[0]
+        a = tom.collect(probs, 500, 5, NO_PATH)[0]
+        b = tom.collect(probs, 500, 5, NO_PATH)[0]
         assert a.shape == (16, 4) and np.array_equal(a, b)
 
     def test_rejects_probabilities_of_another_shape(self):
         # a (states, settings, 2^n) stack
         with pytest.raises(ValueError, match="got shape"):
-            tom.collect(np.full(4, 0.25), 100, 0, [()])
+            tom.collect(np.full(4, 0.25), 100, 0, NO_PATH)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            tom.collect(tom.setting_probabilities(as_stack([bell()])), 0, 0, [()])
+            tom.collect(tom.setting_probabilities(as_stack([bell()])), 0, 0, NO_PATH)
 
 
 class TestLinearReconstruct:
@@ -115,7 +115,7 @@ class TestLinearReconstruct:
         states = [random_density_matrix(rng, 2) for _ in range(sets)]
         data = tom.setting_probabilities(as_stack(states))
         if not probabilities:
-            data = tom.collect(data, shots, seed, [(i,) for i in range(sets)])
+            data = tom.collect(data, shots, seed, path_array([(i,) for i in range(sets)]))
         try:
             _, raw = tom._linear_estimates(data)
         except tom.DegenerateReconstructionError:
@@ -268,7 +268,7 @@ def test_raw_coefficient_covariance_is_the_binomial_one(noise):
     rho = random_density_matrix(np.random.default_rng(11), 2)
     probs = tom.setting_probabilities(as_stack([rho]), noise)
     counts = tom.collect(np.broadcast_to(probs, (m_draws, 16, 4)), shots, 12,
-                         [(k,) for k in range(m_draws)])
+                         np.arange(m_draws)[:, None])
     b = tom._design_matrix()
     coeffs = np.linalg.solve(b, (counts[..., 0] / shots).T)
     p = probs[0, :, 0]
