@@ -188,35 +188,35 @@ def _embed(num_qubits: int, ops: dict[int, np.ndarray]) -> np.ndarray:
 
 
 Layer = tuple["Gate | None", ...]
-"""One step of a batched run: slice i of the batch applies gate i, and
-``None`` leaves its slice alone. The gates of a layer share their qubits."""
+"""One step of a batched run, a tuple or list of one entry per slice: slice
+i applies gate i, and ``None`` leaves it alone. The gates share their qubits."""
 
 
-def _layer_operators(layers, num_qubits: int):
-    """Yield (slice index, unitary, support) for each layer with a gate.
-
-    Slices that share a gate get one (d, d) unitary; when every acting
-    slice has a gate of its own, the layer yields one (k, d, d) stack of
-    them instead. The index is ``slice(None)`` when it covers every slice.
-    The matrices are the cached ``_full_unitary`` ones, so each slice is
-    multiplied exactly as a single circuit's would be.
-    """
+def _layer_operators(layers, num_qubits: int, slices: int) -> list:
+    """The (slice index, unitary, support) of each gate of each layer, once
+    one pass has checked every layer: ValueError at the first that is not a
+    ``Layer`` of ``slices`` entries on the register. Slices that share a gate
+    share the one cached ``_full_unitary`` a single circuit's run applies,
+    so each is multiplied as that run's would be; the index is
+    ``slice(None)`` for a gate on every slice, else the list of its slices."""
+    checked = []
     for layer in layers:
+        if not isinstance(layer, (tuple, list)) or len(layer) != slices:
+            raise ValueError(f"every layer needs one entry per slice, {slices} in all")
         groups: dict[Gate, list[int]] = {}
         for i, g in enumerate(layer):
-            if g is not None:
-                groups.setdefault(g, []).append(i)
-        if not groups:
-            continue
-        support = next(iter(groups)).targets
-        acting = sum(len(index) for index in groups.values())
-        if len(groups) == acting > 1:
-            ops = [([i for (i,) in groups.values()],
-                    np.stack([_full_unitary(g, num_qubits) for g in groups]))]
-        else:
-            ops = [(index, _full_unitary(g, num_qubits)) for g, index in groups.items()]
-        for index, u in ops:
-            yield (slice(None) if len(index) == len(layer) else index), u, support
+            if g is None:
+                continue
+            if not isinstance(g, Gate):
+                raise ValueError(f"a layer entry must be a Gate or None, got {g!r}")
+            groups.setdefault(g, []).append(i)
+        if any(q >= num_qubits for g in groups for q in g.targets):
+            raise ValueError("dimension mismatch between circuit and state")
+        if len({g.targets for g in groups}) > 1:
+            raise ValueError("the gates of a layer must act on the same qubits")
+        checked.append(groups)
+    return [(slice(None) if len(index) == slices else index, _full_unitary(g, num_qubits),
+             g.targets) for groups in checked for g, index in groups.items()]
 
 
 def _gate_layers(circuit: Circuit) -> list[Layer]:
@@ -224,9 +224,10 @@ def _gate_layers(circuit: Circuit) -> list[Layer]:
     return [(g,) for g in circuit.gates]
 
 
-def _evolve_pure(amps: np.ndarray, layers, num_qubits: int) -> np.ndarray:
-    """Apply each layer to a (B, d) stack of amplitudes, in place."""
-    for index, u, _ in _layer_operators(layers, num_qubits):
+def _evolve_pure(amps: np.ndarray, ops) -> np.ndarray:
+    """Apply each of ``_layer_operators``' operators to a (B, d) stack of
+    amplitudes, in place."""
+    for index, u, _ in ops:
         amps[index] = np.matmul(u, amps[index][:, :, None])[:, :, 0]
     return amps
 
@@ -266,10 +267,11 @@ def _depolarize(m: np.ndarray, num_qubits: int, support: tuple[int, ...], p: flo
     return out
 
 
-def _evolve_density(m: np.ndarray, layers, num_qubits: int, noise: NoiseModel) -> np.ndarray:
-    """Apply each layer, with depolarizing noise, to a (B, d, d) stack."""
-    for index, u, support in _layer_operators(layers, num_qubits):
-        sub = u @ m[index] @ np.swapaxes(u.conj(), -1, -2)
+def _evolve_density(m: np.ndarray, ops, num_qubits: int, noise: NoiseModel) -> np.ndarray:
+    """Apply each of ``_layer_operators``' operators, with depolarizing
+    noise, to a (B, d, d) stack."""
+    for index, u, support in ops:
+        sub = u @ m[index] @ u.conj().T
         p = noise.depol_2q if len(support) == 2 else noise.depol_1q
         if p > 0.0:
             sub = _depolarize(sub, num_qubits, support, p)
@@ -317,9 +319,9 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
     depolarizing noise after each gate. Each slice comes out exactly as
     ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
     and initial state. The structure is checked before any work: the
-    stack's shape, one entry per slice in every layer, the gates' qubits,
-    one support per layer, and the noise, a ``NoiseModel``. The states are not validated, in
-    or out: ``run_pure`` and ``run_noisy`` validate theirs, and property tests pin the engine.
+    noise, a ``NoiseModel``; the stack's shape; and the layers, in one pass
+    (``_layer_operators``). The states are not validated, in or out:
+    ``run_pure`` and ``run_noisy`` validate theirs, and property tests pin the engine.
     """
     noise = _noise_model(noise)
     # a C-ordered copy, evolved in place: a slice's products round by its
@@ -331,15 +333,10 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
         raise ValueError("run_batch needs at least one initial state")
     if pure and (noise.depol_1q or noise.depol_2q):
         raise ValueError("depolarizing noise needs a density-matrix input (state.density())")
-    if any(len(layer) != len(states) for layer in layers):
-        raise ValueError(f"every layer needs one entry per slice, {len(states)} in all")
-    if any(not 0 <= q < n for layer in layers for g in layer if g is not None for q in g.targets):
-        raise ValueError("dimension mismatch between circuit and state")
-    if any(len({g.targets for g in layer if g is not None}) > 1 for layer in layers):
-        raise ValueError("the gates of a layer must act on the same qubits")
+    ops = _layer_operators(layers, n, len(states))
     if pure:
-        return _evolve_pure(states, layers, n)
-    return _evolve_density(states, layers, n, noise)
+        return _evolve_pure(states, ops)
+    return _evolve_density(states, ops, n, noise)
 
 
 def _marginal_probabilities(states: np.ndarray, measured_qubits) -> np.ndarray:

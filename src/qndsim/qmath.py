@@ -92,21 +92,16 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    """Whether a square matrix, or every slice of a (..., d, d) stack, equals
-    its conjugate transpose by np.allclose's rule with tolerance ``atol``."""
+    """Whether a square matrix, or every slice of a (..., d, d) stack, is
+    finite and equals its conjugate transpose by np.allclose's rule with
+    tolerance ``atol``."""
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not np.isfinite(m).all():
         return False
     m_dag = np.swapaxes(m.conj(), -1, -2)
     # np.allclose(m, m_dag, atol=atol) spelled out: on a 4x4 matrix its
-    # argument handling costs more than the comparison. On finite input its
-    # rule is the tolerance test alone; infinities need the full rule
-    if np.isfinite(m).all():
-        return bool((np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)).all())
-    with np.errstate(invalid="ignore"):
-        within = np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)
-        close = within & np.isfinite(m_dag) | (m == m_dag)
-    return bool(close.all())
+    # argument handling costs more than the comparison
+    return bool((np.abs(m - m_dag) <= atol + 1e-5 * np.abs(m_dag)).all())
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +159,10 @@ class DensityMatrix:
     @staticmethod
     def validate(m: np.ndarray) -> None:
         """Raise ValueError unless every (d, d) slice of a (..., d, d) stack is
-        Hermitian and trace-one within ATOL_CONSTRUCT, with no eigenvalue
-        below -ATOL_ALGEBRA."""
+        finite, Hermitian and trace-one within ATOL_CONSTRUCT, with no
+        eigenvalue below -ATOL_ALGEBRA."""
         if not is_hermitian(m, ATOL_CONSTRUCT):
-            raise ValueError("matrix is not Hermitian")
+            raise ValueError("matrix is not Hermitian, or not finite")
         tr = np.trace(m, axis1=-2, axis2=-1)
         bad = np.abs(tr - 1.0) > ATOL_CONSTRUCT
         if bad.any():
@@ -224,7 +219,7 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     anything more negative is rejected as genuinely non-PSD, as is a non-finite matrix.
     """
     m = np.asarray(m, dtype=complex)
-    if not (is_hermitian(m, atol=ATOL_ALGEBRA) and np.isfinite(m).all()):
+    if not is_hermitian(m, atol=ATOL_ALGEBRA):
         raise ValueError("matrix must be finite and Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + np.swapaxes(m.conj(), -1, -2)) / 2)
     lam_min = float(vals[..., 0].min())

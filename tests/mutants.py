@@ -405,8 +405,8 @@ MUTANTS = (
         "tests/test_inputs.py",
     ),
     Mutant(
-        "matrix_sqrt_psd takes a non-finite matrix", QMATH,
-        " and np.isfinite(m).all())", ")",
+        "the Hermitian check takes a non-finite matrix", QMATH,
+        " or not np.isfinite(m).all():", ":",
         "tests/test_inputs.py",
     ),
     Mutant(
@@ -465,6 +465,31 @@ MUTANTS = (
         "a sweep config takes any noise", HARNESS,
         "        circ._noise_model(self.noise)\n", "",
         "tests/test_inputs.py",
+    ),
+    Mutant(
+        "a layer takes entries that are not gates", CIRCUITS,
+        "            if not isinstance(g, Gate):\n", "            if False:\n",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "a layer may be short of an entry", CIRCUITS,
+        "or len(layer) != slices:", "or len(layer) > slices:",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "a layer's gates may target the register's size", CIRCUITS,
+        "if any(q >= num_qubits for g in groups", "if any(q > num_qubits for g in groups",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "a layer's gates may act on two supports", CIRCUITS,
+        "if len({g.targets for g in groups}) > 1:", "if len({g.targets for g in groups}) > 2:",
+        "tests/test_blocks.py",
+    ),
+    Mutant(
+        "a gate on some slices applied to every slice", CIRCUITS,
+        "slice(None) if len(index) == slices else index", "slice(None)",
+        "tests/test_batch.py",
     ),
     Mutant(
         "a circuit takes gates that are not gates", CIRCUITS,

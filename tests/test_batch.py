@@ -208,7 +208,8 @@ def test_non_hermitian_slice_fails_the_stack():
 def test_hermitian_check_is_allclose(step, entry, seed):
     # a perturbation near the threshold 1e-10 + 1e-5 |m_dag| of validate's
     # np.allclose rule, on either side of it: unscaled, the relative term
-    # would hide the absolute tolerance
+    # would hide the absolute tolerance. A non-finite entry is refused by
+    # the same check, whatever np.allclose says of it (inf is close to inf)
     rng = np.random.default_rng(seed)
     m = random_density_matrix(rng, 2).matrix.copy()
     threshold = 1e-10 + 1e-5 * abs(np.conj(m[1, 0]))
@@ -216,11 +217,10 @@ def test_hermitian_check_is_allclose(step, entry, seed):
     if entry is not None:
         m[2, 3] = entry
         m[3, 2] = np.conj(entry) if rng.integers(2) else entry
-    hermitian = np.allclose(m, m.conj().T, atol=1e-10)
+    hermitian = entry is None and np.allclose(m, m.conj().T, atol=1e-10)
     try:
-        with np.errstate(invalid="ignore"):
-            DensityMatrix.validate(m)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        DensityMatrix.validate(m)
+    except ValueError as exc:
         assert ("not Hermitian" in str(exc)) == (not hermitian)
     else:
         assert hermitian

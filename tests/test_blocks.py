@@ -653,6 +653,25 @@ def test_bad_layers_rejected_before_any_work(gate, message, monkeypatch):
         circ.run_batch(as_stack([basis_state(2).density()] * 2), layers, NoiseModel())
 
 
+@pytest.mark.parametrize("layers, message", [
+    ([("x",)], "a layer entry must be a Gate or None, got 'x'"),
+    ([circ.x(0)], "one entry per slice, 1 in all"),
+    ([(None,), 5], "one entry per slice, 1 in all"),
+    ([(circ.x(0),), ()], "one entry per slice, 1 in all"),
+], ids=["a string entry", "a bare gate", "a number", "one entry short"])
+@pytest.mark.parametrize("pure", [True, False])
+def test_malformed_layers_rejected_before_any_work(layers, message, pure, monkeypatch):
+    # each used to fail late, with a TypeError or an AttributeError
+    def no_work(*args):
+        raise AssertionError("evolution started")
+
+    for name in ("_evolve_pure", "_evolve_density"):
+        monkeypatch.setattr(circ, name, no_work)
+    psi = basis_state(1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        circ.run_batch(as_stack([psi if pure else psi.density()]), layers, NoiseModel())
+
+
 def test_a_negative_target_is_refused_when_the_gate_is_made():
     # the gate refuses it when made, so run_batch never sees a negative target
     with pytest.raises(ValueError, match=re.escape("x targets must be >= 0, got -1")):

@@ -15,7 +15,8 @@ such argument:
 A noise model and a circuit's gates are checked for their type the same
 way: anything but a ``NoiseModel``, or a tuple or list of ``Gate``, raises
 ValueError naming the argument before any work, where it used to fail
-later with a TypeError or an AttributeError.
+later with a TypeError or an AttributeError. A density matrix with an
+infinite or NaN entry is refused as not Hermitian, before its eigenvalues.
 """
 
 import argparse
@@ -218,6 +219,26 @@ def test_a_non_finite_matrix_has_no_root():
     for call in (matrix_sqrt_psd, lambda a: fidelity(a, np.eye(2) / 2)):
         with pytest.raises(ValueError, match="^matrix must be finite and Hermitian"):
             call(m)
+
+
+NON_FINITE = ([[0.5, math.inf], [math.inf, 0.5]], [[math.inf, 1], [1, -math.inf]],
+              [[0.5, math.inf], [-math.inf, 0.5]], [[0.5, math.nan], [math.nan, 0.5]])
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "inf diagonal", "inf and -inf", "nan"])
+def test_a_non_finite_density_matrix_is_refused(matrix, monkeypatch):
+    # np.allclose counts inf as close to inf, and inf - (-inf) is within
+    # its relative tolerance of an infinite entry; the eigensolver then
+    # returns NaN, which no bound refuses, or on older numpy raises
+    # LinAlgError. The Hermitian check refuses the matrix before either
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigenvalues computed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian, or not finite$"):
+        DensityMatrix(1, matrix)
+    with pytest.raises(ValueError, match="^matrix must be finite and Hermitian"):
+        matrix_sqrt_psd(matrix)
 
 
 def test_an_outcome_that_is_not_a_string_is_refused():
