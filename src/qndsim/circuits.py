@@ -22,6 +22,11 @@ half-angle gate convention, RY(t) = exp(-i t sigma_y / 2).
 Outcomes order their bits like the ``measured_qubits`` argument, the first
 listed qubit the most significant: count and probability arrays hold
 outcome i at index i.
+
+A gate is checked when made, so every gate is unitary and the engine does
+not check one again. A seed path is a row of a (B, W) integer array of
+32-bit words, the one form every draw takes its stream keys in; a master
+seed may have any number of words.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ Circuit 2 entangles two ancillas with the pair and, depending on the
 rotation setting, estimates coherence, population imbalance, or concurrence
 from the joint ancilla statistics.
 
-A measurement setting is named by its observable alone, and its circuit is
-that name's row of one gate table, ``_MEASUREMENT_GATES``.
+A measurement setting is named by its row of one gate table,
+``_MEASUREMENT_GATES``: the observables one readout gives and the circuit's
+gates. All else about a setting is read from its row, and only
+``branch_data``'s choice of closed form reads a row's name.
 ``branch_data`` gives the ideal data a sweep is compared with, for a
 whole block of points as arrays: (P, B) branch probabilities and (P, B, 4)
 unit kets, in closed form (the single-ancilla circuit's block is simulated
@@ -64,9 +66,6 @@ RELIABLE_BRANCH_PROB = 0.25
 
 EMPTY_BRANCH_PROB = 1e-12
 """The weight below which a branch is empty: it has no conditional state."""
-
-OBSERVABLES = ("VA", "VB", "PA", "PB", "C1", "C2")
-
 
 @dataclass(frozen=True)
 class PrepParams:
@@ -130,7 +129,7 @@ class MeasurementSetting:
     """Which observable circuit 1/2 measures, by its row of the gate table
     (``_MEASUREMENT_GATES``); any other name is refused."""
 
-    observable: str  # 'visibility' | 'predictability' | 'concurrence1' | 'concurrence2'
+    observable: str
 
     def __post_init__(self) -> None:
         if self.observable not in _MEASUREMENT_GATES:
@@ -141,12 +140,19 @@ class MeasurementSetting:
         return 2 + len(self.ancilla_qubits)
 
     @property
+    def observables(self) -> tuple[str, ...]:
+        return _MEASUREMENT_GATES[self.observable][0]
+
+    @property
     def ancilla_qubits(self) -> tuple[int, ...]:
-        return (2,) if self.observable == "concurrence1" else (2, 3)
+        """The qubits above the pair (0, 1) that the setting's gates act on."""
+        gates = _MEASUREMENT_GATES[self.observable][1]
+        return tuple(sorted({q for g in gates for q in g.targets} - {0, 1}))
 
 
 _HALF_PI = math.pi / 2
-# Each setting's measurement circuit on A, B (0, 1) and ancillas C, D (2, 3).
+# Each setting's row: the observables its readout gives, in the order
+# estimate_observable reads them, and its circuit on A, B (0, 1), C, D (2, 3).
 # Circuit 2: setting rotation theta1 on A and B; theta3 on C, CNOT C->D;
 # CNOT A->C; CNOT B->D; setting rotation theta2 on A and B. De Melo's
 # rotation vectors (theta1, theta2, theta3), each read as its half-angle
@@ -159,25 +165,20 @@ _HALF_PI = math.pi / 2
 # psi_minus -> 11 (up to global signs). Circuit 1 writes the x-rotated pair
 # parity onto C.
 _MEASUREMENT_GATES = {
-    "visibility": (ry(0, _HALF_PI), ry(1, _HALF_PI), cnot(2, 3), cnot(0, 2), cnot(1, 3),
-                   ry(0, -_HALF_PI), ry(1, -_HALF_PI)),
-    "predictability": (cnot(2, 3), cnot(0, 2), cnot(1, 3)),
-    "concurrence2": (rx(0, _HALF_PI), rx(1, _HALF_PI), ry(2, _HALF_PI), cnot(2, 3),
-                     cnot(0, 2), cnot(1, 3), rx(0, -_HALF_PI), rx(1, -_HALF_PI),
-                     cnot(2, 3), h(2)),
-    "concurrence1": (rx(0, _HALF_PI), rx(1, _HALF_PI), cnot(0, 2), cnot(1, 2),
-                     rx(0, -_HALF_PI), rx(1, -_HALF_PI)),
+    "visibility": (("VA", "VB"), (ry(0, _HALF_PI), ry(1, _HALF_PI), cnot(2, 3), cnot(0, 2),
+                                  cnot(1, 3), ry(0, -_HALF_PI), ry(1, -_HALF_PI))),
+    "predictability": (("PA", "PB"), (cnot(2, 3), cnot(0, 2), cnot(1, 3))),
+    "concurrence1": (("C1",), (rx(0, _HALF_PI), rx(1, _HALF_PI), cnot(0, 2), cnot(1, 2),
+                               rx(0, -_HALF_PI), rx(1, -_HALF_PI))),
+    "concurrence2": (("C2",), (rx(0, _HALF_PI), rx(1, _HALF_PI), ry(2, _HALF_PI), cnot(2, 3),
+                               cnot(0, 2), cnot(1, 3), rx(0, -_HALF_PI), rx(1, -_HALF_PI),
+                               cnot(2, 3), h(2))),
 }
 
-
-_SETTING_NAMES = {
-    "VA": "visibility",
-    "VB": "visibility",
-    "PA": "predictability",
-    "PB": "predictability",
-    "C1": "concurrence1",
-    "C2": "concurrence2",
-}
+# observable -> the row that measures it
+_SETTING_NAMES = {obs: name for name, (observables, _) in _MEASUREMENT_GATES.items()
+                  for obs in observables}
+OBSERVABLES = tuple(_SETTING_NAMES)
 
 
 def setting_for(observable: str) -> MeasurementSetting:
@@ -190,7 +191,7 @@ def setting_for(observable: str) -> MeasurementSetting:
 def measurement_circuit(s: MeasurementSetting) -> Circuit:
     """The full ancilla-measurement circuit for a setting: its gate-table
     row on its register. The caller measures the ancillas."""
-    return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.observable])
+    return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.observable][1])
 
 
 def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np.ndarray]:
@@ -202,8 +203,8 @@ def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np
     one entry per outcome: integer counts are divided by their total,
     exact probabilities, which must sum to 1, are used as given.
 
-    Returns {'VA', 'VB'} or {'PA', 'PB'} or {'C1'} or {'C2'} as
-    appropriate, each a (K,) array.
+    Returns the setting's ``observables``, each a (K,) array: two are the
+    parities of A and B that C and D carry, one is |f1 - f0|.
     """
     data = np.asarray(data)
     width = 2 ** len(s.ancilla_qubits)
@@ -212,17 +213,17 @@ def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np
             f"need (K, {width}) outcomes for the {s.observable} setting, got shape {data.shape}"
         )
     f = circ._frequencies(data).T
-    if s.observable in ("visibility", "predictability"):
+    if len(s.observables) == 2:
         sa = f[0] + f[1] - f[2] - f[3]
         sb = f[0] + f[2] - f[1] - f[3]
-        a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
+        a, b = s.observables
         return {a: np.abs(sa), b: np.abs(sb)}
     # Circuit 1 reads the parity on C. In circuit 2 the outgoing ancilla
     # state populates exactly two Bell branches, psi_plus (outcome 01) with
     # weight alpha^2 + eta^2 and phi_plus (outcome 00) with weight
     # beta^2 + gamma^2; the state-vector oracle in the test suite pins this
     # mapping. Either way the estimate is |f[1] - f[0]|.
-    name = "C1" if s.observable == "concurrence1" else "C2"
+    (name,) = s.observables
     return {name: np.abs(f[1] - f[0])}
 
 

@@ -192,8 +192,10 @@ class SweepConfig:
         (echo only), ``output_path`` (read by the command line) and
         ``workers`` (written by older versions) are ignored; an older
         ``noise.enabled`` goes to ``NoiseModel``. Any other key raises
-        ValueError.
+        ValueError, as does anything but a dict.
         """
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         _check_keys("config", d, _CONFIG_KEYS | _IGNORED_KEYS)
         if "observable" not in d:
             raise ValueError("an observable is required")
@@ -334,12 +336,6 @@ def _input_analysis(
     fid = fidelity(target, est)
     fid.flags.writeable = False
     return est, fid
-
-
-def _observables_of(setting: ex.MeasurementSetting) -> tuple[str, ...]:
-    """The observables one readout of the setting's circuit gives: the keys
-    of ``experiments.estimate_observable``, in ``OBSERVABLES`` order."""
-    return tuple(o for o in ex.OBSERVABLES if ex.setting_for(o) == setting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,7 +525,7 @@ def _output_tomography(setting, data, block):
         raise tom.DegenerateReconstructionError("an unconditional output estimate has zero trace")
     shape = (len(data), 1 + block.probability.shape[1])
     values = {}
-    for obs in _observables_of(setting):
+    for obs in setting.observables:
         values[obs] = np.zeros(shape)
         values[obs][points, columns] = _observable_values(obs, est.projected)
     scored = np.insert(block.probability > 0, 0, True, axis=1)[points, columns]
@@ -570,8 +566,10 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
     Concurrence output curves get the fully-mixed-component fit (mix into
     the ideal state, recompute concurrence) since plain scaling cannot track
     the purity loss. Scale fits are left out when the theory curve is
-    identically zero, where no scale factor is defined.
+    identically zero, where no scale factor is defined. Raises ValueError
+    unless ``records`` is a nonempty list of records.
     """
+    _check_records(records, "fit")
     records = sorted(records, key=lambda r: (r.phi, r.seed))
     theory = [r.theory for r in records]
     scalable = any(theory)
@@ -657,6 +655,17 @@ def _record_dict(rec: SweepRecord) -> dict:
     }
 
 
+def _check_records(records: list[SweepRecord], what: str) -> None:
+    """Refuse anything but a nonempty list or tuple of ``SweepRecord``."""
+    if not isinstance(records, (list, tuple)):
+        raise ValueError(f"records must be a list of SweepRecord, got {type(records).__name__}")
+    if not records:
+        raise ValueError(f"no records to {what}")
+    bad = [type(r).__name__ for r in records if not isinstance(r, SweepRecord)]
+    if bad:
+        raise ValueError(f"records must be a list of SweepRecord, got {bad[0]} among them")
+
+
 def emit(
     records: list[SweepRecord],
     fmt: str,
@@ -672,10 +681,10 @@ def emit(
     equal (phi, seed) all point rows come first, then each branch's rows.
     A cell's text is ``_fmt``'s; the header and every row go out in one
     ``writerows`` call. JSON additionally echoes the configuration and any
-    fit results.
+    fit results. Raises ValueError unless ``records`` is a nonempty list of
+    records.
     """
-    if not records:
-        raise ValueError("no records to emit")
+    _check_records(records, "emit")
     ordered = sorted(records, key=lambda r: (r.phi, r.seed))
     if fmt == "csv":
         keyed = [row for rec in ordered for row in _record_rows(rec)]
@@ -711,15 +720,17 @@ def run_criteria_protocol(
     their draws, so every seed after the first reuses the first one's
     prepared blocks.
 
-    Raises ValueError for an empty ``seeds`` or ``observables`` list,
-    which has no mean, for a repeated seed or observable, which would be
-    counted twice or reported once, and for any seed and observable whose
-    sweep config is invalid, before the first sweep runs.
+    Raises ValueError, before the first sweep runs, unless ``seeds`` and
+    ``observables`` are each a list or tuple; for an empty one, which has
+    no mean; for a repeated seed or observable, which would be counted
+    twice or reported once; and for any seed and observable whose sweep
+    config is invalid.
     """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if not observables:
-        raise ValueError("at least one observable is required")
+    for name, items in (("seed", seeds), ("observable", observables)):
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f"{name}s must be a list or tuple, got {items!r}")
+        if not items:
+            raise ValueError(f"at least one {name} is required")
     configs = [
         [SweepConfig(observable=obs, phi_count=phi_count, phi_step=phi_step,
                      shots=shots, noise=noise, master_seed=seed) for obs in observables]

@@ -11,6 +11,12 @@ Numerical tolerances follow a single ladder used across the package:
 * ``ATOL_CONSTRUCT`` (1e-10) - construction invariants (norms, traces).
 * ``ATOL_ALGEBRA`` (1e-8) - algebraic identities between computed objects.
 * ``ATOL_PHYSICAL`` (1e-6) - physicality clipping (negative eigenvalue tails).
+
+Every number a caller passes in is read by ``_real`` or ``_integer``, and
+every qubit index by ``_qubits``: each returns the built-in float, int or
+tuple of ints the caller stores, or raises ValueError naming the argument.
+The partial trace, the PSD square root and the fidelity work on plain
+(..., d, d) stacks, so one item is a stack of one at the call site.
 """
 
 from __future__ import annotations

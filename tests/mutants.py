@@ -197,8 +197,8 @@ MUTANTS = (
     ),
     Mutant(
         "circuit 2's concurrence circuit without its Bell-basis rotation", EXPERIMENTS,
-        "rx(1, -_HALF_PI),\n                     cnot(2, 3), h(2)),",
-        "rx(1, -_HALF_PI)),",
+        "rx(1, -_HALF_PI),\n                               cnot(2, 3), h(2))),",
+        "rx(1, -_HALF_PI))),",
         "tests/test_experiments.py",
     ),
     Mutant(
@@ -209,6 +209,22 @@ MUTANTS = (
     Mutant(
         "circuit 2 without the ancilla CNOT C->D", EXPERIMENTS,
         "ry(2, _HALF_PI), cnot(2, 3),", "ry(2, _HALF_PI),",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "a setting's ancillas counting the pair's qubits too", EXPERIMENTS,
+        "for q in g.targets} - {0, 1}))", "for q in g.targets}))",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "the visibility row's observables reversed, so VB is read as VA", EXPERIMENTS,
+        "(\"VA\", \"VB\")", "(\"VB\", \"VA\")",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "the observable map missing the table's last row", EXPERIMENTS,
+        "for name, (observables, _) in _MEASUREMENT_GATES.items()",
+        "for name, (observables, _) in list(_MEASUREMENT_GATES.items())[:-1]",
         "tests/test_experiments.py",
     ),
     Mutant(

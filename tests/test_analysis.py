@@ -73,10 +73,10 @@ class TestRmsError:
         assert rms_error(t, t) == 0.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            rms_error([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            rms_error([], [])
+        for measured, theory in (([1.0], [1.0, 2.0]), ([], [])):
+            with pytest.raises(ValueError, match="^measured and theory must be equal-length, "
+                                                 "nonempty$"):
+                rms_error(measured, theory)
 
 
 class TestFitScale:
@@ -100,6 +100,12 @@ class TestFitScale:
     def test_rejects_zero_theory(self):
         with pytest.raises(ValueError):
             fit_scale([0.1, 0.2], [0.0, 0.0])
+
+    def test_invalid_inputs(self):
+        for measured, theory in (([1.0], [1.0, 2.0]), ([], [])):
+            with pytest.raises(ValueError, match="^measured and theory must be equal-length, "
+                                                 "nonempty$"):
+                fit_scale(measured, theory)
 
 
 class TestFitMixedFraction:

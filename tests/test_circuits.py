@@ -73,8 +73,10 @@ class TestRunPure:
             assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            run_pure(bell_circuit(), basis_state(3))
+        for run in (lambda: run_pure(bell_circuit(), basis_state(3)),
+                    lambda: run_noisy(bell_circuit(), basis_state(3).density(), NoiseModel())):
+            with pytest.raises(ValueError, match="^dimension mismatch between circuit and state$"):
+                run()
 
     def test_gate_targets_validated(self):
         with pytest.raises(ValueError):
@@ -107,6 +109,11 @@ class TestGates:
         # an angle's message quotes its repr, which numpy 2 changed for its scalars
         with pytest.raises(ValueError, match=re.escape(message.format(angle=angle))):
             Gate(kind, targets, angle)
+
+    @pytest.mark.parametrize("gate", [cnot(0, 1), cry(1, 0, 0.5)])
+    def test_a_controlled_gate_has_no_single_qubit_matrix(self, gate):
+        with pytest.raises(ValueError, match=f"^{gate.kind} has no single-qubit matrix$"):
+            gate.local_matrix()
 
     def test_any_finite_real_angle_accepted(self):
         # and stored as the built-in float of the same value

@@ -57,6 +57,11 @@ class TestBellCoefficients:
         with pytest.raises(ValueError):
             ex.PrepParams(7.0)
 
+    def test_unnormalized_coefficients_rejected(self):
+        for coeffs in ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5 + 1e-6)):
+            with pytest.raises(ValueError, match="^coefficients not normalized: "):
+                ex.BellCoefficients(*coeffs)
+
 
 class TestPrepCircuit:
     def test_matches_coefficients_grid_wide(self):
@@ -146,10 +151,39 @@ class TestCircuitTwoOutputs:
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_wrong_setting(self):
-        # a setting is a row of the gate table; any other name is refused
+        # a setting is a row of the gate table, and an observable a name one
+        # of its rows lists; any other name is refused
         for name in ("concurrence", "C2", ""):
             with pytest.raises(ValueError, match="unknown observable"):
                 ex.MeasurementSetting(name)
+        for name in ("visibility", "C", "", "va"):
+            with pytest.raises(ValueError, match=f"^unknown observable {name!r}$"):
+                ex.setting_for(name)
+
+
+class TestGateTable:
+    """Each row of the gate table is the one source of its setting: the
+    observables its readout gives, and through its gates, its ancillas."""
+
+    ROWS = {"visibility": (("VA", "VB"), (2, 3)), "predictability": (("PA", "PB"), (2, 3)),
+            "concurrence1": (("C1",), (2,)), "concurrence2": (("C2",), (2, 3))}
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_a_row_names_its_observables_and_ancillas(self, name):
+        s = ex.MeasurementSetting(name)
+        observables, ancillas = self.ROWS[name]
+        assert s.observables == observables
+        assert s.ancilla_qubits == ancillas and s.num_qubits == 2 + len(ancillas)
+        assert [ex.setting_for(o) for o in observables] == [s] * len(observables)
+        width = 2 ** len(ancillas)
+        assert tuple(ex.estimate_observable(s, np.full((1, width), 1 / width))) == observables
+
+    def test_every_observable_has_one_row_in_its_order(self):
+        # the CLI's choices, the golden fixtures and the criteria report
+        # all read this order
+        assert ex.OBSERVABLES == ("VA", "VB", "PA", "PB", "C1", "C2")
+        assert sorted(o for s in map(ex.MeasurementSetting, self.ROWS)
+                      for o in s.observables) == sorted(ex.OBSERVABLES)
 
 
 class TestEstimators:

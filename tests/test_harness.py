@@ -804,6 +804,23 @@ class TestCli:
             assert stage.cache_info().misses == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ('["VA"]', ["--out", "x.csv"], "config file cfg.json must hold a JSON object"),
+        ('{"observable": "VA", "exact_mode": true}', [],
+         "--out or a config file's output_path is required, got None"),
+        ('{"observable": "VA", "output_path": ""}', [],
+         "--out or a config file's output_path is required, got ''"),
+    ], ids=["not an object", "no output path", "empty output path"])
+    def test_a_config_that_cannot_run_is_refused_before_work(self, tmp_path, capsys,
+                                                             monkeypatch, config, argv,
+                                                             message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(config)
+        assert cli_main(["sweep", "--config", "cfg.json", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert all(stage.cache_info().misses == 0 for stage in STAGE_CACHES)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_missing_observable_is_an_error(self, tmp_path):
         assert cli_main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
 

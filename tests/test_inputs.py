@@ -15,7 +15,10 @@ such argument:
 A noise model and a circuit's gates are checked for their type the same
 way: anything but a ``NoiseModel``, or a tuple or list of ``Gate``, raises
 ValueError naming the argument before any work, where it used to fail
-later with a TypeError or an AttributeError. A density matrix with an
+later with a TypeError or an AttributeError. So do a config that is not a
+dict, a criteria run's seeds or observables that are not a list or tuple,
+and records that ``emit`` and ``compute_fits`` take that are not a
+nonempty list of records. A density matrix with an
 infinite or NaN entry is refused as not Hermitian, before its eigenvalues.
 """
 
@@ -286,3 +289,48 @@ def test_a_circuit_stores_its_gates_as_a_tuple():
     gates.append(circ.x(1))
     assert type(circuit.gates) is tuple and circuit.gates == (circ.x(0), circ.h(1))
     assert hash(circuit) == hash(Circuit(2, (circ.x(0), circ.h(1))))
+
+
+# (entry point, a value of the wrong type, the start of its message): each
+# used to fail later with an AttributeError or a TypeError, or with a
+# message about the characters of a string
+WRONG_TYPES = [
+    ("SweepConfig.from_dict", ["observable"], "config must be a JSON object, got ['observable']"),
+    ("SweepConfig.from_dict", "VA", "config must be a JSON object, got 'VA'"),
+    ("SweepConfig.from_dict", None, "config must be a JSON object, got None"),
+    ("SweepConfig.from_dict", 5, "config must be a JSON object, got 5"),
+    ("SweepConfig.from_dict noise", [0.1], "noise must be a JSON object, got [0.1]"),
+    ("SweepConfig.from_dict noise", "none", "noise must be a JSON object, got 'none'"),
+    ("run_criteria_protocol seeds", 5, "seeds must be a list or tuple, got 5"),
+    ("run_criteria_protocol seeds", range(2), "seeds must be a list or tuple, got range(0, 2)"),
+    ("run_criteria_protocol observables", "VA", "observables must be a list or tuple, got 'VA'"),
+    ("run_criteria_protocol observables", {"VA"},
+     "observables must be a list or tuple, got {'VA'}"),
+    ("emit", "abc", "records must be a list of SweepRecord, got str"),
+    ("emit", None, "records must be a list of SweepRecord, got NoneType"),
+    ("emit", [5], "records must be a list of SweepRecord, got int among them"),
+    ("compute_fits C1", [], "no records to fit"),
+    ("compute_fits VA", [], "no records to fit"),
+    ("compute_fits VA", "abc", "records must be a list of SweepRecord, got str"),
+]
+
+CALLS = {
+    "SweepConfig.from_dict": SweepConfig.from_dict,
+    "SweepConfig.from_dict noise": lambda v: SweepConfig.from_dict({"observable": "VA",
+                                                                    "noise": v}),
+    "run_criteria_protocol seeds": lambda v: run_criteria_protocol(v, ("VA",), phi_count=2),
+    "run_criteria_protocol observables": lambda v: run_criteria_protocol([0], v, phi_count=2),
+    "emit": lambda v: harness.emit(v, "csv", "out.csv"),
+    "compute_fits C1": lambda v: harness.compute_fits(v, "C1"),
+    "compute_fits VA": lambda v: harness.compute_fits(v, "VA"),
+}
+
+
+@pytest.mark.parametrize("entry, value, message", WRONG_TYPES)
+def test_a_wrong_type_is_refused_naming_its_argument(entry, value, message, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CALLS[entry](value)
+    assert all(cache.cache_info().misses == 0 for cache in STAGE_CACHES)
+    assert list(tmp_path.iterdir()) == []

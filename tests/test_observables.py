@@ -134,6 +134,14 @@ class TestConcurrence:
     def test_basis_state_is_zero(self):
         assert concurrence_pure(basis_state(2, 2)) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("num_qubits", [1, 3])
+    def test_wrong_dimension(self, num_qubits):
+        state = basis_state(num_qubits)
+        for call in (lambda: concurrence_pure(state),
+                     lambda: concurrence_wootters(state.density())):
+            with pytest.raises(ValueError, match="^concurrence is defined on a two-qubit state$"):
+                call()
+
 
 class TestTriality:
     def test_bell_state(self):

@@ -1,6 +1,7 @@
 """Linear-algebra core: tensor products, partial trace, spectra, fidelity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ class TestTensor:
             tensor(a + b, c), tensor(a, c) + tensor(b, c), atol=1e-12
         )
         np.testing.assert_allclose(tensor(2.5 * a, c), 2.5 * tensor(a, c), atol=1e-12)
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match=r"^tensor\(\) needs at least one factor$"):
+            tensor()
 
 
 class TestPartialTrace:
@@ -247,6 +252,22 @@ class TestStateTypes:
         # NaN compares false with any tolerance, so it must fail the check
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(2,), (8,), (4, 1), (2, 2)])
+    def test_state_vector_checks_its_shape(self, shape):
+        amps = np.zeros(shape, dtype=complex)
+        amps.flat[0] = 1.0
+        message = f"^expected 4 amplitudes, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            StateVector(2, amps)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (4,), (4, 2), (1, 4, 4)])
+    def test_density_matrix_checks_its_shape(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        m.flat[0] = 1.0
+        message = f"^expected 4x4 matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(2, m)
 
     def test_density_matrix_requires_unit_trace(self):
         with pytest.raises(ValueError):

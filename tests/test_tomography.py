@@ -1,6 +1,7 @@
 """Tomography settings, linear inversion round trip, and PSD projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ class TestProjectPsd:
         rho = random_density_matrix(rng, 2)
         projected, _ = tom.project_psd(rho.matrix[None])
         np.testing.assert_allclose(projected[0], rho.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4,), (1, 2, 4, 4)])
+    def test_needs_a_stack_of_matrices(self, shape):
+        with pytest.raises(ValueError, match=r"^need a \(K, d, d\) stack, got shape "
+                           + re.escape(str(shape)) + "$"):
+            tom.project_psd(np.zeros(shape))
 
     def test_eigenvalue_projection_example(self):
         np.testing.assert_allclose(
