@@ -541,8 +541,15 @@ def _output_tomography(setting, data, block):
     return values, fids, shots[:, 1:].copy()
 
 
+def _check_config(config: SweepConfig) -> None:
+    if not isinstance(config, SweepConfig):
+        raise ValueError(f"config must be a SweepConfig, got {type(config).__name__}")
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Run the full protocol over the phi grid. Deterministic per config."""
+    """Run the full protocol over the phi grid. Deterministic per config.
+    Raises ValueError unless ``config`` is a ``SweepConfig``."""
+    _check_config(config)
     return _measure_points(config, config.phi_count, lambda i: (
         i, config.phi_start + i * config.phi_step, config.master_seed))
 
@@ -552,9 +559,10 @@ def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecor
 
     Uses phi = pi/2, theta = pi (the Bell-state point) with one derived seed
     stream per repetition; the record's ``seed`` field carries the
-    repetition index. ``repetitions`` is an integer in 1..2**32, checked
-    before any work.
+    repetition index. ``config`` is a ``SweepConfig`` and ``repetitions``
+    an integer in 1..2**32, both checked before any work.
     """
+    _check_config(config)
     repetitions = _integer("repetitions", repetitions, 1, MAX_POINTS)
     fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
     return _measure_points(fixed, repetitions, lambda r: (r, math.pi / 2, r))
@@ -566,10 +574,15 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
     Concurrence output curves get the fully-mixed-component fit (mix into
     the ideal state, recompute concurrence) since plain scaling cannot track
     the purity loss. Scale fits are left out when the theory curve is
-    identically zero, where no scale factor is defined. Raises ValueError
-    unless ``records`` is a nonempty list of records.
+    identically zero, where no scale factor is defined. Raises ValueError,
+    before any fit, unless ``records`` is a nonempty list of records and
+    ``observable`` is every record's own ``SweepRecord.observable``.
     """
     _check_records(records, "fit")
+    if any(r.observable != observable for r in records):
+        held = sorted({r.observable for r in records})
+        raise ValueError(f"observable must be the records' own, got {observable!r} "
+                         f"for records of {held}")
     records = sorted(records, key=lambda r: (r.phi, r.seed))
     theory = [r.theory for r in records]
     scalable = any(theory)
@@ -680,11 +693,38 @@ def emit(
     (phi, seed, branch) values with ties kept in the records' order. So for
     equal (phi, seed) all point rows come first, then each branch's rows.
     A cell's text is ``_fmt``'s; the header and every row go out in one
-    ``writerows`` call. JSON additionally echoes the configuration and any
-    fit results. Raises ValueError unless ``records`` is a nonempty list of
-    records.
+    ``writerows`` call.
+
+    JSON: one object whose ``config`` (the configuration's echo, or null),
+    ``fits`` and ``records`` each start a line, with one record on each
+    line after ``records``, indented by four spaces::
+
+        {
+          "config": {...},
+          "fits": {...},
+          "records": [
+            {...},
+            {...}
+          ]
+        }
+
+    Each value is written by ``json.dumps`` with its defaults, so keys, key
+    order, values and escaping are those of the ``json.dumps(doc,
+    indent=2)`` that earlier versions wrote, and ``json.loads`` reads
+    either file to the same object. The layout is for speed: Python's C
+    encoder takes no indent, and this layout leaves all the encoding to it.
+    The file goes out in one write and holds len(records) + 6 lines.
+
+    Raises ValueError, before the file is opened, unless ``records`` is a
+    nonempty list of records, ``config`` a ``SweepConfig`` or None, and
+    ``fits`` None or a dict of ``FitResult`` keyed by name.
     """
     _check_records(records, "emit")
+    if config is not None:
+        _check_config(config)
+    if fits is not None and not (isinstance(fits, dict) and all(
+            isinstance(k, str) and isinstance(f, FitResult) for k, f in fits.items())):
+        raise ValueError(f"fits must be a dict of str to FitResult, got {fits!r}")
     ordered = sorted(records, key=lambda r: (r.phi, r.seed))
     if fmt == "csv":
         keyed = [row for rec in ordered for row in _record_rows(rec)]
@@ -692,17 +732,22 @@ def emit(
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([CSV_COLUMNS, *(row for _, row in keyed)])
     elif fmt == "json":
-        doc = {
-            "config": config.to_dict() if config is not None else None,
-            "fits": {
-                name: {"kind": f.kind, "parameter": f.parameter, "residual_rms": f.residual_rms}
-                for name, f in (fits or {}).items()
-            },
-            "records": [_record_dict(r) for r in ordered],
+        echo = config.to_dict() if config is not None else None
+        fitted = {
+            name: {"kind": f.kind, "parameter": f.parameter, "residual_rms": f.residual_rms}
+            for name, f in (fits or {}).items()
         }
+        lines = [
+            "{",
+            f'  "config": {json.dumps(echo)},',
+            f'  "fits": {json.dumps(fitted)},',
+            '  "records": [',
+            ",\n".join("    " + json.dumps(_record_dict(r)) for r in ordered),
+            "  ]",
+            "}",
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            # one write: json.dump writes every token on its own
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

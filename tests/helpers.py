@@ -14,8 +14,9 @@ its output mixture summed a branch at a time, the linear estimates
 solved against a broadcast copy of the design matrix, and the
 depolarizing channel's mixed term built by a transpose), the
 depolarizing channel written as a Pauli twirl, the CSV writer that
-formats every cell of every row and writes one row at a time, and a reset
-of the sweep's stage caches."""
+formats every cell of every row and writes one row at a time, the JSON
+document the indented writer wrote, and a reset of the sweep's stage
+caches."""
 
 import csv
 import itertools
@@ -558,3 +559,28 @@ def rowwise_csv(records, path) -> None:
         writer.writerow(harness.CSV_COLUMNS)
         for row in rows:
             writer.writerow([csv_cell(row[c]) for c in harness.CSV_COLUMNS])
+
+
+def indented_json_document(records, config=None, fits=None) -> dict:
+    """The document ``harness.emit`` wrote as ``json.dumps(doc, indent=2)``
+    before it wrote one record per line, built here from the dataclass
+    fields alone: the config's echo or None, the fits by name, and the
+    records ordered by (phi, seed) with ties in the records' order."""
+    def branch(b):
+        return {"outcome": b.outcome, "probability": b.probability, "reliable": b.reliable,
+                "retained_shots": b.retained_shots, "tomo_post": b.tomo_value,
+                "fidelity_post": b.fidelity}
+
+    def record(r):
+        return {"phi": r.phi, "theta": r.theta, "lambda": r.lam, "observable": r.observable,
+                "theory": r.theory, "qnd_estimate": r.qnd_estimate, "tomo_in": r.tomo_in,
+                "tomo_out": r.tomo_out, "fidelity_in": r.fidelity_in,
+                "fidelity_out": r.fidelity_out, "shots": r.shots, "seed": r.seed,
+                "branches": [branch(b) for b in r.branches]}
+
+    return {
+        "config": config.to_dict() if config is not None else None,
+        "fits": {name: {"kind": f.kind, "parameter": f.parameter,
+                        "residual_rms": f.residual_rms} for name, f in (fits or {}).items()},
+        "records": [record(r) for r in sorted(records, key=lambda r: (r.phi, r.seed))],
+    }

@@ -149,16 +149,53 @@ MUTANTS = (
         "tests/test_harness.py",
     ),
     Mutant(
-        "JSON output indented by 1", HARNESS,
-        "fh.write(json.dumps(doc, indent=2) + \"\\n\")",
-        "fh.write(json.dumps(doc, indent=1) + \"\\n\")",
+        "the JSON config echo indented by 1", HARNESS,
+        "f'  \"config\": {json.dumps(echo)},'",
+        "f' \"config\": {json.dumps(echo)},'",
         "tests/test_harness.py",
     ),
     Mutant(
         "JSON output without its trailing newline", HARNESS,
-        "fh.write(json.dumps(doc, indent=2) + \"\\n\")",
-        "fh.write(json.dumps(doc, indent=2))",
+        "fh.write(\"\\n\".join(lines) + \"\\n\")",
+        "fh.write(\"\\n\".join(lines))",
         "tests/test_harness.py",
+    ),
+    Mutant(
+        "a JSON record written without its indent", HARNESS,
+        "\"    \" + json.dumps(_record_dict(r))",
+        "json.dumps(_record_dict(r))",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "JSON records joined on one line", HARNESS,
+        "\",\\n\".join(",
+        "\", \".join(",
+        "tests/test_harness.py",
+    ),
+    Mutant(
+        "emit takes any config", HARNESS,
+        "    if config is not None:\n        _check_config(config)\n", "",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "emit takes fits keyed by anything", HARNESS,
+        "isinstance(k, str) and isinstance(f, FitResult)", "isinstance(f, FitResult)",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "run_sweep takes any config", HARNESS,
+        "    _check_config(config)\n    return _measure_points(", "    return _measure_points(",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "repeat_fixed_state takes any config", HARNESS,
+        "    _check_config(config)\n    repetitions = ", "    repetitions = ",
+        "tests/test_inputs.py",
+    ),
+    Mutant(
+        "compute_fits takes any observable", HARNESS,
+        "if any(r.observable != observable for r in records):", "if False:",
+        "tests/test_inputs.py",
     ),
     Mutant(
         "input estimates left writeable", HARNESS,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qndsim
-from helpers import STAGE_CACHES, rowwise_csv
+from helpers import STAGE_CACHES, indented_json_document, rowwise_csv
 from qndsim import circuits as circ
 from qndsim import experiments as ex
 from qndsim import harness
@@ -436,7 +436,8 @@ class TestEmission:
         assert doc["records"][0]["branches"][0]["outcome"] == "0"
 
     def test_json_file_is_json_dump_bytes(self, tmp_path):
-        # the document goes out in one write; the bytes are json.dump's
+        # one line per top-level key and one per record, each value as
+        # json.dumps writes it with its defaults, in one write
         cfg = SweepConfig("C2", exact_mode=True, phi_count=6)
         records = run_sweep(cfg)
         fits = compute_fits(records, "C2")
@@ -444,10 +445,37 @@ class TestEmission:
         path = tmp_path / "sweep.json"
         emit(records, "json", str(path), cfg, fits)
         text = path.read_text(encoding="utf-8")
-        want = io.StringIO()
-        json.dump(json.loads(text), want, indent=2)
-        want.write("\n")
-        assert text == want.getvalue()
+        doc = json.loads(text)
+        assert doc["config"] is not None and len(doc["records"]) == 6
+        lines = ",\n".join("    " + json.dumps(r) for r in doc["records"])
+        want = (f'{{\n  "config": {json.dumps(doc["config"])},\n'
+                f'  "fits": {json.dumps(doc["fits"])},\n'
+                f'  "records": [\n{lines}\n  ]\n}}\n')
+        assert text == want
+
+    @pytest.mark.parametrize("echo", ["none", "config", "fits", "both"])
+    @pytest.mark.parametrize("run", ["exact", "sampled", "criterion9", "repeat"])
+    def test_json_file_reads_as_the_indented_document(self, tmp_path, run, echo):
+        # the document the indented writer wrote, built from the records
+        # alone, and one line per record plus six
+        if run == "repeat":
+            cfg = SweepConfig("C1", shots=300, master_seed=2)
+            records = repeat_fixed_state(cfg, 6)
+        else:
+            noise = NoiseModel(depol_1q=0.005, depol_2q=0.05, readout_flip=0.01)
+            cfg = SweepConfig("C2", phi_count=5, phi_step=math.pi / 4, shots=300,
+                              exact_mode=run == "exact",
+                              noise=noise if run == "criterion9" else NoiseModel(),
+                              master_seed=7)
+            records = run_sweep(cfg)
+        config = cfg if echo in ("config", "both") else None
+        fits = compute_fits(records, cfg.observable) if echo in ("fits", "both") else None
+        path = tmp_path / "sweep.json"
+        emit(records, "json", str(path), config, fits)
+        text = path.read_text(encoding="utf-8")
+        want = indented_json_document(records, config, fits)
+        assert json.loads(text) == json.loads(json.dumps(want, indent=2))
+        assert len(text.splitlines()) == len(records) + 6
 
     @pytest.mark.parametrize("exact_mode", [True, False], ids=["exact", "sampled"])
     @pytest.mark.parametrize("noise", [

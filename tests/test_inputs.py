@@ -17,9 +17,13 @@ way: anything but a ``NoiseModel``, or a tuple or list of ``Gate``, raises
 ValueError naming the argument before any work, where it used to fail
 later with a TypeError or an AttributeError. So do a config that is not a
 dict, a criteria run's seeds or observables that are not a list or tuple,
-and records that ``emit`` and ``compute_fits`` take that are not a
-nonempty list of records. A density matrix with an
-infinite or NaN entry is refused as not Hermitian, before its eigenvalues.
+records that ``emit`` and ``compute_fits`` take that are not a nonempty
+list of records, a config that ``run_sweep``, ``repeat_fixed_state`` or
+``emit`` takes that is not a ``SweepConfig``, and fits that ``emit`` takes
+that are not a dict of ``FitResult``. ``compute_fits`` refuses an
+observable that is not its records' own before any fit. A density matrix
+with an infinite or NaN entry is refused as not Hermitian, before its
+eigenvalues.
 """
 
 import argparse
@@ -37,6 +41,7 @@ from qndsim import cli
 from qndsim import experiments as ex
 from qndsim import harness
 from qndsim import tomography as tom
+from qndsim.analysis import FitResult, SweepRecord
 from qndsim.circuits import Circuit, NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol
 from qndsim.qmath import (
@@ -291,6 +296,9 @@ def test_a_circuit_stores_its_gates_as_a_tuple():
     assert hash(circuit) == hash(Circuit(2, (circ.x(0), circ.h(1))))
 
 
+RECORD = SweepRecord("VA", phi=0.0, theta=0.0, lam=0.0, theory=1.0, qnd_estimate=1.0)
+FIT = FitResult("scale", 1.0, 0.0)
+
 # (entry point, a value of the wrong type, the start of its message): each
 # used to fail later with an AttributeError or a TypeError, or with a
 # message about the characters of a string
@@ -312,6 +320,17 @@ WRONG_TYPES = [
     ("compute_fits C1", [], "no records to fit"),
     ("compute_fits VA", [], "no records to fit"),
     ("compute_fits VA", "abc", "records must be a list of SweepRecord, got str"),
+    ("emit config", "x", "config must be a SweepConfig, got str"),
+    ("emit config", {"observable": "VA"}, "config must be a SweepConfig, got dict"),
+    ("emit fits", [1], "fits must be a dict of str to FitResult, got [1]"),
+    ("emit fits", {"qnd_scale": 1.0},
+     "fits must be a dict of str to FitResult, got {'qnd_scale': 1.0}"),
+    ("emit fits", {("qnd", "scale"): FIT},
+     f"fits must be a dict of str to FitResult, got {{('qnd', 'scale'): {FIT!r}}}"),
+    ("run_sweep", {"observable": "VA"}, "config must be a SweepConfig, got dict"),
+    ("run_sweep", "VA", "config must be a SweepConfig, got str"),
+    ("repeat_fixed_state", "VA", "config must be a SweepConfig, got str"),
+    ("repeat_fixed_state", None, "config must be a SweepConfig, got NoneType"),
 ]
 
 CALLS = {
@@ -323,6 +342,10 @@ CALLS = {
     "emit": lambda v: harness.emit(v, "csv", "out.csv"),
     "compute_fits C1": lambda v: harness.compute_fits(v, "C1"),
     "compute_fits VA": lambda v: harness.compute_fits(v, "VA"),
+    "emit config": lambda v: harness.emit([RECORD], "json", "out.json", config=v),
+    "emit fits": lambda v: harness.emit([RECORD], "json", "out.json", fits=v),
+    "run_sweep": harness.run_sweep,
+    "repeat_fixed_state": lambda v: repeat_fixed_state(v, 2),
 }
 
 
@@ -334,3 +357,20 @@ def test_a_wrong_type_is_refused_naming_its_argument(entry, value, message, tmp_
         CALLS[entry](value)
     assert all(cache.cache_info().misses == 0 for cache in STAGE_CACHES)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("records, observable, held", [
+    ([RECORD], "C1", ["VA"]),
+    ([RECORD], "XX", ["VA"]),
+    ([RECORD, dataclasses.replace(RECORD, observable="VB")], "VA", ["VA", "VB"]),
+], ids=["another", "unknown", "mixed"])
+def test_compute_fits_refuses_an_observable_not_the_records_own(records, observable, held,
+                                                                monkeypatch):
+    # "C1" on VA records used to fit a mixed fraction to visibilities
+    fitted = []
+    for name in ("fit_scale", "fit_mixed_fraction"):
+        monkeypatch.setattr(harness, name, lambda *args: fitted.append(args))
+    message = f"observable must be the records' own, got {observable!r} for records of {held}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.compute_fits(records, observable)
+    assert fitted == []
