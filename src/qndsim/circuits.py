@@ -146,7 +146,8 @@ class NoiseModel:
     Each probability is a real number in [0, 1], stored as a built-in
     float. All zero, the default, means no noise. ``enabled`` is a
     constructor argument only, not an attribute: ``enabled=False`` zeroes
-    the probabilities, so configs written with the flag still load.
+    the probabilities, once each is checked, so configs written with the
+    flag still load.
     """
 
     depol_1q: float
@@ -164,7 +165,8 @@ class NoiseModel:
             raise ValueError(f"enabled must be true or false, got {enabled!r}")
         for name, v in (("depol_1q", depol_1q), ("depol_2q", depol_2q),
                         ("readout_flip", readout_flip)):
-            object.__setattr__(self, name, _real(name, v, 0.0, 1.0) if enabled else 0.0)
+            v = _real(name, v, 0.0, 1.0)
+            object.__setattr__(self, name, v if enabled else 0.0)
 
 
 def _noise_model(noise) -> NoiseModel:

@@ -29,11 +29,12 @@ import os
 import sys
 
 from .circuits import NoiseModel
-from .experiments import OBSERVABLES, PrepParams, visibility_identity_check
+from .experiments import OBSERVABLES, PrepParams, observable_row, visibility_identity_check
 from .harness import (
     SweepConfig,
     compute_fits,
     emit,
+    fixed_state_config,
     repeat_fixed_state,
     run_criteria_protocol,
     run_sweep,
@@ -43,7 +44,9 @@ from .qmath import _integer
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--observable", choices=OBSERVABLES, help="observable to measure")
-    p.add_argument("--theta", type=float, help="preparation angle theta (default per observable)")
+    defaults = ", ".join(f"{obs} {observable_row(obs).theta / math.pi:g}" for obs in OBSERVABLES)
+    p.add_argument("--theta", type=float,
+                   help=f"preparation angle theta (default, in units of pi: {defaults})")
     p.add_argument("--lambda", dest="lam", type=float, help="preparation angle lambda (default 0)")
     p.add_argument("--shots", type=int, help="shots per circuit configuration (default 5000)")
     p.add_argument("--exact", action="store_true", default=None,
@@ -144,7 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records = run_sweep(config)
     fmt = args.format or "csv"
     # only JSON carries fits
-    fits = compute_fits(records, config.observable) if fmt == "json" else None
+    fits = compute_fits(records) if fmt == "json" else None
     emit(records, fmt, out, config, fits)
     print(f"wrote {len(records)} sweep points to {out}")
     return 0
@@ -152,6 +155,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_repeat(args: argparse.Namespace) -> int:
     config, out = _build_config(args)
+    # the echo names the point every repetition runs
+    config = fixed_state_config(config)
     records = repeat_fixed_state(config, args.repetitions)
     emit(records, args.format or "csv", out, config)
     print(f"wrote {len(records)} repetitions to {out}")

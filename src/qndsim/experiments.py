@@ -14,9 +14,11 @@ rotation setting, estimates coherence, population imbalance, or concurrence
 from the joint ancilla statistics.
 
 A measurement setting is named by its row of one gate table,
-``_MEASUREMENT_GATES``: the observables one readout gives and the circuit's
-gates. All else about a setting is read from its row, and only
-``branch_data``'s choice of closed form reads a row's name.
+``_MEASUREMENT_GATES``: the circuit's gates. An observable is named by its
+row of the table beside it, ``_OBSERVABLE_ROWS``: the setting that measures
+it, its default preparation theta and its defining formula on a pair
+state. All else about either is read from its row, and only
+``branch_data``'s choice of closed form reads a setting's name.
 ``branch_data`` gives the ideal data a sweep is compared with, for a
 whole block of points as arrays: (P, B) branch probabilities and (P, B, 4)
 unit kets, in closed form (the single-ancilla circuit's block is simulated
@@ -39,12 +41,15 @@ angle (``tests/helpers.py``) to pin which one is algebraically correct.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import circuits as circ
 from .circuits import Circuit, cnot, cry, h, rx, ry
+from .observables import predictability, visibility
 from .qmath import StateVector, _real, basis_state, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -126,14 +131,14 @@ def prep_circuit(p: PrepParams) -> Circuit:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Which observable circuit 1/2 measures, by its row of the gate table
+    """A setting of circuit 1 or 2, by its name: a row of the gate table
     (``_MEASUREMENT_GATES``); any other name is refused."""
 
-    observable: str
+    name: str
 
     def __post_init__(self) -> None:
-        if self.observable not in _MEASUREMENT_GATES:
-            raise ValueError(f"unknown observable {self.observable!r}")
+        if self.name not in _MEASUREMENT_GATES:
+            raise ValueError(f"unknown measurement setting {self.name!r}")
 
     @property
     def num_qubits(self) -> int:
@@ -141,18 +146,18 @@ class MeasurementSetting:
 
     @property
     def observables(self) -> tuple[str, ...]:
-        return _MEASUREMENT_GATES[self.observable][0]
+        """The observables whose rows name this setting, in their order."""
+        return tuple(obs for obs, row in _OBSERVABLE_ROWS.items() if row.setting == self)
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:
         """The qubits above the pair (0, 1) that the setting's gates act on."""
-        gates = _MEASUREMENT_GATES[self.observable][1]
+        gates = _MEASUREMENT_GATES[self.name]
         return tuple(sorted({q for g in gates for q in g.targets} - {0, 1}))
 
 
 _HALF_PI = math.pi / 2
-# Each setting's row: the observables its readout gives, in the order
-# estimate_observable reads them, and its circuit on A, B (0, 1), C, D (2, 3).
+# Each setting's row: its circuit on A, B (0, 1), C, D (2, 3).
 # Circuit 2: setting rotation theta1 on A and B; theta3 on C, CNOT C->D;
 # CNOT A->C; CNOT B->D; setting rotation theta2 on A and B. De Melo's
 # rotation vectors (theta1, theta2, theta3), each read as its half-angle
@@ -160,38 +165,63 @@ _HALF_PI = math.pi / 2
 #     visibility      (0, pi/2, 0), (0, -pi/2, 0), 0
 #     predictability  0, 0, 0
 #     concurrence2    (pi/2, 0, 0), (-pi/2, 0, 0), (0, pi/2, 0).
-# concurrence2 ends with the Bell-basis rotation, CNOT C->D then H on C, so
-# readout of C, D maps phi_plus -> 00, psi_plus -> 01, phi_minus -> 10,
-# psi_minus -> 11 (up to global signs). Circuit 1 writes the x-rotated pair
-# parity onto C.
+# So C carries A's parity and D B's. concurrence2 ends with the Bell-basis
+# rotation, CNOT C->D then H on C, so readout of C, D maps phi_plus -> 00,
+# psi_plus -> 01, phi_minus -> 10, psi_minus -> 11 (up to global signs).
+# Circuit 1 writes the x-rotated pair parity onto C.
 _MEASUREMENT_GATES = {
-    "visibility": (("VA", "VB"), (ry(0, _HALF_PI), ry(1, _HALF_PI), cnot(2, 3), cnot(0, 2),
-                                  cnot(1, 3), ry(0, -_HALF_PI), ry(1, -_HALF_PI))),
-    "predictability": (("PA", "PB"), (cnot(2, 3), cnot(0, 2), cnot(1, 3))),
-    "concurrence1": (("C1",), (rx(0, _HALF_PI), rx(1, _HALF_PI), cnot(0, 2), cnot(1, 2),
-                               rx(0, -_HALF_PI), rx(1, -_HALF_PI))),
-    "concurrence2": (("C2",), (rx(0, _HALF_PI), rx(1, _HALF_PI), ry(2, _HALF_PI), cnot(2, 3),
-                               cnot(0, 2), cnot(1, 3), rx(0, -_HALF_PI), rx(1, -_HALF_PI),
-                               cnot(2, 3), h(2))),
+    "visibility": (ry(0, _HALF_PI), ry(1, _HALF_PI), cnot(2, 3), cnot(0, 2), cnot(1, 3),
+                   ry(0, -_HALF_PI), ry(1, -_HALF_PI)),
+    "predictability": (cnot(2, 3), cnot(0, 2), cnot(1, 3)),
+    "concurrence1": (rx(0, _HALF_PI), rx(1, _HALF_PI), cnot(0, 2), cnot(1, 2),
+                     rx(0, -_HALF_PI), rx(1, -_HALF_PI)),
+    "concurrence2": (rx(0, _HALF_PI), rx(1, _HALF_PI), ry(2, _HALF_PI), cnot(2, 3), cnot(0, 2),
+                     cnot(1, 3), rx(0, -_HALF_PI), rx(1, -_HALF_PI), cnot(2, 3), h(2)),
 }
 
-# observable -> the row that measures it
-_SETTING_NAMES = {obs: name for name, (observables, _) in _MEASUREMENT_GATES.items()
-                  for obs in observables}
-OBSERVABLES = tuple(_SETTING_NAMES)
+
+class ObservableRow(NamedTuple):
+    """An observable: the ``setting`` that measures it, its default
+    preparation ``theta``, and its defining formula on a pair state, the
+    single-qubit ``kernel`` on the reduced state of pair qubit ``qubit``
+    (whose parity the ancilla C or D carries), or with no kernel the
+    concurrence."""
+
+    setting: MeasurementSetting
+    theta: float
+    kernel: Callable[[np.ndarray], np.ndarray] | None = None
+    qubit: int | None = None
+
+
+# one row per observable, in the order the CLI's choices, the golden
+# fixtures and the criteria report read
+_OBSERVABLE_ROWS = {
+    "VA": ObservableRow(MeasurementSetting("visibility"), 0.0, visibility, 0),
+    "VB": ObservableRow(MeasurementSetting("visibility"), 3 * math.pi / 2, visibility, 1),
+    "PA": ObservableRow(MeasurementSetting("predictability"), math.pi, predictability, 0),
+    "PB": ObservableRow(MeasurementSetting("predictability"), math.pi, predictability, 1),
+    "C1": ObservableRow(MeasurementSetting("concurrence1"), math.pi),
+    "C2": ObservableRow(MeasurementSetting("concurrence2"), math.pi),
+}
+OBSERVABLES = tuple(_OBSERVABLE_ROWS)
+
+
+def observable_row(observable: str) -> ObservableRow:
+    """The named observable's row (VA, ..., C2); any other name is refused."""
+    if observable not in OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}")
+    return _OBSERVABLE_ROWS[observable]
 
 
 def setting_for(observable: str) -> MeasurementSetting:
     """Measurement setting that yields the named observable (VA, ..., C2)."""
-    if observable not in _SETTING_NAMES:
-        raise ValueError(f"unknown observable {observable!r}")
-    return MeasurementSetting(_SETTING_NAMES[observable])
+    return observable_row(observable).setting
 
 
 def measurement_circuit(s: MeasurementSetting) -> Circuit:
     """The full ancilla-measurement circuit for a setting: its gate-table
     row on its register. The caller measures the ancillas."""
-    return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.observable][1])
+    return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.name])
 
 
 def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np.ndarray]:
@@ -203,28 +233,31 @@ def estimate_observable(s: MeasurementSetting, data: np.ndarray) -> dict[str, np
     one entry per outcome: integer counts are divided by their total,
     exact probabilities, which must sum to 1, are used as given.
 
-    Returns the setting's ``observables``, each a (K,) array: two are the
-    parities of A and B that C and D carry, one is |f1 - f0|.
+    Returns the setting's ``observables``, each a (K,) array: a kernel's
+    row reads the parity of its qubit's ancilla, a concurrence row |f1 - f0|.
     """
     data = np.asarray(data)
     width = 2 ** len(s.ancilla_qubits)
     if data.ndim != 2 or data.shape[-1] != width:
         raise ValueError(
-            f"need (K, {width}) outcomes for the {s.observable} setting, got shape {data.shape}"
+            f"need (K, {width}) outcomes for the {s.name} setting, got shape {data.shape}"
         )
     f = circ._frequencies(data).T
-    if len(s.observables) == 2:
-        sa = f[0] + f[1] - f[2] - f[3]
-        sb = f[0] + f[2] - f[1] - f[3]
-        a, b = s.observables
-        return {a: np.abs(sa), b: np.abs(sb)}
-    # Circuit 1 reads the parity on C. In circuit 2 the outgoing ancilla
-    # state populates exactly two Bell branches, psi_plus (outcome 01) with
-    # weight alpha^2 + eta^2 and phi_plus (outcome 00) with weight
-    # beta^2 + gamma^2; the state-vector oracle in the test suite pins this
-    # mapping. Either way the estimate is |f[1] - f[0]|.
-    (name,) = s.observables
-    return {name: np.abs(f[1] - f[0])}
+    estimates = {}
+    for obs in s.observables:
+        qubit = _OBSERVABLE_ROWS[obs].qubit
+        if qubit is None:
+            # Circuit 1 reads the parity on C. In circuit 2 the outgoing
+            # ancilla state populates exactly two Bell branches, psi_plus
+            # (outcome 01) with weight alpha^2 + eta^2 and phi_plus (outcome
+            # 00) with weight beta^2 + gamma^2; the state-vector oracle in
+            # the test suite pins this mapping.
+            estimates[obs] = np.abs(f[1] - f[0])
+        else:
+            # outcome (C, D) as a grid, the qubit's ancilla as its first axis
+            grid = np.moveaxis(f.reshape(2, 2, -1), qubit, 0)
+            estimates[obs] = np.abs(grid[0, 0] + grid[0, 1] - grid[1, 0] - grid[1, 1])
+    return estimates
 
 
 _VIS_BRANCHES = {
@@ -293,15 +326,15 @@ def branch_data(
     concurrence circuit is simulated: the block's full circuits run as one
     pure batch, and each branch is read at its ancilla bit.
     """
-    if s.observable in ("visibility", "predictability"):
-        table = _VIS_BRANCHES if s.observable == "visibility" else _PRED_BRANCHES
+    if s.name in ("visibility", "predictability"):
+        table = _VIS_BRANCHES if s.name == "visibility" else _PRED_BRANCHES
         rows = [table[o] for o in branch_outcomes(s)]
         coeff = np.array([[fn(c) for fn, _, _ in rows] for c in map(bell_coefficients, params)])
         probability = coeff * coeff / 2.0
         # the product kets are unit vectors already
         kets = np.array([[np.kron(a, b) for _, a, b in rows]] * len(params))
     else:
-        if s.observable == "concurrence1":
+        if s.name == "concurrence1":
             n = s.num_qubits
             amps = circ.run_batch(np.broadcast_to(basis_state(n).amplitudes, (len(params), 2**n)),
                                   block_layers(s, params), circ.NoiseModel())

@@ -86,17 +86,8 @@ from .analysis import (
     BranchResult, FitResult, SweepRecord, criteria_summary, fit_mixed_fraction, fit_scale,
 )
 from .circuits import NoiseModel
-from .observables import concurrence_pure, observable_set, predictability, visibility
+from .observables import concurrence_pure, observable_set
 from .qmath import _integer, _real, basis_state, fidelity, partial_trace
-
-THETA_DEFAULTS = {
-    "VA": 0.0,
-    "VB": 3 * math.pi / 2,
-    "PA": math.pi,
-    "PB": math.pi,
-    "C1": math.pi,
-    "C2": math.pi,
-}
 
 CSV_COLUMNS = (
     "phi", "theta", "lambda", "observable", "theory", "qnd_estimate",
@@ -135,8 +126,7 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.observable not in ex.OBSERVABLES:
-            raise ValueError(f"unknown observable {self.observable!r}")
+        ex.observable_row(self.observable)  # refuses an unknown observable
         if not isinstance(self.exact_mode, bool):
             raise ValueError(f"exact_mode must be true or false, got {self.exact_mode!r}")
         store = partial(object.__setattr__, self)
@@ -163,7 +153,8 @@ class SweepConfig:
 
     @property
     def theta_resolved(self) -> float:
-        return THETA_DEFAULTS[self.observable] if self.theta is None else self.theta
+        """``theta``, or when it is None the observable's row's default."""
+        return ex.observable_row(self.observable).theta if self.theta is None else self.theta
 
     def to_dict(self) -> dict:
         return {
@@ -222,13 +213,14 @@ def _check_keys(what: str, d: dict, allowed: set[str]) -> None:
 
 def _observable_values(observable: str, rho: np.ndarray) -> np.ndarray:
     """The observable's (K,) values on a (K, 4, 4) stack of two-qubit
-    states: the concurrence from ``observable_set``, and any other one
-    from the single-qubit state it reads. The kernels are the ones
-    ``observable_set`` applies, so each value is its value, bit for bit."""
-    if observable in ("C1", "C2"):
+    states, by its row's formula: its kernel on the reduced state of its
+    qubit, or with no kernel the concurrence from ``observable_set``. The
+    kernels are the ones ``observable_set`` applies, so each value is its
+    value, bit for bit."""
+    row = ex.observable_row(observable)
+    if row.kernel is None:
         return observable_set(rho)["C"]
-    reduced = partial_trace(rho, (0,) if observable in ("VA", "PA") else (1,))
-    return visibility(reduced) if observable in ("VA", "VB") else predictability(reduced)
+    return row.kernel(partial_trace(rho, (row.qubit,)))
 
 
 def _noisy(noise: NoiseModel) -> bool:
@@ -299,8 +291,8 @@ def _prepare_input(
     target = np.stack([np.outer(c.amplitudes, c.amplitudes.conj()) for c in chi])
     probs = tom.setting_probabilities(actual, noise)
     concurrence = np.array([concurrence_pure(c) for c in chi])
-    theory = {obs: concurrence if obs in ("C1", "C2") else _observable_values(obs, target)
-              for obs in ex.OBSERVABLES}
+    theory = {obs: concurrence if ex.observable_row(obs).kernel is None
+              else _observable_values(obs, target) for obs in ex.OBSERVABLES}
     for a in (target, probs, *theory.values()):
         a.flags.writeable = False
     return target, probs, theory
@@ -453,10 +445,10 @@ def _output_analysis(
 
 def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord]:
     """The seed stage: each point's record, read from the block's stages."""
-    obs = config.observable
+    obs, theta = config.observable, config.theta_resolved
     setting = ex.setting_for(obs)
     indices = tuple(index for index, _, _ in points)
-    params = tuple(_prep_params(phi, config.theta_resolved, config.lam) for _, phi, _ in points)
+    params = tuple(_prep_params(phi, theta, config.lam) for _, phi, _ in points)
     draw = None if config.exact_mode else (config.shots, config.master_seed, indices)
     # the input stage first, as the protocol runs it: its evolution then
     # shares the peak memory with no stack of the measurement stage
@@ -473,7 +465,7 @@ def _measure_block(config: SweepConfig, points: list[Point]) -> list[SweepRecord
         SweepRecord(
             observable=obs,
             phi=phi,
-            theta=config.theta_resolved,
+            theta=theta,
             lam=config.lam,
             theory=theory[i],
             qnd_estimate=qnd_estimates[i],
@@ -554,35 +546,43 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         i, config.phi_start + i * config.phi_step, config.master_seed))
 
 
-def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
-    """Repeat the protocol on the fixed maximally-entangled input state.
-
-    Uses phi = pi/2, theta = pi (the Bell-state point) with one derived seed
-    stream per repetition; the record's ``seed`` field carries the
-    repetition index. ``config`` is a ``SweepConfig`` and ``repetitions``
-    an integer in 1..2**32, both checked before any work.
-    """
+def fixed_state_config(config: SweepConfig) -> SweepConfig:
+    """The config a repeat run measures: ``config`` at the maximally
+    entangled input, phi = pi/2 and theta = pi (the Bell-state point), its
+    one phi point. Raises ValueError unless ``config`` is a ``SweepConfig``."""
     _check_config(config)
+    return replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
+
+
+def repeat_fixed_state(config: SweepConfig, repetitions: int) -> list[SweepRecord]:
+    """Repeat the protocol at ``fixed_state_config(config)``'s point with
+    one derived seed stream per repetition; the record's ``seed`` field
+    carries the repetition index. ``config`` is a ``SweepConfig`` and
+    ``repetitions`` an integer in 1..2**32, both checked before any work.
+    """
     repetitions = _integer("repetitions", repetitions, 1, MAX_POINTS)
-    fixed = replace(config, theta=math.pi, phi_start=math.pi / 2, phi_count=1)
-    return _measure_points(fixed, repetitions, lambda r: (r, math.pi / 2, r))
+    fixed = fixed_state_config(config)
+    return _measure_points(fixed, repetitions, lambda r: (r, fixed.phi_start, r))
 
 
-def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitResult]:
-    """Scale fit of the QND estimates, plus output-state fits when present.
+def compute_fits(records: list[SweepRecord]) -> dict[str, FitResult]:
+    """Fits of the records of one observable, the one they name
+    (``SweepRecord.observable``): a scale fit of the QND estimates, plus
+    output-state fits when present, as its row's formula asks.
 
-    Concurrence output curves get the fully-mixed-component fit (mix into
-    the ideal state, recompute concurrence) since plain scaling cannot track
-    the purity loss. Scale fits are left out when the theory curve is
-    identically zero, where no scale factor is defined. Raises ValueError,
-    before any fit, unless ``records`` is a nonempty list of records and
-    ``observable`` is every record's own ``SweepRecord.observable``.
+    An observable whose formula is the concurrence gets the fully-mixed-
+    component fit (mix into the ideal state, recompute the concurrence,
+    Wootters' closed form) since plain scaling cannot track the purity
+    loss. Scale fits are left out when the theory curve is identically
+    zero, where no scale factor is defined. Raises ValueError, before any
+    fit, unless ``records`` is a nonempty list of records that all name
+    one known observable.
     """
     _check_records(records, "fit")
-    if any(r.observable != observable for r in records):
-        held = sorted({r.observable for r in records})
-        raise ValueError(f"observable must be the records' own, got {observable!r} "
-                         f"for records of {held}")
+    held = sorted({r.observable for r in records})
+    if len(held) > 1:
+        raise ValueError(f"records must be of one observable, got records of {held}")
+    row = ex.observable_row(held[0])
     records = sorted(records, key=lambda r: (r.phi, r.seed))
     theory = [r.theory for r in records]
     scalable = any(theory)
@@ -592,7 +592,7 @@ def compute_fits(records: list[SweepRecord], observable: str) -> dict[str, FitRe
     if all(r.tomo_out is not None for r in records):
         if scalable:
             fits["tomo_out_scale"] = fit_scale([r.tomo_out for r in records], theory)
-        if observable in ("C1", "C2"):
+        if row.kernel is None:
             coeffs = [ex.bell_coefficients(_prep_params(r.phi, r.theta, r.lam)) for r in records]
             fits["tomo_out_mixed_fraction"] = fit_mixed_fraction(
                 [r.tomo_out for r in records], coeffs

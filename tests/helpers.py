@@ -326,8 +326,8 @@ def _postselect_or_raise(state: StateVector, ancilla_qubits, outcome: str):
 def _target_or_raise(s: MeasurementSetting, c, outcome: str):
     """One closed-form conditional pair state as it was built: a (state,
     probability) tuple, raising on an empty branch."""
-    if s.observable in ("visibility", "predictability"):
-        table = ex._VIS_BRANCHES if s.observable == "visibility" else ex._PRED_BRANCHES
+    if s.name in ("visibility", "predictability"):
+        table = ex._VIS_BRANCHES if s.name == "visibility" else ex._PRED_BRANCHES
         coeff_fn, ket_a, ket_b = table[outcome]
         coeff = coeff_fn(c)
         prob = coeff * coeff / 2.0
@@ -366,7 +366,7 @@ def tuple_branch_data(s: MeasurementSetting, p) -> tuple[tuple, ...]:
     an exception and converted, circuit 1's simulated alone and the others
     in closed form, and the reliability flag computed here. Returns
     (outcome, state or None, probability, reliable) per outcome."""
-    if s.observable == "concurrence1":
+    if s.name == "concurrence1":
         entries = simulated_branches(s, p)
     else:
         c = ex.bell_coefficients(p)
@@ -405,7 +405,7 @@ def measurement_circuit_without_half_angle(s: MeasurementSetting) -> Circuit:
     twice the angle. Circuit 1 has no setting rotation and is unchanged.
     """
     mc = measurement_circuit(s)
-    if s.observable == "concurrence1":
+    if s.name == "concurrence1":
         return mc
     return Circuit(mc.num_qubits, tuple(
         replace(g, angle=2 * g.angle) if g.kind in ("rx", "ry") else g for g in mc.gates
@@ -422,14 +422,14 @@ def qnd_output_state(s: MeasurementSetting, c: ex.BellCoefficients) -> StateVect
     compared directly against :func:`measurement_circuit` output.
     """
     amps = np.zeros(16, dtype=complex)
-    if s.observable in ("visibility", "predictability"):
-        table = ex._VIS_BRANCHES if s.observable == "visibility" else ex._PRED_BRANCHES
+    if s.name in ("visibility", "predictability"):
+        table = ex._VIS_BRANCHES if s.name == "visibility" else ex._PRED_BRANCHES
         for outcome, (coeff_fn, ket_a, ket_b) in table.items():
             anc = int(outcome, 2)
             pair = np.kron(ket_a, ket_b)
             for i in range(4):
                 amps[i * 4 + anc] += ex.SQRT_HALF * coeff_fn(c) * pair[i]
-    elif s.observable == "concurrence2":
+    elif s.name == "concurrence2":
         for outcome, vec in ex._conc2_branch_vectors(c).items():
             anc = int(outcome, 2)
             for i in range(4):

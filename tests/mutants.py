@@ -1,14 +1,17 @@
 """Mutation checks: each mutant is a one-place patch of ``src/`` that its
-named test file must kill.
+named tests must kill.
 
 Run from anywhere as ``python tests/mutants.py``; pytest does not collect
 this file. For each mutant the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, requires the mutant's ``old``
 text to occur exactly once in its file, applies the patch and runs
-``pytest -q -x`` on the named test file. The run must exit with 1, a test
-failure: any other code (a collection error, say) kills nothing. The
-unmutated copy must first pass every named file. Exits 1 if the unmutated
-copy fails or any mutant survives.
+``pytest -q -x`` on the named tests: a test file, or a pytest node id
+(``file::test`` or ``file::Class::test``) naming the tests that kill the
+mutant, which runs far faster than the whole file. The run must exit with
+1, a test failure: any other code (a collection error, or a node id that
+names no test, say) kills nothing. The unmutated copy must first pass
+every named test. Exits 1 if the unmutated copy fails or any mutant
+survives.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str
     new: str
-    test: str  # the test file that must kill it, relative to the root
+    test: str  # the test file or node id that must kill it, relative to the root
 
 
 ANALYSIS = "src/qndsim/analysis.py"
@@ -61,24 +64,24 @@ MUTANTS = (
         "input analysis ignores the master seed", HARNESS,
         "tom.collect(probs, shots, master_seed, _block_paths(1, indices))",
         "tom.collect(probs, shots, 0, _block_paths(1, indices))",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "output streams restart per block", HARNESS,
         "_block_paths(2, indices)",
         "_block_paths(2, range(len(indices)))",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "every point's branches scored against the first point's kets", HARNESS,
         "ket = block.kets[at[branch], col[branch] - 1]",
         "ket = block.kets[0 * at[branch], col[branch] - 1]",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "every point scored against the first point's output mixture", HARNESS,
         "targets = block.mixture[at]", "targets = block.mixture[0 * at]",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "an output-analysis key without the draw", HARNESS,
@@ -86,7 +89,7 @@ MUTANTS = (
         "    out = _measure_block.__dict__.setdefault(\"out\", {}).setdefault(\n"
         "        (setting, params, config.noise),\n"
         "        _output_analysis(setting, params, config.noise, draw))\n",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "an output-analysis key without the noise", HARNESS,
@@ -94,30 +97,31 @@ MUTANTS = (
         "    out = _measure_block.__dict__.setdefault(\"out\", {}).setdefault(\n"
         "        (setting, params, draw),\n"
         "        _output_analysis(setting, params, config.noise, draw))\n",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py"
+        "::test_observables_of_a_setting_share_its_stages_and_noise_keeps_them_apart",
     ),
     Mutant(
         "PB's records read PA's output values", HARNESS,
         "out.values[obs].tolist()", "out.values[next(iter(out.values))].tolist()",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "PB's records read PA's ancilla estimates", HARNESS,
         "out.qnd[obs].tolist()", "out.qnd[next(iter(out.qnd))].tolist()",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "PB's records read PA's theory values", HARNESS,
         "theory = _prepare_input(params, config.noise)[2][obs].tolist()",
         "theory = _prepare_input(params, config.noise)[2][\"PA\" if obs == \"PB\" else obs]"
         ".tolist()",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py"
+        "::test_observables_of_a_setting_share_its_stages_and_noise_keeps_them_apart",
     ),
     Mutant(
-        "VB's theory read from qubit 0", HARNESS,
-        "else _observable_values(obs, target)",
-        "else _observable_values(\"VA\" if obs == \"VB\" else obs, target)",
-        "tests/test_blocks.py",
+        "VB's row reads qubit 0", EXPERIMENTS,
+        "3 * math.pi / 2, visibility, 1),", "3 * math.pi / 2, visibility, 0),",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "the concurrence theory from observable_set, not concurrence_pure", HARNESS,
@@ -129,84 +133,96 @@ MUTANTS = (
         "the last partial block one point short", HARNESS,
         "stop = min(start + BLOCK_POINTS, count)\n",
         "stop = min(start + BLOCK_POINTS, count - (count % BLOCK_POINTS > 1))\n",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "repetitions tagged with the master seed", HARNESS,
-        "lambda r: (r, math.pi / 2, r)", "lambda r: (r, math.pi / 2, fixed.master_seed)",
-        "tests/test_blocks.py",
+        "lambda r: (r, fixed.phi_start, r)", "lambda r: (r, fixed.phi_start, fixed.master_seed)",
+        "tests/test_blocks.py::test_cached_blocks_match_per_point_reference",
     ),
     Mutant(
         "the CLI keeps a disabled model's probabilities under a noise flag", CLI,
         "            noise = {}  # a disabled model's probabilities are all zero\n",
         "            noise = {k: v for k, v in noise.items() if k != \"enabled\"}\n",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestCli::test_noise_flags_overlay_config_noise",
     ),
     Mutant(
         "no top-level or noise key check", HARNESS,
         "    if unknown:\n        raise ValueError(f\"unknown {what} key(s)",
         "    if False:\n        raise ValueError(f\"unknown {what} key(s)",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestConfig::test_from_dict_rejects_unknown_keys",
     ),
     Mutant(
         "the JSON config echo indented by 1", HARNESS,
         "f'  \"config\": {json.dumps(echo)},'",
         "f' \"config\": {json.dumps(echo)},'",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_json_file_is_json_dump_bytes",
     ),
     Mutant(
         "JSON output without its trailing newline", HARNESS,
         "fh.write(\"\\n\".join(lines) + \"\\n\")",
         "fh.write(\"\\n\".join(lines))",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_json_file_is_json_dump_bytes",
     ),
     Mutant(
         "a JSON record written without its indent", HARNESS,
         "\"    \" + json.dumps(_record_dict(r))",
         "json.dumps(_record_dict(r))",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_json_file_is_json_dump_bytes",
     ),
     Mutant(
         "JSON records joined on one line", HARNESS,
         "\",\\n\".join(",
         "\", \".join(",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_json_file_is_json_dump_bytes",
     ),
     Mutant(
         "emit takes any config", HARNESS,
         "    if config is not None:\n        _check_config(config)\n", "",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
     ),
     Mutant(
         "emit takes fits keyed by anything", HARNESS,
         "isinstance(k, str) and isinstance(f, FitResult)", "isinstance(f, FitResult)",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
     ),
     Mutant(
         "run_sweep takes any config", HARNESS,
         "    _check_config(config)\n    return _measure_points(", "    return _measure_points(",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
     ),
     Mutant(
-        "repeat_fixed_state takes any config", HARNESS,
-        "    _check_config(config)\n    repetitions = ", "    repetitions = ",
-        "tests/test_inputs.py",
+        "fixed_state_config takes any config", HARNESS,
+        "    _check_config(config)\n    return replace(", "    return replace(",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
     ),
     Mutant(
-        "compute_fits takes any observable", HARNESS,
-        "if any(r.observable != observable for r in records):", "if False:",
-        "tests/test_inputs.py",
+        "compute_fits fits mixed records", HARNESS,
+        "    if len(held) > 1:\n", "    if False:\n",
+        "tests/test_inputs.py::test_compute_fits_refuses_an_observable_not_the_records_own",
+    ),
+    Mutant(
+        "a repeat run echoes the config as given", CLI,
+        "    config = fixed_state_config(config)\n", "",
+        "tests/test_harness.py::TestCli::test_repeat_echo_names_the_point_its_records_ran",
+    ),
+    Mutant(
+        "a disabled noise model skips its checks", CIRCUITS,
+        "            v = _real(name, v, 0.0, 1.0)\n",
+        "            v = _real(name, v, 0.0, 1.0) if enabled else v\n",
+        "tests/test_inputs.py::test_a_bad_value_is_refused_before_any_work",
     ),
     Mutant(
         "input estimates left writeable", HARNESS,
         "    est.flags.writeable = False\n", "",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_prepared_block_holds_owned_read_only_arrays",
     ),
     Mutant(
         "a readout flip alone runs on the pure engine", HARNESS,
         "return bool(noise.depol_1q or noise.depol_2q or noise.readout_flip)",
         "return bool(noise.depol_1q or noise.depol_2q)",
-        "tests/test_harness.py",
+        "tests/test_harness.py"
+        "::TestSampledSweeps::test_any_nonzero_probability_selects_density_engine",
     ),
     Mutant(
         "np.unique sorts the fit's breakpoints", ANALYSIS,
@@ -219,13 +235,14 @@ MUTANTS = (
         "    tomo_in = _observable_values(obs, est_in).tolist()\n",
         "    tomo_in = _measure_block.__dict__.setdefault(\"first\", {}).setdefault(\n"
         "        (params, config.noise, draw), _observable_values(obs, est_in).tolist())\n",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py"
+        "::test_observables_of_a_setting_share_its_stages_and_noise_keeps_them_apart",
     ),
     Mutant(
         "no output path check", CLI,
         "directory does not exist.\"\"\"\n",
         "directory does not exist.\"\"\"\n    return\n",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestCli::test_unusable_output_path_refused_before_work",
     ),
     Mutant(
         "visibility's second rotation on A with the wrong sign", EXPERIMENTS,
@@ -234,8 +251,7 @@ MUTANTS = (
     ),
     Mutant(
         "circuit 2's concurrence circuit without its Bell-basis rotation", EXPERIMENTS,
-        "rx(1, -_HALF_PI),\n                               cnot(2, 3), h(2))),",
-        "rx(1, -_HALF_PI))),",
+        "rx(1, -_HALF_PI), cnot(2, 3), h(2)),", "rx(1, -_HALF_PI)),",
         "tests/test_experiments.py",
     ),
     Mutant(
@@ -254,14 +270,35 @@ MUTANTS = (
         "tests/test_experiments.py",
     ),
     Mutant(
-        "the visibility row's observables reversed, so VB is read as VA", EXPERIMENTS,
-        "(\"VA\", \"VB\")", "(\"VB\", \"VA\")",
+        "VB's row before VA's, so the visibility setting's observables reversed", EXPERIMENTS,
+        "    \"VA\": ObservableRow(MeasurementSetting(\"visibility\"), 0.0, visibility, 0),\n"
+        "    \"VB\": ObservableRow(MeasurementSetting(\"visibility\"), 3 * math.pi / 2, "
+        "visibility, 1),\n",
+        "    \"VB\": ObservableRow(MeasurementSetting(\"visibility\"), 3 * math.pi / 2, "
+        "visibility, 1),\n"
+        "    \"VA\": ObservableRow(MeasurementSetting(\"visibility\"), 0.0, visibility, 0),\n",
         "tests/test_experiments.py",
     ),
     Mutant(
-        "the observable map missing the table's last row", EXPERIMENTS,
-        "for name, (observables, _) in _MEASUREMENT_GATES.items()",
-        "for name, (observables, _) in list(_MEASUREMENT_GATES.items())[:-1]",
+        "the observable table missing its last row", EXPERIMENTS,
+        "    \"C2\": ObservableRow(MeasurementSetting(\"concurrence2\"), math.pi),\n", "",
+        "tests/test_experiments.py",
+    ),
+    Mutant(
+        "PB's default theta off by pi/2", EXPERIMENTS,
+        "math.pi, predictability, 1),", "math.pi / 2, predictability, 1),",
+        "tests/test_harness.py::TestConfig::test_theta_defaults",
+    ),
+    Mutant(
+        "C1's formula given a kernel", EXPERIMENTS,
+        "MeasurementSetting(\"concurrence1\"), math.pi),",
+        "MeasurementSetting(\"concurrence1\"), math.pi, visibility, 0),",
+        "tests/test_harness.py::TestFits::test_each_observable_gets_the_fits_of_its_formula",
+    ),
+    Mutant(
+        "the two-ancilla parities swapped", EXPERIMENTS,
+        "np.moveaxis(f.reshape(2, 2, -1), qubit, 0)",
+        "np.moveaxis(f.reshape(2, 2, -1), 1 - qubit, 0)",
         "tests/test_experiments.py",
     ),
     Mutant(
@@ -304,7 +341,8 @@ MUTANTS = (
     ),
     Mutant(
         "the visibility estimator summed in another order", EXPERIMENTS,
-        "sa = f[0] + f[1] - f[2] - f[3]", "sa = f[0] - f[2] + f[1] - f[3]",
+        "grid[0, 0] + grid[0, 1] - grid[1, 0] - grid[1, 1]",
+        "grid[0, 0] - grid[1, 0] + grid[0, 1] - grid[1, 1]",
         "tests/test_golden.py",
     ),
     Mutant(
@@ -334,7 +372,7 @@ MUTANTS = (
         "an empty branch is scored", HARNESS,
         "np.insert(block.probability > 0, 0, True, axis=1)",
         "np.insert(block.probability >= 0, 0, True, axis=1)",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_a_sampled_block_analyzes_its_estimates_as_two_stacks",
     ),
     Mutant(
         "column 0 scored against the last branch's target", HARNESS,
@@ -345,35 +383,36 @@ MUTANTS = (
         "the CSV row sort loses its branch key", HARNESS,
         "rows.append(((phi, seed, b[\"outcome\"]), row))",
         "rows.append(((phi, seed, \"\"), row))",
-        "tests/test_harness.py",
+        "tests/test_harness.py"
+        "::TestEmission::test_csv_of_phis_tied_across_a_block_boundary_is_the_rowwise_bytes",
     ),
     Mutant(
         "a branch row keeps its point row's tomo_post cell", HARNESS,
         "row[tomo], row[fid] = _fmt(b[\"tomo_post\"]), _fmt(b[\"fidelity_post\"])",
         "row[fid] = _fmt(b[\"fidelity_post\"])",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_csv_is_the_rowwise_bytes",
     ),
     Mutant(
         "a branch row keeps its point row's fidelity_post cell", HARNESS,
         "row[tomo], row[fid] = _fmt(b[\"tomo_post\"]), _fmt(b[\"fidelity_post\"])",
         "row[tomo] = _fmt(b[\"tomo_post\"])",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_csv_is_the_rowwise_bytes",
     ),
     Mutant(
         "branch_reliable written with str()", HARNESS,
         "_fmt(b[\"reliable\"])", "str(b[\"reliable\"])",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_csv_branch_rows",
     ),
     Mutant(
         "a CSV float cell written with the value's own repr", HARNESS,
         "        return float.__repr__(value)\n", "        return repr(value)\n",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_numpy_scalar_config_writes_the_builtin_bytes",
     ),
     Mutant(
         "config angles stored as given", HARNESS,
         "store(name, _real(name, getattr(self, name)))",
         "_real(name, getattr(self, name))",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestEmission::test_numpy_scalar_config_writes_the_builtin_bytes",
     ),
     Mutant(
         "config counts and seed stored as given", HARNESS,
@@ -381,12 +420,12 @@ MUTANTS = (
         "        store(\"master_seed\", _integer(\"master_seed\", self.master_seed, 0))\n",
         "        _integer(\"shots\", self.shots, low, high)\n"
         "        _integer(\"master_seed\", self.master_seed, 0)\n",
-        "tests/test_harness.py",
+        "tests/test_harness.py::test_criteria_protocol_echoes_builtin_seeds",
     ),
     Mutant(
         "exact mode takes a negative shot count", HARNESS,
         "(0, math.inf) if self.exact_mode", "(-math.inf, math.inf) if self.exact_mode",
-        "tests/test_harness.py",
+        "tests/test_harness.py::TestConfig::test_exact_mode_shots_are_nonnegative",
     ),
     Mutant(
         "phi_count's bound off by one", HARNESS,
@@ -398,25 +437,25 @@ MUTANTS = (
         "the real-number helper accepts a bool", QMATH,
         "if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):",
         "if not isinstance(value, (float, numbers.Real)):",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_value_is_refused_before_any_work",
     ),
     Mutant(
         "the integer helper accepts a bool", QMATH,
         "if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):",
         "if not isinstance(value, (int, numbers.Integral)):",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_value_is_refused_before_any_work",
     ),
     Mutant(
         "the real-number helper returns the value as given", QMATH,
         "    return _in_range(name, number, low, high)\n",
         "    _in_range(name, number, low, high)\n    return value\n",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_numpy_scalar_gives_its_builtin_twin",
     ),
     Mutant(
         "the integer helper returns the value as given", QMATH,
         "    return _in_range(name, int(value), low, high)\n",
         "    _in_range(name, int(value), low, high)\n    return value\n",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_numpy_scalar_gives_its_builtin_twin",
     ),
     Mutant(
         # not `number >= high` in _in_range: that refuses the gate table's
@@ -424,7 +463,7 @@ MUTANTS = (
         "the real-number helper's upper bound exclusive", QMATH,
         "    return _in_range(name, number, low, high)\n",
         "    return _in_range(name, number, low, math.nextafter(high, -math.inf))\n",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_numpy_scalar_gives_its_builtin_twin",
     ),
     Mutant(
         "the basis index bound off by one", QMATH,
@@ -437,45 +476,45 @@ MUTANTS = (
         "    readout_flip = _real(\"readout_flip\", readout_flip, 0.0, 1.0)\n"
         "    return _outcome_distribution(",
         "    return _outcome_distribution(",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_value_is_refused_before_any_work",
     ),
     Mutant(
         "the qubit-index helper accepts a bool", QMATH,
         "_integer(name, q, 0, count - 1) for q in indices]",
         "_integer(name, int(q) if isinstance(q, (bool, np.bool_)) else q, 0, count - 1)"
         " for q in indices]",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_index_is_refused_before_any_work",
     ),
     Mutant(
         "the qubit-index helper lets a repeated index through", QMATH,
         "    if len(set(qubits)) != len(qubits):\n", "    if False:\n",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_index_is_refused_before_any_work",
     ),
     Mutant(
         "the qubit-index helper's upper bound off by one", QMATH,
         "_integer(name, q, 0, count - 1) for q in indices]",
         "_integer(name, q, 0, count) for q in indices]",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_bad_index_is_refused_before_any_work",
     ),
     Mutant(
         "the Hermitian check takes a non-finite matrix", QMATH,
         " or not np.isfinite(m).all():", ":",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_non_finite_matrix_has_no_root",
     ),
     Mutant(
         "a gate keeps its targets as given", CIRCUITS,
         "        object.__setattr__(self, \"targets\", targets)\n", "",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_numpy_index_gives_its_builtin_twin",
     ),
     Mutant(
         "postselect_counts takes an outcome that is not a string", CIRCUITS,
         "not isinstance(outcome, str) or ", "",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_an_outcome_that_is_not_a_string_is_refused",
     ),
     Mutant(
         "criteria seeds echoed as given", HARNESS,
         "[cfgs[0].master_seed for cfgs in configs]", "list(seeds)",
-        "tests/test_harness.py",
+        "tests/test_harness.py::test_criteria_protocol_echoes_builtin_seeds",
     ),
     Mutant(
         "a row drawn from its neighbour's distribution", CIRCUITS,
@@ -512,32 +551,32 @@ MUTANTS = (
     Mutant(
         "the noise check refuses only None", CIRCUITS,
         "    if not isinstance(noise, NoiseModel):\n", "    if noise is None:\n",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_noise_that_is_not_a_noise_model_is_refused",
     ),
     Mutant(
         "a sweep config takes any noise", HARNESS,
         "        circ._noise_model(self.noise)\n", "",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_a_noise_that_is_not_a_noise_model_is_refused",
     ),
     Mutant(
         "a layer takes entries that are not gates", CIRCUITS,
         "            if not isinstance(g, Gate):\n", "            if False:\n",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_malformed_layers_rejected_before_any_work",
     ),
     Mutant(
         "a layer may be short of an entry", CIRCUITS,
         "or len(layer) != slices:", "or len(layer) > slices:",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_stack_arguments_rejected",
     ),
     Mutant(
         "a layer's gates may target the register's size", CIRCUITS,
         "if any(q >= num_qubits for g in groups", "if any(q > num_qubits for g in groups",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_bad_layers_rejected_before_any_work",
     ),
     Mutant(
         "a layer's gates may act on two supports", CIRCUITS,
         "if len({g.targets for g in groups}) > 1:", "if len({g.targets for g in groups}) > 2:",
-        "tests/test_blocks.py",
+        "tests/test_blocks.py::test_bad_layers_rejected_before_any_work",
     ),
     Mutant(
         "a gate on some slices applied to every slice", CIRCUITS,
@@ -547,7 +586,7 @@ MUTANTS = (
     Mutant(
         "a circuit takes gates that are not gates", CIRCUITS,
         "and all(isinstance(g, Gate) for g in self.gates)", "and True",
-        "tests/test_inputs.py",
+        "tests/test_inputs.py::test_gates_that_are_not_gates_are_refused",
     ),
     Mutant(
         "the tomography readout ignores the readout flip", TOMOGRAPHY,
@@ -571,7 +610,7 @@ def _copy(dest: str) -> None:
 
 
 def _pytest(copy: str, *tests: str) -> int:
-    """pytest's exit code on the test files of the copy, importing its src."""
+    """pytest's exit code on the named tests of the copy, importing its src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,

@@ -112,7 +112,7 @@ def test_criterion_04_state_preparation():
                 checked += 1
                 value = observable_set(state.density().matrix[None])[key][0]
                 worst_obs = max(worst_obs, abs(value - 1.0))
-                if s.observable != "concurrence1":
+                if s.name != "concurrence1":
                     fid = abs(np.vdot(kets[i, j], state.amplitudes)) ** 2
                     worst_fid = max(worst_fid, abs(fid - 1.0))
     _report(4, worst_obs <= 1e-10 and worst_fid <= 1e-10,

@@ -320,10 +320,10 @@ def test_block_postselection_matches_one_branch_at_a_time(seed, points, observab
 def _reference_estimate(s, row) -> dict[str, float]:
     """The estimator as it read one row of ancilla data."""
     f = circ._frequencies(np.asarray(row)).tolist()
-    if s.observable in ("visibility", "predictability"):
-        a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
+    if s.name in ("visibility", "predictability"):
+        a, b = ("VA", "VB") if s.name == "visibility" else ("PA", "PB")
         return {a: abs(f[0] + f[1] - f[2] - f[3]), b: abs(f[0] + f[2] - f[1] - f[3])}
-    return {"C1" if s.observable == "concurrence1" else "C2": abs(f[1] - f[0])}
+    return {"C1" if s.name == "concurrence1" else "C2": abs(f[1] - f[0])}
 
 
 @settings(max_examples=120, deadline=None)

@@ -47,7 +47,6 @@ from qndsim.circuits import Circuit, Gate, NoiseModel
 from qndsim.harness import (
     BLOCK_POINTS,
     PREPARED_BLOCKS,
-    THETA_DEFAULTS,
     OutputAnalysis,
     PreparedBlock,
     SweepConfig,
@@ -409,7 +408,7 @@ def test_prepared_block_holds_owned_read_only_arrays(observable, noise, exact):
     config = SweepConfig(observable, phi_count=3, phi_step=0.7, shots=100, exact_mode=exact,
                          noise=NOISE[noise])
     run_sweep(config)
-    theta = THETA_DEFAULTS[observable]
+    theta = config.theta_resolved
     params = tuple(_prep_params(0.7 * k, theta, 0.0) for k in range(3))
     setting = ex.setting_for(observable)
     block = _prepare_block(setting, params, NOISE[noise])

@@ -2,6 +2,7 @@
 closed-form conditional outputs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,19 +152,20 @@ class TestCircuitTwoOutputs:
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_wrong_setting(self):
-        # a setting is a row of the gate table, and an observable a name one
-        # of its rows lists; any other name is refused
+        # a setting is a row of the gate table, and an observable a row of
+        # the observable table; any other name is refused
         for name in ("concurrence", "C2", ""):
-            with pytest.raises(ValueError, match="unknown observable"):
+            with pytest.raises(ValueError, match=f"^unknown measurement setting {name!r}$"):
                 ex.MeasurementSetting(name)
-        for name in ("visibility", "C", "", "va"):
-            with pytest.raises(ValueError, match=f"^unknown observable {name!r}$"):
+        for name in ("visibility", "C", "", "va", ["VA"]):
+            with pytest.raises(ValueError, match=f"^unknown observable {re.escape(repr(name))}$"):
                 ex.setting_for(name)
 
 
 class TestGateTable:
-    """Each row of the gate table is the one source of its setting: the
-    observables its readout gives, and through its gates, its ancillas."""
+    """Each row of the gate table is the one source of its setting's gates,
+    and through them of its ancillas; the observables its readout gives are
+    the rows of the observable table that name it."""
 
     ROWS = {"visibility": (("VA", "VB"), (2, 3)), "predictability": (("PA", "PB"), (2, 3)),
             "concurrence1": (("C1",), (2,)), "concurrence2": (("C2",), (2, 3))}
@@ -261,16 +263,16 @@ def _estimate_from_bitstring_map(s, counts):
     probs = counts / counts.sum()
     m = len(probs).bit_length() - 1
     f = {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > 1e-15}
-    if s.observable == "concurrence1":
+    if s.name == "concurrence1":
         signed = f.get("1", 0.0) - f.get("0", 0.0)
         return {"C1": abs(signed)}
     p00, p01, p10, p11 = (f.get(k, 0.0) for k in ("00", "01", "10", "11"))
-    if s.observable == "concurrence2":
+    if s.name == "concurrence2":
         signed = p01 - p00
         return {"C2": abs(signed)}
     sa = p00 + p01 - p10 - p11
     sb = p00 + p10 - p01 - p11
-    a, b = ("VA", "VB") if s.observable == "visibility" else ("PA", "PB")
+    a, b = ("VA", "VB") if s.name == "visibility" else ("PA", "PB")
     return {a: abs(sa), b: abs(sb)}
 
 

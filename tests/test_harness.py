@@ -425,7 +425,7 @@ class TestEmission:
     def test_json_round_trip_with_config_echo(self, tmp_path):
         cfg = SweepConfig("C1", exact_mode=True, phi_count=3, master_seed=17)
         records = run_sweep(cfg)
-        fits = compute_fits(records, "C1")
+        fits = compute_fits(records)
         path = tmp_path / "sweep.json"
         emit(records, "json", str(path), cfg, fits)
         doc = json.loads(path.read_text())
@@ -440,7 +440,7 @@ class TestEmission:
         # json.dumps writes it with its defaults, in one write
         cfg = SweepConfig("C2", exact_mode=True, phi_count=6)
         records = run_sweep(cfg)
-        fits = compute_fits(records, "C2")
+        fits = compute_fits(records)
         assert "tomo_out_mixed_fraction" in fits
         path = tmp_path / "sweep.json"
         emit(records, "json", str(path), cfg, fits)
@@ -469,7 +469,7 @@ class TestEmission:
                               master_seed=7)
             records = run_sweep(cfg)
         config = cfg if echo in ("config", "both") else None
-        fits = compute_fits(records, cfg.observable) if echo in ("fits", "both") else None
+        fits = compute_fits(records) if echo in ("fits", "both") else None
         path = tmp_path / "sweep.json"
         emit(records, "json", str(path), config, fits)
         text = path.read_text(encoding="utf-8")
@@ -537,7 +537,7 @@ class TestEmission:
             records = run_sweep(cfg)
             for fmt in ("csv", "json"):
                 path = tmp_path / f"out.{fmt}"
-                emit(records, fmt, str(path), cfg, compute_fits(records, "VA"))
+                emit(records, fmt, str(path), cfg, compute_fits(records))
                 written.append(path.read_bytes())
         assert written[2:] == written[:2]
         # a record built by hand with numpy floats writes json's text too
@@ -576,14 +576,27 @@ class TestEmission:
 class TestFits:
     def test_exact_sweep_fits(self):
         records = run_sweep(SweepConfig("C2", exact_mode=True, phi_count=16))
-        fits = compute_fits(records, "C2")
+        fits = compute_fits(records)
         assert fits["qnd_scale"].parameter == pytest.approx(1.0, abs=1e-9)
         assert fits["tomo_out_mixed_fraction"].parameter == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_each_observable_gets_the_fits_of_its_formula(self, observable):
+        # the concurrence is nonlinear in the state, so the concurrences
+        # also get the mixed-fraction fit; the single-qubit observables get
+        # scale fits only
+        records = run_sweep(SweepConfig(observable, exact_mode=True, phi_count=16))
+        fits = compute_fits(records)
+        mixed = {"tomo_out_mixed_fraction"} if observable in ("C1", "C2") else set()
+        assert set(fits) == {"qnd_scale", "tomo_out_scale"} | mixed
+        assert fits["qnd_scale"].parameter == pytest.approx(1.0, abs=1e-9)
+        kinds = ["scale", "scale"] + ["mixed_fraction"] * len(mixed)
+        assert [f.kind for f in fits.values()] == kinds
 
     def test_scaled_data_recovered(self):
         records = run_sweep(SweepConfig("VA", exact_mode=True, phi_count=16))
         scaled = [dataclasses.replace(r, qnd_estimate=0.8 * r.qnd_estimate) for r in records]
-        fits = compute_fits(scaled, "VA")
+        fits = compute_fits(scaled)
         assert fits["qnd_scale"].parameter == pytest.approx(0.8, abs=1e-9)
 
 
@@ -675,6 +688,25 @@ class TestCli:
                          "--shots", "200", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 2
+
+    def test_repeat_echo_names_the_point_its_records_ran(self, tmp_path):
+        # every repetition runs at the Bell-state point whatever --theta
+        # says, and the echo names that point: passed back, it reproduces
+        # the run
+        first = tmp_path / "first.json"
+        assert cli_main(["repeat", "--observable", "VA", "--exact", "--theta", "1.0",
+                         "--repetitions", "3", "--format", "json", "--out", str(first)]) == 0
+        doc = json.loads(first.read_text())
+        echo = doc["config"]
+        assert (echo["theta"], echo["phi_start"], echo["phi_count"]) == (math.pi, math.pi / 2, 1)
+        assert all((r["theta"], r["phi"]) == (echo["theta"], echo["phi_start"])
+                   for r in doc["records"])
+        cfg_file = tmp_path / "echo.json"
+        cfg_file.write_text(json.dumps(echo))
+        second = tmp_path / "second.json"
+        assert cli_main(["repeat", "--config", str(cfg_file), "--repetitions", "3",
+                         "--format", "json", "--out", str(second)]) == 0
+        assert json.loads(second.read_text()) == doc
 
     def test_zero_theory_sweep_omits_scale_fits(self, tmp_path):
         # C2 vanishes at phi = 0, so no scale factor is defined

@@ -18,12 +18,14 @@ ValueError naming the argument before any work, where it used to fail
 later with a TypeError or an AttributeError. So do a config that is not a
 dict, a criteria run's seeds or observables that are not a list or tuple,
 records that ``emit`` and ``compute_fits`` take that are not a nonempty
-list of records, a config that ``run_sweep``, ``repeat_fixed_state`` or
-``emit`` takes that is not a ``SweepConfig``, and fits that ``emit`` takes
-that are not a dict of ``FitResult``. ``compute_fits`` refuses an
-observable that is not its records' own before any fit. A density matrix
-with an infinite or NaN entry is refused as not Hermitian, before its
-eigenvalues.
+list of records, a config that ``run_sweep``, ``repeat_fixed_state``,
+``fixed_state_config`` or ``emit`` takes that is not a ``SweepConfig``,
+and fits that ``emit`` takes that are not a dict of ``FitResult``.
+``compute_fits`` refuses records of more than one observable, or of an
+unknown one, before any fit. A disabled noise model checks its
+probabilities before it zeroes them, as an enabled one does. A density
+matrix with an infinite or NaN entry is refused as not Hermitian, before
+its eigenvalues.
 """
 
 import argparse
@@ -92,6 +94,15 @@ ENTRY_POINTS = {
     "NoiseModel.depol_1q": (REAL, lambda v: _noise(depol_1q=v), (-0.1, 1.5)),
     "NoiseModel.depol_2q": (REAL, lambda v: _noise(depol_2q=v), (-0.1, 1.5)),
     "NoiseModel.readout_flip": (REAL, lambda v: _noise(readout_flip=v), (-0.1, 1.5)),
+    "NoiseModel(enabled=False).depol_1q": (
+        REAL, lambda v: _noise(depol_1q=v, enabled=False), (-0.1, 1.5)),
+    "NoiseModel(enabled=False).depol_2q": (
+        REAL, lambda v: _noise(depol_2q=v, enabled=False), (-0.1, 1.5)),
+    "NoiseModel(enabled=False).readout_flip": (
+        REAL, lambda v: _noise(readout_flip=v, enabled=False), (-0.1, 1.5)),
+    "config noise with enabled false.depol_2q": (
+        REAL, lambda v: SweepConfig.from_dict({"observable": "VA", "exact_mode": True, "noise": {
+            "enabled": False, "depol_2q": v}}).to_dict(), (-3.0, 1.5)),
     "Gate.angle": (REAL, lambda v: dataclasses.asdict(circ.ry(0, v)), ()),
     "Circuit.num_qubits": (INTEGER, lambda v: Circuit(v, ()).num_qubits, (0, 5)),
     "StateVector.num_qubits": (INTEGER, _state, (0, 5)),
@@ -317,9 +328,9 @@ WRONG_TYPES = [
     ("emit", "abc", "records must be a list of SweepRecord, got str"),
     ("emit", None, "records must be a list of SweepRecord, got NoneType"),
     ("emit", [5], "records must be a list of SweepRecord, got int among them"),
-    ("compute_fits C1", [], "no records to fit"),
-    ("compute_fits VA", [], "no records to fit"),
-    ("compute_fits VA", "abc", "records must be a list of SweepRecord, got str"),
+    ("compute_fits", [], "no records to fit"),
+    ("compute_fits", [5], "records must be a list of SweepRecord, got int among them"),
+    ("compute_fits", "abc", "records must be a list of SweepRecord, got str"),
     ("emit config", "x", "config must be a SweepConfig, got str"),
     ("emit config", {"observable": "VA"}, "config must be a SweepConfig, got dict"),
     ("emit fits", [1], "fits must be a dict of str to FitResult, got [1]"),
@@ -331,6 +342,7 @@ WRONG_TYPES = [
     ("run_sweep", "VA", "config must be a SweepConfig, got str"),
     ("repeat_fixed_state", "VA", "config must be a SweepConfig, got str"),
     ("repeat_fixed_state", None, "config must be a SweepConfig, got NoneType"),
+    ("fixed_state_config", {"observable": "VA"}, "config must be a SweepConfig, got dict"),
 ]
 
 CALLS = {
@@ -340,12 +352,12 @@ CALLS = {
     "run_criteria_protocol seeds": lambda v: run_criteria_protocol(v, ("VA",), phi_count=2),
     "run_criteria_protocol observables": lambda v: run_criteria_protocol([0], v, phi_count=2),
     "emit": lambda v: harness.emit(v, "csv", "out.csv"),
-    "compute_fits C1": lambda v: harness.compute_fits(v, "C1"),
-    "compute_fits VA": lambda v: harness.compute_fits(v, "VA"),
+    "compute_fits": harness.compute_fits,
     "emit config": lambda v: harness.emit([RECORD], "json", "out.json", config=v),
     "emit fits": lambda v: harness.emit([RECORD], "json", "out.json", fits=v),
     "run_sweep": harness.run_sweep,
     "repeat_fixed_state": lambda v: repeat_fixed_state(v, 2),
+    "fixed_state_config": harness.fixed_state_config,
 }
 
 
@@ -359,18 +371,19 @@ def test_a_wrong_type_is_refused_naming_its_argument(entry, value, message, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("records, observable, held", [
-    ([RECORD], "C1", ["VA"]),
-    ([RECORD], "XX", ["VA"]),
-    ([RECORD, dataclasses.replace(RECORD, observable="VB")], "VA", ["VA", "VB"]),
-], ids=["another", "unknown", "mixed"])
-def test_compute_fits_refuses_an_observable_not_the_records_own(records, observable, held,
-                                                                monkeypatch):
-    # "C1" on VA records used to fit a mixed fraction to visibilities
+@pytest.mark.parametrize("records, message", [
+    ([RECORD, dataclasses.replace(RECORD, observable="VB")],
+     "records must be of one observable, got records of ['VA', 'VB']"),
+    ([dataclasses.replace(RECORD, observable=obs) for obs in ("C2", "C1", "C2")],
+     "records must be of one observable, got records of ['C1', 'C2']"),
+    ([dataclasses.replace(RECORD, observable="XX")], "unknown observable 'XX'"),
+], ids=["mixed", "mixed concurrences", "unknown observable"])
+def test_compute_fits_refuses_an_observable_not_the_records_own(records, message, monkeypatch):
+    # the records name the observable whose formula gives their fits, and
+    # the records of two observables are no one curve
     fitted = []
     for name in ("fit_scale", "fit_mixed_fraction"):
         monkeypatch.setattr(harness, name, lambda *args: fitted.append(args))
-    message = f"observable must be the records' own, got {observable!r} for records of {held}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        harness.compute_fits(records, observable)
+        harness.compute_fits(records)
     assert fitted == []
