@@ -61,11 +61,10 @@ class FitResult:
 
 
 def rms_error(measured: Sequence[float], theory: Sequence[float]) -> float:
-    """Root mean squared deviation between measured and expected values."""
+    """Root mean squared deviation between measured and expected values.
+    Contract: the two are nonempty and of one length."""
     m = np.asarray(measured, dtype=float)
     t = np.asarray(theory, dtype=float)
-    if m.shape != t.shape or m.size == 0:
-        raise ValueError("measured and theory must be equal-length, nonempty")
     return float(np.sqrt(np.mean((t - m) ** 2)))
 
 
@@ -109,10 +108,9 @@ def fit_mixed_fraction(
     is minimized in closed form; the smallest minimizer wins, so a flat loss
     (every model point clipped to zero) resolves to the separability
     boundary. The residual is recomputed from the defining formula.
+    Contract: one coefficient set per measured point, at least one.
     """
     m = np.asarray(measured_concurrence, dtype=float)
-    if len(coeffs_per_point) != m.size or m.size == 0:
-        raise ValueError("need one coefficient set per measured point")
     conc = np.array([concurrence_pure(c.state_vector()) for c in coeffs_per_point])
     slope = conc + 0.5
     breaks = conc / slope

@@ -24,9 +24,11 @@ listed qubit the most significant: count and probability arrays hold
 outcome i at index i.
 
 A gate is checked when made, so every gate is unitary and the engine does
-not check one again. A seed path is a row of a (B, W) integer array of
-32-bit words, the one form every draw takes its stream keys in; a master
-seed may have any number of words.
+not check one again. So is a ``NoiseModel``, and the public API checks
+that a noise is one, so the engine and the outcome distributions take its
+probabilities, readout flip included, unchecked. A seed path is a row of a
+(B, W) integer array of 32-bit words, the one form every draw takes its
+stream keys in; a master seed may have any number of words.
 """
 
 from __future__ import annotations
@@ -167,13 +169,6 @@ class NoiseModel:
                         ("readout_flip", readout_flip)):
             v = _real(name, v, 0.0, 1.0)
             object.__setattr__(self, name, v if enabled else 0.0)
-
-
-def _noise_model(noise) -> NoiseModel:
-    """``noise`` itself; raises ValueError unless it is a ``NoiseModel``."""
-    if not isinstance(noise, NoiseModel):
-        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
-    return noise
 
 
 @lru_cache(maxsize=256)
@@ -325,12 +320,12 @@ def run_batch(initial: np.ndarray, layers, noise: NoiseModel) -> np.ndarray:
     depolarizing noise; a (B, d, d) stack of density matrices gets
     depolarizing noise after each gate. Each slice comes out exactly as
     ``run_pure`` or ``run_noisy`` would give it for that slice's circuit
-    and initial state. The structure is checked before any work: the
-    noise, a ``NoiseModel``; the stack's shape; and the layers, in one pass
-    (``_layer_operators``). The states are not validated, in or out:
-    ``run_pure`` and ``run_noisy`` validate theirs, and property tests pin the engine.
+    and initial state. The stack's shape and the layers, in one pass
+    (``_layer_operators``), are checked before any work. Contract:
+    ``noise`` is a ``NoiseModel``, which the public API checks. The
+    states are not validated, in or out: ``run_pure`` and ``run_noisy``
+    validate theirs, and property tests pin the engine.
     """
-    noise = _noise_model(noise)
     # a C-ordered copy, evolved in place: a slice's products round by its
     # layout, and order "K" would put a broadcast input's batch axis last
     states = np.array(initial, dtype=complex, order="C")
@@ -413,9 +408,9 @@ def exact_probabilities(
 ) -> np.ndarray:
     """The (B, 2^m) exact outcome probabilities of each state of a
     ``run_batch`` stack, each recorded bit flipped with probability
-    ``readout_flip``, a real number in [0, 1]: the distributions
-    ``sample_counts`` draws from, their infinite-shot limit."""
-    readout_flip = _real("readout_flip", readout_flip, 0.0, 1.0)
+    ``readout_flip``: the distributions ``sample_counts`` draws from, their
+    infinite-shot limit. Contract: ``readout_flip`` is a ``NoiseModel``'s,
+    a float in [0, 1] checked when the model was made."""
     return _outcome_distribution(states, measured_qubits, readout_flip)
 
 
@@ -537,8 +532,8 @@ def sample_counts(
     """Multinomial draws from the distributions ``exact_probabilities``
     gives, one per state of a ``run_batch`` stack: state i draws from
     stream (master_seed, *seed_paths[i]) (see ``sample_batch``). Returns
-    the (B, 2^m) counts."""
-    readout_flip = _real("readout_flip", readout_flip, 0.0, 1.0)
+    the (B, 2^m) counts. Contract: ``readout_flip`` as in
+    ``exact_probabilities``."""
     probs = _outcome_distribution(states, measured_qubits, readout_flip)
     return sample_batch(probs, shots, master_seed, seed_paths)
 

@@ -11,7 +11,9 @@ Subcommands:
 
 A JSON config file may be passed with --config: a config echo from a JSON
 output, optionally with an ``output_path``. Explicit flags override its
-values. Exit status is 0 on success, 2 on any configuration or runtime
+values. ``repeat`` measures the Bell-state point (theta = pi, phi = pi/2)
+and refuses a ``theta``, ``phi_start`` or ``phi_count`` that names another.
+Exit status is 0 on success, 2 on any configuration or runtime
 error (the diagnostic goes to stderr). An output path that is a directory,
 or whose directory does not exist, is refused before any work.
 
@@ -122,9 +124,17 @@ def _build_config(args: argparse.Namespace) -> tuple[SweepConfig, str]:
     noise = values.get("noise", {})
     if noise_flags and isinstance(noise, dict):
         if noise.get("enabled") is False:
+            SweepConfig.from_dict(values)  # checks the file's own model first
             noise = {}  # a disabled model's probabilities are all zero
         values["noise"] = {**noise, **noise_flags}
     config = SweepConfig.from_dict(values)
+    if args.command == "repeat":
+        # a repeat run measures one point, and refuses any other it is given
+        fixed = fixed_state_config(config)
+        for key in ("theta", "phi_start", "phi_count"):
+            if values.get(key) is not None and getattr(config, key) != getattr(fixed, key):
+                raise ValueError(f"repeat measures theta = pi, phi_start = pi/2 and one point, "
+                                 f"got {key} {getattr(config, key)!r}")
     out = values.get("output_path")
     if not out or not isinstance(out, str):
         raise ValueError(f"--out or a config file's output_path is required, got {out!r}")

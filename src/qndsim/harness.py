@@ -149,7 +149,8 @@ class SweepConfig:
         low, high = (0, math.inf) if self.exact_mode else (1, circ.MAX_SHOTS)
         store("shots", _integer("shots", self.shots, low, high))
         store("master_seed", _integer("master_seed", self.master_seed, 0))
-        circ._noise_model(self.noise)
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
 
     @property
     def theta_resolved(self) -> float:

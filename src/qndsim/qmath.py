@@ -12,9 +12,11 @@ Numerical tolerances follow a single ladder used across the package:
 * ``ATOL_ALGEBRA`` (1e-8) - algebraic identities between computed objects.
 * ``ATOL_PHYSICAL`` (1e-6) - physicality clipping (negative eigenvalue tails).
 
-Every number a caller passes in is read by ``_real`` or ``_integer``, and
-every qubit index by ``_qubits``: each returns the built-in float, int or
-tuple of ints the caller stores, or raises ValueError naming the argument.
+The value types and the public API (``qndsim.__all__``) read every number
+they take by ``_real`` or ``_integer``, and every qubit index by
+``_qubits``: each returns the built-in float, int or tuple of ints the
+caller stores, or raises ValueError naming the argument; the code behind
+them takes the stored value.
 The partial trace, the PSD square root and the fidelity work on plain
 (..., d, d) stacks, so one item is a stack of one at the call site.
 """

@@ -23,11 +23,13 @@ evolves a ``run_batch`` stack of states into a (states, 16, 2^n) array of
 outcome distributions, ``collect`` draws a stack of counts from such an array,
 ``reconstruct_stack`` analyzes a (K, 16, 4) stack of data sets and
 ``project_psd`` projects a (K, d, d) stack, returning the eigenvalues it
-projected as well. ``linear_reconstruct`` is the analysis of one data set,
-and the one place an estimate is validated as a ``DensityMatrix``: the
-projection is physical by construction, and every output estimate passes
-the Hermitian and PSD checks of the square root that observables and
-fidelities take of it.
+projected as well. ``collect`` hands its seed paths, one per setting of
+each state, to the one check ``sample_batch`` makes before any draw.
+``linear_reconstruct`` is the analysis of one data set, and the one place
+an estimate is validated as a ``DensityMatrix``: the projection is
+physical by construction, and every output estimate passes the Hermitian
+and PSD checks of the square root that observables and fidelities take of
+it.
 """
 
 from __future__ import annotations
@@ -189,16 +191,16 @@ def collect(
     (``setting_probabilities``) and ``seed_paths`` a (states, W) integer
     array: setting k of state i draws from stream (master_seed,
     *seed_paths[i], k). Returns the integer counts, shaped like ``probs``.
-    The paths and the shots are checked before any draw.
+    ``sample_batch`` checks the shots and every setting's path before any
+    draw. Contract: ``seed_paths`` is an ndarray with one path per state.
     """
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise ValueError(f"need (states, settings, 2^n) probabilities, got shape {probs.shape}")
-    words = circ._seed_words(seed_paths, len(probs), "states")
     # every setting of every state in one draw: its streams are seeded together
-    states, settings = probs.shape[:2]
-    rows = np.column_stack([np.repeat(words, settings, axis=0),
-                            np.tile(np.arange(settings, dtype=np.uint32), states)])
+    settings = np.arange(probs.shape[1], dtype=seed_paths.dtype)
+    rows = np.column_stack([np.repeat(seed_paths, len(settings), axis=0),
+                            np.tile(settings, len(seed_paths))])
     counts = circ.sample_batch(probs.reshape(-1, probs.shape[-1]), shots, master_seed, rows)
     return counts.reshape(probs.shape)
 

@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 ANALYSIS = "src/qndsim/analysis.py"
+API = "src/qndsim/__init__.py"
 CIRCUITS = "src/qndsim/circuits.py"
 CLI = "src/qndsim/cli.py"
 EXPERIMENTS = "src/qndsim/experiments.py"
@@ -46,19 +47,19 @@ MUTANTS = (
     Mutant(
         "no trace renormalization in _evolve_density", CIRCUITS,
         "    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]\n", "",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[VA-noisy]",
     ),
     Mutant(
         "depolarizing weight halved in _depolarize", CIRCUITS,
         "    out = (1.0 - p) * m\n    out += p * mixed\n",
         "    out = (1.0 - p / 2) * m\n    out += p / 2 * mixed\n",
-        "tests/test_circuits.py",
+        "tests/test_circuits.py::TestRunNoisy::test_depolarized_x_gate",
     ),
     Mutant(
         "one matrix product for the readout confusion", CIRCUITS,
         "probs = np.matmul(_confusion(m, readout_flip), probs[:, :, None])[:, :, 0]",
         "probs = probs @ _confusion(m, readout_flip).T",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[VA-noisy]",
     ),
     Mutant(
         "input analysis ignores the master seed", HARNESS,
@@ -127,7 +128,7 @@ MUTANTS = (
         "the concurrence theory from observable_set, not concurrence_pure", HARNESS,
         "concurrence = np.array([concurrence_pure(c) for c in chi])",
         "concurrence = observable_set(target)[\"C\"]",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[C1-sampled]",
     ),
     Mutant(
         "the last partial block one point short", HARNESS,
@@ -202,6 +203,24 @@ MUTANTS = (
         "tests/test_inputs.py::test_compute_fits_refuses_an_observable_not_the_records_own",
     ),
     Mutant(
+        "the CLI drops a disabled config noise unchecked under a noise flag", CLI,
+        "            SweepConfig.from_dict(values)  # checks the file's own model first\n", "",
+        "tests/test_harness.py"
+        "::TestCli::test_a_disabled_config_noise_is_checked_under_a_noise_flag",
+    ),
+    Mutant(
+        "a repeat run takes a point it would not run", CLI,
+        "if values.get(key) is not None and getattr(config, key) != getattr(fixed, key):",
+        "if False:",
+        "tests/test_harness.py::TestCli::test_repeat_refuses_a_point_it_would_not_run",
+    ),
+    Mutant(
+        "emit dropped from the public API", API,
+        "\"run_criteria_protocol\", \"compute_fits\", \"emit\",",
+        "\"run_criteria_protocol\", \"compute_fits\",",
+        "tests/test_api.py::test_all_is_the_declared_api",
+    ),
+    Mutant(
         "a repeat run echoes the config as given", CLI,
         "    config = fixed_state_config(config)\n", "",
         "tests/test_harness.py::TestCli::test_repeat_echo_names_the_point_its_records_ran",
@@ -228,7 +247,7 @@ MUTANTS = (
         "np.unique sorts the fit's breakpoints", ANALYSIS,
         "edges = _sorted_distinct(np.concatenate(([0.0, 1.0], breaks)))",
         "edges = np.unique(np.concatenate(([0.0, 1.0], breaks)))",
-        "tests/test_analysis.py",
+        "tests/test_analysis.py::TestFitMixedFraction::test_fit_does_not_import_numpy_ma",
     ),
     Mutant(
         "the input analysis keeps the first caller's observable values", HARNESS,
@@ -247,27 +266,30 @@ MUTANTS = (
     Mutant(
         "visibility's second rotation on A with the wrong sign", EXPERIMENTS,
         "ry(0, -_HALF_PI)", "ry(0, _HALF_PI)",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py"
+        "::TestCircuitTwoOutputs::test_half_angle_reproduces_closed_form[visibility]",
     ),
     Mutant(
         "circuit 2's concurrence circuit without its Bell-basis rotation", EXPERIMENTS,
         "rx(1, -_HALF_PI), cnot(2, 3), h(2)),", "rx(1, -_HALF_PI)),",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py"
+        "::TestCircuitTwoOutputs::test_concurrence_on_bell_state_single_branch",
     ),
     Mutant(
         "circuit 1 with cnot(0, 2) twice", EXPERIMENTS,
         "cnot(0, 2), cnot(1, 2)", "cnot(0, 2), cnot(0, 2)",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestCircuitOne::test_ground_state_is_balanced",
     ),
     Mutant(
         "circuit 2 without the ancilla CNOT C->D", EXPERIMENTS,
         "ry(2, _HALF_PI), cnot(2, 3),", "ry(2, _HALF_PI),",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py"
+        "::TestCircuitTwoOutputs::test_concurrence_on_bell_state_single_branch",
     ),
     Mutant(
         "a setting's ancillas counting the pair's qubits too", EXPERIMENTS,
         "for q in g.targets} - {0, 1}))", "for q in g.targets}))",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestCircuitOne::test_bell_input_is_deterministic",
     ),
     Mutant(
         "VB's row before VA's, so the visibility setting's observables reversed", EXPERIMENTS,
@@ -277,12 +299,12 @@ MUTANTS = (
         "    \"VB\": ObservableRow(MeasurementSetting(\"visibility\"), 3 * math.pi / 2, "
         "visibility, 1),\n"
         "    \"VA\": ObservableRow(MeasurementSetting(\"visibility\"), 0.0, visibility, 0),\n",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestGateTable::test_every_observable_has_one_row_in_its_order",
     ),
     Mutant(
         "the observable table missing its last row", EXPERIMENTS,
         "    \"C2\": ObservableRow(MeasurementSetting(\"concurrence2\"), math.pi),\n", "",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestGateTable::test_every_observable_has_one_row_in_its_order",
     ),
     Mutant(
         "PB's default theta off by pi/2", EXPERIMENTS,
@@ -299,74 +321,78 @@ MUTANTS = (
         "the two-ancilla parities swapped", EXPERIMENTS,
         "np.moveaxis(f.reshape(2, 2, -1), qubit, 0)",
         "np.moveaxis(f.reshape(2, 2, -1), 1 - qubit, 0)",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestEstimators::test_visibility_sweep",
     ),
     Mutant(
         "_depolarize's mixed term without its / 2**s", CIRCUITS,
         "eye = np.eye(2**s, dtype=complex) / 2**s\n",
         "eye = np.eye(2**s, dtype=complex)\n",
-        "tests/test_circuits.py",
+        "tests/test_circuits.py"
+        "::TestRunNoisy::test_bell_circuit_two_qubit_depolarizing_gives_werner",
     ),
     Mutant(
         "_depolarize's gather reading the marginal transposed", CIRCUITS,
         "rows, cols, weight = kept[:, None], kept[None, :],",
         "rows, cols, weight = kept[None, :], kept[:, None],",
-        "tests/test_circuits.py",
+        "tests/test_circuits.py::TestDepolarize::test_listed_supports[0.05-4-support0]",
     ),
     Mutant(
         "branch data without the empty-branch threshold", EXPERIMENTS,
         "    empty = probability < EMPTY_BRANCH_PROB\n",
         "    empty = probability < 0.0\n",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py"
+        "::TestCircuitTwoOutputs::test_visibility_zero_branches_at_half_pi",
     ),
     Mutant(
         "an empty branch keeps its rounding-level probability", EXPERIMENTS,
         "    probability[empty] = 0.0\n", "",
-        "tests/test_bit_identity.py",
+        "tests/test_bit_identity.py::test_branch_data_matches_the_tuple_code_on_empty_branches"
+        "[1.5707963267948966-3.141592653589793]",
     ),
     Mutant(
         "an empty branch keeps its product ket", EXPERIMENTS,
         "    kets[empty] = 0.0\n", "",
-        "tests/test_bit_identity.py",
+        "tests/test_bit_identity.py"
+        "::test_branch_data_matches_the_tuple_code_on_empty_branches[0.0-0.0]",
     ),
     Mutant(
         "circuit 1's branches read from the other ancilla bit", EXPERIMENTS,
         "amps[:, :, bit] for bit in range(2)", "amps[:, :, 1 - bit] for bit in range(2)",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestConditionalTargets::test_simulated_branches_match_targets",
     ),
     Mutant(
         "the output mixture weighted by the square root of the probabilities", EXPERIMENTS,
         "m += probability[:, j, None, None] *", "m += np.sqrt(probability[:, j, None, None]) *",
-        "tests/test_experiments.py",
+        "tests/test_experiments.py::TestOutputMixture::test_matches_traced_circuit_output",
     ),
     Mutant(
         "the visibility estimator summed in another order", EXPERIMENTS,
         "grid[0, 0] + grid[0, 1] - grid[1, 0] - grid[1, 1]",
         "grid[0, 0] - grid[1, 0] + grid[0, 1] - grid[1, 1]",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[VA-sampled]",
     ),
     Mutant(
         "a branch result reliable only above the floor", ANALYSIS,
         "return bool(self.probability >= RELIABLE_BRANCH_PROB)",
         "return bool(self.probability > RELIABLE_BRANCH_PROB)",
-        "tests/test_analysis.py",
+        "tests/test_analysis.py::test_reliability_floor_is_inclusive",
     ),
     Mutant(
         "the output grid without its est.rows filter", HARNESS,
         "points, columns = (a[est.rows] for a in np.nonzero(kept > 0))",
         "points, columns = np.nonzero(kept > 0)",
-        "tests/test_bit_identity.py",
+        "tests/test_bit_identity.py::test_block_postselection_matches_one_branch_at_a_time",
     ),
     Mutant(
         "retained shots read from the grid's column 0", HARNESS,
         "shots[points, columns] = kept[points, columns]",
         "shots[points, columns] = kept[points, 0]",
-        "tests/test_bit_identity.py",
+        "tests/test_bit_identity.py::test_block_postselection_matches_one_branch_at_a_time",
     ),
     Mutant(
         "every branch scored against the unconditional target", HARNESS,
         "    targets[branch] = ket[:, :, None] * ket[:, None, :].conj()\n", "",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[VA-sampled]",
     ),
     Mutant(
         "an empty branch is scored", HARNESS,
@@ -377,7 +403,7 @@ MUTANTS = (
     Mutant(
         "column 0 scored against the last branch's target", HARNESS,
         "    branch = col > 0\n", "    branch = col >= 0\n",
-        "tests/test_golden.py",
+        "tests/test_golden.py::test_records_match_golden[VA-exact]",
     ),
     Mutant(
         "the CSV row sort loses its branch key", HARNESS,
@@ -431,7 +457,7 @@ MUTANTS = (
         "phi_count's bound off by one", HARNESS,
         "_integer(\"phi_count\", count, 1, MAX_POINTS)",
         "_integer(\"phi_count\", count, 1, MAX_POINTS - 1)",
-        "tests/test_streams.py",
+        "tests/test_api.py::test_the_largest_point_index_reaches_the_draws_as_its_own_word",
     ),
     Mutant(
         "the real-number helper accepts a bool", QMATH,
@@ -469,14 +495,7 @@ MUTANTS = (
         "the basis index bound off by one", QMATH,
         "_integer(\"basis index\", index, 0, 2**num_qubits - 1)",
         "_integer(\"basis index\", index, 0, 2**num_qubits)",
-        "tests/test_qmath.py",
-    ),
-    Mutant(
-        "exact_probabilities takes any readout flip", CIRCUITS,
-        "    readout_flip = _real(\"readout_flip\", readout_flip, 0.0, 1.0)\n"
-        "    return _outcome_distribution(",
-        "    return _outcome_distribution(",
-        "tests/test_inputs.py::test_a_bad_value_is_refused_before_any_work",
+        "tests/test_qmath.py::TestStateTypes::test_values_are_frozen",
     ),
     Mutant(
         "the qubit-index helper accepts a bool", QMATH,
@@ -520,42 +539,42 @@ MUTANTS = (
         "a row drawn from its neighbour's distribution", CIRCUITS,
         "counts[row] = gen.multinomial(shots, pvals[row])",
         "counts[row] = gen.multinomial(shots, pvals[row - 1])",
-        "tests/test_streams.py",
+        "tests/test_streams.py::test_master_seeds_of_every_word_count[0]",
     ),
     Mutant(
         "the readout flip dropped", CIRCUITS,
         "    if readout_flip > 0.0:\n", "    if False:\n",
-        "tests/test_streams.py",
+        "tests/test_streams.py::test_draws_follow_their_distributions",
     ),
     Mutant(
         "a bool array of seed paths drawn as integers", CIRCUITS,
         "    if seed_paths.dtype.kind not in \"iu\":\n",
         "    if seed_paths.dtype.kind not in \"iub\":\n",
-        "tests/test_streams.py",
+        "tests/test_streams.py::TestSeedInput::test_path_elements[True]",
     ),
     Mutant(
         "fewer seed paths than rows taken", CIRCUITS,
         "    if len(seed_paths) != rows:\n", "    if len(seed_paths) > rows:\n",
-        "tests/test_streams.py",
+        "tests/test_streams.py::TestSeedInput::test_one_path_per_row[paths0]",
     ),
     Mutant(
         "seed path elements beyond 32 bits wrapped", CIRCUITS,
         "int(seed_paths.max()) <= _MASK32:", "int(seed_paths.max()) <= 2**64 - 1:",
-        "tests/test_streams.py",
+        "tests/test_streams.py::test_path_elements_beyond_one_word",
     ),
     Mutant(
         "a negative seed path element wrapped", CIRCUITS,
         "not 0 <= int(seed_paths.min())", "not -1 <= int(seed_paths.min())",
-        "tests/test_streams.py",
+        "tests/test_streams.py::test_path_elements_beyond_one_word",
     ),
     Mutant(
-        "the noise check refuses only None", CIRCUITS,
-        "    if not isinstance(noise, NoiseModel):\n", "    if noise is None:\n",
+        "the noise check refuses only None", HARNESS,
+        "        if not isinstance(self.noise, NoiseModel):\n", "        if self.noise is None:\n",
         "tests/test_inputs.py::test_a_noise_that_is_not_a_noise_model_is_refused",
     ),
     Mutant(
         "a sweep config takes any noise", HARNESS,
-        "        circ._noise_model(self.noise)\n", "",
+        "        if not isinstance(self.noise, NoiseModel):\n", "        if False:\n",
         "tests/test_inputs.py::test_a_noise_that_is_not_a_noise_model_is_refused",
     ),
     Mutant(
@@ -581,7 +600,7 @@ MUTANTS = (
     Mutant(
         "a gate on some slices applied to every slice", CIRCUITS,
         "slice(None) if len(index) == slices else index", "slice(None)",
-        "tests/test_batch.py",
+        "tests/test_batch.py::test_exact_collection_reads_the_same_stack",
     ),
     Mutant(
         "a circuit takes gates that are not gates", CIRCUITS,
@@ -592,12 +611,12 @@ MUTANTS = (
         "the tomography readout ignores the readout flip", TOMOGRAPHY,
         "_outcome_distribution(stack, every_qubit, noise.readout_flip)",
         "_outcome_distribution(stack, every_qubit, 0.0)",
-        "tests/test_reference.py",
+        "tests/test_reference.py::test_exact_input_records_match_the_reference",
     ),
     Mutant(
         "the R setting's pre-rotation turned the wrong way", TOMOGRAPHY,
         "    \"R\": partial(rx, angle=math.pi / 2),", "    \"R\": partial(rx, angle=-math.pi / 2),",
-        "tests/test_reference.py",
+        "tests/test_reference.py::test_the_noiseless_reference_recovers_the_ideal_input",
     ),
 )
 

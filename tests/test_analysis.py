@@ -72,12 +72,6 @@ class TestRmsError:
         assert rms_error(m, t) > 0
         assert rms_error(t, t) == 0.0
 
-    def test_invalid_inputs(self):
-        for measured, theory in (([1.0], [1.0, 2.0]), ([], [])):
-            with pytest.raises(ValueError, match="^measured and theory must be equal-length, "
-                                                 "nonempty$"):
-                rms_error(measured, theory)
-
 
 class TestFitScale:
     def test_identity(self):
@@ -131,10 +125,6 @@ class TestFitMixedFraction:
         coeffs = self.coeffs()
         fit = fit_mixed_fraction([0.0] * len(coeffs), coeffs)
         assert fit.parameter == pytest.approx(2 / 3, abs=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fit_mixed_fraction([0.1], self.coeffs())
 
     @settings(deadline=None)
     @given(PREP, UNIT)

@@ -678,8 +678,9 @@ def test_a_negative_target_is_refused_when_the_gate_is_made():
 
 
 def test_collect_needs_a_seed_path_per_state():
+    # sample_batch refuses it: one path per state is one per setting's row
     psi = basis_state(2)
-    with pytest.raises(ValueError, match="1 seed paths for 2 states"):
+    with pytest.raises(ValueError, match="^16 seed paths for 32 rows$"):
         tom.collect(tom.setting_probabilities(as_stack([psi, psi])), 10, 0, path_array([(1, 0)]))
 
 

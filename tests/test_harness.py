@@ -682,6 +682,41 @@ class TestCli:
             echoed = json.loads(out.read_text())["config"]["noise"]
             assert echoed == dict(want, readout_flip=0.0)
 
+    def test_a_disabled_config_noise_is_checked_under_a_noise_flag(self, tmp_path, capsys):
+        # the file's own model is checked before a flag replaces it, as it
+        # is without the flag
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"observable": "VA", "exact_mode": True, "phi_count": 1,
+                                        "noise": {"enabled": False, "depol_2q": -3}}))
+        out = tmp_path / "n.csv"
+        for flags in ([], ["--noise-1q", "0.01"]):
+            assert cli_main(["sweep", "--config", str(cfg_file), *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: depol_2q must be >= 0") and err.count("\n") == 1, err
+            assert all(stage.cache_info().misses == 0 for stage in STAGE_CACHES)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config, key", [
+        (["--theta", "1.0"], {}, "theta 1.0"),
+        ([], {"theta": 1.0}, "theta 1.0"),
+        ([], {"phi_start": 0.3}, "phi_start 0.3"),
+        ([], {"phi_count": 7}, "phi_count 7"),
+    ], ids=["--theta", "config theta", "config phi_start", "config phi_count"])
+    def test_repeat_refuses_a_point_it_would_not_run(self, flags, config, key, tmp_path,
+                                                      capsys):
+        # a repeat run measures the Bell-state point alone: another point,
+        # from a flag or the config file, is an error before any work
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"observable": "VA", "exact_mode": True, **config}))
+        out = tmp_path / "r.csv"
+        assert cli_main(["repeat", "--config", str(cfg_file), *flags, "--repetitions", "2",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeat measures theta = pi, phi_start = pi/2 and one "
+                              f"point, got {key}\n"), err
+        assert all(stage.cache_info().misses == 0 for stage in STAGE_CACHES)
+        assert not out.exists()
+
     def test_repeat_subcommand(self, tmp_path):
         out = tmp_path / "rep.json"
         assert cli_main(["repeat", "--observable", "C2", "--repetitions", "2",
@@ -690,11 +725,11 @@ class TestCli:
         assert len(doc["records"]) == 2
 
     def test_repeat_echo_names_the_point_its_records_ran(self, tmp_path):
-        # every repetition runs at the Bell-state point whatever --theta
-        # says, and the echo names that point: passed back, it reproduces
-        # the run
+        # every repetition runs at the Bell-state point, not at the
+        # observable's default theta, and the echo names that point: passed
+        # back, it reproduces the run
         first = tmp_path / "first.json"
-        assert cli_main(["repeat", "--observable", "VA", "--exact", "--theta", "1.0",
+        assert cli_main(["repeat", "--observable", "VA", "--exact",
                          "--repetitions", "3", "--format", "json", "--out", str(first)]) == 0
         doc = json.loads(first.read_text())
         echo = doc["config"]

@@ -362,9 +362,6 @@ class TestSeedInput:
             tom.collect(probs, 10, 0, np.array([(1, 0), (1, 0.5)]))
         with pytest.raises(ValueError, match="seed path elements must be in"):
             tom.collect(probs, 10, 0, path_array([(1, 0), (1, 2**32)]))
-        for paths in ([(1, 0), (1, 1)], np.array([1, 0])):
-            with pytest.raises(ValueError, match=r"seed paths must be a \(rows, W\) integer"):
-                tom.collect(probs, 10, 0, paths)
         with pytest.raises(ValueError, match="seed paths for 2 rows"):
             circ.sample_counts(as_stack([basis_state(1)] * 2), (0,), 10, 0, path_array([()]))
         with pytest.raises(ValueError, match="seed path elements must be integers"):
