@@ -81,12 +81,6 @@ def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> FitResult:
     return FitResult("scale", s, rms_error(m, s * t))
 
 
-def _werner_mix(coeffs: BellCoefficients, p: float) -> DensityMatrix:
-    chi = coeffs.state_vector().amplitudes
-    m = (1.0 - p) * np.outer(chi, chi.conj()) + p * np.eye(4) / 4.0
-    return DensityMatrix(2, m)
-
-
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array of finite floats, bit for bit: the
     same sort, then each value that differs from its left neighbour. On
@@ -111,7 +105,9 @@ def fit_mixed_fraction(
     Contract: one coefficient set per measured point, at least one.
     """
     m = np.asarray(measured_concurrence, dtype=float)
-    conc = np.array([concurrence_pure(c.state_vector()) for c in coeffs_per_point])
+    states = [c.state_vector() for c in coeffs_per_point]
+    conc = np.array([concurrence_pure(psi) for psi in states])
+    chi = np.array([psi.amplitudes for psi in states])
     slope = conc + 0.5
     breaks = conc / slope
     edges = _sorted_distinct(np.concatenate(([0.0, 1.0], breaks)))
@@ -127,8 +123,10 @@ def fit_mixed_fraction(
     clipped = np.maximum(np.outer(1.0 - ps, conc) - ps[:, None] / 2, 0.0)
     losses = np.sum((clipped - m) ** 2, axis=1)
     p_hat = float(np.min(ps[losses <= losses.min() + 1e-12]))
-    model = [concurrence_wootters(_werner_mix(c, p_hat)) for c in coeffs_per_point]
-    return FitResult("mixed_fraction", p_hat, rms_error(m, model))
+    # the Werner mixtures of every point as one (K, 4, 4) stack
+    mixed = (1.0 - p_hat) * (chi[:, :, None] * chi[:, None, :].conj()) + p_hat * np.eye(4) / 4.0
+    DensityMatrix.validate(mixed)
+    return FitResult("mixed_fraction", p_hat, rms_error(m, concurrence_wootters(mixed)))
 
 
 def _mean_or_none(values: list[float]) -> float | None:

@@ -114,6 +114,8 @@ class BellCoefficients:
 
 def bell_coefficients(p: PrepParams) -> BellCoefficients:
     """Closed-form Bell coefficients of the preparation circuit output."""
+    if not isinstance(p, PrepParams):
+        raise ValueError(f"p must be a PrepParams, got {type(p).__name__}")
     cp, sp = math.cos(p.phi / 2), math.sin(p.phi / 2)
     ct, st = math.cos(p.theta / 2), math.sin(p.theta / 2)
     cl, sl = math.cos(p.lam / 2), math.sin(p.lam / 2)
@@ -126,6 +128,8 @@ def bell_coefficients(p: PrepParams) -> BellCoefficients:
 
 def prep_circuit(p: PrepParams) -> Circuit:
     """Two-qubit preparation circuit: RY(phi) on A, RY(lam) on B, CRY(theta) A->B."""
+    if not isinstance(p, PrepParams):
+        raise ValueError(f"p must be a PrepParams, got {type(p).__name__}")
     return Circuit(2, (ry(0, p.phi), ry(1, p.lam), cry(0, 1, p.theta)))
 
 
@@ -137,6 +141,8 @@ class MeasurementSetting:
     name: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a str, got {type(self.name).__name__}")
         if self.name not in _MEASUREMENT_GATES:
             raise ValueError(f"unknown measurement setting {self.name!r}")
 
@@ -221,6 +227,8 @@ def setting_for(observable: str) -> MeasurementSetting:
 def measurement_circuit(s: MeasurementSetting) -> Circuit:
     """The full ancilla-measurement circuit for a setting: its gate-table
     row on its register. The caller measures the ancillas."""
+    if not isinstance(s, MeasurementSetting):
+        raise ValueError(f"s must be a MeasurementSetting, got {type(s).__name__}")
     return Circuit(s.num_qubits, _MEASUREMENT_GATES[s.name])
 
 
@@ -417,10 +425,16 @@ def visibility_identity_check(params: list[PrepParams], atol: float = 1e-8) -> b
     """True when the explicit operator reproduces the closed-form output at
     every listed point.
 
-    Raises ValueError for an empty parameter list, which checks nothing,
+    Raises ValueError for parameters that are not a list or tuple of
+    ``PrepParams``, for an empty parameter list, which checks nothing,
     and for a tolerance that is not a finite, nonnegative real number,
     which fails or passes every point.
     """
+    if not isinstance(params, (list, tuple)):
+        raise ValueError(f"params must be a list of PrepParams, got {type(params).__name__}")
+    bad = [type(p).__name__ for p in params if not isinstance(p, PrepParams)]
+    if bad:
+        raise ValueError(f"params must be a list of PrepParams, got {bad[0]} among them")
     atol = _real("atol", atol, 0.0)
     if not params:
         raise ValueError("no parameters to check")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .qmath import (
-    DensityMatrix,
     StateVector,
     matrix_sqrt_psd,
     partial_trace,
@@ -60,16 +59,19 @@ def _spin_flip_roots(rho: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def concurrence_wootters(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max(0, sqrt(r1) - sqrt(r2) - sqrt(r3) - sqrt(r4)).
+def concurrence_wootters(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max(0, sqrt(r1) - sqrt(r2) - sqrt(r3) - sqrt(r4))
+    of each slice of a (K, 4, 4) stack of density matrices, as a (K,) array.
 
     The r_i are the descending eigenvalues of rho * Sigma * conj(rho) * Sigma
-    with Sigma the two-qubit spin flip sigma_y x sigma_y.
+    with Sigma the two-qubit spin flip sigma_y x sigma_y. The stack is
+    assumed valid, as in ``observable_set``.
     """
-    if rho.num_qubits != 2:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError("concurrence is defined on a two-qubit state")
-    r = _spin_flip_roots(rho.matrix)
-    return float(_clip_unit(r[0] - r[1] - r[2] - r[3]))
+    r = _spin_flip_roots(rho)
+    return _clip_unit(r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])
 
 
 def concurrence_pure(psi: StateVector) -> float:

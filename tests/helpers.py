@@ -31,7 +31,7 @@ from qndsim import harness
 from qndsim import tomography as tom
 from qndsim.circuits import Circuit, NoiseModel, _count_bits, cnot, cry, h, rx, ry, x
 from qndsim.experiments import MeasurementSetting, estimate_observable, measurement_circuit
-from qndsim.observables import concurrence_pure, predictability, visibility
+from qndsim.observables import concurrence_pure, concurrence_wootters, predictability, visibility
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, partial_trace, tensor
 
 
@@ -51,6 +51,11 @@ def as_stack(states) -> np.ndarray:
     """The ``run_batch`` stack of a sequence of states, all pure or all
     mixed: (B, d) amplitudes or (B, d, d) density matrices."""
     return np.stack([s.amplitudes if isinstance(s, StateVector) else s.matrix for s in states])
+
+
+def concurrence_of(rho: DensityMatrix) -> float:
+    """The spin-flip concurrence of one density matrix, as a stack of one."""
+    return float(concurrence_wootters(rho.matrix[None])[0])
 
 
 def random_pure_state(rng: np.random.Generator, num_qubits: int = 2) -> StateVector:

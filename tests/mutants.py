@@ -40,6 +40,7 @@ CIRCUITS = "src/qndsim/circuits.py"
 CLI = "src/qndsim/cli.py"
 EXPERIMENTS = "src/qndsim/experiments.py"
 HARNESS = "src/qndsim/harness.py"
+OBSERVABLES = "src/qndsim/observables.py"
 QMATH = "src/qndsim/qmath.py"
 TOMOGRAPHY = "src/qndsim/tomography.py"
 
@@ -617,6 +618,55 @@ MUTANTS = (
         "the R setting's pre-rotation turned the wrong way", TOMOGRAPHY,
         "    \"R\": partial(rx, angle=math.pi / 2),", "    \"R\": partial(rx, angle=-math.pi / 2),",
         "tests/test_reference.py::test_the_noiseless_reference_recovers_the_ideal_input",
+    ),
+    Mutant(
+        "the fit's Werner mixtures with I/2 for I/4", ANALYSIS,
+        "p_hat * np.eye(4) / 4.0", "p_hat * np.eye(4) / 2.0",
+        "tests/test_analysis.py::TestFitMixedFraction::test_fit_is_the_per_point_fit",
+    ),
+    Mutant(
+        "every point's Werner mixture built from the first point's state", ANALYSIS,
+        "(chi[:, :, None] * chi[:, None, :].conj())", "(chi[:1, :, None] * chi[:1, None, :].conj())",
+        "tests/test_analysis.py::TestFitMixedFraction::test_fit_is_the_per_point_fit",
+    ),
+    Mutant(
+        "the concurrence of a stack reads the first slice's last root", OBSERVABLES,
+        "r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])\n\n\ndef concurrence_pure",
+        "r[:, 0] - r[:, 1] - r[:, 2] - r[:1, 3])\n\n\ndef concurrence_pure",
+        "tests/test_observables.py::TestConcurrence::test_each_slice_of_a_stack_is_its_stack_of_one",
+    ),
+    Mutant(
+        "bell_coefficients takes anything", EXPERIMENTS,
+        "circuit output.\"\"\"\n    if not isinstance(p, PrepParams):",
+        "circuit output.\"\"\"\n    if False:",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
+    ),
+    Mutant(
+        "prep_circuit takes anything", EXPERIMENTS,
+        "CRY(theta) A->B.\"\"\"\n    if not isinstance(p, PrepParams):",
+        "CRY(theta) A->B.\"\"\"\n    if False:",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
+    ),
+    Mutant(
+        "measurement_circuit takes anything", EXPERIMENTS,
+        "    if not isinstance(s, MeasurementSetting):\n", "    if False:\n",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
+    ),
+    Mutant(
+        "a measurement setting's name may be any hashable", EXPERIMENTS,
+        "        if not isinstance(self.name, str):\n", "        if False:\n",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
+    ),
+    Mutant(
+        "the identity check takes one point for a list", EXPERIMENTS,
+        "    if not isinstance(params, (list, tuple)):\n", "    if False:\n",
+        "tests/test_inputs.py::test_a_wrong_type_is_refused_naming_its_argument",
+    ),
+    Mutant(
+        "the identity check checks points up to the first bad one", EXPERIMENTS,
+        "    bad = [type(p).__name__ for p in params if not isinstance(p, PrepParams)]\n",
+        "    bad = []\n",
+        "tests/test_inputs.py::test_identity_check_refuses_a_bad_point_before_checking_any",
     ),
 )
 

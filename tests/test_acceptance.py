@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    concurrence_of,
     measurement_circuit_without_half_angle,
     post_measurement_pair_state,
     qnd_estimates_exact,
@@ -33,7 +34,7 @@ from qndsim import experiments as ex
 from qndsim.analysis import BranchResult, fit_mixed_fraction, rms_error
 from qndsim.circuits import NoiseModel
 from qndsim.harness import SweepConfig, repeat_fixed_state, run_criteria_protocol, run_sweep
-from qndsim.observables import concurrence_wootters, observable_set
+from qndsim.observables import observable_set
 from qndsim.qmath import DensityMatrix, StateVector, basis_state, fidelity
 
 GRID_16 = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
@@ -73,7 +74,7 @@ def test_criterion_02_estimator_equivalence():
     for phi in GRID_16:
         for theta in GRID_16:
             chi = ex.bell_coefficients(ex.PrepParams(phi, theta)).state_vector()
-            reference = concurrence_wootters(chi.density())
+            reference = concurrence_of(chi.density())
             c1 = qnd_estimates_exact(ex.MeasurementSetting("concurrence1"), chi)["C1"]
             c2 = qnd_estimates_exact(ex.MeasurementSetting("concurrence2"), chi)["C2"]
             worst = max(worst, abs(c1 - reference), abs(c2 - reference))
@@ -211,7 +212,7 @@ def test_criterion_09_noise_phenomenology():
     for c in coeffs:
         chi = c.state_vector().amplitudes
         mixed = (1 - p_true) * np.outer(chi, chi.conj()) + p_true * np.eye(4) / 4
-        measured.append(concurrence_wootters(DensityMatrix(2, mixed)))
+        measured.append(concurrence_of(DensityMatrix(2, mixed)))
     fit = fit_mixed_fraction(measured, coeffs)
     recovery = abs(fit.parameter - p_true) <= 1e-2
 
@@ -230,7 +231,7 @@ def test_criterion_10_werner_concurrence():
     for p in (0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0):
         rho = DensityMatrix(2, p * bell + (1 - p) * np.eye(4) / 4)
         expected = max(0.0, (3 * p - 1) / 2)
-        worst = max(worst, abs(concurrence_wootters(rho) - expected))
+        worst = max(worst, abs(concurrence_of(rho) - expected))
     _report(10, worst <= 1e-8, f"max closed-form deviation {worst:.2e}")
 
 

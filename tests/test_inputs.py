@@ -27,7 +27,12 @@ dict, a criteria run's seeds or observables that are not a list or tuple,
 records that ``emit`` and ``compute_fits`` take that are not a nonempty
 list of records, a config that ``run_sweep``, ``repeat_fixed_state``,
 ``fixed_state_config`` or ``emit`` takes that is not a ``SweepConfig``,
-and fits that ``emit`` takes that are not a dict of ``FitResult``.
+and fits that ``emit`` takes that are not a dict of ``FitResult``. The
+gate-table readers refuse the same way an argument that is not a
+``PrepParams`` (``bell_coefficients``, ``prep_circuit``), a
+``MeasurementSetting`` (``measurement_circuit``), a string name
+(``MeasurementSetting``) or a list of ``PrepParams``
+(``visibility_identity_check``, before checking any point).
 ``compute_fits`` refuses records of more than one observable, or of an
 unknown one, before any fit. A disabled noise model checks its
 probabilities before it zeroes them, as an enabled one does. A density
@@ -351,6 +356,16 @@ WRONG_TYPES = [
     ("repeat_fixed_state", "VA", "config must be a SweepConfig, got str"),
     ("repeat_fixed_state", None, "config must be a SweepConfig, got NoneType"),
     ("fixed_state_config", {"observable": "VA"}, "config must be a SweepConfig, got dict"),
+    ("bell_coefficients", 0.5, "p must be a PrepParams, got float"),
+    ("bell_coefficients", (0.5, 0.0, 0.0), "p must be a PrepParams, got tuple"),
+    ("prep_circuit", "VA", "p must be a PrepParams, got str"),
+    ("measurement_circuit", "visibility", "s must be a MeasurementSetting, got str"),
+    ("MeasurementSetting", ["x"], "name must be a str, got list"),
+    ("MeasurementSetting", None, "name must be a str, got NoneType"),
+    ("visibility_identity_check", ex.PrepParams(0.5),
+     "params must be a list of PrepParams, got PrepParams"),
+    ("visibility_identity_check", [ex.PrepParams(0.5), 0.5],
+     "params must be a list of PrepParams, got float among them"),
 ]
 
 CALLS = {
@@ -366,6 +381,11 @@ CALLS = {
     "run_sweep": harness.run_sweep,
     "repeat_fixed_state": lambda v: repeat_fixed_state(v, 2),
     "fixed_state_config": harness.fixed_state_config,
+    "bell_coefficients": ex.bell_coefficients,
+    "prep_circuit": ex.prep_circuit,
+    "measurement_circuit": ex.measurement_circuit,
+    "MeasurementSetting": ex.MeasurementSetting,
+    "visibility_identity_check": ex.visibility_identity_check,
 }
 
 
@@ -395,3 +415,13 @@ def test_compute_fits_refuses_an_observable_not_the_records_own(records, message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         harness.compute_fits(records)
     assert fitted == []
+
+
+def test_identity_check_refuses_a_bad_point_before_checking_any(monkeypatch):
+    # the first point would pass: the second is refused before it is checked
+    def no_work(*args):
+        raise AssertionError("the points are checked first")
+
+    monkeypatch.setattr(ex, "visibility_identity_deviation", no_work)
+    with pytest.raises(ValueError, match="^params must be a list of PrepParams, got str among"):
+        ex.visibility_identity_check([ex.PrepParams(0.5), "VA"])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    concurrence_of,
     random_density_matrix,
     random_pure_state,
     random_real_pure_state,
@@ -90,7 +93,7 @@ def test_single_qubit_measures_work_slice_by_slice(measure):
 
 class TestConcurrence:
     def test_bell_state(self):
-        assert concurrence_wootters(StateVector(2, PHI_PLUS).density()) == pytest.approx(1.0)
+        assert concurrence_of(StateVector(2, PHI_PLUS).density()) == pytest.approx(1.0)
         assert concurrence_pure(StateVector(2, PHI_PLUS)) == pytest.approx(1.0)
 
     def test_product_states_are_zero(self):
@@ -100,13 +103,13 @@ class TestConcurrence:
             b = random_pure_state(rng, 1).amplitudes
             psi = StateVector(2, np.kron(a, b))
             assert concurrence_pure(psi) == pytest.approx(0.0, abs=1e-10)
-            assert concurrence_wootters(psi.density()) == pytest.approx(0.0, abs=1e-8)
+            assert concurrence_of(psi.density()) == pytest.approx(0.0, abs=1e-8)
 
     def test_werner_closed_form(self):
         # brute-force spin-flip formula vs the (3p - 1)/2 closed form
         for p in (0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0):
             expected = max(0.0, (3 * p - 1) / 2)
-            assert concurrence_wootters(werner(p)) == pytest.approx(expected, abs=1e-8)
+            assert concurrence_of(werner(p)) == pytest.approx(expected, abs=1e-8)
 
     def test_pure_closed_form_on_sweep(self):
         for phi in PHIS:
@@ -118,7 +121,7 @@ class TestConcurrence:
         for _ in range(30):
             psi = random_pure_state(rng, 2)
             assert concurrence_pure(psi) == pytest.approx(
-                concurrence_wootters(psi.density()), abs=1e-8
+                concurrence_of(psi.density()), abs=1e-8
             )
 
     def test_invariant_under_local_unitaries(self):
@@ -127,8 +130,8 @@ class TestConcurrence:
             rho = random_density_matrix(rng, 2)
             u = tensor(random_unitary_2x2(rng), random_unitary_2x2(rng))
             rotated = DensityMatrix(2, u @ rho.matrix @ u.conj().T)
-            assert concurrence_wootters(rotated) == pytest.approx(
-                concurrence_wootters(rho), abs=1e-8
+            assert concurrence_of(rotated) == pytest.approx(
+                concurrence_of(rho), abs=1e-8
             )
 
     def test_basis_state_is_zero(self):
@@ -138,9 +141,43 @@ class TestConcurrence:
     def test_wrong_dimension(self, num_qubits):
         state = basis_state(num_qubits)
         for call in (lambda: concurrence_pure(state),
-                     lambda: concurrence_wootters(state.density())):
+                     lambda: concurrence_of(state.density())):
             with pytest.raises(ValueError, match="^concurrence is defined on a two-qubit state$"):
                 call()
+
+    # test_wrong_dimension covers stacks of one- and three-qubit states
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 4), (3, 4, 2), (3, 2, 4)])
+    def test_refuses_anything_but_a_stack_of_pairs(self, shape, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the shape is checked first")
+
+        monkeypatch.setattr(observables, "matrix_sqrt_psd", no_work)
+        with pytest.raises(ValueError, match="^concurrence is defined on a two-qubit state$"):
+            concurrence_wootters(np.zeros(shape, dtype=complex))
+
+    # random mixed, pure, product and Werner states: full rank, rank one
+    # with a zero concurrence, and mixtures either side of separability
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(
+        st.sampled_from(["mixed", "pure", "product", "werner"]), min_size=1, max_size=24))
+    def test_each_slice_of_a_stack_is_its_stack_of_one(self, seed, kinds):
+        # bit for bit: the mixed-fraction fit reads a whole stack, where it
+        # read one state at a time
+        rng = np.random.default_rng(seed)
+        makers = {
+            "mixed": lambda: random_density_matrix(rng, 2),
+            "pure": lambda: random_pure_state(rng, 2).density(),
+            "product": lambda: StateVector(2, np.kron(random_pure_state(rng, 1).amplitudes,
+                                                      random_pure_state(rng, 1).amplitudes)
+                                           ).density(),
+            "werner": lambda: werner(float(rng.uniform())),
+        }
+        stack = np.stack([makers[kind]().matrix for kind in kinds])
+        values = concurrence_wootters(stack)
+        assert values.shape == (len(kinds),)
+        for i in range(len(kinds)):
+            one = concurrence_wootters(stack[i:i + 1])
+            assert values[i].tobytes() == one[0].tobytes()
 
 
 class TestTriality:
@@ -183,7 +220,7 @@ class TestObservableSet:
                                    ("PA", predictability, (0,)), ("PB", predictability, (1,))):
             assert np.array_equal(vals[key], measure(partial_trace(rho, keep)))
         for i, slice_ in enumerate(rho):
-            assert vals["C"][i] == pytest.approx(concurrence_wootters(DensityMatrix(2, slice_)),
+            assert vals["C"][i] == pytest.approx(concurrence_of(DensityMatrix(2, slice_)),
                                                  abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 4, 4, 4), (3, 4, 2), (0, 8, 8)])
