@@ -418,7 +418,7 @@ def test_compute_fits_refuses_an_observable_not_the_records_own(records, message
 
 
 def test_identity_check_refuses_a_bad_point_before_checking_any(monkeypatch):
-    # the first point would pass: the second is refused before it is checked
+    # a good point first: the bad second one is refused before either is checked
     def no_work(*args):
         raise AssertionError("the points are checked first")
 
