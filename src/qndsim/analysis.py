@@ -12,7 +12,6 @@ import numpy as np
 
 from .experiments import RELIABLE_BRANCH_PROB, BellCoefficients
 from .observables import concurrence_pure, concurrence_wootters
-from .qmath import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,12 @@ def rms_error(measured: Sequence[float], theory: Sequence[float]) -> float:
 
 
 def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> FitResult:
-    """Least-squares scale factor s minimizing ||measured - s * theory||."""
+    """Least-squares scale factor s minimizing ||measured - s * theory||.
+    Contract: the two are of one length, and ``np.dot(theory, theory)`` is
+    positive."""
     m = np.asarray(measured, dtype=float)
     t = np.asarray(theory, dtype=float)
-    if m.shape != t.shape or m.size == 0:
-        raise ValueError("measured and theory must be equal-length, nonempty")
-    denom = float(np.dot(t, t))
-    if denom == 0.0:
-        raise ValueError("theory vector is identically zero")
-    s = float(np.dot(m, t)) / denom
+    s = float(np.dot(m, t)) / float(np.dot(t, t))
     return FitResult("scale", s, rms_error(m, s * t))
 
 
@@ -123,9 +119,9 @@ def fit_mixed_fraction(
     clipped = np.maximum(np.outer(1.0 - ps, conc) - ps[:, None] / 2, 0.0)
     losses = np.sum((clipped - m) ** 2, axis=1)
     p_hat = float(np.min(ps[losses <= losses.min() + 1e-12]))
-    # the Werner mixtures of every point as one (K, 4, 4) stack
+    # the Werner mixtures of every point as one (K, 4, 4) stack, states by
+    # construction: unit kets mixed with I/4 at a p_hat in [0, 1]
     mixed = (1.0 - p_hat) * (chi[:, :, None] * chi[:, None, :].conj()) + p_hat * np.eye(4) / 4.0
-    DensityMatrix.validate(mixed)
     return FitResult("mixed_fraction", p_hat, rms_error(m, concurrence_wootters(mixed)))
 
 
@@ -137,18 +133,12 @@ def criteria_summary(records_by_observable: dict[str, list[SweepRecord]]) -> dic
     """Error tables and fidelity means for a complete set of sweeps, as the
     report's JSON object.
 
-    Requires at least one observable and, for every observable, records
-    carrying the QND estimate and both tomographic estimates. The averages
-    weight each observable equally; the metadata echoes that choice.
+    The averages weight each observable equally; the metadata echoes that
+    choice. Contract: at least one observable, each with at least one
+    record, and every record carries ``tomo_in`` and ``tomo_out``.
     """
-    if not records_by_observable:
-        raise ValueError("at least one observable is required")
     per: dict[str, dict] = {}
     for obs, records in records_by_observable.items():
-        if not records:
-            raise ValueError(f"no records for observable {obs}")
-        if any(r.tomo_in is None or r.tomo_out is None for r in records):
-            raise ValueError(f"incomplete sweep for observable {obs}")
         records = sorted(records, key=lambda r: (r.phi, r.seed))
         theory = [r.theory for r in records]
         e_qnd = rms_error([r.qnd_estimate for r in records], theory)

@@ -425,7 +425,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_words(seed_paths, rows: int, unit: str = "rows") -> np.ndarray:
+def _seed_words(seed_paths, rows: int) -> np.ndarray:
     """The paths, a (rows, W) ndarray of an integer dtype, as the uint32
     words SeedSequence hashes; raises ValueError for any other form, a row
     count other than ``rows`` or an element outside 0..2**32 - 1."""
@@ -435,7 +435,7 @@ def _seed_words(seed_paths, rows: int, unit: str = "rows") -> np.ndarray:
     if seed_paths.dtype.kind not in "iu":
         raise ValueError(f"seed path elements must be integers, got dtype {seed_paths.dtype}")
     if len(seed_paths) != rows:
-        raise ValueError(f"{len(seed_paths)} seed paths for {rows} {unit}")
+        raise ValueError(f"{len(seed_paths)} seed paths for {rows} rows")
     # built-in ints: numpy 1.24 compares a uint64 with an int through float
     if seed_paths.size and not 0 <= int(seed_paths.min()) <= int(seed_paths.max()) <= _MASK32:
         raise ValueError("seed path elements must be in 0..2**32 - 1")

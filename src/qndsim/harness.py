@@ -574,10 +574,10 @@ def compute_fits(records: list[SweepRecord]) -> dict[str, FitResult]:
     An observable whose formula is the concurrence gets the fully-mixed-
     component fit (mix into the ideal state, recompute the concurrence,
     Wootters' closed form) since plain scaling cannot track the purity
-    loss. Scale fits are left out when the theory curve is identically
-    zero, where no scale factor is defined. Raises ValueError, before any
-    fit, unless ``records`` is a nonempty list of records that all name
-    one known observable.
+    loss. Scale fits are left out when the sum of the squared theory values
+    is 0 (identically zero or underflowing), where no scale factor is
+    defined. Raises ValueError, before any fit, unless ``records`` is a
+    nonempty list of records that all name one known observable.
     """
     _check_records(records, "fit")
     held = sorted({r.observable for r in records})
@@ -585,8 +585,9 @@ def compute_fits(records: list[SweepRecord]) -> dict[str, FitResult]:
         raise ValueError(f"records must be of one observable, got records of {held}")
     row = ex.observable_row(held[0])
     records = sorted(records, key=lambda r: (r.phi, r.seed))
-    theory = [r.theory for r in records]
-    scalable = any(theory)
+    theory = np.asarray([r.theory for r in records], dtype=float)
+    # fit_scale's divisor
+    scalable = float(np.dot(theory, theory)) > 0.0
     fits: dict[str, FitResult] = {}
     if scalable:
         fits["qnd_scale"] = fit_scale([r.qnd_estimate for r in records], theory)

@@ -192,11 +192,9 @@ def collect(
     array: setting k of state i draws from stream (master_seed,
     *seed_paths[i], k). Returns the integer counts, shaped like ``probs``.
     ``sample_batch`` checks the shots and every setting's path before any
-    draw. Contract: ``seed_paths`` is an ndarray with one path per state.
+    draw. Contract: ``probs`` is a 3-D ndarray and ``seed_paths`` an ndarray
+    with one path per state.
     """
-    probs = np.asarray(probs)
-    if probs.ndim != 3:
-        raise ValueError(f"need (states, settings, 2^n) probabilities, got shape {probs.shape}")
     # every setting of every state in one draw: its streams are seeded together
     settings = np.arange(probs.shape[1], dtype=seed_paths.dtype)
     rows = np.column_stack([np.repeat(seed_paths, len(settings), axis=0),
@@ -205,15 +203,10 @@ def collect(
     return counts.reshape(probs.shape)
 
 
-def _frequencies_00(data) -> np.ndarray:
+def _frequencies_00(data: np.ndarray) -> np.ndarray:
     """(..., 16) "00" frequencies of (..., 16, 4) per-setting outcome counts
     or probabilities over qubits 0 and 1, settings in canonical order (see
-    ``circuits._frequencies``)."""
-    data = np.asarray(data)
-    if data.ndim < 2 or data.shape[-2:] != (16, 4):
-        raise ValueError(
-            f"need outcome data over two qubits for all 16 settings, got shape {data.shape}"
-        )
+    ``circuits._frequencies``). Contract: ``data`` is such an ndarray."""
     return circ._frequencies(data)[..., 0]
 
 

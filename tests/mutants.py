@@ -251,6 +251,17 @@ MUTANTS = (
         "tests/test_analysis.py::TestFitMixedFraction::test_fit_does_not_import_numpy_ma",
     ),
     Mutant(
+        "the fit drops its first interval, from 0 to the smallest breakpoint", ANALYSIS,
+        "np.concatenate(([0.0, 1.0], breaks))", "np.concatenate(([1.0, 1.0], breaks))",
+        "tests/test_analysis.py"
+        "::TestFitMixedFraction::test_entangled_noiseless_data_give_exactly_zero",
+    ),
+    Mutant(
+        "compute_fits scales a theory whose squares underflow", HARNESS,
+        "scalable = float(np.dot(theory, theory)) > 0.0", "scalable = any(theory)",
+        "tests/test_harness.py::TestCli::test_underflowing_theory_sweep_omits_scale_fits",
+    ),
+    Mutant(
         "the input analysis keeps the first caller's observable values", HARNESS,
         "    tomo_in = _observable_values(obs, est_in).tolist()\n",
         "    tomo_in = _measure_block.__dict__.setdefault(\"first\", {}).setdefault(\n"

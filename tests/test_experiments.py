@@ -239,7 +239,7 @@ class TestEstimators:
     def test_data_of_the_wrong_width_rejected(self, name, data):
         # one entry per ancilla outcome, or the estimate reads missing outcomes
         # as zero; the estimator takes a stack, here a stack of one
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=r"^need \(K, \d+\) outcomes"):
             ex.estimate_observable(ex.MeasurementSetting(name), np.array(data)[None])
 
     @settings(deadline=None)

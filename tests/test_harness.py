@@ -755,6 +755,17 @@ class TestCli:
         assert "tomo_out_scale" not in doc["fits"]
         assert "tomo_out_mixed_fraction" in doc["fits"]
 
+    def test_underflowing_theory_sweep_omits_scale_fits(self, tmp_path):
+        # VA's theory at phi = 1e-170 is 1e-170, nonzero, but its square
+        # underflows to 0, the sum a scale fit divides by
+        out = tmp_path / "tiny.json"
+        assert cli_main(["sweep", "--observable", "VA", "--exact", "--phi-start", "1e-170",
+                         "--phi-steps", "1", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        (record,) = doc["records"]
+        assert record["theory"] != 0.0 and record["theory"] ** 2 == 0.0
+        assert doc["fits"] == {}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_past_two_pi(self, tmp_path, fmt):
         # the default step is pi/32, so 70 points end at 69*pi/32 > 2*pi

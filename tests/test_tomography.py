@@ -60,11 +60,6 @@ class TestCollect:
         b = tom.collect(probs, 500, 5, NO_PATH)[0]
         assert a.shape == (16, 4) and np.array_equal(a, b)
 
-    def test_rejects_probabilities_of_another_shape(self):
-        # a (states, settings, 2^n) stack
-        with pytest.raises(ValueError, match="got shape"):
-            tom.collect(np.full(4, 0.25), 100, 0, NO_PATH)
-
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             tom.collect(tom.setting_probabilities(as_stack([bell()])), 0, 0, NO_PATH)
